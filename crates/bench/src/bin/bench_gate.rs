@@ -77,19 +77,18 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // The throughput harness shares the output document; keep its sections
-    // (throughput *and* the report-only scheduler rows) if the file already
-    // has them, so the two gates can run in either order — and salvage
-    // whatever a truncated or corrupt file still carries rather than
-    // silently dropping the other gate's results.
+    // The throughput harness shares the output document; keep its section
+    // if the file already has one, so the two gates can run in either
+    // order — and salvage whatever a truncated or corrupt file still
+    // carries rather than silently dropping the other gate's results.
     let existing = dsm_bench::throughput::read_for_merge(&options.output);
     for warning in &existing.warnings {
         eprintln!("warning: {warning} — keeping the rows that survived");
     }
-    let document = if existing.throughput.is_empty() && existing.scheduler.is_empty() {
+    let document = if existing.throughput.is_empty() {
         gate::to_json(&rows)
     } else {
-        dsm_bench::throughput::document_json(&rows, &existing.throughput, &existing.scheduler)
+        dsm_bench::throughput::document_json(&rows, &existing.throughput)
     };
     std::fs::write(&options.output, document)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", options.output));

@@ -6,7 +6,7 @@
 //! invariants).
 //!
 //! Usage: `cargo run -p dsm-bench --release --bin sim_matrix [--sweep N]
-//! [--seeds a,b,c] [--lossy] [--sim-workers N] [--output FILE]`
+//! [--seeds a,b,c] [--lossy] [--output FILE]`
 //!
 //! * `--sweep N` — derive `N` seeds from the base corpus (the weekly
 //!   extended sweep uses this; default 2, the reduced CI sweep).
@@ -14,12 +14,6 @@
 //! * `--lossy` — inject faults into every sim run (1% seeded per-link
 //!   drops plus a partition/heal cycle, `SimConfig::lossy`); cells must
 //!   conform anyway via timeouts, idempotent retries and home re-election.
-//! * `--sim-workers N` — run every sim cell on `N` scheduler workers
-//!   (`SimConfig::with_workers`; default 1, the sequential reference).
-//!   With `N > 1` every seed is *additionally* replayed on the
-//!   single-worker reference scheduler and must produce a bit-identical
-//!   delivery trace and fingerprint — the parallel-scheduler determinism
-//!   gate CI's `sim-parallel` job runs.
 //! * `--output FILE` — write the failing-seed list (one
 //!   `workload,policy,seed,reason` line each; empty file = all green), for
 //!   CI artifact upload.
@@ -60,40 +54,25 @@ fn main() {
     };
     assert!(!seeds.is_empty(), "need at least one seed");
     let lossy = args.iter().any(|a| a == "--lossy");
-    let workers: usize = value_of("--sim-workers").map_or(1, |s| {
-        s.parse()
-            .unwrap_or_else(|e| panic!("--sim-workers {s:?} is invalid: {e}"))
-    });
-    assert!(workers >= 1, "--sim-workers needs at least one worker");
 
     eprintln!(
-        "sweeping the policy x workload conformance matrix over {} seed(s){}{} ...",
+        "sweeping the policy x workload conformance matrix over {} seed(s){} ...",
         seeds.len(),
         if lossy { " under injected faults" } else { "" },
-        if workers > 1 {
-            format!(" on {workers} sim workers (vs the single-worker reference)")
-        } else {
-            String::new()
-        }
     );
     let sim_config = if lossy {
         dsm_runtime::SimConfig::lossy
     } else {
         dsm_runtime::SimConfig::perturbed
     };
-    let rows = matrix::conformance_with(&seeds, sim_config, workers);
+    let rows = matrix::conformance_with(&seeds, sim_config);
     println!(
-        "Conformance matrix — sim fabric{}{} vs. threaded reference, seeds {seeds:?}\n",
+        "Conformance matrix — sim fabric{} vs. threaded reference, seeds {seeds:?}\n",
         if lossy {
             " (lossy: 1% drops + partition/heal)"
         } else {
             ""
         },
-        if workers > 1 {
-            format!(" ({workers} workers, single-worker equality checked)")
-        } else {
-            String::new()
-        }
     );
     println!("{}", matrix::render(&rows).render());
 

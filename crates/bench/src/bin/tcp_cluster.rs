@@ -49,7 +49,6 @@ fn build_cluster(nodes: usize, fabric: FabricMode) -> (ClusterBuilder, ArrayHand
         .nodes(nodes)
         .protocol(ProtocolConfig::adaptive())
         .compute(ComputeModel::free())
-        .fast_poll()
         .fabric(fabric);
     let cells = builder.register_array::<u64>("tcp_cluster.cells", nodes * CELLS_PER_NODE);
     (builder, cells)

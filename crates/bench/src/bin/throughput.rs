@@ -29,9 +29,6 @@
 //!   --band FACTOR           allowed ops/sec slowdown factor vs the
 //!                           baseline (default: 5)
 //!   --tolerance PCT         allowed message growth in percent (default: 25)
-//!   --sim-workers N         parallel worker count for the sim-scheduler
-//!                           wall-clock comparison rows (default: 4; 1
-//!                           skips the comparison)
 //! ```
 //!
 //! `scripts/bench_gate.sh` runs this in `--gate` mode after the modeled
@@ -53,7 +50,6 @@ struct Options {
     seed: u64,
     band: f64,
     tolerance: f64,
-    sim_workers: usize,
 }
 
 fn parse_args() -> Options {
@@ -67,7 +63,6 @@ fn parse_args() -> Options {
         seed: 2004,
         band: throughput::DEFAULT_WALL_BAND,
         tolerance: throughput::DEFAULT_MESSAGE_TOLERANCE,
-        sim_workers: 4,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -110,13 +105,6 @@ fn parse_args() -> Options {
                     .parse()
                     .expect("--tolerance must be a number");
                 options.tolerance = pct / 100.0;
-            }
-            "--sim-workers" => {
-                options.sim_workers = args
-                    .next()
-                    .expect("--sim-workers needs a count")
-                    .parse()
-                    .expect("--sim-workers must be a number");
             }
             // Consumed by fabric_from_args.
             "--fabric" => {
@@ -161,41 +149,7 @@ fn main() -> ExitCode {
     println!("Throughput serving mode — wall-clock, Zipfian KV workload\n");
     println!("{}", throughput::render(&rows).render());
 
-    // The executor row: the same KV workload under the event-driven
-    // executor vs per-node polling threads, on identical seeds. The
-    // invariants (equal fingerprints, executor strictly quieter on idle
-    // wakeups) are machine-independent, so they gate in every mode; the
-    // wall-clock columns are report-only.
-    let mut sched_rows =
-        throughput::collect_scheduler(&params, options.nodes, &fabric, options.seed);
-    println!("Server scheduling — executor vs polling, same workload and seed\n");
-    println!("{}", throughput::render_scheduler(&sched_rows).render());
-
     let mut failures = throughput::check_rows(&rows, &params);
-    failures.extend(throughput::check_scheduler(&sched_rows));
-
-    // The sim-scheduler comparison: the conformance-matrix workloads on the
-    // virtual-clock fabric, sequential vs parallel frontier scheduling.
-    // Fingerprints and event counts gate (worker count must never change
-    // the schedule); the wall-clock speedup is report-only.
-    if options.sim_workers > 1 {
-        let sim_rows = throughput::collect_sim_workers(options.seed, options.sim_workers);
-        println!(
-            "Sim scheduler — single-worker reference vs {} frontier workers\n",
-            options.sim_workers
-        );
-        println!("{}", throughput::render_scheduler(&sim_rows).render());
-        if sim_rows[1].wall_ms > 0.0 {
-            println!(
-                "sim wall-clock speedup: {:.2}x ({:.1} ms -> {:.1} ms)\n",
-                sim_rows[0].wall_ms / sim_rows[1].wall_ms,
-                sim_rows[0].wall_ms,
-                sim_rows[1].wall_ms
-            );
-        }
-        failures.extend(throughput::check_sim_workers(&sim_rows));
-        sched_rows.extend(sim_rows);
-    }
 
     if options.write_baseline {
         // Never commit a baseline that violates its own invariants.
@@ -206,14 +160,8 @@ fn main() -> ExitCode {
             }
             return ExitCode::FAILURE;
         }
-        // Scheduler rows are report-only and deliberately excluded from
-        // the committed baseline: their wall-clock columns are the most
-        // machine-dependent numbers in the harness.
-        std::fs::write(
-            &options.baseline,
-            throughput::document_json(&[], &rows, &[]),
-        )
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", options.baseline));
+        std::fs::write(&options.baseline, throughput::document_json(&[], &rows))
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", options.baseline));
         println!("baseline written to {}", options.baseline);
         return ExitCode::SUCCESS;
     }
@@ -228,7 +176,7 @@ fn main() -> ExitCode {
     }
     std::fs::write(
         &options.output,
-        throughput::document_json(&existing.workloads, &rows, &sched_rows),
+        throughput::document_json(&existing.workloads, &rows),
     )
     .unwrap_or_else(|e| panic!("cannot write {}: {e}", options.output));
     println!("results merged into {}", options.output);

@@ -529,10 +529,11 @@ fn parse_into(text: &str, rows: &mut Vec<GateRow>) -> Result<(), String> {
                     }
                 }
             }
-            // The throughput harness appends its own sections to the same
-            // document (see `crate::throughput::parse_document`); the
-            // workload-gate parser tolerates and skips them so both gates
-            // can read one `BENCH_PR.json`.
+            // The throughput harness appends its own section to the same
+            // document (see `crate::throughput::parse_document`), and
+            // older documents carry a report-only `scheduler` section; the
+            // workload-gate parser skips both so either gate can read one
+            // `BENCH_PR.json`.
             "throughput" | "scheduler" => p.skip_value()?,
             other => return Err(format!("unknown top-level key {other:?}")),
         }

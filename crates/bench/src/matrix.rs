@@ -268,7 +268,7 @@ pub struct CellResult {
 /// protocol invariants. Failures are collected, not panicked, so a sweep
 /// reports *every* failing seed.
 pub fn conformance(seeds: &[u64]) -> Vec<CellResult> {
-    conformance_with(seeds, SimConfig::perturbed, 1)
+    conformance_with(seeds, SimConfig::perturbed)
 }
 
 /// The lossy conformance sweep: the same policy × workload grid, but every
@@ -278,22 +278,12 @@ pub fn conformance(seeds: &[u64]) -> Vec<CellResult> {
 /// message loss a performance event, never a semantic one — and the run
 /// must replay bit-identically, drop records included.
 pub fn conformance_lossy(seeds: &[u64]) -> Vec<CellResult> {
-    conformance_with(seeds, SimConfig::lossy, 1)
+    conformance_with(seeds, SimConfig::lossy)
 }
 
 /// The generalized sweep behind [`conformance`] / [`conformance_lossy`]:
-/// any perturbation configuration, on `workers` scheduler workers
-/// ([`SimConfig::with_workers`]). With `workers > 1` every cell
-/// additionally runs each seed on the single-worker reference scheduler
-/// and requires a **bit-identical delivery trace** (checksum and order
-/// signature) and result fingerprint — the parallel frontier scheduler is
-/// an execution strategy, never a schedule change, so any divergence is a
-/// determinism bug in the worker-pool merge.
-pub fn conformance_with(
-    seeds: &[u64],
-    sim_config: fn(u64) -> SimConfig,
-    workers: usize,
-) -> Vec<CellResult> {
+/// any perturbation configuration.
+pub fn conformance_with(seeds: &[u64], sim_config: fn(u64) -> SimConfig) -> Vec<CellResult> {
     let mut rows = Vec::new();
     for workload in workloads() {
         for (label, protocol) in policies() {
@@ -302,7 +292,7 @@ pub fn conformance_with(
             let mut reference_order: Option<Vec<(u16, u16, u64)>> = None;
             let mut order_diverged = seeds.len() < 2;
             for (i, &seed) in seeds.iter().enumerate() {
-                let fabric = FabricMode::Sim(sim_config(seed).with_workers(workers));
+                let fabric = FabricMode::Sim(sim_config(seed));
                 let run = workload.run(matrix_cluster(protocol.clone(), fabric.clone()));
                 if run.fingerprint != reference.fingerprint {
                     failures.push((
@@ -321,43 +311,6 @@ pub fn conformance_with(
                     .delivery_trace
                     .as_ref()
                     .expect("sim run has a trace");
-                if workers > 1 {
-                    let sequential = workload.run(matrix_cluster(
-                        protocol.clone(),
-                        FabricMode::Sim(sim_config(seed)),
-                    ));
-                    let sequential_trace = sequential
-                        .report
-                        .delivery_trace
-                        .as_ref()
-                        .expect("sim run has a trace");
-                    if sequential.fingerprint != run.fingerprint {
-                        failures.push((
-                            seed,
-                            format!(
-                                "{workers}-worker fingerprint {:#018x} != single-worker \
-                                 reference {:#018x}",
-                                run.fingerprint, sequential.fingerprint
-                            ),
-                        ));
-                    }
-                    if sequential_trace != trace {
-                        failures.push((
-                            seed,
-                            format!(
-                                "{workers}-worker trace diverged from the single-worker \
-                                 reference (checksum {:#018x} vs {:#018x}, order signature {})",
-                                trace.checksum(),
-                                sequential_trace.checksum(),
-                                if trace.order_signature() == sequential_trace.order_signature() {
-                                    "equal"
-                                } else {
-                                    "diverged"
-                                }
-                            ),
-                        ));
-                    }
-                }
                 match &reference_order {
                     None => reference_order = Some(trace.order_signature()),
                     Some(first) => order_diverged |= trace.order_signature() != *first,

@@ -34,7 +34,7 @@ use crate::gate::{GateRow, Parser};
 use crate::table::{fmt_f, Table};
 use dsm_apps::kv::{self, KvParams};
 use dsm_model::ComputeModel;
-use dsm_runtime::{Cluster, FabricMode, ServerMode};
+use dsm_runtime::{Cluster, FabricMode};
 use dsm_util::LatencyHistogram;
 use std::time::Duration;
 
@@ -110,7 +110,6 @@ fn measure(
         .protocol(protocol)
         .compute(ComputeModel::free())
         .seed(seed)
-        .fast_poll()
         .fabric(fabric.clone())
         .config();
     let run = kv::run(config, params);
@@ -196,301 +195,6 @@ pub fn render(rows: &[ThroughputRow]) -> Table {
         ]);
     }
     table
-}
-
-/// One server-scheduling mode's measurement of the same KV serving run —
-/// the bench gate's executor-vs-polling comparison. The adaptive-policy
-/// sweep above measures *migration* policies under the default scheduler;
-/// these rows pin the scheduler itself: the wake-on-send executor pool
-/// against one polling `recv_timeout` thread per node, same workload, same
-/// seed, no migration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerRow {
-    /// `"executor"` or `"polling"` (the [`dsm_runtime::SchedulerReport`]
-    /// mode label; the baseline-free gate is keyed on it).
-    pub mode: String,
-    /// Server threads used: pool size (executor) or one per node (polling).
-    pub workers: usize,
-    /// Total operations executed (all nodes).
-    pub ops: u64,
-    /// Wall-clock serving time of the slowest node, in milliseconds.
-    pub wall_ms: f64,
-    /// Total operations over the slowest node's serving time.
-    pub ops_per_sec: f64,
-    /// Idle server wakeups: empty handler steps (executor) or poll-tick
-    /// timeouts (polling) — the executor's headline idle-CPU win.
-    pub idle_wakeups: u64,
-    /// Wake-on-send notifications that marked a node runnable (executor
-    /// mode; 0 when polling).
-    pub wakeups: u64,
-    /// Handler steps executed (executor mode; 0 when polling).
-    pub steps: u64,
-    /// Deepest any node's inbound queue ever got during the run.
-    pub queue_depth_high_watermark: usize,
-    /// Total protocol messages.
-    pub messages: u64,
-    /// Deterministic fingerprint of the final store contents — must be
-    /// identical across scheduling modes (scheduling is performance, never
-    /// semantics).
-    pub fingerprint: u64,
-}
-
-/// Measure the KV workload once per server-scheduling mode (executor pool
-/// vs per-node polling threads) under the no-migration policy, so the two
-/// rows differ in scheduling alone.
-pub fn collect_scheduler(
-    params: &KvParams,
-    nodes: usize,
-    fabric: &FabricMode,
-    seed: u64,
-) -> Vec<SchedulerRow> {
-    [ServerMode::Executor, ServerMode::Polling]
-        .into_iter()
-        .map(|mode| {
-            let config = Cluster::builder()
-                .nodes(nodes)
-                .protocol(dsm_core::ProtocolConfig::no_migration())
-                .compute(ComputeModel::free())
-                .seed(seed)
-                .fast_poll()
-                .server_mode(mode)
-                .fabric(fabric.clone())
-                .config();
-            let run = kv::run(config, params);
-            let mut wall = Duration::ZERO;
-            let mut ops = 0u64;
-            for node in &run.nodes {
-                wall = wall.max(node.serving);
-                ops += node.ops;
-            }
-            let messages = run.report.total_messages();
-            let sched = run
-                .report
-                .scheduler
-                .expect("threaded/tcp runs surface a scheduler report");
-            let wall_s = wall.as_secs_f64();
-            SchedulerRow {
-                mode: sched.mode.to_string(),
-                workers: sched.workers,
-                ops,
-                wall_ms: wall_s * 1000.0,
-                ops_per_sec: if wall_s > 0.0 {
-                    ops as f64 / wall_s
-                } else {
-                    0.0
-                },
-                idle_wakeups: sched.idle_wakeups,
-                wakeups: sched.wakeups,
-                steps: sched.steps,
-                queue_depth_high_watermark: sched.queue_depth_high_watermark,
-                messages,
-                fingerprint: run.fingerprint,
-            }
-        })
-        .collect()
-}
-
-/// Measure the wall-clock cost of the **sim scheduler itself**: one
-/// diff-heavy SOR run on eight nodes, once on the single-worker reference
-/// scheduler and once on `workers` workers
-/// ([`dsm_runtime::SimConfig::with_workers`]), same seed. Worker count
-/// never touches the virtual clock or the delivery schedule — what changes
-/// is how long the simulation takes to *run* — so the two rows must agree
-/// on everything deterministic (fingerprint, delivered events, protocol
-/// messages; [`check_sim_workers`]) while their wall-clock columns report
-/// the parallel scheduler's speedup. SOR on eight nodes is the widest
-/// frontier source in the suite: every phase has all nodes exchanging
-/// boundary rows, so many same-window deliveries target distinct nodes and
-/// the handlers (diff applications) carry real memcpy work. Rows carry
-/// modes `"sim-workers-1"` and `"sim-workers-N"`; `ops` counts delivered
-/// sim events, so `ops_per_sec` is simulated events per wall-clock second.
-pub fn collect_sim_workers(seed: u64, workers: usize) -> Vec<SchedulerRow> {
-    assert!(workers > 1, "the comparison needs a parallel worker count");
-    [1, workers]
-        .into_iter()
-        .map(|count| {
-            let sim = dsm_runtime::SimConfig::calm(seed).with_workers(count);
-            let config = Cluster::builder()
-                .nodes(8)
-                .protocol(dsm_core::ProtocolConfig::adaptive())
-                .compute(ComputeModel::free())
-                .fabric(FabricMode::Sim(sim))
-                .config();
-            let start = std::time::Instant::now();
-            let run = dsm_apps::sor::run(config, &dsm_apps::sor::SorParams::small(512, 4));
-            let wall_s = start.elapsed().as_secs_f64();
-            let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-            for row in &run.result {
-                for &v in row {
-                    fingerprint = (fingerprint ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-            let events = run
-                .report
-                .delivery_trace
-                .as_ref()
-                .map_or(0, |t| t.len() as u64);
-            let dispatched = run.report.scheduler.as_ref().map_or(0, |s| s.wakeups);
-            SchedulerRow {
-                mode: format!("sim-workers-{count}"),
-                workers: count,
-                ops: events,
-                wall_ms: wall_s * 1000.0,
-                ops_per_sec: if wall_s > 0.0 {
-                    events as f64 / wall_s
-                } else {
-                    0.0
-                },
-                idle_wakeups: 0,
-                wakeups: dispatched,
-                steps: events,
-                queue_depth_high_watermark: 0,
-                messages: run.report.total_messages(),
-                fingerprint,
-            }
-        })
-        .collect()
-}
-
-/// The machine-independent invariants of a [`collect_sim_workers`] pair;
-/// returns the violations (empty = pass). The wall-clock speedup itself is
-/// report-only — machine-dependent — but everything the deterministic
-/// scheduler guarantees is checked exactly: same combined fingerprint,
-/// same delivered-event count and same protocol message count on every
-/// worker count.
-pub fn check_sim_workers(rows: &[SchedulerRow]) -> Vec<String> {
-    let mut errors = Vec::new();
-    let find = |workers: usize| {
-        rows.iter()
-            .find(|r| r.mode.starts_with("sim-workers-") && r.workers == workers)
-    };
-    let Some(sequential) = find(1) else {
-        return vec!["sim-workers sweep is missing its single-worker reference row".into()];
-    };
-    let Some(parallel) = rows
-        .iter()
-        .find(|r| r.mode.starts_with("sim-workers-") && r.workers > 1)
-    else {
-        return vec!["sim-workers sweep is missing its parallel row".into()];
-    };
-    for row in [sequential, parallel] {
-        if row.ops == 0 || row.wall_ms <= 0.0 {
-            errors.push(format!("{}: empty measurement", row.mode));
-        }
-    }
-    if parallel.fingerprint != sequential.fingerprint {
-        errors.push(format!(
-            "sim worker counts split the result fingerprint ({:#018x} on {} workers vs \
-             {:#018x} sequential) — the parallel scheduler changed semantics",
-            parallel.fingerprint, parallel.workers, sequential.fingerprint
-        ));
-    }
-    if parallel.ops != sequential.ops {
-        errors.push(format!(
-            "sim worker counts delivered different event counts ({} vs {}) — the \
-             schedule is no longer a pure function of the seed",
-            parallel.ops, sequential.ops
-        ));
-    }
-    if parallel.messages != sequential.messages {
-        errors.push(format!(
-            "sim worker counts sent different message counts ({} vs {})",
-            parallel.messages, sequential.messages
-        ));
-    }
-    if parallel.wakeups == 0 {
-        errors.push(
-            "the parallel sim row dispatched nothing to its worker pool — every frontier \
-             was a singleton, so the run never exercised parallelism"
-                .into(),
-        );
-    }
-    errors
-}
-
-/// Render the scheduling-mode rows as a table.
-pub fn render_scheduler(rows: &[SchedulerRow]) -> Table {
-    let mut table = Table::new(&[
-        "scheduler",
-        "workers",
-        "ops/s",
-        "wall_ms",
-        "idle_wakes",
-        "wakes",
-        "steps",
-        "q_hwm",
-        "msgs",
-    ]);
-    for row in rows {
-        table.row(vec![
-            row.mode.clone(),
-            row.workers.to_string(),
-            fmt_f(row.ops_per_sec),
-            fmt_f(row.wall_ms),
-            row.idle_wakeups.to_string(),
-            row.wakeups.to_string(),
-            row.steps.to_string(),
-            row.queue_depth_high_watermark.to_string(),
-            row.messages.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Poll-tick counts below this are jitter, not signal: on a short gate
-/// run the polling baseline only times out a handful of times, and the
-/// executor's wake/drain races land in the same single digits, so a
-/// strict less-than between the two flakes on machine load. The
-/// executor-vs-polling comparison binds only once polling idled at least
-/// this often; the spin check holds unconditionally.
-pub const IDLE_SIGNAL_FLOOR: u64 = 50;
-
-/// The machine-independent scheduling invariants; returns the violations
-/// (empty = pass). No committed baseline backs these rows — wall-clock
-/// scheduling numbers are the most machine-dependent in the whole gate —
-/// so everything checkable is checked structurally: same fingerprint, the
-/// executor quieter on idle wakeups than the per-node polling threads it
-/// replaced (once polling's count clears [`IDLE_SIGNAL_FLOOR`]), and the
-/// executor's own idle steps a trace fraction of its real work.
-pub fn check_scheduler(rows: &[SchedulerRow]) -> Vec<String> {
-    let mut errors = Vec::new();
-    let find = |mode: &str| rows.iter().find(|r| r.mode == mode);
-    let (Some(executor), Some(polling)) = (find("executor"), find("polling")) else {
-        return vec!["scheduler sweep must measure both executor and polling modes".into()];
-    };
-    for row in [executor, polling] {
-        if row.ops == 0 || row.wall_ms <= 0.0 {
-            errors.push(format!("{}: empty measurement", row.mode));
-        }
-    }
-    if executor.fingerprint != polling.fingerprint {
-        errors.push(format!(
-            "scheduler modes split the store fingerprint ({:#018x} executor vs {:#018x} \
-             polling) — scheduling changed the application result",
-            executor.fingerprint, polling.fingerprint
-        ));
-    }
-    if polling.idle_wakeups >= IDLE_SIGNAL_FLOOR && executor.idle_wakeups >= polling.idle_wakeups {
-        errors.push(format!(
-            "executor performed {} idle wakeups vs polling's {} — the wake-on-send pool \
-             must be strictly quieter than per-node poll timers",
-            executor.idle_wakeups, polling.idle_wakeups
-        ));
-    }
-    // Wake/drain races cost a handful of empty steps per run regardless of
-    // duration; a pool that idles through a meaningful fraction of its
-    // steps is spinning instead of parking.
-    if executor.idle_wakeups * 50 > executor.steps {
-        errors.push(format!(
-            "executor idled on {} of {} handler steps — the wake-on-send pool is \
-             spinning instead of parking",
-            executor.idle_wakeups, executor.steps
-        ));
-    }
-    if executor.wakeups == 0 || executor.steps == 0 {
-        errors.push("executor measured no wakeups/steps — the wake path is dead".into());
-    }
-    errors
 }
 
 fn find<'a>(rows: &'a [ThroughputRow], policy: &str) -> Option<&'a ThroughputRow> {
@@ -661,16 +365,8 @@ pub fn compare(
 
 /// Serialize the combined `BENCH_PR.json` document: the modeled gate's
 /// `workloads` section next to the wall-clock `throughput` section (either
-/// may be empty — the baseline files each carry only their own section),
-/// plus an optional `scheduler` section with the executor-vs-polling
-/// comparison rows. The scheduler rows are report-only: no baseline file
-/// carries them (their wall-clock columns are the most machine-dependent
-/// numbers in the gate), so both parsers tolerate and skip the section.
-pub fn document_json(
-    workloads: &[GateRow],
-    rows: &[ThroughputRow],
-    scheduler: &[SchedulerRow],
-) -> String {
+/// may be empty — the baseline files each carry only their own section).
+pub fn document_json(workloads: &[GateRow], rows: &[ThroughputRow]) -> String {
     let gate_doc = crate::gate::to_json(workloads);
     let body = gate_doc
         .trim_end()
@@ -704,30 +400,6 @@ pub fn document_json(
         ));
     }
     out.push_str("  ]");
-    if !scheduler.is_empty() {
-        out.push_str(",\n  \"scheduler\": [\n");
-        for (i, row) in scheduler.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"mode\": \"{}\", \"workers\": {}, \"ops\": {}, \"wall_ms\": {:.3}, \
-                 \"ops_per_sec\": {:.1}, \"idle_wakeups\": {}, \"wakeups\": {}, \
-                 \"steps\": {}, \"queue_depth_high_watermark\": {}, \"messages\": {}, \
-                 \"fingerprint\": \"{:#018x}\"}}{}\n",
-                row.mode,
-                row.workers,
-                row.ops,
-                row.wall_ms,
-                row.ops_per_sec,
-                row.idle_wakeups,
-                row.wakeups,
-                row.steps,
-                row.queue_depth_high_watermark,
-                row.messages,
-                row.fingerprint,
-                if i + 1 < scheduler.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]");
-    }
     out.push_str("\n}\n");
     out
 }
@@ -749,8 +421,6 @@ pub struct MergeSections {
     pub workloads: Vec<GateRow>,
     /// The wall-clock `throughput` section.
     pub throughput: Vec<ThroughputRow>,
-    /// The report-only `scheduler` section.
-    pub scheduler: Vec<SchedulerRow>,
     /// Human-readable damage reports — a non-empty list means the document
     /// was truncated or corrupt and only the rows above were recovered.
     pub warnings: Vec<String>,
@@ -767,13 +437,9 @@ pub fn salvage_document(text: &str) -> MergeSections {
     let (workloads, gate_error) = crate::gate::salvage_json(text);
     sections.workloads = workloads;
     let throughput_error = parse_throughput_into(text, &mut sections.throughput).err();
-    let scheduler_error = parse_scheduler_into(text, &mut sections.scheduler).err();
-    for error in [gate_error, throughput_error, scheduler_error]
-        .into_iter()
-        .flatten()
-    {
-        // The three passes walk the same bytes, so one truncation usually
-        // produces three copies of the same error.
+    for error in [gate_error, throughput_error].into_iter().flatten() {
+        // The two passes walk the same bytes, so one truncation usually
+        // produces two copies of the same error.
         if !sections.warnings.contains(&error) {
             sections.warnings.push(error);
         }
@@ -823,9 +489,9 @@ fn parse_throughput_into(text: &str, rows: &mut Vec<ThroughputRow>) -> Result<()
         p.skip_ws();
         match key.as_str() {
             // `gate::parse_json` already validated the schema and the
-            // workloads section; this pass only extracts its own. The
-            // report-only scheduler section has no baseline to compare
-            // against, so it is skipped here too.
+            // workloads section; this pass only extracts its own. Documents
+            // written before the executor became the only server driver
+            // carry a report-only `scheduler` section; it is skipped.
             "schema" | "workloads" | "scheduler" => p.skip_value()?,
             "throughput" => {
                 p.expect(b'[')?;
@@ -850,97 +516,6 @@ fn parse_throughput_into(text: &str, rows: &mut Vec<ThroughputRow>) -> Result<()
         p.expect(b',')?;
     }
     Ok(())
-}
-
-fn parse_scheduler_into(text: &str, rows: &mut Vec<SchedulerRow>) -> Result<(), String> {
-    let mut p = Parser::new(text);
-    p.skip_ws();
-    p.expect(b'{')?;
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "schema" | "workloads" | "throughput" => p.skip_value()?,
-            "scheduler" => {
-                p.expect(b'[')?;
-                p.skip_ws();
-                if !p.eat(b']') {
-                    loop {
-                        rows.push(scheduler_row(&mut p)?);
-                        p.skip_ws();
-                        if p.eat(b']') {
-                            break;
-                        }
-                        p.expect(b',')?;
-                    }
-                }
-            }
-            other => return Err(format!("unknown top-level key {other:?}")),
-        }
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        p.expect(b',')?;
-    }
-    Ok(())
-}
-
-fn scheduler_row(p: &mut Parser<'_>) -> Result<SchedulerRow, String> {
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut row = SchedulerRow {
-        mode: String::new(),
-        workers: 0,
-        ops: 0,
-        wall_ms: 0.0,
-        ops_per_sec: 0.0,
-        idle_wakeups: 0,
-        wakeups: 0,
-        steps: 0,
-        queue_depth_high_watermark: 0,
-        messages: 0,
-        fingerprint: 0,
-    };
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "mode" => row.mode = p.string()?,
-            "workers" => row.workers = p.number()? as usize,
-            "ops" => row.ops = p.number()? as u64,
-            "wall_ms" => row.wall_ms = p.number()?,
-            "ops_per_sec" => row.ops_per_sec = p.number()?,
-            "idle_wakeups" => row.idle_wakeups = p.number()? as u64,
-            "wakeups" => row.wakeups = p.number()? as u64,
-            "steps" => row.steps = p.number()? as u64,
-            "queue_depth_high_watermark" => {
-                row.queue_depth_high_watermark = p.number()? as usize;
-            }
-            "messages" => row.messages = p.number()? as u64,
-            "fingerprint" => {
-                let s = p.string()?;
-                row.fingerprint =
-                    dsm_util::parse_seed(&s).map_err(|e| format!("bad fingerprint {s:?}: {e}"))?;
-            }
-            other => return Err(format!("unknown scheduler key {other:?}")),
-        }
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        p.expect(b',')?;
-    }
-    if row.mode.is_empty() {
-        return Err("scheduler entry without a mode".to_string());
-    }
-    Ok(row)
 }
 
 fn throughput_row(p: &mut Parser<'_>) -> Result<ThroughputRow, String> {
@@ -1041,82 +616,6 @@ mod tests {
         ]
     }
 
-    fn scheduler_rows() -> Vec<SchedulerRow> {
-        let executor = SchedulerRow {
-            mode: "executor".to_string(),
-            workers: 4,
-            ops: 96_000,
-            wall_ms: 110.0,
-            ops_per_sec: 870_000.0,
-            idle_wakeups: 12,
-            wakeups: 40_000,
-            steps: 41_000,
-            queue_depth_high_watermark: 9,
-            messages: 1000,
-            fingerprint: 0xdead_beef_cafe_f00d,
-        };
-        let polling = SchedulerRow {
-            mode: "polling".to_string(),
-            workers: 4,
-            ops: 96_000,
-            wall_ms: 120.0,
-            ops_per_sec: 800_000.0,
-            idle_wakeups: 4800,
-            wakeups: 0,
-            steps: 0,
-            queue_depth_high_watermark: 11,
-            messages: 1000,
-            fingerprint: 0xdead_beef_cafe_f00d,
-        };
-        vec![executor, polling]
-    }
-
-    #[test]
-    fn scheduler_invariants_pass_healthy_and_catch_each_violation() {
-        assert_eq!(check_scheduler(&scheduler_rows()), Vec::<String>::new());
-
-        // A missing mode fails structurally.
-        assert!(!check_scheduler(&scheduler_rows()[..1]).is_empty());
-
-        // The executor must be strictly quieter than polling once
-        // polling's idle count is signal rather than jitter.
-        let mut rows = scheduler_rows();
-        rows[0].idle_wakeups = rows[1].idle_wakeups;
-        assert!(check_scheduler(&rows)
-            .iter()
-            .any(|e| e.contains("strictly quieter")));
-
-        // On a short run both counters are single-digit scheduler noise:
-        // the comparison must not flake on which landed higher.
-        let mut rows = scheduler_rows();
-        rows[0].idle_wakeups = 8;
-        rows[1].idle_wakeups = 6;
-        assert_eq!(check_scheduler(&rows), Vec::<String>::new());
-
-        // A spinning pool is caught even when polling idled too little
-        // for the comparison to bind.
-        let mut rows = scheduler_rows();
-        rows[0].idle_wakeups = rows[0].steps / 10;
-        rows[1].idle_wakeups = 6;
-        assert!(check_scheduler(&rows)
-            .iter()
-            .any(|e| e.contains("spinning instead of parking")));
-
-        // Scheduling must never change the application result.
-        let mut rows = scheduler_rows();
-        rows[1].fingerprint ^= 1;
-        assert!(check_scheduler(&rows)
-            .iter()
-            .any(|e| e.contains("changed the application result")));
-
-        // A dead wake path is caught even when everything else looks fine.
-        let mut rows = scheduler_rows();
-        rows[0].wakeups = 0;
-        assert!(check_scheduler(&rows)
-            .iter()
-            .any(|e| e.contains("wake path is dead")));
-    }
-
     fn gate_row() -> GateRow {
         GateRow {
             workload: "fig2_sor_nohm".to_string(),
@@ -1134,18 +633,17 @@ mod tests {
     #[test]
     fn salvage_round_trips_a_clean_document() {
         let workloads = vec![gate_row()];
-        let text = document_json(&workloads, &healthy(), &scheduler_rows());
+        let text = document_json(&workloads, &healthy());
         let sections = salvage_document(&text);
         assert_eq!(sections.warnings, Vec::<String>::new());
         assert_eq!(sections.workloads, workloads);
         assert_eq!(sections.throughput, healthy());
-        assert_eq!(sections.scheduler, scheduler_rows());
     }
 
     #[test]
     fn salvage_keeps_surviving_sections_of_a_truncated_document() {
         let workloads = vec![gate_row()];
-        let text = document_json(&workloads, &healthy(), &scheduler_rows());
+        let text = document_json(&workloads, &healthy());
         // Chop the document inside the throughput section's last row (a
         // killed CI step mid-write): the strict parser rejects the whole
         // file, which used to make the next merging binary silently drop
@@ -1160,7 +658,6 @@ mod tests {
         assert_eq!(sections.workloads, workloads);
         assert_eq!(sections.throughput.len(), healthy().len() - 1);
         assert_eq!(sections.throughput[..], healthy()[..healthy().len() - 1]);
-        assert!(sections.scheduler.is_empty(), "scheduler section was cut");
     }
 
     #[test]
@@ -1171,71 +668,24 @@ mod tests {
     }
 
     #[test]
-    fn sim_worker_invariants_catch_semantic_drift() {
-        let sequential = SchedulerRow {
-            mode: "sim-workers-1".to_string(),
-            workers: 1,
-            ops: 5000,
-            wall_ms: 400.0,
-            ops_per_sec: 12_500.0,
-            idle_wakeups: 0,
-            wakeups: 0,
-            steps: 5000,
-            queue_depth_high_watermark: 0,
-            messages: 5100,
-            fingerprint: 0x1234,
-        };
-        let mut parallel = sequential.clone();
-        parallel.mode = "sim-workers-4".to_string();
-        parallel.workers = 4;
-        parallel.wall_ms = 150.0;
-        parallel.wakeups = 900;
-        let rows = vec![sequential.clone(), parallel.clone()];
-        assert_eq!(check_sim_workers(&rows), Vec::<String>::new());
-
-        // A missing row fails structurally.
-        assert!(!check_sim_workers(&rows[..1]).is_empty());
-        assert!(!check_sim_workers(&rows[1..]).is_empty());
-
-        // Fingerprint, event-count and message-count drift are each caught.
-        let mut bad = vec![sequential.clone(), parallel.clone()];
-        bad[1].fingerprint ^= 1;
-        assert!(check_sim_workers(&bad)
-            .iter()
-            .any(|e| e.contains("split the result fingerprint")));
-        let mut bad = vec![sequential.clone(), parallel.clone()];
-        bad[1].ops += 1;
-        assert!(check_sim_workers(&bad)
-            .iter()
-            .any(|e| e.contains("different event counts")));
-        let mut bad = vec![sequential.clone(), parallel.clone()];
-        bad[1].messages += 1;
-        assert!(check_sim_workers(&bad)
-            .iter()
-            .any(|e| e.contains("different message counts")));
-
-        // A parallel run that never dispatched to the pool proves nothing.
-        let mut bad = vec![sequential, parallel];
-        bad[1].wakeups = 0;
-        assert!(check_sim_workers(&bad)
-            .iter()
-            .any(|e| e.contains("never exercised parallelism")));
-    }
-
-    #[test]
     fn scheduler_section_is_tolerated_by_both_parsers() {
-        let text = document_json(&[], &healthy(), &scheduler_rows());
-        // Both section parsers skip the report-only scheduler rows.
+        // A legacy document: the report-only section older binaries wrote.
+        let text = document_json(&[], &healthy()).replace(
+            "  ]\n}\n",
+            "  ],\n  \"scheduler\": [{\"mode\": \"executor\", \"workers\": 4}]\n}\n",
+        );
+        assert!(text.contains("scheduler"));
         assert!(crate::gate::parse_json(&text).unwrap().is_empty());
         let (workloads, parsed) = parse_document(&text).unwrap();
         assert!(workloads.is_empty());
         assert_eq!(parsed, healthy());
+        assert_eq!(salvage_document(&text).warnings, Vec::<String>::new());
     }
 
     #[test]
     fn json_document_round_trips_and_gate_parser_skips_throughput() {
         let rows = healthy();
-        let text = document_json(&[], &rows, &[]);
+        let text = document_json(&[], &rows);
         // The modeled gate's parser tolerates the throughput section.
         assert!(crate::gate::parse_json(&text).unwrap().is_empty());
         let (workloads, parsed) = parse_document(&text).unwrap();

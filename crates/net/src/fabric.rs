@@ -2,18 +2,17 @@
 //!
 //! Each simulated cluster node owns one [`Endpoint`]. Sending stamps the
 //! envelope with the Hockney-model arrival time, records statistics, and
-//! enqueues it on the destination's unbounded channel; the destination's
-//! protocol server thread drains the channel. The fabric performs no
-//! protocol logic.
+//! enqueues it on the destination's unbounded channel and fires the
+//! [`WakeHub`]; whoever serves the destination (the runtime's executor)
+//! drains the channel. The fabric performs no protocol logic.
 
 use crate::category::MsgCategory;
 use crate::envelope::{Envelope, MESSAGE_HEADER_BYTES};
 use crate::stats::StatsCollector;
 use dsm_model::{NetworkParams, SimTime};
 use dsm_objspace::NodeId;
-use dsm_util::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use dsm_util::channel::{unbounded, Receiver, Sender};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// A hook the fabric fires after enqueuing a message: `wake(dst)` marks the
 /// destination node runnable so an event-driven server (the runtime's
@@ -214,12 +213,6 @@ impl<M: Send> Endpoint<M> {
     /// has been dropped, which the runtime uses for orderly shutdown.
     pub fn recv(&self) -> Option<Envelope<M>> {
         self.receiver.recv()
-    }
-
-    /// Receive with a real-time timeout; used by protocol server loops so
-    /// they can poll a shutdown flag even when no messages arrive.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvTimeoutError> {
-        self.receiver.recv_timeout(timeout)
     }
 
     /// Non-blocking receive.

@@ -77,7 +77,7 @@ pub use membership::{LivenessTracker, MembershipReport, MembershipView, PeerLive
 pub use sim::{
     BoundedReorder, DelayBursts, DeliveryRecord, DeliveryTrace, DropReason, DropRecord,
     LatencyJitter, LinkPerturbation, PartitionSpec, PauseSpec, SimConfig, SimEndpoint, SimFabric,
-    SimFrontier, SimStep,
+    SimStep,
 };
 pub use stats::{CategoryStats, NetworkStats, StatsCollector};
 pub use tcp::{TcpConfig, TcpEndpoint, TcpFabric, TcpNodeBinding, WireCounters};

@@ -1,8 +1,8 @@
 //! The deterministic simulation fabric.
 //!
 //! Where the threaded [`crate::Fabric`] hands every message to the OS
-//! scheduler (each node's server thread drains its own channel whenever it
-//! happens to run), the [`SimFabric`] owns delivery itself: every send is
+//! scheduler (each node's channel is drained whenever an executor worker
+//! happens to step it), the [`SimFabric`] owns delivery itself: every send is
 //! parked in one virtual-time-ordered event queue, and a single scheduler
 //! thread (the runtime's sim server loop) pops events one at a time, only
 //! when every application agent is parked. Execution therefore proceeds as
@@ -253,12 +253,6 @@ pub struct SimConfig {
     pub partition: Option<PartitionSpec>,
     /// One node-pause (crash) window (None disables).
     pub pause: Option<PauseSpec>,
-    /// Number of scheduler workers the runtime should run protocol
-    /// handlers on (1 = the sequential reference scheduler). Purely a
-    /// scheduling knob: any worker count replays the same seed to the
-    /// same bit-identical [`DeliveryTrace`] (see
-    /// [`SimFabric::next_frontier`]).
-    pub workers: usize,
 }
 
 impl SimConfig {
@@ -277,7 +271,6 @@ impl SimConfig {
             drop_rate: 0.0,
             partition: None,
             pause: None,
-            workers: 1,
         }
     }
 
@@ -297,7 +290,6 @@ impl SimConfig {
             drop_rate: 0.0,
             partition: None,
             pause: None,
-            workers: 1,
         }
     }
 
@@ -315,7 +307,6 @@ impl SimConfig {
             drop_rate: 0.0,
             partition: None,
             pause: None,
-            workers: 1,
         }
     }
 
@@ -352,15 +343,6 @@ impl SimConfig {
     /// One node-pause window (builder style).
     pub fn with_pause(mut self, pause: PauseSpec) -> Self {
         self.pause = Some(pause);
-        self
-    }
-
-    /// Number of scheduler workers (builder style). `0` and `1` both
-    /// select the sequential reference scheduler; any larger count runs
-    /// conflict-free delivery frontiers on a worker pool without changing
-    /// the replayed trace.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -628,21 +610,6 @@ pub enum SimStep<M> {
     Drained,
 }
 
-/// One scheduler macro-step for the parallel sim loop (see
-/// [`SimFabric::next_frontier`]): either a conflict-free batch of
-/// deliveries or the same terminal states as [`SimStep`].
-pub enum SimFrontier<M> {
-    /// Deliver these messages concurrently: their destinations are
-    /// pairwise distinct, so their handlers touch disjoint node state.
-    /// The batch is in canonical pop order — element 0 is exactly what
-    /// [`SimFabric::next_step`] would have delivered.
-    Deliver(Vec<Envelope<M>>),
-    /// As [`SimStep::Stalled`].
-    Stalled,
-    /// As [`SimStep::Drained`].
-    Drained,
-}
-
 /// The loss model a fabric applies at send time (all lossless by default).
 #[derive(Debug, Clone, Copy, Default)]
 struct LossSpec {
@@ -683,27 +650,6 @@ impl LossSpec {
             return Some(DropReason::Random);
         }
         None
-    }
-}
-
-impl<M> SimState<M> {
-    /// Record one popped event on the trace (trace order is canonical pop
-    /// order, shared by the sequential and frontier schedulers) and hand
-    /// back its envelope.
-    fn record_delivery(&mut self, event: SimEvent<M>) -> Envelope<M> {
-        let seq = self.delivered;
-        self.delivered += 1;
-        self.trace.push(DeliveryRecord {
-            seq,
-            src: event.envelope.src,
-            dst: event.envelope.dst,
-            category: event.envelope.category,
-            wire_bytes: event.envelope.wire_bytes,
-            sent_at: event.envelope.sent_at,
-            deliver_at: event.deliver_at,
-            link_seq: event.link_seq,
-        });
-        event.envelope
     }
 }
 
@@ -855,7 +801,19 @@ impl<M: Send> SimFabric<M> {
                 .unwrap_or_else(|e| e.into_inner());
         }
         if let Some(event) = state.queue.pop() {
-            SimStep::Deliver(state.record_delivery(event))
+            let seq = state.delivered;
+            state.delivered += 1;
+            state.trace.push(DeliveryRecord {
+                seq,
+                src: event.envelope.src,
+                dst: event.envelope.dst,
+                category: event.envelope.category,
+                wire_bytes: event.envelope.wire_bytes,
+                sent_at: event.envelope.sent_at,
+                deliver_at: event.deliver_at,
+                link_seq: event.link_seq,
+            });
+            SimStep::Deliver(event.envelope)
         } else if state.finished == self.core.num_nodes {
             SimStep::Drained
         } else {
@@ -869,9 +827,7 @@ impl<M: Send> SimFabric<M> {
     /// before committing to a pop, the runtime compares the head's due
     /// time against its retry deadline and fires timed retransmission
     /// rounds first. Deciding on the un-popped head at the quiescence
-    /// point makes the decision identical for the sequential and frontier
-    /// schedulers, which is what keeps lossy traces a pure function of
-    /// the seed at any worker count.
+    /// point is what keeps lossy traces a pure function of the seed.
     pub fn peek_due(&self) -> Option<SimTime> {
         let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
         while state.active > 0 {
@@ -882,74 +838,6 @@ impl<M: Send> SimFabric<M> {
                 .unwrap_or_else(|e| e.into_inner());
         }
         state.queue.peek().map(|event| event.deliver_at)
-    }
-
-    /// Block until the cluster is quiescent, then pop the maximal
-    /// **conflict-free frontier**: the longest *prefix* of the canonical
-    /// pop order whose destination nodes are pairwise distinct and whose
-    /// delivery times all fall strictly before `first.deliver_at + L₀`,
-    /// where `L₀` is the Hockney latency of an empty (header-only)
-    /// message — the fastest any message can cross the wire.
-    ///
-    /// The batch is safe to hand to concurrent handlers without changing
-    /// the replayed trace:
-    ///
-    /// * Distinct destinations mean the handlers read and write disjoint
-    ///   node state, and every message they send leaves from their own
-    ///   node, so the per-link RNG/sequence streams they consume are
-    ///   disjoint too.
-    /// * Anything those handlers send is sent at or after the arrival it
-    ///   reacts to (`≥ first.deliver_at`) and takes at least `L₀` to
-    ///   arrive, so no spawned event can be due before the cutoff: the
-    ///   canonical heap order below the cutoff is already final when the
-    ///   frontier is popped, and the trace (recorded here, at pop time)
-    ///   is identical to what [`SimFabric::next_step`] would produce.
-    /// * The prefix rule stops at the first destination collision rather
-    ///   than skipping past it — delivering a later same-destination
-    ///   event in the same batch would race its handler against the
-    ///   earlier one, and skipping it for a *later* distinct-destination
-    ///   event would reorder the trace.
-    ///
-    /// With `L₀ == 0` (ideal network) every frontier degenerates to a
-    /// singleton and the scheduler is exactly sequential.
-    ///
-    /// `horizon` additionally clamps the batch: no event due at or past
-    /// it joins the frontier (the head itself always pops). The runtime
-    /// passes its next retry deadline here so a timed retransmission
-    /// round never lands *inside* a frontier — the sequential scheduler,
-    /// which checks the deadline before every singleton pop, would have
-    /// fired between those two events, and the traces would diverge.
-    pub fn next_frontier(&self, horizon: Option<SimTime>) -> SimFrontier<M> {
-        let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
-        while state.active > 0 {
-            state = self
-                .core
-                .quiescent
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        let Some(first) = state.queue.pop() else {
-            return if state.finished == self.core.num_nodes {
-                SimFrontier::Drained
-            } else {
-                SimFrontier::Stalled
-            };
-        };
-        let mut cutoff = first.deliver_at + self.core.params.hockney.latency(MESSAGE_HEADER_BYTES);
-        if let Some(deadline) = horizon {
-            cutoff = cutoff.min(deadline);
-        }
-        let mut dsts = HashSet::new();
-        dsts.insert(first.envelope.dst.0);
-        let mut batch = vec![state.record_delivery(first)];
-        while let Some(next) = state.queue.peek() {
-            if next.deliver_at >= cutoff || !dsts.insert(next.envelope.dst.0) {
-                break;
-            }
-            let event = state.queue.pop().expect("peeked event");
-            batch.push(state.record_delivery(event));
-        }
-        SimFrontier::Deliver(batch)
     }
 
     /// Re-count one parked agent as runnable (scheduler side: called for
@@ -1014,8 +902,7 @@ impl<M: Send> SimFabric<M> {
     /// Drop records are canonicalised to `(sent_at, src, dst, link_seq)`
     /// order and renumbered: drops are recorded at *send* time, and send
     /// interleaving across nodes is the one thing that is not a pure
-    /// function of the seed (several application threads — or, under a
-    /// frontier scheduler, several handler workers — may send
+    /// function of the seed (several application threads may send
     /// concurrently). The canonical key makes the drop half of the trace
     /// seed-pure again without losing any information.
     pub fn take_trace(&self) -> DeliveryTrace {
@@ -1449,89 +1336,6 @@ mod tests {
         assert!(!SimConfig::stormy(1).is_lossy());
         assert!(SimConfig::lossy(1).is_lossy());
         assert!(SimConfig::calm(1).with_drop_rate(0.5).is_lossy());
-    }
-
-    #[test]
-    fn presets_default_to_the_sequential_reference_scheduler() {
-        assert_eq!(SimConfig::calm(1).workers, 1);
-        assert_eq!(SimConfig::perturbed(1).workers, 1);
-        assert_eq!(SimConfig::stormy(1).workers, 1);
-        assert_eq!(SimConfig::lossy(1).workers, 1);
-        assert_eq!(SimConfig::perturbed(1).with_workers(4).workers, 4);
-    }
-
-    /// Drain a fabric through the frontier scheduler, returning the
-    /// frontier sizes in pop order.
-    fn drain_frontiers(fab: &SimFabric<u32>) -> Vec<usize> {
-        let mut sizes = Vec::new();
-        loop {
-            match fab.next_frontier(None) {
-                SimFrontier::Deliver(batch) => sizes.push(batch.len()),
-                SimFrontier::Drained => break,
-                SimFrontier::Stalled => panic!("cannot stall"),
-            }
-        }
-        sizes
-    }
-
-    #[test]
-    fn same_tick_same_destination_events_are_never_co_scheduled() {
-        // Two sources hit node 2 at the same virtual instant: identical
-        // deliver_at, identical dst. The frontier must serialize them —
-        // first (0→2), then (1→2) — never batch them.
-        let fab = fabric(SimConfig::calm(0));
-        let eps = fab.endpoints();
-        eps[0].send(NodeId(2), MsgCategory::Control, 64, SimTime::ZERO, 1);
-        eps[1].send(NodeId(2), MsgCategory::Control, 64, SimTime::ZERO, 2);
-        for ep in &eps {
-            ep.agent_finished();
-        }
-        let trace_before = {
-            let state = fab.core.state.lock().unwrap_or_else(|e| e.into_inner());
-            let mut keys: Vec<_> = state.queue.iter().map(|e| e.key()).collect();
-            keys.sort();
-            keys
-        };
-        assert_eq!(
-            trace_before[0].0, trace_before[1].0,
-            "collision seed must tie on deliver_at"
-        );
-        assert_eq!(drain_frontiers(&fab), vec![1, 1]);
-        assert_eq!(
-            fab.take_trace().order_signature(),
-            vec![(0, 2, 0), (1, 2, 0)]
-        );
-    }
-
-    #[test]
-    fn same_tick_distinct_destinations_form_one_frontier() {
-        let fab = fabric(SimConfig::calm(0));
-        let eps = fab.endpoints();
-        eps[0].send(NodeId(1), MsgCategory::Control, 64, SimTime::ZERO, 1);
-        eps[0].send(NodeId(2), MsgCategory::Control, 64, SimTime::ZERO, 2);
-        for ep in &eps {
-            ep.agent_finished();
-        }
-        assert_eq!(drain_frontiers(&fab), vec![2]);
-    }
-
-    #[test]
-    fn frontier_trace_is_bit_identical_to_sequential_trace() {
-        for seed in [3, 7, 11] {
-            let sequential = run_exchange(SimConfig::perturbed(seed));
-            let fab = fabric(SimConfig::perturbed(seed));
-            let eps = fab.endpoints();
-            eps[0].send(NodeId(2), MsgCategory::Control, 64, SimTime::ZERO, 1);
-            eps[1].send(NodeId(2), MsgCategory::Control, 64, SimTime::ZERO, 2);
-            eps[0].send(NodeId(2), MsgCategory::Control, 64, SimTime::ZERO, 3);
-            for ep in &eps {
-                ep.agent_finished();
-            }
-            drain_frontiers(&fab);
-            let parallel = fab.take_trace();
-            assert_eq!(sequential, parallel, "seed {seed}");
-            assert_eq!(sequential.checksum(), parallel.checksum());
-        }
     }
 
     #[test]

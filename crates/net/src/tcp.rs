@@ -523,8 +523,7 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         self.inbound_rx.recv()
     }
 
-    /// Receive with a real-time timeout; used by protocol server loops so
-    /// they can poll shutdown and leave state even when no messages arrive.
+    /// Receive with a real-time timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvTimeoutError> {
         self.inbound_rx.recv_timeout(timeout)
     }
@@ -871,8 +870,8 @@ fn spawn_reader<M: Send + 'static>(
                 shared.peer_left[peer.index()].store(true, Ordering::SeqCst);
                 shared.leaves_received.fetch_add(1, Ordering::SeqCst);
                 // A leave can complete the teardown condition of an already
-                // drained node — wake it so an event-driven server re-checks
-                // `all_peers_left` instead of waiting on a poll tick.
+                // drained node — wake it so the event-driven server re-checks
+                // `all_peers_left`.
                 shared.wake_self();
             }
             FrameKind::Hello => {

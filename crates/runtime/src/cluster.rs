@@ -11,10 +11,9 @@ use crate::ctx::NodeCtx;
 use crate::exec::Executor;
 use crate::fault::{FaultConfig, FaultState};
 use crate::handle::{ArrayHandle, Matrix2dHandle, ScalarHandle};
-use crate::node::{server_loop, NodeLink, NodeShared};
+use crate::node::{NodeLink, NodeShared};
 use crate::report::{ExecutionReport, SchedulerReport};
-use crate::sim::{sim_server_loop, sim_server_loop_parallel, AppAgent};
-use crate::tcp::tcp_server_loop;
+use crate::sim::{abort_all_pending, sim_server_loop, AppAgent};
 use dsm_core::{
     IntoMigrationPolicy, NotificationMechanism, ProtocolConfig, ProtocolEngine, ProtocolMsg,
     ProtocolStats,
@@ -29,20 +28,19 @@ use dsm_wire::ProtocolCodec;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 /// Which fabric a cluster runs its protocol traffic over.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum FabricMode {
-    /// The channel-based threaded fabric: one protocol server thread per
-    /// node, message interleaving decided by the OS scheduler (the
-    /// default, and the fastest wall-clock option on many cores).
+    /// The channel-based threaded fabric: in-process channels, all nodes'
+    /// protocol servers stepped by the wake-on-send executor pool, message
+    /// interleaving decided by the OS scheduler (the default, and the
+    /// fastest wall-clock option on many cores).
     #[default]
     Threaded,
     /// The deterministic simulation fabric: a seeded virtual-time scheduler
     /// owns delivery, applies the configured perturbations, and records a
     /// replayable [`dsm_net::DeliveryTrace`] into the execution report.
-    /// Event-driven — the poll interval is unused in this mode.
     Sim(SimConfig),
     /// The real TCP fabric: every node binds a `127.0.0.1` listener and the
     /// full mesh of ordered socket connections carries the protocol in the
@@ -52,37 +50,6 @@ pub enum FabricMode {
     /// are fingerprint-identical to the other fabrics.
     Tcp(TcpConfig),
 }
-
-/// How the protocol servers of the threaded and TCP fabrics are driven.
-/// (The sim fabric has its own virtual-time scheduler and ignores this.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerMode {
-    /// The event-driven executor (the default): a bounded worker pool
-    /// multiplexes the server-side protocol handling of all nodes, driven
-    /// by wake-on-send notifications from the fabric. Idle workers park on
-    /// a condvar — a quiet cluster performs zero timer wakeups — and the
-    /// pool size decouples cluster size from thread count, so 256+-node
-    /// clusters run on one machine. Tune the pool with
-    /// [`ClusterBuilder::executor_workers`].
-    #[default]
-    Executor,
-    /// One polling `recv_timeout` server thread per node (the pre-executor
-    /// behaviour), kept behind this flag for A/B comparisons against the
-    /// executor. Retry cadence and idle cost are governed by
-    /// [`ClusterBuilder::poll_interval`] / [`ClusterBuilder::fast_poll`].
-    Polling,
-}
-
-/// Default protocol-server poll interval: how long a polling-mode server
-/// thread waits for a message before retrying deferred work and checking
-/// for shutdown ([`ServerMode::Polling`] only; the executor is
-/// event-driven).
-pub const DEFAULT_POLL_INTERVAL: Duration = Duration::from_millis(2);
-
-/// The short poll interval selected by [`ClusterBuilder::fast_poll`]: stress
-/// suites use it to retry deferred (busy) messages quickly, trading idle CPU
-/// for wall-clock time.
-pub const FAST_POLL_INTERVAL: Duration = Duration::from_micros(100);
 
 /// Configuration of one cluster run.
 #[derive(Debug, Clone)]
@@ -97,9 +64,6 @@ pub struct ClusterConfig {
     /// Cluster seed, exposed to applications through `NodeCtx::seed` /
     /// `NodeCtx::node_rng` for deterministic workload generation.
     pub seed: u64,
-    /// Protocol-server poll interval (real time, not virtual): the retry
-    /// cadence for deferred busy messages and the shutdown-check period.
-    pub poll_interval: Duration,
     /// Whether release-time diff flushes to the same home are batched into
     /// one `DiffBatch` message (on by default). Disable to reproduce the
     /// paper-faithful wire behaviour of one `DiffFlush` per dirty object.
@@ -107,18 +71,14 @@ pub struct ClusterConfig {
     /// The fabric the cluster runs on (threaded by default; see
     /// [`ClusterBuilder::sim_fabric`] for the deterministic sim mode).
     pub fabric: FabricMode,
-    /// How the protocol servers are driven on the threaded and TCP fabrics
-    /// (event-driven executor by default; see [`ServerMode`]).
-    pub server_mode: ServerMode,
     /// Executor worker-pool size; `0` (the default) sizes the pool to
-    /// `min(available cores, num_nodes)`. Ignored in polling and sim modes.
+    /// `min(available cores, num_nodes)`. Ignored on the sim fabric.
     pub executor_workers: usize,
 }
 
 impl ClusterConfig {
     /// Create a configuration with the default computation model
-    /// (≈ 2 GHz Pentium 4), seed 0 and the default poll interval. Prefer
-    /// [`Cluster::builder`].
+    /// (≈ 2 GHz Pentium 4) and seed 0. Prefer [`Cluster::builder`].
     pub fn new(num_nodes: usize, protocol: ProtocolConfig) -> Self {
         assert!(num_nodes > 0, "cluster must have at least one node");
         ClusterConfig {
@@ -126,19 +86,10 @@ impl ClusterConfig {
             protocol,
             compute: ComputeModel::default(),
             seed: 0,
-            poll_interval: DEFAULT_POLL_INTERVAL,
             flush_batching: true,
             fabric: FabricMode::Threaded,
-            server_mode: ServerMode::default(),
             executor_workers: 0,
         }
-    }
-
-    /// Replace the server-scheduling mode (see [`ServerMode`]).
-    #[must_use]
-    pub fn with_server_mode(mut self, mode: ServerMode) -> Self {
-        self.server_mode = mode;
-        self
     }
 
     /// Replace the executor worker-pool size (`0` = auto; see
@@ -160,17 +111,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Replace the protocol-server poll interval.
-    ///
-    /// # Panics
-    /// Panics if `interval` is zero (the server would spin).
-    #[must_use]
-    pub fn with_poll_interval(mut self, interval: Duration) -> Self {
-        assert!(!interval.is_zero(), "poll interval must be non-zero");
-        self.poll_interval = interval;
         self
     }
 
@@ -233,10 +173,8 @@ pub struct ClusterBuilder {
     compute: ComputeModel,
     seed: u64,
     default_home: HomeAssignment,
-    poll_interval: Duration,
     flush_batching: bool,
     fabric: FabricMode,
-    server_mode: ServerMode,
     executor_workers: usize,
     registry: ObjectRegistry,
 }
@@ -249,10 +187,8 @@ impl Default for ClusterBuilder {
             compute: ComputeModel::default(),
             seed: 0,
             default_home: HomeAssignment::CreationNode,
-            poll_interval: DEFAULT_POLL_INTERVAL,
             flush_batching: true,
             fabric: FabricMode::Threaded,
-            server_mode: ServerMode::default(),
             executor_workers: 0,
             registry: ObjectRegistry::new(),
         }
@@ -332,38 +268,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Set the protocol-server poll interval (real time): how quickly a
-    /// *polling-mode* server thread retries deferred busy messages and
-    /// notices shutdown.
-    ///
-    /// **Deprecation note:** the default [`ServerMode::Executor`] is
-    /// event-driven and never consults this interval — deferred work is
-    /// re-armed by view-lease releases and servers wake on message
-    /// arrival. This knob only matters under
-    /// [`Self::server_mode`]`(`[`ServerMode::Polling`]`)` (kept for A/B
-    /// comparisons) and the executor knobs
-    /// ([`Self::executor_workers`]) are the ones to reach for.
-    ///
-    /// # Panics
-    /// Panics if `interval` is zero (the server would spin).
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        assert!(!interval.is_zero(), "poll interval must be non-zero");
-        self.poll_interval = interval;
-        self
-    }
-
-    /// Choose how the protocol servers are driven on the threaded and TCP
-    /// fabrics: the event-driven [`ServerMode::Executor`] pool (default) or
-    /// the legacy one-polling-thread-per-node [`ServerMode::Polling`].
-    pub fn server_mode(mut self, mode: ServerMode) -> Self {
-        self.server_mode = mode;
-        self
-    }
-
     /// Size the executor's worker pool explicitly. `0` (the default) picks
     /// `min(available cores, num_nodes)`; `1` serializes all server-side
-    /// protocol handling onto a single worker (useful for equivalence
-    /// testing). Ignored in polling and sim modes.
+    /// protocol handling onto a single worker (the serialization reference
+    /// for equivalence testing). Ignored on the sim fabric.
     pub fn executor_workers(mut self, workers: usize) -> Self {
         self.executor_workers = workers;
         self
@@ -382,22 +290,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Use the short stress-suite poll interval ([`FAST_POLL_INTERVAL`]):
-    /// deferred messages are retried every 100 µs instead of every 2 ms,
-    /// which keeps contention-heavy *polling-mode* runs fast at the price
-    /// of busier idle server threads.
-    ///
-    /// **Deprecation note:** under the default [`ServerMode::Executor`]
-    /// this is unnecessary — Busy deferrals re-arm on the releasing view's
-    /// drop, with no retry timer at all. See [`Self::poll_interval`].
-    pub fn fast_poll(self) -> Self {
-        self.poll_interval(FAST_POLL_INTERVAL)
-    }
-
     /// Run on the **deterministic simulation fabric** with the default
     /// seeded perturbations ([`SimConfig::perturbed`]): message delivery is
-    /// owned by a seeded virtual-time scheduler with event-driven wakeups
-    /// (the poll interval is unused), per-link latency jitter, bounded
+    /// owned by a seeded virtual-time scheduler with event-driven wakeups,
+    /// per-link latency jitter, bounded
     /// reordering and bursty delay spikes reshape the schedule, and the
     /// execution report carries a replayable
     /// [`delivery trace`](ExecutionReport::delivery_trace) — the same seed
@@ -479,10 +375,8 @@ impl ClusterBuilder {
             protocol: self.protocol.clone(),
             compute: self.compute,
             seed: self.seed,
-            poll_interval: self.poll_interval,
             flush_batching: self.flush_batching,
             fabric: self.fabric.clone(),
-            server_mode: self.server_mode,
             executor_workers: self.executor_workers,
         }
     }
@@ -522,11 +416,12 @@ impl Cluster {
     /// the paper's distributed JVM dispatches one Java thread per cluster
     /// node) and return the merged execution report.
     ///
-    /// With [`FabricMode::Threaded`] (the default) every node also gets a
-    /// protocol server thread and message interleaving is whatever the OS
-    /// scheduler produces; with [`FabricMode::Sim`] the calling thread runs
-    /// a deterministic, event-driven virtual-time scheduler instead and the
-    /// report carries a replayable delivery trace.
+    /// With [`FabricMode::Threaded`] (the default) and [`FabricMode::Tcp`]
+    /// the nodes' protocol servers are stepped by the wake-on-send executor
+    /// pool and message interleaving is whatever the OS scheduler produces;
+    /// with [`FabricMode::Sim`] the calling thread runs a deterministic,
+    /// event-driven virtual-time scheduler instead and the report carries a
+    /// replayable delivery trace.
     ///
     /// # Panics
     /// Propagates a panic from any application thread after shutting the
@@ -543,182 +438,56 @@ impl Cluster {
     }
 
     /// The threaded runner: OS-scheduled delivery over in-process channels,
-    /// served by the event-driven executor pool (default) or by one polling
-    /// server thread per node ([`ServerMode::Polling`]).
+    /// served by the event-driven executor pool.
     fn run_threaded<F>(self, app: F) -> ExecutionReport
     where
         F: Fn(&NodeCtx) + Send + Sync,
     {
         let Cluster { config, registry } = self;
-        let num_nodes = config.num_nodes;
         let registry = Arc::new(registry);
         let stats = StatsCollector::new();
         let fabric: Fabric<ProtocolMsg> =
-            Fabric::new(num_nodes, config.protocol.network, stats.clone());
-        let wake_hub = fabric.wake_hub();
-
+            Fabric::new(config.num_nodes, config.protocol.network, stats.clone());
         let shareds: Vec<Arc<NodeShared>> = fabric
             .into_endpoints()
             .into_iter()
             .map(|endpoint| {
-                let engine = ProtocolEngine::new(
-                    endpoint.node(),
-                    num_nodes,
-                    config.protocol.clone(),
-                    Arc::clone(&registry),
-                );
-                NodeShared::new(
-                    engine,
-                    NodeLink::Threaded(endpoint),
-                    config.compute,
-                    config.protocol.handling_cost,
-                    config.seed,
-                    config.poll_interval,
-                    config.flush_batching,
-                    None,
-                )
+                let node = endpoint.node();
+                node_shared(&config, &registry, node, NodeLink::Threaded(endpoint), None)
             })
             .collect();
-
-        let scheduler = match config.server_mode {
-            ServerMode::Executor => {
-                let workers = effective_workers(config.executor_workers, num_nodes);
-                let executor =
-                    Executor::new((0..num_nodes).map(|n| NodeId(n as u16)).collect(), workers);
-                wake_hub.install(executor.notifier());
-                for (slot, shared) in shareds.iter().enumerate() {
-                    shared.attach_rearm(executor.hook(slot));
-                }
-                run_apps_with_executor(&executor, &shareds, &app);
-                executor.report(queue_depth_high_watermark(&shareds))
-            }
-            ServerMode::Polling => {
-                thread::scope(|scope| {
-                    // Protocol server threads.
-                    for shared in &shareds {
-                        let shared = Arc::clone(shared);
-                        scope.spawn(move || server_loop(&shared));
-                    }
-                    // Application threads.
-                    let app = &app;
-                    let mut handles = Vec::with_capacity(num_nodes);
-                    for shared in &shareds {
-                        let shared = Arc::clone(shared);
-                        handles.push(scope.spawn(move || {
-                            let ctx = NodeCtx::new(shared);
-                            app(&ctx);
-                        }));
-                    }
-                    // Join application threads, then stop the servers even
-                    // if an application thread panicked (otherwise the scope
-                    // would wait on server loops forever).
-                    let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-                    for shared in &shareds {
-                        shared.request_shutdown();
-                    }
-                    for result in results {
-                        if let Err(payload) = result {
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                });
-                polling_report(&shareds)
-            }
-        };
-
+        let scheduler = run_apps_with_executor(&config, &shareds, &app);
         assemble_report(&config, &shareds, &stats, None, None, Some(scheduler))
     }
 
     /// The TCP runner: every node binds a `127.0.0.1` listener, the mesh is
-    /// connected through the join handshake, and per-node server threads
-    /// drain real sockets. Teardown is the leave handshake (see
-    /// `crate::tcp`), after which the wire counters are reconciled against
-    /// the modeled network statistics.
+    /// connected through the join handshake, and the executor pool serves
+    /// what the socket reader threads enqueue. Teardown is the leave
+    /// handshake (see `crate::exec`), after which the wire counters are
+    /// reconciled against the modeled network statistics.
     fn run_tcp<F>(self, app: F, tcp: TcpConfig) -> ExecutionReport
     where
         F: Fn(&NodeCtx) + Send + Sync,
     {
         let Cluster { config, registry } = self;
-        let num_nodes = config.num_nodes;
         let registry = Arc::new(registry);
         let stats = StatsCollector::new();
         let fabric: TcpFabric<ProtocolMsg> = TcpFabric::bind_local::<ProtocolCodec>(
-            num_nodes,
+            config.num_nodes,
             config.protocol.network,
             stats.clone(),
             tcp,
         )
         .expect("failed to bind the TCP fabric on 127.0.0.1");
-
         let shareds: Vec<Arc<NodeShared>> = fabric
             .into_endpoints()
             .into_iter()
             .map(|endpoint| {
-                let engine = ProtocolEngine::new(
-                    endpoint.node(),
-                    num_nodes,
-                    config.protocol.clone(),
-                    Arc::clone(&registry),
-                );
-                NodeShared::new(
-                    engine,
-                    NodeLink::Tcp(endpoint),
-                    config.compute,
-                    config.protocol.handling_cost,
-                    config.seed,
-                    config.poll_interval,
-                    config.flush_batching,
-                    None,
-                )
+                let node = endpoint.node();
+                node_shared(&config, &registry, node, NodeLink::Tcp(endpoint), None)
             })
             .collect();
-
-        let scheduler = match config.server_mode {
-            ServerMode::Executor => {
-                let workers = effective_workers(config.executor_workers, num_nodes);
-                let executor =
-                    Executor::new((0..num_nodes).map(|n| NodeId(n as u16)).collect(), workers);
-                for (slot, shared) in shareds.iter().enumerate() {
-                    let NodeLink::Tcp(ep) = &shared.link else {
-                        unreachable!("TCP runner built a non-TCP link");
-                    };
-                    ep.install_notifier(executor.notifier());
-                    shared.attach_rearm(executor.hook(slot));
-                }
-                run_apps_with_executor(&executor, &shareds, &app);
-                executor.report(queue_depth_high_watermark(&shareds))
-            }
-            ServerMode::Polling => {
-                thread::scope(|scope| {
-                    for shared in &shareds {
-                        let shared = Arc::clone(shared);
-                        scope.spawn(move || tcp_server_loop(&shared));
-                    }
-                    let app = &app;
-                    let mut handles = Vec::with_capacity(num_nodes);
-                    for shared in &shareds {
-                        let shared = Arc::clone(shared);
-                        handles.push(scope.spawn(move || {
-                            let ctx = NodeCtx::new(shared);
-                            app(&ctx);
-                        }));
-                    }
-                    // As in threaded mode: join applications first, then
-                    // release the servers into the leave handshake even if
-                    // an application thread panicked.
-                    let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-                    for shared in &shareds {
-                        shared.request_shutdown();
-                    }
-                    for result in results {
-                        if let Err(payload) = result {
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                });
-                polling_report(&shareds)
-            }
-        };
+        let scheduler = run_apps_with_executor(&config, &shareds, &app);
 
         // Capture each node's liveness view before teardown stops the
         // heartbeat threads, then close the sockets.
@@ -807,63 +576,17 @@ impl Cluster {
             "endpoint cluster size disagrees with the cluster configuration"
         );
         let registry = Arc::new(registry);
-        let engine = ProtocolEngine::new(
-            endpoint.node(),
-            num_nodes,
-            config.protocol.clone(),
-            Arc::clone(&registry),
-        );
-        let shared = NodeShared::new(
-            engine,
+        let node = endpoint.node();
+        // One hosted node: the pool defaults to a single worker, woken by
+        // this process's TCP readers (and self-sends).
+        let shareds = [node_shared(
+            &config,
+            &registry,
+            node,
             NodeLink::Tcp(endpoint),
-            config.compute,
-            config.protocol.handling_cost,
-            config.seed,
-            config.poll_interval,
-            config.flush_batching,
             None,
-        );
-
-        let shareds = [shared];
-        let scheduler = match config.server_mode {
-            ServerMode::Executor => {
-                // One hosted node: the pool defaults to a single worker,
-                // woken by this process's TCP readers (and self-sends).
-                let workers = effective_workers(config.executor_workers, 1);
-                let executor = Executor::new(vec![shareds[0].node], workers);
-                let NodeLink::Tcp(ep) = &shareds[0].link else {
-                    unreachable!("TCP worker built a non-TCP link");
-                };
-                ep.install_notifier(executor.notifier());
-                shareds[0].attach_rearm(executor.hook(0));
-                run_apps_with_executor(&executor, &shareds, &app);
-                executor.report(queue_depth_high_watermark(&shareds))
-            }
-            ServerMode::Polling => {
-                let shared = &shareds[0];
-                thread::scope(|scope| {
-                    let server = {
-                        let shared = Arc::clone(shared);
-                        scope.spawn(move || tcp_server_loop(&shared))
-                    };
-                    let result = {
-                        let shared = Arc::clone(shared);
-                        scope
-                            .spawn(move || {
-                                let ctx = NodeCtx::new(shared);
-                                app(&ctx);
-                            })
-                            .join()
-                    };
-                    shared.request_shutdown();
-                    if let Err(payload) = result {
-                        std::panic::resume_unwind(payload);
-                    }
-                    let _ = server.join();
-                });
-                polling_report(&shareds)
-            }
-        };
+        )];
+        let scheduler = run_apps_with_executor(&config, &shareds, &app);
 
         let NodeLink::Tcp(ep) = &shareds[0].link else {
             unreachable!("TCP worker built a non-TCP link");
@@ -882,7 +605,7 @@ impl Cluster {
         )
     }
 
-    /// The sim runner: no server threads, no polling — the calling thread
+    /// The sim runner: no server pool, no timers — the calling thread
     /// schedules every delivery deterministically (see `crate::sim`).
     fn run_sim<F>(self, app: F, sim: SimConfig) -> ExecutionReport
     where
@@ -899,34 +622,19 @@ impl Cluster {
             .endpoints()
             .into_iter()
             .map(|endpoint| {
-                let engine = ProtocolEngine::new(
-                    endpoint.node(),
-                    num_nodes,
-                    config.protocol.clone(),
-                    Arc::clone(&registry),
-                );
                 // Lossy fabrics need the recovery machinery (timeouts,
                 // retransmission, dedup, re-election); lossless ones must
                 // not have it, so genuine deadlocks still panic loudly.
                 let fault = sim
                     .is_lossy()
                     .then(|| FaultState::new(FaultConfig::sim_default()));
-                NodeShared::new(
-                    engine,
-                    NodeLink::Sim(endpoint),
-                    config.compute,
-                    config.protocol.handling_cost,
-                    config.seed,
-                    config.poll_interval,
-                    config.flush_batching,
-                    fault,
-                )
+                let node = endpoint.node();
+                node_shared(&config, &registry, node, NodeLink::Sim(endpoint), fault)
             })
             .collect();
 
         let panicked = AtomicBool::new(false);
         let first_panic = std::sync::atomic::AtomicUsize::new(crate::sim::NO_PANIC);
-        let mut parallel_stats = None;
         thread::scope(|scope| {
             let app = &app;
             let fabric = &fabric;
@@ -943,30 +651,13 @@ impl Cluster {
                     app(&ctx);
                 }));
             }
-            // The calling thread is the deterministic scheduler. Worker
-            // counts above one select the frontier scheduler; either way
-            // the same seed replays the same bit-identical trace.
-            if sim.workers > 1 {
-                parallel_stats = Some(sim_server_loop_parallel(
-                    &shareds,
-                    fabric,
-                    panicked,
-                    sim.workers,
-                ));
-            } else {
-                sim_server_loop(&shareds, fabric, panicked);
-            }
+            // The calling thread is the deterministic scheduler.
+            sim_server_loop(&shareds, fabric, panicked);
             if panicked.load(Ordering::SeqCst) {
                 // Unblock application threads parked on replies that will
                 // never come (their peer died); they observe a disconnect
                 // and unwind with a secondary "cluster shut down" panic.
-                // Each parked waiter was counted out of the agent tally, so
-                // re-count it before it unwinds through `agent_finished`.
-                for shared in &shareds {
-                    for _ in 0..shared.abort_pending() {
-                        fabric.agent_unblocked();
-                    }
-                }
+                abort_all_pending(&shareds, fabric);
             }
             let mut results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
             // Re-raise the panic of the node that failed *first* — the
@@ -1008,26 +699,35 @@ impl Cluster {
             "delivery trace (deliveries + drops) and network statistics disagree on \
              message count"
         );
-        // Single-worker sim runs have no server threads or inbound queues,
-        // so they report no scheduler; the frontier scheduler reports its
-        // dispatch counters.
-        let scheduler = parallel_stats.map(|p: crate::sim::SimParallelStats| SchedulerReport {
-            mode: "sim-parallel",
-            workers: sim.workers,
-            steps: p.steps,
-            wakeups: p.dispatched,
-            idle_wakeups: 0,
-            renotifies: 0,
-            rearm_requeues: 0,
-            runnable_high_watermark: 0,
-            parked_high_watermark: 0,
-            queue_depth_high_watermark: 0,
-            frontiers: p.frontiers,
-            frontier_events: p.frontier_events,
-            frontier_high_watermark: p.frontier_high_watermark,
-        });
-        assemble_report(&config, &shareds, &stats, Some(trace), None, scheduler)
+        // The virtual-time scheduler has neither a server pool nor inbound
+        // queues, so sim runs report no scheduler.
+        assemble_report(&config, &shareds, &stats, Some(trace), None, None)
     }
+}
+
+/// Build one node's engine and shared state on the given link.
+fn node_shared(
+    config: &ClusterConfig,
+    registry: &Arc<ObjectRegistry>,
+    node: NodeId,
+    link: NodeLink,
+    fault: Option<FaultState>,
+) -> Arc<NodeShared> {
+    let engine = ProtocolEngine::new(
+        node,
+        config.num_nodes,
+        config.protocol.clone(),
+        Arc::clone(registry),
+    );
+    NodeShared::new(
+        engine,
+        link,
+        config.compute,
+        config.protocol.handling_cost,
+        config.seed,
+        config.flush_batching,
+        fault,
+    )
 }
 
 /// The executor pool size for a run: an explicit request wins; `0` (auto)
@@ -1043,13 +743,25 @@ fn effective_workers(requested: usize, num_nodes: usize) -> usize {
         .max(1)
 }
 
-/// Spawn the executor's worker pool and the per-node application threads in
-/// one scope, join the applications, and drive the pool through teardown.
-/// Shared by the threaded, in-process-TCP and TCP-worker runners.
-fn run_apps_with_executor<F>(executor: &Executor, shareds: &[Arc<NodeShared>], app: &F)
+/// Serve `shareds` (all nodes of an in-process cluster, or the one node of
+/// a multi-process TCP worker) with the wake-on-send executor: build the
+/// pool, wire it to the nodes' links, run the per-node application threads
+/// next to the workers in one scope, join the applications, drive the pool
+/// through teardown and return its counters.
+fn run_apps_with_executor<F>(
+    config: &ClusterConfig,
+    shareds: &[Arc<NodeShared>],
+    app: &F,
+) -> SchedulerReport
 where
     F: Fn(&NodeCtx) + Send + Sync,
 {
+    let workers = effective_workers(config.executor_workers, shareds.len());
+    let executor = Executor::new(shareds.iter().map(|s| s.node).collect(), workers);
+    for (slot, shared) in shareds.iter().enumerate() {
+        shared.link_install_notifier(executor.notifier());
+        shared.attach_rearm(executor.hook(slot));
+    }
     // Sweep every inbound queue once: wakes that fired before the notifier
     // was installed were dropped (a TCP peer may already have sent).
     executor.prime();
@@ -1079,6 +791,7 @@ where
             }
         }
     });
+    executor.report(queue_depth_high_watermark(shareds))
 }
 
 /// The deepest any node's inbound queue ever got across the run.
@@ -1088,26 +801,6 @@ fn queue_depth_high_watermark(shareds: &[Arc<NodeShared>]) -> usize {
         .filter_map(|shared| shared.link_queue_high_watermark())
         .max()
         .unwrap_or(0)
-}
-
-/// Scheduler counters of a polling-mode run: one server thread per node,
-/// one idle wakeup per poll-tick timeout.
-fn polling_report(shareds: &[Arc<NodeShared>]) -> SchedulerReport {
-    SchedulerReport {
-        mode: "polling",
-        workers: shareds.len(),
-        steps: 0,
-        wakeups: 0,
-        idle_wakeups: shareds.iter().map(|s| s.idle_wakeup_count()).sum(),
-        renotifies: 0,
-        rearm_requeues: 0,
-        runnable_high_watermark: 0,
-        parked_high_watermark: 0,
-        queue_depth_high_watermark: queue_depth_high_watermark(shareds),
-        frontiers: 0,
-        frontier_events: 0,
-        frontier_high_watermark: 0,
-    }
 }
 
 /// Merge per-node clocks and statistics into the final report.

@@ -1,24 +1,22 @@
 //! The event-driven node executor: wake-on-send server scheduling on a
 //! bounded worker pool.
 //!
-//! The classic threaded runner burns one polling server thread per node
-//! (`recv_timeout` loops in [`crate::node`]), which caps realistic
-//! in-process clusters at roughly the machine's core count. This module
-//! multiplexes the server-side protocol handling of *many* nodes onto a
-//! small pool of worker threads, driven by **wake-on-send notifications**
-//! from the fabric instead of timers:
+//! A protocol server is a non-blocking message pump, idle whenever no
+//! message is in flight, so it does not need a thread of its own. This
+//! module multiplexes the server-side protocol handling of *all* nodes of
+//! a threaded or TCP cluster onto a small pool of worker threads, driven
+//! by **wake-on-send notifications** from the fabric instead of timers:
 //!
 //! * Every enqueue into a node's inbound queue fires the fabric's
 //!   [`dsm_net::WakeNotifier`] hook, which marks the destination node
 //!   *runnable* and unparks one worker. A quiet cluster performs **zero**
-//!   sleep-loop wakeups — parked workers sit on a condvar until a message
+//!   timer wakeups — parked workers sit on a condvar until a message
 //!   actually arrives.
 //! * A worker claims a runnable node and runs one **handler step**: it
-//!   drains a bounded batch of inbound messages through the exact same
-//!   [`crate::node::handle_request`] dispatch as the polling loops
-//!   (replies complete pending requests, `Busy` outcomes park on the
-//!   node's deferral queue) and retries the deferral queue after each
-//!   message.
+//!   drains a bounded batch of inbound messages through
+//!   [`crate::node::serve_envelope`] (replies complete pending requests,
+//!   `Busy` outcomes park on the node's deferral queue) and retries the
+//!   deferral queue after each message.
 //! * The per-entry Busy-deferral queue **re-arms the node's runnable bit**
 //!   instead of re-polling: a `Busy` outcome can only originate from a live
 //!   application view holding the payload lease, so the view guard's drop
@@ -35,7 +33,7 @@
 //! RUNNING_NOTIFIED` (the finishing worker re-queues the node itself), and
 //! is a no-op in the other states, so a node is in the run queue **at most
 //! once** and never stepped by two workers concurrently — per-node message
-//! handling stays serialized exactly as with one server thread per node.
+//! handling stays serialized.
 //!
 //! ## The Busy re-arm handshake
 //!
@@ -50,27 +48,38 @@
 //! epoch moved and re-queues the node itself — in every interleaving the
 //! deferred work is retried after the release, with no polling.
 //!
-//! ## Why deadlock-freedom carries over
+//! ## Why handler steps cannot deadlock
 //!
 //! Handler steps never block: the engine only ever takes `try_` payload
 //! locks and reports `Busy`, workers take the node's serve lock (a leaf
 //! lock, uncontended — at most one worker runs a node) and the run-queue
 //! mutex, never both while calling into the engine, and the termination
 //! check reads only atomics and queue depths. An application thread blocked
-//! on the network therefore always has a responsive (schedulable) server,
-//! which is the same argument the per-node-thread loops rely on.
+//! on the network therefore always has a responsive (schedulable) server.
 //!
-//! The sim fabric keeps its own virtual-time scheduler (`crate::sim`):
-//! its sequential reference loop never touches this module, and its
-//! parallel frontier loop borrows only the scoped [`pool::TaskPool`]
-//! below — the wake-on-send state machine stays executor-only.
+//! ## TCP teardown: the leave handshake
+//!
+//! Channels can simply be dropped; sockets cannot, because a peer reading
+//! a closed connection mid-protocol would see an error instead of an
+//! orderly end of stream. The handshake is single-phase and leans on
+//! per-link FIFO. Once shutdown has been requested (all application
+//! threads joined), a handler step that leaves its node's inbound and
+//! deferral queues empty announces a `Leave` frame on every outgoing link
+//! — FIFO guarantees it is the last frame each peer reads from us. The
+//! pool keeps serving (one-way `LockRelease` / `HomeNotify` stragglers may
+//! still arrive) until every peer's leave has been read, at which point no
+//! further frame can arrive and the termination check lets the workers
+//! exit. A single phase suffices because shutdown is only requested after
+//! every application thread has joined: nothing is blocked on a reply, so
+//! the in-flight residue is fire-and-forget messages whose handling sends
+//! nothing back.
+//!
+//! The sim fabric keeps its own virtual-time scheduler (`crate::sim`) and
+//! never touches this module.
 
-pub(crate) mod pool;
-
-use crate::node::{handle_request, retry_deferred, trace_enabled, BatchPartials, NodeShared};
+use crate::node::{retry_deferred, serve_envelope, NodeShared, ServeState};
 use crate::report::SchedulerReport;
-use dsm_core::ProtocolMsg;
-use dsm_net::{Envelope, WakeNotifier};
+use dsm_net::WakeNotifier;
 use dsm_objspace::NodeId;
 use dsm_util::Mutex;
 use std::collections::VecDeque;
@@ -88,16 +97,6 @@ const RUNNING_NOTIFIED: u8 = 3;
 /// node behind the already-runnable ones.
 const STEP_BATCH: usize = 64;
 
-/// The serve-side state a worker needs while stepping a node: the
-/// Busy-deferral queue and the partially resolved diff batches. Protected
-/// by a per-node leaf mutex that is uncontended in steady state (the state
-/// machine admits one worker per node); the lock exists so the state
-/// survives hand-offs between different workers.
-struct ServeState {
-    deferred: VecDeque<(NodeId, ProtocolMsg)>,
-    partials: BatchPartials,
-}
-
 /// Per-node scheduling state.
 struct NodeSched {
     /// `IDLE` / `QUEUED` / `RUNNING` / `RUNNING_NOTIFIED`.
@@ -111,6 +110,9 @@ struct NodeSched {
     /// Length of the deferral queue after the node's last step — read by
     /// the termination check without taking the serve lock.
     deferred_len: AtomicUsize,
+    /// The node's serve-side state, behind a leaf mutex that is uncontended
+    /// in steady state (the state machine admits one worker per node); the
+    /// lock exists so the state survives hand-offs between workers.
     serve: Mutex<ServeState>,
 }
 
@@ -121,10 +123,7 @@ impl NodeSched {
             rearm_epoch: AtomicU64::new(0),
             has_deferred: AtomicBool::new(false),
             deferred_len: AtomicUsize::new(0),
-            serve: Mutex::new(ServeState {
-                deferred: VecDeque::new(),
-                partials: BatchPartials::new(),
-            }),
+            serve: Mutex::new(ServeState::default()),
         }
     }
 }
@@ -260,17 +259,14 @@ impl ExecShared {
     }
 
     /// Run one handler step of `node`: drain up to [`STEP_BATCH`] inbound
-    /// messages through the shared dispatch, retry the deferral queue, and
+    /// messages through [`serve_envelope`], retry the deferral queue, and
     /// execute the Busy re-arm handshake. Returns whether the node must be
     /// re-queued immediately (batch cap hit, or the re-arm epoch moved
     /// under the final retry).
     fn run_step(&self, node: usize, shared: &Arc<NodeShared>) -> bool {
         self.steps.fetch_add(1, SeqCst);
         let sched = &self.nodes[node];
-        let mut serve_guard = sched.serve.lock();
-        // Reborrow as a plain `&mut ServeState` so the deferral queue and
-        // the batch partials can be borrowed independently.
-        let serve = &mut *serve_guard;
+        let mut serve = sched.serve.lock();
         let entered_empty = serve.deferred.is_empty();
         let mut handled = 0usize;
         while handled < STEP_BATCH {
@@ -278,7 +274,8 @@ impl ExecShared {
                 break;
             };
             handled += 1;
-            dispatch(shared, envelope, serve);
+            serve_envelope(shared, envelope, &mut serve);
+            retry_deferred(shared, &mut serve);
         }
         let mut requeue = handled == STEP_BATCH && shared.link_pending() > 0;
 
@@ -289,7 +286,7 @@ impl ExecShared {
         } else {
             sched.has_deferred.store(true, SeqCst);
             let epoch = sched.rearm_epoch.load(SeqCst);
-            retry_deferred(shared, &mut serve.deferred, &mut serve.partials);
+            retry_deferred(shared, &mut serve);
             if serve.deferred.is_empty() {
                 sched.has_deferred.store(false, SeqCst);
             } else if sched.rearm_epoch.load(SeqCst) != epoch {
@@ -304,9 +301,7 @@ impl ExecShared {
         sched.deferred_len.store(serve.deferred.len(), SeqCst);
 
         // TCP teardown: a step that leaves the node fully drained after
-        // shutdown announces the leave (idempotent), exactly where the
-        // polling loop does. Per-link FIFO makes it the last frame peers
-        // read from us.
+        // shutdown announces the leave (idempotent; see the module docs).
         if shared.should_shutdown() && serve.deferred.is_empty() && shared.link_pending() == 0 {
             shared.link_announce_leave();
         }
@@ -342,29 +337,6 @@ impl ExecShared {
             self.idle.notify_all();
         }
     }
-}
-
-/// Dispatch one inbound envelope exactly as the polling server loops do.
-fn dispatch(shared: &Arc<NodeShared>, envelope: Envelope<ProtocolMsg>, serve: &mut ServeState) {
-    if trace_enabled() {
-        eprintln!(
-            "[{}] serve from {} {:?}",
-            shared.node, envelope.src, envelope.payload
-        );
-    }
-    shared
-        .clock
-        .merge_and_advance(envelope.arrival, shared.handling_cost);
-    let arrival = envelope.arrival;
-    let src = envelope.src;
-    let msg = envelope.payload;
-    if msg.is_reply() {
-        let req = msg.reply_req().expect("reply carries request id");
-        shared.complete(req, msg, arrival);
-    } else if let Some(busy) = handle_request(shared, src, msg, &mut serve.partials) {
-        serve.deferred.push_back((src, busy));
-    }
-    retry_deferred(shared, &mut serve.deferred, &mut serve.partials);
 }
 
 /// The bounded worker pool driving one cluster run.
@@ -466,7 +438,6 @@ impl Executor {
         let shared = &self.shared;
         let q = shared.queue.lock();
         SchedulerReport {
-            mode: "executor",
             workers: self.workers,
             steps: shared.steps.load(SeqCst),
             wakeups: shared.wakeups.load(SeqCst),
@@ -476,15 +447,12 @@ impl Executor {
             runnable_high_watermark: q.runnable_hwm,
             parked_high_watermark: q.parked_hwm,
             queue_depth_high_watermark,
-            frontiers: 0,
-            frontier_events: 0,
-            frontier_high_watermark: 0,
         }
     }
 }
 
-/// The per-node re-arm hook held by a `NodeShared`: view-lease releases and
-/// teardown aborts re-schedule the node through it.
+/// The per-node re-arm hook held by a `NodeShared`: view-lease releases
+/// re-schedule the node through it.
 pub(crate) struct RearmHook {
     exec: Arc<ExecShared>,
     node: usize,
@@ -500,11 +468,6 @@ impl RearmHook {
         if sched.has_deferred.load(SeqCst) {
             self.exec.schedule(self.node);
         }
-    }
-
-    /// Unconditionally mark the node runnable (teardown paths).
-    pub(crate) fn schedule(&self) {
-        self.exec.schedule(self.node);
     }
 }
 

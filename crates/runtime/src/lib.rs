@@ -32,70 +32,44 @@
 //! Application code always gets one real OS thread per node — it blocks on
 //! locks, barriers and remote fetches, so it needs one. Server-side
 //! protocol handling does not: a protocol server is a non-blocking message
-//! pump (drain the inbound queue, run handlers, retry deferrals), idle
-//! whenever no message is in flight. The runtime therefore schedules the
-//! servers in one of two modes ([`ServerMode`],
-//! [`ClusterBuilder::server_mode`]):
+//! pump (take an inbound envelope, run its handler, retry deferrals), idle
+//! whenever no message is in flight. Its per-envelope step exists once
+//! (`node::serve_envelope`), and there is exactly one way to drive it per
+//! kind of fabric:
 //!
-//! * **Executor** (the default on the threaded and TCP fabrics): all
-//!   nodes' servers are multiplexed onto a bounded worker pool
-//!   (`available_parallelism` workers by default,
-//!   [`ClusterBuilder::executor_workers`] to override) and run
-//!   **wake-on-send**: the act of sending into a node's inbound channel —
-//!   or, on TCP, the socket reader thread handing a frame to the inbound
-//!   queue — marks that node runnable and wakes a parked worker. A quiet
-//!   cluster is *silent*: no timer ticks, no idle polls, workers parked on
-//!   a condvar. This is what lets a 256-node cluster run on one machine
-//!   without paying 256 server threads' worth of stacks and timer wakeups.
-//!   A per-node atomic state machine (idle → queued → running, plus a
+//! * **Threaded and TCP fabrics — the wake-on-send executor.** All nodes'
+//!   servers are multiplexed onto a bounded worker pool
+//!   (`min(available_parallelism, nodes)` workers by default;
+//!   [`ClusterBuilder::executor_workers`] overrides, and `1` fully
+//!   serializes server-side handling — the reference the test suite
+//!   fingerprints the default pool against). The act of sending into a
+//!   node's inbound channel — or, on TCP, the socket reader thread handing
+//!   a frame to the inbound queue — marks that node runnable and wakes a
+//!   parked worker. A quiet cluster is *silent*: no timer ticks, no idle
+//!   polls, workers parked on a condvar. This is what lets a 256-node
+//!   cluster run on one machine without 256 server threads. A per-node
+//!   atomic state machine (idle → queued → running, plus a
 //!   notified-while-running bit) guarantees no lost wakeups: a
 //!   notification that lands mid-step re-queues the node after its step
 //!   finishes, and a handler that defers a Busy message re-arms the node's
-//!   runnable bit so the deferral is retried without any timer.
-//! * **Polling** ([`ServerMode::Polling`]): the original one-server-thread
-//!   per-node layout, each blocking on its channel with a
-//!   [`ClusterBuilder::poll_interval`] timeout. Kept as the semantic
-//!   reference — scheduling is invisible to the protocol, and the test
-//!   suite holds the two modes to fingerprint-identical results — and as
-//!   the fallback if the executor is ever suspected.
-//!
-//! The sim fabric uses neither: by default its virtual-time scheduler
-//! delivers every message inline on one thread (no server threads, no
-//! inbound queues), so single-worker sim runs report no scheduler.
-//!
-//! * **Parallel frontier scheduling** ([`SimConfig::with_workers`] > 1):
-//!   the sim scheduler pops a **conflict-free frontier** from the event
-//!   heap at each quiescence point — the canonical prefix of events whose
-//!   destination nodes are pairwise distinct and whose delivery times fall
-//!   inside one minimum network latency of the earliest event — and runs
-//!   the handlers on a bounded worker pool, merging every handler's
-//!   outgoing sends back in the canonical event order `(deliver_at, src,
-//!   dst, link_seq)`. Determinism survives because (a) *distinct
-//!   destinations* mean the frontier's handlers touch disjoint node state,
-//!   (b) the *latency cutoff* means nothing a frontier handler sends can
-//!   be due before the frontier's own events — the popped prefix is final
-//!   — and (c) frontiers are only popped while **every node's deferral
-//!   queue is empty** (a deferred Busy message re-examines node state on
-//!   the next delivery, so those steps run as exact sequential singletons).
-//!   Within one frontier a node either gains a deferral or has its
-//!   application woken, never both, so the post-frontier merge order is
-//!   independent of which worker finished first. The single-worker
-//!   schedule is the byte-for-byte semantic reference: the test suite and
-//!   the `sim_matrix --sim-workers N` gate hold every parallel run to a
-//!   bit-identical [`DeliveryTrace`] against it, so worker count is an
-//!   execution knob, never a schedule change.
-//!
-//! Threaded and TCP runs surface the scheduling counters — steps, wakeups,
-//! idle wakeups, re-notifications, runnable/parked high-watermarks,
-//! queue-depth high-watermark — in [`ExecutionReport::scheduler`]
-//! ([`SchedulerReport`]); parallel sim runs report their frontier counters
-//! there too (mode `"sim-parallel"`: frontiers dispatched, events
-//! delivered through them, widest frontier).
+//!   runnable bit so the deferral is retried without any timer. The
+//!   scheduling counters — steps, wakeups, idle wakeups, re-notifications,
+//!   runnable/parked high-watermarks, queue-depth high-watermark — surface
+//!   in [`ExecutionReport::scheduler`] ([`SchedulerReport`]).
+//! * **Sim fabric — the sequential virtual-time loop.** The thread that
+//!   called [`Cluster::run`] waits until every application thread is
+//!   parked, pops the earliest event of the fabric's virtual-time queue,
+//!   serves it at its destination node, retries the deferral queues,
+//!   wakes the applications whose replies arrived, and repeats. There are
+//!   no server threads and no inbound queues, so sim runs report no
+//!   scheduler. One event at a time is what makes a run a pure function
+//!   of its seed, and it is the semantic reference every other fabric's
+//!   results are fingerprinted against.
 //!
 //! ## Locking architecture
 //!
-//! A node's two threads (application + protocol server) share the engine
-//! **without a node-global engine lock** — requests for distinct objects
+//! A node's application thread and whichever thread is stepping its
+//! protocol server share the engine **without a node-global engine lock** — requests for distinct objects
 //! never serialize on one mutex, so protocol serving scales with cores. The
 //! locks that exist, from the outside in:
 //!
@@ -166,13 +140,11 @@
 //! **Why deferral stays deadlock-free:** a server that finds a payload
 //! leased to an application view reports `Busy`; the runtime parks the
 //! message on a deferral queue and retries it instead of blocking the
-//! server. Under the executor the retry is event-driven — a node with
+//! server. The retry is event-driven — under the executor a node with
 //! deferred work keeps its runnable bit armed (and the application dropping
-//! a view re-notifies it), so the deferral is re-attempted without any
-//! timer; under [`ServerMode::Polling`] it is retried on later messages and
-//! on every poll tick (see [`ClusterBuilder::poll_interval`] /
-//! [`ClusterBuilder::fast_poll`]). Either way a node blocked on the
-//! network always has a responsive server.
+//! a view re-notifies it); the sim loop retries every deferral queue after
+//! each delivery — so a node blocked on the network always has a
+//! responsive server, with no timer anywhere.
 //! The one remaining cycle — two nodes each waiting for the other's server
 //! while their own write leases keep that server deferring — is ruled out
 //! on the application side: a context refuses to issue a remote fault-in
@@ -190,9 +162,8 @@
 //! messages physically travel over:
 //!
 //! * **Loopback / threaded** (the default): in-process channels, all
-//!   nodes' protocol servers scheduled by the wake-on-send executor pool
-//!   (or per-node polling threads under [`ServerMode::Polling`]), message
-//!   interleaving decided by the OS scheduler. Per-link FIFO holds because
+//!   nodes' protocol servers scheduled by the wake-on-send executor pool,
+//!   message interleaving decided by the OS scheduler. Per-link FIFO holds because
 //!   each link *is* one channel. Fastest wall-clock on many cores;
 //!   schedules are not reproducible run to run.
 //! * **Sim** ([`ClusterBuilder::sim_fabric`]`(seed)`): the deterministic
@@ -229,17 +200,6 @@
 //! suite's seed corpus is centralized in the `dsm-integration-tests`
 //! helpers and can be overridden with `DSM_SEEDS=0x1,0x2,...` to sweep new
 //! schedules without touching code.
-//!
-//! **Worker count never changes the schedule:** the trace is a pure
-//! function of the seed *at any worker count* — `SimConfig::with_workers`
-//! parallelizes the handler execution, not the event order, so a seed
-//! reproduced at `--sim-workers 4` replays the exact trace the
-//! single-worker reference produces (the conformance matrix and CI's
-//! `sim-parallel` job assert this cell by cell). When debugging, drop to
-//! the single-worker scheduler first: it is the semantic reference, and a
-//! divergence that only appears with workers > 1 is by definition a
-//! frontier/merge bug in the parallel scheduler, not an application or
-//! protocol bug.
 //!
 //! **Lossy presets — testing the fault path:** [`SimConfig::lossy`]`(seed)`
 //! layers fault injection on top of the perturbed preset: 1% seeded
@@ -318,14 +278,10 @@ pub mod handle;
 pub mod node;
 pub mod report;
 mod sim;
-mod tcp;
 pub mod vclock;
 pub mod view;
 
-pub use cluster::{
-    Cluster, ClusterBuilder, ClusterConfig, FabricMode, ServerMode, DEFAULT_POLL_INTERVAL,
-    FAST_POLL_INTERVAL,
-};
+pub use cluster::{Cluster, ClusterBuilder, ClusterConfig, FabricMode};
 pub use ctx::NodeCtx;
 pub use dsm_net::{
     DeliveryRecord, DeliveryTrace, DropReason, DropRecord, MembershipReport, MembershipView,

@@ -4,14 +4,13 @@
 //! closure through [`crate::NodeCtx`], issues blocking requests
 //! (fault-ins, diff flushes, lock acquires, barrier arrivals) and parks on
 //! a reply channel — with a **protocol server**: the message pump that
-//! drains the node's fabric endpoint, dispatches requests to the protocol
-//! engine, sends the produced replies and wakes local waiters. How the
-//! server gets CPU time is the cluster's choice (see the "Execution model"
-//! section of the crate docs): under the default
-//! [`crate::ServerMode::Executor`] all nodes' servers are stepped by the
-//! wake-on-send worker pool in `crate::exec`; under
-//! [`crate::ServerMode::Polling`] each node gets a dedicated server thread
-//! blocking on its channel with a poll timeout.
+//! takes the node's inbound envelopes, dispatches requests to the protocol
+//! engine, sends the produced replies and wakes local waiters. A server is
+//! not a thread: its per-envelope step is `serve_envelope` below, and it is
+//! driven by exactly one of two callers (see the "Execution model" section
+//! of the crate docs) — the wake-on-send worker pool in `crate::exec` on
+//! the threaded and TCP fabrics, or the virtual-time loop in `crate::sim`
+//! on the sim fabric.
 //!
 //! Application and server drive the engine directly through `&self` —
 //! there is **no node-global engine mutex**. The [`ProtocolEngine`] is
@@ -23,17 +22,15 @@
 //!
 //! The server **never blocks on object payloads**: when the engine reports
 //! a `Busy` outcome (the application holds a zero-copy view of the copy a
-//! request needs), the message is parked on a local deferral queue and
+//! request needs), the message is parked on the node's deferral queue and
 //! retried after subsequent messages — plus, under the executor, whenever
 //! the deferral re-arm wakes the node (the application dropping a view
-//! re-notifies it), or, under polling, on every poll tick (the tick
-//! defaults to 2 ms and is configurable through
-//! `ClusterBuilder::poll_interval` / `fast_poll`). Replies to the
-//! local application are always processed immediately, which is what makes
-//! it safe for the application to block on the network while holding *read*
-//! views of other objects. Blocking with a live *write* view could still
-//! deadlock two nodes through mutual deferral, so the context refuses
-//! remote fault-ins in that state (`DsmError::FetchWithLiveWrites`).
+//! re-notifies it). Replies to the local application are always processed
+//! immediately, which is what makes it safe for the application to block
+//! on the network while holding *read* views of other objects. Blocking
+//! with a live *write* view could still deadlock two nodes through mutual
+//! deferral, so the context refuses remote fault-ins in that state
+//! (`DsmError::FetchWithLiveWrites`).
 
 use crate::fault::{self, FaultState};
 use crate::vclock::VirtualClock;
@@ -43,15 +40,14 @@ use dsm_core::{
     ProtocolMsg, ReqId,
 };
 use dsm_model::{ComputeModel, SimDuration, SimTime};
-use dsm_net::{Endpoint, MsgCategory, SimEndpoint, TcpEndpoint};
+use dsm_net::{Endpoint, Envelope, MsgCategory, SimEndpoint, TcpEndpoint};
 use dsm_objspace::{NodeId, ObjectRegistry};
-use dsm_util::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use dsm_util::channel::{bounded, Receiver, Sender};
 use dsm_util::Mutex;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// Whether protocol tracing (`DSM_TRACE=1`) is enabled; resolved once.
 /// Unset, empty and `0` all mean disabled.
@@ -62,10 +58,10 @@ pub(crate) fn trace_enabled() -> bool {
 
 /// A node's attachment to whichever fabric the cluster runs on.
 ///
-/// The threaded fabric gives every node a channel endpoint drained by its
-/// own server thread; the sim fabric gives it a handle into the central
-/// virtual-time scheduler (and carries the agent park/wake notifications of
-/// the quiescence protocol — see `crate::sim`).
+/// The threaded fabric gives every node a channel endpoint drained by the
+/// executor's handler steps; the sim fabric gives it a handle into the
+/// central virtual-time scheduler (and carries the agent park/wake
+/// notifications of the quiescence protocol — see `crate::sim`).
 pub(crate) enum NodeLink {
     /// Channel endpoint of the threaded [`dsm_net::Fabric`].
     Threaded(Endpoint<ProtocolMsg>),
@@ -175,7 +171,8 @@ const PENDING_STRIPES: usize = 8;
 /// One stripe of the pending-reply table.
 type PendingStripe = Mutex<HashMap<ReqId, Sender<Reply>>>;
 
-/// State shared between one node's application thread and server thread.
+/// State shared between one node's application thread and its protocol
+/// server.
 pub(crate) struct NodeShared {
     pub node: NodeId,
     pub num_nodes: usize,
@@ -187,9 +184,6 @@ pub(crate) struct NodeShared {
     pub compute: ComputeModel,
     pub handling_cost: SimDuration,
     pub seed: u64,
-    /// How long the server loop waits for a message before retrying its
-    /// deferral queue and checking for shutdown.
-    pub poll_interval: Duration,
     /// Whether the release path groups same-home diff flushes into
     /// `DiffBatch` messages (see `ClusterBuilder::flush_batching`).
     pub flush_batching: bool,
@@ -201,25 +195,18 @@ pub(crate) struct NodeShared {
     pending: Box<[PendingStripe]>,
     next_req: AtomicU64,
     shutdown: AtomicBool,
-    /// Idle server wakeups: poll-loop timeout ticks that found nothing to
-    /// do (polling mode), surfaced so the executor's zero-idle-wakeup claim
-    /// is assertable against the polling baseline.
-    idle_wakeups: AtomicU64,
-    /// The executor's re-arm hook (unset in polling and sim modes):
-    /// view-lease releases and teardown aborts re-schedule this node's
-    /// server steps through it.
+    /// The executor's re-arm hook (unset on the sim fabric): view-lease
+    /// releases re-schedule this node's server steps through it.
     rearm: OnceLock<crate::exec::RearmHook>,
 }
 
 impl NodeShared {
-    #[allow(clippy::too_many_arguments)] // one-call-site constructor mirroring the builder's knobs
     pub fn new(
         engine: ProtocolEngine,
         link: NodeLink,
         compute: ComputeModel,
         handling_cost: SimDuration,
         seed: u64,
-        poll_interval: Duration,
         flush_batching: bool,
         fault: Option<FaultState>,
     ) -> Arc<Self> {
@@ -233,7 +220,6 @@ impl NodeShared {
             compute,
             handling_cost,
             seed,
-            poll_interval,
             flush_batching,
             fault,
             pending: (0..PENDING_STRIPES)
@@ -241,39 +227,39 @@ impl NodeShared {
                 .collect(),
             next_req: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
-            idle_wakeups: AtomicU64::new(0),
             rearm: OnceLock::new(),
         })
     }
 
-    /// Attach the executor's re-arm hook (first attach wins; polling and
-    /// sim runs never attach one).
+    /// Attach the executor's re-arm hook (first attach wins; sim runs never
+    /// attach one).
     pub(crate) fn attach_rearm(&self, hook: crate::exec::RearmHook) {
         let _ = self.rearm.set(hook);
     }
 
     /// Called (indirectly, from the view guards' trailing drop signal)
     /// after a view's payload lease has truly been released: re-arms the
-    /// executor's deferred work for this node. No-op outside executor mode.
+    /// executor's deferred work for this node. No-op on the sim fabric.
     pub(crate) fn view_lease_released(&self) {
         if let Some(hook) = self.rearm.get() {
             hook.lease_released();
         }
     }
 
-    /// Count one idle poll-loop wakeup (a timeout tick with nothing to do).
-    pub(crate) fn note_idle_tick(&self) {
-        self.idle_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Idle server wakeups recorded so far (polling mode).
-    pub(crate) fn idle_wakeup_count(&self) -> u64 {
-        self.idle_wakeups.load(Ordering::Relaxed)
+    /// Route this node's arrival notifications to the executor's wake hook.
+    /// (All endpoints of a threaded fabric share one hub; the first install
+    /// wins.)
+    pub(crate) fn link_install_notifier(&self, notifier: Arc<dyn dsm_net::WakeNotifier>) {
+        match &self.link {
+            NodeLink::Threaded(ep) => ep.wake_hub().install(notifier),
+            NodeLink::Tcp(ep) => ep.install_notifier(notifier),
+            NodeLink::Sim(_) => unreachable!("executor asked to serve a sim-fabric node"),
+        }
     }
 
     /// Non-blocking receive from this node's fabric endpoint (executor
     /// steps; the sim fabric owns delivery itself and never lands here).
-    pub(crate) fn link_try_recv(&self) -> Option<dsm_net::Envelope<ProtocolMsg>> {
+    pub(crate) fn link_try_recv(&self) -> Option<Envelope<ProtocolMsg>> {
         match &self.link {
             NodeLink::Threaded(ep) => ep.try_recv(),
             NodeLink::Tcp(ep) => ep.try_recv(),
@@ -442,30 +428,30 @@ impl NodeShared {
 
     /// Drop every pending-reply sender, waking parked application threads
     /// with a disconnect. Used by the sim runner to tear the cluster down
-    /// after an application panic (the threaded runner's servers keep
+    /// after an application panic or a terminal stall (the executor keeps
     /// serving until every application thread joined; the sim scheduler has
-    /// no one left to serve for). Returns the number of waiters woken, so
-    /// the caller can re-balance the fabric's agent count — each woken
-    /// thread unwinds and reports `agent_finished` on its way out.
-    pub fn abort_pending(&self) -> usize {
+    /// no one left to serve for).
+    ///
+    /// `before_wake` runs once per waiter, under the stripe lock and
+    /// **before** the waiter's sender is dropped: each parked waiter was
+    /// counted out of the sim fabric's agent tally, and a woken thread
+    /// unwinds straight into `agent_finished`, so the caller must re-count
+    /// it (`agent_unblocked`) while it is still provably parked — exactly
+    /// the order `crate::sim`'s wake flush uses for ordinary replies.
+    pub fn abort_pending(&self, mut before_wake: impl FnMut()) {
         if let Some(fault) = &self.fault {
             fault.abort();
         }
-        let mut cleared = 0;
         for stripe in self.pending.iter() {
             let mut stripe = stripe.lock();
-            cleared += stripe.len();
+            for _ in 0..stripe.len() {
+                before_wake();
+            }
             stripe.clear();
         }
-        // In executor mode the abort must also wake parked workers so the
-        // pool re-runs its drain/termination check.
-        if let Some(hook) = self.rearm.get() {
-            hook.schedule();
-        }
-        cleared
     }
 
-    /// Request the server loop to stop after the current message.
+    /// Request the protocol server to stop once its queues are drained.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
@@ -481,72 +467,61 @@ impl NodeShared {
 /// state — it never crosses the wire.
 pub(crate) type BatchPartials = HashMap<ReqId, Vec<DiffBatchResult>>;
 
-/// The protocol server loop for one node of a *threaded* cluster. Runs
-/// until shutdown is requested and both the endpoint and the deferral queue
-/// have been drained. (Sim-mode clusters have no per-node server threads;
-/// `crate::sim` drives the same `handle_request` from the event scheduler.)
-pub(crate) fn server_loop(shared: &Arc<NodeShared>) {
-    let NodeLink::Threaded(endpoint) = &shared.link else {
-        unreachable!("server_loop spawned for a sim-fabric node");
-    };
-    // Messages whose payload store was leased to an application view when
-    // they arrived; retried after every subsequent message and poll tick.
-    let mut deferred: VecDeque<(NodeId, ProtocolMsg)> = VecDeque::new();
-    let mut partials: BatchPartials = HashMap::new();
-    loop {
-        match endpoint.recv_timeout(shared.poll_interval) {
-            Ok(envelope) => {
-                if trace_enabled() {
-                    eprintln!(
-                        "[{}] serve from {} {:?}",
-                        shared.node, envelope.src, envelope.payload
-                    );
-                }
-                // Protocol handling shares the node's (virtual) CPU.
-                shared
-                    .clock
-                    .merge_and_advance(envelope.arrival, shared.handling_cost);
-                let arrival = envelope.arrival;
-                let src = envelope.src;
-                let msg = envelope.payload;
-                if msg.is_reply() {
-                    let req = msg.reply_req().expect("reply carries request id");
-                    shared.complete(req, msg, arrival);
-                } else if !fault::admit_request(shared, &msg) {
-                    // Duplicate of an already-seen request: absorbed, or
-                    // answered from the reply cache by `admit_request`.
-                } else if let Some(busy) = handle_request(shared, src, msg, &mut partials) {
-                    deferred.push_back((src, busy));
-                }
-                retry_deferred(shared, &mut deferred, &mut partials);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                shared.note_idle_tick();
-                retry_deferred(shared, &mut deferred, &mut partials);
-                if shared.should_shutdown() && endpoint.pending() == 0 && deferred.is_empty() {
-                    debug_assert!(
-                        partials.is_empty(),
-                        "batch partials outlived their deferred entries"
-                    );
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
+/// One node's serve-side state: the Busy-deferral queue (messages whose
+/// payload store was leased to an application view when they arrived) and
+/// the partially resolved diff batches. Owned by whoever drives the node's
+/// protocol server — an executor slot or the sim loop.
+#[derive(Default)]
+pub(crate) struct ServeState {
+    pub deferred: VecDeque<(NodeId, ProtocolMsg)>,
+    pub partials: BatchPartials,
+}
+
+/// Serve one inbound envelope — the single per-envelope step of a protocol
+/// server, shared by the executor's handler steps and the sim loop. Replies
+/// complete the pending request they answer; requests pass the lossy-run
+/// dedup admission and are handed to [`handle_request`], landing on the
+/// deferral queue when the engine reports `Busy`. Retrying the deferral
+/// queue is the caller's job ([`retry_deferred`]).
+pub(crate) fn serve_envelope(
+    shared: &Arc<NodeShared>,
+    envelope: Envelope<ProtocolMsg>,
+    serve: &mut ServeState,
+) {
+    if trace_enabled() {
+        eprintln!(
+            "[{}] serve from {} {:?}",
+            shared.node, envelope.src, envelope.payload
+        );
+    }
+    // Protocol handling shares the node's (virtual) CPU.
+    shared
+        .clock
+        .merge_and_advance(envelope.arrival, shared.handling_cost);
+    let Envelope {
+        src,
+        arrival,
+        payload: msg,
+        ..
+    } = envelope;
+    if msg.is_reply() {
+        let req = msg.reply_req().expect("reply carries request id");
+        shared.complete(req, msg, arrival);
+    } else if !fault::admit_request(shared, &msg) {
+        // Duplicate of an already-seen request: absorbed, or answered from
+        // the reply cache by `admit_request`.
+    } else if let Some(busy) = handle_request(shared, src, msg, &mut serve.partials) {
+        serve.deferred.push_back((src, busy));
     }
 }
 
 /// Give every deferred message one more chance, preserving arrival order
 /// among the still-busy ones.
-pub(crate) fn retry_deferred(
-    shared: &Arc<NodeShared>,
-    deferred: &mut VecDeque<(NodeId, ProtocolMsg)>,
-    partials: &mut BatchPartials,
-) {
-    for _ in 0..deferred.len() {
-        let (src, msg) = deferred.pop_front().expect("length checked by loop");
-        if let Some(busy) = handle_request(shared, src, msg, partials) {
-            deferred.push_back((src, busy));
+pub(crate) fn retry_deferred(shared: &Arc<NodeShared>, serve: &mut ServeState) {
+    for _ in 0..serve.deferred.len() {
+        let (src, msg) = serve.deferred.pop_front().expect("length checked by loop");
+        if let Some(busy) = handle_request(shared, src, msg, &mut serve.partials) {
+            serve.deferred.push_back((src, busy));
         }
     }
 }
@@ -555,7 +530,7 @@ pub(crate) fn retry_deferred(
 /// back when the engine reported a busy payload store — for a `DiffBatch`,
 /// a residual batch holding only the still-busy entries — so the caller can
 /// defer and retry it.
-pub(crate) fn handle_request(
+fn handle_request(
     shared: &Arc<NodeShared>,
     src: NodeId,
     msg: ProtocolMsg,
@@ -875,5 +850,71 @@ pub(crate) fn dispatch_barrier_release(
         } else {
             shared.send(node, release);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsm_core::ProtocolConfig;
+    use dsm_model::NetworkParams;
+    use dsm_net::{Fabric, StatsCollector};
+    use dsm_util::channel::RecvTimeoutError;
+    use std::time::Duration;
+
+    fn lone_node() -> Arc<NodeShared> {
+        let endpoint = Fabric::new(1, NetworkParams::ideal(), StatsCollector::new())
+            .into_endpoints()
+            .pop()
+            .expect("one endpoint");
+        let engine = ProtocolEngine::new(
+            NodeId(0),
+            1,
+            ProtocolConfig::no_migration(),
+            Arc::new(ObjectRegistry::new()),
+        );
+        NodeShared::new(
+            engine,
+            NodeLink::Threaded(endpoint),
+            ComputeModel::free(),
+            SimDuration::ZERO,
+            0,
+            true,
+            None,
+        )
+    }
+
+    fn woken(rx: &Receiver<Reply>) -> bool {
+        match rx.recv_timeout(Duration::ZERO) {
+            Err(RecvTimeoutError::Timeout) => false,
+            Err(RecvTimeoutError::Disconnected) => true,
+            Ok(reply) => panic!("an aborted waiter received {reply:?}"),
+        }
+    }
+
+    /// The sim teardown re-counts one parked waiter per callback, and a
+    /// woken waiter unwinds straight into `agent_finished` — which aborts
+    /// the process if it finds the count at 0. So a waiter's callback must
+    /// run while its sender is still alive (the receiver reads empty, not
+    /// disconnected): at every callback, fewer waiters have been woken than
+    /// re-counted.
+    #[test]
+    fn abort_pending_calls_back_before_each_waiter_is_woken() {
+        let shared = lone_node();
+        // Consecutive request ids land on distinct stripes.
+        let waiters: Vec<Receiver<Reply>> = (0..PENDING_STRIPES + 3)
+            .map(|_| shared.register_pending(shared.new_req()))
+            .collect();
+        let mut calls = 0;
+        shared.abort_pending(|| {
+            let already_woken = waiters.iter().filter(|rx| woken(rx)).count();
+            assert!(
+                already_woken <= calls,
+                "{already_woken} waiters woken after only {calls} re-counts"
+            );
+            calls += 1;
+        });
+        assert_eq!(calls, waiters.len(), "one callback per parked waiter");
+        assert!(waiters.iter().all(woken));
     }
 }

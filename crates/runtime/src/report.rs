@@ -9,53 +9,36 @@ use dsm_core::{PolicyTelemetry, ProtocolStats};
 use dsm_model::{SimDuration, SimTime};
 use dsm_net::{DeliveryTrace, MembershipReport, MsgCategory, NetworkStats};
 
-/// Server-scheduling counters of one run: how the protocol servers were
-/// driven (event-driven executor pool vs. per-node polling threads) and
-/// what it cost. The idle-wakeup counter is the executor's headline number
-/// — a quiet cluster performs zero timer wakeups under the executor, while
-/// every polling server burns one wakeup per poll tick.
+/// Server-scheduling counters of one threaded or TCP run: what it cost the
+/// wake-on-send executor pool to drive every node's protocol server. The
+/// idle-wakeup counter is the headline number — a parked pool performs zero
+/// timer wakeups, so on a quiet cluster it stays a small constant however
+/// long the quiet lasts.
 #[derive(Debug, Clone)]
 pub struct SchedulerReport {
-    /// `"executor"` (wake-on-send worker pool) or `"polling"` (one
-    /// `recv_timeout` server thread per node).
-    pub mode: &'static str,
-    /// Server threads used: pool size in executor mode, one per node in
-    /// polling mode.
+    /// Worker threads in the executor pool.
     pub workers: usize,
-    /// Handler steps executed (executor mode; 0 when polling).
+    /// Handler steps executed.
     pub steps: u64,
-    /// Wake-on-send notifications that marked a node runnable (executor
-    /// mode; 0 when polling).
+    /// Wake-on-send notifications that marked a node runnable.
     pub wakeups: u64,
-    /// Idle server wakeups: handler steps that found nothing to do
-    /// (executor) or poll-tick timeouts (polling). The executor's
-    /// fewer-idle-wakeups win over polling is asserted on this field.
+    /// Idle server wakeups: handler steps that found nothing to do (a wake
+    /// that raced the drain which already consumed its message).
     pub idle_wakeups: u64,
     /// Notifications that arrived while the node was mid-step (the
-    /// finishing worker re-queued it; executor mode).
+    /// finishing worker re-queued it).
     pub renotifies: u64,
     /// Busy-deferral re-arm races resolved by a worker-side re-queue: the
-    /// view lease was released between the final retry and the epoch check
-    /// (executor mode).
+    /// view lease was released between the final retry and the epoch check.
     pub rearm_requeues: u64,
-    /// Deepest the runnable queue ever got (executor mode).
+    /// Deepest the runnable queue ever got.
     pub runnable_high_watermark: usize,
-    /// Most workers ever parked at once (executor mode).
+    /// Most workers ever parked at once.
     pub parked_high_watermark: usize,
     /// Deepest any node's inbound message queue ever got, across the
     /// cluster — a scheduling stall (a node falling behind its arrivals)
     /// shows up here.
     pub queue_depth_high_watermark: usize,
-    /// Conflict-free delivery frontiers dispatched (sim-parallel mode; 0
-    /// otherwise). Together with [`SchedulerReport::frontier_events`] this
-    /// gives the mean frontier width — the scheduler's effective
-    /// parallelism, bounded above by the worker count.
-    pub frontiers: u64,
-    /// Events delivered through frontiers (sim-parallel mode; equals
-    /// `steps` there).
-    pub frontier_events: u64,
-    /// Widest frontier ever dispatched (sim-parallel mode; 0 otherwise).
-    pub frontier_high_watermark: usize,
 }
 
 /// Summary of one cluster run.
@@ -86,11 +69,8 @@ pub struct ExecutionReport {
     /// The liveness classification is observational for now: a suspect or
     /// dead peer is surfaced here, not acted upon.
     pub membership: Option<MembershipReport>,
-    /// Server-scheduling counters (executor, polling or sim-parallel
-    /// mode); `None` on single-worker sim runs, whose virtual-time
-    /// scheduler has neither server threads nor inbound queues. Parallel
-    /// sim runs (`SimConfig::with_workers` > 1) report their frontier
-    /// counters here under mode `"sim-parallel"`.
+    /// The executor's scheduling counters; `None` on sim runs, whose
+    /// virtual-time scheduler has neither a server pool nor inbound queues.
     pub scheduler: Option<SchedulerReport>,
 }
 

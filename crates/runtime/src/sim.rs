@@ -1,19 +1,19 @@
 //! The sim-mode scheduler: event-driven protocol serving on the
 //! deterministic [`SimFabric`].
 //!
-//! In sim mode the cluster spawns **no per-node server threads** and sleeps
-//! on **no poll interval**. Application threads run as usual, but every
-//! message they send is parked in the fabric's virtual-time event queue,
-//! and one scheduler (the thread that called `Cluster::run`) executes the
-//! protocol servers of *all* nodes inline, one event at a time:
+//! In sim mode the cluster spawns **no server worker pool** and runs on
+//! **no timer**. Application threads run as usual, but every message they
+//! send is parked in the fabric's virtual-time event queue, and one
+//! scheduler (the thread that called `Cluster::run`) executes the protocol
+//! servers of *all* nodes inline, one event at a time:
 //!
 //! 1. wait (on a condition variable) until every application agent is
 //!    parked — at that point the pending event set is complete and the
 //!    earliest event is a deterministic choice;
-//! 2. pop it, run the destination node's handler (exactly the
-//!    `handle_request`/`complete` logic the threaded server loop uses),
-//!    retry the deferral queues, and only then flush the buffered reply
-//!    wakes so woken applications never race the handler's own sends;
+//! 2. pop it, serve it at the destination node (the same
+//!    [`node::serve_envelope`] step the executor runs), retry the deferral
+//!    queues, and only then flush the buffered reply wakes so woken
+//!    applications never race the handler's own sends;
 //! 3. repeat until every agent finished and the queue drained.
 //!
 //! Because at most one of {the scheduler, the set of woken application
@@ -23,47 +23,16 @@
 //! function of the seed: the same seed replays a bit-identical delivery
 //! trace.
 //!
-//! ## The parallel frontier scheduler
-//!
-//! [`sim_server_loop_parallel`] (selected with `SimConfig::with_workers`)
-//! keeps the same virtual-time semantics but runs the handlers of a
-//! **conflict-free frontier** ([`SimFabric::next_frontier`]) on a scoped
-//! worker pool. Its equivalence to the sequential loop rests on three
-//! facts:
-//!
-//! * frontier events have pairwise-distinct destinations, so their
-//!   handlers touch disjoint node state and send on disjoint links;
-//! * frontiers are popped **only while every deferral queue is empty** —
-//!   deferred work becomes serviceable only through an application
-//!   lease release, and within one frontier a node either gains a
-//!   deferral *or* has its application woken (never both), so every
-//!   per-event retry pass the sequential loop would have run inside the
-//!   frontier is provably a no-op; the moment any handler defers, the
-//!   loop falls back to singleton sequential steps until the queues
-//!   drain;
-//! * outgoing sends merge back through the virtual-time heap's canonical
-//!   `(deliver_at, src, dst, link_seq)` key and buffered wakes flush at
-//!   the frontier barrier in frontier order, so nothing downstream
-//!   depends on worker completion order.
-//!
-//! Worker panics are caught at the barrier and the first one *in frontier
-//! order* is re-raised on the scheduler thread, so even a panicking
-//! handler surfaces exactly as it does under the sequential loop.
-//!
 //! A protocol stall (no event pending, no deferred message serviceable,
 //! applications still parked) is a deadlock in the protocol or the
 //! application; the scheduler panics with diagnostics instead of hanging
 //! the test run, naming the state a failing seed can replay.
 
-use crate::exec::pool::TaskPool;
 use crate::fault;
-use crate::node::{self, BatchPartials, NodeShared};
+use crate::node::{self, NodeShared, ServeState};
 use dsm_core::ProtocolMsg;
 use dsm_model::{SimDuration, SimTime};
-use dsm_net::{DropReason, Envelope, SimFabric, SimFrontier, SimStep};
-use dsm_objspace::NodeId;
-use dsm_util::Mutex;
-use std::collections::VecDeque;
+use dsm_net::{DropReason, SimFabric, SimStep};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -120,31 +89,15 @@ impl Drop for AppAgent<'_> {
     }
 }
 
-/// One node's serve-side deferral state (what each threaded server loop
-/// keeps thread-locally).
-struct NodeServe {
-    deferred: VecDeque<(NodeId, ProtocolMsg)>,
-    partials: BatchPartials,
-}
-
-/// Per-node deferral state owned by the scheduler. Each node's entry sits
-/// behind its own mutex so frontier workers handling *distinct* nodes
-/// never contend (the sequential loop pays only an uncontended lock).
+/// Every node's serve-side state, in node order, owned by the scheduler.
 struct NodeQueues {
-    nodes: Vec<Mutex<NodeServe>>,
+    nodes: Vec<ServeState>,
 }
 
 impl NodeQueues {
     fn new(nodes: usize) -> Self {
         NodeQueues {
-            nodes: (0..nodes)
-                .map(|_| {
-                    Mutex::new(NodeServe {
-                        deferred: VecDeque::new(),
-                        partials: BatchPartials::new(),
-                    })
-                })
-                .collect(),
+            nodes: (0..nodes).map(|_| ServeState::default()).collect(),
         }
     }
 
@@ -153,64 +106,24 @@ impl NodeQueues {
     fn load(&self) -> usize {
         self.nodes
             .iter()
-            .map(|serve| {
-                serve
-                    .lock()
-                    .deferred
-                    .iter()
-                    .map(|(_, msg)| match msg {
-                        ProtocolMsg::DiffBatch { entries, .. } => entries.len(),
-                        _ => 1,
-                    })
-                    .sum::<usize>()
+            .flat_map(|serve| &serve.deferred)
+            .map(|(_, msg)| match msg {
+                ProtocolMsg::DiffBatch { entries, .. } => entries.len(),
+                _ => 1,
             })
             .sum()
     }
 
     fn is_empty(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|serve| serve.lock().deferred.is_empty())
+        self.nodes.iter().all(|serve| serve.deferred.is_empty())
     }
 
     /// Deferral-queue lengths per node (teardown diagnostics).
     fn deferred_lens(&self) -> Vec<usize> {
         self.nodes
             .iter()
-            .map(|serve| serve.lock().deferred.len())
+            .map(|serve| serve.deferred.len())
             .collect()
-    }
-}
-
-/// Deliver one envelope to its destination's protocol logic — the shared
-/// dispatch of the sequential loop, the frontier workers and the polling
-/// server loops (modulo queue plumbing).
-fn deliver_one(shareds: &[Arc<NodeShared>], queues: &NodeQueues, envelope: Envelope<ProtocolMsg>) {
-    let shared = &shareds[envelope.dst.index()];
-    if node::trace_enabled() {
-        eprintln!(
-            "[{}] sim serve from {} {:?}",
-            shared.node, envelope.src, envelope.payload
-        );
-    }
-    // Protocol handling shares the node's (virtual) CPU.
-    shared
-        .clock
-        .merge_and_advance(envelope.arrival, shared.handling_cost);
-    let node_index = envelope.dst.index();
-    let msg = envelope.payload;
-    if msg.is_reply() {
-        let req = msg.reply_req().expect("reply carries request id");
-        shared.complete(req, msg, envelope.arrival);
-    } else if !fault::admit_request(shared, &msg) {
-        // Duplicate of an already-seen request: absorbed, or answered from
-        // the reply cache by `admit_request`.
-    } else {
-        let mut serve = queues.nodes[node_index].lock();
-        let serve = &mut *serve;
-        if let Some(busy) = node::handle_request(shared, envelope.src, msg, &mut serve.partials) {
-            serve.deferred.push_back((envelope.src, busy));
-        }
     }
 }
 
@@ -225,12 +138,8 @@ fn deliver_one(shareds: &[Arc<NodeShared>], queues: &NodeQueues, envelope: Envel
 /// and fires a [`fault::RetryRound::Due`] round first.
 ///
 /// Determinism: the decision reads only the head event's `deliver_at` at
-/// a quiescence point ([`SimFabric::peek_due`]), the same canonical
-/// instant in the sequential and frontier loops, and the deadline is also
-/// passed to [`SimFabric::next_frontier`] as a horizon so no frontier
-/// spans a round the sequential loop would have fired mid-prefix. Armed
-/// only when the fabric carries fault state (lossy configs) — lossless
-/// runs pay nothing.
+/// a quiescence point ([`SimFabric::peek_due`]). Armed only when the
+/// fabric carries fault state (lossy configs) — lossless runs pay nothing.
 struct RetryTimer {
     next_at: SimTime,
     period: SimDuration,
@@ -284,14 +193,14 @@ impl RetryTimer {
 
 /// Run the cluster's protocol servers over the sim fabric until every
 /// application agent finished and all traffic drained. See the module docs
-/// for the execution model. This sequential loop is the byte-for-byte
-/// semantic reference the parallel frontier scheduler is checked against.
+/// for the execution model. This loop is the semantic reference every
+/// other fabric is fingerprinted against.
 pub(crate) fn sim_server_loop(
     shareds: &[Arc<NodeShared>],
     fabric: &SimFabric<ProtocolMsg>,
     panicked: &AtomicBool,
 ) {
-    let queues = NodeQueues::new(shareds.len());
+    let mut queues = NodeQueues::new(shareds.len());
     let mut timer = RetryTimer::arm(shareds);
     node::enable_wake_buffering();
     loop {
@@ -302,15 +211,16 @@ pub(crate) fn sim_server_loop(
         }
         match fabric.next_step() {
             SimStep::Deliver(envelope) => {
-                deliver_one(shareds, &queues, envelope);
-                retry_all(shareds, &queues);
+                let dst = envelope.dst.index();
+                node::serve_envelope(&shareds[dst], envelope, &mut queues.nodes[dst]);
+                retry_all(shareds, &mut queues);
                 flush_wakes(fabric);
             }
             SimStep::Drained => {
                 if queues.is_empty() {
                     break;
                 }
-                if !make_progress(shareds, fabric, &queues) {
+                if !make_progress(shareds, fabric, &mut queues) {
                     teardown_or_panic(shareds, panicked, fabric, &queues, "drained");
                     break;
                 }
@@ -322,7 +232,7 @@ pub(crate) fn sim_server_loop(
                 // `crate::fault`). Only when that too is out of attempts
                 // (or the fabric is lossless and has no retry state) is the
                 // stall terminal.
-                if !make_progress(shareds, fabric, &queues) {
+                if !make_progress(shareds, fabric, &mut queues) {
                     if !fault::fire_retries(shareds, fault::RetryRound::Stalled) {
                         teardown_or_panic(shareds, panicked, fabric, &queues, "stalled");
                         break;
@@ -337,157 +247,11 @@ pub(crate) fn sim_server_loop(
     node::disable_wake_buffering();
 }
 
-/// Frontier-scheduler counters for the run's [`crate::SchedulerReport`].
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SimParallelStats {
-    /// Conflict-free frontiers dispatched.
-    pub frontiers: u64,
-    /// Events delivered through frontiers.
-    pub frontier_events: u64,
-    /// Widest frontier dispatched.
-    pub frontier_high_watermark: usize,
-    /// Events shipped to pool workers (the rest ran inline on the
-    /// scheduler thread or through the singleton fallback).
-    pub dispatched: u64,
-    /// Total events delivered (frontier + singleton fallback).
-    pub steps: u64,
-}
-
-/// The parallel variant of [`sim_server_loop`]: pops conflict-free
-/// frontiers and fans their handlers out to `workers` threads (one of
-/// them the calling scheduler thread), merging results deterministically
-/// at a barrier. See the module docs for the equivalence argument.
-pub(crate) fn sim_server_loop_parallel(
-    shareds: &[Arc<NodeShared>],
-    fabric: &SimFabric<ProtocolMsg>,
-    panicked: &AtomicBool,
-    workers: usize,
-) -> SimParallelStats {
-    assert!(workers > 1, "the sequential loop serves workers <= 1");
-    let queues = NodeQueues::new(shareds.len());
-    let mut stats = SimParallelStats::default();
-    let mut timer = RetryTimer::arm(shareds);
-    node::enable_wake_buffering();
-    std::thread::scope(|scope| {
-        // The scheduler thread doubles as a worker (it runs the frontier's
-        // first event inline), so the pool only needs `workers - 1`
-        // threads; a singleton frontier costs no cross-thread traffic.
-        let queues = &queues;
-        let pool = TaskPool::new(scope, workers - 1, move |envelope| {
-            node::enable_wake_buffering();
-            deliver_one(shareds, queues, envelope);
-            node::take_buffered_wakes()
-        });
-        loop {
-            // The timed-retry decision sits before *every* pop — the same
-            // canonical point as in the sequential loop — so both loops
-            // inject identical retransmission rounds.
-            if let Some(timer) = timer.as_mut() {
-                if timer.fire_if_due(shareds, fabric) {
-                    continue;
-                }
-            }
-            // Frontiers are only safe while no deferral queue holds work
-            // (see the module docs); otherwise fall back to exact
-            // sequential singleton steps until the queues drain.
-            if !queues.is_empty() {
-                match fabric.next_step() {
-                    SimStep::Deliver(envelope) => {
-                        stats.steps += 1;
-                        deliver_one(shareds, queues, envelope);
-                        retry_all(shareds, queues);
-                        flush_wakes(fabric);
-                        continue;
-                    }
-                    SimStep::Drained => {
-                        if queues.is_empty() {
-                            break;
-                        }
-                        if !make_progress(shareds, fabric, queues) {
-                            teardown_or_panic(shareds, panicked, fabric, queues, "drained");
-                            break;
-                        }
-                        continue;
-                    }
-                    SimStep::Stalled => {
-                        if !make_progress(shareds, fabric, queues) {
-                            if !fault::fire_retries(shareds, fault::RetryRound::Stalled) {
-                                teardown_or_panic(shareds, panicked, fabric, queues, "stalled");
-                                break;
-                            }
-                            if let Some(timer) = timer.as_mut() {
-                                timer.rearm_after_stall(shareds);
-                            }
-                        }
-                        continue;
-                    }
-                }
-            }
-            match fabric.next_frontier(timer.as_ref().map(|t| t.next_at)) {
-                SimFrontier::Deliver(batch) => {
-                    stats.frontiers += 1;
-                    stats.frontier_events += batch.len() as u64;
-                    stats.steps += batch.len() as u64;
-                    stats.frontier_high_watermark = stats.frontier_high_watermark.max(batch.len());
-                    let mut events = batch.into_iter();
-                    let first = events.next().expect("frontiers are never empty");
-                    let mut shipped = 0usize;
-                    for envelope in events {
-                        pool.submit(shipped, envelope);
-                        shipped += 1;
-                    }
-                    stats.dispatched += shipped as u64;
-                    deliver_one(shareds, queues, first);
-                    let mut wakes = node::take_buffered_wakes();
-                    let mut results = pool.collect(shipped);
-                    results.sort_by_key(|(index, _)| *index);
-                    for (_, outcome) in results {
-                        match outcome {
-                            Ok(worker_wakes) => wakes.extend(worker_wakes),
-                            // Deterministic even in failure: the first
-                            // panic in frontier order is re-raised on the
-                            // scheduler thread, exactly where the
-                            // sequential loop would have panicked.
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        }
-                    }
-                    retry_all(shareds, queues);
-                    wakes.extend(node::take_buffered_wakes());
-                    for wake in wakes {
-                        fabric.agent_unblocked();
-                        wake.deliver();
-                    }
-                }
-                SimFrontier::Drained => {
-                    // Queues are empty here by the loop invariant.
-                    break;
-                }
-                SimFrontier::Stalled => {
-                    if !make_progress(shareds, fabric, queues) {
-                        if !fault::fire_retries(shareds, fault::RetryRound::Stalled) {
-                            teardown_or_panic(shareds, panicked, fabric, queues, "stalled");
-                            break;
-                        }
-                        if let Some(timer) = timer.as_mut() {
-                            timer.rearm_after_stall(shareds);
-                        }
-                    }
-                }
-            }
-        }
-        drop(pool);
-    });
-    node::disable_wake_buffering();
-    stats
-}
-
 /// One deterministic retry pass over every node's deferral queue (node
 /// order, arrival order within a node).
-fn retry_all(shareds: &[Arc<NodeShared>], queues: &NodeQueues) {
-    for (i, shared) in shareds.iter().enumerate() {
-        let mut serve = queues.nodes[i].lock();
-        let serve = &mut *serve;
-        node::retry_deferred(shared, &mut serve.deferred, &mut serve.partials);
+fn retry_all(shareds: &[Arc<NodeShared>], queues: &mut NodeQueues) {
+    for (shared, serve) in shareds.iter().zip(&mut queues.nodes) {
+        node::retry_deferred(shared, serve);
     }
 }
 
@@ -510,13 +274,23 @@ fn flush_wakes(fabric: &SimFabric<ProtocolMsg>) -> usize {
 fn make_progress(
     shareds: &[Arc<NodeShared>],
     fabric: &SimFabric<ProtocolMsg>,
-    queues: &NodeQueues,
+    queues: &mut NodeQueues,
 ) -> bool {
     let load_before = queues.load();
     let sent_before = fabric.sent_count();
     retry_all(shareds, queues);
     let woken = flush_wakes(fabric);
     queues.load() < load_before || fabric.sent_count() > sent_before || woken > 0
+}
+
+/// Wake every application thread still parked on a reply that will never
+/// come; each observes a disconnect and unwinds with a "cluster shut down"
+/// panic. Every waiter is re-counted into the agent tally *before* it is
+/// woken (see [`NodeShared::abort_pending`]).
+pub(crate) fn abort_all_pending(shareds: &[Arc<NodeShared>], fabric: &SimFabric<ProtocolMsg>) {
+    for shared in shareds {
+        shared.abort_pending(|| fabric.agent_unblocked());
+    }
 }
 
 /// A quiescent cluster with no serviceable work left: normal teardown after
@@ -561,14 +335,8 @@ fn teardown_or_panic(
     // Wake the parked application threads before panicking: the scheduler's
     // unwind runs `thread::scope`'s join-on-drop, which would otherwise wait
     // forever on threads still parked in `wait_reply` — turning this
-    // diagnostic into a silent hang. Each cleared waiter was counted out of
-    // the agent tally, so re-count it before it unwinds through
-    // `agent_finished`.
-    for shared in shareds {
-        for _ in 0..shared.abort_pending() {
-            fabric.agent_unblocked();
-        }
-    }
+    // diagnostic into a silent hang.
+    abort_all_pending(shareds, fabric);
     panic!(
         "sim fabric {state} with no progress possible: every application agent is parked \
          and no serviceable message remains (sent {sent}, delivered {delivered}, \

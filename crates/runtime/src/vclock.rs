@@ -1,7 +1,7 @@
 //! Per-node virtual clocks.
 //!
 //! Each simulated node has one logical clock shared by its application
-//! thread and its protocol server thread (the paper's nodes are single-CPU
+//! thread and its protocol server (the paper's nodes are single-CPU
 //! machines where protocol handling and computation share the processor).
 //! The clock advances by:
 //!

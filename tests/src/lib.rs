@@ -20,19 +20,6 @@ pub fn test_cluster(nodes: usize, protocol: ProtocolConfig) -> ClusterConfig {
         .config()
 }
 
-/// As [`test_cluster`], but with the stress-suite fast poll interval so
-/// deferred (busy) messages are retried every 100 µs instead of every 2 ms —
-/// contention-heavy suites would otherwise spend most of their wall-clock
-/// sleeping in the server poll.
-pub fn fast_test_cluster(nodes: usize, protocol: ProtocolConfig) -> ClusterConfig {
-    dsm_runtime::Cluster::builder()
-        .nodes(nodes)
-        .protocol(protocol)
-        .compute(ComputeModel::free())
-        .fast_poll()
-        .config()
-}
-
 /// As [`test_cluster`], but on the deterministic sim fabric with the given
 /// perturbation configuration (event-driven, seed-replayable schedules).
 pub fn sim_test_cluster(nodes: usize, protocol: ProtocolConfig, sim: SimConfig) -> ClusterConfig {
@@ -46,14 +33,13 @@ pub fn sim_test_cluster(nodes: usize, protocol: ProtocolConfig, sim: SimConfig) 
 
 /// As [`test_cluster`], but on the real TCP fabric (`127.0.0.1` sockets,
 /// `dsm-wire` framing) with the given timeout configuration. Conformance
-/// suites pair this with [`fast_test_cluster`] and assert fingerprint
+/// suites pair this with [`test_cluster`] and assert fingerprint
 /// equality.
 pub fn tcp_test_cluster(nodes: usize, protocol: ProtocolConfig, tcp: TcpConfig) -> ClusterConfig {
     dsm_runtime::Cluster::builder()
         .nodes(nodes)
         .protocol(protocol)
         .compute(ComputeModel::free())
-        .fast_poll()
         .fabric(FabricMode::Tcp(tcp))
         .config()
 }

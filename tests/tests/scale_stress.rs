@@ -7,26 +7,25 @@
 //! traffic, fault-ins and diff flushes through all 256 protocol servers
 //! multiplexed onto the bounded worker pool — then the final state is
 //! read back and folded into a fingerprint that must match both the
-//! closed-form expectation and the per-node-thread (polling) mode on the
-//! same seed.
+//! closed-form expectation and the fully serialized single-worker pool on
+//! the same seed.
 //!
 //! The debug-friendly soak below runs on every `cargo test`; the seeded
-//! release-mode soak (more rounds, every corpus seed, executor *and*
-//! polling) is `#[ignore]`d and run by the `scale-stress` CI job with
-//! `--include-ignored`. On failure the offending seed is appended to
-//! `SCALE_STRESS_FAILURES.txt` (override with `DSM_SCALE_FAILURES`), which
-//! CI uploads as an artifact exactly like the sim-matrix failing-seed
-//! list.
+//! release-mode soak (more rounds, every corpus seed, the auto-sized pool
+//! *and* a single worker) is `#[ignore]`d and run by the `scale-stress` CI
+//! job with `--include-ignored`. On failure the offending seed is appended
+//! to `SCALE_STRESS_FAILURES.txt` (override with `DSM_SCALE_FAILURES`),
+//! which CI uploads as an artifact exactly like the sim-matrix
+//! failing-seed list.
 
 use dsm_core::ProtocolConfig;
 use dsm_integration_tests::{seed_corpus, test_cluster};
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ExecutionReport, ServerMode};
+use dsm_runtime::{ArrayHandle, Cluster, ExecutionReport};
 use std::io::Write;
 
 /// Cluster size of the soak. The executor multiplexes all 256 protocol
-/// servers onto `min(available_parallelism, 256)` pool workers; only the
-/// polling comparison run pays one server thread per node.
+/// servers onto `min(available_parallelism, 256)` pool workers.
 const NODES: usize = 256;
 
 /// FNV-1a step, the same fold the matrix fingerprints use.
@@ -34,15 +33,16 @@ fn fnv(hash: u64, value: u64) -> u64 {
     (hash ^ value).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
-/// One soak run: `rounds` rotating lock/fault-in/increment rounds over
-/// `NODES` nodes and counters, then a full read-back on the master.
+/// One soak run on an executor pool of `workers` threads (`0` = auto):
+/// `rounds` rotating lock/fault-in/increment rounds over `NODES` nodes and
+/// counters, then a full read-back on the master.
 ///
 /// Counter `c` is homed on node `c % NODES` (round-robin registration
 /// order); in round `r`, node `m` increments counter `(m + r) % NODES` by
 /// `m + 1` under that counter's lock — every counter gets exactly one
 /// writer per round, and after `rounds` rounds holds a closed-form value
 /// the read-back verifies before fingerprinting.
-fn soak(mode: ServerMode, seed: u64, rounds: usize) -> (u64, ExecutionReport) {
+fn soak(workers: usize, seed: u64, rounds: usize) -> (u64, ExecutionReport) {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -68,7 +68,7 @@ fn soak(mode: ServerMode, seed: u64, rounds: usize) -> (u64, ExecutionReport) {
 
     let config = test_cluster(NODES, ProtocolConfig::no_migration())
         .with_seed(seed)
-        .with_server_mode(mode);
+        .with_executor_workers(workers);
     let report = Cluster::new(config, registry).run(move |ctx| {
         let me = ctx.node_id().index();
         for round in 0..rounds {
@@ -118,18 +118,17 @@ fn record_failure(seed: u64, message: String) -> String {
     message
 }
 
-/// The every-`cargo test` soak: one seed, few rounds, executor mode. The
+/// The every-`cargo test` soak: one seed, few rounds, the auto pool. The
 /// run completing at all proves 256 nodes' servers multiplex onto the
 /// bounded pool without deadlock; the in-run closed-form check proves they
 /// computed the right thing.
 #[test]
 fn stress_256_nodes_complete_a_soak_under_the_executor() {
     let seed = seed_corpus()[0];
-    let (fingerprint, report) = soak(ServerMode::Executor, seed, 2);
+    let (fingerprint, report) = soak(0, seed, 2);
     assert_ne!(fingerprint, 0, "the master never published a fingerprint");
     assert_eq!(report.num_nodes, NODES);
     let sched = report.scheduler.expect("threaded runs report scheduling");
-    assert_eq!(sched.mode, "executor");
     assert!(
         sched.workers <= NODES,
         "the pool must stay bounded ({} workers)",
@@ -140,28 +139,33 @@ fn stress_256_nodes_complete_a_soak_under_the_executor() {
 }
 
 /// The seeded release-mode soak the `scale-stress` CI job runs: every
-/// corpus seed, more rounds, and the executor's fingerprint must equal
-/// the per-node-thread polling mode's on the same seed.
+/// corpus seed, more rounds, and the auto-sized pool's fingerprint must
+/// equal both the in-run closed form (asserted inside [`soak`]) and the
+/// fully serialized single-worker pool's on the same seed.
 #[test]
 #[ignore = "release-mode 256-node soak; run via `cargo test --release -- --include-ignored scale`"]
-fn stress_256_nodes_executor_matches_polling_across_the_corpus() {
+fn stress_256_nodes_single_worker_matches_auto_pool_across_the_corpus() {
     for seed in seed_corpus() {
         let rounds = 4;
-        let (exec_fp, exec_report) = soak(ServerMode::Executor, seed, rounds);
-        let (poll_fp, _) = soak(ServerMode::Polling, seed, rounds);
-        if exec_fp != poll_fp {
+        let (pool_fp, pool_report) = soak(0, seed, rounds);
+        let (single_fp, single_report) = soak(1, seed, rounds);
+        if pool_fp != single_fp {
             panic!(
                 "{}",
                 record_failure(
                     seed,
                     format!(
-                        "executor fingerprint {exec_fp:#018x} != polling {poll_fp:#018x} \
-                         at {NODES} nodes"
+                        "auto-pool fingerprint {pool_fp:#018x} != single-worker \
+                         {single_fp:#018x} at {NODES} nodes"
                     ),
                 )
             );
         }
-        let sched = exec_report
+        let single = single_report
+            .scheduler
+            .expect("threaded runs report scheduling");
+        assert_eq!(single.workers, 1);
+        let sched = pool_report
             .scheduler
             .expect("threaded runs report scheduling");
         if sched.workers >= NODES {

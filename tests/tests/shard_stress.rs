@@ -18,7 +18,7 @@
 //! contents may not.
 
 use dsm_core::{MigrationPolicy, ProtocolConfig};
-use dsm_integration_tests::{corpus_seed, fast_test_cluster};
+use dsm_integration_tests::{corpus_seed, test_cluster};
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
 use dsm_runtime::{ArrayHandle, Cluster};
 use dsm_util::SmallRng;
@@ -77,53 +77,50 @@ fn soak(seed: u64) {
     let expected = expected_counts(seed);
     let expected_in_run = expected.clone();
 
-    let report = Cluster::new(
-        fast_test_cluster(NODES, ProtocolConfig::adaptive()),
-        registry,
-    )
-    .run(move |ctx| {
-        let me = ctx.node_id().index();
-        let mut rng = node_rng(seed, me);
-        for _ in 0..ROUNDS {
-            for _ in 0..PICKS_PER_ROUND {
-                let pick = rng.gen_index(OBJECTS);
-                ctx.synchronized(locks[pick], || {
-                    let mut view = ctx.view_mut(&handles[pick]);
-                    view[0] += 1;
-                    view[1 + me] += 1;
-                    // Linearizability-style mid-run invariant: inside the
-                    // critical section the total must equal the sum of the
-                    // per-node tallies — a lost update breaks this long
-                    // before the final check.
-                    let total: u64 = view[1..].iter().sum();
+    let report =
+        Cluster::new(test_cluster(NODES, ProtocolConfig::adaptive()), registry).run(move |ctx| {
+            let me = ctx.node_id().index();
+            let mut rng = node_rng(seed, me);
+            for _ in 0..ROUNDS {
+                for _ in 0..PICKS_PER_ROUND {
+                    let pick = rng.gen_index(OBJECTS);
+                    ctx.synchronized(locks[pick], || {
+                        let mut view = ctx.view_mut(&handles[pick]);
+                        view[0] += 1;
+                        view[1 + me] += 1;
+                        // Linearizability-style mid-run invariant: inside the
+                        // critical section the total must equal the sum of the
+                        // per-node tallies — a lost update breaks this long
+                        // before the final check.
+                        let total: u64 = view[1..].iter().sum();
+                        assert_eq!(
+                            view[0], total,
+                            "seed {seed:#x}: lost update on object {pick} (node {me})"
+                        );
+                    });
+                }
+            }
+            ctx.barrier(barrier);
+            // Every node verifies every object against the pure replay.
+            for (i, handle) in handles.iter().enumerate() {
+                ctx.synchronized(locks[i], || {
+                    let view = ctx.view(handle);
+                    let total: u64 = expected_in_run[i].iter().sum();
                     assert_eq!(
                         view[0], total,
-                        "seed {seed:#x}: lost update on object {pick} (node {me})"
+                        "seed {seed:#x}: object {i} total diverged on node {me}"
                     );
+                    for (n, &count) in expected_in_run[i].iter().enumerate() {
+                        assert_eq!(
+                            view[1 + n],
+                            count,
+                            "seed {seed:#x}: object {i} tally of node {n} diverged on node {me}"
+                        );
+                    }
                 });
             }
-        }
-        ctx.barrier(barrier);
-        // Every node verifies every object against the pure replay.
-        for (i, handle) in handles.iter().enumerate() {
-            ctx.synchronized(locks[i], || {
-                let view = ctx.view(handle);
-                let total: u64 = expected_in_run[i].iter().sum();
-                assert_eq!(
-                    view[0], total,
-                    "seed {seed:#x}: object {i} total diverged on node {me}"
-                );
-                for (n, &count) in expected_in_run[i].iter().enumerate() {
-                    assert_eq!(
-                        view[1 + n],
-                        count,
-                        "seed {seed:#x}: object {i} tally of node {n} diverged on node {me}"
-                    );
-                }
-            });
-        }
-        ctx.barrier(barrier);
-    });
+            ctx.barrier(barrier);
+        });
 
     // Global conservation: every scheduled increment happened exactly once.
     let scheduled = (NODES * ROUNDS * PICKS_PER_ROUND) as u64;
@@ -189,7 +186,7 @@ fn stress_migration_hammer_rotating_writers() {
     let barrier = BarrierId(0x57E6);
     let protocol = ProtocolConfig::no_migration().with_migration(MigrationPolicy::MigrateOnRequest);
 
-    let report = Cluster::new(fast_test_cluster(NODES, protocol), registry).run(move |ctx| {
+    let report = Cluster::new(test_cluster(NODES, protocol), registry).run(move |ctx| {
         let me = ctx.node_id().index();
         for round in 0..HAMMER_ROUNDS {
             // Writer of each object rotates every round: all four objects
@@ -298,8 +295,8 @@ fn stress_batched_mode_contents_match_unbatched() {
         let lock = LockId::derive("stress.batch.lock");
         let barrier = BarrierId(0x57E7);
         let expected_in_run = expected.clone();
-        let config = fast_test_cluster(NODES, ProtocolConfig::adaptive())
-            .with_flush_batching(flush_batching);
+        let config =
+            test_cluster(NODES, ProtocolConfig::adaptive()).with_flush_batching(flush_batching);
         let report = Cluster::new(config, registry).run(move |ctx| {
             let me = ctx.node_id().index();
             let mut rng = schedule_rng(me);

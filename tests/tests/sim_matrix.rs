@@ -18,10 +18,6 @@
 //!   1% seeded per-link drops plus a partition/heal cycle) — timeouts,
 //!   idempotent retries and home re-election turn message loss into a
 //!   performance event, never a semantic one;
-//! * the **parallel frontier scheduler** ([`SimConfig::with_workers`] > 1)
-//!   replays the single-worker schedule bit-identically at 2 and 4 workers,
-//!   clean and under loss — worker count is an execution knob, never a
-//!   schedule change;
 //! * a home node **going dark mid-run** triggers a deterministic home
 //!   re-election and the workload still completes with the right answer;
 //! * and (separately) the single-home-per-epoch invariant holds at every
@@ -227,88 +223,6 @@ fn matrix_synthetic_conforms_under_lossy_faults() {
 #[test]
 fn matrix_kv_conforms_under_lossy_faults() {
     lossy_conformance_for(&matrix::workloads()[5]);
-}
-
-/// Same seed ⇒ bit-identical delivery trace **regardless of worker
-/// count**: sweep the corpus seeds through the parallel frontier scheduler
-/// at 2 and 4 workers and require every run to reproduce the single-worker
-/// reference exactly — full [`DeliveryTrace`] equality (checksum and order
-/// signature named on failure) plus the application fingerprint. The
-/// single-worker schedule is the semantic reference; the worker pool is an
-/// execution strategy, so any divergence here is a determinism bug in the
-/// frontier selection or the canonical merge, never an acceptable
-/// reordering.
-///
-/// The sweep also proves the parallel path actually engaged: across the
-/// corpus, the scheduler must have dispatched at least one conflict-free
-/// frontier to the pool (otherwise the equality above is vacuous — a
-/// scheduler that silently fell back to sequential stepping would pass).
-fn parallel_replay_for(workload: &MatrixWorkload, sim_config: fn(u64) -> SimConfig, flavor: &str) {
-    let (_, protocol) = matrix::policies()
-        .into_iter()
-        .find(|(label, _)| label == "AT")
-        .expect("the adaptive policy is in the matrix");
-    let mut dispatched_frontiers = 0u64;
-    for seed in dsm_integration_tests::seed_corpus() {
-        let run_with = |workers: usize| {
-            workload.run(matrix::matrix_cluster(
-                protocol.clone(),
-                FabricMode::Sim(sim_config(seed).with_workers(workers)),
-            ))
-        };
-        let reference = run_with(1);
-        let reference_trace = reference.report.delivery_trace.as_ref().unwrap();
-        for workers in [2usize, 4] {
-            let cell = format!("{} x AT ({flavor}, {workers} workers)", workload.name);
-            let parallel = run_with(workers);
-            assert_eq!(
-                parallel.fingerprint, reference.fingerprint,
-                "{cell}: seed {seed:#x} changed the application result"
-            );
-            let trace = parallel.report.delivery_trace.as_ref().unwrap();
-            assert_eq!(
-                trace,
-                reference_trace,
-                "{cell}: seed {seed:#x} diverged from the single-worker reference \
-                 (checksums {:#x} vs {:#x}, order signature {})",
-                trace.checksum(),
-                reference_trace.checksum(),
-                if trace.order_signature() == reference_trace.order_signature() {
-                    "equal — payload or timing drift"
-                } else {
-                    "diverged — events were reordered"
-                }
-            );
-            let scheduler =
-                parallel.report.scheduler.as_ref().unwrap_or_else(|| {
-                    panic!("{cell}: no scheduler report from a parallel sim run")
-                });
-            assert_eq!(scheduler.mode, "sim-parallel", "{cell}");
-            dispatched_frontiers += scheduler.frontiers;
-        }
-    }
-    assert!(
-        dispatched_frontiers > 0,
-        "{} ({flavor}): no conflict-free frontier was ever dispatched across the \
-         corpus — the parallel scheduler never engaged and the equality checks \
-         above are vacuous",
-        workload.name
-    );
-}
-
-#[test]
-fn matrix_sor_replays_bit_identically_across_worker_counts() {
-    parallel_replay_for(&matrix::workloads()[0], SimConfig::perturbed, "perturbed");
-}
-
-#[test]
-fn matrix_kv_replays_bit_identically_across_worker_counts() {
-    parallel_replay_for(&matrix::workloads()[5], SimConfig::perturbed, "perturbed");
-}
-
-#[test]
-fn matrix_sor_replays_bit_identically_across_worker_counts_under_loss() {
-    parallel_replay_for(&matrix::workloads()[0], SimConfig::lossy, "lossy");
 }
 
 /// A home node goes dark mid-run (seeded node-pause injection) while
