@@ -1,4 +1,4 @@
-//! A Zipfian key-value serving workload — the throughput mode's traffic.
+//! A Zipfian key-value serving workload — the regression gate's policy sweep.
 //!
 //! Unlike the paper's scientific kernels, this workload models a serving
 //! system: every node is a frontend executing a stream of point reads and
@@ -25,9 +25,8 @@
 //!
 //! Each node batches `ops_per_interval` operations inside one acquire /
 //! release pair of a private lock, so diff flushing happens at a realistic
-//! interval granularity rather than per write. Wall-clock per-op latency is
-//! recorded into a [`LatencyHistogram`] and per-window protocol-counter
-//! snapshots (via [`NodeCtx::protocol_stats`]) let the throughput harness
+//! interval granularity rather than per write. Per-window protocol-counter
+//! snapshots (via [`NodeCtx::protocol_stats`]) let the regression gate
 //! attribute redirections to the window right after a hot-set shift versus
 //! the settled remainder of a phase.
 
@@ -35,9 +34,8 @@ use crate::outcome::ResultSlot;
 use dsm_core::ProtocolStats;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
 use dsm_runtime::{Cluster, ClusterConfig, ExecutionReport, Matrix2dHandle, NodeCtx};
-use dsm_util::{LatencyHistogram, Mutex, SmallRng};
+use dsm_util::{Mutex, SmallRng};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Registered name of the store's row objects.
 const STORE_NAME: &str = "kv.store";
@@ -78,29 +76,19 @@ pub struct KvParams {
 }
 
 impl KvParams {
-    /// The full serving-mode configuration: ~1M operations cluster-wide on
-    /// four nodes, heavy skew, an even read/write mix and three hot-set
-    /// phases.
-    pub fn serving() -> Self {
+    /// The regression gate's configuration: heavy skew, an even read/write
+    /// mix and three hot-set phases, sized so the seven-policy sweep on the
+    /// sim fabric stays seconds-scale inside a debug-build `cargo test`.
+    pub fn gate() -> Self {
         KvParams {
             num_objects: 64,
             keys_per_object: 64,
-            ops_per_node: 240_000,
+            ops_per_node: 6_000,
             zipf_s: 1.1,
             write_percent: 50,
             ops_per_interval: 32,
             phases: 3,
             windows_per_phase: 2,
-        }
-    }
-
-    /// The CI gate configuration: the same shape at a tenth of the
-    /// operation count, sized to keep the per-policy sweep seconds-scale on
-    /// a noisy runner.
-    pub fn gate() -> Self {
-        KvParams {
-            ops_per_node: 24_000,
-            ..KvParams::serving()
         }
     }
 
@@ -205,20 +193,13 @@ pub fn writer(obj: usize, phase: usize, num_nodes: usize) -> usize {
     (obj + phase + 1) % num_nodes
 }
 
-/// One node's serving measurements.
+/// One node's serving counters.
 #[derive(Debug, Clone)]
 pub struct KvNodeStats {
     /// The node.
     pub node: NodeId,
     /// Operations this node executed.
     pub ops: u64,
-    /// Wall-clock time spent serving (sum over windows, barrier waits at
-    /// window edges excluded).
-    pub serving: Duration,
-    /// Per-operation wall-clock latency. Interval acquire/release overhead
-    /// lands in the adjacent operation's sample, so the histogram accounts
-    /// for all serving time.
-    pub latency: LatencyHistogram,
     /// Protocol-counter snapshots: one before the first window, then one
     /// after each window (`windows() + 1` entries). Requester-side counters
     /// (notably `redirections_suffered`) only advance during this node's
@@ -239,7 +220,7 @@ pub struct KvRun {
     /// (seed, params, num_nodes) triple — independent of fabric, schedule
     /// and migration policy.
     pub fingerprint: u64,
-    /// Per-node serving measurements, indexed by node id.
+    /// Per-node serving counters, indexed by node id.
     pub nodes: Vec<KvNodeStats>,
     /// The runtime execution report (messages, migrations, modeled time).
     pub report: ExecutionReport,
@@ -263,9 +244,7 @@ fn kv_node(
     let windows = params.windows();
     let ops_per_window = params.ops_per_node / windows as u64;
 
-    let mut latency = LatencyHistogram::new();
     let mut read_hash = FNV_BASIS;
-    let mut serving = Duration::ZERO;
     let mut snapshots = Vec::with_capacity(windows + 1);
     let mut owned: Vec<usize> = Vec::new();
     let mut write_sampler: Option<ZipfianSampler> = None;
@@ -286,8 +265,6 @@ fn kv_node(
                 (!owned.is_empty()).then(|| ZipfianSampler::new(owned.len(), params.zipf_s));
         }
 
-        let window_start = Instant::now();
-        let mut last = window_start;
         let mut done = 0u64;
         while done < ops_per_window {
             let batch = params
@@ -316,14 +293,10 @@ fn kv_node(
                         read_hash = fnv(read_hash, value);
                     }
                 }
-                let now = Instant::now();
-                latency.record_duration(now.duration_since(last));
-                last = now;
             }
             ctx.release(my_lock);
             done += batch as u64;
         }
-        serving += window_start.elapsed();
         ctx.barrier(window_barrier);
         snapshots.push(ctx.protocol_stats());
     }
@@ -345,15 +318,13 @@ fn kv_node(
     stats.lock()[me.0 as usize] = Some(KvNodeStats {
         node: me,
         ops: params.ops_per_node,
-        serving,
-        latency,
         windows: snapshots,
         read_hash,
     });
 }
 
 /// Run the KV serving workload and return the fingerprint, the per-node
-/// serving measurements and the execution report.
+/// serving counters and the execution report.
 pub fn run(config: ClusterConfig, params: &KvParams) -> KvRun {
     let num_nodes = config.num_nodes;
     params.validate(num_nodes);
@@ -435,7 +406,7 @@ mod tests {
 
     #[test]
     fn hot_set_shifts_on_the_phase_schedule() {
-        let p = KvParams::serving();
+        let p = KvParams::gate();
         // The most popular ranks land on disjoint objects in each phase.
         let hot: Vec<usize> = (0..p.phases)
             .map(|phase| hot_object(0, phase, p.num_objects, p.phases))
@@ -475,7 +446,6 @@ mod tests {
         for node in &run.nodes {
             assert_eq!(node.ops, p.ops_per_node);
             assert_eq!(node.windows.len(), p.windows() + 1);
-            assert_eq!(node.latency.count(), p.ops_per_node);
             // Requester-side counters are monotone across snapshots.
             for pair in node.windows.windows(2) {
                 assert!(pair[1].redirections_suffered >= pair[0].redirections_suffered);

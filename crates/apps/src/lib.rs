@@ -23,8 +23,8 @@
 //!
 //! Beyond the paper's evaluation, [`kv`] is the serving-mode workload: a
 //! Zipfian key-value traffic generator with a shifting hot set, driven by
-//! the `dsm-bench` throughput harness for wall-clock ops/sec numbers and by
-//! the conformance matrix as the first non-HPC cell.
+//! the `dsm-bench` regression gate's policy sweep and by the conformance
+//! matrix as the first non-HPC cell.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

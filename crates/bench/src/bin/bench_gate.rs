@@ -1,118 +1,61 @@
-//! The benchmark-regression gate binary.
+//! The regression gate binary — the same check as the tier-1 test
+//! `committed_baseline_is_current` (`tests/gate.rs`), runnable on its own.
 //!
-//! Runs the deterministic gate workloads (Figure 2 / Figure 3 SOR and ASP
-//! plus the ablation's synthetic pattern) in both flush-batching modes,
-//! writes the results as JSON, verifies the batching acceptance claims, and
-//! fails if modeled message counts or modeled time regress more than 5 %
-//! against the committed `bench/baseline.json`.
-//!
-//! Usage:
+//! Runs every gate cell on the deterministic sim fabric (the fig2 / fig3 /
+//! ablation / policy-matrix workloads in both flush-batching modes, and the
+//! KV sweep over every built-in policy), prints the rendered document on
+//! stdout, verifies the internal claims, and fails unless the document is
+//! byte-identical to the committed `bench/baseline.json`.
 //!
 //! ```text
-//! cargo run -p dsm-bench --release --bin bench_gate [options]
-//!   --output PATH           where to write the fresh results
-//!                           (default: BENCH_PR.json)
-//!   --baseline PATH         baseline to compare against
-//!                           (default: bench/baseline.json)
-//!   --write-baseline        overwrite the baseline with this run and exit
-//!   --tolerance PCT         allowed regression in percent (default: 5)
-//!   --full                  paper-scale workloads instead of small ones
+//! cargo run -p dsm-bench --release --bin bench_gate                       # check
+//! cargo run -p dsm-bench --release --bin bench_gate -- --write-baseline   # refresh
 //! ```
-//!
-//! The same entry point runs locally through `scripts/bench_gate.sh`.
 
-use dsm_bench::gate;
-use dsm_bench::Scale;
+use dsm_bench::{gate, Scale};
 use std::process::ExitCode;
 
-struct Options {
-    output: String,
-    baseline: String,
-    write_baseline: bool,
-    tolerance: f64,
-}
-
-fn parse_args() -> Options {
-    let mut options = Options {
-        output: "BENCH_PR.json".to_string(),
-        baseline: "bench/baseline.json".to_string(),
-        write_baseline: false,
-        tolerance: gate::DEFAULT_TOLERANCE,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--output" => options.output = args.next().expect("--output needs a path"),
-            "--baseline" => options.baseline = args.next().expect("--baseline needs a path"),
-            "--write-baseline" => options.write_baseline = true,
-            "--tolerance" => {
-                let pct: f64 = args
-                    .next()
-                    .expect("--tolerance needs a percentage")
-                    .parse()
-                    .expect("--tolerance must be a number");
-                options.tolerance = pct / 100.0;
-            }
-            // Scale flags are consumed by Scale::from_args.
-            "--full" | "--paper" => {}
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    options
-}
+/// The committed baseline, located from this crate's manifest so the
+/// binary works from any working directory inside the checkout.
+const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baseline.json");
 
 fn main() -> ExitCode {
-    let options = parse_args();
-    let scale = Scale::from_args();
-    eprintln!("collecting gate workloads at {scale:?} scale (both flush-batching modes) ...");
-    let rows = gate::collect(scale);
-
-    println!("Benchmark gate — modeled workloads, batched vs. unbatched\n");
-    println!("{}", gate::render(&rows).render());
-
-    if options.write_baseline {
-        std::fs::write(&options.baseline, gate::to_json(&rows))
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", options.baseline));
-        println!("baseline written to {}", options.baseline);
-        return ExitCode::SUCCESS;
-    }
-
-    // The throughput harness shares the output document; keep its section
-    // if the file already has one, so the two gates can run in either
-    // order — and salvage whatever a truncated or corrupt file still
-    // carries rather than silently dropping the other gate's results.
-    let existing = dsm_bench::throughput::read_for_merge(&options.output);
-    for warning in &existing.warnings {
-        eprintln!("warning: {warning} — keeping the rows that survived");
-    }
-    let document = if existing.throughput.is_empty() {
-        gate::to_json(&rows)
-    } else {
-        dsm_bench::throughput::document_json(&rows, &existing.throughput)
-    };
-    std::fs::write(&options.output, document)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", options.output));
-    println!("results written to {}", options.output);
-
-    let mut failures = gate::check_internal(&rows);
-    match std::fs::read_to_string(&options.baseline) {
-        Ok(text) => {
-            let baseline = gate::parse_json(&text)
-                .unwrap_or_else(|e| panic!("cannot parse {}: {e}", options.baseline));
-            failures.extend(gate::compare(&rows, &baseline, options.tolerance));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let write_baseline = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--write-baseline" => true,
+        other => {
+            eprintln!("unknown arguments {other:?} (usage: bench_gate [--write-baseline])");
+            return ExitCode::from(2);
         }
-        Err(e) => {
-            // A missing baseline is a hard failure in CI: the gate would
-            // otherwise silently pass on a branch that deleted it.
-            failures.push(format!("cannot read baseline {}: {e}", options.baseline));
+    };
+
+    let (rows, kv) = (gate::collect(Scale::Small), gate::collect_kv());
+    let document = gate::to_json(&rows, &kv);
+    print!("{document}");
+    eprintln!("\n{}", gate::render(&rows).render());
+    eprintln!("{}", gate::render_kv(&kv).render());
+
+    let mut failures = gate::check_internal(&rows, &kv);
+    if write_baseline {
+        // Never commit a baseline that violates its own claims.
+        if failures.is_empty() {
+            std::fs::write(BASELINE, &document)
+                .unwrap_or_else(|e| panic!("cannot write {BASELINE}: {e}"));
+            eprintln!("bench/baseline.json written");
+        }
+    } else {
+        match std::fs::read_to_string(BASELINE) {
+            Ok(committed) => failures.extend(gate::diff(&document, &committed)),
+            Err(e) => failures.push(format!("cannot read baseline {BASELINE}: {e}")),
         }
     }
 
     if failures.is_empty() {
-        println!("\ngate PASS (tolerance {:.0}%)", options.tolerance * 100.0);
+        eprintln!("gate PASS");
         ExitCode::SUCCESS
     } else {
-        eprintln!("\ngate FAIL:");
+        eprintln!("gate FAIL:");
         for failure in &failures {
             eprintln!("  - {failure}");
         }

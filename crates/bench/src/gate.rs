@@ -1,47 +1,56 @@
-//! The benchmark-regression gate.
+//! The regression gate — the one gate in `crates/`.
 //!
-//! Runs a small, fully deterministic set of modeled workloads — the Figure 2
-//! / Figure 3 applications (SOR, ASP) and the ablation's synthetic
-//! single-writer pattern — in **both** flush-batching modes, and turns the
-//! results into a flat JSON report (`BENCH_PR.json` in CI). The gate then
-//! checks two things:
+//! Every cell runs on the deterministic sim fabric
+//! (`FabricMode::Sim(SimConfig::calm(GATE_SEED))`: delivery in pure
+//! Hockney-model order, no perturbation), where message counts, migrations
+//! and modeled time are a pure function of the code. Two families of rows:
 //!
-//! 1. **Internal invariants** — batching must never change application
-//!    results (checksums are byte-derived), it must deliver *strictly
-//!    fewer* diff-propagation messages on the multi-object SOR workloads,
-//!    and *strictly lower* modeled time on the deterministic
-//!    (no-migration) one;
-//! 2. **Regression vs. a committed baseline** (`bench/baseline.json`) —
-//!    modeled message counts must not grow by more than the tolerance
-//!    (5 % in CI) for any (workload, mode) pair; modeled execution time is
-//!    gated for the [`time_gated`] (no-migration) workloads at
-//!    [`TIME_TOLERANCE_FACTOR`] × the tolerance, because thread-scheduling
-//!    order leaks a little noise into the virtual clock. Adaptive-threshold
-//!    rows race migrations against requests, so their modeled time varies
-//!    run to run and only their (stable) message counts are gated.
+//! * **Modeled workloads** ([`GateRow`]) — the Figure 2 / Figure 3
+//!   applications (SOR, ASP), the ablation's synthetic single-writer
+//!   pattern and the policy matrix, each in **both** flush-batching modes;
+//! * **The KV policy sweep** ([`KvRow`]) — the Zipfian KV serving workload
+//!   ([`dsm_apps::kv`]) under every built-in policy
+//!   ([`crate::matrix::policies`]): messages, migrations, migrate-backs,
+//!   shift/settle redirections and the store fingerprint. No wall-clock
+//!   column — wall-clock is measured by the repo benchmark (`benchmark/`).
 //!
-//! The same gate runs locally through `scripts/bench_gate.sh` (or
-//! `cargo run -p dsm-bench --release --bin bench_gate`).
+//! The gate checks two things:
+//!
+//! 1. **Internal claims** ([`check_internal`]) — batching never changes
+//!    application results and sends strictly fewer diff messages on the
+//!    multi-object SOR workloads; the policy matrix behaves (NM inert,
+//!    hysteresis damps ping-pong, per-object overrides reach the engine);
+//!    on the KV sweep NM is inert, the adaptive family migrates and sends
+//!    strictly fewer messages than NM, AT's redirections concentrate in the
+//!    windows right after a hot-set shift, and the store fingerprint is
+//!    policy-invariant;
+//! 2. **Equality with the committed baseline** ([`diff`]) — the rendered
+//!    document ([`to_json`]) must be byte-identical to
+//!    `bench/baseline.json`. There is no tolerance band: a change that
+//!    moves a number deliberately refreshes the file in the same PR with
+//!    `cargo run -p dsm-bench --release --bin bench_gate -- --write-baseline`.
+//!
+//! The gate runs inside tier-1 as this crate's `tests/gate.rs`
+//! (`committed_baseline_is_current`) and, identically, as the `bench_gate`
+//! binary.
 
+use crate::matrix::{matrix_cluster, policies};
 use crate::table::{fmt_f, Table};
-use crate::{cluster, Scale};
+use crate::{cluster_on, Scale};
+use dsm_apps::kv::{self, KvParams};
 use dsm_apps::synthetic::{self, SyntheticParams};
 use dsm_apps::{asp, sor};
 use dsm_core::{EwmaWriteRatioPolicy, HysteresisPolicy, MigrationPolicy, ProtocolConfig};
-use dsm_runtime::ExecutionReport;
+use dsm_runtime::{ExecutionReport, FabricMode, SimConfig};
 
-/// Relative growth in messages or modeled time that fails the gate.
-pub const DEFAULT_TOLERANCE: f64 = 0.05;
+/// The sim seed every gate cell runs under. [`SimConfig::calm`] draws no
+/// random perturbation, so the seed only labels the runs; it also seeds the
+/// KV workload's traffic generators.
+pub const GATE_SEED: u64 = 2004;
 
-/// Modeled *time* is gated at this multiple of the message tolerance.
-/// Message counts are scheduling-invariant (repeat runs reproduce them to
-/// the message), but real thread-scheduling order leaks into the virtual
-/// clock — per-message handling costs accumulate in arrival order — which
-/// moves modeled time by up to ~±8 % between runs even on deterministic
-/// workloads. 3 × 5 % still catches any structural slowdown (a lost
-/// batching path costs ~25 % on the SOR workload) without flaking on
-/// scheduler noise.
-pub const TIME_TOLERANCE_FACTOR: f64 = 3.0;
+fn gate_fabric() -> FabricMode {
+    FabricMode::Sim(SimConfig::calm(GATE_SEED))
+}
 
 /// One measured (workload, mode) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,6 +124,7 @@ pub const WORKLOADS: [&str; 10] = [
 
 /// Run one named gate workload in one flush-batching mode.
 fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
+    let fabric = gate_fabric();
     // The AT SOR size keeps `band / nodes >= 2` on eight nodes, so each
     // release still flushes at least two rows per remote home and batches
     // really form under the migration-enabled configuration too.
@@ -128,7 +138,8 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
         // workload batching exists for.
         "fig2_sor_nohm" => {
             let params = sor::SorParams::small(sor_size, 4);
-            let config = cluster(4, ProtocolConfig::no_migration()).with_flush_batching(batched);
+            let config =
+                cluster_on(4, ProtocolConfig::no_migration(), &fabric).with_flush_batching(batched);
             let run = sor::run(config, &params);
             GateRow::from_report(name, batched, sor::checksum(&run.result), &run.report)
         }
@@ -138,7 +149,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
         // traffic is left — batching under the paper's headline mode.
         "fig3_sor_at" => {
             let params = sor::SorParams::small(at_sor_size, 4);
-            let config = cluster(crate::fig3::NODES, ProtocolConfig::adaptive())
+            let config = cluster_on(crate::fig3::NODES, ProtocolConfig::adaptive(), &fabric)
                 .with_flush_batching(batched);
             let run = sor::run(config, &params);
             GateRow::from_report(name, batched, sor::checksum(&run.result), &run.report)
@@ -146,7 +157,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
         // Figure 3's ASP configuration.
         "fig3_asp_at" => {
             let params = asp::AspParams::small(asp_size);
-            let config = cluster(crate::fig3::NODES, ProtocolConfig::adaptive())
+            let config = cluster_on(crate::fig3::NODES, ProtocolConfig::adaptive(), &fabric)
                 .with_flush_batching(batched);
             let run = asp::run(config, &params);
             GateRow::from_report(name, batched, asp::checksum(&run.result), &run.report)
@@ -163,7 +174,8 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
                 total_updates: updates,
                 compute_ops: 0,
             };
-            let config = cluster(5, ProtocolConfig::no_migration()).with_flush_batching(batched);
+            let config =
+                cluster_on(5, ProtocolConfig::no_migration(), &fabric).with_flush_batching(batched);
             let run = synthetic::run(config, &params);
             GateRow::from_report(name, batched, run.result as f64, &run.report)
         }
@@ -202,7 +214,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
                     .with_object_policy(synthetic::counter_object(), MigrationPolicy::adaptive()),
                 other => panic!("unknown policy-matrix workload {other:?}"),
             };
-            let config = cluster(3, protocol).with_flush_batching(batched);
+            let config = cluster_on(3, protocol, &fabric).with_flush_batching(batched);
             let run = synthetic::run(config, &params);
             GateRow::from_report(name, batched, run.result as f64, &run.report)
         }
@@ -259,9 +271,17 @@ pub fn render(rows: &[GateRow]) -> Table {
     table
 }
 
-/// Internal consistency checks on a freshly collected run; returns the list
-/// of violations (empty = pass).
-pub fn check_internal(rows: &[GateRow]) -> Vec<String> {
+/// Internal consistency checks on a freshly collected run — the claims the
+/// numbers must satisfy whatever the committed baseline says; returns the
+/// list of violations (empty = pass).
+pub fn check_internal(rows: &[GateRow], kv: &[KvRow]) -> Vec<String> {
+    let mut errors = check_workloads(rows);
+    errors.extend(check_kv(kv));
+    errors
+}
+
+/// The flush-batching and policy-matrix claims on the modeled workloads.
+fn check_workloads(rows: &[GateRow]) -> Vec<String> {
     let mut errors = Vec::new();
     let find = |workload: &str, batched: bool| {
         rows.iter()
@@ -291,11 +311,8 @@ pub fn check_internal(rows: &[GateRow]) -> Vec<String> {
     }
     // The acceptance claim, enforced on the multi-object SOR workloads:
     // strictly fewer diff-propagation messages with batching on, and — on
-    // the no-migration configuration, whose message DAG is a pure function
-    // of the workload — strictly lower modeled time. (Adaptive-threshold
-    // runs carry a little scheduling noise in modeled time, so the strict
-    // time comparison is pinned to the deterministic workload; the 5 %
-    // baseline comparison still bounds AT's time.)
+    // the no-migration configuration, where batching is the only difference
+    // between the two modes' message DAGs — strictly lower modeled time.
     for workload in ["fig2_sor_nohm", "fig3_sor_at"] {
         if let (Some(on), Some(off)) = (find(workload, true), find(workload, false)) {
             if on.diff_messages >= off.diff_messages {
@@ -380,64 +397,204 @@ pub fn check_internal(rows: &[GateRow]) -> Vec<String> {
     errors
 }
 
-/// Whether a workload's modeled *time* is gated against the baseline. Only
-/// the no-migration workloads qualify: their message DAG is a pure function
-/// of the configuration, so modeled time is reproducible to within ~1 %.
-/// Adaptive-threshold runs race migrations against requests, which can
-/// shift modeled time by double-digit percentages between runs — those rows
-/// are gated on message counts only (counts stay within a fraction of a
-/// percent).
-pub fn time_gated(workload: &str) -> bool {
-    workload.ends_with("_nohm")
+// ----------------------------------------------------------------------
+// The KV policy sweep
+// ----------------------------------------------------------------------
+
+/// One policy's run of the KV serving workload ([`KvParams::gate`] on
+/// [`crate::matrix::MATRIX_NODES`] nodes).
+#[derive(Debug, Clone, PartialEq)]
+pub struct KvRow {
+    /// Policy label (stable across runs; the baseline is keyed on it).
+    pub policy: String,
+    /// Total operations executed (all nodes).
+    pub ops: u64,
+    /// Total protocol messages.
+    pub messages: u64,
+    /// Home migrations during the run.
+    pub migrations: u64,
+    /// Migrations that returned a home to the node it had just left.
+    pub migrate_backs: u64,
+    /// Redirections suffered in the first window after each hot-set shift.
+    pub shift_redirects: u64,
+    /// Redirections suffered in the settled remainder of each phase.
+    pub settle_redirects: u64,
+    /// Deterministic fingerprint of the final store contents — identical
+    /// across policies and fabrics for one (seed, params, nodes).
+    pub fingerprint: u64,
 }
 
-/// Compare a fresh run against the committed baseline; returns the list of
-/// regressions (empty = pass). `tolerance` is the allowed relative growth
-/// in modeled message count and — for [`time_gated`] workloads — modeled
-/// time (0.05 = 5 %).
-pub fn compare(current: &[GateRow], baseline: &[GateRow], tolerance: f64) -> Vec<String> {
+impl KvRow {
+    /// The key the baseline comparison matches rows on.
+    pub fn key(&self) -> String {
+        format!("kv[{}]", self.policy)
+    }
+
+    /// Requester-side redirection hops over the whole run.
+    pub fn redirects(&self) -> u64 {
+        self.shift_redirects + self.settle_redirects
+    }
+
+    /// Redirections per thousand operations.
+    pub fn redirects_per_1k(&self) -> f64 {
+        if self.ops == 0 {
+            return 0.0;
+        }
+        self.redirects() as f64 * 1000.0 / self.ops as f64
+    }
+}
+
+/// Run the KV workload under one policy.
+fn measure_kv(label: &str, protocol: ProtocolConfig, params: &KvParams) -> KvRow {
+    let config = matrix_cluster(protocol, gate_fabric()).with_seed(GATE_SEED);
+    let run = kv::run(config, params);
+    let mut shift = 0u64;
+    let mut settle = 0u64;
+    for node in &run.nodes {
+        // Requester-side redirections only advance during the node's own
+        // operations (see `NodeCtx::protocol_stats`), so the deltas between
+        // consecutive window snapshots attribute them exactly.
+        for (w, pair) in node.windows.windows(2).enumerate() {
+            let delta = pair[1].redirections_suffered - pair[0].redirections_suffered;
+            if w % params.windows_per_phase == 0 {
+                shift += delta;
+            } else {
+                settle += delta;
+            }
+        }
+    }
+    KvRow {
+        policy: label.to_string(),
+        ops: run.nodes.iter().map(|node| node.ops).sum(),
+        messages: run.report.total_messages(),
+        migrations: run.report.migrations(),
+        migrate_backs: run.report.migrate_backs(),
+        shift_redirects: shift,
+        settle_redirects: settle,
+        fingerprint: run.fingerprint,
+    }
+}
+
+/// Run the KV workload under every built-in policy
+/// ([`crate::matrix::policies`], so a policy added to the conformance grid
+/// automatically joins the sweep) under identical traffic.
+pub fn collect_kv() -> Vec<KvRow> {
+    let params = KvParams::gate();
+    policies()
+        .into_iter()
+        .map(|(label, protocol)| measure_kv(&label, protocol, &params))
+        .collect()
+}
+
+/// Render the KV sweep as a table.
+pub fn render_kv(rows: &[KvRow]) -> Table {
+    let mut table = Table::new(&[
+        "policy",
+        "msgs",
+        "migr",
+        "backs",
+        "shift_redir",
+        "settle_redir",
+        "redir/1k",
+        "fingerprint",
+    ]);
+    for row in rows {
+        table.row(vec![
+            row.policy.clone(),
+            row.messages.to_string(),
+            row.migrations.to_string(),
+            row.migrate_backs.to_string(),
+            row.shift_redirects.to_string(),
+            row.settle_redirects.to_string(),
+            fmt_f(row.redirects_per_1k()),
+            format!("{:#018x}", row.fingerprint),
+        ]);
+    }
+    table
+}
+
+/// The per-policy claims on the KV sweep.
+///
+/// "Adaptive policies redirect less than NM under skew" is enforced in its
+/// only coherent form: NM never migrates, so it never redirects *at all*;
+/// what adaptivity buys is strictly fewer **total messages** than NM
+/// (migrated homes turn remote write round-trips into local writes), at the
+/// price of a nonzero but shift-concentrated redirection count. JUMP and
+/// LAZY are measured but exempt from the message claim: migrate-on-every-
+/// request churn can legitimately cost more than staying put, which is
+/// exactly why JUMP is in the grid.
+fn check_kv(rows: &[KvRow]) -> Vec<String> {
     let mut errors = Vec::new();
-    for base in baseline {
-        let Some(now) = current
-            .iter()
-            .find(|r| r.workload == base.workload && r.batched == base.batched)
-        else {
-            errors.push(format!("{}: workload missing from current run", base.key()));
-            continue;
-        };
-        let msg_limit = base.messages as f64 * (1.0 + tolerance);
-        if now.messages as f64 > msg_limit {
+    let find = |policy: &str| rows.iter().find(|r| r.policy == policy);
+    let Some(nm) = find("NM") else {
+        return vec![
+            "kv: NM row missing — the sweep must include the no-migration baseline".into(),
+        ];
+    };
+    // Semantics first: one deterministic store for every policy.
+    for row in rows {
+        if row.fingerprint != nm.fingerprint {
             errors.push(format!(
-                "{}: modeled message count regressed {} -> {} (> {:.0}% over baseline)",
-                base.key(),
-                base.messages,
-                now.messages,
-                tolerance * 100.0
+                "{}: fingerprint {:#018x} != NM's {:#018x} — a migration policy changed \
+                 the application result",
+                row.key(),
+                row.fingerprint,
+                nm.fingerprint
             ));
         }
-        let time_tolerance = tolerance * TIME_TOLERANCE_FACTOR;
-        let time_limit = base.time_ms * (1.0 + time_tolerance);
-        if time_gated(&base.workload) && now.time_ms > time_limit {
+        if row.ops == 0 {
+            errors.push(format!("{}: empty measurement", row.key()));
+        }
+    }
+    // NM is inert: no migrations means no stale home hints, so no redirects.
+    if nm.migrations != 0 || nm.migrate_backs != 0 || nm.redirects() != 0 {
+        errors.push(format!(
+            "kv[NM]: the no-migration baseline moved ({} migrations, {} backs, {} redirects)",
+            nm.migrations,
+            nm.migrate_backs,
+            nm.redirects()
+        ));
+    }
+    // The adaptive family must chase the rotating writers and win on
+    // coherence traffic.
+    for policy in ["FT2", "AT", "HYST1+2", "EWMA"] {
+        let Some(row) = find(policy) else {
+            errors.push(format!("kv[{policy}] row missing"));
+            continue;
+        };
+        if row.migrations == 0 {
             errors.push(format!(
-                "{}: modeled time regressed {:.3} ms -> {:.3} ms (> {:.0}% over baseline)",
-                base.key(),
-                base.time_ms,
-                now.time_ms,
-                time_tolerance * 100.0
+                "kv[{policy}]: never migrated under a rotating single-writer pattern"
+            ));
+        }
+        if row.messages >= nm.messages {
+            errors.push(format!(
+                "kv[{policy}]: {} messages, not fewer than NM's {} — migration stopped \
+                 paying for itself under skew",
+                row.messages, nm.messages
             ));
         }
     }
-    // The reverse direction: a workload measured now but absent from the
-    // baseline would otherwise be silently ungated — a newly added gate
-    // workload must come with a refreshed baseline (`--write-baseline`).
-    for now in current {
-        if !baseline
-            .iter()
-            .any(|b| b.workload == now.workload && b.batched == now.batched)
-        {
+    if let Some(jump) = find("JUMP") {
+        if jump.migrations == 0 {
+            errors.push("kv[JUMP]: migrate-on-request never migrated".into());
+        }
+    }
+    // AT redirects, but the cost concentrates right after hot-set shifts:
+    // once homes settle at the new writers, stale hints are used up.
+    if let Some(at) = find("AT") {
+        if at.redirects() == 0 {
+            errors.push(
+                "kv[AT]: migrated homes without a single redirection — home hints are \
+                 never stale, which cannot happen when homes move"
+                    .into(),
+            );
+        }
+        if at.shift_redirects < at.settle_redirects {
             errors.push(format!(
-                "{}: no baseline entry — refresh bench/baseline.json with --write-baseline",
-                now.key()
+                "kv[AT]: redirections did not drop after hot-set shifts \
+                 (shift windows {} < settle windows {})",
+                at.shift_redirects, at.settle_redirects
             ));
         }
     }
@@ -445,289 +602,95 @@ pub fn compare(current: &[GateRow], baseline: &[GateRow], tolerance: f64) -> Vec
 }
 
 // ----------------------------------------------------------------------
-// JSON (de)serialization — hand-rolled, the workspace carries no serde.
+// The baseline document
 // ----------------------------------------------------------------------
 
-/// Serialize gate rows as the `BENCH_PR.json` / `bench/baseline.json`
-/// document.
-pub fn to_json(rows: &[GateRow]) -> String {
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"workloads\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"batched\": {}, \"messages\": {}, \
-             \"diff_messages\": {}, \"bytes\": {}, \"time_ms\": {:.6}, \
-             \"migrations\": {}, \"migrate_backs\": {}, \
-             \"checksum\": {:.6}}}{}\n",
-            row.workload,
-            row.batched,
-            row.messages,
-            row.diff_messages,
-            row.bytes,
-            row.time_ms,
-            row.migrations,
-            row.migrate_backs,
-            row.checksum,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Render the gate document (`bench/baseline.json`): one row per line, each
+/// line opening with its row key, so [`diff`] can pair lines without
+/// reading the JSON back.
+pub fn to_json(rows: &[GateRow], kv: &[KvRow]) -> String {
+    let workloads: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    \"{}\": {{\"messages\": {}, \"diff_messages\": {}, \"bytes\": {}, \
+                 \"time_ms\": {:.6}, \"migrations\": {}, \"migrate_backs\": {}, \
+                 \"checksum\": {:.6}}}",
+                r.key(),
+                r.messages,
+                r.diff_messages,
+                r.bytes,
+                r.time_ms,
+                r.migrations,
+                r.migrate_backs,
+                r.checksum
+            )
+        })
+        .collect();
+    // A u64 fingerprint does not survive JSON's f64 numbers, so it travels
+    // as a hex string.
+    let kv: Vec<String> = kv
+        .iter()
+        .map(|r| {
+            format!(
+                "    \"{}\": {{\"ops\": {}, \"messages\": {}, \"migrations\": {}, \
+                 \"migrate_backs\": {}, \"shift_redirects\": {}, \"settle_redirects\": {}, \
+                 \"fingerprint\": \"{:#018x}\"}}",
+                r.key(),
+                r.ops,
+                r.messages,
+                r.migrations,
+                r.migrate_backs,
+                r.shift_redirects,
+                r.settle_redirects,
+                r.fingerprint
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"schema\": 2,\n  \"workloads\": {{\n{}\n  }},\n  \"kv\": {{\n{}\n  }}\n}}\n",
+        workloads.join(",\n"),
+        kv.join(",\n")
+    )
 }
 
-/// Parse a gate JSON document (the exact shape [`to_json`] writes; field
-/// order inside a workload object is free, unknown fields are rejected so
-/// schema drift is caught loudly).
-pub fn parse_json(text: &str) -> Result<Vec<GateRow>, String> {
-    let mut rows = Vec::new();
-    parse_into(text, &mut rows)?;
-    Ok(rows)
-}
-
-/// As [`parse_json`], but salvaging: returns every workload row that
-/// parsed *before* the first error, plus the error itself (`None` = clean
-/// parse). The bench binaries merge their sections into one shared
-/// `BENCH_PR.json`; when that file is truncated or corrupt (a killed CI
-/// step mid-write), a strict parse would make the next binary silently
-/// drop every section it does not own — salvage keeps whatever rows
-/// survive and surfaces the damage as a warning instead.
-pub fn salvage_json(text: &str) -> (Vec<GateRow>, Option<String>) {
-    let mut rows = Vec::new();
-    let error = parse_into(text, &mut rows).err();
-    (rows, error)
-}
-
-/// The shared parse loop: pushes each workload row into `rows` as it
-/// completes, so a truncation error loses only the row it interrupted.
-fn parse_into(text: &str, rows: &mut Vec<GateRow>) -> Result<(), String> {
-    let mut p = Parser::new(text);
-    p.skip_ws();
-    p.expect(b'{')?;
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "schema" => {
-                let v = p.number()?;
-                if v != 1.0 {
-                    return Err(format!("unsupported gate schema {v}"));
-                }
-            }
-            "workloads" => {
-                p.expect(b'[')?;
-                p.skip_ws();
-                if !p.eat(b']') {
-                    loop {
-                        rows.push(p.workload()?);
-                        p.skip_ws();
-                        if p.eat(b']') {
-                            break;
-                        }
-                        p.expect(b',')?;
-                    }
-                }
-            }
-            // The throughput harness appends its own section to the same
-            // document (see `crate::throughput::parse_document`), and
-            // older documents carry a report-only `scheduler` section; the
-            // workload-gate parser skips both so either gate can read one
-            // `BENCH_PR.json`.
-            "throughput" | "scheduler" => p.skip_value()?,
-            other => return Err(format!("unknown top-level key {other:?}")),
-        }
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        p.expect(b',')?;
+/// Compare a freshly rendered document with the committed baseline. The
+/// gate is byte equality; on a mismatch the lines are paired by their row
+/// key (the first quoted string of a line) and every differing, missing or
+/// stale row is named. Empty = identical.
+pub fn diff(fresh: &str, committed: &str) -> Vec<String> {
+    if fresh == committed {
+        return Vec::new();
     }
-    Ok(())
-}
-
-/// Minimal recursive-descent parser for the gate document. Shared with the
-/// throughput section's (de)serializer in `crate::throughput`.
-pub(crate) struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    pub(crate) fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
+    // The separating comma belongs to the list, not to the row: appending a
+    // row must not report its predecessor as changed.
+    fn keyed(document: &str) -> Vec<(&str, &str)> {
+        document
+            .lines()
+            .map(|line| line.trim().trim_end_matches(','))
+            .map(|line| (line.split('"').nth(1).unwrap_or(line), line))
+            .collect()
+    }
+    let (fresh, committed) = (keyed(fresh), keyed(committed));
+    let mut errors = Vec::new();
+    for (key, line) in &fresh {
+        match committed.iter().find(|(k, _)| k == key) {
+            Some((_, old)) if old == line => {}
+            Some((_, old)) => errors.push(format!(
+                "{key}: differs from bench/baseline.json\n      baseline: {old}\n      measured: {line}"
+            )),
+            None => errors.push(format!("{key}: no baseline entry")),
         }
     }
-}
-
-impl Parser<'_> {
-    pub(crate) fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
+    for (key, _) in &committed {
+        if !fresh.iter().any(|(k, _)| k == key) {
+            errors.push(format!("{key}: in the baseline but no longer measured"));
         }
     }
-
-    pub(crate) fn eat(&mut self, byte: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    if errors.is_empty() {
+        errors.push("same rows as bench/baseline.json, but in a different order or layout".into());
     }
-
-    pub(crate) fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {} (found {:?})",
-                byte as char,
-                self.pos,
-                self.bytes.get(self.pos).map(|b| *b as char)
-            ))
-        }
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| e.to_string())?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            if b == b'\\' {
-                return Err("escape sequences are not used by the gate format".to_string());
-            }
-            self.pos += 1;
-        }
-        Err("unterminated string".to_string())
-    }
-
-    pub(crate) fn number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    pub(crate) fn boolean(&mut self) -> Result<bool, String> {
-        if self.bytes[self.pos..].starts_with(b"true") {
-            self.pos += 4;
-            Ok(true)
-        } else if self.bytes[self.pos..].starts_with(b"false") {
-            self.pos += 5;
-            Ok(false)
-        } else {
-            Err(format!("expected boolean at byte {}", self.pos))
-        }
-    }
-
-    /// Skip one JSON value of any shape — used to tolerate the *other*
-    /// gate's section when each gate parses the shared document.
-    pub(crate) fn skip_value(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'"') => {
-                self.string()?;
-            }
-            Some(b'{') | Some(b'[') => {
-                let (open, close) = if self.bytes[self.pos] == b'{' {
-                    (b'{', b'}')
-                } else {
-                    (b'[', b']')
-                };
-                self.pos += 1;
-                self.skip_ws();
-                if self.eat(close) {
-                    return Ok(());
-                }
-                loop {
-                    if open == b'{' {
-                        self.string()?;
-                        self.skip_ws();
-                        self.expect(b':')?;
-                    }
-                    self.skip_value()?;
-                    self.skip_ws();
-                    if self.eat(close) {
-                        return Ok(());
-                    }
-                    self.expect(b',')?;
-                    self.skip_ws();
-                }
-            }
-            Some(b't') | Some(b'f') => {
-                self.boolean()?;
-            }
-            _ => {
-                self.number()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn workload(&mut self) -> Result<GateRow, String> {
-        self.skip_ws();
-        self.expect(b'{')?;
-        let mut row = GateRow {
-            workload: String::new(),
-            batched: false,
-            messages: 0,
-            diff_messages: 0,
-            bytes: 0,
-            time_ms: 0.0,
-            migrations: 0,
-            migrate_backs: 0,
-            checksum: 0.0,
-        };
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            match key.as_str() {
-                "workload" => row.workload = self.string()?,
-                "batched" => row.batched = self.boolean()?,
-                "messages" => row.messages = self.number()? as u64,
-                "diff_messages" => row.diff_messages = self.number()? as u64,
-                "bytes" => row.bytes = self.number()? as u64,
-                "time_ms" => row.time_ms = self.number()?,
-                "migrations" => row.migrations = self.number()? as u64,
-                "migrate_backs" => row.migrate_backs = self.number()? as u64,
-                "checksum" => row.checksum = self.number()?,
-                other => return Err(format!("unknown workload key {other:?}")),
-            }
-            self.skip_ws();
-            if self.eat(b'}') {
-                break;
-            }
-            self.expect(b',')?;
-        }
-        if row.workload.is_empty() {
-            return Err("workload entry without a name".to_string());
-        }
-        Ok(row)
-    }
+    errors
 }
 
 #[cfg(test)]
@@ -748,94 +711,65 @@ mod tests {
         }
     }
 
+    fn kv_row(policy: &str, migrations: u64, redirects: u64, messages: u64) -> KvRow {
+        KvRow {
+            policy: policy.to_string(),
+            ops: 96_000,
+            messages,
+            migrations,
+            migrate_backs: migrations / 4,
+            shift_redirects: redirects * 3 / 4,
+            settle_redirects: redirects - redirects * 3 / 4,
+            fingerprint: 0xdead_beef_cafe_f00d,
+        }
+    }
+
+    fn healthy_kv() -> Vec<KvRow> {
+        vec![
+            kv_row("NM", 0, 0, 1000),
+            kv_row("FT2", 40, 60, 700),
+            kv_row("AT", 30, 50, 650),
+            kv_row("JUMP", 90, 300, 1400),
+            kv_row("LAZY", 5, 10, 900),
+            kv_row("HYST1+2", 35, 55, 700),
+            kv_row("EWMA", 20, 30, 800),
+        ]
+    }
+
     #[test]
-    fn json_round_trips() {
+    fn a_one_count_drift_fails_the_gate_and_names_the_row() {
         let mut rows = vec![
-            row("fig2_sor_nohm", true, 1200, 35.25),
-            row("x", false, 7, 0.5),
+            row("fig2_sor_nohm", true, 1180, 65.0),
+            row("fig2_sor_nohm", false, 1756, 84.0),
         ];
-        rows[0].migrations = 17;
-        rows[0].migrate_backs = 3;
-        let text = to_json(&rows);
-        let parsed = parse_json(&text).expect("own output parses");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].workload, "fig2_sor_nohm");
-        assert!(parsed[0].batched);
-        assert_eq!(parsed[0].messages, 1200);
-        assert_eq!(parsed[0].diff_messages, 400);
-        assert_eq!(parsed[0].bytes, 120_000);
-        assert!((parsed[0].time_ms - 35.25).abs() < 1e-9);
-        assert_eq!(parsed[0].migrations, 17);
-        assert_eq!(parsed[0].migrate_backs, 3);
-        assert!((parsed[0].checksum - 42.5).abs() < 1e-9);
-        assert!(!parsed[1].batched);
-    }
-
-    #[test]
-    fn salvage_keeps_rows_parsed_before_a_truncation() {
-        let rows = vec![row("a", true, 1, 1.0), row("b", false, 7, 0.5)];
-        let text = to_json(&rows);
-        // A clean document salvages completely, with no error.
-        let (all, error) = salvage_json(&text);
-        assert_eq!(all, rows);
-        assert!(error.is_none());
-        // Chopped mid-way through the second row: the first survives and
-        // the damage is reported, where parse_json would drop everything.
-        let cut = text.rfind("\"b\"").expect("second row is present");
-        let (salvaged, error) = salvage_json(&text[..cut]);
-        assert_eq!(salvaged.len(), 1, "{salvaged:?}");
-        assert_eq!(salvaged[0], rows[0]);
-        assert!(error.is_some());
-        assert!(parse_json(&text[..cut]).is_err());
-    }
-
-    #[test]
-    fn parser_rejects_schema_drift() {
-        assert!(parse_json("{\"schema\": 2, \"workloads\": []}").is_err());
-        assert!(parse_json("{\"schema\": 1, \"workloads\": [{\"bogus\": 1}]}").is_err());
-        assert!(parse_json("not json").is_err());
-        assert!(parse_json("{\"schema\": 1, \"workloads\": []}")
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn compare_flags_only_regressions_beyond_tolerance() {
-        let baseline = vec![row("a_nohm", true, 100, 10.0), row("b", false, 100, 10.0)];
-        // Within 5 %: pass. Messages -regression is fine (improvement).
-        let ok = vec![row("a_nohm", true, 104, 10.4), row("b", false, 80, 8.0)];
-        assert!(compare(&ok, &baseline, DEFAULT_TOLERANCE).is_empty());
-        // Message blow-up and time blow-up are both caught, as is a
-        // missing workload.
-        let bad = vec![row("a_nohm", true, 106, 10.0)];
-        let errors = compare(&bad, &baseline, DEFAULT_TOLERANCE);
-        assert_eq!(errors.len(), 2, "{errors:?}");
-        assert!(errors[0].contains("message count regressed"));
-        assert!(errors[1].contains("missing"));
-        // Time is gated at TIME_TOLERANCE_FACTOR x the message tolerance:
-        // +6% passes, +16% fails.
-        let slow_ok = vec![row("a_nohm", true, 100, 10.6), row("b", false, 100, 10.0)];
-        assert!(compare(&slow_ok, &baseline, DEFAULT_TOLERANCE).is_empty());
-        let slow = vec![row("a_nohm", true, 100, 11.6), row("b", false, 100, 10.0)];
-        let errors = compare(&slow, &baseline, DEFAULT_TOLERANCE);
-        assert_eq!(errors.len(), 1);
-        assert!(errors[0].contains("time regressed"));
-        // Modeled time is NOT gated for scheduling-noisy (adaptive) rows;
-        // their message counts still are.
-        assert!(time_gated("fig2_sor_nohm"));
-        assert!(!time_gated("fig3_sor_at"));
-        let noisy_time = vec![row("a_nohm", true, 100, 10.0), row("b", false, 100, 99.0)];
-        assert!(compare(&noisy_time, &baseline, DEFAULT_TOLERANCE).is_empty());
-        // A workload measured now but missing from the baseline fails the
-        // gate (it would otherwise be silently ungated).
-        let extra = vec![
-            row("a_nohm", true, 100, 10.0),
-            row("b", false, 100, 10.0),
-            row("fresh", true, 1, 1.0),
-        ];
-        let errors = compare(&extra, &baseline, DEFAULT_TOLERANCE);
-        assert_eq!(errors.len(), 1);
-        assert!(errors[0].contains("no baseline entry"));
+        let committed = to_json(&rows, &healthy_kv());
+        assert!(diff(&committed, &committed).is_empty());
+        rows[1].messages += 1;
+        let errors = diff(&to_json(&rows, &healthy_kv()), &committed);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].starts_with("fig2_sor_nohm[unbatched]:"),
+            "{errors:?}"
+        );
+        // The KV section is gated the same way.
+        let mut kv = healthy_kv();
+        kv[2].shift_redirects += 1;
+        let errors = diff(
+            &to_json(&rows[..1], &kv),
+            &to_json(&rows[..1], &healthy_kv()),
+        );
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].starts_with("kv[AT]:"), "{errors:?}");
+        // A new last row is reported alone — its predecessor only gained the
+        // separating comma — and so is a row the baseline still carries.
+        let errors = diff(&to_json(&rows, &[]), &to_json(&rows[..1], &[]));
+        assert_eq!(errors, vec!["fig2_sor_nohm[unbatched]: no baseline entry"]);
+        let errors = diff(&to_json(&rows[..1], &[]), &to_json(&rows, &[]));
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("no longer measured"), "{errors:?}");
+        // Equality is on bytes: reordered rows fail too.
+        let swapped = [rows[1].clone(), rows[0].clone()];
+        assert_eq!(diff(&to_json(&swapped, &[]), &to_json(&rows, &[])).len(), 1);
     }
 
     #[test]
@@ -846,14 +780,14 @@ mod tests {
         ];
         rows[0].diff_messages = 10;
         rows[1].diff_messages = 40;
-        assert!(check_internal(&rows).is_empty());
+        assert!(check_internal(&rows, &healthy_kv()).is_empty());
         // Equal diff counts violate the strict improvement claim.
         rows[0].diff_messages = 40;
-        assert_eq!(check_internal(&rows).len(), 1);
+        assert_eq!(check_internal(&rows, &healthy_kv()).len(), 1);
         // A checksum mismatch is always an error.
         rows[0].diff_messages = 10;
         rows[0].checksum = 1.0;
-        let errors = check_internal(&rows);
+        let errors = check_internal(&rows, &healthy_kv());
         assert_eq!(errors.len(), 1);
         assert!(errors[0].contains("checksum"));
     }
@@ -878,11 +812,7 @@ mod tests {
             ewma.migrations = 10;
             rows.extend([nohm, at, hyst, mixed, ewma]);
         }
-        assert!(
-            check_internal(&rows).is_empty(),
-            "{:?}",
-            check_internal(&rows)
-        );
+        assert_eq!(check_internal(&rows, &healthy_kv()), Vec::<String>::new());
         // A migrating NM row, a hysteresis row that ping-pongs as much as
         // adaptive, an inert mixed row and a dead EWMA row are each caught
         // (in one mode).
@@ -890,7 +820,7 @@ mod tests {
         rows[2].migrate_backs = 12;
         rows[3].migrations = 0;
         rows[4].migrations = 0;
-        let errors = check_internal(&rows);
+        let errors = check_internal(&rows, &healthy_kv());
         assert_eq!(errors.len(), 4, "{errors:?}");
         assert!(errors[0].contains("NoMigration migrated"));
         assert!(errors[1].contains("strictly fewer migrate-backs"));
@@ -903,14 +833,66 @@ mod tests {
         rows[4].migrations = 10;
         rows[1].migrations = 0;
         rows[1].migrate_backs = 0;
-        let errors = check_internal(&rows);
+        let errors = check_internal(&rows, &healthy_kv());
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(errors[0].contains("must migrate"));
+    }
+
+    #[test]
+    fn invariants_pass_on_a_healthy_sweep_and_catch_each_violation() {
+        let check = |kv: &[KvRow]| check_internal(&[], kv);
+        assert_eq!(check(&healthy_kv()), Vec::<String>::new());
+
+        // NM moving is a violation.
+        let mut rows = healthy_kv();
+        rows[0].migrations = 1;
+        assert!(check(&rows)
+            .iter()
+            .any(|e| e.contains("no-migration baseline moved")));
+
+        // An adaptive policy that stops beating NM on messages.
+        let mut rows = healthy_kv();
+        rows[2].messages = 1001;
+        assert!(check(&rows)
+            .iter()
+            .any(|e| e.contains("stopped paying for itself")));
+
+        // A fingerprint split is a semantic failure.
+        let mut rows = healthy_kv();
+        rows[1].fingerprint ^= 1;
+        assert!(check(&rows)
+            .iter()
+            .any(|e| e.contains("changed the application result")));
+
+        // AT redirections concentrating in settle windows.
+        let mut rows = healthy_kv();
+        rows[2].shift_redirects = 10;
+        rows[2].settle_redirects = 40;
+        assert!(check(&rows)
+            .iter()
+            .any(|e| e.contains("did not drop after hot-set shifts")));
+
+        // A missing policy is reported by name, the missing baseline above all.
+        let rows: Vec<KvRow> = healthy_kv()
+            .into_iter()
+            .filter(|r| r.policy != "EWMA")
+            .collect();
+        assert!(check(&rows)
+            .iter()
+            .any(|e| e.contains("kv[EWMA] row missing")));
+        assert!(check(&[]).iter().any(|e| e.contains("NM row missing")));
     }
 
     #[test]
     fn gate_rows_have_stable_keys() {
         assert_eq!(row("a", true, 1, 1.0).key(), "a[batched]");
         assert_eq!(row("a", false, 1, 1.0).key(), "a[unbatched]");
+        assert_eq!(kv_row("AT", 1, 1, 1).key(), "kv[AT]");
+    }
+
+    #[test]
+    fn redirects_per_1k_is_ops_normalized() {
+        let r = kv_row("AT", 10, 192, 100);
+        assert!((r.redirects_per_1k() - 2.0).abs() < 1e-9);
     }
 }

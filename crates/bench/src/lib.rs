@@ -4,9 +4,7 @@
 //! returning the rows/series the paper plots, plus report binaries
 //! (`fig2`, `fig3`, `fig5`, `ablation_notify`, `ablation_alpha`,
 //! `ablation_related`) that print the same data as aligned text tables and
-//! CSV. The `benches/` targets are plain `harness = false` binaries built
-//! on [`time_bench`] — the offline build environment carries no criterion
-//! dependency.
+//! CSV.
 //!
 //! Paper workload sizes (1024-vertex ASP, 2048×2048 SOR, 16 nodes) take a
 //! while on a single development machine because the whole cluster is
@@ -15,10 +13,13 @@
 //! seconds; `Scale::Paper` uses the paper's sizes. Binaries accept `--full`
 //! to select the paper scale.
 //!
-//! Besides the modeled figures, [`throughput`] measures **wall-clock**
-//! ops/sec and latency percentiles for the KV serving workload across the
-//! policy grid, and [`gate`] + [`throughput`] together write and check the
-//! two-section `BENCH_PR.json` regression document.
+//! Everything here reports **modeled** numbers (message counts, migrations,
+//! Hockney time on a virtual clock). [`gate`] is the one regression gate:
+//! it runs the modeled workloads and the KV policy sweep on the
+//! deterministic sim fabric and requires the rendered document to equal the
+//! committed `bench/baseline.json` byte for byte. Wall-clock throughput and
+//! latency are measured only by the repo benchmark (`benchmark/`, see
+//! `benchmark/README.md`).
 //!
 //! ## Adding a workload
 //!
@@ -43,16 +44,12 @@
 //!   × seed sweep runs every cell many times; aim for well under a second
 //!   per cell). The sim matrix, the lossy fault matrix, the weekly extended
 //!   sweep and the TCP conformance suite all widen automatically.
-//! * **Throughput harness** — only if the workload is a *serving* loop
-//!   whose wall-clock rate is meaningful; wire it in
-//!   [`throughput::collect`] and extend the row invariants
-//!   ([`throughput::check_rows`]) with whatever per-policy behaviour the
-//!   workload pins down. Refresh `bench/throughput_baseline.json` with
-//!   `throughput --gate --write-baseline` in the same PR.
-//!
-//! Modeled workloads instead join the [`gate`] (add the name to
-//! [`gate::WORKLOADS`], run it in `run_workload`, refresh
-//! `bench/baseline.json` with `bench_gate --write-baseline`).
+//! * **Regression gate** — add the name to [`gate::WORKLOADS`], run it in
+//!   `run_workload` on the gate's sim fabric, extend
+//!   [`gate::check_internal`] with whatever behaviour the workload pins
+//!   down, and refresh `bench/baseline.json` with
+//!   `bench_gate --write-baseline` in the same PR. The gate runs inside
+//!   tier-1 in a debug build, so keep a cell to a fraction of a second.
 //!
 //! [`writer`]: dsm_apps::kv::writer
 
@@ -66,7 +63,6 @@ pub mod fig5;
 pub mod gate;
 pub mod matrix;
 pub mod table;
-pub mod throughput;
 
 use dsm_core::ProtocolConfig;
 use dsm_model::ComputeModel;
@@ -120,26 +116,35 @@ pub fn cluster_on(nodes: usize, protocol: ProtocolConfig, fabric: &FabricMode) -
 /// threaded fabric.
 ///
 /// # Panics
-/// Panics on an unknown `--fabric` value or an unparsable `--seed`, so a
-/// typo cannot silently fall back to a different experiment.
+/// Panics with a usage message on an unknown or missing `--fabric` value,
+/// an unparsable or missing `--seed` value, or a `--seed` without
+/// `--fabric sim` (only the sim fabric is seeded), so a typo cannot
+/// silently fall back to a different experiment.
 pub fn fabric_from_args() -> FabricMode {
-    let args: Vec<String> = std::env::args().collect();
+    fabric_from(&std::env::args().collect::<Vec<_>>())
+}
+
+fn fabric_from(args: &[String]) -> FabricMode {
+    const USAGE: &str = "usage: [--fabric threaded|sim|tcp] [--seed N, with --fabric sim only]";
     let value_of = |flag: &str| -> Option<&str> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-    };
-    match value_of("--fabric") {
-        None | Some("threaded") => FabricMode::Threaded,
-        Some("sim") => {
-            let seed = value_of("--seed").map_or(2004, |s| {
-                dsm_util::parse_seed(s).unwrap_or_else(|e| panic!("--seed {s:?} is invalid: {e}"))
-            });
-            FabricMode::Sim(SimConfig::perturbed(seed))
+        let at = args.iter().position(|a| a == flag)?;
+        match args.get(at + 1) {
+            Some(value) => Some(value.as_str()),
+            None => panic!("{flag} needs a value ({USAGE})"),
         }
+    };
+    let fabric = value_of("--fabric");
+    let seed = value_of("--seed").map(|s| {
+        dsm_util::parse_seed(s).unwrap_or_else(|e| panic!("--seed {s:?} is invalid: {e} ({USAGE})"))
+    });
+    if seed.is_some() && fabric != Some("sim") {
+        panic!("--seed only applies to --fabric sim ({USAGE})");
+    }
+    match fabric {
+        None | Some("threaded") => FabricMode::Threaded,
+        Some("sim") => FabricMode::Sim(SimConfig::perturbed(seed.unwrap_or(2004))),
         Some("tcp") => FabricMode::Tcp(TcpConfig::default()),
-        Some(other) => panic!("unknown --fabric {other:?} (expected: threaded, sim, tcp)"),
+        Some(other) => panic!("unknown --fabric {other:?} ({USAGE})"),
     }
 }
 
@@ -159,24 +164,6 @@ pub fn fabric_note(fabric: &FabricMode) -> Option<&'static str> {
     }
 }
 
-/// Run `f` `iters` times and print the minimum and mean wall-clock duration.
-/// The `benches/` targets are plain `harness = false` binaries built on this
-/// helper (the offline build environment carries no criterion dependency).
-pub fn time_bench(label: &str, iters: u32, mut f: impl FnMut()) {
-    use std::time::{Duration, Instant};
-    assert!(iters > 0, "a benchmark needs at least one iteration");
-    let mut best = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        let elapsed = start.elapsed();
-        best = best.min(elapsed);
-        total += elapsed;
-    }
-    println!("{label:>16}: min {best:>12?}  mean {:>12?}", total / iters);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +172,56 @@ mod tests {
     fn scale_default_is_small() {
         // The test binary has no --full flag.
         assert_eq!(Scale::from_args(), Scale::Small);
+    }
+
+    fn fabric(args: &[&str]) -> FabricMode {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        fabric_from(&args)
+    }
+
+    #[test]
+    fn fabric_args_select_the_fabric_and_seed() {
+        assert!(matches!(fabric(&["fig3"]), FabricMode::Threaded));
+        assert!(matches!(
+            fabric(&["fig3", "--full", "--fabric", "threaded"]),
+            FabricMode::Threaded
+        ));
+        assert!(matches!(
+            fabric(&["fig3", "--fabric", "tcp"]),
+            FabricMode::Tcp(_)
+        ));
+        let FabricMode::Sim(sim) = fabric(&["fig3", "--fabric", "sim"]) else {
+            panic!("--fabric sim must select the sim fabric");
+        };
+        assert_eq!(sim.seed, 2004);
+        let FabricMode::Sim(sim) = fabric(&["fig3", "--seed", "0x2a", "--fabric", "sim"]) else {
+            panic!("--fabric sim must select the sim fabric");
+        };
+        assert_eq!(sim.seed, 42);
+    }
+
+    #[test]
+    #[should_panic(expected = "--fabric needs a value")]
+    fn fabric_flag_without_a_value_is_rejected() {
+        fabric(&["fig3", "--fabric"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--seed only applies to --fabric sim")]
+    fn seed_without_the_sim_fabric_is_rejected() {
+        fabric(&["fig3", "--seed", "7"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--seed only applies to --fabric sim")]
+    fn seed_with_another_fabric_is_rejected() {
+        fabric(&["fig3", "--fabric", "tcp", "--seed", "7"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown --fabric")]
+    fn unknown_fabric_is_rejected() {
+        fabric(&["fig3", "--fabric", "simm"]);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   [`prelude::ReadView`]/[`prelude::WriteView`] guards;
 //! * [`apps`] — the paper's workloads (ASP, SOR, Barnes–Hut Nbody, TSP and
 //!   the synthetic single-writer benchmark) plus the Zipfian KV serving
-//!   workload behind the wall-clock throughput harness.
+//!   workload behind the regression gate's policy sweep.
 //!
 //! ## Quick start
 //!
