@@ -159,7 +159,8 @@ use crate::shard::EngineShard;
 use crate::stats::ProtocolStats;
 use crate::sync::{BarrierOutcome, LockAcquireOutcome, LockReleaseOutcome};
 use dsm_objspace::{
-    BarrierId, Diff, LockId, NodeId, ObjectData, ObjectId, ObjectRegistry, ObjectStore, Version,
+    BarrierId, Diff, Element, LockId, NodeId, ObjectData, ObjectId, ObjectRegistry, ObjectStore,
+    Version,
 };
 use dsm_util::{Mutex, MutexGuard, RwReadGuard, RwWriteGuard};
 use std::collections::HashMap;
@@ -447,13 +448,14 @@ impl ProtocolEngine {
     /// Called on every node for every object during application start-up;
     /// only the object's initial home stores the data (no messages — every
     /// node can compute the same initial contents, exactly like every JVM
-    /// node executing the same allocation code).
+    /// node executing the same allocation code), so the size is checked
+    /// everywhere but the payload is built only at the home.
     ///
     /// # Panics
     /// Panics if the payload size does not match the registered descriptor,
     /// or if the object has already been written through the protocol.
-    pub fn bootstrap_object(&self, obj: ObjectId, data: ObjectData) {
-        self.shard(obj).bootstrap_object(obj, data);
+    pub fn bootstrap_object<T: Element>(&self, obj: ObjectId, values: &[T]) {
+        self.shard(obj).bootstrap_object(obj, values);
     }
 
     // ------------------------------------------------------------------
@@ -1234,9 +1236,8 @@ mod tests {
     fn bootstrap_seeds_only_the_home() {
         let e = engines(ProtocolConfig::no_migration());
         let obj = obj_x();
-        let data = ObjectData::from_bytes(vec![9u8; 64]);
         for eng in e.iter() {
-            eng.bootstrap_object(obj, data.clone());
+            eng.bootstrap_object(obj, &[9u8; 64]);
         }
         assert_eq!(e[0].home_bytes(obj).unwrap(), vec![9u8; 64]);
         assert!(e[1].home_bytes(obj).is_none());
@@ -1246,7 +1247,7 @@ mod tests {
     #[should_panic(expected = "size mismatch")]
     fn bootstrap_rejects_wrong_size() {
         let e = engines(ProtocolConfig::no_migration());
-        e[0].bootstrap_object(obj_x(), ObjectData::zeroed(8));
+        e[0].bootstrap_object(obj_x(), &[0u8; 8]);
     }
 
     #[test]

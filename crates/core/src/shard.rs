@@ -19,8 +19,8 @@ use crate::migration::MigrationState;
 use crate::policy::PolicyInputs;
 use crate::stats::ProtocolStats;
 use dsm_objspace::{
-    new_store, AccessState, Diff, NodeId, ObjectData, ObjectId, ObjectRegistry, ObjectStore, Twin,
-    Version,
+    new_store, AccessState, Diff, Element, NodeId, ObjectData, ObjectId, ObjectRegistry,
+    ObjectStore, Twin, Version,
 };
 use dsm_util::{RwReadGuard, RwWriteGuard};
 use std::collections::{HashMap, HashSet};
@@ -142,15 +142,17 @@ impl EngineShard {
         self.registry.expect(obj).initial_home(self.num_nodes)
     }
 
-    /// Seed the home copy of `obj` with deterministic initial contents.
+    /// Seed the home copy of `obj` with deterministic initial contents. The
+    /// size is checked on every node; the payload is built only where it is
+    /// kept, at the home.
     ///
     /// # Panics
     /// Panics if the payload size does not match the registered descriptor,
     /// or if the object has already been written through the protocol.
-    pub(crate) fn bootstrap_object(&mut self, obj: ObjectId, data: ObjectData) {
+    pub(crate) fn bootstrap_object<T: Element>(&mut self, obj: ObjectId, values: &[T]) {
         let desc = self.registry.expect(obj);
         assert_eq!(
-            data.len(),
+            values.len() * T::SIZE,
             desc.size_bytes,
             "bootstrap payload size mismatch for {obj}"
         );
@@ -160,7 +162,7 @@ impl EngineShard {
                 Version::INITIAL,
                 "bootstrap after the protocol already ran on {obj}"
             );
-            *entry.data.write() = data;
+            *entry.data.write() = ObjectData::from_elements(values);
         }
     }
 

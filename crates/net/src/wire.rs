@@ -45,6 +45,12 @@ pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 /// (magic + version + kind).
 pub const FRAME_HEADER_BYTES: usize = 4 + 2 + 1;
 
+/// Size of the length prefix that leads every frame.
+const FRAME_LEN_BYTES: usize = 4;
+
+/// Size of everything in a frame that is not its kind-specific body.
+const FRAME_PREFIX_BYTES: usize = FRAME_LEN_BYTES + FRAME_HEADER_BYTES;
+
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
@@ -184,6 +190,13 @@ impl WireWriter {
     /// An empty writer.
     pub fn new() -> Self {
         WireWriter::default()
+    }
+
+    /// An empty writer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        WireWriter {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     /// Append one byte.
@@ -366,20 +379,30 @@ pub trait WireCodec<M> {
     fn decode(r: &mut WireReader<'_>) -> Result<M, WireError>;
 }
 
-/// Frame `body` under `kind`: length prefix, magic, version, kind, body.
-pub fn encode_frame(kind: FrameKind, body: &[u8]) -> Vec<u8> {
-    let body_len = FRAME_HEADER_BYTES + body.len();
+/// Build a complete frame of `kind` in one buffer: reserve the length
+/// prefix, write the header, let `body` append the kind-specific bytes in
+/// place, then back-patch the length. `capacity` sizes the buffer up front
+/// (a hint: the buffer still grows if the body turns out larger).
+fn build_frame(kind: FrameKind, capacity: usize, body: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(capacity);
+    w.u32(0);
+    w.u32(WIRE_MAGIC);
+    w.u16(WIRE_VERSION);
+    w.u8(kind.code());
+    body(&mut w);
+    let mut frame = w.into_vec();
+    let body_len = frame.len() - FRAME_LEN_BYTES;
     assert!(
         body_len <= MAX_FRAME_BYTES as usize,
         "frame body of {body_len} bytes exceeds MAX_FRAME_BYTES"
     );
-    let mut w = WireWriter::new();
-    w.u32(body_len as u32);
-    w.u32(WIRE_MAGIC);
-    w.u16(WIRE_VERSION);
-    w.u8(kind.code());
-    w.bytes(body);
-    w.into_vec()
+    frame[..FRAME_LEN_BYTES].copy_from_slice(&(body_len as u32).to_le_bytes());
+    frame
+}
+
+/// Frame `body` under `kind`: length prefix, magic, version, kind, body.
+pub fn encode_frame(kind: FrameKind, body: &[u8]) -> Vec<u8> {
+    build_frame(kind, FRAME_PREFIX_BYTES + body.len(), |w| w.bytes(body))
 }
 
 /// Decode a frame given everything *after* the length prefix; returns the
@@ -400,17 +423,26 @@ pub fn decode_frame(frame: &[u8]) -> Result<(FrameKind, &[u8]), WireError> {
     Ok((kind, body))
 }
 
-/// Encode a full payload frame for `env` (length prefix included).
+/// Size of the envelope header that leads a payload-frame body: `src`,
+/// `dst`, category code, `wire_bytes`, `sent_at`, `arrival`.
+const ENVELOPE_HEADER_BYTES: usize = 2 + 2 + 1 + 8 + 8 + 8;
+
+/// Encode a full payload frame for `env` (length prefix included), straight
+/// into the one buffer that is returned.
 pub fn encode_envelope<M, C: WireCodec<M>>(env: &Envelope<M>) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u16(env.src.0);
-    w.u16(env.dst.0);
-    w.u8(category_code(env.category));
-    w.u64(env.wire_bytes);
-    w.u64(env.sent_at.as_nanos());
-    w.u64(env.arrival.as_nanos());
-    C::encode(&env.payload, &mut w);
-    encode_frame(FrameKind::Payload, &w.into_vec())
+    // The modeled message size tracks the encoded one closely enough to
+    // size the buffer once for nearly every message.
+    let modeled = env.wire_bytes.min(u64::from(MAX_FRAME_BYTES)) as usize;
+    let capacity = FRAME_PREFIX_BYTES + ENVELOPE_HEADER_BYTES + modeled;
+    build_frame(FrameKind::Payload, capacity, |w| {
+        w.u16(env.src.0);
+        w.u16(env.dst.0);
+        w.u8(category_code(env.category));
+        w.u64(env.wire_bytes);
+        w.u64(env.sent_at.as_nanos());
+        w.u64(env.arrival.as_nanos());
+        C::encode(&env.payload, w);
+    })
 }
 
 /// Decode a payload-frame body back into an envelope, checking that the
@@ -452,11 +484,11 @@ pub struct Hello {
 
 /// Encode a full hello frame (length prefix included).
 pub fn encode_hello(hello: Hello) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u16(hello.node.0);
-    w.u16(hello.num_nodes);
-    w.u32(hello.incarnation);
-    encode_frame(FrameKind::Hello, &w.into_vec())
+    build_frame(FrameKind::Hello, FRAME_PREFIX_BYTES + 8, |w| {
+        w.u16(hello.node.0);
+        w.u16(hello.num_nodes);
+        w.u32(hello.incarnation);
+    })
 }
 
 /// Decode a hello-frame body.

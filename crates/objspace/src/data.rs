@@ -42,9 +42,23 @@ impl ObjectData {
 
     /// Create an object from raw bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        let mut data = ObjectData::with_capacity_bytes(bytes.len());
-        data.bytes_mut().copy_from_slice(&bytes);
-        data
+        // Build the aligned words in one pass over the input (every fault-in
+        // comes through here) instead of zero-filling them first. Whole
+        // words and the padded tail are separate so the body compiles to a
+        // plain copy (a single `chunks(8)` loop measured 10x slower).
+        let mut words = Vec::with_capacity(bytes.len().div_ceil(8));
+        let chunks = bytes.chunks_exact(8);
+        let tail = chunks.remainder();
+        words.extend(chunks.map(|c| u64::from_ne_bytes(c.try_into().expect("8-byte chunk"))));
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            words.push(u64::from_ne_bytes(last));
+        }
+        ObjectData {
+            words,
+            len: bytes.len(),
+        }
     }
 
     /// Create an object holding the encoding of a typed slice.

@@ -19,7 +19,11 @@
 //! * [`Twin`] and [`Diff`] — the multiple-writer machinery: a twin is the
 //!   pristine copy made before the first local write in an interval; a diff
 //!   is the word-granularity delta between the current copy and the twin,
-//!   propagated to the home at release time (HLRC).
+//!   propagated to the home at release time (HLRC). A diff is stored flat —
+//!   one payload buffer plus one `(offset, len)` run table, so its cost in
+//!   allocations does not grow with its run count — and a run never carries
+//!   a word its writer left alone, which is what lets concurrent writers of
+//!   one object flush in any order (see [`diff`]).
 //! * [`AccessState`] — the explicit access-state machine that replaces the
 //!   paper's virtual-memory/page-fault trapping: caches and home copies move
 //!   between `Invalid`, `ReadOnly` and `ReadWrite`, and every upgrade is

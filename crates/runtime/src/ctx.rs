@@ -34,7 +34,7 @@ use dsm_core::{
     ProtocolMsg,
 };
 use dsm_model::{SimDuration, SimTime};
-use dsm_objspace::{BarrierId, DsmError, DsmResult, Element, LockId, NodeId, ObjectData, ObjectId};
+use dsm_objspace::{BarrierId, DsmError, DsmResult, Element, LockId, NodeId, ObjectId};
 use dsm_util::SmallRng;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -288,9 +288,7 @@ impl NodeCtx {
             return Err(DsmError::ViewConflict { obj: handle.id });
         }
         assert_eq!(values.len(), handle.len, "bootstrap length mismatch");
-        self.shared
-            .engine
-            .bootstrap_object(handle.id, ObjectData::from_elements(values));
+        self.shared.engine.bootstrap_object(handle.id, values);
         Ok(())
     }
 
@@ -730,6 +728,8 @@ impl NodeCtx {
                 ProtocolMsg::DiffFlush {
                     req,
                     obj: plan.obj,
+                    // The plan keeps its diff for a redirected re-send; the
+                    // copy is two memcpys whatever the run count.
                     diff: plan.diff.clone(),
                     from: node,
                     redirections,
@@ -761,7 +761,7 @@ impl NodeCtx {
     /// immediately; entries whose home migrated mid-flight come back as
     /// per-entry redirects and are re-planned individually through the
     /// usual epoch-guarded [`Self::flush_plan`] chase.
-    fn flush_batch(&self, batch: FlushBatch) {
+    fn flush_batch(&self, mut batch: FlushBatch) {
         let node = self.shared.node;
         let engine = &self.shared.engine;
         engine.note_diff_batch(batch.entries.len());
@@ -798,19 +798,15 @@ impl NodeCtx {
                 }
                 DiffEntryStatus::Redirect { new_home, epoch } => {
                     let target = self.retarget_after_redirect(result.obj, new_home, epoch);
-                    let plan = batch
+                    // Each entry resolves once, so the retained plan (and
+                    // its diff) moves into the individual chase.
+                    let pos = batch
                         .entries
                         .iter()
-                        .find(|plan| plan.obj == result.obj)
+                        .position(|plan| plan.obj == result.obj)
                         .expect("ack result matches a batch entry");
-                    self.flush_plan(
-                        FlushPlan {
-                            obj: plan.obj,
-                            target,
-                            diff: plan.diff.clone(),
-                        },
-                        1,
-                    );
+                    let plan = batch.entries.swap_remove(pos);
+                    self.flush_plan(FlushPlan { target, ..plan }, 1);
                 }
             }
         }

@@ -27,10 +27,11 @@
 //! | `MigrationState` | all fields in declaration order, including both `PolicyScratch` lanes |
 //!
 //! Collection counts are validated against the remaining input *before*
-//! any allocation, and `Diff` bodies are reconstructed through the
-//! validated `Diff::from_runs` constructor, so a malformed or hostile
-//! frame yields a typed [`WireError`] — never a panic, never an oversized
-//! allocation, never a `Diff` violating its run-ordering invariants.
+//! any allocation, and `Diff` bodies are decoded run by run through the
+//! validated `Diff::push_run`, straight into the diff's one payload buffer
+//! and run table, so a malformed or hostile frame yields a typed
+//! [`WireError`] — never a panic, never an oversized allocation, never a
+//! `Diff` violating its run-ordering invariants.
 //! [`WireError`] converts into the application-facing error taxonomy via
 //! `DsmError::Transport`.
 
@@ -42,7 +43,6 @@ use dsm_core::{
     PolicyScratch, ProtocolMsg, ReqId,
 };
 use dsm_net::wire::{WireCodec, WireError, WireReader, WireWriter};
-use dsm_objspace::diff::DiffRun;
 use dsm_objspace::{BarrierId, Diff, DsmError, LockId, NodeId, ObjectId, Version};
 
 /// Convert a wire-decoding failure into the runtime's error taxonomy.
@@ -113,10 +113,10 @@ fn put_diff(w: &mut WireWriter, diff: &Diff) {
     let object_len =
         u32::try_from(diff.object_len()).expect("object length exceeds the 4 GiB wire limit");
     w.u32(object_len);
-    w.u32(u32::try_from(diff.runs().len()).expect("run count exceeds u32"));
-    for run in diff.runs() {
-        w.u32(run.offset);
-        w.len_bytes(&run.bytes);
+    w.u32(u32::try_from(diff.run_count()).expect("run count exceeds u32"));
+    for (offset, bytes) in diff.runs() {
+        w.u32(offset);
+        w.len_bytes(bytes);
     }
 }
 
@@ -127,18 +127,23 @@ const MIN_RUN_BYTES: usize = 4 + 4 + 1;
 fn get_diff(r: &mut WireReader<'_>) -> Result<Diff, WireError> {
     let object_len = r.u32()?;
     let count = r.count(MIN_RUN_BYTES)?;
-    let mut runs = Vec::with_capacity(count);
+    // Valid runs do not overlap, so the object length bounds the payload as
+    // surely as the remaining input does.
+    let payload_bound = r.remaining().min(object_len as usize);
+    let mut diff = Diff::with_capacity(object_len, count, payload_bound);
     for _ in 0..count {
         let offset = r.u32()?;
-        let bytes = r.len_bytes()?.to_vec();
-        runs.push(DiffRun { offset, bytes });
+        let bytes = r.len_bytes()?;
+        // The validated append: empty, overlapping, unsorted or
+        // out-of-bounds runs from the network are rejected here instead of
+        // corrupting home copies later.
+        if !diff.push_run(offset, bytes) {
+            return Err(WireError::Invalid {
+                context: "diff run layout",
+            });
+        }
     }
-    // Reconstruct through the validated constructor: empty, overlapping,
-    // unsorted or out-of-bounds runs from the network are rejected here
-    // instead of corrupting home copies later.
-    Diff::from_runs(runs, object_len).ok_or(WireError::Invalid {
-        context: "diff run layout",
-    })
+    Ok(diff)
 }
 
 fn put_grant(w: &mut WireWriter, grant: &MigrationGrant) {
@@ -602,20 +607,7 @@ mod tests {
     use dsm_util::SmallRng;
 
     fn sample_diff() -> Diff {
-        Diff::from_runs(
-            vec![
-                DiffRun {
-                    offset: 0,
-                    bytes: vec![1, 2, 3, 4],
-                },
-                DiffRun {
-                    offset: 12,
-                    bytes: vec![9],
-                },
-            ],
-            64,
-        )
-        .expect("valid runs")
+        Diff::from_runs(&[(0, &[1, 2, 3, 4]), (12, &[9])], 64).expect("valid runs")
     }
 
     fn sample_grant() -> MigrationGrant {
@@ -691,7 +683,7 @@ mod tests {
                     },
                     DiffBatchEntry {
                         obj: ObjectId(107),
-                        diff: Diff::from_runs(Vec::new(), 16).expect("empty diff"),
+                        diff: Diff::from_runs(&[], 16).expect("empty diff"),
                     },
                 ],
                 from: NodeId(0),
@@ -882,29 +874,183 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn malformed_diff_runs_are_rejected_not_installed() {
-        // Overlapping runs: offsets 0..4 and 2..3.
+    /// A `DiffFlush` body whose diff section is written field by field, so
+    /// a test can state layouts the encoder would never produce.
+    fn diff_flush_body(object_len: u32, run_count: u32, runs: &[(u32, &[u8])]) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.u8(TAG_DIFF_FLUSH);
         w.u64(1); // req
         w.u64(2); // obj
-        w.u32(64); // object_len
-        w.u32(2); // run count
-        w.u32(0);
-        w.len_bytes(&[1, 2, 3, 4]);
-        w.u32(2);
-        w.len_bytes(&[9]);
+        w.u32(object_len);
+        w.u32(run_count);
+        for (offset, bytes) in runs {
+            w.u32(*offset);
+            w.len_bytes(bytes);
+        }
         w.u16(0); // from
         w.u32(0); // redirections
-        let bytes = w.into_vec();
-        let mut r = WireReader::new(&bytes);
+        w.into_vec()
+    }
+
+    #[test]
+    fn malformed_diff_runs_are_rejected_not_installed() {
+        let invalid_layout = [
+            // Overlapping runs: offsets 0..4 and 2..3.
+            diff_flush_body(64, 2, &[(0, &[1, 2, 3, 4]), (2, &[9])]),
+            // Unsorted runs.
+            diff_flush_body(64, 2, &[(12, &[9]), (0, &[1, 2, 3, 4])]),
+            // A run reaching past the object.
+            diff_flush_body(64, 1, &[(62, &[1, 2, 3])]),
+            diff_flush_body(u32::MAX, 1, &[(u32::MAX, &[1, 2])]),
+            // An empty run.
+            diff_flush_body(64, 1, &[(0, &[])]),
+        ];
+        for bytes in &invalid_layout {
+            let mut r = WireReader::new(bytes);
+            assert!(matches!(
+                ProtocolCodec::decode(&mut r),
+                Err(WireError::Invalid {
+                    context: "diff run layout"
+                })
+            ));
+        }
+        // A run count the body cannot hold fails before any allocation; one
+        // merely larger than the runs present runs out of input.
+        let bytes = diff_flush_body(64, u32::MAX, &[(0, &[1, 2, 3, 4])]);
         assert!(matches!(
-            ProtocolCodec::decode(&mut r),
-            Err(WireError::Invalid {
-                context: "diff run layout"
-            })
+            ProtocolCodec::decode(&mut WireReader::new(&bytes)),
+            Err(WireError::Oversized { .. })
         ));
+        let bytes = diff_flush_body(64, 2, &[(0, &[1, 2, 3, 4])]);
+        assert!(matches!(
+            ProtocolCodec::decode(&mut WireReader::new(&bytes)),
+            Err(WireError::Truncated { .. } | WireError::Oversized { .. })
+        ));
+    }
+
+    /// Dense, sparse, empty and whole-object diffs survive the codec with
+    /// their run tables and payloads intact, alone and batched.
+    #[test]
+    fn computed_diffs_round_trip() {
+        let row: Vec<u8> = (0..16_384).map(|i| (i * 7) as u8).collect();
+        let mut dense = row.clone();
+        for f in (8..16_376).step_by(16) {
+            dense[f..f + 8].iter_mut().for_each(|b| *b ^= 0xFF);
+        }
+        let mut sparse = vec![0u8; 509];
+        sparse[3] = 1;
+        sparse[255] = 2;
+        sparse[508] = 3;
+        let diffs = [
+            Diff::between(&row, &dense),
+            Diff::between(&[0u8; 509], &sparse),
+            Diff::between(&row, &row),
+            Diff::full(&row),
+            Diff::full(&[]),
+        ];
+        assert_eq!(diffs[0].run_count(), 1023);
+        assert_eq!(diffs[1].run_count(), 3);
+        let mut msgs: Vec<ProtocolMsg> = diffs
+            .iter()
+            .map(|diff| ProtocolMsg::DiffFlush {
+                req: ReqId(5),
+                obj: ObjectId(104),
+                diff: diff.clone(),
+                from: NodeId(2),
+                redirections: 0,
+            })
+            .collect();
+        msgs.push(ProtocolMsg::DiffBatch {
+            req: ReqId(7),
+            entries: (0u64..)
+                .zip(&diffs)
+                .map(|(i, diff)| DiffBatchEntry {
+                    obj: ObjectId(i),
+                    diff: diff.clone(),
+                })
+                .collect(),
+            from: NodeId(1),
+        });
+        for (i, msg) in msgs.into_iter().enumerate() {
+            let env = envelope_for(msg, i as u64);
+            let frame = encode_envelope::<ProtocolMsg, ProtocolCodec>(&env);
+            let (_, body) = decode_frame(&frame[4..]).expect("valid frame");
+            let back = decode_envelope::<ProtocolMsg, ProtocolCodec>(body).expect("decodes");
+            assert_eq!(back, env);
+        }
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+            .collect()
+    }
+
+    /// The wire format is pinned byte for byte: these frames were printed by
+    /// the build that preceded the flat `Diff` layout and the single-buffer
+    /// frame encoder, and both must keep producing them.
+    #[test]
+    fn golden_frames_are_unchanged() {
+        let flush = ProtocolMsg::DiffFlush {
+            req: ReqId(5),
+            obj: ObjectId(104),
+            diff: sample_diff(),
+            from: NodeId(2),
+            redirections: 1,
+        };
+        let mut new = [0u8; 22];
+        new[0] = 1;
+        new[9] = 2;
+        new[21] = 3;
+        let batch = ProtocolMsg::DiffBatch {
+            req: ReqId(7),
+            entries: vec![
+                DiffBatchEntry {
+                    obj: ObjectId(106),
+                    diff: sample_diff(),
+                },
+                // Computed, not assembled: pins `Diff::between`'s run
+                // boundaries, trailing partial word included.
+                DiffBatchEntry {
+                    obj: ObjectId(107),
+                    diff: Diff::between(&[0u8; 22], &new),
+                },
+            ],
+            from: NodeId(0),
+        };
+        let data: Vec<u8> = (0..512).map(|i| i as u8).collect();
+        let reply = ProtocolMsg::ObjectReply {
+            req: ReqId(2),
+            obj: ObjectId(101),
+            data: data.clone(),
+            version: Version(9),
+            migration: None,
+        };
+        let mut reply_frame = unhex(
+            "4202000044534d5701000101000200012002000000000000d007000000000000\
+             fa07000000000000010200000000000000650000000000000000020000",
+        );
+        reply_frame.extend_from_slice(&data);
+        reply_frame.extend_from_slice(&unhex("090000000000000000"));
+        let golden = [
+            unhex(
+                "5800000044534d570100010100020003350000000000000000000000000000002a0000\
+                 0000000000030500000000000000680000000000000040000000020000000000000004\
+                 000000010203040c0000000100000009020001000000",
+            ),
+            unhex(
+                "8a00000044534d5701000101000200056700000000000000e8030000000000001204000000\
+                 000000050700000000000000020000006a0000000000000040000000020000000000000004\
+                 000000010203040c00000001000000096b0000000000000016000000030000000000000004\
+                 00000001000000080000000400000000020000140000000200000000030000",
+            ),
+            reply_frame,
+        ];
+        for (i, (msg, expected)) in [flush, batch, reply].into_iter().zip(golden).enumerate() {
+            let frame = encode_envelope::<ProtocolMsg, ProtocolCodec>(&envelope_for(msg, i as u64));
+            assert_eq!(frame, expected, "frame {i}");
+        }
     }
 
     #[test]
