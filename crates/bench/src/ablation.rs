@@ -13,8 +13,12 @@ use crate::table::{fmt_f, Table};
 use crate::{cluster, Scale};
 use dsm_apps::sor;
 use dsm_apps::synthetic::{self, SyntheticParams};
-use dsm_core::{MigrationPolicy, NotificationMechanism, ProtocolConfig};
+use dsm_core::{
+    AdaptiveThresholdPolicy, FixedThresholdPolicy, HomeMigrationPolicy, LazyFlushingPolicy,
+    MigrateOnRequestPolicy, NoMigrationPolicy, NotificationMechanism, ProtocolConfig,
+};
 use dsm_net::MsgCategory;
+use std::sync::Arc;
 
 /// One ablation measurement.
 #[derive(Debug, Clone)]
@@ -102,10 +106,10 @@ pub fn coefficient_sensitivity(scale: Scale) -> Vec<AblationPoint> {
         ("lambda=0.25, alpha=model", 0.25, None),
         ("lambda=4, alpha=model", 4.0, None),
     ] {
-        let policy = MigrationPolicy::AdaptiveThreshold {
-            lambda,
-            initial_threshold: 1.0,
-            alpha_override: alpha,
+        let policy = AdaptiveThresholdPolicy::new(lambda, 1.0);
+        let policy = match alpha {
+            Some(alpha) => policy.with_alpha_override(alpha),
+            None => policy,
         };
         points.push(run_synthetic(
             label,
@@ -128,13 +132,17 @@ pub fn related_work_comparison(scale: Scale) -> Vec<AblationPoint> {
     };
     let params = sor::SorParams::small(size, 4);
     let mut points = Vec::new();
-    for (label, policy) in [
-        ("AT (paper)", MigrationPolicy::adaptive()),
-        ("FT2", MigrationPolicy::fixed(2)),
-        ("JUMP migrate-on-request", MigrationPolicy::MigrateOnRequest),
-        ("Jackal lazy flushing", MigrationPolicy::lazy_flushing()),
-        ("No migration", MigrationPolicy::NoMigration),
-    ] {
+    let policies: [(&str, Arc<dyn HomeMigrationPolicy>); 5] = [
+        ("AT (paper)", Arc::new(AdaptiveThresholdPolicy::paper())),
+        ("FT2", Arc::new(FixedThresholdPolicy::new(2))),
+        ("JUMP migrate-on-request", Arc::new(MigrateOnRequestPolicy)),
+        (
+            "Jackal lazy flushing",
+            Arc::new(LazyFlushingPolicy::default()),
+        ),
+        ("No migration", Arc::new(NoMigrationPolicy)),
+    ];
+    for (label, policy) in policies {
         let run = sor::run(
             cluster(8, ProtocolConfig::adaptive().with_migration(policy)),
             &params,

@@ -40,7 +40,7 @@ use crate::{cluster_on, Scale};
 use dsm_apps::kv::{self, KvParams};
 use dsm_apps::synthetic::{self, SyntheticParams};
 use dsm_apps::{asp, sor};
-use dsm_core::{EwmaWriteRatioPolicy, HysteresisPolicy, MigrationPolicy, ProtocolConfig};
+use dsm_core::{AdaptiveThresholdPolicy, EwmaWriteRatioPolicy, HysteresisPolicy, ProtocolConfig};
 use dsm_runtime::{ExecutionReport, FabricMode, SimConfig};
 
 /// The sim seed every gate cell runs under. [`SimConfig::calm`] draws no
@@ -210,8 +210,10 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
                 // the adaptive policy for the one object that matters —
                 // proof that per-object overrides reach the engine (the
                 // default alone would never migrate; see check_internal).
-                "policy_matrix_mixed" => ProtocolConfig::no_migration()
-                    .with_object_policy(synthetic::counter_object(), MigrationPolicy::adaptive()),
+                "policy_matrix_mixed" => ProtocolConfig::no_migration().with_object_policy(
+                    synthetic::counter_object(),
+                    AdaptiveThresholdPolicy::paper(),
+                ),
                 other => panic!("unknown policy-matrix workload {other:?}"),
             };
             let config = cluster_on(3, protocol, &fabric).with_flush_batching(batched);

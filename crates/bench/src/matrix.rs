@@ -23,7 +23,10 @@
 
 use crate::table::Table;
 use dsm_apps::{asp, kv, nbody, sor, synthetic, tsp};
-use dsm_core::{EwmaWriteRatioPolicy, HysteresisPolicy, MigrationPolicy, ProtocolConfig};
+use dsm_core::{
+    EwmaWriteRatioPolicy, HysteresisPolicy, LazyFlushingPolicy, MigrateOnRequestPolicy,
+    ProtocolConfig,
+};
 use dsm_model::ComputeModel;
 use dsm_runtime::{Cluster, ClusterConfig, ExecutionReport, FabricMode, SimConfig};
 
@@ -178,13 +181,10 @@ pub fn policies() -> Vec<(String, ProtocolConfig)> {
         ("NM".into(), base()),
         ("FT2".into(), ProtocolConfig::fixed_threshold(2)),
         ("AT".into(), ProtocolConfig::adaptive()),
-        (
-            "JUMP".into(),
-            base().with_migration(MigrationPolicy::MigrateOnRequest),
-        ),
+        ("JUMP".into(), base().with_migration(MigrateOnRequestPolicy)),
         (
             "LAZY".into(),
-            base().with_migration(MigrationPolicy::lazy_flushing()),
+            base().with_migration(LazyFlushingPolicy::default()),
         ),
         (
             "HYST1+2".into(),

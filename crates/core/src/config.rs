@@ -7,8 +7,10 @@
 //! cluster-wide default plus optional **per-object overrides**, so a single
 //! cluster can run different policies on different objects.
 
-use crate::migration::MigrationPolicy;
-use crate::policy::{HomeMigrationPolicy, IntoMigrationPolicy, PolicyOverrides};
+use crate::policy::{
+    AdaptiveThresholdPolicy, FixedThresholdPolicy, HomeMigrationPolicy, IntoMigrationPolicy,
+    NoMigrationPolicy, PolicyOverrides,
+};
 use dsm_model::{NetworkParams, SimDuration};
 use dsm_objspace::ObjectId;
 use std::sync::Arc;
@@ -39,10 +41,9 @@ pub enum NotificationMechanism {
 #[derive(Debug, Clone)]
 pub struct ProtocolConfig {
     /// The cluster-wide default home-migration **policy** (the independent
-    /// variable of every experiment). Accepts anything implementing
-    /// [`HomeMigrationPolicy`]; the paper's policies are described by the
-    /// [`MigrationPolicy`] enum, which converts in
-    /// (`config.with_migration(MigrationPolicy::adaptive())`). Objects
+    /// variable of every experiment): any [`HomeMigrationPolicy`], set with
+    /// [`Self::with_migration`]
+    /// (`config.with_migration(AdaptiveThresholdPolicy::paper())`). Objects
     /// listed in [`Self::policy_overrides`] use their own policy instead —
     /// resolution goes through [`Self::policy_for`].
     pub migration: Arc<dyn HomeMigrationPolicy>,
@@ -71,7 +72,7 @@ impl ProtocolConfig {
     /// threshold migration, forwarding pointers, Fast Ethernet.
     pub fn adaptive() -> Self {
         ProtocolConfig {
-            migration: MigrationPolicy::adaptive().into_policy(),
+            migration: Arc::new(AdaptiveThresholdPolicy::paper()),
             ..ProtocolConfig::no_migration()
         }
     }
@@ -80,7 +81,7 @@ impl ProtocolConfig {
     pub fn no_migration() -> Self {
         let network = NetworkParams::fast_ethernet();
         ProtocolConfig {
-            migration: MigrationPolicy::NoMigration.into_policy(),
+            migration: Arc::new(NoMigrationPolicy),
             policy_overrides: PolicyOverrides::new(),
             notification: NotificationMechanism::ForwardingPointer,
             network,
@@ -93,7 +94,7 @@ impl ProtocolConfig {
     /// and 2).
     pub fn fixed_threshold(threshold: u32) -> Self {
         ProtocolConfig {
-            migration: MigrationPolicy::fixed(threshold).into_policy(),
+            migration: Arc::new(FixedThresholdPolicy::new(threshold)),
             ..ProtocolConfig::no_migration()
         }
     }
@@ -106,9 +107,8 @@ impl ProtocolConfig {
         self
     }
 
-    /// Replace the cluster-wide default migration policy. Accepts a
-    /// [`MigrationPolicy`] description, a built-in policy value, or an
-    /// `Arc<dyn HomeMigrationPolicy>`.
+    /// Replace the cluster-wide default migration policy. Accepts any policy
+    /// value (built-in or user-defined) or an `Arc` of one.
     #[must_use]
     pub fn with_migration(mut self, migration: impl IntoMigrationPolicy) -> Self {
         self.migration = migration.into_policy();
@@ -181,7 +181,7 @@ mod tests {
         let cfg = ProtocolConfig::adaptive()
             .with_network(NetworkParams::myrinet())
             .with_notification(NotificationMechanism::Broadcast)
-            .with_migration(MigrationPolicy::fixed(3));
+            .with_migration(FixedThresholdPolicy::new(3));
         assert_eq!(cfg.network, NetworkParams::myrinet());
         assert_eq!(cfg.notification, NotificationMechanism::Broadcast);
         assert_eq!(cfg.migration.label(), "FT3");
@@ -192,8 +192,8 @@ mod tests {
     fn object_policies_override_the_default() {
         let special = ObjectId::derive("cfg.special", 0);
         let plain = ObjectId::derive("cfg.plain", 0);
-        let cfg =
-            ProtocolConfig::no_migration().with_object_policy(special, MigrationPolicy::adaptive());
+        let cfg = ProtocolConfig::no_migration()
+            .with_object_policy(special, AdaptiveThresholdPolicy::paper());
         assert_eq!(cfg.policy_for(special).label(), "AT");
         assert_eq!(cfg.policy_for(plain).label(), "NM");
         assert_eq!(cfg.policy_overrides.len(), 1);

@@ -827,7 +827,7 @@ fn shard_index(obj: ObjectId, count: usize) -> usize {
 mod tests {
     use super::*;
     use crate::config::NotificationMechanism;
-    use crate::migration::MigrationPolicy;
+    use crate::policy::MigrateOnRequestPolicy;
     use dsm_objspace::HomeAssignment;
 
     const N: usize = 3;
@@ -1200,7 +1200,7 @@ mod tests {
 
     #[test]
     fn jump_policy_migrates_on_every_write_fault() {
-        let cfg = ProtocolConfig::no_migration().with_migration(MigrationPolicy::MigrateOnRequest);
+        let cfg = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
         let e = engines(cfg);
         remote_write_interval(&e, 1, 1);
         assert!(

@@ -63,8 +63,9 @@
 //!   `MigrationState`, which only the hooks mutate.
 //! * **Decisions must be deterministic.** `decide` is a pure function of
 //!   [`policy::PolicyInputs`] (state + requester + cost-model terms); no
-//!   randomness, clocks or interior mutability — the seeded equivalence
-//!   and replay suites assert bit-identical decisions across runs.
+//!   randomness, clocks or interior mutability — the sim fabric's replay
+//!   suites and the byte-equal modeled gate assert bit-identical decisions
+//!   across runs.
 //! * **Telemetry is free.** Every considered decision, taken migration,
 //!   migrate-back and finite `current_threshold` sample flows into
 //!   [`stats::PolicyTelemetry`], visible per run through `stats()` and the
@@ -82,8 +83,7 @@
 //!   beyond-the-paper `HysteresisPolicy` and `EwmaWriteRatioPolicy`, and
 //!   per-object `PolicyOverrides`.
 //! * [`migration`] — the engine-owned per-object observation state
-//!   (`MigrationState`) and the [`MigrationPolicy`] description enum, whose
-//!   decision methods are kept as the frozen pre-refactor spec.
+//!   (`MigrationState` and the policy-owned `PolicyScratch` it carries).
 //! * [`sync`] — distributed lock and barrier managers (the synchronization
 //!   substrate that delimits intervals).
 //! * [`engine`] — the per-node protocol engine gluing it all together: a
@@ -118,7 +118,7 @@ pub use messages::{
     DiffBatchEntry, DiffBatchResult, DiffEntryStatus, ProtocolMsg, ReqId,
     DIFF_BATCH_ENTRY_HEADER_BYTES,
 };
-pub use migration::{MigrationPolicy, MigrationState, PolicyScratch};
+pub use migration::{MigrationState, PolicyScratch};
 pub use policy::{
     AdaptiveThresholdPolicy, Decision, EwmaWriteRatioPolicy, FixedThresholdPolicy,
     HomeMigrationPolicy, HysteresisPolicy, IntoMigrationPolicy, LazyFlushingPolicy,

@@ -1,4 +1,4 @@
-//! Home migration policies.
+//! Per-object migration observation state.
 //!
 //! The decision "should this object's home move to the node that is asking
 //! for it?" is taken at the object's current home, based on per-object
@@ -17,108 +17,12 @@
 //!   pattern has been detected and the writing node faults the object again,
 //!   the reply both carries the data and migrates the home.
 //!
-//! The engine no longer consults the closed [`MigrationPolicy`] enum
-//! directly — protocol decisions go through the open
-//! [`HomeMigrationPolicy`](crate::policy::HomeMigrationPolicy) trait of the
-//! [`policy`](crate::policy) module. The enum survives as two things: the
-//! ergonomic *description* of the paper's policies (every historical call
-//! site such as `builder.migration(MigrationPolicy::adaptive())` still
-//! compiles, converting into the matching trait impl), and the **frozen
-//! pre-refactor decision spec**: the `MigrationState` methods below that take
-//! `&MigrationPolicy` are the original decision rules, kept verbatim as the
-//! oracle the seeded equivalence suite replays against the trait-based
-//! implementations.
-//!
-//! Five paper/related-work policies are described: the paper's adaptive
-//! threshold (AT), the fixed threshold (FT) of the authors' earlier work, no
-//! migration (NoHM), and two related-work baselines — JUMP's migrating-home
-//! protocol (always migrate to the requester) and Jackal's
-//! lazy-flushing-style exclusive ownership transfer capped at a maximum
-//! number of transitions. The genuinely new policies (hysteresis, EWMA
-//! write-ratio) exist only behind the trait.
+//! This module holds only that observation state, which the engine records.
+//! The decision itself is a
+//! [`HomeMigrationPolicy`](crate::policy::HomeMigrationPolicy); see the
+//! [`policy`](crate::policy) module.
 
 use dsm_objspace::NodeId;
-use std::fmt;
-
-/// Description of a home migration policy (see the module docs: the open,
-/// engine-facing interface is [`crate::policy::HomeMigrationPolicy`]; this
-/// enum converts into the built-in trait impls).
-#[derive(Debug, Clone, PartialEq)]
-pub enum MigrationPolicy {
-    /// Never migrate (the paper's `NoHM` / `NM` baseline).
-    NoMigration,
-    /// Migrate when the number of consecutive remote writes from one node
-    /// reaches a fixed threshold (the authors' previous protocol; the paper
-    /// evaluates thresholds 1 and 2 as `FT1` and `FT2`).
-    FixedThreshold {
-        /// The fixed threshold value.
-        threshold: u32,
-    },
-    /// The paper's contribution: a per-object threshold that decreases with
-    /// evidence of a lasting single-writer pattern and increases with
-    /// evidence that migrations only caused redirections.
-    AdaptiveThreshold {
-        /// Feedback coefficient λ (the paper sets it to 1).
-        lambda: f64,
-        /// Initial (and minimum) threshold `T_init` (the paper sets it to 1
-        /// to speed up initial data relocation).
-        initial_threshold: f64,
-        /// If set, overrides the home access coefficient α instead of
-        /// deriving it from object/diff sizes and the network's half-peak
-        /// length. Used by the sensitivity ablation.
-        alpha_override: Option<f64>,
-    },
-    /// JUMP-style migrating-home protocol: the requester of a write fault
-    /// always becomes the new home, regardless of access history.
-    MigrateOnRequest,
-    /// Jackal-style lazy flushing: ownership moves to a writing requester as
-    /// long as the object has not changed home more than `max_transitions`
-    /// times (Jackal caps the transitions at five).
-    LazyFlushing {
-        /// Maximum number of home transitions allowed for one object.
-        max_transitions: u32,
-    },
-}
-
-impl MigrationPolicy {
-    /// The paper's adaptive policy with its published constants
-    /// (λ = 1, T_init = 1, α derived from the network model).
-    pub fn adaptive() -> Self {
-        MigrationPolicy::AdaptiveThreshold {
-            lambda: 1.0,
-            initial_threshold: 1.0,
-            alpha_override: None,
-        }
-    }
-
-    /// A fixed-threshold policy (`FT1`, `FT2`, ...).
-    pub fn fixed(threshold: u32) -> Self {
-        MigrationPolicy::FixedThreshold { threshold }
-    }
-
-    /// Jackal-style lazy flushing with the default cap of five transitions.
-    pub fn lazy_flushing() -> Self {
-        MigrationPolicy::LazyFlushing { max_transitions: 5 }
-    }
-}
-
-/// The short report label ("NM", "FT2", "AT", ...), written without
-/// allocating. The strings are byte-identical to the historical
-/// `label() -> String` output, so figure reproductions keyed on them stay
-/// stable; code that needs a borrowed label should go through the cached
-/// [`HomeMigrationPolicy::label`](crate::policy::HomeMigrationPolicy::label)
-/// of the corresponding trait impl.
-impl fmt::Display for MigrationPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MigrationPolicy::NoMigration => f.write_str("NM"),
-            MigrationPolicy::FixedThreshold { threshold } => write!(f, "FT{threshold}"),
-            MigrationPolicy::AdaptiveThreshold { .. } => f.write_str("AT"),
-            MigrationPolicy::MigrateOnRequest => f.write_str("JUMP"),
-            MigrationPolicy::LazyFlushing { .. } => f.write_str("LAZY"),
-        }
-    }
-}
 
 /// Small per-object state owned by the *policy* rather than the engine.
 ///
@@ -237,114 +141,10 @@ impl MigrationState {
         self.redirected_requests += u64::from(hops);
     }
 
-    /// The home access coefficient α for this object: either the policy's
-    /// override or `2 + (o + d)/m_½` with `d` the observed mean diff size
-    /// (falling back to the object size before any diff has been seen, which
-    /// over-estimates α slightly and therefore errs on the eager side —
-    /// matching the paper's choice of a small initial threshold).
-    pub fn alpha(&self, policy: &MigrationPolicy, object_bytes: u64, half_peak_len: f64) -> f64 {
-        if let MigrationPolicy::AdaptiveThreshold {
-            alpha_override: Some(a),
-            ..
-        } = policy
-        {
-            return *a;
-        }
-        let d = if self.diff_samples > 0 {
-            self.mean_diff_bytes
-        } else {
-            object_bytes as f64
-        };
-        2.0 + (object_bytes as f64 + d) / half_peak_len.max(1.0)
-    }
-
-    /// The current value of the migration threshold `T_i` under `policy`.
-    ///
-    /// For the adaptive policy this is
-    /// `max(T_{i-1} + λ·(R_i − α·E_i), T_init)`, evaluated continuously as
-    /// feedback accumulates. Fixed policies return their constant; policies
-    /// without a threshold return 1 (they migrate on the first opportunity)
-    /// or infinity (never migrate).
-    pub fn current_threshold(
-        &self,
-        policy: &MigrationPolicy,
-        object_bytes: u64,
-        half_peak_len: f64,
-    ) -> f64 {
-        match policy {
-            MigrationPolicy::NoMigration => f64::INFINITY,
-            MigrationPolicy::FixedThreshold { threshold } => f64::from(*threshold),
-            MigrationPolicy::AdaptiveThreshold {
-                lambda,
-                initial_threshold,
-                ..
-            } => {
-                let alpha = self.alpha(policy, object_bytes, half_peak_len);
-                let feedback =
-                    self.redirected_requests as f64 - alpha * self.exclusive_home_writes as f64;
-                (self.threshold_base + lambda * feedback).max(*initial_threshold)
-            }
-            MigrationPolicy::MigrateOnRequest => 0.0,
-            MigrationPolicy::LazyFlushing { .. } => 1.0,
-        }
-    }
-
-    /// Decide whether the home should migrate to `requester`, which has just
-    /// faulted the object (with `for_write` indicating a write fault).
-    ///
-    /// This is the frozen pre-refactor decision rule; the engine consults
-    /// [`crate::policy::HomeMigrationPolicy::decide`] instead, and the
-    /// seeded equivalence suite replays this method as the oracle for the
-    /// built-in trait impls.
-    pub fn should_migrate(
-        &self,
-        policy: &MigrationPolicy,
-        requester: NodeId,
-        for_write: bool,
-        object_bytes: u64,
-        half_peak_len: f64,
-    ) -> bool {
-        match policy {
-            MigrationPolicy::NoMigration => false,
-            MigrationPolicy::MigrateOnRequest => for_write,
-            MigrationPolicy::LazyFlushing { max_transitions } => {
-                for_write && self.migrations < *max_transitions
-            }
-            MigrationPolicy::FixedThreshold { .. } | MigrationPolicy::AdaptiveThreshold { .. } => {
-                if self.last_remote_writer != Some(requester) {
-                    return false;
-                }
-                let threshold = self.current_threshold(policy, object_bytes, half_peak_len);
-                f64::from(self.consecutive_remote_writes) >= threshold
-            }
-        }
-    }
-
-    /// Called at the old home when a migration is performed: returns the
-    /// state to be shipped to the new home (threshold carried over, per-epoch
-    /// counters reset, migration count incremented). Part of the frozen
-    /// pre-refactor spec; the engine goes through [`Self::migrated`], which
-    /// the trait layer feeds with the policy's own carried threshold.
-    #[must_use]
-    pub fn migrate(
-        &self,
-        policy: &MigrationPolicy,
-        object_bytes: u64,
-        half_peak_len: f64,
-    ) -> MigrationState {
-        let mut shipped = self.migrated(
-            self.current_threshold(policy, object_bytes, half_peak_len),
-            None,
-        );
-        // The spec predates previous-home tracking.
-        shipped.prev_home = None;
-        shipped
-    }
-
-    /// The engine-facing migration transition: the per-epoch counters reset,
-    /// the migration count (home epoch) advances, `threshold_base` becomes
-    /// `carried_threshold` (clamped to a large finite value so `NoMigration`
-    /// style infinities cannot poison later arithmetic), diff-size history
+    /// The migration transition the engine performs on a grant: the
+    /// per-epoch counters reset, the migration count (home epoch) advances,
+    /// `threshold_base` becomes `carried_threshold` (clamped to a large finite
+    /// value so `NoMigrationPolicy`'s infinity cannot poison later arithmetic), diff-size history
     /// and the policy scratch are retained, and `old_home` is recorded so a
     /// later migration back to it is observable as a migrate-back.
     #[must_use]
@@ -368,23 +168,11 @@ impl MigrationState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const HALF_PEAK: f64 = 1150.0;
-    const OBJ: u64 = 1024;
-
-    fn adaptive() -> MigrationPolicy {
-        MigrationPolicy::adaptive()
-    }
-
-    #[test]
-    fn display_labels_are_byte_identical_to_the_historical_strings() {
-        assert_eq!(MigrationPolicy::NoMigration.to_string(), "NM");
-        assert_eq!(MigrationPolicy::fixed(1).to_string(), "FT1");
-        assert_eq!(MigrationPolicy::fixed(2).to_string(), "FT2");
-        assert_eq!(MigrationPolicy::adaptive().to_string(), "AT");
-        assert_eq!(MigrationPolicy::MigrateOnRequest.to_string(), "JUMP");
-        assert_eq!(MigrationPolicy::lazy_flushing().to_string(), "LAZY");
-    }
+    use crate::policy::tests::{inputs, HALF_PEAK};
+    use crate::policy::{
+        AdaptiveThresholdPolicy, FixedThresholdPolicy, HomeMigrationPolicy, LazyFlushingPolicy,
+        MigrateOnRequestPolicy, NoMigrationPolicy,
+    };
 
     #[test]
     fn consecutive_remote_writes_count_same_writer_only() {
@@ -426,78 +214,93 @@ mod tests {
         assert_eq!(s.diff_samples, 2);
     }
 
+    // The built-in rules on recorded state, against values computed by hand
+    // from §4.2 of the paper for a 1024-byte object on Fast Ethernet
+    // (m½ = 1150 B), so α = 2 + 2048/1150 before any diff is seen.
+
+    fn migrates(policy: &dyn HomeMigrationPolicy, s: &MigrationState, requester: NodeId) -> bool {
+        policy.decide(&inputs(s, requester, true)).is_migrate()
+    }
+
+    fn threshold(policy: &dyn HomeMigrationPolicy, s: &MigrationState) -> f64 {
+        policy.current_threshold(&inputs(s, NodeId(1), true))
+    }
+
+    /// The engine's grant transition: the policy's current threshold is
+    /// carried into the new epoch, then the policy's hook runs.
+    fn migrate(policy: &dyn HomeMigrationPolicy, s: &MigrationState) -> MigrationState {
+        let mut shipped = s.migrated(threshold(policy, s), None);
+        policy.on_migrate(&mut shipped);
+        shipped
+    }
+
     #[test]
     fn no_migration_policy_never_migrates() {
         let mut s = MigrationState::new();
         for _ in 0..100 {
             s.record_remote_write(NodeId(1), 100);
         }
-        assert!(!s.should_migrate(
-            &MigrationPolicy::NoMigration,
-            NodeId(1),
-            true,
-            OBJ,
-            HALF_PEAK
-        ));
-        assert!(s
-            .current_threshold(&MigrationPolicy::NoMigration, OBJ, HALF_PEAK)
-            .is_infinite());
+        assert!(!migrates(&NoMigrationPolicy, &s, NodeId(1)));
+        assert!(threshold(&NoMigrationPolicy, &s).is_infinite());
     }
 
     #[test]
     fn fixed_threshold_requires_enough_consecutive_writes() {
-        let policy = MigrationPolicy::fixed(2);
+        let policy = FixedThresholdPolicy::new(2);
         let mut s = MigrationState::new();
         s.record_remote_write(NodeId(1), 100);
-        assert!(!s.should_migrate(&policy, NodeId(1), true, OBJ, HALF_PEAK));
+        assert!(!migrates(&policy, &s, NodeId(1)));
         s.record_remote_write(NodeId(1), 100);
-        assert!(s.should_migrate(&policy, NodeId(1), true, OBJ, HALF_PEAK));
+        assert!(migrates(&policy, &s, NodeId(1)));
         // A different node asking does not trigger migration.
-        assert!(!s.should_migrate(&policy, NodeId(2), true, OBJ, HALF_PEAK));
+        assert!(!migrates(&policy, &s, NodeId(2)));
     }
 
     #[test]
     fn adaptive_threshold_starts_at_one() {
-        let s = MigrationState::new();
-        assert!((s.current_threshold(&adaptive(), OBJ, HALF_PEAK) - 1.0).abs() < 1e-12);
+        let at = AdaptiveThresholdPolicy::paper();
+        assert_eq!(threshold(&at, &MigrationState::new()), 1.0);
         // So a single remote write from a node already triggers migration on
-        // its next request (speeding up initial data relocation).
+        // its next request (speeding up initial data relocation)...
         let mut s = MigrationState::new();
         s.record_remote_write(NodeId(3), 100);
-        assert!(s.should_migrate(&adaptive(), NodeId(3), true, OBJ, HALF_PEAK));
+        assert!(migrates(&at, &s, NodeId(3)));
+        // ...but only for the node whose run was counted.
+        assert!(!migrates(&at, &s, NodeId(2)));
     }
 
     #[test]
     fn redirections_raise_the_adaptive_threshold() {
+        let at = AdaptiveThresholdPolicy::paper();
         let mut s = MigrationState::new();
         s.record_redirections(3);
-        let t = s.current_threshold(&adaptive(), OBJ, HALF_PEAK);
-        assert!(
-            (t - 4.0).abs() < 1e-12,
-            "T = 1 + 3 redirections = 4, got {t}"
-        );
+        let t = threshold(&at, &s);
+        assert_eq!(t, 4.0, "T = 1 + 3 redirections = 4, got {t}");
         // Migration now requires 4 consecutive writes from the same node.
+        for _ in 0..3 {
+            s.record_remote_write(NodeId(1), 100);
+        }
+        assert!(!migrates(&at, &s, NodeId(1)));
         s.record_remote_write(NodeId(1), 100);
-        s.record_remote_write(NodeId(1), 100);
-        s.record_remote_write(NodeId(1), 100);
-        assert!(!s.should_migrate(&adaptive(), NodeId(1), true, OBJ, HALF_PEAK));
-        s.record_remote_write(NodeId(1), 100);
-        assert!(s.should_migrate(&adaptive(), NodeId(1), true, OBJ, HALF_PEAK));
+        assert!(migrates(&at, &s, NodeId(1)));
     }
 
     #[test]
     fn exclusive_home_writes_lower_the_adaptive_threshold() {
+        let at = AdaptiveThresholdPolicy::paper();
         let mut s = MigrationState::new();
         // Raise the threshold first so there is room to go down.
         s.record_redirections(10);
-        let before = s.current_threshold(&adaptive(), OBJ, HALF_PEAK);
+        assert_eq!(threshold(&at, &s), 11.0);
         s.record_home_write();
         s.record_home_write(); // exclusive
         s.record_home_write(); // exclusive
-        let after = s.current_threshold(&adaptive(), OBJ, HALF_PEAK);
+        let alpha = 2.0 + 2048.0 / HALF_PEAK;
+        let t = threshold(&at, &s);
         assert!(
-            after < before,
-            "exclusive home writes must lower T ({before} -> {after})"
+            (t - (11.0 - 2.0 * alpha)).abs() < 1e-12,
+            "T = 1 + (10 - 2α) = {}, got {t}",
+            11.0 - 2.0 * alpha
         );
     }
 
@@ -507,90 +310,75 @@ mod tests {
         for _ in 0..1000 {
             s.record_home_write();
         }
-        let t = s.current_threshold(&adaptive(), OBJ, HALF_PEAK);
-        assert!(
-            (t - 1.0).abs() < 1e-12,
-            "threshold is clamped at T_init, got {t}"
-        );
+        let t = threshold(&AdaptiveThresholdPolicy::paper(), &s);
+        assert_eq!(t, 1.0, "threshold is clamped at T_init, got {t}");
     }
 
     #[test]
     fn alpha_uses_observed_diff_sizes_and_override() {
         let mut s = MigrationState::new();
-        let a0 = s.alpha(&adaptive(), 1024, HALF_PEAK);
+        let a0 = inputs(&s, NodeId(1), true).default_alpha();
         assert!((a0 - (2.0 + 2048.0 / HALF_PEAK)).abs() < 1e-9);
         s.record_remote_write(NodeId(1), 512);
-        let a1 = s.alpha(&adaptive(), 1024, HALF_PEAK);
+        let a1 = inputs(&s, NodeId(1), true).default_alpha();
         assert!((a1 - (2.0 + 1536.0 / HALF_PEAK)).abs() < 1e-9);
-        let forced = MigrationPolicy::AdaptiveThreshold {
-            lambda: 1.0,
-            initial_threshold: 1.0,
-            alpha_override: Some(7.5),
-        };
-        assert_eq!(s.alpha(&forced, 1024, HALF_PEAK), 7.5);
+        // A forced α = 7.5 replaces the model in the feedback term:
+        // T = 1 + (20 − 7.5·2) = 6, where the observed α gives ≈ 14.3.
+        s.record_redirections(20);
+        s.record_home_write();
+        s.record_home_write();
+        s.record_home_write();
+        let forced = AdaptiveThresholdPolicy::paper().with_alpha_override(7.5);
+        assert_eq!(threshold(&forced, &s), 6.0);
+        let model = threshold(&AdaptiveThresholdPolicy::paper(), &s);
+        assert!((model - (21.0 - 2.0 * a1)).abs() < 1e-9, "got {model}");
     }
 
     #[test]
     fn lambda_scales_feedback() {
-        let gentle = MigrationPolicy::AdaptiveThreshold {
-            lambda: 0.5,
-            initial_threshold: 1.0,
-            alpha_override: None,
-        };
+        let gentle = AdaptiveThresholdPolicy::new(0.5, 1.0);
         let mut s = MigrationState::new();
         s.record_redirections(4);
-        assert!((s.current_threshold(&gentle, OBJ, HALF_PEAK) - 3.0).abs() < 1e-12);
-        assert!((s.current_threshold(&adaptive(), OBJ, HALF_PEAK) - 5.0).abs() < 1e-12);
+        assert_eq!(threshold(&gentle, &s), 3.0);
+        assert_eq!(threshold(&AdaptiveThresholdPolicy::paper(), &s), 5.0);
     }
 
     #[test]
     fn jump_policy_migrates_on_any_write_fault() {
         let s = MigrationState::new();
-        assert!(s.should_migrate(
-            &MigrationPolicy::MigrateOnRequest,
-            NodeId(5),
-            true,
-            OBJ,
-            HALF_PEAK
-        ));
-        assert!(!s.should_migrate(
-            &MigrationPolicy::MigrateOnRequest,
-            NodeId(5),
-            false,
-            OBJ,
-            HALF_PEAK
-        ));
+        let jump = MigrateOnRequestPolicy;
+        assert!(jump.decide(&inputs(&s, NodeId(5), true)).is_migrate());
+        assert!(!jump.decide(&inputs(&s, NodeId(5), false)).is_migrate());
     }
 
     #[test]
     fn lazy_flushing_caps_transitions() {
-        let policy = MigrationPolicy::lazy_flushing();
+        let policy = LazyFlushingPolicy::default();
         let mut s = MigrationState::new();
+        assert!(!policy.decide(&inputs(&s, NodeId(1), false)).is_migrate());
         for i in 0..5 {
-            assert!(
-                s.should_migrate(&policy, NodeId(1), true, OBJ, HALF_PEAK),
-                "transition {i}"
-            );
-            s = s.migrate(&policy, OBJ, HALF_PEAK);
+            assert!(migrates(&policy, &s, NodeId(1)), "transition {i}");
+            s = migrate(&policy, &s);
         }
         assert_eq!(s.migrations, 5);
-        assert!(!s.should_migrate(&policy, NodeId(1), true, OBJ, HALF_PEAK));
+        assert!(!migrates(&policy, &s, NodeId(1)), "the 6th transition");
     }
 
     #[test]
     fn migrate_carries_threshold_and_resets_epoch_counters() {
+        let at = AdaptiveThresholdPolicy::paper();
         let mut s = MigrationState::new();
         s.record_redirections(2);
         s.record_remote_write(NodeId(1), 128);
         s.record_home_write();
-        let t_before = s.current_threshold(&adaptive(), OBJ, HALF_PEAK);
-        let shipped = s.migrate(&adaptive(), OBJ, HALF_PEAK);
+        let t_before = threshold(&at, &s);
+        let shipped = migrate(&at, &s);
         assert_eq!(shipped.migrations, 1);
         assert_eq!(shipped.consecutive_remote_writes, 0);
         assert_eq!(shipped.redirected_requests, 0);
         assert_eq!(shipped.exclusive_home_writes, 0);
         assert!(!shipped.last_write_was_home);
-        assert!((shipped.threshold_base - t_before).abs() < 1e-12);
+        assert_eq!(shipped.threshold_base, t_before);
         // Diff size history is retained across migrations.
         assert_eq!(shipped.diff_samples, s.diff_samples);
     }
@@ -601,49 +389,31 @@ mod tests {
         // single-writer pattern). After the first migration causes
         // redirections, the adaptive threshold grows beyond the burst length
         // and migration stops; a fixed threshold of 1 would keep migrating.
-        let policy = adaptive();
-        let burst = 2u32;
-        let mut s = MigrationState::new();
-        let mut migrations = 0;
-        for round in 0..20 {
-            let writer = NodeId(1 + (round % 2) as u16);
-            for _ in 0..burst {
-                s.record_remote_write(writer, 64);
-                if s.should_migrate(&policy, writer, true, OBJ, HALF_PEAK) {
-                    s = s.migrate(&policy, OBJ, HALF_PEAK);
-                    migrations += 1;
-                    // After migrating, the *other* node's next request is
-                    // redirected (it still points at the old home).
-                    s.record_redirections(1);
-                    s.record_redirections(1);
+        let burst_migrations = |policy: &dyn HomeMigrationPolicy| {
+            let mut s = MigrationState::new();
+            let mut migrations = 0;
+            for round in 0..20 {
+                let writer = NodeId(1 + (round % 2) as u16);
+                for _ in 0..2 {
+                    s.record_remote_write(writer, 64);
+                    if migrates(policy, &s, writer) {
+                        s = migrate(policy, &s);
+                        migrations += 1;
+                        // After migrating, the *other* node's next requests
+                        // are redirected (it still points at the old home).
+                        s.record_redirections(2);
+                    }
                 }
             }
-        }
+            migrations
+        };
         // The first burst may trigger a migration or two, but feedback must
         // shut the behaviour down: far fewer migrations than rounds.
-        assert!(
-            migrations <= 3,
-            "adaptive policy kept migrating: {migrations}"
-        );
-
+        let at = burst_migrations(&AdaptiveThresholdPolicy::paper());
+        assert!(at <= 3, "adaptive policy kept migrating: {at}");
         // The fixed threshold 1 policy, by contrast, migrates every burst.
-        let ft1 = MigrationPolicy::fixed(1);
-        let mut s = MigrationState::new();
-        let mut ft1_migrations = 0;
-        for round in 0..20 {
-            let writer = NodeId(1 + (round % 2) as u16);
-            for _ in 0..burst {
-                s.record_remote_write(writer, 64);
-                if s.should_migrate(&ft1, writer, true, OBJ, HALF_PEAK) {
-                    s = s.migrate(&ft1, OBJ, HALF_PEAK);
-                    ft1_migrations += 1;
-                }
-            }
-        }
-        assert!(
-            ft1_migrations >= 15,
-            "FT1 should migrate every burst: {ft1_migrations}"
-        );
+        let ft1 = burst_migrations(&FixedThresholdPolicy::new(1));
+        assert!(ft1 >= 15, "FT1 should migrate every burst: {ft1}");
     }
 
     #[test]
@@ -651,21 +421,18 @@ mod tests {
         // A lasting single-writer pattern: after migration the new home keeps
         // writing exclusively. The threshold must stay at (or fall back to)
         // its minimum so the protocol stays sensitive.
-        let policy = adaptive();
+        let at = AdaptiveThresholdPolicy::paper();
         let mut s = MigrationState::new();
         s.record_remote_write(NodeId(1), 256);
-        assert!(s.should_migrate(&policy, NodeId(1), true, OBJ, HALF_PEAK));
-        let mut at_new_home = s.migrate(&policy, OBJ, HALF_PEAK);
+        assert!(migrates(&at, &s, NodeId(1)));
+        let mut at_new_home = migrate(&at, &s);
         // One stray redirection from a reader...
         at_new_home.record_redirections(1);
         // ...followed by a long run of exclusive home writes.
         for _ in 0..50 {
             at_new_home.record_home_write();
         }
-        let t = at_new_home.current_threshold(&policy, OBJ, HALF_PEAK);
-        assert!(
-            (t - 1.0).abs() < 1e-12,
-            "threshold should be back at T_init, got {t}"
-        );
+        let t = threshold(&at, &at_new_home);
+        assert_eq!(t, 1.0, "threshold should be back at T_init, got {t}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's contribution is a *policy* — the rule deciding when an
 //! object's home should migrate — and this module makes that rule an open
-//! extension point instead of a closed enum. A policy is any type
+//! extension point. A policy is any type
 //! implementing [`HomeMigrationPolicy`]: a `Send + Sync` object shared by
 //! every engine shard (and, for the common single-policy cluster, by every
 //! node), consulted through
@@ -39,20 +39,22 @@
 //!
 //! The paper's policy set ([`AdaptiveThresholdPolicy`],
 //! [`FixedThresholdPolicy`], [`NoMigrationPolicy`]) plus the related-work
-//! baselines ([`MigrateOnRequestPolicy`], [`LazyFlushingPolicy`]) reproduce
-//! the pre-refactor [`MigrationPolicy`] enum decisions bit-for-bit (a seeded
-//! equivalence suite in `tests/` replays both). Two policies go beyond the
-//! paper: [`HysteresisPolicy`] damps migrate-back ping-pong by demanding
-//! extra evidence before the home returns to the node it just left, and
-//! [`EwmaWriteRatioPolicy`] tracks an exponentially weighted remote-write
-//! share in the scratch and migrates on a ratio bound instead of a count.
+//! baselines ([`MigrateOnRequestPolicy`], [`LazyFlushingPolicy`]) are the
+//! one definition of each rule: unit tests check them against values
+//! computed by hand from §4.2 of the paper, and the modeled rows of
+//! `bench/baseline.json` pin their decisions end to end. Two policies go
+//! beyond the paper: [`HysteresisPolicy`] damps migrate-back ping-pong by
+//! demanding extra evidence before the home returns to the node it just
+//! left, and [`EwmaWriteRatioPolicy`] tracks an exponentially weighted
+//! remote-write share in the scratch and migrates on a ratio bound instead
+//! of a count.
 //!
 //! [`on_remote_write`]: HomeMigrationPolicy::on_remote_write
 //! [`on_home_write`]: HomeMigrationPolicy::on_home_write
 //! [`on_redirect`]: HomeMigrationPolicy::on_redirect
 //! [`decide`]: HomeMigrationPolicy::decide
 
-use crate::migration::{MigrationPolicy, MigrationState, PolicyScratch};
+use crate::migration::{MigrationState, PolicyScratch};
 use dsm_objspace::{NodeId, ObjectId};
 use std::collections::HashMap;
 use std::fmt;
@@ -94,11 +96,13 @@ pub struct PolicyInputs<'a> {
 }
 
 impl PolicyInputs<'_> {
-    /// The paper's home access coefficient `α = 2 + (o + d)/m_½`, with `d`
-    /// the observed mean diff size (falling back to the object size before
-    /// any diff has been seen, which over-estimates α slightly and therefore
-    /// errs on the eager side — matching the paper's choice of a small
-    /// initial threshold).
+    /// The paper's home access coefficient `α = 2 + (o + d)/m_½` (Appendix
+    /// A), with `o` the object size and `d` the observed mean diff size
+    /// (falling back to the object size before any diff has been seen, which
+    /// over-estimates α slightly and therefore errs on the eager side —
+    /// matching the paper's choice of a small initial threshold). This is
+    /// the one place the formula is written; [`AdaptiveThresholdPolicy`]
+    /// uses it unless an override is set.
     pub fn default_alpha(&self) -> f64 {
         let d = if self.state.diff_samples > 0 {
             self.state.mean_diff_bytes
@@ -164,15 +168,20 @@ pub trait HomeMigrationPolicy: fmt::Debug + Send + Sync {
     }
 }
 
-/// Conversion into a shared policy object, implemented by the
-/// [`MigrationPolicy`] description enum (preserving every historical call
-/// site), by `Arc`s of policy values, and by the built-in policy types
-/// themselves — so `builder.migration(MigrationPolicy::adaptive())`,
-/// `builder.migration(HysteresisPolicy::default())` and
-/// `builder.migration(Arc::new(MyPolicy))` all work.
+/// Conversion into a shared policy object, implemented by every policy
+/// value and by `Arc`s of policy values — so
+/// `builder.migration(AdaptiveThresholdPolicy::paper())`,
+/// `builder.migration(MyPolicy)` and `builder.migration(Arc::new(MyPolicy))`
+/// all work.
 pub trait IntoMigrationPolicy {
     /// Convert into the shared trait object the engine consults.
     fn into_policy(self) -> Arc<dyn HomeMigrationPolicy>;
+}
+
+impl<P: HomeMigrationPolicy + 'static> IntoMigrationPolicy for P {
+    fn into_policy(self) -> Arc<dyn HomeMigrationPolicy> {
+        Arc::new(self)
+    }
 }
 
 impl IntoMigrationPolicy for Arc<dyn HomeMigrationPolicy> {
@@ -186,55 +195,6 @@ impl<P: HomeMigrationPolicy + 'static> IntoMigrationPolicy for Arc<P> {
         self
     }
 }
-
-impl IntoMigrationPolicy for MigrationPolicy {
-    fn into_policy(self) -> Arc<dyn HomeMigrationPolicy> {
-        match self {
-            MigrationPolicy::NoMigration => Arc::new(NoMigrationPolicy),
-            MigrationPolicy::FixedThreshold { threshold } => {
-                Arc::new(FixedThresholdPolicy::new(threshold))
-            }
-            MigrationPolicy::AdaptiveThreshold {
-                lambda,
-                initial_threshold,
-                alpha_override,
-            } => Arc::new(AdaptiveThresholdPolicy {
-                lambda,
-                initial_threshold,
-                alpha_override,
-            }),
-            MigrationPolicy::MigrateOnRequest => Arc::new(MigrateOnRequestPolicy),
-            MigrationPolicy::LazyFlushing { max_transitions } => {
-                Arc::new(LazyFlushingPolicy::new(max_transitions))
-            }
-        }
-    }
-}
-
-impl IntoMigrationPolicy for &MigrationPolicy {
-    fn into_policy(self) -> Arc<dyn HomeMigrationPolicy> {
-        self.clone().into_policy()
-    }
-}
-
-macro_rules! impl_into_policy {
-    ($($ty:ty),* $(,)?) => {$(
-        impl IntoMigrationPolicy for $ty {
-            fn into_policy(self) -> Arc<dyn HomeMigrationPolicy> {
-                Arc::new(self)
-            }
-        }
-    )*};
-}
-impl_into_policy!(
-    NoMigrationPolicy,
-    FixedThresholdPolicy,
-    AdaptiveThresholdPolicy,
-    MigrateOnRequestPolicy,
-    LazyFlushingPolicy,
-    HysteresisPolicy,
-    EwmaWriteRatioPolicy,
-);
 
 // ----------------------------------------------------------------------
 // The paper's policies and the related-work baselines
@@ -667,13 +627,15 @@ impl fmt::Debug for PolicyOverrides {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    const HALF_PEAK: f64 = 1150.0;
+    /// `m_½` of the paper's Fast Ethernet, in bytes.
+    pub(crate) const HALF_PEAK: f64 = 1150.0;
     const OBJ: u64 = 1024;
 
-    fn inputs<'a>(
+    /// Decision inputs for a 1024-byte object on the paper's network.
+    pub(crate) fn inputs<'a>(
         state: &'a MigrationState,
         requester: NodeId,
         for_write: bool,
@@ -689,109 +651,17 @@ mod tests {
 
     #[test]
     fn labels_are_cached_and_byte_identical_to_the_enum_display() {
+        // The historical report labels, which figure reproductions key on.
         assert_eq!(NoMigrationPolicy.label(), "NM");
+        assert_eq!(FixedThresholdPolicy::new(1).label(), "FT1");
         assert_eq!(FixedThresholdPolicy::new(2).label(), "FT2");
         assert_eq!(AdaptiveThresholdPolicy::paper().label(), "AT");
         assert_eq!(MigrateOnRequestPolicy.label(), "JUMP");
         assert_eq!(LazyFlushingPolicy::default().label(), "LAZY");
         assert_eq!(HysteresisPolicy::new(1, 2).label(), "HYST1+2");
         assert_eq!(EwmaWriteRatioPolicy::default().label(), "EWMA");
-        // The enum conversion yields the same labels its Display writes.
-        for spec in [
-            MigrationPolicy::NoMigration,
-            MigrationPolicy::fixed(1),
-            MigrationPolicy::fixed(7),
-            MigrationPolicy::adaptive(),
-            MigrationPolicy::MigrateOnRequest,
-            MigrationPolicy::lazy_flushing(),
-        ] {
-            assert_eq!(spec.clone().into_policy().label(), spec.to_string());
-        }
-    }
-
-    #[test]
-    fn builtins_match_the_enum_spec_on_a_seeded_trace() {
-        // Drive identical random event sequences through the frozen enum
-        // spec and the trait impls; every decision and threshold must agree
-        // bit-for-bit. (The full engine-level suite lives in tests/.)
-        use dsm_util::SmallRng;
-        let pairs: Vec<(MigrationPolicy, Arc<dyn HomeMigrationPolicy>)> = vec![
-            (
-                MigrationPolicy::NoMigration,
-                MigrationPolicy::NoMigration.into_policy(),
-            ),
-            (
-                MigrationPolicy::fixed(1),
-                MigrationPolicy::fixed(1).into_policy(),
-            ),
-            (
-                MigrationPolicy::fixed(3),
-                MigrationPolicy::fixed(3).into_policy(),
-            ),
-            (
-                MigrationPolicy::adaptive(),
-                MigrationPolicy::adaptive().into_policy(),
-            ),
-            (
-                MigrationPolicy::MigrateOnRequest,
-                MigrationPolicy::MigrateOnRequest.into_policy(),
-            ),
-            (
-                MigrationPolicy::lazy_flushing(),
-                MigrationPolicy::lazy_flushing().into_policy(),
-            ),
-        ];
-        for (spec, policy) in &pairs {
-            let mut rng = SmallRng::seed_from_u64(0x9_0C7 ^ spec.to_string().len() as u64);
-            let mut state = MigrationState::new();
-            for step in 0..400 {
-                match rng.gen_index(4) {
-                    0 => {
-                        let from = NodeId(1 + rng.gen_index(3) as u16);
-                        let bytes = 32 + rng.gen_index(512) as u64;
-                        state.record_remote_write(from, bytes);
-                        policy.on_remote_write(&mut state, from, bytes);
-                    }
-                    1 => {
-                        let exclusive = state.record_home_write();
-                        policy.on_home_write(&mut state, exclusive);
-                    }
-                    2 => {
-                        let hops = 1 + rng.gen_index(3) as u32;
-                        state.record_redirections(hops);
-                        policy.on_redirect(&mut state, hops);
-                    }
-                    _ => {
-                        let requester = NodeId(1 + rng.gen_index(3) as u16);
-                        let for_write = rng.gen_index(2) == 0;
-                        let spec_migrates =
-                            state.should_migrate(spec, requester, for_write, OBJ, HALF_PEAK);
-                        let got = policy.decide(&inputs(&state, requester, for_write));
-                        assert_eq!(
-                            got.is_migrate(),
-                            spec_migrates,
-                            "{spec:?} step {step}: trait and enum spec disagree"
-                        );
-                        let spec_t = state.current_threshold(spec, OBJ, HALF_PEAK);
-                        let got_t = policy.current_threshold(&inputs(&state, requester, for_write));
-                        assert!(
-                            got_t == spec_t || (got_t.is_infinite() && spec_t.is_infinite()),
-                            "{spec:?} step {step}: thresholds differ ({got_t} vs {spec_t})"
-                        );
-                        if spec_migrates {
-                            let carried =
-                                policy.current_threshold(&inputs(&state, requester, for_write));
-                            let via_spec = state.migrate(spec, OBJ, HALF_PEAK);
-                            let mut via_trait = state.migrated(carried, Some(NodeId(0)));
-                            policy.on_migrate(&mut via_trait);
-                            assert_eq!(via_trait.threshold_base, via_spec.threshold_base);
-                            assert_eq!(via_trait.migrations, via_spec.migrations);
-                            state = via_trait;
-                        }
-                    }
-                }
-            }
-        }
+        // Conversion into the shared trait object keeps the label.
+        assert_eq!(FixedThresholdPolicy::new(7).into_policy().label(), "FT7");
     }
 
     #[test]
@@ -875,7 +745,7 @@ mod tests {
         let b = ObjectId::derive("override.b", 0);
         let mut overrides = PolicyOverrides::new();
         assert!(overrides.is_empty());
-        overrides.set(a, MigrationPolicy::NoMigration);
+        overrides.set(a, NoMigrationPolicy);
         overrides.set(b, HysteresisPolicy::default());
         assert_eq!(overrides.len(), 2);
         assert_eq!(overrides.get(a).unwrap().label(), "NM");
@@ -885,7 +755,7 @@ mod tests {
         ids.sort();
         assert_eq!(overrides.ids(), ids);
         // Replacing an override keeps one entry.
-        overrides.set(a, MigrationPolicy::adaptive());
+        overrides.set(a, AdaptiveThresholdPolicy::paper());
         assert_eq!(overrides.len(), 2);
         assert_eq!(overrides.get(a).unwrap().label(), "AT");
         // Debug shows labels, not internals.

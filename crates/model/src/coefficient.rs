@@ -16,10 +16,10 @@
 //!
 //! where `o` is the object size, `d` the diff size, and `m_1/2 = t0·r_inf`
 //! the half-peak message length. The approximation uses `m_1/2 ≫ 1` (true
-//! for every real interconnect) so `t(1) ≈ t0`. Both the exact ratio and the
-//! approximation are provided; the protocol uses the approximation, matching
-//! Equation (4) of the paper, but the exact value is available for the
-//! sensitivity ablation.
+//! for every real interconnect) so `t(1) ≈ t0`. This module provides the
+//! exact ratio. The protocol uses the approximation, Equation (4) of the
+//! paper, written once in `dsm-core` as `PolicyInputs::default_alpha`,
+//! because it needs the running mean of observed diff sizes as `d`.
 
 use crate::network::HockneyModel;
 
@@ -52,12 +52,6 @@ pub fn home_access_coefficient(model: &HockneyModel, inputs: CoefficientInputs) 
     num / den
 }
 
-/// Approximate home access coefficient `2 + (o + d) / m_1/2` (Equation (4)
-/// of the paper, valid when `m_1/2 ≫ 1`).
-pub fn home_access_coefficient_approx(model: &HockneyModel, inputs: CoefficientInputs) -> f64 {
-    2.0 + (inputs.object_bytes + inputs.diff_bytes) as f64 / model.half_peak_length()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,8 +67,6 @@ mod tests {
         // message start-ups, while a redirection costs one.
         let a = home_access_coefficient(&fe(), CoefficientInputs::new(0, 0));
         assert!(a > 1.99 && a < 2.01);
-        let approx = home_access_coefficient_approx(&fe(), CoefficientInputs::new(0, 0));
-        assert!((approx - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -87,10 +79,11 @@ mod tests {
     #[test]
     fn approximation_close_to_exact_for_fast_ethernet() {
         // m_1/2 for Fast Ethernet is ~1150 bytes >> 1, so the relative error
-        // of the approximation must be small.
+        // of the approximation 2 + (o + d)/m_1/2 the protocol evaluates must
+        // be small.
         for (o, d) in [(128u64, 32u64), (1024, 256), (8192, 2048), (65536, 8192)] {
             let exact = home_access_coefficient(&fe(), CoefficientInputs::new(o, d));
-            let approx = home_access_coefficient_approx(&fe(), CoefficientInputs::new(o, d));
+            let approx = 2.0 + (o + d) as f64 / fe().half_peak_length();
             let rel = (exact - approx).abs() / exact;
             assert!(rel < 0.01, "o={o} d={d} exact={exact} approx={approx}");
         }
@@ -104,8 +97,8 @@ mod tests {
         let fe = NetworkParams::fast_ethernet().hockney;
         let my = NetworkParams::myrinet().hockney;
         let inputs = CoefficientInputs::new(8192, 1024);
-        let a_fe = home_access_coefficient_approx(&fe, inputs);
-        let a_my = home_access_coefficient_approx(&my, inputs);
+        let a_fe = home_access_coefficient(&fe, inputs);
+        let a_my = home_access_coefficient(&my, inputs);
         assert!(a_fe > a_my);
     }
 
@@ -113,8 +106,8 @@ mod tests {
     fn larger_objects_favor_migration_more() {
         // A 2048-element f64 row (16 KB) should have a clearly larger
         // coefficient than a 128-element row (1 KB) on Fast Ethernet.
-        let small = home_access_coefficient_approx(&fe(), CoefficientInputs::new(1024, 512));
-        let large = home_access_coefficient_approx(&fe(), CoefficientInputs::new(16_384, 8_192));
+        let small = home_access_coefficient(&fe(), CoefficientInputs::new(1024, 512));
+        let large = home_access_coefficient(&fe(), CoefficientInputs::new(16_384, 8_192));
         assert!(large > 2.0 * small);
     }
 }

@@ -31,7 +31,7 @@ pub mod compute;
 pub mod network;
 pub mod time;
 
-pub use coefficient::{home_access_coefficient, home_access_coefficient_approx, CoefficientInputs};
+pub use coefficient::{home_access_coefficient, CoefficientInputs};
 pub use compute::ComputeModel;
 pub use network::{HockneyModel, NetworkParams};
 pub use time::{SimDuration, SimTime};

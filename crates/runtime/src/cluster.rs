@@ -151,12 +151,12 @@ impl ClusterConfig {
 ///
 /// ```no_run
 /// use dsm_runtime::Cluster;
-/// use dsm_core::MigrationPolicy;
+/// use dsm_core::AdaptiveThresholdPolicy;
 /// use dsm_objspace::HomeAssignment;
 ///
 /// let mut cluster = Cluster::builder()
 ///     .nodes(8)
-///     .migration(MigrationPolicy::adaptive())
+///     .migration(AdaptiveThresholdPolicy::paper())
 ///     .seed(2004)
 ///     .default_home(HomeAssignment::RoundRobin);
 /// let counter = cluster.register_scalar::<u64>("counter");
@@ -218,11 +218,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Replace the cluster-wide default home-migration policy. Accepts a
-    /// `MigrationPolicy` description (`MigrationPolicy::adaptive()`), a
-    /// built-in policy value (`HysteresisPolicy::default()`), or any shared
-    /// `Arc<dyn HomeMigrationPolicy>` — see `dsm_core::policy` for the
-    /// trait contract.
+    /// Replace the cluster-wide default home-migration policy. Accepts any
+    /// policy value (`AdaptiveThresholdPolicy::paper()`,
+    /// `HysteresisPolicy::default()`, a user-defined `HomeMigrationPolicy`)
+    /// or an `Arc` of one — see `dsm_core::policy` for the trait contract.
     pub fn migration(mut self, migration: impl IntoMigrationPolicy) -> Self {
         self.protocol = self.protocol.with_migration(migration);
         self

@@ -234,24 +234,26 @@
 //! the protocol invariants.
 //!
 //! **Pluggable migration policies:** [`ClusterBuilder::migration`] accepts
-//! the paper's `MigrationPolicy` descriptions, any built-in policy value
-//! (`HysteresisPolicy`, `EwmaWriteRatioPolicy`, ...), or a custom
-//! `Arc<dyn HomeMigrationPolicy>` (see `dsm_core::policy` for the trait
-//! contract and determinism rules). [`ClusterBuilder::object_policy`] pins
-//! a different policy to a single object, so one cluster can run a policy ×
-//! object experiment grid; the per-run decision telemetry (considered vs.
-//! taken decisions, migrate-backs, threshold trajectory) is merged into
+//! any policy value — the paper's (`AdaptiveThresholdPolicy::paper()`,
+//! `FixedThresholdPolicy::new(2)`, ...), the beyond-the-paper ones
+//! (`HysteresisPolicy`, `EwmaWriteRatioPolicy`) or a custom
+//! `HomeMigrationPolicy` impl — or an `Arc` of one (see `dsm_core::policy`
+//! for the trait contract and determinism rules).
+//! [`ClusterBuilder::object_policy`] pins a different policy to a single
+//! object, so one cluster can run a policy × object experiment grid; the
+//! per-run decision telemetry (considered vs. taken decisions,
+//! migrate-backs, threshold trajectory) is merged into
 //! [`ExecutionReport::policy_telemetry`].
 //!
 //! ```no_run
 //! use dsm_runtime::Cluster;
-//! use dsm_core::MigrationPolicy;
+//! use dsm_core::AdaptiveThresholdPolicy;
 //! use dsm_objspace::{HomeAssignment, LockId};
 //!
 //! // Chainable, seeded construction; the builder owns the registry.
 //! let mut builder = Cluster::builder()
 //!     .nodes(4)
-//!     .migration(MigrationPolicy::adaptive())
+//!     .migration(AdaptiveThresholdPolicy::paper())
 //!     .seed(2004)
 //!     .default_home(HomeAssignment::Master);
 //! let counter = builder.register_array::<u64>("counter", 1);

@@ -1,7 +1,7 @@
 //! End-to-end tests of the deterministic sim-fabric runtime: event-driven
 //! scheduling, seeded perturbations, replayable delivery traces.
 
-use dsm_core::{MigrationPolicy, ProtocolConfig};
+use dsm_core::{AdaptiveThresholdPolicy, MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_model::ComputeModel;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
 use dsm_runtime::{
@@ -141,7 +141,7 @@ fn migration_happens_deterministically_on_the_sim_fabric() {
         let done = BarrierId(9);
         let config = sim_config(
             4,
-            ProtocolConfig::no_migration().with_migration(MigrationPolicy::adaptive()),
+            ProtocolConfig::no_migration().with_migration(AdaptiveThresholdPolicy::paper()),
             SimConfig::perturbed(seed),
         );
         Cluster::new(config, registry).run(move |ctx| {
@@ -164,6 +164,44 @@ fn migration_happens_deterministically_on_the_sim_fabric() {
         a.delivery_trace.as_ref().unwrap(),
         b.delivery_trace.as_ref().unwrap()
     );
+}
+
+#[test]
+fn jump_policy_bounces_home_between_alternating_writers() {
+    // Two writers take turns on one object under the JUMP-style policy,
+    // which migrates on every write fault by a non-home node. On the sim
+    // fabric the number of bounces is a function of the seed alone: the
+    // calm schedule and the integration suite's perturbed seed corpus.
+    let mut sims = vec![SimConfig::calm(2004)];
+    sims.extend([0x51E5_ED01, 0x51E5_ED02, 0x51E5_ED03].map(SimConfig::perturbed));
+    for sim in sims {
+        let seed = sim.seed;
+        let mut registry = ObjectRegistry::new();
+        let obj: ArrayHandle<u64> = ArrayHandle::register(
+            &mut registry,
+            "bounce",
+            0,
+            8,
+            NodeId::MASTER,
+            HomeAssignment::Master,
+        );
+        let lock = LockId::derive("bounce.lock");
+        let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
+        let report = Cluster::new(sim_config(3, protocol, sim), registry).run(move |ctx| {
+            if ctx.node_id().index() > 0 {
+                for i in 0..10u64 {
+                    ctx.synchronized(lock, || ctx.update(&obj, |v| v[0] += i + 1));
+                }
+            }
+            ctx.barrier(BarrierId(5));
+            assert_eq!(ctx.read(&obj)[0], 2 * 55);
+        });
+        assert!(
+            report.migrations() >= 10,
+            "JUMP should migrate frequently (seed {seed:#x}), got {}",
+            report.migrations()
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end tests of the threaded cluster runtime: real node threads, the
 //! full protocol stack, locks, barriers and home migration.
 
-use dsm_core::{MigrationPolicy, ProtocolConfig};
+use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_model::ComputeModel;
 use dsm_net::MsgCategory;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
@@ -265,8 +265,8 @@ fn jump_policy_bounces_home_between_alternating_writers() {
         HomeAssignment::Master,
     );
     let lock = LockId::derive("bounce.lock");
-    let protocol = ProtocolConfig::no_migration().with_migration(MigrationPolicy::MigrateOnRequest);
-    let report = Cluster::new(config(nodes, protocol), registry).run(move |ctx| {
+    let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
+    Cluster::new(config(nodes, protocol), registry).run(move |ctx| {
         if ctx.node_id().index() > 0 {
             for i in 0..10u64 {
                 ctx.acquire(lock);
@@ -275,14 +275,11 @@ fn jump_policy_bounces_home_between_alternating_writers() {
             }
         }
         ctx.barrier(BarrierId(5));
+        // However the OS interleaves the two writers, no update is lost
+        // while the home bounces between them. (How often it bounces is a
+        // modeled claim, asserted on the sim fabric in `cluster_sim.rs`.)
+        assert_eq!(ctx.read(&obj)[0], 2 * 55);
     });
-    // The JUMP-style policy migrates on every write fault by a non-home
-    // node, so the home bounces between the two writers many times.
-    assert!(
-        report.migrations() >= 10,
-        "JUMP should migrate frequently, got {}",
-        report.migrations()
-    );
 }
 
 #[test]

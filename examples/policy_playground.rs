@@ -20,28 +20,22 @@ fn main() {
 
     println!("-- migration policies (forwarding-pointer notification) --");
     let policies: Vec<(&str, Arc<dyn HomeMigrationPolicy>)> = vec![
-        ("NoMigration", MigrationPolicy::NoMigration.into_policy()),
-        ("FixedThreshold(1)", MigrationPolicy::fixed(1).into_policy()),
-        ("FixedThreshold(2)", MigrationPolicy::fixed(2).into_policy()),
+        ("NoMigration", Arc::new(NoMigrationPolicy)),
+        ("FixedThreshold(1)", Arc::new(FixedThresholdPolicy::new(1))),
+        ("FixedThreshold(2)", Arc::new(FixedThresholdPolicy::new(2))),
         (
             "AdaptiveThreshold",
-            MigrationPolicy::adaptive().into_policy(),
+            Arc::new(AdaptiveThresholdPolicy::paper()),
         ),
-        (
-            "JUMP MigrateOnRequest",
-            MigrationPolicy::MigrateOnRequest.into_policy(),
-        ),
+        ("JUMP MigrateOnRequest", Arc::new(MigrateOnRequestPolicy)),
         (
             "Jackal LazyFlushing",
-            MigrationPolicy::lazy_flushing().into_policy(),
+            Arc::new(LazyFlushingPolicy::default()),
         ),
-        (
-            "Hysteresis(1,+2)",
-            HysteresisPolicy::default().into_policy(),
-        ),
+        ("Hysteresis(1,+2)", Arc::new(HysteresisPolicy::default())),
         (
             "EwmaWriteRatio(.5,.8)",
-            EwmaWriteRatioPolicy::default().into_policy(),
+            Arc::new(EwmaWriteRatioPolicy::default()),
         ),
     ];
     for (name, policy) in policies {
@@ -72,15 +66,12 @@ fn main() {
     let sweep: Vec<(&str, Arc<dyn HomeMigrationPolicy>)> = vec![
         (
             "AdaptiveThreshold",
-            MigrationPolicy::adaptive().into_policy(),
+            Arc::new(AdaptiveThresholdPolicy::paper()),
         ),
-        (
-            "Hysteresis(1,+2)",
-            HysteresisPolicy::default().into_policy(),
-        ),
+        ("Hysteresis(1,+2)", Arc::new(HysteresisPolicy::default())),
         (
             "EwmaWriteRatio(.5,.8)",
-            EwmaWriteRatioPolicy::default().into_policy(),
+            Arc::new(EwmaWriteRatioPolicy::default()),
         ),
     ];
     for (name, policy) in sweep {
@@ -107,11 +98,11 @@ fn main() {
     println!("\n-- mixed cluster: per-object policy overrides (3 nodes) --");
     let mut builder = Cluster::builder()
         .nodes(3)
-        .migration(MigrationPolicy::NoMigration)
+        .migration(NoMigrationPolicy)
         .seed(2004);
     let hot = builder.register_array::<u64>("playground.hot", 32);
     let cold = builder.register_array::<u64>("playground.cold", 32);
-    let builder = builder.object_policy(hot.id, MigrationPolicy::adaptive());
+    let builder = builder.object_policy(hot.id, AdaptiveThresholdPolicy::paper());
     let report = builder.build().run(move |ctx| {
         let lock = LockId::derive("playground.lock");
         for round in 0..24u64 {
@@ -168,7 +159,7 @@ fn main() {
     for (name, batching) in [("unbatched (paper wire)", false), ("batched", true)] {
         let config = Cluster::builder()
             .nodes(4)
-            .migration(MigrationPolicy::NoMigration)
+            .migration(NoMigrationPolicy)
             .flush_batching(batching)
             .config();
         let run = sor::run(config, &sor_params);

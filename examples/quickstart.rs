@@ -6,7 +6,7 @@
 
 use adaptive_dsm::prelude::*;
 
-fn run_once(policy_name: &str, policy: MigrationPolicy) -> ExecutionReport {
+fn run_once(policy_name: &str, policy: impl IntoMigrationPolicy) -> ExecutionReport {
     // The seeded builder owns the registry: declare the cluster shape and
     // its shared objects in one chain.
     let mut builder = Cluster::builder()
@@ -49,8 +49,8 @@ fn run_once(policy_name: &str, policy: MigrationPolicy) -> ExecutionReport {
 
 fn main() {
     println!("shared counter, 8 nodes, 7 workers x 40 lock-protected increments\n");
-    let adaptive = run_once("AT", MigrationPolicy::adaptive());
-    let none = run_once("NoHM", MigrationPolicy::NoMigration);
+    let adaptive = run_once("AT", AdaptiveThresholdPolicy::paper());
+    let none = run_once("NoHM", NoMigrationPolicy);
     println!(
         "\nadaptive home migration removed {:.1}% of the coherence messages",
         100.0 * (1.0 - adaptive.breakdown_messages() as f64 / none.breakdown_messages() as f64)

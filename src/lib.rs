@@ -15,9 +15,11 @@
 //!   message statistics;
 //! * [`protocol`] — the home-based LRC coherence engine and the pluggable
 //!   home-migration policy API: the [`prelude::HomeMigrationPolicy`] trait
-//!   with built-in impls for the paper's policies (`NoMigration`,
-//!   `FixedThreshold`, `AdaptiveThreshold`, JUMP-style `MigrateOnRequest`,
-//!   Jackal-style `LazyFlushing`) plus the beyond-the-paper
+//!   with built-in impls for the paper's policies
+//!   ([`prelude::NoMigrationPolicy`], [`prelude::FixedThresholdPolicy`],
+//!   [`prelude::AdaptiveThresholdPolicy`], JUMP-style
+//!   [`prelude::MigrateOnRequestPolicy`], Jackal-style
+//!   [`prelude::LazyFlushingPolicy`]) plus the beyond-the-paper
 //!   [`prelude::HysteresisPolicy`] and [`prelude::EwmaWriteRatioPolicy`],
 //!   per-object policy overrides, and decision telemetry
 //!   ([`prelude::PolicyTelemetry`]);
@@ -44,7 +46,7 @@
 //! // derives the same object ids, so no handle exchange is needed.
 //! let mut builder = Cluster::builder()
 //!     .nodes(8)
-//!     .migration(MigrationPolicy::adaptive())
+//!     .migration(AdaptiveThresholdPolicy::paper())
 //!     .seed(2004)
 //!     .default_home(HomeAssignment::Master);
 //! let counter = builder.register_array::<u64>("counter", 1);
@@ -89,8 +91,8 @@ pub mod prelude {
     pub use dsm_core::{
         AdaptiveThresholdPolicy, Decision, EwmaWriteRatioPolicy, FixedThresholdPolicy,
         HomeMigrationPolicy, HysteresisPolicy, IntoMigrationPolicy, LazyFlushingPolicy,
-        MigrateOnRequestPolicy, MigrationPolicy, NoMigrationPolicy, NotificationMechanism,
-        PolicyInputs, PolicyOverrides, PolicyTelemetry, ProtocolConfig,
+        MigrateOnRequestPolicy, NoMigrationPolicy, NotificationMechanism, PolicyInputs,
+        PolicyOverrides, PolicyTelemetry, ProtocolConfig,
     };
     pub use dsm_model::{ComputeModel, HockneyModel, NetworkParams, SimDuration, SimTime};
     pub use dsm_net::MsgCategory;

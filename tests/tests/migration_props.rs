@@ -333,9 +333,8 @@ fn prop_epoch_monotone_and_single_home_across_policies() {
 /// grant-window invariants.
 #[test]
 fn prop_stress_grant_window_under_jump_migration() {
-    use dsm_core::MigrationPolicy;
     run_property(
-        |_| ProtocolConfig::no_migration().with_migration(MigrationPolicy::MigrateOnRequest),
+        |_| ProtocolConfig::no_migration().with_migration(dsm_core::MigrateOnRequestPolicy),
         0x1AB5_2024,
         16,
     );

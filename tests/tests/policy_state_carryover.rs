@@ -16,15 +16,20 @@
 //!   the new home;
 //! * **both fabrics** — a cluster run on the threaded and on the sim
 //!   fabric ends with bit-identical policy state at the migrated home.
+//!
+//! Two cluster-level checks of the same plumbing ride along: per-object
+//! overrides reach the decision point, and decision telemetry reaches the
+//! execution report.
 
+use dsm_apps::sor;
 use dsm_core::policy::{Decision, HomeMigrationPolicy, PolicyInputs};
 use dsm_core::{
-    AccessPlan, DiffOutcome, EwmaWriteRatioPolicy, HysteresisPolicy, MigrationState,
-    ObjectRequestOutcome, ProtocolConfig, ProtocolEngine,
+    AccessPlan, AdaptiveThresholdPolicy, DiffOutcome, EwmaWriteRatioPolicy, HysteresisPolicy,
+    MigrationState, ObjectRequestOutcome, ProtocolConfig, ProtocolEngine,
 };
 use dsm_integration_tests::{corpus_seed, sim_test_cluster, test_cluster};
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig};
+use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig, SimConfig};
 use dsm_util::Mutex;
 use std::sync::Arc;
 
@@ -194,8 +199,7 @@ fn assert_state_bits_equal(shipped: &MigrationState, installed: &MigrationState,
 
 #[test]
 fn grant_carries_scratch_and_prev_home_byte_for_byte() {
-    let config = ProtocolConfig::no_migration()
-        .with_migration(Arc::new(ScratchStampPolicy) as Arc<dyn HomeMigrationPolicy>);
+    let config = ProtocolConfig::no_migration().with_migration(ScratchStampPolicy);
     let e = engines(config);
     // Interval 1: remote write from node 1 stamps the scratch (C = 1).
     assert!(write_interval(&e, 1, 1).is_none(), "no migration yet");
@@ -332,15 +336,12 @@ fn policy_state_survives_handoff_on_both_fabrics() {
         result
     };
 
-    let policy = || {
-        ProtocolConfig::no_migration()
-            .with_migration(Arc::new(ScratchStampPolicy) as Arc<dyn HomeMigrationPolicy>)
-    };
+    let policy = || ProtocolConfig::no_migration().with_migration(ScratchStampPolicy);
     let threaded = run(test_cluster(4, policy()));
     let sim = run(sim_test_cluster(
         4,
         policy(),
-        dsm_runtime::SimConfig::perturbed(corpus_seed(0)),
+        SimConfig::perturbed(corpus_seed(0)),
     ));
 
     let (a_bits, _b_bits, prev_home, migrations) = threaded;
@@ -357,4 +358,78 @@ fn policy_state_survives_handoff_on_both_fabrics() {
          and sim fabrics (seed {:#x})",
         corpus_seed(0)
     );
+}
+
+/// Per-object policy overrides: one cluster, two objects, two policies. The
+/// object overridden to the adaptive policy migrates to its single writer;
+/// the object left on the NoMigration default never moves.
+#[test]
+fn mixed_cluster_runs_different_policies_per_object() {
+    let mut registry = ObjectRegistry::new();
+    let [pinned, overridden]: [ArrayHandle<u64>; 2] = [0, 1].map(|i| {
+        ArrayHandle::register(
+            &mut registry,
+            "carry.mixed",
+            i,
+            4,
+            NodeId::MASTER,
+            HomeAssignment::Master,
+        )
+    });
+    let protocol = ProtocolConfig::no_migration()
+        .with_object_policy(overridden.id, AdaptiveThresholdPolicy::paper());
+    let lock = LockId::derive("carry.mixed.lock");
+    let done = BarrierId(0xC0DE);
+    let config = sim_test_cluster(4, protocol, SimConfig::calm(2004));
+    let report = Cluster::new(config, registry).run(move |ctx| {
+        if ctx.node_id() == NodeId(2) {
+            for i in 0..6u64 {
+                ctx.synchronized(lock, || {
+                    ctx.view_mut(&pinned)[0] = i + 1;
+                    ctx.view_mut(&overridden)[0] = i + 1;
+                });
+            }
+        }
+        ctx.barrier(done);
+        if ctx.node_id() == NodeId(2) {
+            assert!(
+                !ctx.is_home(&pinned),
+                "the NoMigration default must pin the un-overridden object"
+            );
+            assert!(
+                ctx.is_home(&overridden),
+                "the adaptive override must migrate its object to the writer"
+            );
+        }
+        ctx.barrier(done);
+    });
+    assert_eq!(report.migrations(), 1);
+    let telemetry = report.policy_telemetry();
+    assert_eq!(telemetry.decisions_migrate, 1);
+    assert!(telemetry.decisions_considered > 1);
+}
+
+/// Policy telemetry flows through the runtime into the report.
+#[test]
+fn decision_telemetry_reaches_the_execution_report() {
+    let params = sor::SorParams::small(24, 4);
+    let config = sim_test_cluster(4, ProtocolConfig::adaptive(), SimConfig::calm(2004));
+    let run = sor::run(config, &params);
+    let telemetry = run.report.policy_telemetry();
+    assert!(
+        telemetry.decisions_considered > 0,
+        "decisions were considered"
+    );
+    assert_eq!(
+        telemetry.decisions_migrate,
+        run.report.migrations(),
+        "taken decisions are the migrations the report counts"
+    );
+    assert!(run.report.migration_rate() > 0.0);
+    assert!(
+        telemetry.threshold_samples > 0 && telemetry.mean_threshold() >= 1.0,
+        "the adaptive threshold trajectory is sampled (mean {})",
+        telemetry.mean_threshold()
+    );
+    assert_eq!(run.report.policy_label, "AT");
 }

@@ -17,7 +17,7 @@
 //! cluster; thread interleaving may vary between runs, but the final
 //! contents may not.
 
-use dsm_core::{MigrationPolicy, ProtocolConfig};
+use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_integration_tests::{corpus_seed, test_cluster};
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
 use dsm_runtime::{ArrayHandle, Cluster};
@@ -184,7 +184,7 @@ fn stress_migration_hammer_rotating_writers() {
         .map(|i| LockId::derive(&format!("stress.hammer.lock.{i}")))
         .collect();
     let barrier = BarrierId(0x57E6);
-    let protocol = ProtocolConfig::no_migration().with_migration(MigrationPolicy::MigrateOnRequest);
+    let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
 
     let report = Cluster::new(test_cluster(NODES, protocol), registry).run(move |ctx| {
         let me = ctx.node_id().index();

@@ -26,7 +26,7 @@
 //! Every assertion message names the seed, so a failure is a replay recipe.
 
 use dsm_bench::matrix::{self, MatrixWorkload};
-use dsm_core::{MigrationPolicy, ProtocolConfig};
+use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_integration_tests::{seed_pair, sim_test_cluster};
 use dsm_model::{ComputeModel, NetworkParams, SimDuration, SimTime};
 use dsm_net::PauseSpec;
@@ -493,8 +493,7 @@ fn matrix_single_home_per_epoch_under_churn() {
             .collect();
         let lock = LockId::derive("matrix.home.lock");
         let check = BarrierId(0x51);
-        let protocol =
-            ProtocolConfig::no_migration().with_migration(MigrationPolicy::MigrateOnRequest);
+        let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
         let config = sim_test_cluster(nodes, protocol, SimConfig::perturbed(seed));
         Cluster::new(config, registry).run(move |ctx| {
             let me = ctx.node_id().index();
