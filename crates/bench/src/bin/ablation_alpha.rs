@@ -3,17 +3,13 @@
 //! single-writer pattern (r = 2).
 //!
 //! Usage: `cargo run -p dsm-bench --release --bin ablation_alpha [--full]`
+//! (calm sim fabric at the gate seed).
 
-use dsm_bench::{ablation, gate, Scale};
+use dsm_bench::{ablation, gate::GATE_SEED, Scale};
+use dsm_runtime::SimConfig;
 
 fn main() {
-    let scale = Scale::from_args();
-    let points = ablation::coefficient_sensitivity(scale);
+    let points = ablation::coefficient_sensitivity(Scale::from_args(), &SimConfig::calm(GATE_SEED));
     println!("Ablation A2 — home access coefficient / feedback coefficient sensitivity (synthetic, r = 2)\n");
     println!("{}", ablation::render(&points).render());
-    println!("\nFlush batching — the ablation's gate workload in both wire modes:\n");
-    println!(
-        "{}",
-        gate::render(&gate::collect_prefixed(scale, "ablation")).render()
-    );
 }

@@ -1,32 +1,27 @@
 //! Regenerates Figure 2 of the paper: execution time vs. number of
 //! processors for ASP, SOR, Nbody and TSP, with and without home migration.
 //!
-//! Usage: `cargo run -p dsm-bench --release --bin fig2 [--full]
-//! [--fabric sim --seed N | --fabric tcp]` — the sim fabric makes the whole
-//! reproduction replayable seed-exactly; the tcp fabric moves the same
-//! traffic over real sockets (the modeled-time figures are unchanged).
+//! Usage: `cargo run -p dsm-bench --release --bin fig2 [--full]` — runs on
+//! the calm sim fabric at the gate seed, so the output is byte-identical run
+//! to run; exits 1 when the shape check fails.
 
-use dsm_bench::{fabric_from_args, fabric_note, fig2, gate, Scale};
+use dsm_bench::{fig2, gate::GATE_SEED, Scale};
+use dsm_runtime::SimConfig;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let scale = Scale::from_args();
-    let fabric = fabric_from_args();
-    eprintln!("collecting Figure 2 data at {scale:?} scale on the {fabric:?} fabric ...");
-    if let Some(note) = fabric_note(&fabric) {
-        eprintln!("{note}");
-    }
-    let points = fig2::collect_on(scale, &fabric);
+    eprintln!("collecting Figure 2 data at {scale:?} scale ...");
+    let points = fig2::collect(scale, &SimConfig::calm(GATE_SEED));
     let table = fig2::render(&points);
     println!("Figure 2 — execution time vs. number of processors (HM = adaptive migration, NoHM = disabled)\n");
     println!("{}", table.render());
-    println!(
-        "shape check (HM wins on ASP/SOR, neutral on Nbody/TSP): {}",
-        fig2::shape_holds(&points)
-    );
+    let holds = fig2::shape_holds(&points);
+    println!("shape check (HM wins on ASP/SOR, neutral on Nbody/TSP): {holds}");
     println!("\nCSV:\n{}", table.to_csv());
-    println!("\nFlush batching — Figure 2's gate workload in both wire modes:\n");
-    println!(
-        "{}",
-        gate::render(&gate::collect_prefixed(scale, "fig2")).render()
-    );
+    if holds {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

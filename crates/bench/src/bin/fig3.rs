@@ -2,32 +2,27 @@
 //! protocol (AT) over the fixed threshold FT2 against problem size, for ASP
 //! and SOR on eight nodes.
 //!
-//! Usage: `cargo run -p dsm-bench --release --bin fig3 [--full]
-//! [--fabric sim --seed N | --fabric tcp]` — the sim fabric makes the whole
-//! reproduction replayable seed-exactly; the tcp fabric moves the same
-//! traffic over real sockets (the modeled-time figures are unchanged).
+//! Usage: `cargo run -p dsm-bench --release --bin fig3 [--full]` — runs on
+//! the calm sim fabric at the gate seed, so the output is byte-identical run
+//! to run; exits 1 when the shape check fails.
 
-use dsm_bench::{fabric_from_args, fabric_note, fig3, gate, Scale};
+use dsm_bench::{fig3, gate::GATE_SEED, Scale};
+use dsm_runtime::SimConfig;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let scale = Scale::from_args();
-    let fabric = fabric_from_args();
-    eprintln!("collecting Figure 3 data at {scale:?} scale on the {fabric:?} fabric ...");
-    if let Some(note) = fabric_note(&fabric) {
-        eprintln!("{note}");
-    }
-    let points = fig3::collect_on(scale, &fabric);
+    eprintln!("collecting Figure 3 data at {scale:?} scale ...");
+    let points = fig3::collect(scale, &SimConfig::calm(GATE_SEED));
     let table = fig3::render(&points);
     println!("Figure 3 — improvement of AT over FT2 against problem size (8 nodes)\n");
     println!("{}", table.render());
-    println!(
-        "shape check (AT never worse than FT2): {}",
-        fig3::shape_holds(&points)
-    );
+    let holds = fig3::shape_holds(&points);
+    println!("shape check (AT never worse than FT2): {holds}");
     println!("\nCSV:\n{}", table.to_csv());
-    println!("\nFlush batching — Figure 3's gate workloads in both wire modes:\n");
-    println!(
-        "{}",
-        gate::render(&gate::collect_prefixed(scale, "fig3")).render()
-    );
+    if holds {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

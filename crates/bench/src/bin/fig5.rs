@@ -3,21 +3,18 @@
 //! breakdown for NM, FT1, FT2 and AT against the repetition of the
 //! single-writer pattern.
 //!
-//! Usage: `cargo run -p dsm-bench --release --bin fig5 [--full]
-//! [--fabric sim --seed N | --fabric tcp]` — the sim fabric makes the whole
-//! reproduction replayable seed-exactly; the tcp fabric moves the same
-//! traffic over real sockets (the modeled-time figures are unchanged).
+//! Usage: `cargo run -p dsm-bench --release --bin fig5 [--full]` — runs on
+//! the calm sim fabric at the gate seed, so the output is byte-identical run
+//! to run; exits 1 when a shape check fails.
 
-use dsm_bench::{fabric_from_args, fabric_note, fig5, Scale};
+use dsm_bench::{fig5, gate::GATE_SEED, Scale};
+use dsm_runtime::SimConfig;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let scale = Scale::from_args();
-    let fabric = fabric_from_args();
-    eprintln!("collecting Figure 5 data at {scale:?} scale on the {fabric:?} fabric ...");
-    if let Some(note) = fabric_note(&fabric) {
-        eprintln!("{note}");
-    }
-    let points = fig5::collect_on(scale, &fabric);
+    eprintln!("collecting Figure 5 data at {scale:?} scale ...");
+    let points = fig5::collect(scale, &SimConfig::calm(GATE_SEED));
     println!(
         "Figure 5(a) — normalized execution time vs. repetition of the single-writer pattern\n"
     );
@@ -25,11 +22,17 @@ fn main() {
     println!("Figure 5(b) — normalized message breakdown (obj / mig / diff / redir)\n");
     println!("{}", fig5::render_messages(&points).render());
     println!("shape checks (paper §5.2 observations):");
-    for (name, ok) in fig5::shape_holds(&points) {
-        println!("  [{}] {}", if ok { "ok" } else { "FAIL" }, name);
+    let checks = fig5::shape_holds(&points);
+    for (name, ok) in &checks {
+        println!("  [{}] {}", if *ok { "ok" } else { "FAIL" }, name);
     }
     println!(
         "\nCSV (messages):\n{}",
         fig5::render_messages(&points).to_csv()
     );
+    if checks.iter().all(|(_, ok)| *ok) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -2,13 +2,11 @@
 //! with home migration enabled (HM = adaptive threshold) and disabled
 //! (NoHM), for ASP, SOR, Nbody and TSP.
 
-#[cfg(test)]
-use crate::cluster;
 use crate::table::{fmt_f, Table};
-use crate::{cluster_on, Scale};
+use crate::{cluster, Scale};
 use dsm_apps::{asp, nbody, sor, tsp};
 use dsm_core::ProtocolConfig;
-use dsm_runtime::FabricMode;
+use dsm_runtime::SimConfig;
 
 /// One measurement point of Figure 2.
 #[derive(Debug, Clone)]
@@ -42,68 +40,45 @@ fn policies() -> Vec<(&'static str, ProtocolConfig)> {
     ]
 }
 
-/// Produce every point of Figure 2 (all four applications).
+/// Produce every point of Figure 2 (all four applications) on the sim
+/// fabric under `sim`.
 ///
 /// The figure reproduces the *paper's* wire protocol, so flush batching is
 /// disabled here: batching compresses the NoHM baseline (whose flushes
 /// persist and batch) much more than HM (which migrated the objects home),
-/// which would skew exactly the comparison the figure makes. The gate table
-/// the `fig2` binary prints alongside reports both wire modes.
-pub fn collect(scale: Scale) -> Vec<Fig2Point> {
-    collect_on(scale, &FabricMode::Threaded)
-}
-
-/// As [`collect`], on an explicit fabric: `--fabric sim --seed N` runs the
-/// whole figure on the deterministic sim fabric, making the reproduction
-/// replayable seed-exactly.
-pub fn collect_on(scale: Scale, fabric: &FabricMode) -> Vec<Fig2Point> {
-    // Shadows the crate-level threaded helper for the body below.
-    let cluster = |nodes: usize, protocol: ProtocolConfig| cluster_on(nodes, protocol, fabric);
+/// which would skew exactly the comparison the figure makes. The gate
+/// (`bench_gate`) reports Figure 2's SOR in both wire modes.
+pub fn collect(scale: Scale, sim: &SimConfig) -> Vec<Fig2Point> {
     let mut points = Vec::new();
     for nodes in node_counts(scale) {
         for (label, protocol) in policies() {
-            // ASP
+            let config = || cluster(nodes, protocol.clone(), sim).with_flush_batching(false);
             let params = match scale {
                 Scale::Small => asp::AspParams::small(96),
                 Scale::Paper => asp::AspParams::paper(),
             };
-            let run = asp::run(
-                cluster(nodes, protocol.clone()).with_flush_batching(false),
-                &params,
-            );
+            let run = asp::run(config(), &params);
             points.push(point("ASP", nodes, label, &run.report));
 
-            // SOR
             let params = match scale {
                 Scale::Small => sor::SorParams::small(96, 6),
                 Scale::Paper => sor::SorParams::paper(),
             };
-            let run = sor::run(
-                cluster(nodes, protocol.clone()).with_flush_batching(false),
-                &params,
-            );
+            let run = sor::run(config(), &params);
             points.push(point("SOR", nodes, label, &run.report));
 
-            // Nbody
             let params = match scale {
                 Scale::Small => nbody::NbodyParams::small(256, 3),
                 Scale::Paper => nbody::NbodyParams::paper(),
             };
-            let run = nbody::run(
-                cluster(nodes, protocol.clone()).with_flush_batching(false),
-                &params,
-            );
+            let run = nbody::run(config(), &params);
             points.push(point("Nbody", nodes, label, &run.report));
 
-            // TSP
             let params = match scale {
                 Scale::Small => tsp::TspParams::small(10),
                 Scale::Paper => tsp::TspParams::paper(),
             };
-            let run = tsp::run(
-                cluster(nodes, protocol.clone()).with_flush_batching(false),
-                &params,
-            );
+            let run = tsp::run(config(), &params);
             points.push(point("TSP", nodes, label, &run.report));
         }
     }
@@ -149,10 +124,9 @@ pub fn render(points: &[Fig2Point]) -> Table {
     table
 }
 
-/// Shape checks for the figure (used by tests and EXPERIMENTS.md):
-/// HM must clearly beat NoHM for ASP and SOR and stay neutral for Nbody
-/// and TSP (gated on message-count neutrality — their times are noisy at
-/// test scales).
+/// Shape checks for the figure: HM must beat NoHM in modeled time for ASP
+/// and SOR on four or more nodes and stay neutral for Nbody and TSP (gated
+/// on message-count neutrality).
 pub fn shape_holds(points: &[Fig2Point]) -> bool {
     let find = |app: &str, nodes: usize, policy: &str| -> Option<&Fig2Point> {
         points
@@ -174,24 +148,20 @@ pub fn shape_holds(points: &[Fig2Point]) -> bool {
                 }
             }
             "TSP" => {
-                // TSP is neutral, but its modeled *time* is noisy:
-                // branch-and-bound pruning depends on racy lock-grant
-                // order (the paper notes lock re-acquisition "happens
-                // randomly at runtime"), which moves the explored work —
-                // and with it the time — by tens of percent between runs.
-                // The stable expression of neutrality is the message
-                // count: HM neither adds nor removes meaningful coherence
-                // traffic.
+                // TSP is neutral, but its modeled *time* follows the
+                // lock-grant order: branch-and-bound pruning depends on
+                // which worker wins each lock (the paper notes lock
+                // re-acquisition "happens randomly at runtime"; on the sim
+                // it is a function of the seed), which moves the explored
+                // work — and with it the time — by tens of percent. The
+                // stable expression of neutrality is the message count: HM
+                // neither adds nor removes meaningful coherence traffic.
                 let delta = (p.messages as f64 - nohm.messages as f64).abs();
                 ok &= delta / (nohm.messages as f64) < 0.25;
             }
             _ => {
-                // Nbody: neutral like TSP, and just as noisy in *time* at
-                // the scales the tests sweep — a few milliseconds of
-                // mostly-local compute, where scheduler jitter alone moves
-                // the wall clock by tens of percent. Neutrality gates on
-                // the coherence traffic instead: HM must not meaningfully
-                // change the message count.
+                // Nbody: neutral like TSP and gated the same way — HM
+                // must not meaningfully change the message count.
                 let delta = (p.messages as f64 - nohm.messages as f64).abs();
                 ok &= delta / (nohm.messages as f64) < 0.25;
             }
@@ -212,18 +182,27 @@ mod tests {
 
     #[test]
     fn tiny_fig2_sweep_produces_expected_shape() {
-        // A miniature sweep (one node count) exercising the full pipeline.
-        let mut points = Vec::new();
-        for (label, protocol) in policies() {
-            let run = asp::run(cluster(4, protocol.clone()), &asp::AspParams::small(24));
-            points.push(point("ASP", 4, label, &run.report));
-            let run = sor::run(cluster(4, protocol.clone()), &sor::SorParams::small(24, 2));
-            points.push(point("SOR", 4, label, &run.report));
-            let run = nbody::run(cluster(4, protocol), &nbody::NbodyParams::small(48, 1));
-            points.push(point("Nbody", 4, label, &run.report));
+        // A miniature sweep (one node count) exercising the full pipeline
+        // in the figure's wire mode, under every test schedule.
+        for sim in crate::test_sims() {
+            let config = |protocol: &ProtocolConfig| {
+                cluster(4, protocol.clone(), &sim).with_flush_batching(false)
+            };
+            let mut points = Vec::new();
+            for (label, protocol) in policies() {
+                let run = asp::run(config(&protocol), &asp::AspParams::small(24));
+                points.push(point("ASP", 4, label, &run.report));
+                let run = sor::run(config(&protocol), &sor::SorParams::small(24, 2));
+                points.push(point("SOR", 4, label, &run.report));
+                let run = nbody::run(config(&protocol), &nbody::NbodyParams::small(48, 1));
+                points.push(point("Nbody", 4, label, &run.report));
+            }
+            assert!(
+                shape_holds(&points),
+                "figure 2 shape violated (seed {:#x}): {points:?}",
+                sim.seed
+            );
+            assert_eq!(render(&points).len(), points.len());
         }
-        assert!(shape_holds(&points), "figure 2 shape violated: {points:?}");
-        let table = render(&points);
-        assert_eq!(table.len(), points.len());
     }
 }

@@ -4,10 +4,10 @@
 //! eight cluster nodes.
 
 use crate::table::{fmt_pct, Table};
-use crate::{cluster_on, Scale};
+use crate::{cluster, Scale};
 use dsm_apps::{asp, sor};
 use dsm_core::ProtocolConfig;
-use dsm_runtime::FabricMode;
+use dsm_runtime::{ClusterConfig, ExecutionReport, SimConfig};
 
 /// Number of cluster nodes used by the figure (the paper uses eight).
 pub const NODES: usize = 8;
@@ -35,66 +35,50 @@ pub fn problem_sizes(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// Collect the ASP and SOR series.
-pub fn collect(scale: Scale) -> Vec<Fig3Point> {
-    collect_on(scale, &FabricMode::Threaded)
-}
-
-/// As [`collect`], on an explicit fabric (`--fabric sim --seed N` makes the
-/// reproduction replayable seed-exactly).
-pub fn collect_on(scale: Scale, fabric: &FabricMode) -> Vec<Fig3Point> {
+/// Collect the ASP and SOR series on the sim fabric under `sim`.
+pub fn collect(scale: Scale, sim: &SimConfig) -> Vec<Fig3Point> {
     let mut points = Vec::new();
     for size in problem_sizes(scale) {
-        points.push(asp_point_on(size, fabric));
-        points.push(sor_point_on(size, fabric));
+        points.push(asp_point(size, sim));
+        points.push(sor_point(size, sim));
     }
     points
 }
 
-/// One ASP measurement at a given graph size.
-///
-/// As in Figure 2, the paper-reproduction points run with flush batching
-/// disabled (the paper's one-`DiffFlush`-per-object wire protocol), so the
-/// AT-vs-FT2 comparison measures exactly what the paper measured; the gate
-/// table the `fig3` binary prints alongside reports both wire modes.
-pub fn asp_point_on(size: usize, fabric: &FabricMode) -> Fig3Point {
-    let params = asp::AspParams::small(size);
-    let at = asp::run(
-        cluster_on(NODES, ProtocolConfig::adaptive(), fabric).with_flush_batching(false),
-        &params,
-    );
-    let ft2 = asp::run(
-        cluster_on(NODES, ProtocolConfig::fixed_threshold(2), fabric).with_flush_batching(false),
-        &params,
-    );
+/// The AT and FT2 clusters a point compares. As in Figure 2, they run with
+/// flush batching disabled (the paper's one-`DiffFlush`-per-object wire
+/// protocol), so the comparison measures exactly what the paper measured;
+/// the gate (`bench_gate`) reports Figure 3's workloads in both wire modes.
+fn at_and_ft2(sim: &SimConfig) -> [ClusterConfig; 2] {
+    [
+        ProtocolConfig::adaptive(),
+        ProtocolConfig::fixed_threshold(2),
+    ]
+    .map(|protocol| cluster(NODES, protocol, sim).with_flush_batching(false))
+}
+
+fn improvement(app: &str, size: usize, at: &ExecutionReport, ft2: &ExecutionReport) -> Fig3Point {
     Fig3Point {
-        app: "ASP".to_string(),
+        app: app.to_string(),
         size,
-        time_improvement: at.report.time_improvement_over(&ft2.report),
-        message_improvement: at.report.message_improvement_over(&ft2.report),
-        traffic_improvement: at.report.traffic_improvement_over(&ft2.report),
+        time_improvement: at.time_improvement_over(ft2),
+        message_improvement: at.message_improvement_over(ft2),
+        traffic_improvement: at.traffic_improvement_over(ft2),
     }
 }
 
-/// One SOR measurement at a given matrix size (paper wire mode, see
-/// [`asp_point_on`]).
-pub fn sor_point_on(size: usize, fabric: &FabricMode) -> Fig3Point {
+/// One ASP measurement at a given graph size.
+pub fn asp_point(size: usize, sim: &SimConfig) -> Fig3Point {
+    let params = asp::AspParams::small(size);
+    let [at, ft2] = at_and_ft2(sim).map(|config| asp::run(config, &params).report);
+    improvement("ASP", size, &at, &ft2)
+}
+
+/// One SOR measurement at a given matrix size.
+pub fn sor_point(size: usize, sim: &SimConfig) -> Fig3Point {
     let params = sor::SorParams::small(size, 6);
-    let at = sor::run(
-        cluster_on(NODES, ProtocolConfig::adaptive(), fabric).with_flush_batching(false),
-        &params,
-    );
-    let ft2 = sor::run(
-        cluster_on(NODES, ProtocolConfig::fixed_threshold(2), fabric).with_flush_batching(false),
-        &params,
-    );
-    Fig3Point {
-        app: "SOR".to_string(),
-        size,
-        time_improvement: at.report.time_improvement_over(&ft2.report),
-        message_improvement: at.report.message_improvement_over(&ft2.report),
-        traffic_improvement: at.report.traffic_improvement_over(&ft2.report),
-    }
+    let [at, ft2] = at_and_ft2(sim).map(|config| sor::run(config, &params).report);
+    improvement("SOR", size, &at, &ft2)
 }
 
 /// Render the collected points as a table.
@@ -129,7 +113,6 @@ pub fn shape_holds(points: &[Fig3Point]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_runtime::SimConfig;
 
     #[test]
     fn sizes_match_scale() {
@@ -139,17 +122,12 @@ mod tests {
 
     #[test]
     fn at_improves_over_ft2_on_small_instances() {
-        // Modeled time is only a function of the seed on the sim fabric: the
-        // calm schedule plus the integration suite's perturbed seed corpus.
-        let mut fabrics = vec![SimConfig::calm(2004)];
-        fabrics.extend([0x51E5_ED01, 0x51E5_ED02, 0x51E5_ED03].map(SimConfig::perturbed));
-        for sim in fabrics {
-            let seed = sim.seed;
-            let fabric = FabricMode::Sim(sim);
-            let points = vec![asp_point_on(24, &fabric), sor_point_on(24, &fabric)];
+        for sim in crate::test_sims() {
+            let points = vec![asp_point(24, &sim), sor_point(24, &sim)];
             assert!(
                 shape_holds(&points),
-                "figure 3 shape violated (seed {seed:#x}): {points:?}"
+                "figure 3 shape violated (seed {:#x}): {points:?}",
+                sim.seed
             );
             assert_eq!(render(&points).len(), 2);
         }

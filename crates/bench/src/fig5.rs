@@ -4,11 +4,11 @@
 //! `r` of the single-writer pattern.
 
 use crate::table::{fmt_f, Table};
-use crate::{cluster_on, Scale};
+use crate::{cluster, Scale};
 use dsm_apps::synthetic::{self, SyntheticParams};
 use dsm_core::ProtocolConfig;
 use dsm_net::MsgCategory;
-use dsm_runtime::FabricMode;
+use dsm_runtime::SimConfig;
 
 /// One protocol's measurement at one repetition value.
 #[derive(Debug, Clone)]
@@ -62,23 +62,13 @@ pub fn nodes(scale: Scale) -> usize {
     }
 }
 
-/// Run one protocol at one repetition, threaded fabric.
+/// Run one protocol at one repetition on the sim fabric under `sim`.
 pub fn measure(
     repetition: usize,
     label: &str,
     protocol: ProtocolConfig,
     scale: Scale,
-) -> Fig5Point {
-    measure_on(repetition, label, protocol, scale, &FabricMode::Threaded)
-}
-
-/// Run one protocol at one repetition on an explicit fabric.
-pub fn measure_on(
-    repetition: usize,
-    label: &str,
-    protocol: ProtocolConfig,
-    scale: Scale,
-    fabric: &FabricMode,
+    sim: &SimConfig,
 ) -> Fig5Point {
     let n = nodes(scale);
     let workers = n - 1;
@@ -90,7 +80,7 @@ pub fn measure_on(
         },
         Scale::Paper => SyntheticParams::paper(repetition, workers),
     };
-    let run = synthetic::run(cluster_on(n, protocol, fabric), &params);
+    let run = synthetic::run(cluster(n, protocol, sim), &params);
     Fig5Point {
         repetition,
         policy: label.to_string(),
@@ -103,18 +93,12 @@ pub fn measure_on(
     }
 }
 
-/// Collect the whole figure.
-pub fn collect(scale: Scale) -> Vec<Fig5Point> {
-    collect_on(scale, &FabricMode::Threaded)
-}
-
-/// As [`collect`], on an explicit fabric (`--fabric sim --seed N` makes
-/// the reproduction replayable seed-exactly).
-pub fn collect_on(scale: Scale, fabric: &FabricMode) -> Vec<Fig5Point> {
+/// Collect the whole figure on the sim fabric under `sim`.
+pub fn collect(scale: Scale, sim: &SimConfig) -> Vec<Fig5Point> {
     let mut points = Vec::new();
     for repetition in repetitions(scale) {
         for (label, protocol) in protocols() {
-            points.push(measure_on(repetition, label, protocol, scale, fabric));
+            points.push(measure(repetition, label, protocol, scale, sim));
         }
     }
     points
@@ -265,20 +249,24 @@ mod tests {
 
     #[test]
     fn large_repetition_favours_migration() {
-        let nm = measure(8, "NM", ProtocolConfig::no_migration(), Scale::Small);
-        let at = measure(8, "AT", ProtocolConfig::adaptive(), Scale::Small);
-        assert!(at.migrations > 0);
-        assert!(
-            (at.obj + at.mig + at.diff) < nm.obj + nm.diff,
-            "AT should reduce fault-in + diff traffic at r=8 (AT {at:?} vs NM {nm:?})"
-        );
+        for sim in crate::test_sims() {
+            let nm = measure(8, "NM", ProtocolConfig::no_migration(), Scale::Small, &sim);
+            let at = measure(8, "AT", ProtocolConfig::adaptive(), Scale::Small, &sim);
+            assert!(at.migrations > 0, "seed {:#x}: AT never migrated", sim.seed);
+            assert!(
+                (at.obj + at.mig + at.diff) < nm.obj + nm.diff,
+                "AT should reduce fault-in + diff traffic at r=8 (seed {:#x}: AT {at:?} vs NM {nm:?})",
+                sim.seed
+            );
+        }
     }
 
     #[test]
     fn tables_render_every_point() {
+        let sim = SimConfig::calm(crate::gate::GATE_SEED);
         let points = vec![
-            measure(2, "NM", ProtocolConfig::no_migration(), Scale::Small),
-            measure(2, "AT", ProtocolConfig::adaptive(), Scale::Small),
+            measure(2, "NM", ProtocolConfig::no_migration(), Scale::Small, &sim),
+            measure(2, "AT", ProtocolConfig::adaptive(), Scale::Small, &sim),
         ];
         assert_eq!(render_times(&points).len(), 2);
         assert_eq!(render_messages(&points).len(), 2);

@@ -36,21 +36,17 @@
 
 use crate::matrix::{matrix_cluster, policies};
 use crate::table::{fmt_f, Table};
-use crate::{cluster_on, Scale};
+use crate::{cluster, Scale};
 use dsm_apps::kv::{self, KvParams};
 use dsm_apps::synthetic::{self, SyntheticParams};
 use dsm_apps::{asp, sor};
 use dsm_core::{AdaptiveThresholdPolicy, EwmaWriteRatioPolicy, HysteresisPolicy, ProtocolConfig};
 use dsm_runtime::{ExecutionReport, FabricMode, SimConfig};
 
-/// The sim seed every gate cell runs under. [`SimConfig::calm`] draws no
-/// random perturbation, so the seed only labels the runs; it also seeds the
-/// KV workload's traffic generators.
+/// The sim seed every gate cell — and every figure binary — runs under.
+/// [`SimConfig::calm`] draws no random perturbation, so the seed only
+/// labels the runs; it also seeds the KV workload's traffic generators.
 pub const GATE_SEED: u64 = 2004;
-
-fn gate_fabric() -> FabricMode {
-    FabricMode::Sim(SimConfig::calm(GATE_SEED))
-}
 
 /// One measured (workload, mode) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +120,7 @@ pub const WORKLOADS: [&str; 10] = [
 
 /// Run one named gate workload in one flush-batching mode.
 fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
-    let fabric = gate_fabric();
+    let sim = SimConfig::calm(GATE_SEED);
     // The AT SOR size keeps `band / nodes >= 2` on eight nodes, so each
     // release still flushes at least two rows per remote home and batches
     // really form under the migration-enabled configuration too.
@@ -139,7 +135,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
         "fig2_sor_nohm" => {
             let params = sor::SorParams::small(sor_size, 4);
             let config =
-                cluster_on(4, ProtocolConfig::no_migration(), &fabric).with_flush_batching(batched);
+                cluster(4, ProtocolConfig::no_migration(), &sim).with_flush_batching(batched);
             let run = sor::run(config, &params);
             GateRow::from_report(name, batched, sor::checksum(&run.result), &run.report)
         }
@@ -149,7 +145,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
         // traffic is left — batching under the paper's headline mode.
         "fig3_sor_at" => {
             let params = sor::SorParams::small(at_sor_size, 4);
-            let config = cluster_on(crate::fig3::NODES, ProtocolConfig::adaptive(), &fabric)
+            let config = cluster(crate::fig3::NODES, ProtocolConfig::adaptive(), &sim)
                 .with_flush_batching(batched);
             let run = sor::run(config, &params);
             GateRow::from_report(name, batched, sor::checksum(&run.result), &run.report)
@@ -157,7 +153,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
         // Figure 3's ASP configuration.
         "fig3_asp_at" => {
             let params = asp::AspParams::small(asp_size);
-            let config = cluster_on(crate::fig3::NODES, ProtocolConfig::adaptive(), &fabric)
+            let config = cluster(crate::fig3::NODES, ProtocolConfig::adaptive(), &sim)
                 .with_flush_batching(batched);
             let run = asp::run(config, &params);
             GateRow::from_report(name, batched, asp::checksum(&run.result), &run.report)
@@ -175,7 +171,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
                 compute_ops: 0,
             };
             let config =
-                cluster_on(5, ProtocolConfig::no_migration(), &fabric).with_flush_batching(batched);
+                cluster(5, ProtocolConfig::no_migration(), &sim).with_flush_batching(batched);
             let run = synthetic::run(config, &params);
             GateRow::from_report(name, batched, run.result as f64, &run.report)
         }
@@ -216,7 +212,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
                 ),
                 other => panic!("unknown policy-matrix workload {other:?}"),
             };
-            let config = cluster_on(3, protocol, &fabric).with_flush_batching(batched);
+            let config = cluster(3, protocol, &sim).with_flush_batching(batched);
             let run = synthetic::run(config, &params);
             GateRow::from_report(name, batched, run.result as f64, &run.report)
         }
@@ -226,27 +222,13 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
 
 /// Collect every gate workload in both flush-batching modes.
 pub fn collect(scale: Scale) -> Vec<GateRow> {
-    collect_prefixed(scale, "")
+    [true, false]
+        .into_iter()
+        .flat_map(|batched| WORKLOADS.map(|name| run_workload(name, scale, batched)))
+        .collect()
 }
 
-/// Collect only the gate workloads whose name starts with `prefix`, in both
-/// flush-batching modes — the fig2/fig3/ablation binaries use this to show
-/// their *own* workload family in both wire modes without re-running the
-/// other figures' workloads.
-pub fn collect_prefixed(scale: Scale, prefix: &str) -> Vec<GateRow> {
-    let mut rows = Vec::new();
-    for batched in [true, false] {
-        for name in WORKLOADS {
-            if name.starts_with(prefix) {
-                rows.push(run_workload(name, scale, batched));
-            }
-        }
-    }
-    rows
-}
-
-/// Render gate rows as a table (printed by the fig2/fig3/ablation binaries
-/// so every report shows both flush-batching modes).
+/// Render gate rows as a table (printed by `bench_gate`).
 pub fn render(rows: &[GateRow]) -> Table {
     let mut table = Table::new(&[
         "workload",
@@ -448,7 +430,8 @@ impl KvRow {
 
 /// Run the KV workload under one policy.
 fn measure_kv(label: &str, protocol: ProtocolConfig, params: &KvParams) -> KvRow {
-    let config = matrix_cluster(protocol, gate_fabric()).with_seed(GATE_SEED);
+    let config =
+        matrix_cluster(protocol, FabricMode::Sim(SimConfig::calm(GATE_SEED))).with_seed(GATE_SEED);
     let run = kv::run(config, params);
     let mut shift = 0u64;
     let mut settle = 0u64;

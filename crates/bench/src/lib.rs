@@ -14,12 +14,21 @@
 //! to select the paper scale.
 //!
 //! Everything here reports **modeled** numbers (message counts, migrations,
-//! Hockney time on a virtual clock). [`gate`] is the one regression gate:
-//! it runs the modeled workloads and the KV policy sweep on the
-//! deterministic sim fabric and requires the rendered document to equal the
-//! committed `bench/baseline.json` byte for byte. Wall-clock throughput and
-//! latency are measured only by the repo benchmark (`benchmark/`, see
-//! `benchmark/README.md`).
+//! Hockney time on a virtual clock), and every such number comes from the
+//! deterministic sim fabric: each harness builds its clusters with
+//! [`cluster`], which takes a [`SimConfig`], so a figure cannot run on the
+//! OS-scheduled fabrics by accident. On the sim the numbers are a pure
+//! function of the seed; the binaries run [`SimConfig::calm`] at
+//! [`gate::GATE_SEED`], so their output is byte-identical run to run and
+//! between debug and release builds. `fig2`, `fig3` and `fig5` exit 1 when
+//! a shape check fails.
+//!
+//! [`gate`] is the one regression gate: it runs the modeled workloads and
+//! the KV policy sweep on the same calm sim and requires the rendered
+//! document to equal the committed `bench/baseline.json` byte for byte.
+//! Wall-clock throughput and latency are measured only by the repo
+//! benchmark (`benchmark/`, see `benchmark/README.md`); TCP is covered by
+//! the conformance suites (`tcp_conformance`, the `tcp_cluster` binary).
 //!
 //! ## Adding a workload
 //!
@@ -66,7 +75,7 @@ pub mod table;
 
 use dsm_core::ProtocolConfig;
 use dsm_model::ComputeModel;
-use dsm_runtime::{ClusterConfig, FabricMode, SimConfig, TcpConfig};
+use dsm_runtime::{ClusterConfig, SimConfig};
 
 /// Workload scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,77 +100,26 @@ impl Scale {
     }
 }
 
-/// Build a cluster configuration for an experiment run: the paper's Fast
-/// Ethernet network and Pentium-4-class compute model.
-pub fn cluster(nodes: usize, protocol: ProtocolConfig) -> ClusterConfig {
+/// Build the cluster configuration of an experiment run: the paper's Fast
+/// Ethernet network and Pentium-4-class compute model, on the sim fabric
+/// under `sim`. Every figure, ablation and gate cell is built here.
+pub fn cluster(nodes: usize, protocol: ProtocolConfig, sim: &SimConfig) -> ClusterConfig {
     dsm_runtime::Cluster::builder()
         .nodes(nodes)
         .protocol(protocol)
         .compute(ComputeModel::pentium4_2ghz())
+        .fabric(dsm_runtime::FabricMode::Sim(*sim))
         .config()
 }
 
-/// As [`cluster`], but on an explicit fabric — the figure harnesses thread
-/// this through so paper reproductions can run on the deterministic sim
-/// fabric (`--fabric sim --seed N`) and be replayed seed-exactly.
-pub fn cluster_on(nodes: usize, protocol: ProtocolConfig, fabric: &FabricMode) -> ClusterConfig {
-    cluster(nodes, protocol).with_fabric(fabric.clone())
-}
-
-/// Parse the fabric selection from process arguments: `--fabric sim`
-/// selects the deterministic sim fabric (seeded by `--seed N`, default
-/// 2004; hex `0x...` accepted, so the seeds printed by failure reports can
-/// be pasted verbatim); `--fabric tcp` runs the same experiment over real
-/// `127.0.0.1` sockets; `--fabric threaded` (or no flag) keeps the
-/// threaded fabric.
-///
-/// # Panics
-/// Panics with a usage message on an unknown or missing `--fabric` value,
-/// an unparsable or missing `--seed` value, or a `--seed` without
-/// `--fabric sim` (only the sim fabric is seeded), so a typo cannot
-/// silently fall back to a different experiment.
-pub fn fabric_from_args() -> FabricMode {
-    fabric_from(&std::env::args().collect::<Vec<_>>())
-}
-
-fn fabric_from(args: &[String]) -> FabricMode {
-    const USAGE: &str = "usage: [--fabric threaded|sim|tcp] [--seed N, with --fabric sim only]";
-    let value_of = |flag: &str| -> Option<&str> {
-        let at = args.iter().position(|a| a == flag)?;
-        match args.get(at + 1) {
-            Some(value) => Some(value.as_str()),
-            None => panic!("{flag} needs a value ({USAGE})"),
-        }
-    };
-    let fabric = value_of("--fabric");
-    let seed = value_of("--seed").map(|s| {
-        dsm_util::parse_seed(s).unwrap_or_else(|e| panic!("--seed {s:?} is invalid: {e} ({USAGE})"))
-    });
-    if seed.is_some() && fabric != Some("sim") {
-        panic!("--seed only applies to --fabric sim ({USAGE})");
-    }
-    match fabric {
-        None | Some("threaded") => FabricMode::Threaded,
-        Some("sim") => FabricMode::Sim(SimConfig::perturbed(seed.unwrap_or(2004))),
-        Some("tcp") => FabricMode::Tcp(TcpConfig::default()),
-        Some(other) => panic!("unknown --fabric {other:?} ({USAGE})"),
-    }
-}
-
-/// A one-line caveat the figure binaries print for fabrics that change how
-/// the experiment should be read; `None` when nothing needs saying. The
-/// modeled-time figures are defined by the virtual clock, which is
-/// fabric-independent — the TCP note exists because readers reasonably
-/// suspect real sockets would perturb them, and they do not.
-pub fn fabric_note(fabric: &FabricMode) -> Option<&'static str> {
-    match fabric {
-        FabricMode::Threaded | FabricMode::Sim(_) => None,
-        FabricMode::Tcp(_) => Some(
-            "note: --fabric tcp moves real bytes over 127.0.0.1, but the figures below \
-             plot modeled virtual time, which is fabric-independent; sim/loopback \
-             produce the same numbers without socket overhead",
-        ),
-    }
+/// The schedules the harness's unit tests assert modeled claims under: the
+/// calm sim at [`gate::GATE_SEED`] plus the perturbed sim at each seed of
+/// the integration suite's default corpus.
+#[cfg(test)]
+pub(crate) fn test_sims() -> Vec<SimConfig> {
+    let mut sims = vec![SimConfig::calm(gate::GATE_SEED)];
+    sims.extend([0x51E5_ED01, 0x51E5_ED02, 0x51E5_ED03].map(SimConfig::perturbed));
+    sims
 }
 
 #[cfg(test)]
@@ -174,59 +132,29 @@ mod tests {
         assert_eq!(Scale::from_args(), Scale::Small);
     }
 
-    fn fabric(args: &[&str]) -> FabricMode {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        fabric_from(&args)
-    }
-
-    #[test]
-    fn fabric_args_select_the_fabric_and_seed() {
-        assert!(matches!(fabric(&["fig3"]), FabricMode::Threaded));
-        assert!(matches!(
-            fabric(&["fig3", "--full", "--fabric", "threaded"]),
-            FabricMode::Threaded
-        ));
-        assert!(matches!(
-            fabric(&["fig3", "--fabric", "tcp"]),
-            FabricMode::Tcp(_)
-        ));
-        let FabricMode::Sim(sim) = fabric(&["fig3", "--fabric", "sim"]) else {
-            panic!("--fabric sim must select the sim fabric");
-        };
-        assert_eq!(sim.seed, 2004);
-        let FabricMode::Sim(sim) = fabric(&["fig3", "--seed", "0x2a", "--fabric", "sim"]) else {
-            panic!("--fabric sim must select the sim fabric");
-        };
-        assert_eq!(sim.seed, 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "--fabric needs a value")]
-    fn fabric_flag_without_a_value_is_rejected() {
-        fabric(&["fig3", "--fabric"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "--seed only applies to --fabric sim")]
-    fn seed_without_the_sim_fabric_is_rejected() {
-        fabric(&["fig3", "--seed", "7"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "--seed only applies to --fabric sim")]
-    fn seed_with_another_fabric_is_rejected() {
-        fabric(&["fig3", "--fabric", "tcp", "--seed", "7"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown --fabric")]
-    fn unknown_fabric_is_rejected() {
-        fabric(&["fig3", "--fabric", "simm"]);
-    }
-
     #[test]
     fn cluster_builder_uses_requested_nodes() {
-        let cfg = cluster(8, ProtocolConfig::adaptive());
+        let sim = SimConfig::calm(gate::GATE_SEED);
+        let cfg = cluster(8, ProtocolConfig::adaptive(), &sim);
         assert_eq!(cfg.num_nodes, 8);
+        assert_eq!(cfg.fabric, dsm_runtime::FabricMode::Sim(sim));
+    }
+
+    #[test]
+    fn figure_tables_replay_byte_identically() {
+        // Each collection builds fresh clusters (and fresh hash-map seeds),
+        // so equal renderings mean the tables depend on the seed alone.
+        let sim = SimConfig::calm(gate::GATE_SEED);
+        let tables = || {
+            let fig5 = fig5::collect(Scale::Small, &sim);
+            [
+                fig5::render_times(&fig5).to_csv(),
+                fig5::render_messages(&fig5).to_csv(),
+                ablation::render(&ablation::notification_comparison(Scale::Small, &sim)).to_csv(),
+                ablation::render(&ablation::coefficient_sensitivity(Scale::Small, &sim)).to_csv(),
+                ablation::render(&ablation::related_work_comparison(Scale::Small, &sim)).to_csv(),
+            ]
+        };
+        assert_eq!(tables(), tables());
     }
 }

@@ -1,7 +1,6 @@
 //! The regression gate, run for real inside tier-1: every cell on the sim
 //! fabric, the internal claims, and byte equality with the committed
-//! `bench/baseline.json`. (A test target of its own, so the sim sweep never
-//! competes for CPU with the crate's OS-scheduled threaded-fabric tests.)
+//! `bench/baseline.json`.
 
 use dsm_bench::{gate, Scale};
 use std::sync::OnceLock;

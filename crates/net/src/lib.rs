@@ -16,9 +16,7 @@
 //!   node threads. Sending is non-blocking; each node's protocol server
 //!   drains its endpoint. Endpoints carry a [`WakeHub`] so an event-driven
 //!   server (the runtime's executor) can be notified of each enqueue via a
-//!   [`WakeNotifier`] instead of polling. The fabric also offers a
-//!   deterministic single-threaded [`Loopback`] used by protocol unit
-//!   tests.
+//!   [`WakeNotifier`] instead of polling.
 //! * [`SimFabric`] / [`SimEndpoint`] — the deterministic simulation fabric:
 //!   a seeded virtual-time scheduler that owns delivery itself, applies
 //!   pluggable [`LinkPerturbation`]s (latency jitter, bounded reordering,
@@ -62,7 +60,6 @@
 pub mod category;
 pub mod envelope;
 pub mod fabric;
-pub mod loopback;
 pub mod membership;
 pub mod sim;
 pub mod stats;
@@ -72,7 +69,6 @@ pub mod wire;
 pub use category::MsgCategory;
 pub use envelope::{Envelope, MESSAGE_HEADER_BYTES};
 pub use fabric::{Endpoint, Fabric, WakeHub, WakeNotifier};
-pub use loopback::Loopback;
 pub use membership::{LivenessTracker, MembershipReport, MembershipView, PeerLiveness, PeerStatus};
 pub use sim::{
     BoundedReorder, DelayBursts, DeliveryRecord, DeliveryTrace, DropReason, DropRecord,

@@ -633,17 +633,9 @@ impl NodeCtx {
                 },
             );
             match reply {
-                ProtocolMsg::ObjectReply {
-                    data,
-                    version,
-                    migration,
-                    ..
-                } => {
-                    self.shared
-                        .engine
-                        .install_object(obj, data, version, migration);
-                    return;
-                }
+                // The server installed the copy (and any migration grant)
+                // when the reply arrived; see `NodeShared::complete`.
+                ProtocolMsg::ObjectReply { .. } => return,
                 ProtocolMsg::ObjectRedirect {
                     new_home, epoch, ..
                 } => {

@@ -161,7 +161,7 @@
 //! workload results — they differ in who schedules delivery and what the
 //! messages physically travel over:
 //!
-//! * **Loopback / threaded** (the default): in-process channels, all
+//! * **Threaded** (the default): in-process channels, all
 //!   nodes' protocol servers scheduled by the wake-on-send executor pool,
 //!   message interleaving decided by the OS scheduler. Per-link FIFO holds because
 //!   each link *is* one channel. Fastest wall-clock on many cores;

@@ -333,13 +333,34 @@ impl NodeShared {
     }
 
     /// Complete a pending request with a reply that arrived at `arrival`.
-    pub fn complete(&self, req: ReqId, msg: ProtocolMsg, arrival: SimTime) {
+    ///
+    /// A fault-in reply is installed here, by the server, so a migration
+    /// grant takes effect on arrival. Left to the woken application thread,
+    /// the install waited on the OS scheduler, and meanwhile this node sent
+    /// requests for the object back to the old home, which forwarded them
+    /// here again until the chase overran `redirect_limit`.
+    pub fn complete(&self, req: ReqId, mut msg: ProtocolMsg, arrival: SimTime) {
         if let Some(fault) = &self.fault {
             fault.clear(req);
         }
         let slot = self.pending_stripe(req).lock().remove(&req);
         match slot {
             Some(tx) => {
+                if let ProtocolMsg::ObjectReply {
+                    obj,
+                    data,
+                    version,
+                    migration,
+                    ..
+                } = &mut msg
+                {
+                    self.engine.install_object(
+                        *obj,
+                        std::mem::take(data),
+                        *version,
+                        migration.take(),
+                    );
+                }
                 let wake = SimWake {
                     tx,
                     reply: Reply { msg, arrival },
@@ -862,17 +883,16 @@ mod tests {
     use dsm_util::channel::RecvTimeoutError;
     use std::time::Duration;
 
-    fn lone_node() -> Arc<NodeShared> {
-        let endpoint = Fabric::new(1, NetworkParams::ideal(), StatsCollector::new())
+    /// Node 0 of a `nodes`-node threaded fabric.
+    fn node_zero(
+        nodes: usize,
+        protocol: ProtocolConfig,
+        registry: Arc<ObjectRegistry>,
+    ) -> Arc<NodeShared> {
+        let endpoint = Fabric::new(nodes, NetworkParams::ideal(), StatsCollector::new())
             .into_endpoints()
-            .pop()
-            .expect("one endpoint");
-        let engine = ProtocolEngine::new(
-            NodeId(0),
-            1,
-            ProtocolConfig::no_migration(),
-            Arc::new(ObjectRegistry::new()),
-        );
+            .swap_remove(0);
+        let engine = ProtocolEngine::new(NodeId(0), nodes, protocol, registry);
         NodeShared::new(
             engine,
             NodeLink::Threaded(endpoint),
@@ -882,6 +902,51 @@ mod tests {
             true,
             None,
         )
+    }
+
+    fn lone_node() -> Arc<NodeShared> {
+        node_zero(1, ProtocolConfig::no_migration(), Arc::default())
+    }
+
+    /// The grantee serves the object as soon as its server completes the
+    /// reply carrying the grant, before the application thread wakes.
+    #[test]
+    fn a_migration_grant_takes_effect_before_the_application_wakes() {
+        let mut registry = ObjectRegistry::new();
+        let obj = registry.register_named(
+            "grant.window",
+            0,
+            8,
+            NodeId(1),
+            dsm_objspace::HomeAssignment::CreationNode,
+        );
+        let registry = Arc::new(registry);
+        let jump = ProtocolConfig::no_migration().with_migration(dsm_core::MigrateOnRequestPolicy);
+        let old_home = ProtocolEngine::new(NodeId(1), 2, jump.clone(), Arc::clone(&registry));
+        let ObjectRequestOutcome::Reply {
+            data,
+            version,
+            migration: migration @ Some(_),
+            ..
+        } = old_home.handle_object_request(obj, NodeId(0), true, 0)
+        else {
+            panic!("JUMP grants the home to a write faulter");
+        };
+        let grantee = node_zero(2, jump, registry);
+        let req = grantee.new_req();
+        let _parked = grantee.register_pending(req);
+        let reply = ProtocolMsg::ObjectReply {
+            req,
+            obj,
+            data,
+            version,
+            migration,
+        };
+        grantee.complete(req, reply, SimTime::ZERO);
+        assert!(
+            grantee.engine.is_home(obj),
+            "the server installed the grant"
+        );
     }
 
     fn woken(rx: &Receiver<Reply>) -> bool {

@@ -1,9 +1,8 @@
 //! Cross-crate integration test package.
 //!
 //! The tests live in `tests/tests/*.rs` and exercise the whole stack —
-//! object space, protocol engine, threaded runtime and applications —
-//! against the paper's claims. This library target only hosts shared
-//! helpers.
+//! object space, protocol engine, runtime and applications — against the
+//! paper's claims. This library target only hosts shared helpers.
 
 #![forbid(unsafe_code)]
 
@@ -92,6 +91,17 @@ pub fn parse_seed_list(raw: &str) -> Result<Vec<u64>, String> {
         }
     }
     Ok(seeds)
+}
+
+/// The schedules every assertion on modeled time, message counts or
+/// migration counts runs under: the calm sim at the gate seed (2004) plus
+/// the perturbed sim at each corpus seed. On the sim those numbers are a
+/// pure function of the seed, so such a claim cannot flake on the OS
+/// scheduler; threaded and TCP runs assert only contents and fingerprints.
+pub fn modeled_sims() -> Vec<SimConfig> {
+    let mut sims = vec![SimConfig::calm(2004)];
+    sims.extend(seed_corpus().into_iter().map(SimConfig::perturbed));
+    sims
 }
 
 /// The `index`-th corpus seed, wrapping around — lets a fixed set of named

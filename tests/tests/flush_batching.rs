@@ -1,6 +1,8 @@
-//! End-to-end tests of release-time flush batching on the threaded runtime.
+//! End-to-end tests of release-time flush batching.
 //!
-//! The acceptance claims of the batching work, checked on real workloads:
+//! The acceptance claims of the batching work, checked on real workloads
+//! (message counts and modeled time on the sim fabric, under each of
+//! [`modeled_sims`]):
 //!
 //! * **Semantics** — final object contents are byte-identical with batching
 //!   on and off (batching is purely a wire optimization);
@@ -13,63 +15,68 @@
 //!   per-entry diffs' wire bytes summed, never one message per entry.
 
 use dsm_core::{ProtocolConfig, DIFF_BATCH_ENTRY_HEADER_BYTES};
-use dsm_integration_tests::{seed_corpus, sim_test_cluster, test_cluster};
+use dsm_integration_tests::{modeled_sims, seed_corpus, sim_test_cluster, test_cluster};
 use dsm_net::{MsgCategory, MESSAGE_HEADER_BYTES};
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ExecutionReport, SimConfig};
+use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig, ExecutionReport, SimConfig};
 
 use dsm_apps::sor::{self, SorParams};
 
 /// SOR without home migration on four nodes: every node's band of rows is
 /// homed round-robin across the cluster, so each phase release flushes
 /// several same-home diffs — the batching sweet spot.
-fn sor_run(flush_batching: bool) -> (f64, ExecutionReport) {
-    let params = SorParams::small(48, 4);
-    let config =
-        test_cluster(4, ProtocolConfig::no_migration()).with_flush_batching(flush_batching);
-    let run = sor::run(config, &params);
+fn sor_run(config: ClusterConfig) -> (f64, ExecutionReport) {
+    let run = sor::run(config, &SorParams::small(48, 4));
     (sor::checksum(&run.result), run.report)
 }
 
 #[test]
 fn sor_batched_matches_unbatched_with_fewer_messages_and_lower_time() {
-    let (batched_sum, batched) = sor_run(true);
-    let (unbatched_sum, unbatched) = sor_run(false);
+    for sim in modeled_sims() {
+        let seed = sim.seed;
+        let config = |batched| {
+            sim_test_cluster(4, ProtocolConfig::no_migration(), sim).with_flush_batching(batched)
+        };
+        let (batched_sum, batched) = sor_run(config(true));
+        let (unbatched_sum, unbatched) = sor_run(config(false));
 
-    // Byte-identical application results: the checksum is a deterministic
-    // function of every matrix cell.
-    assert_eq!(
-        batched_sum, unbatched_sum,
-        "batching changed the computed matrix"
-    );
+        // Byte-identical application results: the checksum is a
+        // deterministic function of every matrix cell.
+        assert_eq!(
+            batched_sum, unbatched_sum,
+            "seed {seed:#x}: batching changed the computed matrix"
+        );
 
-    // Strictly fewer diff-propagation messages...
-    let batched_diffs = batched.network.diff_propagation_messages();
-    let unbatched_diffs = unbatched.network.diff_propagation_messages();
-    assert!(
-        batched_diffs < unbatched_diffs,
-        "batched SOR must send fewer diff messages ({batched_diffs} vs {unbatched_diffs})"
-    );
-    // ... and the same writes still arrive: per-entry flushes are conserved.
-    assert_eq!(batched.protocol.diffs_sent, unbatched.protocol.diffs_sent);
-    assert_eq!(
-        batched.protocol.diffs_applied,
-        unbatched.protocol.diffs_applied
-    );
+        // Strictly fewer diff-propagation messages...
+        let batched_diffs = batched.network.diff_propagation_messages();
+        let unbatched_diffs = unbatched.network.diff_propagation_messages();
+        assert!(
+            batched_diffs < unbatched_diffs,
+            "seed {seed:#x}: batched SOR must send fewer diff messages \
+             ({batched_diffs} vs {unbatched_diffs})"
+        );
+        // ... and the same writes still arrive: per-entry flushes are
+        // conserved.
+        assert_eq!(batched.protocol.diffs_sent, unbatched.protocol.diffs_sent);
+        assert_eq!(
+            batched.protocol.diffs_applied,
+            unbatched.protocol.diffs_applied
+        );
 
-    // Each eliminated message saves at least one start-up time, so the
-    // modeled execution time drops.
-    assert!(
-        batched.execution_time < unbatched.execution_time,
-        "batched SOR must be faster under the Hockney model ({} vs {})",
-        batched.execution_time,
-        unbatched.execution_time
-    );
+        // Each eliminated message saves at least one start-up time, so the
+        // modeled execution time drops.
+        assert!(
+            batched.execution_time < unbatched.execution_time,
+            "seed {seed:#x}: batched SOR must be faster under the Hockney model ({} vs {})",
+            batched.execution_time,
+            unbatched.execution_time
+        );
+    }
 }
 
 #[test]
 fn batch_accounting_is_single_message_per_batch() {
-    let (_, batched) = sor_run(true);
+    let (_, batched) = sor_run(test_cluster(4, ProtocolConfig::no_migration()));
 
     // The fabric recorded exactly one DiffBatch-category message per batch
     // the engines sent — k entries never inflate the message count.
@@ -117,10 +124,13 @@ fn single_object_intervals_never_batch() {
         total_updates: 2 * 3 * 6,
         compute_ops: 0,
     };
-    let run = synthetic::run(test_cluster(4, ProtocolConfig::no_migration()), &params);
-    assert_eq!(run.report.protocol.batched_flushes, 0);
-    assert_eq!(run.report.network.category(MsgCategory::DiffBatch).count, 0);
-    assert!(run.report.protocol.diffs_sent > 0);
+    for sim in modeled_sims() {
+        let config = sim_test_cluster(4, ProtocolConfig::no_migration(), sim);
+        let report = synthetic::run(config, &params).report;
+        assert_eq!(report.protocol.batched_flushes, 0, "seed {:#x}", sim.seed);
+        assert_eq!(report.network.category(MsgCategory::DiffBatch).count, 0);
+        assert!(report.protocol.diffs_sent > 0);
+    }
 }
 
 /// A `DiffBatch` raced by a migration grant on a perturbed link: node 1

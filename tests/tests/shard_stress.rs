@@ -15,12 +15,14 @@
 //! The per-(node, round) operation sequences are pure functions of the
 //! seed, so the expected counters can be computed without running the
 //! cluster; thread interleaving may vary between runs, but the final
-//! contents may not.
+//! contents may not. Claims about traffic, migration and batch counts are
+//! checked on the same workloads on the sim fabric, under each of
+//! [`modeled_sims`], never on the threaded runs.
 
 use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
-use dsm_integration_tests::{corpus_seed, test_cluster};
+use dsm_integration_tests::{corpus_seed, modeled_sims, sim_test_cluster, test_cluster};
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster};
+use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig, ExecutionReport};
 use dsm_util::SmallRng;
 
 const NODES: usize = 4;
@@ -68,59 +70,59 @@ fn registry() -> (ObjectRegistry, Vec<ArrayHandle<u64>>, Vec<LockId>) {
     (registry, handles, locks)
 }
 
-/// Run the seeded soak: every node performs its schedule of lock-protected
+/// Run the seeded soak on an adaptive `NODES`-node cluster (`config` picks
+/// the fabric): every node performs its schedule of lock-protected
 /// increments across many objects while homes migrate underneath, then all
 /// nodes verify the final contents against the replayed expectation.
-fn soak(seed: u64) {
+fn soak(seed: u64, config: ClusterConfig) -> ExecutionReport {
     let (registry, handles, locks) = registry();
     let barrier = BarrierId(0x57E5);
     let expected = expected_counts(seed);
     let expected_in_run = expected.clone();
 
-    let report =
-        Cluster::new(test_cluster(NODES, ProtocolConfig::adaptive()), registry).run(move |ctx| {
-            let me = ctx.node_id().index();
-            let mut rng = node_rng(seed, me);
-            for _ in 0..ROUNDS {
-                for _ in 0..PICKS_PER_ROUND {
-                    let pick = rng.gen_index(OBJECTS);
-                    ctx.synchronized(locks[pick], || {
-                        let mut view = ctx.view_mut(&handles[pick]);
-                        view[0] += 1;
-                        view[1 + me] += 1;
-                        // Linearizability-style mid-run invariant: inside the
-                        // critical section the total must equal the sum of the
-                        // per-node tallies — a lost update breaks this long
-                        // before the final check.
-                        let total: u64 = view[1..].iter().sum();
-                        assert_eq!(
-                            view[0], total,
-                            "seed {seed:#x}: lost update on object {pick} (node {me})"
-                        );
-                    });
-                }
-            }
-            ctx.barrier(barrier);
-            // Every node verifies every object against the pure replay.
-            for (i, handle) in handles.iter().enumerate() {
-                ctx.synchronized(locks[i], || {
-                    let view = ctx.view(handle);
-                    let total: u64 = expected_in_run[i].iter().sum();
+    let report = Cluster::new(config, registry).run(move |ctx| {
+        let me = ctx.node_id().index();
+        let mut rng = node_rng(seed, me);
+        for _ in 0..ROUNDS {
+            for _ in 0..PICKS_PER_ROUND {
+                let pick = rng.gen_index(OBJECTS);
+                ctx.synchronized(locks[pick], || {
+                    let mut view = ctx.view_mut(&handles[pick]);
+                    view[0] += 1;
+                    view[1 + me] += 1;
+                    // Linearizability-style mid-run invariant: inside the
+                    // critical section the total must equal the sum of the
+                    // per-node tallies — a lost update breaks this long
+                    // before the final check.
+                    let total: u64 = view[1..].iter().sum();
                     assert_eq!(
                         view[0], total,
-                        "seed {seed:#x}: object {i} total diverged on node {me}"
+                        "seed {seed:#x}: lost update on object {pick} (node {me})"
                     );
-                    for (n, &count) in expected_in_run[i].iter().enumerate() {
-                        assert_eq!(
-                            view[1 + n],
-                            count,
-                            "seed {seed:#x}: object {i} tally of node {n} diverged on node {me}"
-                        );
-                    }
                 });
             }
-            ctx.barrier(barrier);
-        });
+        }
+        ctx.barrier(barrier);
+        // Every node verifies every object against the pure replay.
+        for (i, handle) in handles.iter().enumerate() {
+            ctx.synchronized(locks[i], || {
+                let view = ctx.view(handle);
+                let total: u64 = expected_in_run[i].iter().sum();
+                assert_eq!(
+                    view[0], total,
+                    "seed {seed:#x}: object {i} total diverged on node {me}"
+                );
+                for (n, &count) in expected_in_run[i].iter().enumerate() {
+                    assert_eq!(
+                        view[1 + n],
+                        count,
+                        "seed {seed:#x}: object {i} tally of node {n} diverged on node {me}"
+                    );
+                }
+            });
+        }
+        ctx.barrier(barrier);
+    });
 
     // Global conservation: every scheduled increment happened exactly once.
     let scheduled = (NODES * ROUNDS * PICKS_PER_ROUND) as u64;
@@ -129,15 +131,11 @@ fn soak(seed: u64) {
         landed, scheduled,
         "seed {seed:#x}: schedule replay is self-consistent"
     );
-    // The run exercised real cross-node traffic.
-    assert!(
-        report.protocol.fault_ins > 0,
-        "seed {seed:#x}: soak must fault objects in"
-    );
-    assert!(
-        report.protocol.diffs_applied > 0,
-        "seed {seed:#x}: soak must flush diffs"
-    );
+    report
+}
+
+fn threaded_soak(seed: u64) {
+    soak(seed, test_cluster(NODES, ProtocolConfig::adaptive()));
 }
 
 // The soak seeds come from the shared corpus helper (tests/src/lib.rs):
@@ -146,25 +144,74 @@ fn soak(seed: u64) {
 
 #[test]
 fn stress_soak_seed_1_no_lost_updates() {
-    soak(corpus_seed(0));
+    threaded_soak(corpus_seed(0));
 }
 
 #[test]
 fn stress_soak_seed_2_no_lost_updates() {
-    soak(corpus_seed(1));
+    threaded_soak(corpus_seed(1));
 }
 
 #[test]
 fn stress_soak_seed_3_no_lost_updates() {
-    soak(corpus_seed(2));
+    threaded_soak(corpus_seed(2));
+}
+
+/// The soak exercises real cross-node traffic: counted on the sim, where
+/// the counts do not depend on how the OS interleaves the nodes.
+#[test]
+fn stress_soak_faults_in_and_flushes_on_the_sim() {
+    let seed = corpus_seed(0);
+    for sim in modeled_sims() {
+        let report = soak(
+            seed,
+            sim_test_cluster(NODES, ProtocolConfig::adaptive(), sim),
+        );
+        assert!(
+            report.protocol.fault_ins > 0,
+            "sim seed {:#x}: soak must fault objects in",
+            sim.seed
+        );
+        assert!(
+            report.protocol.diffs_applied > 0,
+            "sim seed {:#x}: soak must flush diffs",
+            sim.seed
+        );
+    }
 }
 
 /// Maximum migration churn: under the JUMP policy every remote write fault
 /// migrates the home, and the writer of every object rotates every round,
 /// so homes chase writers continuously while readers chase stale forwarding
-/// pointers. The counters must still come out exact on every node.
+/// pointers. The counters must still come out exact on every node, on the
+/// threaded fabric and the sim; the churn itself is counted on the sim.
 #[test]
 fn stress_migration_hammer_rotating_writers() {
+    hammer(test_cluster(NODES, jump()));
+    for sim in modeled_sims() {
+        let report = hammer(sim_test_cluster(NODES, jump(), sim));
+        // Rotating writers under JUMP must keep the homes moving; at least
+        // the first full rotation migrates every object away from a foreign
+        // writer.
+        assert!(
+            report.migrations() >= (NODES - 1) as u64,
+            "sim seed {:#x}: JUMP with rotating writers barely migrated: {}",
+            sim.seed,
+            report.migrations()
+        );
+        assert!(
+            report.protocol.redirections_suffered > 0,
+            "sim seed {:#x}: migration churn must produce redirection chases",
+            sim.seed
+        );
+    }
+}
+
+fn jump() -> ProtocolConfig {
+    ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy)
+}
+
+fn hammer(config: ClusterConfig) -> ExecutionReport {
     const HAMMER_OBJECTS: usize = 4;
     const HAMMER_ROUNDS: usize = 16;
     let mut registry = ObjectRegistry::new();
@@ -184,9 +231,8 @@ fn stress_migration_hammer_rotating_writers() {
         .map(|i| LockId::derive(&format!("stress.hammer.lock.{i}")))
         .collect();
     let barrier = BarrierId(0x57E6);
-    let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
 
-    let report = Cluster::new(test_cluster(NODES, protocol), registry).run(move |ctx| {
+    Cluster::new(config, registry).run(move |ctx| {
         let me = ctx.node_id().index();
         for round in 0..HAMMER_ROUNDS {
             // Writer of each object rotates every round: all four objects
@@ -223,30 +269,17 @@ fn stress_migration_hammer_rotating_writers() {
             });
         }
         ctx.barrier(barrier);
-    });
-
-    // Rotating writers under JUMP must keep the homes moving; at least the
-    // first full rotation migrates every object away from a foreign writer.
-    assert!(
-        report.migrations() >= (NODES - 1) as u64,
-        "JUMP with rotating writers barely migrated: {}",
-        report.migrations()
-    );
-    assert!(
-        report.protocol.redirections_suffered > 0,
-        "migration churn must produce redirection chases"
-    );
+    })
 }
 
 /// The same seed run twice produces byte-identical final contents even
 /// though thread interleavings differ — the "stable final contents" claim,
 /// demonstrated end to end: both runs are checked against the same replayed
-/// expectation *and* their reported migration totals stay within the
-/// schedule's bounds.
+/// expectation.
 #[test]
 fn stress_repeat_seed_is_deterministic() {
-    soak(corpus_seed(0));
-    soak(corpus_seed(0));
+    threaded_soak(corpus_seed(0));
+    threaded_soak(corpus_seed(0));
 }
 
 /// Multi-object intervals under release-time flush batching: every node
@@ -255,7 +288,7 @@ fn stress_repeat_seed_is_deterministic() {
 /// `DiffBatch` messages. Run the identical seeded schedule with batching on
 /// and off; both runs must produce the final contents the pure seed replay
 /// predicts (batching is a wire optimization, never a semantic change), and
-/// the batched run must actually have batched.
+/// on the sim the batched run must actually have batched.
 #[test]
 fn stress_batched_mode_contents_match_unbatched() {
     const BATCH_OBJECTS: usize = 12;
@@ -278,7 +311,8 @@ fn stress_batched_mode_contents_match_unbatched() {
         }
     }
 
-    let run = |flush_batching: bool| {
+    let run = |config: ClusterConfig| {
+        let flush_batching = config.flush_batching;
         let mut registry = ObjectRegistry::new();
         let handles: Vec<ArrayHandle<u64>> = (0..BATCH_OBJECTS)
             .map(|i| {
@@ -295,9 +329,7 @@ fn stress_batched_mode_contents_match_unbatched() {
         let lock = LockId::derive("stress.batch.lock");
         let barrier = BarrierId(0x57E7);
         let expected_in_run = expected.clone();
-        let config =
-            test_cluster(NODES, ProtocolConfig::adaptive()).with_flush_batching(flush_batching);
-        let report = Cluster::new(config, registry).run(move |ctx| {
+        Cluster::new(config, registry).run(move |ctx| {
             let me = ctx.node_id().index();
             let mut rng = schedule_rng(me);
             for _ in 0..BATCH_ROUNDS {
@@ -325,33 +357,42 @@ fn stress_batched_mode_contents_match_unbatched() {
                 });
             }
             ctx.barrier(barrier);
-        });
-        report
+        })
     };
 
-    let batched = run(true);
-    let unbatched = run(false);
+    let threaded = test_cluster(NODES, ProtocolConfig::adaptive());
+    run(threaded.clone().with_flush_batching(true));
+    run(threaded.with_flush_batching(false));
+    for sim in modeled_sims() {
+        let config = sim_test_cluster(NODES, ProtocolConfig::adaptive(), sim);
+        let batched = run(config.clone().with_flush_batching(true));
+        let unbatched = run(config.with_flush_batching(false));
 
-    // Both runs already verified the same replayed contents on every node;
-    // check the wire-level claims on top.
-    assert!(
-        batched.protocol.batched_flushes > 0,
-        "multi-object intervals must form batches"
-    );
-    assert!(
-        batched.protocol.batch_entries >= 2 * batched.protocol.batched_flushes,
-        "every batch carries at least two entries"
-    );
-    assert_eq!(
-        unbatched.protocol.batched_flushes, 0,
-        "flush_batching(false) must stay on the one-DiffFlush-per-object path"
-    );
-    // A batch of k entries replaces k Diff messages with one DiffBatch, so
-    // the diff-propagation message count must come out strictly lower.
-    assert!(
-        batched.network.diff_propagation_messages() < unbatched.network.diff_propagation_messages(),
-        "batching must reduce diff-propagation messages ({} vs {})",
-        batched.network.diff_propagation_messages(),
-        unbatched.network.diff_propagation_messages()
-    );
+        // Both runs already verified the same replayed contents on every
+        // node; check the wire-level claims on top.
+        let sim_seed = sim.seed;
+        assert!(
+            batched.protocol.batched_flushes > 0,
+            "sim seed {sim_seed:#x}: multi-object intervals must form batches"
+        );
+        assert!(
+            batched.protocol.batch_entries >= 2 * batched.protocol.batched_flushes,
+            "sim seed {sim_seed:#x}: every batch carries at least two entries"
+        );
+        assert_eq!(
+            unbatched.protocol.batched_flushes, 0,
+            "flush_batching(false) must stay on the one-DiffFlush-per-object path"
+        );
+        // A batch of k entries replaces k Diff messages with one DiffBatch,
+        // so the diff-propagation message count must come out strictly
+        // lower.
+        assert!(
+            batched.network.diff_propagation_messages()
+                < unbatched.network.diff_propagation_messages(),
+            "sim seed {sim_seed:#x}: batching must reduce diff-propagation messages \
+             ({} vs {})",
+            batched.network.diff_propagation_messages(),
+            unbatched.network.diff_propagation_messages()
+        );
+    }
 }

@@ -346,6 +346,13 @@ fn matrix_home_crash_triggers_reelection_and_workload_completes() {
 /// Every corpus seed must (a) defer at least once, (b) produce the
 /// threaded reference fingerprint — deferral is a performance event, never
 /// a semantic one — and (c) replay a bit-identical delivery trace.
+///
+/// Node 1 reads its lease before node 0 writes, on every fabric. A live view
+/// cannot cross `ctx.barrier`, so on the threaded reference the two
+/// application threads also meet at a real-time rendezvous after the gate:
+/// node 1 arrives holding the lease, node 0 writes only after it. The sim
+/// needs no rendezvous (its order is a function of the seed, and (a) checks
+/// it), and an agent blocked outside the scheduler would stall it.
 #[test]
 fn matrix_busy_deferral_is_deterministic_and_conforms_across_seeds() {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -388,6 +395,8 @@ fn matrix_busy_deferral_is_deterministic_and_conforms_across_seeds() {
         let done = BarrierId(0x61);
         let fingerprint = Arc::new(AtomicU64::new(0));
         let result = Arc::clone(&fingerprint);
+        let leased =
+            matches!(fabric, FabricMode::Threaded).then(|| Arc::new(std::sync::Barrier::new(2)));
 
         let config = Cluster::builder()
             .nodes(2)
@@ -405,6 +414,9 @@ fn matrix_busy_deferral_is_deterministic_and_conforms_across_seeds() {
                     ctx.view_mut(filler)[0] = (k * k + 1) as u64;
                 }
                 ctx.barrier(gate);
+                if let Some(leased) = &leased {
+                    leased.wait();
+                }
                 ctx.synchronized(lock, || {
                     ctx.view_mut(&target)[0] = 41;
                 });
@@ -418,6 +430,9 @@ fn matrix_busy_deferral_is_deterministic_and_conforms_across_seeds() {
                     // the lease still live.
                     let held = ctx.view(&target);
                     assert_eq!(held[0], 0, "the diff must not land mid-lease");
+                    if let Some(leased) = &leased {
+                        leased.wait();
+                    }
                     for filler in &fillers {
                         hash = fnv(hash, ctx.view(filler)[0]);
                     }
