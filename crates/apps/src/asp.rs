@@ -48,7 +48,7 @@ impl AspParams {
 /// Generate the weight matrix of the random dense graph deterministically
 /// (every node generates the same graph from the same seed, exactly like
 /// every JVM node executing the same initialisation code).
-pub fn generate_graph(params: &AspParams) -> Vec<Vec<f64>> {
+pub(crate) fn generate_graph(params: &AspParams) -> Vec<Vec<f64>> {
     let n = params.vertices;
     let mut rng = SmallRng::seed_from_u64(params.seed);
     let mut matrix = vec![vec![0.0f64; n]; n];

@@ -11,8 +11,8 @@
 //!   distribution with configurable exponent `s`, so a small hot set
 //!   receives most of the traffic.
 //! * **Shifting hot set** — the run is split into phases; each phase both
-//!   rotates every object's designated writer ([`writer`]) and rotates
-//!   which objects the hot ranks land on ([`hot_object`]), so homes placed
+//!   rotates every object's designated writer (`writer`) and rotates
+//!   which objects the hot ranks land on (`hot_object`), so homes placed
 //!   by a migration policy during one phase are wrong for the next and the
 //!   protocol must chase the traffic.
 //! * **Single writer per object per phase** — within a phase each object is
@@ -107,7 +107,7 @@ impl KvParams {
     }
 
     /// Total measurement windows in a run.
-    pub fn windows(&self) -> usize {
+    pub(crate) fn windows(&self) -> usize {
         self.phases * self.windows_per_phase
     }
 
@@ -132,7 +132,7 @@ impl KvParams {
 /// sampling `O(log n)`, and the same seed always replays the same rank
 /// sequence.
 #[derive(Debug, Clone)]
-pub struct ZipfianSampler {
+pub(crate) struct ZipfianSampler {
     cdf: Vec<f64>,
 }
 
@@ -141,7 +141,7 @@ impl ZipfianSampler {
     ///
     /// # Panics
     /// Panics if `n` is zero or `s` is not finite and non-negative.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "empty rank space");
         assert!(s.is_finite() && s >= 0.0, "bad exponent {s}");
         let mut cdf = Vec::with_capacity(n);
@@ -160,13 +160,14 @@ impl ZipfianSampler {
     }
 
     /// Draw a rank in `0..n` (rank 0 is the most popular).
-    pub fn sample(&self, rng: &mut SmallRng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut SmallRng) -> usize {
         let r = rng.next_f64();
         self.cdf.partition_point(|&c| c <= r)
     }
 
     /// The probability of rank `k`.
-    pub fn probability(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    fn probability(&self, k: usize) -> f64 {
         if k == 0 {
             self.cdf[0]
         } else {
@@ -178,7 +179,7 @@ impl ZipfianSampler {
 /// The object a popularity rank lands on during `phase`: the rank order is
 /// rotated by one stride (`num_objects / phases`) per phase, so the hot
 /// ranks move to a disjoint set of objects at every phase boundary.
-pub fn hot_object(rank: usize, phase: usize, num_objects: usize, phases: usize) -> usize {
+pub(crate) fn hot_object(rank: usize, phase: usize, num_objects: usize, phases: usize) -> usize {
     let stride = (num_objects / phases).max(1);
     (rank + phase * stride) % num_objects
 }
@@ -189,7 +190,7 @@ pub fn hot_object(rank: usize, phase: usize, num_objects: usize, phases: usize) 
 /// whenever `(phase + 1) % num_nodes != 0` — with the default
 /// `phases < num_nodes` every write starts remote, which is precisely the
 /// traffic a migration policy should chase.
-pub fn writer(obj: usize, phase: usize, num_nodes: usize) -> usize {
+pub(crate) fn writer(obj: usize, phase: usize, num_nodes: usize) -> usize {
     (obj + phase + 1) % num_nodes
 }
 

@@ -32,9 +32,7 @@
 pub mod asp;
 pub mod kv;
 pub mod nbody;
-pub mod outcome;
+mod outcome;
 pub mod sor;
 pub mod synthetic;
 pub mod tsp;
-
-pub use outcome::AppRun;

@@ -81,7 +81,7 @@ pub struct Body {
 
 /// Deterministic initial conditions: bodies on a disc with small random
 /// velocities.
-pub fn initial_bodies(params: &NbodyParams) -> Vec<Body> {
+pub(crate) fn initial_bodies(params: &NbodyParams) -> Vec<Body> {
     let mut rng = SmallRng::seed_from_u64(params.seed);
     (0..params.bodies)
         .map(|_| {
@@ -364,7 +364,8 @@ fn block_range(block: usize, nodes: usize, bodies: usize) -> (usize, usize) {
 
 /// Sequential reference: identical partitioned update order as the parallel
 /// version (one virtual "node" per block) so results are bit-identical.
-pub fn sequential(params: &NbodyParams, blocks: usize) -> Vec<Body> {
+#[cfg(test)]
+fn sequential(params: &NbodyParams, blocks: usize) -> Vec<Body> {
     let mut bodies = initial_bodies(params);
     for _ in 0..params.steps {
         let snapshot = bodies.clone();
@@ -378,7 +379,8 @@ pub fn sequential(params: &NbodyParams, blocks: usize) -> Vec<Body> {
 }
 
 /// Total kinetic + potential-proxy fingerprint for cheap comparisons.
-pub fn checksum(bodies: &[Body]) -> f64 {
+#[cfg(test)]
+fn checksum(bodies: &[Body]) -> f64 {
     bodies
         .iter()
         .map(|b| b.x + 2.0 * b.y + 3.0 * b.vx + 4.0 * b.vy)

@@ -21,13 +21,13 @@ pub struct AppRun<T> {
 
 /// A one-shot, thread-safe slot the master node publishes its result into.
 #[derive(Debug, Default, Clone)]
-pub struct ResultSlot<T> {
+pub(crate) struct ResultSlot<T> {
     inner: Arc<Mutex<Option<T>>>,
 }
 
 impl<T> ResultSlot<T> {
     /// Create an empty slot.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ResultSlot {
             inner: Arc::new(Mutex::new(None)),
         }
@@ -38,7 +38,7 @@ impl<T> ResultSlot<T> {
     /// # Panics
     /// Panics if a result has already been published — two nodes publishing
     /// indicates an application bug.
-    pub fn publish(&self, value: T) {
+    pub(crate) fn publish(&self, value: T) {
         let mut slot = self.inner.lock();
         assert!(slot.is_none(), "application result published twice");
         *slot = Some(value);
@@ -48,7 +48,7 @@ impl<T> ResultSlot<T> {
     ///
     /// # Panics
     /// Panics if no result was published.
-    pub fn take(&self) -> T {
+    pub(crate) fn take(&self) -> T {
         self.inner
             .lock()
             .take()

@@ -46,7 +46,7 @@ impl SorParams {
 
 /// Deterministic initial contents of row `i`: a hot top edge and cold
 /// interior (classic heat-diffusion boundary conditions).
-pub fn initial_row(size: usize, i: usize) -> Vec<f64> {
+pub(crate) fn initial_row(size: usize, i: usize) -> Vec<f64> {
     if i == 0 {
         vec![1.0; size]
     } else {
@@ -59,7 +59,7 @@ pub fn initial_row(size: usize, i: usize) -> Vec<f64> {
 
 /// Contiguous band of rows owned by `node` out of `nodes` (all rows,
 /// including the fixed boundary rows which are simply never updated).
-pub fn band(node: usize, nodes: usize, size: usize) -> (usize, usize) {
+pub(crate) fn band(node: usize, nodes: usize, size: usize) -> (usize, usize) {
     let per = size.div_ceil(nodes);
     let lo = (node * per).min(size);
     let hi = ((node + 1) * per).min(size);
@@ -68,6 +68,7 @@ pub fn band(node: usize, nodes: usize, size: usize) -> (usize, usize) {
 
 /// One red or black half-iteration applied to `matrix` (sequential, in
 /// place). `phase` is 0 for red cells (`(i + j) % 2 == 0`) and 1 for black.
+#[cfg(test)]
 fn relax_phase(matrix: &mut [Vec<f64>], omega: f64, phase: usize) {
     let n = matrix.len();
     for i in 1..n - 1 {
@@ -82,7 +83,8 @@ fn relax_phase(matrix: &mut [Vec<f64>], omega: f64, phase: usize) {
 }
 
 /// Sequential reference implementation.
-pub fn sequential(params: &SorParams) -> Vec<Vec<f64>> {
+#[cfg(test)]
+fn sequential(params: &SorParams) -> Vec<Vec<f64>> {
     let n = params.size;
     let mut matrix: Vec<Vec<f64>> = (0..n).map(|i| initial_row(n, i)).collect();
     for _ in 0..params.iterations {

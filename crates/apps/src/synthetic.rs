@@ -55,7 +55,8 @@ impl SyntheticParams {
     }
 
     /// A small configuration for tests.
-    pub fn small(repetition: usize) -> Self {
+    #[cfg(test)]
+    fn small(repetition: usize) -> Self {
         SyntheticParams {
             repetition,
             total_updates: (repetition * 12) as u64,

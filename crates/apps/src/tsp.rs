@@ -44,7 +44,7 @@ impl TspParams {
 
 /// Deterministic city distance matrix: cities on random points of a
 /// 1000×1000 grid, Euclidean distances rounded to integers.
-pub fn distance_matrix(params: &TspParams) -> Vec<Vec<u64>> {
+pub(crate) fn distance_matrix(params: &TspParams) -> Vec<Vec<u64>> {
     let n = params.cities;
     let mut rng = SmallRng::seed_from_u64(params.seed);
     let points: Vec<(f64, f64)> = (0..n)
@@ -108,7 +108,8 @@ fn branch_and_bound(
 }
 
 /// Sequential reference: the exact optimal tour length.
-pub fn sequential(params: &TspParams) -> u64 {
+#[cfg(test)]
+fn sequential(params: &TspParams) -> u64 {
     let dist = distance_matrix(params);
     let mut best = u64::MAX;
     let mut expansions = 0;

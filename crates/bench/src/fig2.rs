@@ -26,7 +26,7 @@ pub struct Fig2Point {
 }
 
 /// Node counts swept by the figure.
-pub fn node_counts(scale: Scale) -> Vec<usize> {
+pub(crate) fn node_counts(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Small => vec![2, 4, 8],
         Scale::Paper => vec![2, 4, 8, 16],

@@ -10,7 +10,7 @@ use dsm_core::ProtocolConfig;
 use dsm_runtime::{ClusterConfig, ExecutionReport, SimConfig};
 
 /// Number of cluster nodes used by the figure (the paper uses eight).
-pub const NODES: usize = 8;
+pub(crate) const NODES: usize = 8;
 
 /// One measurement point of Figure 3.
 #[derive(Debug, Clone)]
@@ -28,7 +28,7 @@ pub struct Fig3Point {
 }
 
 /// Problem sizes swept by the figure.
-pub fn problem_sizes(scale: Scale) -> Vec<usize> {
+pub(crate) fn problem_sizes(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Small => vec![32, 64, 128],
         Scale::Paper => vec![128, 256, 512, 1024],
@@ -68,14 +68,14 @@ fn improvement(app: &str, size: usize, at: &ExecutionReport, ft2: &ExecutionRepo
 }
 
 /// One ASP measurement at a given graph size.
-pub fn asp_point(size: usize, sim: &SimConfig) -> Fig3Point {
+pub(crate) fn asp_point(size: usize, sim: &SimConfig) -> Fig3Point {
     let params = asp::AspParams::small(size);
     let [at, ft2] = at_and_ft2(sim).map(|config| asp::run(config, &params).report);
     improvement("ASP", size, &at, &ft2)
 }
 
 /// One SOR measurement at a given matrix size.
-pub fn sor_point(size: usize, sim: &SimConfig) -> Fig3Point {
+pub(crate) fn sor_point(size: usize, sim: &SimConfig) -> Fig3Point {
     let params = sor::SorParams::small(size, 6);
     let [at, ft2] = at_and_ft2(sim).map(|config| sor::run(config, &params).report);
     improvement("SOR", size, &at, &ft2)

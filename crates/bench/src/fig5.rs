@@ -33,18 +33,18 @@ pub struct Fig5Point {
 
 impl Fig5Point {
     /// Total messages in the paper's breakdown (obj + mig + diff + redir).
-    pub fn breakdown_total(&self) -> u64 {
+    pub(crate) fn breakdown_total(&self) -> u64 {
         self.obj + self.mig + self.diff + self.redir
     }
 }
 
 /// The repetitions swept by the figure (the paper uses 2, 4, 8, 16).
-pub fn repetitions(_scale: Scale) -> Vec<usize> {
+pub(crate) fn repetitions(_scale: Scale) -> Vec<usize> {
     vec![2, 4, 8, 16]
 }
 
 /// The protocols compared by the figure.
-pub fn protocols() -> Vec<(&'static str, ProtocolConfig)> {
+pub(crate) fn protocols() -> Vec<(&'static str, ProtocolConfig)> {
     vec![
         ("NM", ProtocolConfig::no_migration()),
         ("FT1", ProtocolConfig::fixed_threshold(1)),
@@ -55,7 +55,7 @@ pub fn protocols() -> Vec<(&'static str, ProtocolConfig)> {
 
 /// Number of cluster nodes: eight workers plus the master that hosts the
 /// locks and the counter's initial home, as in the paper's experiment.
-pub fn nodes(scale: Scale) -> usize {
+pub(crate) fn nodes(scale: Scale) -> usize {
     match scale {
         Scale::Small => 5,
         Scale::Paper => 9,
@@ -63,7 +63,7 @@ pub fn nodes(scale: Scale) -> usize {
 }
 
 /// Run one protocol at one repetition on the sim fabric under `sim`.
-pub fn measure(
+pub(crate) fn measure(
     repetition: usize,
     label: &str,
     protocol: ProtocolConfig,

@@ -89,7 +89,7 @@ impl GateRow {
     }
 
     /// The key the baseline comparison matches rows on.
-    pub fn key(&self) -> String {
+    pub(crate) fn key(&self) -> String {
         format!(
             "{}[{}]",
             self.workload,
@@ -105,7 +105,7 @@ impl GateRow {
 /// baselines, the beyond-the-paper hysteresis and EWMA policies, and a
 /// mixed cluster whose default policy is overridden per object — so
 /// policy-layer regressions are gated exactly like wire-mode regressions.
-pub const WORKLOADS: [&str; 10] = [
+pub(crate) const WORKLOADS: [&str; 10] = [
     "fig2_sor_nohm",
     "fig3_sor_at",
     "fig3_asp_at",
@@ -410,17 +410,17 @@ pub struct KvRow {
 
 impl KvRow {
     /// The key the baseline comparison matches rows on.
-    pub fn key(&self) -> String {
+    pub(crate) fn key(&self) -> String {
         format!("kv[{}]", self.policy)
     }
 
     /// Requester-side redirection hops over the whole run.
-    pub fn redirects(&self) -> u64 {
+    pub(crate) fn redirects(&self) -> u64 {
         self.shift_redirects + self.settle_redirects
     }
 
     /// Redirections per thousand operations.
-    pub fn redirects_per_1k(&self) -> f64 {
+    pub(crate) fn redirects_per_1k(&self) -> f64 {
         if self.ops == 0 {
             return 0.0;
         }

@@ -16,7 +16,7 @@
 //! Everything here reports **modeled** numbers (message counts, migrations,
 //! Hockney time on a virtual clock), and every such number comes from the
 //! deterministic sim fabric: each harness builds its clusters with
-//! [`cluster`], which takes a [`SimConfig`], so a figure cannot run on the
+//! `cluster`, which takes a [`SimConfig`], so a figure cannot run on the
 //! OS-scheduled fabrics by accident. On the sim the numbers are a pure
 //! function of the seed; the binaries run [`SimConfig::calm`] at
 //! [`gate::GATE_SEED`], so their output is byte-identical run to run and
@@ -41,7 +41,7 @@
 //! standard way to get there is single-writer-per-object-per-phase with
 //! barriers between phases; values whose outcome depends on timing (e.g.
 //! racy reads) must stay out of the fingerprint. `dsm_apps::kv` is the
-//! worked example: writes are partitioned by a per-phase [`writer`]
+//! worked example: writes are partitioned by a per-phase `writer`
 //! rotation so the final store contents fingerprint exactly, while the
 //! values *read* under contention are folded into a separate, unchecked
 //! `read_hash`.
@@ -53,14 +53,12 @@
 //!   × seed sweep runs every cell many times; aim for well under a second
 //!   per cell). The sim matrix, the lossy fault matrix, the weekly extended
 //!   sweep and the TCP conformance suite all widen automatically.
-//! * **Regression gate** — add the name to [`gate::WORKLOADS`], run it in
+//! * **Regression gate** — add the name to `gate::WORKLOADS`, run it in
 //!   `run_workload` on the gate's sim fabric, extend
 //!   [`gate::check_internal`] with whatever behaviour the workload pins
 //!   down, and refresh `bench/baseline.json` with
 //!   `bench_gate --write-baseline` in the same PR. The gate runs inside
 //!   tier-1 in a debug build, so keep a cell to a fraction of a second.
-//!
-//! [`writer`]: dsm_apps::kv::writer
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,7 +69,7 @@ pub mod fig3;
 pub mod fig5;
 pub mod gate;
 pub mod matrix;
-pub mod table;
+mod table;
 
 use dsm_core::ProtocolConfig;
 use dsm_model::ComputeModel;
@@ -103,7 +101,7 @@ impl Scale {
 /// Build the cluster configuration of an experiment run: the paper's Fast
 /// Ethernet network and Pentium-4-class compute model, on the sim fabric
 /// under `sim`. Every figure, ablation and gate cell is built here.
-pub fn cluster(nodes: usize, protocol: ProtocolConfig, sim: &SimConfig) -> ClusterConfig {
+pub(crate) fn cluster(nodes: usize, protocol: ProtocolConfig, sim: &SimConfig) -> ClusterConfig {
     dsm_runtime::Cluster::builder()
         .nodes(nodes)
         .protocol(protocol)

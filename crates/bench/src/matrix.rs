@@ -247,7 +247,7 @@ pub fn check_invariants(report: &ExecutionReport) -> Vec<String> {
     violations
 }
 
-/// One row of a [`conformance`] sweep.
+/// One row of a [`conformance_with`] sweep.
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// Workload name.
@@ -262,27 +262,17 @@ pub struct CellResult {
     pub failures: Vec<(u64, String)>,
 }
 
-/// Sweep the full policy × workload matrix: for every cell, one threaded
-/// reference run, then per seed one sim run (the first seed twice, to check
-/// replay) — asserting fingerprint conformance, trace replay and the
-/// protocol invariants. Failures are collected, not panicked, so a sweep
-/// reports *every* failing seed.
-pub fn conformance(seeds: &[u64]) -> Vec<CellResult> {
-    conformance_with(seeds, SimConfig::perturbed)
-}
-
-/// The lossy conformance sweep: the same policy × workload grid, but every
-/// sim run injects faults ([`SimConfig::lossy`]: 1% seeded per-link drops
-/// plus a partition/heal cycle). Cells must still produce the threaded
-/// reference fingerprint — the timeout/retry/re-election machinery makes
-/// message loss a performance event, never a semantic one — and the run
-/// must replay bit-identically, drop records included.
-pub fn conformance_lossy(seeds: &[u64]) -> Vec<CellResult> {
-    conformance_with(seeds, SimConfig::lossy)
-}
-
-/// The generalized sweep behind [`conformance`] / [`conformance_lossy`]:
-/// any perturbation configuration.
+/// Sweep the full policy × workload matrix under `sim_config`: for every
+/// cell, one threaded reference run, then per seed one sim run (the first
+/// seed twice, to check replay) — asserting fingerprint conformance, trace
+/// replay and the protocol invariants. Failures are collected, not
+/// panicked, so a sweep reports *every* failing seed.
+///
+/// With [`SimConfig::lossy`] (1% seeded per-link drops plus a
+/// partition/heal cycle) cells must still produce the threaded reference
+/// fingerprint — the timeout/retry/re-election machinery makes message loss
+/// a performance event, never a semantic one — and the run must replay
+/// bit-identically, drop records included.
 pub fn conformance_with(seeds: &[u64], sim_config: fn(u64) -> SimConfig) -> Vec<CellResult> {
     let mut rows = Vec::new();
     for workload in workloads() {

@@ -196,6 +196,6 @@ mod tests {
             .with_object_policy(special, AdaptiveThresholdPolicy::paper());
         assert_eq!(cfg.policy_for(special).label(), "AT");
         assert_eq!(cfg.policy_for(plain).label(), "NM");
-        assert_eq!(cfg.policy_overrides.len(), 1);
+        assert_eq!(cfg.policy_overrides.ids().len(), 1);
     }
 }

@@ -170,14 +170,14 @@ use std::sync::Arc;
 /// per-shard mutexes essentially uncontended for the paper's workloads
 /// (hundreds of objects, a handful of cores) while costing next to nothing
 /// for single-object tests.
-pub const DEFAULT_ENGINE_SHARDS: usize = 16;
+pub(crate) const DEFAULT_ENGINE_SHARDS: usize = 16;
 
 /// The home-epoch stride of a re-election fence: an elected home's epoch
 /// is the highest observed epoch plus this stride, so it strictly exceeds
 /// any epoch the deposed home could have issued through ordinary
 /// migrations while unreachable (each of those bumps the epoch by one).
 /// See the *Fault model & recovery* section of the module docs.
-pub const ELECTION_EPOCH_STRIDE: u32 = 1 << 16;
+pub(crate) const ELECTION_EPOCH_STRIDE: u32 = 1 << 16;
 
 /// Migration state shipped from the old home to the new home inside the
 /// object reply that performs the migration.
@@ -320,7 +320,7 @@ pub struct ProtocolEngine {
 
 impl ProtocolEngine {
     /// Create the engine for `node` in a cluster of `num_nodes` nodes, with
-    /// the default shard count ([`DEFAULT_ENGINE_SHARDS`]).
+    /// the default shard count (`DEFAULT_ENGINE_SHARDS`).
     ///
     /// Home copies (zero-filled) are created for every registered object
     /// whose initial home is this node.
@@ -335,7 +335,7 @@ impl ProtocolEngine {
 
     /// Create the engine with an explicit shard count (rounded up to the
     /// next power of two; at least one).
-    pub fn with_shards(
+    pub(crate) fn with_shards(
         node: NodeId,
         num_nodes: usize,
         config: ProtocolConfig,
@@ -396,13 +396,15 @@ impl ProtocolEngine {
     }
 
     /// Number of lock stripes in this engine.
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// The shard index `obj`'s state lives in (stable for the lifetime of
     /// the engine; exposed for tests that reason about stripe contention).
-    pub fn shard_of(&self, obj: ObjectId) -> usize {
+    #[cfg(test)]
+    fn shard_of(&self, obj: ObjectId) -> usize {
         shard_index(obj, self.shards.len())
     }
 
@@ -495,7 +497,8 @@ impl ProtocolEngine {
     ///
     /// # Panics
     /// Panics if the object is not locally readable.
-    pub fn lease_read(&self, obj: ObjectId) -> ObjectStore {
+    #[cfg(test)]
+    fn lease_read(&self, obj: ObjectId) -> ObjectStore {
         self.shard(obj).lease_read(obj)
     }
 
@@ -509,7 +512,7 @@ impl ProtocolEngine {
     ///
     /// # Panics
     /// Panics if the object is not locally writable.
-    pub fn lease_write(&self, obj: ObjectId) -> ObjectStore {
+    pub(crate) fn lease_write(&self, obj: ObjectId) -> ObjectStore {
         self.shard(obj).lease_write(obj)
     }
 
@@ -531,22 +534,21 @@ impl ProtocolEngine {
     }
 
     /// Read access to a locally valid copy of `obj` through a closure
-    /// (convenience over [`Self::lease_read`] for engine-internal callers
-    /// and tests).
+    /// (convenience over [`Self::lease_read`] for tests).
     ///
     /// # Panics
     /// As [`Self::lease_read`].
-    pub fn with_object<R>(&self, obj: ObjectId, f: impl FnOnce(&ObjectData) -> R) -> R {
+    #[cfg(test)]
+    fn with_object<R>(&self, obj: ObjectId, f: impl FnOnce(&ObjectData) -> R) -> R {
         let store = self.lease_read(obj);
         let guard = store.read();
         f(&guard)
     }
 
-    /// Write access to a locally writable copy of `obj` through a closure
-    /// (convenience over [`Self::lease_write`]).
+    /// Write access to a locally writable copy of `obj` through a closure.
     ///
     /// # Panics
-    /// As [`Self::lease_write`].
+    /// Panics if the object is not locally writable.
     pub fn with_object_mut<R>(&self, obj: ObjectId, f: impl FnOnce(&mut ObjectData) -> R) -> R {
         let store = self.lease_write(obj);
         let mut guard = store.write();
@@ -789,7 +791,8 @@ impl ProtocolEngine {
 
     /// Objects currently homed at this node (sorted, for deterministic
     /// tests).
-    pub fn homed_objects(&self) -> Vec<ObjectId> {
+    #[cfg(test)]
+    fn homed_objects(&self) -> Vec<ObjectId> {
         let mut v = Vec::new();
         for shard in self.shards.iter() {
             shard.lock().homed_objects(&mut v);
@@ -805,7 +808,8 @@ impl ProtocolEngine {
     }
 
     /// The current version of the home copy of `obj`, if homed here.
-    pub fn home_version(&self, obj: ObjectId) -> Option<Version> {
+    #[cfg(test)]
+    fn home_version(&self, obj: ObjectId) -> Option<Version> {
         self.shard(obj).home_version(obj)
     }
 

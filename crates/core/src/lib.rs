@@ -73,46 +73,47 @@
 //!
 //! ## Crate layout
 //!
-//! * [`config`] — protocol configuration (migration policy + per-object
-//!   overrides, notification mechanism, coefficients).
-//! * [`messages`] — the wire protocol between nodes.
+//! * `config` — protocol configuration ([`ProtocolConfig`]: migration
+//!   policy + per-object overrides, notification mechanism, coefficients).
+//! * `messages` — the wire protocol between nodes ([`ProtocolMsg`]).
 //! * [`policy`] — the pluggable policy API: the `HomeMigrationPolicy`
 //!   trait, the built-in impls (`NoMigrationPolicy`, `FixedThresholdPolicy`
 //!   (FT), `AdaptiveThresholdPolicy` (AT, the contribution), JUMP-style
 //!   `MigrateOnRequestPolicy`, Jackal-style `LazyFlushingPolicy`), the
 //!   beyond-the-paper `HysteresisPolicy` and `EwmaWriteRatioPolicy`, and
 //!   per-object `PolicyOverrides`.
-//! * [`migration`] — the engine-owned per-object observation state
+//! * `migration` — the engine-owned per-object observation state
 //!   (`MigrationState` and the policy-owned `PolicyScratch` it carries).
 //! * [`sync`] — distributed lock and barrier managers (the synchronization
 //!   substrate that delimits intervals).
-//! * [`engine`] — the per-node protocol engine gluing it all together: a
-//!   lock-striped facade over per-object shards ([`shard`], private) and the
-//!   node-global synchronization state ([`global`], private), so protocol
-//!   serving scales with cores instead of serializing on one engine mutex.
-//! * [`stats`] — per-node protocol statistics, including the policy
-//!   decision telemetry.
+//! * `engine` — the per-node protocol engine gluing it all together
+//!   ([`ProtocolEngine`]): a lock-striped facade over per-object shards
+//!   ([`shard`], private) and the node-global synchronization state
+//!   ([`global`], private), so protocol serving scales with cores instead
+//!   of serializing on one engine mutex.
+//! * `stats` — per-node protocol statistics ([`ProtocolStats`]), including
+//!   the policy decision telemetry ([`PolicyTelemetry`]).
 //!
-//! [`shard`]: engine::ProtocolEngine#sharded-locking
-//! [`global`]: engine::ProtocolEngine#sharded-locking
+//! [`shard`]: ProtocolEngine#sharded-locking
+//! [`global`]: ProtocolEngine#sharded-locking
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod engine;
+mod config;
+mod engine;
 mod global;
-pub mod messages;
-pub mod migration;
+mod messages;
+mod migration;
 pub mod policy;
 mod shard;
-pub mod stats;
+mod stats;
 pub mod sync;
 
 pub use config::{NotificationMechanism, ProtocolConfig};
 pub use engine::{
     group_flush_plans, AccessPlan, DiffOutcome, FlushBatch, FlushPlan, MigrationGrant,
-    ObjectRequestOutcome, ProtocolEngine, DEFAULT_ENGINE_SHARDS, ELECTION_EPOCH_STRIDE,
+    ObjectRequestOutcome, ProtocolEngine,
 };
 pub use messages::{
     DiffBatchEntry, DiffBatchResult, DiffEntryStatus, ProtocolMsg, ReqId,
@@ -125,4 +126,3 @@ pub use policy::{
     MigrateOnRequestPolicy, NoMigrationPolicy, PolicyInputs, PolicyOverrides,
 };
 pub use stats::{PolicyTelemetry, ProtocolStats};
-pub use sync::{BarrierOutcome, LockAcquireOutcome, LockReleaseOutcome};

@@ -16,7 +16,7 @@ pub struct ReqId(pub u64);
 
 /// State shipped with a migrating home (threshold and history), defined in
 /// the engine module; re-exported here for the message definition.
-pub use crate::engine::MigrationGrant;
+pub(crate) use crate::engine::MigrationGrant;
 
 /// Modelled wire overhead per entry of a [`ProtocolMsg::DiffBatch`]: the
 /// object id plus entry framing. The batch as a whole still pays the single

@@ -124,7 +124,7 @@ impl MigrationState {
     /// Record a home write (the first write fault at the home node in an
     /// interval). Returns `true` if the write was *exclusive*, i.e. no
     /// remote write occurred since an earlier home write.
-    pub fn record_home_write(&mut self) -> bool {
+    pub(crate) fn record_home_write(&mut self) -> bool {
         let exclusive = self.last_write_was_home;
         if exclusive {
             self.exclusive_home_writes += 1;
@@ -137,7 +137,7 @@ impl MigrationState {
 
     /// Record `hops` redirections reported by an arriving request (negative
     /// feedback: the cost of previous migrations).
-    pub fn record_redirections(&mut self, hops: u32) {
+    pub(crate) fn record_redirections(&mut self, hops: u32) {
         self.redirected_requests += u64::from(hops);
     }
 
@@ -148,7 +148,11 @@ impl MigrationState {
     /// and the policy scratch are retained, and `old_home` is recorded so a
     /// later migration back to it is observable as a migrate-back.
     #[must_use]
-    pub fn migrated(&self, carried_threshold: f64, old_home: Option<NodeId>) -> MigrationState {
+    pub(crate) fn migrated(
+        &self,
+        carried_threshold: f64,
+        old_home: Option<NodeId>,
+    ) -> MigrationState {
         MigrationState {
             consecutive_remote_writes: 0,
             last_remote_writer: None,

@@ -72,7 +72,7 @@ pub enum Decision {
 
 impl Decision {
     /// Whether this decision migrates the home.
-    pub fn is_migrate(self) -> bool {
+    pub(crate) fn is_migrate(self) -> bool {
         matches!(self, Decision::Migrate)
     }
 }
@@ -103,7 +103,7 @@ impl PolicyInputs<'_> {
     /// matching the paper's choice of a small initial threshold). This is
     /// the one place the formula is written; [`AdaptiveThresholdPolicy`]
     /// uses it unless an override is set.
-    pub fn default_alpha(&self) -> f64 {
+    pub(crate) fn default_alpha(&self) -> f64 {
         let d = if self.state.diff_samples > 0 {
             self.state.mean_diff_bytes
         } else {
@@ -234,11 +234,6 @@ impl FixedThresholdPolicy {
             threshold,
             label: format!("FT{threshold}"),
         }
-    }
-
-    /// The constant threshold.
-    pub fn threshold(&self) -> u32 {
-        self.threshold
     }
 }
 
@@ -373,7 +368,7 @@ pub struct LazyFlushingPolicy {
 
 impl LazyFlushingPolicy {
     /// A lazy-flushing policy with an explicit transition cap.
-    pub fn new(max_transitions: u32) -> Self {
+    pub(crate) fn new(max_transitions: u32) -> Self {
         LazyFlushingPolicy { max_transitions }
     }
 }
@@ -495,7 +490,7 @@ impl EwmaWriteRatioPolicy {
     ///
     /// # Panics
     /// Panics if either parameter is outside (0, 1].
-    pub fn new(gamma: f64, ratio: f64) -> Self {
+    pub(crate) fn new(gamma: f64, ratio: f64) -> Self {
         assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
         assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
         EwmaWriteRatioPolicy { gamma, ratio }
@@ -583,33 +578,28 @@ pub struct PolicyOverrides {
 
 impl PolicyOverrides {
     /// No overrides: every object uses the cluster-wide default.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PolicyOverrides::default()
     }
 
     /// Set (or replace) the policy override for `obj`.
-    pub fn set(&mut self, obj: ObjectId, policy: impl IntoMigrationPolicy) {
+    pub(crate) fn set(&mut self, obj: ObjectId, policy: impl IntoMigrationPolicy) {
         self.map.insert(obj, policy.into_policy());
     }
 
     /// The override for `obj`, if any.
-    pub fn get(&self, obj: ObjectId) -> Option<&Arc<dyn HomeMigrationPolicy>> {
+    pub(crate) fn get(&self, obj: ObjectId) -> Option<&Arc<dyn HomeMigrationPolicy>> {
         self.map.get(&obj)
     }
 
-    /// Number of overridden objects.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
     /// Whether no object is overridden.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
     /// The overridden object ids, sorted (deterministic iteration for
     /// reports and tests).
-    pub fn ids(&self) -> Vec<ObjectId> {
+    pub(crate) fn ids(&self) -> Vec<ObjectId> {
         let mut ids: Vec<ObjectId> = self.map.keys().copied().collect();
         ids.sort();
         ids
@@ -747,7 +737,7 @@ pub(crate) mod tests {
         assert!(overrides.is_empty());
         overrides.set(a, NoMigrationPolicy);
         overrides.set(b, HysteresisPolicy::default());
-        assert_eq!(overrides.len(), 2);
+        assert_eq!(overrides.ids().len(), 2);
         assert_eq!(overrides.get(a).unwrap().label(), "NM");
         assert_eq!(overrides.get(b).unwrap().label(), "HYST1+2");
         assert!(overrides.get(ObjectId::derive("other", 0)).is_none());
@@ -756,7 +746,7 @@ pub(crate) mod tests {
         assert_eq!(overrides.ids(), ids);
         // Replacing an override keeps one entry.
         overrides.set(a, AdaptiveThresholdPolicy::paper());
-        assert_eq!(overrides.len(), 2);
+        assert_eq!(overrides.ids().len(), 2);
         assert_eq!(overrides.get(a).unwrap().label(), "AT");
         // Debug shows labels, not internals.
         assert!(format!("{overrides:?}").contains("AT"));

@@ -268,6 +268,7 @@ impl EngineShard {
     ///
     /// # Panics
     /// Panics if the object is not locally readable.
+    #[cfg(test)]
     pub(crate) fn lease_read(&self, obj: ObjectId) -> ObjectStore {
         if let Some(entry) = self.homes.get(&obj) {
             return Arc::clone(&entry.data);
@@ -763,6 +764,7 @@ impl EngineShard {
     // ------------------------------------------------------------------
 
     /// Objects currently homed in this shard (unsorted).
+    #[cfg(test)]
     pub(crate) fn homed_objects(&self, out: &mut Vec<ObjectId>) {
         out.extend(self.homes.keys().copied());
     }
@@ -773,6 +775,7 @@ impl EngineShard {
     }
 
     /// The current version of the home copy of `obj`, if homed here.
+    #[cfg(test)]
     pub(crate) fn home_version(&self, obj: ObjectId) -> Option<Version> {
         self.homes.get(&obj).map(|e| e.version)
     }

@@ -61,13 +61,8 @@ impl PolicyTelemetry {
         self.threshold_sum_milli as f64 / self.threshold_samples as f64 / 1000.0
     }
 
-    /// Largest sampled threshold (0 when nothing was sampled).
-    pub fn peak_threshold(&self) -> f64 {
-        self.threshold_peak_milli as f64 / 1000.0
-    }
-
     /// Merge counters from another node.
-    pub fn merge(&mut self, other: &PolicyTelemetry) {
+    pub(crate) fn merge(&mut self, other: &PolicyTelemetry) {
         self.decisions_considered += other.decisions_considered;
         self.decisions_migrate += other.decisions_migrate;
         self.migrate_backs += other.migrate_backs;
@@ -201,14 +196,14 @@ mod tests {
         assert_eq!(t.migrate_backs, 1);
         assert_eq!(t.threshold_samples, 3);
         assert!((t.mean_threshold() - 2.5).abs() < 1e-9);
-        assert!((t.peak_threshold() - 4.0).abs() < 1e-9);
+        assert_eq!(t.threshold_peak_milli, 4_000);
 
         let mut merged = PolicyTelemetry::default();
         merged.record_decision(true, true, 8.0);
         merged.merge(&t);
         assert_eq!(merged.decisions_considered, 5);
         assert_eq!(merged.migrate_backs, 2);
-        assert!((merged.peak_threshold() - 8.0).abs() < 1e-9);
+        assert_eq!(merged.threshold_peak_milli, 8_000);
         assert_eq!(merged.threshold_samples, 4);
     }
 

@@ -56,18 +56,23 @@ struct LockState {
 
 /// Manager-side state for all locks hosted on one node.
 #[derive(Debug, Default, Clone)]
-pub struct LockManager {
+pub(crate) struct LockManager {
     locks: HashMap<LockId, LockState>,
 }
 
 impl LockManager {
     /// Create an empty manager.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LockManager::default()
     }
 
     /// Handle an acquire request from `requester` blocked on `req`.
-    pub fn acquire(&mut self, lock: LockId, requester: NodeId, req: ReqId) -> LockAcquireOutcome {
+    pub(crate) fn acquire(
+        &mut self,
+        lock: LockId,
+        requester: NodeId,
+        req: ReqId,
+    ) -> LockAcquireOutcome {
         let state = self.locks.entry(lock).or_default();
         if state.holder.is_none() {
             state.holder = Some(requester);
@@ -84,7 +89,7 @@ impl LockManager {
     /// Panics if the lock is not currently held by `holder` — releasing a
     /// lock one does not hold is a protocol bug, not a recoverable runtime
     /// condition.
-    pub fn release(&mut self, lock: LockId, holder: NodeId) -> LockReleaseOutcome {
+    pub(crate) fn release(&mut self, lock: LockId, holder: NodeId) -> LockReleaseOutcome {
         let state = self
             .locks
             .get_mut(&lock)
@@ -109,12 +114,14 @@ impl LockManager {
     }
 
     /// Current holder of a lock (testing/diagnostics).
-    pub fn holder(&self, lock: LockId) -> Option<NodeId> {
+    #[cfg(test)]
+    fn holder(&self, lock: LockId) -> Option<NodeId> {
         self.locks.get(&lock).and_then(|s| s.holder)
     }
 
     /// Number of nodes queued on a lock (testing/diagnostics).
-    pub fn queue_len(&self, lock: LockId) -> usize {
+    #[cfg(test)]
+    fn queue_len(&self, lock: LockId) -> usize {
         self.locks.get(&lock).map_or(0, |s| s.queue.len())
     }
 }
@@ -128,7 +135,7 @@ struct BarrierState {
 
 /// Manager-side state for all barriers hosted on one node.
 #[derive(Debug, Clone)]
-pub struct BarrierManager {
+pub(crate) struct BarrierManager {
     participants: usize,
     barriers: HashMap<BarrierId, BarrierState>,
 }
@@ -138,7 +145,7 @@ impl BarrierManager {
     ///
     /// # Panics
     /// Panics if `participants` is zero.
-    pub fn new(participants: usize) -> Self {
+    pub(crate) fn new(participants: usize) -> Self {
         assert!(participants > 0, "a barrier needs at least one participant");
         BarrierManager {
             participants,
@@ -147,7 +154,12 @@ impl BarrierManager {
     }
 
     /// Handle an arrival of `node` (blocked on `req`) at `barrier`.
-    pub fn arrive(&mut self, barrier: BarrierId, node: NodeId, req: ReqId) -> BarrierOutcome {
+    pub(crate) fn arrive(
+        &mut self,
+        barrier: BarrierId,
+        node: NodeId,
+        req: ReqId,
+    ) -> BarrierOutcome {
         let participants = self.participants;
         let state = self.barriers.entry(barrier).or_default();
         assert!(
@@ -166,12 +178,14 @@ impl BarrierManager {
     }
 
     /// The phase number the barrier is currently collecting arrivals for.
-    pub fn current_epoch(&self, barrier: BarrierId) -> u64 {
+    #[cfg(test)]
+    fn current_epoch(&self, barrier: BarrierId) -> u64 {
         self.barriers.get(&barrier).map_or(0, |s| s.epoch)
     }
 
     /// Number of nodes that have arrived in the current phase.
-    pub fn arrived(&self, barrier: BarrierId) -> usize {
+    #[cfg(test)]
+    fn arrived(&self, barrier: BarrierId) -> usize {
         self.barriers.get(&barrier).map_or(0, |s| s.waiters.len())
     }
 }

@@ -17,15 +17,17 @@
 //! where `o` is the object size, `d` the diff size, and `m_1/2 = t0·r_inf`
 //! the half-peak message length. The approximation uses `m_1/2 ≫ 1` (true
 //! for every real interconnect) so `t(1) ≈ t0`. This module provides the
-//! exact ratio. The protocol uses the approximation, Equation (4) of the
-//! paper, written once in `dsm-core` as `PolicyInputs::default_alpha`,
-//! because it needs the running mean of observed diff sizes as `d`.
+//! exact ratio, in test builds only. The protocol uses the approximation,
+//! Equation (4) of the paper, written once in `dsm-core` as
+//! `PolicyInputs::default_alpha`, because it needs the running mean of
+//! observed diff sizes as `d`; the tests here check it against the exact
+//! ratio.
 
 use crate::network::HockneyModel;
 
 /// Inputs to the coefficient computation for one object.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoefficientInputs {
+pub(crate) struct CoefficientInputs {
     /// Object size `o` in bytes (payload of one object fault-in reply).
     pub object_bytes: u64,
     /// Typical diff size `d` in bytes (payload of one diff propagation).
@@ -36,7 +38,7 @@ pub struct CoefficientInputs {
 
 impl CoefficientInputs {
     /// Convenience constructor.
-    pub fn new(object_bytes: u64, diff_bytes: u64) -> Self {
+    pub(crate) fn new(object_bytes: u64, diff_bytes: u64) -> Self {
         CoefficientInputs {
             object_bytes,
             diff_bytes,
@@ -46,7 +48,7 @@ impl CoefficientInputs {
 
 /// Exact home access coefficient `(t(o) + t(d)) / t(1)` under the given
 /// Hockney model.
-pub fn home_access_coefficient(model: &HockneyModel, inputs: CoefficientInputs) -> f64 {
+pub(crate) fn home_access_coefficient(model: &HockneyModel, inputs: CoefficientInputs) -> f64 {
     let num = model.time_us(inputs.object_bytes) + model.time_us(inputs.diff_bytes);
     let den = model.time_us(1);
     num / den

@@ -35,18 +35,6 @@ impl ComputeModel {
         ComputeModel { ns_per_op: 0.0 }
     }
 
-    /// Build a model from an explicit per-operation cost in nanoseconds.
-    ///
-    /// # Panics
-    /// Panics if the cost is negative or not finite.
-    pub fn new(ns_per_op: f64) -> Self {
-        assert!(
-            ns_per_op.is_finite() && ns_per_op >= 0.0,
-            "per-op cost must be finite and non-negative, got {ns_per_op}"
-        );
-        ComputeModel { ns_per_op }
-    }
-
     /// Cost of `n` abstract operations.
     pub fn ops(&self, n: u64) -> SimDuration {
         SimDuration::from_nanos((n as f64 * self.ns_per_op).round() as u64)
@@ -78,26 +66,20 @@ mod tests {
     #[test]
     fn default_model_is_one_ns_per_op() {
         let m = ComputeModel::default();
-        assert_eq!(m.ops(1_000).as_nanos(), 1_000);
+        assert_eq!(m.ops(1_000), SimDuration::from_nanos(1_000));
         assert_eq!(m, ComputeModel::pentium4_2ghz());
     }
 
     #[test]
     fn cost_scales_linearly() {
-        let m = ComputeModel::new(2.5);
-        assert_eq!(m.ops(4).as_nanos(), 10);
-        assert_eq!(m.elements(10, 3).as_nanos(), 75);
+        let m = ComputeModel { ns_per_op: 2.5 };
+        assert_eq!(m.ops(4), SimDuration::from_nanos(10));
+        assert_eq!(m.elements(10, 3), SimDuration::from_nanos(75));
     }
 
     #[test]
     fn elements_helper_multiplies() {
-        let m = ComputeModel::new(1.0);
-        assert_eq!(m.elements(2048, 4).as_nanos(), 8192);
-    }
-
-    #[test]
-    #[should_panic(expected = "per-op cost must be finite and non-negative")]
-    fn rejects_negative_cost() {
-        let _ = ComputeModel::new(-1.0);
+        let m = ComputeModel { ns_per_op: 1.0 };
+        assert_eq!(m.elements(2048, 4), SimDuration::from_nanos(8192));
     }
 }

@@ -16,9 +16,10 @@
 //!   charge application compute phases to the virtual clock, so that the
 //!   communication/computation ratio (and therefore the *shape* of the
 //!   paper's figures) is preserved.
-//! * [`home_access_coefficient`] — Appendix A of the paper: the overhead
-//!   ratio of one eliminated (object fault-in + diff propagation) pair to one
-//!   home redirection.
+//! * `coefficient` (test builds only) — Appendix A of the paper: the exact
+//!   overhead ratio of one eliminated (object fault-in + diff propagation)
+//!   pair to one home redirection, the oracle for the approximation the
+//!   protocol evaluates.
 //!
 //! Everything in this crate is deterministic and free of I/O so that the
 //! experiment harness produces reproducible numbers.
@@ -26,12 +27,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coefficient;
-pub mod compute;
-pub mod network;
-pub mod time;
+#[cfg(test)]
+mod coefficient;
+mod compute;
+mod network;
+mod time;
 
-pub use coefficient::{home_access_coefficient, CoefficientInputs};
 pub use compute::ComputeModel;
 pub use network::{HockneyModel, NetworkParams};
 pub use time::{SimDuration, SimTime};

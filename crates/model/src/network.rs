@@ -12,7 +12,7 @@
 //! bandwidth in MB/s and `m` the message length in bytes. The *half-peak
 //! length* `m_1/2 = t0 * r_inf` is the message length at which half of the
 //! asymptotic bandwidth is achieved; it appears directly in the adaptive
-//! protocol's home access coefficient (see [`crate::coefficient`]).
+//! protocol's home access coefficient (paper Appendix A).
 //!
 //! The same model is used by the runtime to advance virtual time for every
 //! protocol message, so that the analytical coefficient and the simulated
@@ -38,7 +38,7 @@ impl HockneyModel {
     /// Panics if either parameter is non-positive or non-finite: a zero
     /// bandwidth would make every message take infinite time and a zero
     /// start-up time makes the half-peak length degenerate.
-    pub fn new(startup_us: f64, bandwidth_mb_s: f64) -> Self {
+    pub(crate) fn new(startup_us: f64, bandwidth_mb_s: f64) -> Self {
         assert!(
             startup_us.is_finite() && startup_us > 0.0,
             "start-up time must be positive and finite, got {startup_us}"
@@ -57,7 +57,7 @@ impl HockneyModel {
     /// in microseconds.
     ///
     /// With `r_inf` in MB/s (= bytes/µs), `m / r_inf` is directly in µs.
-    pub fn time_us(&self, message_bytes: u64) -> f64 {
+    pub(crate) fn time_us(&self, message_bytes: u64) -> f64 {
         self.startup_us + message_bytes as f64 / self.bandwidth_mb_s
     }
 
@@ -66,44 +66,10 @@ impl HockneyModel {
         SimDuration::from_micros(self.time_us(message_bytes))
     }
 
-    /// Round-trip time for a request of `req_bytes` answered by a reply of
-    /// `reply_bytes`.
-    pub fn round_trip(&self, req_bytes: u64, reply_bytes: u64) -> SimDuration {
-        self.latency(req_bytes) + self.latency(reply_bytes)
-    }
-
-    /// Communication time for `k` logical payloads shipped as **one**
-    /// message: a single start-up time `t0` plus the summed byte cost,
-    /// `t0 + (Σ mᵢ) / r_inf`. This is the cost the release-time flush
-    /// batcher pays for a `DiffBatch`, where sending each payload
-    /// individually would cost `Σ (t0 + mᵢ / r_inf)` — `k` start-ups.
-    pub fn batched_time_us(&self, entry_bytes: &[u64]) -> f64 {
-        self.time_us(entry_bytes.iter().sum())
-    }
-
-    /// Start-up time saved by batching `entries` payloads into one message
-    /// instead of sending them individually: `(k − 1) · t0`. On interconnects
-    /// where `t0` dominates (the paper's Fast Ethernet: `t0 = 100 µs`,
-    /// `m_1/2 ≈ 1.2 KB`), this is almost the entire per-message cost of every
-    /// flush beyond the first.
-    pub fn batch_startup_saving_us(&self, entries: usize) -> f64 {
-        self.startup_us * entries.saturating_sub(1) as f64
-    }
-
     /// The half-peak message length `m_1/2 = t0 * r_inf` in bytes: the
     /// message length required to achieve half of the asymptotic bandwidth.
     pub fn half_peak_length(&self) -> f64 {
         self.startup_us * self.bandwidth_mb_s
-    }
-
-    /// Effective bandwidth (MB/s) achieved for a message of `m` bytes.
-    /// Approaches `bandwidth_mb_s` for large `m` and is exactly half of it at
-    /// `m = m_1/2`.
-    pub fn effective_bandwidth(&self, message_bytes: u64) -> f64 {
-        if message_bytes == 0 {
-            return 0.0;
-        }
-        message_bytes as f64 / self.time_us(message_bytes)
     }
 }
 
@@ -118,11 +84,6 @@ pub struct NetworkParams {
     /// with communication; this constant captures the fixed software
     /// overhead of serving any request.
     pub per_message_handling_us: f64,
-    /// Cost charged for a broadcast, expressed as a multiplier on the number
-    /// of destination nodes (a well-implemented broadcast is cheaper than N
-    /// point-to-point sends; the paper calls broadcast "heavyweight" but
-    /// efficient when all nodes need the update).
-    pub broadcast_fanout_factor: f64,
 }
 
 impl NetworkParams {
@@ -136,18 +97,6 @@ impl NetworkParams {
         NetworkParams {
             hockney: HockneyModel::new(100.0, 11.5),
             per_message_handling_us: 8.0,
-            broadcast_fanout_factor: 0.6,
-        }
-    }
-
-    /// Gigabit Ethernet: lower start-up, ~10× bandwidth. Used for
-    /// sensitivity/ablation experiments (the coefficient α depends on
-    /// `m_1/2`).
-    pub fn gigabit_ethernet() -> Self {
-        NetworkParams {
-            hockney: HockneyModel::new(45.0, 110.0),
-            per_message_handling_us: 5.0,
-            broadcast_fanout_factor: 0.6,
         }
     }
 
@@ -156,7 +105,6 @@ impl NetworkParams {
         NetworkParams {
             hockney: HockneyModel::new(9.0, 240.0),
             per_message_handling_us: 2.0,
-            broadcast_fanout_factor: 0.5,
         }
     }
 
@@ -166,20 +114,12 @@ impl NetworkParams {
         NetworkParams {
             hockney: HockneyModel::new(1.0, 1000.0),
             per_message_handling_us: 0.0,
-            broadcast_fanout_factor: 1.0,
         }
     }
 
     /// Per-message handling cost as a duration.
     pub fn handling_cost(&self) -> SimDuration {
         SimDuration::from_micros(self.per_message_handling_us)
-    }
-
-    /// Total cost charged to the sender for a broadcast of `message_bytes`
-    /// to `destinations` nodes.
-    pub fn broadcast_cost(&self, message_bytes: u64, destinations: usize) -> SimDuration {
-        let single = self.hockney.time_us(message_bytes);
-        SimDuration::from_micros(single * self.broadcast_fanout_factor * destinations as f64)
     }
 }
 
@@ -215,8 +155,9 @@ mod tests {
         let m = HockneyModel::new(100.0, 11.5);
         let half = m.half_peak_length();
         assert!((half - 1150.0).abs() < 1e-9);
-        let eff = m.effective_bandwidth(half.round() as u64);
-        assert!((eff - m.bandwidth_mb_s / 2.0).abs() < 0.01);
+        let half = half.round() as u64;
+        let effective = half as f64 / m.time_us(half);
+        assert!((effective - m.bandwidth_mb_s / 2.0).abs() < 0.01);
     }
 
     #[test]
@@ -224,39 +165,34 @@ mod tests {
         let m = HockneyModel::new(100.0, 11.5);
         let mut prev = 0.0;
         for bytes in [1u64, 10, 100, 1_000, 10_000, 100_000, 1_000_000] {
-            let eff = m.effective_bandwidth(bytes);
+            let eff = bytes as f64 / m.time_us(bytes);
             assert!(eff > prev, "effective bandwidth must grow with size");
             assert!(eff < m.bandwidth_mb_s, "never exceeds asymptotic bandwidth");
             prev = eff;
         }
-        assert_eq!(m.effective_bandwidth(0), 0.0);
     }
 
     #[test]
     fn batched_send_pays_one_startup() {
+        // A `DiffBatch` ships k payloads as one message: t0 + (Σ mᵢ) / r_inf
+        // instead of Σ (t0 + mᵢ / r_inf).
         let m = HockneyModel::new(100.0, 11.5);
         let entries = [400u64, 120, 64, 1000];
         let individually: f64 = entries.iter().map(|b| m.time_us(*b)).sum();
-        let batched = m.batched_time_us(&entries);
+        let batched = m.time_us(entries.iter().sum());
         // One start-up instead of four: the saving is exactly (k-1) * t0.
-        let saving = individually - batched;
-        assert!((saving - m.batch_startup_saving_us(entries.len())).abs() < 1e-9);
-        assert!((saving - 300.0).abs() < 1e-9);
+        assert!((individually - batched - 300.0).abs() < 1e-9);
         // Byte cost is preserved — batching only removes start-ups.
         assert!((batched - (100.0 + 1584.0 / 11.5)).abs() < 1e-9);
-        // Degenerate batches save nothing.
-        assert_eq!(m.batch_startup_saving_us(1), 0.0);
-        assert_eq!(m.batch_startup_saving_us(0), 0.0);
-        assert!((m.batched_time_us(&[64]) - m.time_us(64)).abs() < 1e-12);
     }
 
     #[test]
     fn latency_and_round_trip() {
         let m = HockneyModel::new(10.0, 100.0);
         // 1000 bytes at 100 MB/s = 10 us, plus 10 us startup = 20 us.
-        assert_eq!(m.latency(1_000).as_nanos(), 20_000);
+        assert_eq!(m.latency(1_000), SimDuration::from_nanos(20_000));
         // round trip of two unit-size messages ~ 2 * t0
-        let rt = m.round_trip(1, 1);
+        let rt = m.latency(1) + m.latency(1);
         assert!((rt.as_micros() - 20.02).abs() < 1e-6);
     }
 
@@ -275,29 +211,17 @@ mod tests {
     #[test]
     fn presets_are_ordered_by_speed() {
         let fe = NetworkParams::fast_ethernet();
-        let ge = NetworkParams::gigabit_ethernet();
         let my = NetworkParams::myrinet();
+        let ideal = NetworkParams::ideal();
         let bytes = 4096;
-        assert!(fe.hockney.time_us(bytes) > ge.hockney.time_us(bytes));
-        assert!(ge.hockney.time_us(bytes) > my.hockney.time_us(bytes));
+        assert!(fe.hockney.time_us(bytes) > my.hockney.time_us(bytes));
+        assert!(my.hockney.time_us(bytes) > ideal.hockney.time_us(bytes));
     }
 
     #[test]
     fn fast_ethernet_half_peak_is_much_larger_than_one_byte() {
         // The Appendix's approximation requires m_1/2 >> 1.
         assert!(NetworkParams::fast_ethernet().hockney.half_peak_length() > 100.0);
-    }
-
-    #[test]
-    fn broadcast_cost_scales_with_destinations() {
-        let p = NetworkParams::fast_ethernet();
-        let one = p.broadcast_cost(64, 1);
-        let eight = p.broadcast_cost(64, 8);
-        let diff = (eight.as_nanos() as i64 - one.as_nanos() as i64 * 8).abs();
-        assert!(
-            diff <= 8,
-            "broadcast cost should scale ~linearly, diff={diff}ns"
-        );
     }
 
     #[test]

@@ -43,25 +43,14 @@ impl SimTime {
     }
 
     /// Milliseconds since the experiment origin.
-    pub fn as_millis(self) -> f64 {
+    pub(crate) fn as_millis(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Seconds since the experiment origin (the unit of the paper's Figure 2).
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
     }
 
     /// Elapsed duration since `earlier`, saturating to zero if `earlier` is
     /// in the future.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The later of two instants. Used to merge clocks when a message with a
-    /// later send+latency timestamp arrives at a node.
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
     }
 }
 
@@ -70,7 +59,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Construct from raw nanoseconds.
-    pub const fn from_nanos(nanos: u64) -> Self {
+    pub(crate) const fn from_nanos(nanos: u64) -> Self {
         SimDuration(nanos)
     }
 
@@ -84,16 +73,6 @@ impl SimDuration {
         SimDuration((millis * 1_000_000.0).round().max(0.0) as u64)
     }
 
-    /// Construct from seconds.
-    pub fn from_secs(secs: f64) -> Self {
-        SimDuration((secs * 1_000_000_000.0).round().max(0.0) as u64)
-    }
-
-    /// Raw nanoseconds.
-    pub const fn as_nanos(self) -> u64 {
-        self.0
-    }
-
     /// Microseconds.
     pub fn as_micros(self) -> f64 {
         self.0 as f64 / 1_000.0
@@ -105,13 +84,8 @@ impl SimDuration {
     }
 
     /// Seconds.
-    pub fn as_secs(self) -> f64 {
+    pub(crate) fn as_secs(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
-    }
-
-    /// Multiply by an integer count (e.g. `n` identical messages).
-    pub fn times(self, n: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(n))
     }
 }
 
@@ -213,7 +187,7 @@ mod tests {
     #[test]
     fn zero_is_origin() {
         assert_eq!(SimTime::ZERO.as_nanos(), 0);
-        assert_eq!(SimDuration::ZERO.as_nanos(), 0);
+        assert_eq!(SimDuration::ZERO, SimDuration::from_nanos(0));
     }
 
     #[test]
@@ -233,8 +207,8 @@ mod tests {
     fn time_difference_saturates() {
         let a = SimTime::from_nanos(100);
         let b = SimTime::from_nanos(250);
-        assert_eq!((b - a).as_nanos(), 150);
-        assert_eq!((a - b).as_nanos(), 0);
+        assert_eq!(b - a, SimDuration::from_nanos(150));
+        assert_eq!(a - b, SimDuration::ZERO);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
     }
 
@@ -250,25 +224,24 @@ mod tests {
     fn duration_arithmetic() {
         let d = SimDuration::from_micros(3.0);
         assert_eq!((d * 4).as_micros(), 12.0);
-        assert_eq!((d * 2.5).as_nanos(), 7_500);
+        assert_eq!(d * 2.5, SimDuration::from_nanos(7_500));
         assert_eq!((d / 3).as_micros(), 1.0);
-        assert_eq!(d.times(3).as_micros(), 9.0);
         let total: SimDuration = vec![d, d, d].into_iter().sum();
         assert_eq!(total.as_micros(), 9.0);
     }
 
     #[test]
     fn unit_conversions() {
-        let d = SimDuration::from_secs(1.5);
+        let d = SimDuration::from_millis(1500.0);
         assert!((d.as_millis() - 1500.0).abs() < 1e-9);
         assert!((d.as_micros() - 1_500_000.0).abs() < 1e-9);
         let d2 = SimDuration::from_millis(2.0);
-        assert_eq!(d2.as_nanos(), 2_000_000);
+        assert_eq!(d2, SimDuration::from_nanos(2_000_000));
     }
 
     #[test]
     fn negative_float_clamps_to_zero() {
-        assert_eq!(SimDuration::from_micros(-5.0).as_nanos(), 0);
+        assert_eq!(SimDuration::from_micros(-5.0), SimDuration::ZERO);
         assert_eq!(SimTime::from_micros(-5.0).as_nanos(), 0);
     }
 
@@ -276,7 +249,7 @@ mod tests {
     fn display_formats() {
         assert_eq!(format!("{}", SimDuration::from_micros(5.0)), "5.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(5.0)), "5.000ms");
-        assert_eq!(format!("{}", SimDuration::from_secs(5.0)), "5.000s");
+        assert_eq!(format!("{}", SimDuration::from_millis(5000.0)), "5.000s");
     }
 
     #[test]

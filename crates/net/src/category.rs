@@ -59,7 +59,7 @@ pub enum MsgCategory {
 
 impl MsgCategory {
     /// All categories, in a stable order (used for reporting).
-    pub const ALL: [MsgCategory; 16] = [
+    pub(crate) const ALL: [MsgCategory; 16] = [
         MsgCategory::ObjRequest,
         MsgCategory::ObjReply,
         MsgCategory::ObjReplyMigrate,
@@ -80,7 +80,7 @@ impl MsgCategory {
 
     /// Whether this category is one of the four the paper plots in the
     /// Figure 5(b) message breakdown (synchronization excluded).
-    pub fn in_breakdown(self) -> bool {
+    pub(crate) fn in_breakdown(self) -> bool {
         matches!(
             self,
             MsgCategory::ObjReply
@@ -94,13 +94,15 @@ impl MsgCategory {
     /// Whether this category carries diff propagation to a home — the
     /// messages release-time flush batching collapses (a `DiffBatch` of k
     /// entries replaces k `Diff` messages).
-    pub fn is_diff_propagation(self) -> bool {
+    pub(crate) fn is_diff_propagation(self) -> bool {
         matches!(self, MsgCategory::Diff | MsgCategory::DiffBatch)
     }
 
     /// Whether this category is a synchronization message (invariant across
-    /// home-migration protocols, hence excluded from the paper's breakdown).
-    pub fn is_synchronization(self) -> bool {
+    /// home-migration protocols, hence excluded from the paper's breakdown;
+    /// the tests check that complement).
+    #[cfg(test)]
+    pub(crate) fn is_synchronization(self) -> bool {
         matches!(
             self,
             MsgCategory::LockAcquire
@@ -112,7 +114,7 @@ impl MsgCategory {
     }
 
     /// Short label used in reports (matches the paper's legend).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             MsgCategory::ObjRequest => "obj_req",
             MsgCategory::ObjReply => "obj",

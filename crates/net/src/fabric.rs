@@ -40,11 +40,6 @@ pub struct WakeHub {
 }
 
 impl WakeHub {
-    /// Create an empty hub (wakes are no-ops until [`install`](Self::install)).
-    pub fn new() -> Self {
-        WakeHub::default()
-    }
-
     /// Install the notifier. The first installation wins; later calls are
     /// ignored (the hub is shared by every endpoint clone, and the runtime
     /// installs exactly once per run).
@@ -53,14 +48,14 @@ impl WakeHub {
     }
 
     /// Fire the notifier for `node`, if one is installed.
-    pub fn wake(&self, node: NodeId) {
+    pub(crate) fn wake(&self, node: NodeId) {
         if let Some(notifier) = self.slot.get() {
             notifier.wake(node);
         }
     }
 
     /// Whether a notifier has been installed.
-    pub fn is_installed(&self) -> bool {
+    pub(crate) fn is_installed(&self) -> bool {
         self.slot.get().is_some()
     }
 }
@@ -77,7 +72,6 @@ impl std::fmt::Debug for WakeHub {
 #[derive(Debug)]
 pub struct Fabric<M> {
     endpoints: Vec<Endpoint<M>>,
-    wake_hub: WakeHub,
 }
 
 /// One node's attachment to the fabric.
@@ -106,7 +100,7 @@ impl<M: Send> Fabric<M> {
             senders.push(tx);
             receivers.push(rx);
         }
-        let wake_hub = WakeHub::new();
+        let wake_hub = WakeHub::default();
         let endpoints = receivers
             .into_iter()
             .enumerate()
@@ -119,22 +113,7 @@ impl<M: Send> Fabric<M> {
                 wake_hub: wake_hub.clone(),
             })
             .collect();
-        Fabric {
-            endpoints,
-            wake_hub,
-        }
-    }
-
-    /// Number of nodes in the fabric.
-    pub fn num_nodes(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    /// The hub shared by every endpoint of this fabric. The runtime keeps a
-    /// clone across [`into_endpoints`](Self::into_endpoints) and installs
-    /// the executor's notifier into it.
-    pub fn wake_hub(&self) -> WakeHub {
-        self.wake_hub.clone()
+        Fabric { endpoints }
     }
 
     /// Take ownership of all endpoints (one per node, in node order); called
@@ -148,16 +127,6 @@ impl<M: Send> Endpoint<M> {
     /// The node this endpoint belongs to.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Number of nodes reachable through this endpoint (including itself).
-    pub fn num_nodes(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The network parameters used for latency stamping.
-    pub fn params(&self) -> &NetworkParams {
-        &self.params
     }
 
     /// Send `payload` of `payload_bytes` bytes to `dst`. `sent_at` is the
@@ -181,7 +150,7 @@ impl<M: Send> Endpoint<M> {
     ) -> SimTime {
         let wire_bytes = payload_bytes + MESSAGE_HEADER_BYTES;
         let arrival = sent_at + self.params.hockney.latency(wire_bytes);
-        self.stats.record(self.node, category, wire_bytes);
+        self.stats.record(category, wire_bytes);
         let envelope = Envelope {
             src: self.node,
             dst,
@@ -207,11 +176,10 @@ impl<M: Send> Endpoint<M> {
         arrival
     }
 
-    /// Blocking receive of the next incoming message.
-    ///
-    /// Returns `None` when every sender (i.e. every other endpoint clone)
-    /// has been dropped, which the runtime uses for orderly shutdown.
-    pub fn recv(&self) -> Option<Envelope<M>> {
+    /// Blocking receive of the next incoming message (the runtime drains
+    /// with [`try_recv`](Self::try_recv); the tests block).
+    #[cfg(test)]
+    fn recv(&self) -> Option<Envelope<M>> {
         self.receiver.recv()
     }
 
@@ -244,12 +212,11 @@ mod tests {
     #[test]
     fn fabric_builds_one_endpoint_per_node() {
         let fabric: Fabric<u32> = Fabric::new(4, NetworkParams::ideal(), StatsCollector::new());
-        assert_eq!(fabric.num_nodes(), 4);
         let eps = fabric.into_endpoints();
         assert_eq!(eps.len(), 4);
         for (i, ep) in eps.iter().enumerate() {
             assert_eq!(ep.node(), NodeId::from(i));
-            assert_eq!(ep.num_nodes(), 4);
+            assert_eq!(ep.senders.len(), 4);
         }
     }
 
@@ -347,8 +314,8 @@ mod tests {
         }
 
         let fabric: Fabric<u8> = Fabric::new(2, NetworkParams::ideal(), StatsCollector::new());
-        let hub = fabric.wake_hub();
         let eps: Vec<_> = fabric.into_endpoints().into_iter().map(Arc::new).collect();
+        let hub = eps[1].wake_hub();
 
         // A wake before installation is silently dropped.
         eps[0].send(NodeId(1), MsgCategory::Control, 0, SimTime::ZERO, 1);

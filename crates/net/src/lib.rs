@@ -8,27 +8,27 @@
 //!   paper's evaluation breaks messages into (`obj`, `mig`, `diff`, `redir`,
 //!   synchronization, ...).
 //! * [`NetworkStats`] / [`StatsCollector`] — message counts and byte volumes
-//!   per category and per node; these are the "number of messages" and
+//!   per category; these are the "number of messages" and
 //!   "network traffic" series of Figures 3 and 5(b).
 //! * [`Envelope`] — a message in flight, carrying virtual-time send and
 //!   arrival stamps computed with the Hockney model from `dsm-model`.
 //! * [`Fabric`] / [`Endpoint`] — a channel-based full mesh between
 //!   node threads. Sending is non-blocking; each node's protocol server
-//!   drains its endpoint. Endpoints carry a [`WakeHub`] so an event-driven
+//!   drains its endpoint. Endpoints carry a wake hub so an event-driven
 //!   server (the runtime's executor) can be notified of each enqueue via a
 //!   [`WakeNotifier`] instead of polling.
 //! * [`SimFabric`] / [`SimEndpoint`] — the deterministic simulation fabric:
-//!   a seeded virtual-time scheduler that owns delivery itself, applies
-//!   pluggable [`LinkPerturbation`]s (latency jitter, bounded reordering,
-//!   bursty delay spikes), optionally injects seeded *loss* (random drops,
+//!   a seeded virtual-time scheduler that owns delivery itself, applies the
+//!   seeded delay perturbations of a [`SimConfig`] (latency jitter, bounded
+//!   reordering, bursty delay spikes), optionally injects seeded *loss* (random drops,
 //!   a [`PartitionSpec`] partition/heal cycle, a [`PauseSpec`] node crash
 //!   window) and records a replayable [`DeliveryTrace`]. The runtime's sim
 //!   mode drives it with event-driven wakeups — no polling.
 //!
 //! * [`TcpFabric`] / [`TcpEndpoint`] — a real multi-process transport over
 //!   `std::net` TCP sockets on `127.0.0.1`, with join-time membership
-//!   exchange, heartbeat liveness ([`membership`]) and the wire format
-//!   below. Same sending surface, same modeled-time stamping.
+//!   exchange, heartbeat liveness ([`MembershipView`]) and the wire format
+//!   below. Same sending surface as the in-process fabric.
 //!
 //! The fabrics are deliberately dumb: they move payloads, stamp virtual
 //! times and count bytes. All protocol semantics live in `dsm-core`.
@@ -48,8 +48,9 @@
 //! `wire_bytes`, `sent_at`/`arrival` as u64 nanoseconds, then the protocol
 //! message encoded by a [`wire::WireCodec`]), `Heartbeat` and `Leave`
 //! (bodyless fabric-internal control frames). The modeled fields travel on
-//! the wire so virtual-clock merging is bit-identical to the in-process
-//! fabrics. This crate defines the *framing* and the codec trait; the
+//! the wire, but a receiver's clock merge still depends on when frames
+//! arrive in real time, so modeled time on TCP is not reproducible; only
+//! the sim fabric's is. This crate defines the *framing* and the codec trait; the
 //! concrete codec for the protocol's message enum lives in `dsm-wire`,
 //! which sits above both this crate and `dsm-core`. Decoding is total:
 //! malformed frames produce typed [`wire::WireError`]s, never panics.
@@ -57,24 +58,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod category;
-pub mod envelope;
-pub mod fabric;
-pub mod membership;
-pub mod sim;
-pub mod stats;
-pub mod tcp;
+mod category;
+mod envelope;
+mod fabric;
+mod membership;
+mod sim;
+mod stats;
+mod tcp;
 pub mod wire;
 
 pub use category::MsgCategory;
 pub use envelope::{Envelope, MESSAGE_HEADER_BYTES};
-pub use fabric::{Endpoint, Fabric, WakeHub, WakeNotifier};
-pub use membership::{LivenessTracker, MembershipReport, MembershipView, PeerLiveness, PeerStatus};
+pub use fabric::{Endpoint, Fabric, WakeNotifier};
+pub use membership::{MembershipReport, MembershipView, PeerLiveness};
 pub use sim::{
-    BoundedReorder, DelayBursts, DeliveryRecord, DeliveryTrace, DropReason, DropRecord,
-    LatencyJitter, LinkPerturbation, PartitionSpec, PauseSpec, SimConfig, SimEndpoint, SimFabric,
-    SimStep,
+    DeliveryRecord, DeliveryTrace, DropReason, DropRecord, PartitionSpec, PauseSpec, SimConfig,
+    SimEndpoint, SimFabric, SimStep,
 };
-pub use stats::{CategoryStats, NetworkStats, StatsCollector};
+pub use stats::{NetworkStats, StatsCollector};
 pub use tcp::{TcpConfig, TcpEndpoint, TcpFabric, TcpNodeBinding, WireCounters};
-pub use wire::{WireCodec, WireError};

@@ -81,7 +81,7 @@ pub struct MembershipView {
 
 impl MembershipView {
     /// Whether every peer is currently classified alive.
-    pub fn all_alive(&self) -> bool {
+    pub(crate) fn all_alive(&self) -> bool {
         self.peers.iter().all(|p| p.liveness == PeerLiveness::Alive)
     }
 
@@ -128,7 +128,7 @@ struct PeerState {
 /// A peer never heard from is measured against the tracker's creation
 /// time, so a node that never manages to connect drifts to suspect/dead
 /// like any other silent peer.
-pub struct LivenessTracker {
+pub(crate) struct LivenessTracker {
     local: NodeId,
     suspect_after_ms: u64,
     dead_after_ms: u64,
@@ -137,7 +137,7 @@ pub struct LivenessTracker {
 
 impl LivenessTracker {
     /// A tracker for `local` observing `peers`, born at `now_ms`.
-    pub fn new(
+    pub(crate) fn new(
         local: NodeId,
         peers: impl IntoIterator<Item = NodeId>,
         suspect_after_ms: u64,
@@ -184,7 +184,7 @@ impl LivenessTracker {
     /// crossed `dead_after` latches the peer dead instead of reviving it —
     /// frames still count, but the peer stays [`PeerLiveness::Dead`] until
     /// an incarnation-fenced [`record_rejoin`](Self::record_rejoin).
-    pub fn record_frame(&mut self, from: NodeId, heartbeat: bool, now_ms: u64) {
+    pub(crate) fn record_frame(&mut self, from: NodeId, heartbeat: bool, now_ms: u64) {
         let (suspect_after, dead_after) = (self.suspect_after_ms, self.dead_after_ms);
         if let Some(peer) = self.peers.iter_mut().find(|p| p.node == from) {
             let silent = now_ms.saturating_sub(peer.last_heard_ms);
@@ -213,7 +213,7 @@ impl LivenessTracker {
     /// reconnecting (or a replayed hello) presents the old one and is
     /// refused. A fenced rejoin counts as a recovery and as a liveness
     /// signal; unknown senders are ignored and refused.
-    pub fn record_rejoin(&mut self, from: NodeId, incarnation: u32, now_ms: u64) -> bool {
+    pub(crate) fn record_rejoin(&mut self, from: NodeId, incarnation: u32, now_ms: u64) -> bool {
         let dead_after = self.dead_after_ms;
         let Some(peer) = self.peers.iter_mut().find(|p| p.node == from) else {
             return false;
@@ -238,7 +238,7 @@ impl LivenessTracker {
     }
 
     /// The membership view as of `now_ms`.
-    pub fn view(&self, now_ms: u64) -> MembershipView {
+    pub(crate) fn view(&self, now_ms: u64) -> MembershipView {
         MembershipView {
             local: self.local,
             peers: self

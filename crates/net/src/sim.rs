@@ -13,11 +13,12 @@
 //!   times and a fixed tie-break `(deliver_at, src, dst, link_seq)`, all of
 //!   which are pure functions of the seed and the application — the same
 //!   seed reproduces a bit-identical [`DeliveryTrace`].
-//! * **Perturbable:** seeded [`LinkPerturbation`]s (latency jitter, bounded
-//!   reordering, bursty delay spikes) reshape delivery times per link, so a
-//!   seed sweep explores genuinely different message interleavings — while
-//!   a per-link monotonicity clamp preserves the protocol's per-link FIFO
-//!   ordering assumption (see `dsm-core`'s ordering notes).
+//! * **Perturbable:** the seeded delay knobs of a [`SimConfig`] (latency
+//!   jitter, bounded reordering, bursty delay spikes) reshape delivery times
+//!   per link, so a seed sweep explores genuinely different message
+//!   interleavings — while a per-link monotonicity clamp preserves the
+//!   protocol's per-link FIFO ordering assumption (see `dsm-core`'s ordering
+//!   notes).
 //! * **Event-driven:** the scheduler blocks on a condition variable until
 //!   the cluster is quiescent; there are no poll-interval sleeps anywhere
 //!   in sim mode.
@@ -46,135 +47,8 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 
 // ----------------------------------------------------------------------
-// Perturbations
+// Configuration
 // ----------------------------------------------------------------------
-
-/// A pluggable, seeded delivery-time perturbation.
-///
-/// For every message the fabric calls every installed perturbation with the
-/// message's link and base (Hockney) latency plus the link's private RNG
-/// stream, and adds the returned extra delays to the delivery time. The
-/// fabric then clamps the result so deliveries on one link never overtake
-/// each other — implementations may stretch time arbitrarily without being
-/// able to violate per-link FIFO ordering.
-///
-/// Determinism contract: the extra delay must be a pure function of the
-/// arguments (the RNG stream is per-link and advances only through these
-/// calls), so a seed replays bit-identically.
-pub trait LinkPerturbation: Send {
-    /// Extra delivery delay for one message on `src → dst`.
-    fn extra_delay(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        base: SimDuration,
-        rng: &mut SmallRng,
-    ) -> SimDuration;
-}
-
-/// Multiplicative latency jitter: each message is delayed by an extra
-/// `U[0, max_factor] × base` drawn from the link's stream — a crude but
-/// effective per-link latency distribution.
-#[derive(Debug, Clone, Copy)]
-pub struct LatencyJitter {
-    /// Upper bound of the uniform extra-delay factor.
-    pub max_factor: f64,
-}
-
-impl LinkPerturbation for LatencyJitter {
-    fn extra_delay(
-        &mut self,
-        _src: NodeId,
-        _dst: NodeId,
-        base: SimDuration,
-        rng: &mut SmallRng,
-    ) -> SimDuration {
-        base * (rng.next_f64() * self.max_factor)
-    }
-}
-
-/// Bounded reordering: with probability `probability` a message is held
-/// back by an extra `U[0, hold_factor] × base`, letting later messages on
-/// *other* links overtake it (same-link overtaking is prevented by the
-/// fabric's FIFO clamp). The hold is bounded, so no message is starved.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundedReorder {
-    /// Probability that a message is held back.
-    pub probability: f64,
-    /// Upper bound of the hold, as a multiple of the base latency.
-    pub hold_factor: f64,
-}
-
-impl LinkPerturbation for BoundedReorder {
-    fn extra_delay(
-        &mut self,
-        _src: NodeId,
-        _dst: NodeId,
-        base: SimDuration,
-        rng: &mut SmallRng,
-    ) -> SimDuration {
-        // Both variates are always drawn so the stream position does not
-        // depend on earlier outcomes (keeps traces stable under small
-        // probability edits).
-        let hit = rng.next_f64() < self.probability;
-        let hold = rng.next_f64() * self.hold_factor;
-        if hit {
-            base * hold
-        } else {
-            SimDuration::ZERO
-        }
-    }
-}
-
-/// Bursty delay spikes: with probability `probability` a link enters a
-/// burst during which the next `length` messages on it are each delayed by
-/// `factor × base` — the congested-switch / flaky-cable pattern.
-#[derive(Debug, Clone)]
-pub struct DelayBursts {
-    /// Probability that a (non-bursting) link starts a burst on a send.
-    pub probability: f64,
-    /// Number of messages a burst lasts.
-    pub length: u32,
-    /// Delay multiplier applied during a burst.
-    pub factor: f64,
-    /// Remaining burst length per link.
-    remaining: HashMap<(u16, u16), u32>,
-}
-
-impl DelayBursts {
-    /// A burst perturbation with the given start probability, length and
-    /// delay factor.
-    pub fn new(probability: f64, length: u32, factor: f64) -> Self {
-        DelayBursts {
-            probability,
-            length,
-            factor,
-            remaining: HashMap::new(),
-        }
-    }
-}
-
-impl LinkPerturbation for DelayBursts {
-    fn extra_delay(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        base: SimDuration,
-        rng: &mut SmallRng,
-    ) -> SimDuration {
-        let slot = self.remaining.entry((src.0, dst.0)).or_insert(0);
-        let roll = rng.next_f64();
-        if *slot == 0 && roll < self.probability {
-            *slot = self.length;
-        }
-        if *slot > 0 {
-            *slot -= 1;
-            base * self.factor
-        } else {
-            SimDuration::ZERO
-        }
-    }
-}
 
 /// One network partition / heal cycle on virtual time: while `sent_at` is
 /// inside `[from, until)`, any message whose endpoints sit on opposite
@@ -221,31 +95,43 @@ impl PauseSpec {
     }
 }
 
-/// Seeded perturbation configuration for a [`SimFabric`] run — the value
-/// version of the pluggable [`LinkPerturbation`] stack, so it can live in a
-/// cloneable cluster configuration. `build` instantiates the stack; custom
-/// perturbations go through [`SimFabric::with_perturbations`].
+/// Seeded perturbation configuration for a [`SimFabric`] run.
 ///
-/// Besides the delay perturbations, a config may describe *loss*: seeded
-/// per-link random drops, one partition/heal cycle and one node pause, all
-/// decided at send time as pure functions of the seed and virtual time.
-/// Any loss makes the config [`SimConfig::is_lossy`], which the runtime
-/// uses to arm its timeout/retry machinery.
+/// The delay knobs stretch each message's Hockney latency `base` with
+/// variates from the message's link: a private RNG stream per directed link,
+/// derived from [`SimConfig::seed`]. Each enabled knob draws its variates in
+/// a fixed order (jitter, then reorder hold, then burst), so a seed replays
+/// bit-identically. The fabric then clamps the result so deliveries on one
+/// link never overtake each other: the knobs may stretch time arbitrarily
+/// without being able to violate per-link FIFO ordering.
+///
+/// Besides the delay knobs, a config may describe *loss*: seeded per-link
+/// random drops, one partition/heal cycle and one node pause, all decided at
+/// send time as pure functions of the seed and virtual time. Any loss makes
+/// the config [`SimConfig::is_lossy`], which the runtime uses to arm its
+/// timeout/retry machinery.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// The fabric seed: per-link RNG streams derive from it.
     pub seed: u64,
-    /// [`LatencyJitter::max_factor`] (0 disables jitter).
+    /// Latency jitter: each message is delayed by an extra
+    /// `U[0, latency_jitter] × base` (0 disables jitter).
     pub latency_jitter: f64,
-    /// [`BoundedReorder::probability`] (0 disables reordering holds).
+    /// Bounded reordering: the probability that a message is held back by
+    /// an extra `U[0, reorder_hold] × base`, letting later messages on
+    /// *other* links overtake it (0 disables holds). The hold is bounded,
+    /// so no message is starved.
     pub reorder_probability: f64,
-    /// [`BoundedReorder::hold_factor`].
+    /// Upper bound of a reorder hold, as a multiple of `base`.
     pub reorder_hold: f64,
-    /// [`DelayBursts::probability`] (0 disables bursts).
+    /// Delay bursts: the probability that a link not already bursting
+    /// starts a burst on a send (0 disables bursts). During a burst the
+    /// next `burst_length` messages on the link are each delayed by
+    /// `burst_factor × base` — the congested-switch / flaky-cable pattern.
     pub burst_probability: f64,
-    /// [`DelayBursts::length`].
+    /// Number of messages a burst lasts.
     pub burst_length: u32,
-    /// [`DelayBursts::factor`].
+    /// Delay multiplier applied during a burst.
     pub burst_factor: f64,
     /// Per-message random drop probability (0 disables; seeded per link).
     pub drop_rate: f64,
@@ -328,18 +214,6 @@ impl SimConfig {
         }
     }
 
-    /// Random drop probability `p` on every link (builder style).
-    pub fn with_drop_rate(mut self, p: f64) -> Self {
-        self.drop_rate = p;
-        self
-    }
-
-    /// One partition/heal cycle (builder style).
-    pub fn with_partition(mut self, partition: PartitionSpec) -> Self {
-        self.partition = Some(partition);
-        self
-    }
-
     /// One node-pause window (builder style).
     pub fn with_pause(mut self, pause: PauseSpec) -> Self {
         self.pause = Some(pause);
@@ -352,28 +226,68 @@ impl SimConfig {
         self.drop_rate > 0.0 || self.partition.is_some() || self.pause.is_some()
     }
 
-    /// Instantiate the perturbation stack this configuration describes.
-    pub fn build(&self) -> Vec<Box<dyn LinkPerturbation>> {
-        let mut stack: Vec<Box<dyn LinkPerturbation>> = Vec::new();
+    /// Decide whether a send is lost. Self-sends are never dropped: a node
+    /// that can still run can always reach its own server, and the
+    /// post-election self-serve path depends on it. Precedence is
+    /// pause > partition > random; the random variate is drawn whenever
+    /// `drop_rate > 0` regardless of the outcome, so the per-link stream
+    /// position does not depend on window boundaries.
+    fn drops(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        sent_at: SimTime,
+        rng: &mut SmallRng,
+    ) -> Option<DropReason> {
+        let random = self.drop_rate > 0.0 && rng.next_f64() < self.drop_rate;
+        if src == dst {
+            return None;
+        }
+        if let Some(p) = &self.pause {
+            if p.cuts(src, dst, sent_at) {
+                return Some(DropReason::Pause);
+            }
+        }
+        if let Some(p) = &self.partition {
+            if p.cuts(src, dst, sent_at) {
+                return Some(DropReason::Partition);
+            }
+        }
+        if random {
+            return Some(DropReason::Random);
+        }
+        None
+    }
+
+    /// The extra delivery delay of one message with Hockney latency `base`
+    /// on `link`, drawn from the link's stream in the fixed knob order.
+    fn extra_delay(&self, base: SimDuration, link: &mut LinkState) -> SimDuration {
+        let rng = &mut link.rng;
+        let mut extra = SimDuration::ZERO;
         if self.latency_jitter > 0.0 {
-            stack.push(Box::new(LatencyJitter {
-                max_factor: self.latency_jitter,
-            }));
+            extra += base * (rng.next_f64() * self.latency_jitter);
         }
         if self.reorder_probability > 0.0 {
-            stack.push(Box::new(BoundedReorder {
-                probability: self.reorder_probability,
-                hold_factor: self.reorder_hold,
-            }));
+            // Both variates are always drawn so the stream position does not
+            // depend on earlier outcomes (keeps traces stable under small
+            // probability edits).
+            let hit = rng.next_f64() < self.reorder_probability;
+            let hold = rng.next_f64() * self.reorder_hold;
+            if hit {
+                extra += base * hold;
+            }
         }
         if self.burst_probability > 0.0 && self.burst_length > 0 {
-            stack.push(Box::new(DelayBursts::new(
-                self.burst_probability,
-                self.burst_length,
-                self.burst_factor,
-            )));
+            let roll = rng.next_f64();
+            if link.burst_remaining == 0 && roll < self.burst_probability {
+                link.burst_remaining = self.burst_length;
+            }
+            if link.burst_remaining > 0 {
+                link.burst_remaining -= 1;
+                extra += base * self.burst_factor;
+            }
         }
-        stack
+        extra
     }
 }
 
@@ -590,12 +504,14 @@ impl<M> Ord for SimEvent<M> {
     }
 }
 
-/// Per-link bookkeeping: the link's RNG stream, send counter and the FIFO
-/// clamp (latest scheduled delivery).
+/// Per-link bookkeeping: the link's RNG stream, send counter, the FIFO
+/// clamp (latest scheduled delivery) and the messages left in its current
+/// delay burst.
 struct LinkState {
     rng: SmallRng,
     next_seq: u64,
     last_deliver: SimTime,
+    burst_remaining: u32,
 }
 
 /// What the scheduler should do next (see [`SimFabric::next_step`]).
@@ -610,54 +526,10 @@ pub enum SimStep<M> {
     Drained,
 }
 
-/// The loss model a fabric applies at send time (all lossless by default).
-#[derive(Debug, Clone, Copy, Default)]
-struct LossSpec {
-    drop_rate: f64,
-    partition: Option<PartitionSpec>,
-    pause: Option<PauseSpec>,
-}
-
-impl LossSpec {
-    /// Decide whether a send is lost. Self-sends are never dropped: a node
-    /// that can still run can always reach its own server, and the
-    /// post-election self-serve path depends on it. Precedence is
-    /// pause > partition > random; the random variate is drawn whenever
-    /// `drop_rate > 0` regardless of the outcome, so the per-link stream
-    /// position does not depend on window boundaries.
-    fn drops(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        sent_at: SimTime,
-        rng: &mut SmallRng,
-    ) -> Option<DropReason> {
-        let random = self.drop_rate > 0.0 && rng.next_f64() < self.drop_rate;
-        if src == dst {
-            return None;
-        }
-        if let Some(p) = &self.pause {
-            if p.cuts(src, dst, sent_at) {
-                return Some(DropReason::Pause);
-            }
-        }
-        if let Some(p) = &self.partition {
-            if p.cuts(src, dst, sent_at) {
-                return Some(DropReason::Partition);
-            }
-        }
-        if random {
-            return Some(DropReason::Random);
-        }
-        None
-    }
-}
-
 struct SimState<M> {
     queue: BinaryHeap<SimEvent<M>>,
     links: HashMap<(u16, u16), LinkState>,
-    perturbations: Vec<Box<dyn LinkPerturbation>>,
-    loss: LossSpec,
+    config: SimConfig,
     /// Application agents currently runnable (not parked, not finished).
     active: usize,
     /// Application agents that have finished for good.
@@ -667,7 +539,6 @@ struct SimState<M> {
     dropped: u64,
     trace: Vec<DeliveryRecord>,
     drops: Vec<DropRecord>,
-    seed: u64,
 }
 
 struct SimCore<M> {
@@ -708,8 +579,8 @@ impl<M> std::fmt::Debug for SimEndpoint<M> {
 }
 
 impl<M: Send> SimFabric<M> {
-    /// Build a sim fabric for `num_nodes` nodes with the perturbation stack
-    /// described by `config`. The activity count starts at `num_nodes`: one
+    /// Build a sim fabric for `num_nodes` nodes perturbed and lossy as
+    /// `config` describes. The activity count starts at `num_nodes`: one
     /// agent per (about to be spawned) application thread.
     ///
     /// # Panics
@@ -720,41 +591,13 @@ impl<M: Send> SimFabric<M> {
         stats: StatsCollector,
         config: SimConfig,
     ) -> Self {
-        let fabric =
-            Self::with_perturbations(num_nodes, params, stats, config.seed, config.build());
-        fabric
-            .core
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .loss = LossSpec {
-            drop_rate: config.drop_rate,
-            partition: config.partition,
-            pause: config.pause,
-        };
-        fabric
-    }
-
-    /// As [`SimFabric::new`], but with an explicit (possibly custom)
-    /// perturbation stack.
-    ///
-    /// # Panics
-    /// Panics if `num_nodes` is zero.
-    pub fn with_perturbations(
-        num_nodes: usize,
-        params: NetworkParams,
-        stats: StatsCollector,
-        seed: u64,
-        perturbations: Vec<Box<dyn LinkPerturbation>>,
-    ) -> Self {
         assert!(num_nodes > 0, "cluster must have at least one node");
         SimFabric {
             core: Arc::new(SimCore {
                 state: Mutex::new(SimState {
                     queue: BinaryHeap::new(),
                     links: HashMap::new(),
-                    perturbations,
-                    loss: LossSpec::default(),
+                    config,
                     active: num_nodes,
                     finished: 0,
                     sent: 0,
@@ -762,7 +605,6 @@ impl<M: Send> SimFabric<M> {
                     dropped: 0,
                     trace: Vec::new(),
                     drops: Vec::new(),
-                    seed,
                 }),
                 quiescent: Condvar::new(),
                 num_nodes,
@@ -770,11 +612,6 @@ impl<M: Send> SimFabric<M> {
                 stats,
             }),
         }
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.core.num_nodes
     }
 
     /// The endpoints, one per node in node order.
@@ -925,11 +762,6 @@ impl<M: Send> SimEndpoint<M> {
         self.node
     }
 
-    /// Number of nodes reachable through this endpoint (including itself).
-    pub fn num_nodes(&self) -> usize {
-        self.core.num_nodes
-    }
-
     /// Send `payload` of `payload_bytes` bytes to `dst` at virtual time
     /// `sent_at`. The scheduled delivery time is the Hockney arrival plus
     /// the seeded perturbation delays, clamped so deliveries on this link
@@ -951,12 +783,12 @@ impl<M: Send> SimEndpoint<M> {
         );
         let wire_bytes = payload_bytes + MESSAGE_HEADER_BYTES;
         let base = self.core.params.hockney.latency(wire_bytes);
-        self.core.stats.record(self.node, category, wire_bytes);
+        self.core.stats.record(category, wire_bytes);
         let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
-        let seed = state.seed;
+        let seed = state.config.seed;
         let src = self.node;
-        // Split-borrow: the perturbation stack and the link map live side by
-        // side in the state.
+        // Split-borrow: the configuration and the link map live side by side
+        // in the state.
         let state = &mut *state;
         let link = state.links.entry((src.0, dst.0)).or_insert_with(|| {
             // One private SplitMix64 stream per directed link, derived from
@@ -969,12 +801,13 @@ impl<M: Send> SimEndpoint<M> {
                 ),
                 next_seq: 0,
                 last_deliver: SimTime::ZERO,
+                burst_remaining: 0,
             }
         });
         // Loss is decided before the delay draws: a dropped message
         // consumes its link_seq (so the gap is visible and attributable)
         // but no delay variates and no FIFO-clamp update.
-        if let Some(reason) = state.loss.drops(src, dst, sent_at, &mut link.rng) {
+        if let Some(reason) = state.config.drops(src, dst, sent_at, &mut link.rng) {
             let link_seq = link.next_seq;
             link.next_seq += 1;
             state.sent += 1;
@@ -992,11 +825,7 @@ impl<M: Send> SimEndpoint<M> {
             });
             return sent_at;
         }
-        let extra: SimDuration = state
-            .perturbations
-            .iter_mut()
-            .map(|p| p.extra_delay(src, dst, base, &mut link.rng))
-            .sum();
+        let extra = state.config.extra_delay(base, link);
         // The FIFO clamp: a perturbed message never overtakes an earlier
         // message on its own link.
         let deliver_at = (sent_at + base + extra).max(link.last_deliver);
@@ -1023,7 +852,14 @@ impl<M: Send> SimEndpoint<M> {
     /// Count this node's application agent as parked (about to block on a
     /// reply). Called *after* the triggering request has been sent.
     pub fn agent_blocked(&self) {
-        self.park(false);
+        let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.active = state
+            .active
+            .checked_sub(1)
+            .expect("sim agent parked more often than it ran");
+        if state.active == 0 {
+            self.core.quiescent.notify_all();
+        }
     }
 
     /// Re-count this node's application agent as runnable; the inverse of
@@ -1032,25 +868,6 @@ impl<M: Send> SimEndpoint<M> {
     pub fn agent_unblocked(&self) {
         let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
         state.active += 1;
-    }
-
-    /// Count this node's application agent as finished for good.
-    pub fn agent_finished(&self) {
-        self.park(true);
-    }
-
-    fn park(&self, finished: bool) {
-        let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.active = state
-            .active
-            .checked_sub(1)
-            .expect("sim agent parked more often than it ran");
-        if finished {
-            state.finished += 1;
-        }
-        if state.active == 0 {
-            self.core.quiescent.notify_all();
-        }
     }
 }
 
@@ -1076,8 +893,8 @@ mod tests {
         eps[0].send(NodeId(2), MsgCategory::Control, 64, SimTime::ZERO, 1);
         eps[1].send(NodeId(2), MsgCategory::Control, 64, SimTime::ZERO, 2);
         eps[0].send(NodeId(2), MsgCategory::Control, 64, SimTime::ZERO, 3);
-        for ep in &eps {
-            ep.agent_finished();
+        for _ in &eps {
+            fab.agent_finished();
         }
         loop {
             match fab.next_step() {
@@ -1117,8 +934,8 @@ mod tests {
             for i in 0..50u32 {
                 eps[0].send(NodeId(1), MsgCategory::Diff, 256, SimTime::ZERO, i);
             }
-            for ep in &eps {
-                ep.agent_finished();
+            for _ in &eps {
+                fab.agent_finished();
             }
             let mut payloads = Vec::new();
             loop {
@@ -1162,20 +979,17 @@ mod tests {
             StatsCollector::new(),
             SimConfig::calm(0),
         );
-        let eps = fab.endpoints();
-        eps[0].send(NodeId(0), MsgCategory::Control, 0, SimTime::ZERO, 9);
-        // The single agent is still active: next_step would block. Park it
-        // from another thread after a moment and observe delivery.
-        let ep = SimEndpoint {
-            core: Arc::clone(&eps[0].core),
-            node: NodeId(0),
-        };
-        let waiter = std::thread::spawn(move || match fab.next_step() {
+        fab.endpoints()[0].send(NodeId(0), MsgCategory::Control, 0, SimTime::ZERO, 9);
+        // The single agent is still active: next_step would block. Finish
+        // it from this thread after a moment and observe delivery.
+        let fab = Arc::new(fab);
+        let scheduler = Arc::clone(&fab);
+        let waiter = std::thread::spawn(move || match scheduler.next_step() {
             SimStep::Deliver(env) => env.payload,
             _ => panic!("expected a delivery"),
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
-        ep.agent_finished();
+        fab.agent_finished();
         assert_eq!(waiter.join().unwrap(), 9);
     }
 
@@ -1190,11 +1004,11 @@ mod tests {
         let eps = fab.endpoints();
         // One agent parks (blocked), one finishes: quiescent but not done.
         eps[0].agent_blocked();
-        eps[1].agent_finished();
+        fab.agent_finished();
         assert!(matches!(fab.next_step(), SimStep::Stalled));
         // The blocked agent is woken and finishes: drained.
         eps[0].agent_unblocked();
-        eps[0].agent_finished();
+        fab.agent_finished();
         assert!(matches!(fab.next_step(), SimStep::Drained));
     }
 
@@ -1210,6 +1024,72 @@ mod tests {
         fab.endpoints()[0].send(NodeId(7), MsgCategory::Control, 0, SimTime::ZERO, 0);
     }
 
+    /// A fixed exchange over every directed link of a 4-node fabric: each
+    /// round, every node sends one message to every other node, with the
+    /// size and the virtual send time varying per round so the sends cross
+    /// `SimConfig::lossy`'s partition window. Returns the trace checksum.
+    fn multi_link_checksum(config: SimConfig) -> u64 {
+        let fab: SimFabric<u32> = SimFabric::new(
+            4,
+            NetworkParams::fast_ethernet(),
+            StatsCollector::new(),
+            config,
+        );
+        let eps = fab.endpoints();
+        let mut payload = 0;
+        for round in 0..8u32 {
+            let sent_at = SimTime::from_micros(f64::from(round) * 60.0);
+            let bytes = 64 + u64::from(round) * 700;
+            for ep in &eps {
+                for dst in (0..4u16).filter(|&d| d != ep.node().0) {
+                    ep.send(NodeId(dst), MsgCategory::Diff, bytes, sent_at, payload);
+                    payload += 1;
+                }
+            }
+        }
+        for _ in &eps {
+            fab.agent_finished();
+        }
+        loop {
+            match fab.next_step() {
+                SimStep::Deliver(_) => {}
+                SimStep::Drained => break,
+                SimStep::Stalled => panic!("cannot stall"),
+            }
+        }
+        let trace = fab.take_trace();
+        assert_eq!(trace.per_link_fifo_violation(), None);
+        trace.checksum()
+    }
+
+    /// Golden values: the per-link delay draws (jitter, reorder holds,
+    /// bursts, drops) must stay the same variates in the same order. Every
+    /// other sim test compares two runs of one build, so only literal
+    /// checksums catch a reordered draw. The last config is the one the
+    /// repo benchmark's `sor-sim` workload runs.
+    #[test]
+    fn delay_draws_match_golden_checksums() {
+        let configs = [
+            SimConfig::perturbed(7),
+            SimConfig::stormy(7),
+            SimConfig::lossy(7),
+            SimConfig {
+                latency_jitter: 0.1,
+                ..SimConfig::calm(2004)
+            },
+        ];
+        let sums: Vec<u64> = configs.into_iter().map(multi_link_checksum).collect();
+        assert_eq!(
+            sums,
+            vec![
+                0xe55029d19f788cd5,
+                0x03dfd79c41f1bf38,
+                0xbb177f5ae7c41473,
+                0x9f4dad73584e3902,
+            ]
+        );
+    }
+
     /// Send `n` messages 0 → 1 under `config` and return the trace.
     fn run_lossy(config: SimConfig, n: u32) -> DeliveryTrace {
         let fab = fabric(config);
@@ -1217,8 +1097,8 @@ mod tests {
         for i in 0..n {
             eps[0].send(NodeId(1), MsgCategory::Diff, 128, SimTime::ZERO, i);
         }
-        for ep in &eps {
-            ep.agent_finished();
+        for _ in &eps {
+            fab.agent_finished();
         }
         loop {
             match fab.next_step() {
@@ -1236,7 +1116,10 @@ mod tests {
 
     #[test]
     fn random_drops_are_seeded_and_replayable() {
-        let config = SimConfig::calm(11).with_drop_rate(0.1);
+        let config = SimConfig {
+            drop_rate: 0.1,
+            ..SimConfig::calm(11)
+        };
         let a = run_lossy(config, 200);
         let b = run_lossy(config, 200);
         assert!(!a.drops.is_empty(), "10% of 200 sends should drop some");
@@ -1245,7 +1128,13 @@ mod tests {
         assert_eq!(a.checksum(), b.checksum());
         assert!(a.drops.iter().all(|d| d.reason == DropReason::Random));
         // A different seed picks different victims.
-        let c = run_lossy(SimConfig::calm(12).with_drop_rate(0.1), 200);
+        let c = run_lossy(
+            SimConfig {
+                drop_rate: 0.1,
+                ..SimConfig::calm(12)
+            },
+            200,
+        );
         assert_ne!(
             a.drops.iter().map(|d| d.link_seq).collect::<Vec<_>>(),
             c.drops.iter().map(|d| d.link_seq).collect::<Vec<_>>(),
@@ -1254,7 +1143,13 @@ mod tests {
 
     #[test]
     fn fifo_check_tolerates_drop_gaps_but_not_reorders() {
-        let t = run_lossy(SimConfig::calm(11).with_drop_rate(0.1), 200);
+        let t = run_lossy(
+            SimConfig {
+                drop_rate: 0.1,
+                ..SimConfig::calm(11)
+            },
+            200,
+        );
         assert_eq!(t.per_link_fifo_violation(), None);
         // Strip the drop records: the gaps become unexplained violations.
         let stripped = DeliveryTrace {
@@ -1271,7 +1166,10 @@ mod tests {
             until: SimTime::from_micros(100.0),
             mask: 0b010, // node 1 alone on side B
         };
-        let fab = fabric(SimConfig::calm(0).with_partition(spec));
+        let fab = fabric(SimConfig {
+            partition: Some(spec),
+            ..SimConfig::calm(0)
+        });
         let eps = fab.endpoints();
         let inside = SimTime::from_micros(50.0);
         let after = SimTime::from_micros(100.0);
@@ -1279,8 +1177,8 @@ mod tests {
         eps[0].send(NodeId(2), MsgCategory::Control, 0, inside, 2); // same side
         eps[1].send(NodeId(0), MsgCategory::Control, 0, inside, 3); // cut
         eps[0].send(NodeId(1), MsgCategory::Control, 0, after, 4); // healed
-        for ep in &eps {
-            ep.agent_finished();
+        for _ in &eps {
+            fab.agent_finished();
         }
         let mut delivered = Vec::new();
         loop {
@@ -1312,8 +1210,8 @@ mod tests {
         eps[1].send(NodeId(2), MsgCategory::Control, 0, inside, 2); // from paused
         eps[1].send(NodeId(1), MsgCategory::Control, 0, inside, 3); // self: exempt
         eps[0].send(NodeId(2), MsgCategory::Control, 0, inside, 4); // uninvolved
-        for ep in &eps {
-            ep.agent_finished();
+        for _ in &eps {
+            fab.agent_finished();
         }
         let mut delivered = Vec::new();
         loop {
@@ -1335,12 +1233,22 @@ mod tests {
         assert!(!SimConfig::perturbed(1).is_lossy());
         assert!(!SimConfig::stormy(1).is_lossy());
         assert!(SimConfig::lossy(1).is_lossy());
-        assert!(SimConfig::calm(1).with_drop_rate(0.5).is_lossy());
+        assert!(SimConfig {
+            drop_rate: 0.5,
+            ..SimConfig::calm(1)
+        }
+        .is_lossy());
     }
 
     #[test]
     fn drop_records_are_canonicalised_in_the_trace() {
-        let t = run_lossy(SimConfig::calm(11).with_drop_rate(0.1), 200);
+        let t = run_lossy(
+            SimConfig {
+                drop_rate: 0.1,
+                ..SimConfig::calm(11)
+            },
+            200,
+        );
         let mut keys: Vec<_> = t
             .drops
             .iter()

@@ -2,10 +2,9 @@
 //!
 //! These counters are the raw material of the paper's evaluation: number of
 //! messages (Figure 3, Figure 5(b)) and network traffic in bytes (Figure 3),
-//! broken down per category and per sending node.
+//! broken down per category.
 
 use crate::category::MsgCategory;
-use dsm_objspace::NodeId;
 use dsm_util::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,15 +20,9 @@ pub struct CategoryStats {
 
 impl CategoryStats {
     /// Accumulate one message of `bytes` bytes.
-    pub fn record(&mut self, bytes: u64) {
+    pub(crate) fn record(&mut self, bytes: u64) {
         self.count += 1;
         self.bytes += bytes;
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &CategoryStats) {
-        self.count += other.count;
-        self.bytes += other.bytes;
     }
 }
 
@@ -37,7 +30,6 @@ impl CategoryStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     per_category: BTreeMap<MsgCategory, CategoryStats>,
-    per_node: BTreeMap<u16, CategoryStats>,
 }
 
 impl NetworkStats {
@@ -47,9 +39,8 @@ impl NetworkStats {
     }
 
     /// Record one message.
-    pub fn record(&mut self, src: NodeId, category: MsgCategory, bytes: u64) {
+    pub fn record(&mut self, category: MsgCategory, bytes: u64) {
         self.per_category.entry(category).or_default().record(bytes);
-        self.per_node.entry(src.0).or_default().record(bytes);
     }
 
     /// Statistics for one category.
@@ -58,11 +49,6 @@ impl NetworkStats {
             .get(&category)
             .copied()
             .unwrap_or_default()
-    }
-
-    /// Statistics for one sending node.
-    pub fn node(&self, node: NodeId) -> CategoryStats {
-        self.per_node.get(&node.0).copied().unwrap_or_default()
     }
 
     /// Total message count across all categories.
@@ -98,28 +84,15 @@ impl NetworkStats {
             .sum()
     }
 
-    /// Message count for synchronization categories only.
-    pub fn synchronization_messages(&self) -> u64 {
+    /// Message count for synchronization categories only (the complement
+    /// of the breakdown the tests check).
+    #[cfg(test)]
+    fn synchronization_messages(&self) -> u64 {
         self.per_category
             .iter()
             .filter(|(c, _)| c.is_synchronization())
             .map(|(_, s)| s.count)
             .sum()
-    }
-
-    /// Merge another record (e.g. from another node) into this one.
-    pub fn merge(&mut self, other: &NetworkStats) {
-        for (cat, stats) in &other.per_category {
-            self.per_category.entry(*cat).or_default().merge(stats);
-        }
-        for (node, stats) in &other.per_node {
-            self.per_node.entry(*node).or_default().merge(stats);
-        }
-    }
-
-    /// Iterate categories with non-zero traffic in stable order.
-    pub fn categories(&self) -> impl Iterator<Item = (MsgCategory, CategoryStats)> + '_ {
-        self.per_category.iter().map(|(c, s)| (*c, *s))
     }
 }
 
@@ -136,19 +109,13 @@ impl StatsCollector {
     }
 
     /// Record one message.
-    pub fn record(&self, src: NodeId, category: MsgCategory, bytes: u64) {
-        self.inner.lock().record(src, category, bytes);
+    pub(crate) fn record(&self, category: MsgCategory, bytes: u64) {
+        self.inner.lock().record(category, bytes);
     }
 
     /// Snapshot the current statistics.
     pub fn snapshot(&self) -> NetworkStats {
         self.inner.lock().clone()
-    }
-
-    /// Reset all counters (used between experiment phases so warm-up is not
-    /// measured).
-    pub fn reset(&self) {
-        *self.inner.lock() = NetworkStats::new();
     }
 }
 
@@ -159,14 +126,12 @@ mod tests {
     #[test]
     fn record_accumulates_counts_and_bytes() {
         let mut s = NetworkStats::new();
-        s.record(NodeId(0), MsgCategory::ObjReply, 100);
-        s.record(NodeId(0), MsgCategory::ObjReply, 50);
-        s.record(NodeId(1), MsgCategory::Diff, 10);
+        s.record(MsgCategory::ObjReply, 100);
+        s.record(MsgCategory::ObjReply, 50);
+        s.record(MsgCategory::Diff, 10);
         assert_eq!(s.category(MsgCategory::ObjReply).count, 2);
         assert_eq!(s.category(MsgCategory::ObjReply).bytes, 150);
         assert_eq!(s.category(MsgCategory::Diff).count, 1);
-        assert_eq!(s.node(NodeId(0)).count, 2);
-        assert_eq!(s.node(NodeId(1)).bytes, 10);
         assert_eq!(s.total_messages(), 3);
         assert_eq!(s.total_bytes(), 160);
     }
@@ -175,19 +140,18 @@ mod tests {
     fn unknown_category_is_zero() {
         let s = NetworkStats::new();
         assert_eq!(s.category(MsgCategory::Redirect), CategoryStats::default());
-        assert_eq!(s.node(NodeId(7)), CategoryStats::default());
     }
 
     #[test]
     fn breakdown_excludes_synchronization() {
         let mut s = NetworkStats::new();
-        s.record(NodeId(0), MsgCategory::ObjReply, 1);
-        s.record(NodeId(0), MsgCategory::ObjReplyMigrate, 1);
-        s.record(NodeId(0), MsgCategory::Diff, 1);
-        s.record(NodeId(0), MsgCategory::Redirect, 1);
-        s.record(NodeId(0), MsgCategory::LockAcquire, 1);
-        s.record(NodeId(0), MsgCategory::LockGrant, 1);
-        s.record(NodeId(0), MsgCategory::DiffAck, 1);
+        s.record(MsgCategory::ObjReply, 1);
+        s.record(MsgCategory::ObjReplyMigrate, 1);
+        s.record(MsgCategory::Diff, 1);
+        s.record(MsgCategory::Redirect, 1);
+        s.record(MsgCategory::LockAcquire, 1);
+        s.record(MsgCategory::LockGrant, 1);
+        s.record(MsgCategory::DiffAck, 1);
         assert_eq!(s.breakdown_messages(), 4);
         assert_eq!(s.synchronization_messages(), 2);
         assert_eq!(s.total_messages(), 7);
@@ -204,7 +168,7 @@ mod tests {
         let entry_wire_bytes = [100u64, 40, 260];
         let summed: u64 = entry_wire_bytes.iter().sum();
         let mut s = NetworkStats::new();
-        s.record(NodeId(2), MsgCategory::DiffBatch, summed);
+        s.record(MsgCategory::DiffBatch, summed);
         assert_eq!(s.category(MsgCategory::DiffBatch).count, 1);
         assert_eq!(s.category(MsgCategory::DiffBatch).bytes, summed);
         // The batch shows up in the diff-propagation and breakdown series
@@ -215,46 +179,19 @@ mod tests {
         // Contrast with k unbatched flushes: k messages, same payload sum.
         let mut unbatched = NetworkStats::new();
         for bytes in entry_wire_bytes {
-            unbatched.record(NodeId(2), MsgCategory::Diff, bytes);
+            unbatched.record(MsgCategory::Diff, bytes);
         }
         assert_eq!(unbatched.diff_propagation_messages(), 3);
         assert_eq!(unbatched.category(MsgCategory::Diff).bytes, summed);
     }
 
     #[test]
-    fn merge_combines_records() {
-        let mut a = NetworkStats::new();
-        a.record(NodeId(0), MsgCategory::Diff, 10);
-        let mut b = NetworkStats::new();
-        b.record(NodeId(1), MsgCategory::Diff, 20);
-        b.record(NodeId(1), MsgCategory::Redirect, 5);
-        a.merge(&b);
-        assert_eq!(a.category(MsgCategory::Diff).count, 2);
-        assert_eq!(a.category(MsgCategory::Diff).bytes, 30);
-        assert_eq!(a.category(MsgCategory::Redirect).count, 1);
-        assert_eq!(a.node(NodeId(1)).count, 2);
-    }
-
-    #[test]
     fn collector_is_shared_and_resettable() {
         let c = StatsCollector::new();
         let c2 = c.clone();
-        c.record(NodeId(0), MsgCategory::Control, 8);
-        c2.record(NodeId(1), MsgCategory::Control, 8);
+        c.record(MsgCategory::Control, 8);
+        c2.record(MsgCategory::Control, 8);
         assert_eq!(c.snapshot().total_messages(), 2);
-        c.reset();
-        assert_eq!(c2.snapshot().total_messages(), 0);
-    }
-
-    #[test]
-    fn categories_iterates_in_stable_order() {
-        let mut s = NetworkStats::new();
-        s.record(NodeId(0), MsgCategory::Redirect, 1);
-        s.record(NodeId(0), MsgCategory::ObjReply, 1);
-        let cats: Vec<MsgCategory> = s.categories().map(|(c, _)| c).collect();
-        assert_eq!(cats.len(), 2);
-        let mut sorted = cats.clone();
-        sorted.sort();
-        assert_eq!(cats, sorted);
+        assert_eq!(c2.snapshot(), c.snapshot());
     }
 }

@@ -55,7 +55,7 @@ use crate::wire::{
 };
 use dsm_model::{NetworkParams, SimTime};
 use dsm_objspace::NodeId;
-use dsm_util::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use dsm_util::channel::{unbounded, Receiver, Sender};
 use dsm_util::sync::Mutex;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -400,11 +400,6 @@ impl<M: Send + 'static> TcpFabric<M> {
         Ok(TcpFabric { endpoints })
     }
 
-    /// Number of nodes in the fabric.
-    pub fn num_nodes(&self) -> usize {
-        self.endpoints.len()
-    }
-
     /// Take ownership of all endpoints (one per node, in node order).
     pub fn into_endpoints(self) -> Vec<TcpEndpoint<M>> {
         self.endpoints
@@ -445,11 +440,6 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         self.num_nodes
     }
 
-    /// The network parameters used for modeled-latency stamping.
-    pub fn params(&self) -> &NetworkParams {
-        &self.params
-    }
-
     /// Send `payload` of `payload_bytes` bytes to `dst`, stamping modeled
     /// time exactly as the in-process fabric does and recording the same
     /// statistics. Frames to a given destination leave on one ordered
@@ -469,7 +459,7 @@ impl<M: Send + 'static> TcpEndpoint<M> {
     ) -> SimTime {
         let wire_bytes = payload_bytes + MESSAGE_HEADER_BYTES;
         let arrival = sent_at + self.params.hockney.latency(wire_bytes);
-        self.stats.record(self.shared.node, category, wire_bytes);
+        self.stats.record(category, wire_bytes);
         let counters = &self.shared.counters;
         counters.payload_frames_sent.fetch_add(1, Ordering::Relaxed);
         counters
@@ -523,8 +513,12 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         self.inbound_rx.recv()
     }
 
-    /// Receive with a real-time timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvTimeoutError> {
+    /// Receive with a real-time timeout (the tests' bounded wait).
+    #[cfg(test)]
+    fn recv_timeout(
+        &self,
+        timeout: Duration,
+    ) -> Result<Envelope<M>, dsm_util::channel::RecvTimeoutError> {
         self.inbound_rx.recv_timeout(timeout)
     }
 

@@ -13,9 +13,11 @@
 //!
 //! Payload frames carry a full [`Envelope`]: the routing header (`src`,
 //! `dst`, category code) plus the **modeled** fields (`wire_bytes`,
-//! `sent_at`, `arrival` as u64 nanoseconds) so the receiver's virtual-clock
-//! merge is bit-identical to the in-process fabrics, followed by the
-//! protocol message encoded by a [`WireCodec`]. The codec for the concrete
+//! `sent_at`, `arrival` as u64 nanoseconds) that the receiver's
+//! virtual-clock merge reads, followed by the protocol message encoded by a
+//! [`WireCodec`]. The merge happens in real-time arrival order, so modeled
+//! time on TCP depends on the interleaving; only the sim fabric's is
+//! reproducible. The codec for the concrete
 //! `ProtocolMsg` lives in the `dsm-wire` crate (this crate sits *below* the
 //! protocol definition in the dependency order).
 //!
@@ -31,19 +33,19 @@ use dsm_objspace::NodeId;
 use std::fmt;
 
 /// Magic number leading every frame: `"DSMW"` read as little-endian u32.
-pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"DSMW");
+pub(crate) const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"DSMW");
 
 /// Wire-format version negotiated (trivially, by equality) at join time.
-pub const WIRE_VERSION: u16 = 1;
+pub(crate) const WIRE_VERSION: u16 = 1;
 
 /// Upper bound on a frame body; larger length prefixes are rejected before
 /// any allocation so a corrupt or hostile peer cannot trigger a huge
 /// allocation from four bytes.
-pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
 /// Size of the fixed per-frame header after the length prefix
 /// (magic + version + kind).
-pub const FRAME_HEADER_BYTES: usize = 4 + 2 + 1;
+pub(crate) const FRAME_HEADER_BYTES: usize = 4 + 2 + 1;
 
 /// Size of the length prefix that leads every frame.
 const FRAME_LEN_BYTES: usize = 4;
@@ -69,7 +71,7 @@ pub enum FrameKind {
 
 impl FrameKind {
     /// The on-wire code of this kind.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             FrameKind::Hello => 0,
             FrameKind::Payload => 1,
@@ -79,7 +81,7 @@ impl FrameKind {
     }
 
     /// Decode an on-wire kind code.
-    pub fn from_code(code: u8) -> Option<FrameKind> {
+    pub(crate) fn from_code(code: u8) -> Option<FrameKind> {
         match code {
             0 => Some(FrameKind::Hello),
             1 => Some(FrameKind::Payload),
@@ -90,9 +92,7 @@ impl FrameKind {
     }
 }
 
-/// A typed wire-decoding failure. Conversion into the application-facing
-/// taxonomy (`DsmError::Transport`) lives next to the concrete protocol
-/// codec in `dsm-wire`.
+/// A typed wire-decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The input ended before a fixed-size field or declared length.
@@ -102,12 +102,12 @@ pub enum WireError {
         /// Bytes that remained.
         remaining: usize,
     },
-    /// The frame does not start with [`WIRE_MAGIC`].
+    /// The frame does not start with `WIRE_MAGIC` ("DSMW").
     BadMagic {
         /// The four bytes found instead.
         found: u32,
     },
-    /// The frame's version field is not [`WIRE_VERSION`].
+    /// The frame's version field is not `WIRE_VERSION`.
     UnsupportedVersion {
         /// The version found.
         found: u16,
@@ -117,7 +117,7 @@ pub enum WireError {
         /// The code found.
         code: u8,
     },
-    /// A declared length exceeds [`MAX_FRAME_BYTES`] or the remaining input.
+    /// A declared length exceeds `MAX_FRAME_BYTES` or the remaining input.
     Oversized {
         /// The declared length.
         len: u64,
@@ -193,7 +193,7 @@ impl WireWriter {
     }
 
     /// An empty writer with room for `capacity` bytes.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         WireWriter {
             buf: Vec::with_capacity(capacity),
         }
@@ -231,7 +231,7 @@ impl WireWriter {
     }
 
     /// Append raw bytes (no length prefix — callers write their own).
-    pub fn bytes(&mut self, v: &[u8]) {
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
@@ -243,16 +243,6 @@ impl WireWriter {
     pub fn len_bytes(&mut self, v: &[u8]) {
         self.u32(u32::try_from(v.len()).expect("wire blob longer than u32::MAX"));
         self.bytes(v);
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// The encoded bytes.
@@ -330,11 +320,6 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    /// Read `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.take(n)
-    }
-
     /// Read a u32 length prefix, validate it against the remaining input,
     /// and return that many bytes. The validation happens *before* any
     /// allocation, so a corrupt length cannot demand gigabytes.
@@ -401,7 +386,7 @@ fn build_frame(kind: FrameKind, capacity: usize, body: impl FnOnce(&mut WireWrit
 }
 
 /// Frame `body` under `kind`: length prefix, magic, version, kind, body.
-pub fn encode_frame(kind: FrameKind, body: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_frame(kind: FrameKind, body: &[u8]) -> Vec<u8> {
     build_frame(kind, FRAME_PREFIX_BYTES + body.len(), |w| w.bytes(body))
 }
 
@@ -470,7 +455,7 @@ pub fn decode_envelope<M, C: WireCodec<M>>(body: &[u8]) -> Result<Envelope<M>, W
 
 /// The join-handshake body sent on every per-link connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hello {
+pub(crate) struct Hello {
     /// The connecting (sending) node.
     pub node: NodeId,
     /// The cluster size the sender was configured with; both sides must
@@ -483,7 +468,7 @@ pub struct Hello {
 }
 
 /// Encode a full hello frame (length prefix included).
-pub fn encode_hello(hello: Hello) -> Vec<u8> {
+pub(crate) fn encode_hello(hello: Hello) -> Vec<u8> {
     build_frame(FrameKind::Hello, FRAME_PREFIX_BYTES + 8, |w| {
         w.u16(hello.node.0);
         w.u16(hello.num_nodes);
@@ -492,7 +477,7 @@ pub fn encode_hello(hello: Hello) -> Vec<u8> {
 }
 
 /// Decode a hello-frame body.
-pub fn decode_hello(body: &[u8]) -> Result<Hello, WireError> {
+pub(crate) fn decode_hello(body: &[u8]) -> Result<Hello, WireError> {
     let mut r = WireReader::new(body);
     let node = NodeId(r.u16()?);
     let num_nodes = r.u16()?;
@@ -506,13 +491,13 @@ pub fn decode_hello(body: &[u8]) -> Result<Hello, WireError> {
 }
 
 /// Encode a bodyless control frame (heartbeat, leave).
-pub fn encode_control(kind: FrameKind) -> Vec<u8> {
+pub(crate) fn encode_control(kind: FrameKind) -> Vec<u8> {
     encode_frame(kind, &[])
 }
 
 /// The stable on-wire code of a category (its index in
 /// [`MsgCategory::ALL`]).
-pub fn category_code(category: MsgCategory) -> u8 {
+pub(crate) fn category_code(category: MsgCategory) -> u8 {
     MsgCategory::ALL
         .iter()
         .position(|c| *c == category)
@@ -520,7 +505,7 @@ pub fn category_code(category: MsgCategory) -> u8 {
 }
 
 /// Decode a category code.
-pub fn category_from_code(code: u8) -> Result<MsgCategory, WireError> {
+pub(crate) fn category_from_code(code: u8) -> Result<MsgCategory, WireError> {
     MsgCategory::ALL
         .get(code as usize)
         .copied()

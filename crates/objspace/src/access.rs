@@ -56,11 +56,6 @@ impl AccessState {
             _ => AccessState::ReadOnly,
         }
     }
-
-    /// State after the copy is invalidated by a write notice at acquire time.
-    pub fn after_invalidate(self) -> AccessState {
-        AccessState::Invalid
-    }
 }
 
 #[cfg(test)]
@@ -106,20 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_always_invalid() {
-        for s in [
-            AccessState::Invalid,
-            AccessState::ReadOnly,
-            AccessState::ReadWrite,
-        ] {
-            assert_eq!(s.after_invalidate(), AccessState::Invalid);
-        }
-    }
-
-    #[test]
     fn full_interval_cycle() {
-        // acquire (invalidate) -> read (fault) -> write (fault) -> release.
-        let mut s = AccessState::ReadOnly.after_invalidate();
+        // acquire (a write notice invalidates the copy) -> read (fault) ->
+        // write (fault) -> release.
+        let mut s = AccessState::Invalid;
         assert!(s.read_faults());
         s = s.after_read();
         assert!(s.write_faults());

@@ -89,11 +89,6 @@ impl ObjectData {
         raw::bytes_of_mut(&mut self.words, self.len)
     }
 
-    /// Consume into raw bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes().to_vec()
-    }
-
     /// Borrow the whole payload as a typed slice, in place — the zero-copy
     /// read path of the GOS.
     ///
@@ -110,21 +105,6 @@ impl ObjectData {
     /// Panics if the payload length is not a multiple of the element size.
     pub fn as_mut_slice<T: Element>(&mut self) -> &mut [T] {
         raw::cast_slice_mut(self.bytes_mut())
-    }
-
-    /// Decode the whole payload into an owned typed vector. Prefer
-    /// [`Self::as_slice`] on hot paths; this exists for callers that need
-    /// ownership (result gathering, tests).
-    ///
-    /// # Panics
-    /// Panics if the payload length is not a multiple of the element size.
-    pub fn as_elements<T: Element>(&self) -> Vec<T> {
-        self.as_slice::<T>().to_vec()
-    }
-
-    /// Number of typed elements in the payload.
-    pub fn element_count<T: Element>(&self) -> usize {
-        self.len / T::SIZE
     }
 
     /// Read one typed element at element index `idx`.
@@ -146,34 +126,6 @@ impl ObjectData {
         assert!(idx < slice.len(), "element index {idx} out of range");
         slice[idx] = value;
     }
-
-    /// Overwrite the whole payload from a typed slice.
-    ///
-    /// # Panics
-    /// Panics if the encoded length differs from the current payload length
-    /// (coherence units never change size after allocation, mirroring Java
-    /// arrays).
-    pub fn overwrite_elements<T: Element>(&mut self, values: &[T]) {
-        assert_eq!(
-            values.len() * T::SIZE,
-            self.len,
-            "object payload size is fixed at allocation time"
-        );
-        self.as_mut_slice::<T>().copy_from_slice(values);
-    }
-
-    /// Overwrite the whole payload from raw bytes of identical length.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn overwrite_bytes(&mut self, bytes: &[u8]) {
-        assert_eq!(
-            bytes.len(),
-            self.len,
-            "object payload size is fixed at allocation time"
-        );
-        self.bytes_mut().copy_from_slice(bytes);
-    }
 }
 
 impl PartialEq for ObjectData {
@@ -187,7 +139,6 @@ impl Eq for ObjectData {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::encode_slice;
 
     #[test]
     fn zeroed_object_is_all_zero() {
@@ -195,15 +146,14 @@ mod tests {
         assert_eq!(d.len(), 16);
         assert!(!d.is_empty());
         assert!(d.bytes().iter().all(|&b| b == 0));
-        assert_eq!(d.as_elements::<f64>(), vec![0.0, 0.0]);
+        assert_eq!(d.as_slice::<f64>(), &[0.0, 0.0]);
     }
 
     #[test]
     fn typed_roundtrip() {
         let d = ObjectData::from_elements(&[1.5f64, -2.5, 3.0]);
         assert_eq!(d.len(), 24);
-        assert_eq!(d.element_count::<f64>(), 3);
-        assert_eq!(d.as_elements::<f64>(), vec![1.5, -2.5, 3.0]);
+        assert_eq!(d.as_slice::<f64>(), &[1.5, -2.5, 3.0]);
         assert_eq!(d.get::<f64>(1), -2.5);
     }
 
@@ -214,31 +164,37 @@ mod tests {
         assert_eq!(d.as_slice::<u32>(), &[1, 2, 99, 4]);
         // The byte view sees the same storage the typed view wrote.
         assert_eq!(d.get::<u32>(2), 99);
-        assert_eq!(encode_slice(&[99u32]), &d.bytes()[8..12]);
+        assert_eq!(99u32.to_ne_bytes(), d.bytes()[8..12]);
     }
 
     #[test]
     fn set_updates_single_element() {
         let mut d = ObjectData::from_elements(&[1u32, 2, 3, 4]);
         d.set(2, 99u32);
-        assert_eq!(d.as_elements::<u32>(), vec![1, 2, 99, 4]);
+        assert_eq!(d.as_slice::<u32>(), &[1, 2, 99, 4]);
     }
 
     #[test]
     fn overwrite_keeps_length() {
+        // Whole-payload writes go through the typed and byte views, which
+        // cover exactly the allocated payload.
         let mut d = ObjectData::from_elements(&[0.0f64; 4]);
-        d.overwrite_elements(&[1.0f64, 2.0, 3.0, 4.0]);
-        assert_eq!(d.as_elements::<f64>(), vec![1.0, 2.0, 3.0, 4.0]);
+        d.as_mut_slice::<f64>()
+            .copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(d.as_slice::<f64>(), &[1.0, 2.0, 3.0, 4.0]);
         let other = ObjectData::from_elements(&[9.0f64, 8.0, 7.0, 6.0]);
-        d.overwrite_bytes(other.bytes());
-        assert_eq!(d.as_elements::<f64>(), vec![9.0, 8.0, 7.0, 6.0]);
+        d.bytes_mut().copy_from_slice(other.bytes());
+        assert_eq!(d, other);
+        assert_eq!(d.len(), 32);
     }
 
     #[test]
-    #[should_panic(expected = "fixed at allocation time")]
+    #[should_panic(expected = "does not match destination slice length")]
     fn overwrite_with_wrong_size_panics() {
+        // The payload size is fixed at allocation time: a whole-payload
+        // write of the wrong length cannot resize it.
         let mut d = ObjectData::zeroed(8);
-        d.overwrite_elements(&[1.0f64, 2.0]);
+        d.as_mut_slice::<f64>().copy_from_slice(&[1.0, 2.0]);
     }
 
     #[test]
@@ -252,14 +208,7 @@ mod tests {
     fn empty_object() {
         let d = ObjectData::zeroed(0);
         assert!(d.is_empty());
-        assert_eq!(d.element_count::<u8>(), 0);
         assert!(d.as_slice::<u64>().is_empty());
-    }
-
-    #[test]
-    fn into_bytes_returns_payload() {
-        let d = ObjectData::from_elements(&[7u8, 8, 9]);
-        assert_eq!(d.into_bytes(), vec![7, 8, 9]);
     }
 
     #[test]
@@ -279,6 +228,6 @@ mod tests {
         assert_eq!(d.len(), 13);
         d.bytes_mut()[12] = 99;
         assert_eq!(d.bytes()[12], 99);
-        assert_eq!(d.element_count::<u32>(), 3);
+        assert_eq!(d.as_slice::<u8>().len(), 13);
     }
 }

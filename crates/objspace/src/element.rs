@@ -28,22 +28,6 @@ pub trait Element:
 {
     /// Size of the element in bytes inside the object payload.
     const SIZE: usize;
-
-    /// Append the native-endian encoding of `self` to `out`.
-    fn write_to(&self, out: &mut Vec<u8>);
-
-    /// Decode one element from exactly `Self::SIZE` bytes.
-    ///
-    /// # Panics
-    /// Panics if `bytes.len() != Self::SIZE`.
-    fn read_from(bytes: &[u8]) -> Self;
-
-    /// Encode into an existing slice of exactly `Self::SIZE` bytes.
-    fn store_into(&self, slot: &mut [u8]) {
-        let mut tmp = Vec::with_capacity(Self::SIZE);
-        self.write_to(&mut tmp);
-        slot.copy_from_slice(&tmp);
-    }
 }
 
 macro_rules! impl_element_for_pod {
@@ -53,17 +37,6 @@ macro_rules! impl_element_for_pod {
 
             impl Element for $ty {
                 const SIZE: usize = std::mem::size_of::<$ty>();
-
-                fn write_to(&self, out: &mut Vec<u8>) {
-                    out.extend_from_slice(&self.to_ne_bytes());
-                }
-
-                fn read_from(bytes: &[u8]) -> Self {
-                    let arr: [u8; std::mem::size_of::<$ty>()] = bytes
-                        .try_into()
-                        .expect("element slice has wrong length");
-                    <$ty>::from_ne_bytes(arr)
-                }
             }
         )*
     };
@@ -71,77 +44,53 @@ macro_rules! impl_element_for_pod {
 
 impl_element_for_pod!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 
-/// Encode a slice of elements into a fresh byte vector.
-pub fn encode_slice<T: Element>(values: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * T::SIZE);
-    for v in values {
-        v.write_to(&mut out);
-    }
-    out
-}
-
-/// Decode a byte buffer into a vector of elements.
-///
-/// # Panics
-/// Panics if the buffer length is not a multiple of the element size.
-pub fn decode_slice<T: Element>(bytes: &[u8]) -> Vec<T> {
-    assert!(
-        bytes.len().is_multiple_of(T::SIZE),
-        "byte length {} is not a multiple of element size {}",
-        bytes.len(),
-        T::SIZE
-    );
-    bytes.chunks_exact(T::SIZE).map(T::read_from).collect()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::ObjectData;
 
     #[test]
     fn roundtrip_f64() {
         let values = [0.0f64, -1.5, 3.25, f64::MAX, f64::MIN_POSITIVE];
-        let bytes = encode_slice(&values);
-        assert_eq!(bytes.len(), values.len() * 8);
-        assert_eq!(decode_slice::<f64>(&bytes), values);
+        let data = ObjectData::from_elements(&values);
+        assert_eq!(data.len(), values.len() * 8);
+        assert_eq!(data.as_slice::<f64>(), values);
     }
 
     #[test]
     fn roundtrip_integers() {
         let values = [0u32, 1, 42, u32::MAX];
-        assert_eq!(decode_slice::<u32>(&encode_slice(&values)), values);
+        assert_eq!(ObjectData::from_elements(&values).as_slice::<u32>(), values);
         let values = [-5i64, 0, i64::MAX, i64::MIN];
-        assert_eq!(decode_slice::<i64>(&encode_slice(&values)), values);
+        assert_eq!(ObjectData::from_elements(&values).as_slice::<i64>(), values);
         let values = [0u8, 255];
-        assert_eq!(decode_slice::<u8>(&encode_slice(&values)), values);
+        assert_eq!(ObjectData::from_elements(&values).as_slice::<u8>(), values);
     }
 
     #[test]
     fn store_into_overwrites_slot() {
-        let mut buf = vec![0u8; 8];
-        7.5f64.store_into(&mut buf);
-        assert_eq!(f64::read_from(&buf), 7.5);
+        let mut data = ObjectData::zeroed(16);
+        data.as_mut_slice::<f64>()[1] = 7.5;
+        assert_eq!(data.as_slice::<f64>(), &[0.0, 7.5]);
+        assert_eq!(data.bytes()[8..], 7.5f64.to_ne_bytes());
     }
 
     #[test]
     #[should_panic(expected = "not a multiple of element size")]
     fn decode_rejects_misaligned_length() {
-        let _ = decode_slice::<f64>(&[0u8; 7]);
+        let _ = ObjectData::zeroed(7).as_slice::<f64>();
     }
 
     #[test]
     fn empty_slice_roundtrip() {
-        let values: [f64; 0] = [];
-        let bytes = encode_slice(&values);
-        assert!(bytes.is_empty());
-        assert!(decode_slice::<f64>(&bytes).is_empty());
+        let data = ObjectData::from_elements::<f64>(&[]);
+        assert!(data.is_empty());
+        assert!(data.as_slice::<f64>().is_empty());
     }
 
     #[test]
     fn encoding_matches_memory_representation() {
-        // The byte encoding must agree with the zero-copy reinterpretation
-        // the runtime views use: native byte order, no padding.
-        let bytes = encode_slice(&[0x0102_0304u32]);
-        assert_eq!(bytes, 0x0102_0304u32.to_ne_bytes());
+        // Elements are stored in native byte order, with no padding.
+        let data = ObjectData::from_elements(&[0x0102_0304u32]);
+        assert_eq!(data.bytes(), 0x0102_0304u32.to_ne_bytes());
     }
 }

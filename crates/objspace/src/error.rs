@@ -59,23 +59,6 @@ pub enum DsmError {
         /// Number of live write views at the time of the call.
         writers: usize,
     },
-    /// An element index beyond the end of the object.
-    IndexOutOfBounds {
-        /// The object.
-        obj: ObjectId,
-        /// The offending index.
-        index: usize,
-        /// The object's element count.
-        len: usize,
-    },
-    /// A transport/wire failure: a frame that could not be decoded (bad
-    /// magic, unsupported version, truncated or malformed body) or a socket
-    /// fabric error. Decoding is total — malformed input from a peer becomes
-    /// this error, never a panic.
-    Transport {
-        /// Human-readable description of the wire/transport failure.
-        detail: String,
-    },
 }
 
 impl fmt::Display for DsmError {
@@ -106,15 +89,6 @@ impl fmt::Display for DsmError {
                 "fault-in of {obj} refused: {writers} write view(s) are live; fetch \
                  objects before taking write views"
             ),
-            DsmError::IndexOutOfBounds { obj, index, len } => {
-                write!(
-                    f,
-                    "element index {index} out of bounds for {obj} (len {len})"
-                )
-            }
-            DsmError::Transport { detail } => {
-                write!(f, "transport error: {detail}")
-            }
         }
     }
 }
@@ -142,18 +116,6 @@ mod tests {
         assert!(DsmError::ViewsOutstanding { count: 2 }
             .to_string()
             .contains('2'));
-        assert!(DsmError::IndexOutOfBounds {
-            obj,
-            index: 9,
-            len: 4
-        }
-        .to_string()
-        .contains("out of bounds"));
-        assert!(DsmError::Transport {
-            detail: "bad magic".to_string()
-        }
-        .to_string()
-        .contains("bad magic"));
     }
 
     #[test]

@@ -23,12 +23,12 @@
 //!   one payload buffer plus one `(offset, len)` run table, so its cost in
 //!   allocations does not grow with its run count — and a run never carries
 //!   a word its writer left alone, which is what lets concurrent writers of
-//!   one object flush in any order (see [`diff`]).
+//!   one object flush in any order (see [`Diff`]).
 //! * [`AccessState`] — the explicit access-state machine that replaces the
 //!   paper's virtual-memory/page-fault trapping: caches and home copies move
 //!   between `Invalid`, `ReadOnly` and `ReadWrite`, and every upgrade is
 //!   observable by the protocol (home reads, home writes, remote faults).
-//! * [`HomeAssignment`] / [`ObjectDescriptor`] — deterministic initial home
+//! * [`HomeAssignment`] / `ObjectDescriptor` — deterministic initial home
 //!   placement (creation node by default, round-robin for large array
 //!   objects, exactly as in the paper's §5).
 //!
@@ -39,24 +39,24 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod access;
-pub mod data;
-pub mod diff;
-pub mod element;
-pub mod error;
-pub mod home;
-pub mod id;
+mod access;
+mod data;
+mod diff;
+mod element;
+mod error;
+mod home;
+mod id;
 mod raw;
-pub mod registry;
-pub mod twin;
-pub mod version;
+mod registry;
+mod twin;
+mod version;
 
 pub use access::AccessState;
 pub use data::ObjectData;
 pub use diff::Diff;
 pub use element::Element;
 pub use error::{DsmError, DsmResult};
-pub use home::{HomeAssignment, ObjectDescriptor};
+pub use home::HomeAssignment;
 pub use id::{BarrierId, LockId, NodeId, ObjectId};
 pub use registry::ObjectRegistry;
 pub use twin::Twin;

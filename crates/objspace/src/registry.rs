@@ -34,7 +34,7 @@ impl ObjectRegistry {
     /// Panics if a *different* descriptor is already registered under the
     /// same id — that would mean an id collision or inconsistent declaration
     /// across nodes, both of which are programming errors.
-    pub fn register(&mut self, descriptor: ObjectDescriptor) {
+    pub(crate) fn register(&mut self, descriptor: ObjectDescriptor) {
         match self.objects.get(&descriptor.id) {
             None => {
                 self.objects.insert(descriptor.id, descriptor);
@@ -121,19 +121,6 @@ impl ObjectRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &ObjectDescriptor> {
         self.objects.values()
     }
-
-    /// All object ids whose initial home is `node` in a cluster of
-    /// `num_nodes`.
-    pub fn initially_homed_at(&self, node: NodeId, num_nodes: usize) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = self
-            .objects
-            .values()
-            .filter(|d| d.initial_home(num_nodes) == node)
-            .map(|d| d.id)
-            .collect();
-        ids.sort();
-        ids
-    }
 }
 
 #[cfg(test)]
@@ -178,9 +165,12 @@ mod tests {
         let num_nodes = 4;
         let mut total = 0;
         for n in 0..num_nodes {
-            let ids = r.initially_homed_at(NodeId::from(n), num_nodes);
-            assert_eq!(ids.len(), 2, "round robin should place 2 of 8 on each node");
-            total += ids.len();
+            let homed = r
+                .iter()
+                .filter(|d| d.initial_home(num_nodes) == NodeId::from(n))
+                .count();
+            assert_eq!(homed, 2, "round robin should place 2 of 8 on each node");
+            total += homed;
         }
         assert_eq!(total, 8);
     }

@@ -24,21 +24,6 @@ impl Twin {
         }
     }
 
-    /// Size of the snapshot in bytes (same as the object).
-    pub fn len(&self) -> usize {
-        self.snapshot.len()
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.snapshot.is_empty()
-    }
-
-    /// The snapshot bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.snapshot
-    }
-
     /// Compute the diff between the current working copy and this twin.
     ///
     /// # Panics
@@ -57,10 +42,10 @@ mod tests {
     fn twin_captures_snapshot() {
         let mut data = ObjectData::from_elements(&[1.0f64, 2.0, 3.0]);
         let twin = Twin::capture(&data);
-        assert_eq!(twin.len(), data.len());
+        assert_eq!(twin.snapshot.len(), data.len());
         data.set(1, 9.0f64);
         // Twin still holds the old value.
-        assert_ne!(twin.bytes(), data.bytes());
+        assert_ne!(twin.snapshot, data.bytes());
     }
 
     #[test]
@@ -71,7 +56,7 @@ mod tests {
         let diff = twin.diff_against(&data);
         assert!(!diff.is_empty());
         // Applying the diff to a copy of the twin reproduces the new data.
-        let mut reconstructed = ObjectData::from_bytes(twin.bytes().to_vec());
+        let mut reconstructed = ObjectData::from_bytes(twin.snapshot.clone());
         diff.apply(&mut reconstructed);
         assert_eq!(reconstructed, data);
     }
@@ -81,6 +66,6 @@ mod tests {
         let data = ObjectData::from_elements(&[5u32; 8]);
         let twin = Twin::capture(&data);
         assert!(twin.diff_against(&data).is_empty());
-        assert!(!twin.is_empty());
+        assert!(!twin.snapshot.is_empty());
     }
 }

@@ -23,12 +23,6 @@ impl Version {
     pub fn next(self) -> Version {
         Version(self.0 + 1)
     }
-
-    /// Whether a cached copy at version `self` is stale with respect to a
-    /// write notice announcing `announced`.
-    pub fn is_stale_against(self, announced: Version) -> bool {
-        self < announced
-    }
 }
 
 impl fmt::Display for Version {
@@ -54,9 +48,11 @@ mod tests {
 
     #[test]
     fn staleness() {
-        assert!(Version(1).is_stale_against(Version(2)));
-        assert!(!Version(2).is_stale_against(Version(2)));
-        assert!(!Version(3).is_stale_against(Version(2)));
+        // A cached copy is stale exactly when its version is older than the
+        // one a write notice announces.
+        assert!(Version(1) < Version(2));
+        assert!(Version(2) >= Version(2));
+        assert!(Version(3) >= Version(2));
     }
 
     #[test]

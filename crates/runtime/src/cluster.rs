@@ -10,7 +10,7 @@
 use crate::ctx::NodeCtx;
 use crate::exec::Executor;
 use crate::fault::{FaultConfig, FaultState};
-use crate::handle::{ArrayHandle, Matrix2dHandle, ScalarHandle};
+use crate::handle::{ArrayHandle, Matrix2dHandle};
 use crate::node::{NodeLink, NodeShared};
 use crate::report::{ExecutionReport, SchedulerReport};
 use crate::sim::{abort_all_pending, sim_server_loop, AppAgent};
@@ -69,7 +69,7 @@ pub struct ClusterConfig {
     /// paper-faithful wire behaviour of one `DiffFlush` per dirty object.
     pub flush_batching: bool,
     /// The fabric the cluster runs on (threaded by default; see
-    /// [`ClusterBuilder::sim_fabric`] for the deterministic sim mode).
+    /// [`FabricMode`] for the deterministic sim and TCP modes).
     pub fabric: FabricMode,
     /// Executor worker-pool size; `0` (the default) sizes the pool to
     /// `min(available cores, num_nodes)`. Ignored on the sim fabric.
@@ -92,8 +92,10 @@ impl ClusterConfig {
         }
     }
 
-    /// Replace the executor worker-pool size (`0` = auto; see
-    /// [`ClusterBuilder::executor_workers`]).
+    /// Replace the executor worker-pool size. `0` (the default) picks
+    /// `min(available cores, num_nodes)`; `1` serializes all server-side
+    /// protocol handling onto a single worker (the serialization reference
+    /// for equivalence testing). Ignored on the sim fabric.
     #[must_use]
     pub fn with_executor_workers(mut self, workers: usize) -> Self {
         self.executor_workers = workers;
@@ -122,26 +124,11 @@ impl ClusterConfig {
         self
     }
 
-    /// Replace the fabric mode (see [`ClusterBuilder::sim_fabric`]).
+    /// Replace the fabric mode (see [`ClusterBuilder::fabric`]).
     #[must_use]
     pub fn with_fabric(mut self, fabric: FabricMode) -> Self {
         self.fabric = fabric;
         self
-    }
-
-    /// Run on the deterministic sim fabric with the default seeded
-    /// perturbations — the config-value form of
-    /// [`ClusterBuilder::sim_fabric`].
-    #[must_use]
-    pub fn with_sim_fabric(self, seed: u64) -> Self {
-        self.with_fabric(FabricMode::Sim(SimConfig::perturbed(seed)))
-    }
-
-    /// Run on the real TCP fabric with default timeouts — the config-value
-    /// form of [`ClusterBuilder::tcp_fabric`].
-    #[must_use]
-    pub fn with_tcp_fabric(self) -> Self {
-        self.with_fabric(FabricMode::Tcp(TcpConfig::default()))
     }
 }
 
@@ -159,7 +146,7 @@ impl ClusterConfig {
 ///     .migration(AdaptiveThresholdPolicy::paper())
 ///     .seed(2004)
 ///     .default_home(HomeAssignment::RoundRobin);
-/// let counter = cluster.register_scalar::<u64>("counter");
+/// let counter = cluster.register_array::<u64>("counter", 1);
 /// let report = cluster.build().run(move |ctx| {
 ///     // ... use `counter` through ctx views ...
 /// });
@@ -175,7 +162,6 @@ pub struct ClusterBuilder {
     default_home: HomeAssignment,
     flush_batching: bool,
     fabric: FabricMode,
-    executor_workers: usize,
     registry: ObjectRegistry,
 }
 
@@ -189,7 +175,6 @@ impl Default for ClusterBuilder {
             default_home: HomeAssignment::CreationNode,
             flush_batching: true,
             fabric: FabricMode::Threaded,
-            executor_workers: 0,
             registry: ObjectRegistry::new(),
         }
     }
@@ -198,7 +183,7 @@ impl Default for ClusterBuilder {
 impl ClusterBuilder {
     /// Start from the defaults: 2 nodes, adaptive protocol, Pentium-4-class
     /// compute model, creation-node home assignment, seed 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ClusterBuilder::default()
     }
 
@@ -267,15 +252,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Size the executor's worker pool explicitly. `0` (the default) picks
-    /// `min(available cores, num_nodes)`; `1` serializes all server-side
-    /// protocol handling onto a single worker (the serialization reference
-    /// for equivalence testing). Ignored on the sim fabric.
-    pub fn executor_workers(mut self, workers: usize) -> Self {
-        self.executor_workers = workers;
-        self
-    }
-
     /// Enable or disable **release-time flush batching** (on by default):
     /// when an interval releases, the diffs of all dirty objects that share
     /// the same (believed) home travel as one `DiffBatch` message — one
@@ -289,37 +265,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Run on the **deterministic simulation fabric** with the default
-    /// seeded perturbations ([`SimConfig::perturbed`]): message delivery is
-    /// owned by a seeded virtual-time scheduler with event-driven wakeups,
-    /// per-link latency jitter, bounded
-    /// reordering and bursty delay spikes reshape the schedule, and the
-    /// execution report carries a replayable
-    /// [`delivery trace`](ExecutionReport::delivery_trace) — the same seed
-    /// reproduces it bit-identically, a different seed explores a different
-    /// interleaving. Use [`ClusterBuilder::fabric`] with an explicit
-    /// [`SimConfig`] (e.g. [`SimConfig::calm`] / [`SimConfig::stormy`]) to
-    /// tune the perturbations.
-    pub fn sim_fabric(self, seed: u64) -> Self {
-        self.fabric(FabricMode::Sim(SimConfig::perturbed(seed)))
-    }
-
-    /// Run on the **real TCP fabric** with default timeouts: every node
-    /// binds a listener on an ephemeral `127.0.0.1` port, the nodes
-    /// exchange a join handshake and connect a full mesh of ordered socket
-    /// connections, and all protocol traffic crosses real sockets in the
-    /// `dsm-wire` binary format. Modeled virtual time still travels inside
-    /// every message, so execution-time and traffic figures are identical
-    /// to the in-process fabrics; the execution report additionally carries
-    /// each node's heartbeat-driven [`membership view`](MembershipReport).
-    /// Use [`ClusterBuilder::fabric`] with an explicit [`TcpConfig`] to
-    /// tune heartbeat cadence and liveness thresholds.
-    pub fn tcp_fabric(self) -> Self {
-        self.fabric(FabricMode::Tcp(TcpConfig::default()))
-    }
-
-    /// Replace the fabric mode (threaded, or sim with an explicit
-    /// perturbation configuration).
+    /// Replace the fabric mode: threaded, the deterministic sim with an
+    /// explicit [`SimConfig`] (e.g. [`SimConfig::calm`] /
+    /// [`SimConfig::perturbed`]), or real TCP sockets with a [`TcpConfig`].
     pub fn fabric(mut self, fabric: FabricMode) -> Self {
         self.fabric = fabric;
         self
@@ -336,11 +284,6 @@ impl ClusterBuilder {
             NodeId::MASTER,
             self.default_home,
         )
-    }
-
-    /// Register a scalar object under the default home assignment.
-    pub fn register_scalar<T: Element>(&mut self, name: &str) -> ScalarHandle<T> {
-        ScalarHandle::register(&mut self.registry, name, NodeId::MASTER, self.default_home)
     }
 
     /// Register a `rows × cols` matrix (one object per row) under the
@@ -361,12 +304,6 @@ impl ClusterBuilder {
         )
     }
 
-    /// Direct access to the builder's registry, for registrations the
-    /// helpers do not cover (immutable objects, per-node creators).
-    pub fn registry_mut(&mut self) -> &mut ObjectRegistry {
-        &mut self.registry
-    }
-
     /// The [`ClusterConfig`] this builder currently describes.
     pub fn config(&self) -> ClusterConfig {
         ClusterConfig {
@@ -376,7 +313,7 @@ impl ClusterBuilder {
             seed: self.seed,
             flush_batching: self.flush_batching,
             fabric: self.fabric.clone(),
-            executor_workers: self.executor_workers,
+            executor_workers: 0,
         }
     }
 
@@ -384,12 +321,6 @@ impl ClusterBuilder {
     pub fn build(self) -> Cluster {
         let config = self.config();
         Cluster::new(config, self.registry)
-    }
-
-    /// Build the cluster with an externally assembled registry (the
-    /// builder's own registrations are discarded).
-    pub fn build_with(self, registry: ObjectRegistry) -> Cluster {
-        Cluster::new(self.config(), registry)
     }
 }
 

@@ -308,46 +308,11 @@ impl NodeCtx {
         self.view(handle).to_vec()
     }
 
-    /// Read a single element (faulting the object in if needed).
-    pub fn read_element<T: Element>(&self, handle: &ArrayHandle<T>, index: usize) -> T {
-        self.try_read_element(handle, index)
-            .unwrap_or_else(|e| panic!("read_element failed: {e}"))
-    }
-
-    /// Fallible [`Self::read_element`].
-    pub fn try_read_element<T: Element>(
-        &self,
-        handle: &ArrayHandle<T>,
-        index: usize,
-    ) -> DsmResult<T> {
-        let view = self.try_view(handle)?;
-        view.as_slice()
-            .get(index)
-            .copied()
-            .ok_or(DsmError::IndexOutOfBounds {
-                obj: handle.id,
-                index,
-                len: handle.len,
-            })
-    }
-
     /// Read-modify-write the object's elements in place through a closure
     /// (a scoped [`Self::view_mut`]).
     pub fn update<T: Element>(&self, handle: &ArrayHandle<T>, f: impl FnOnce(&mut [T])) {
         let mut view = self.view_mut(handle);
         f(&mut view);
-    }
-
-    /// Overwrite the whole object with new contents.
-    pub fn write_all<T: Element>(&self, handle: &ArrayHandle<T>, values: &[T]) {
-        assert_eq!(values.len(), handle.len, "write length mismatch");
-        self.view_mut(handle).copy_from_slice(values);
-    }
-
-    /// Overwrite a single element.
-    pub fn write_element<T: Element>(&self, handle: &ArrayHandle<T>, index: usize, value: T) {
-        assert!(index < handle.len, "element index out of range");
-        self.view_mut(handle)[index] = value;
     }
 
     // ------------------------------------------------------------------

@@ -61,7 +61,7 @@ impl FaultConfig {
     /// round trips under the default network model), effectively-unbounded
     /// retries (1000 — a partition crossing needs a few hundred), and
     /// failover after 16 silent rounds.
-    pub fn sim_default() -> Self {
+    pub(crate) fn sim_default() -> Self {
         FaultConfig {
             retry_timeout: SimDuration::from_micros(50.0),
             max_attempts: 1000,
@@ -111,7 +111,7 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub fn new(config: FaultConfig) -> Self {
+    pub(crate) fn new(config: FaultConfig) -> Self {
         FaultState {
             config,
             retries: Mutex::new(BTreeMap::new()),
@@ -121,7 +121,7 @@ impl FaultState {
 
     /// Track an outstanding message for retransmission. Called with the
     /// original send, which counts as the first attempt.
-    pub fn track(&self, req: ReqId, dst: NodeId, msg: ProtocolMsg) {
+    pub(crate) fn track(&self, req: ReqId, dst: NodeId, msg: ProtocolMsg) {
         self.track_phase(req, dst, msg, RetryPhase::Normal);
     }
 
@@ -140,12 +140,12 @@ impl FaultState {
     }
 
     /// Stop retransmitting `req` (its reply or ack arrived).
-    pub fn clear(&self, req: ReqId) {
+    pub(crate) fn clear(&self, req: ReqId) {
         self.retries.lock().remove(&req);
     }
 
     /// Drop every tracked message (teardown after a panic).
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         self.retries.lock().clear();
     }
 

@@ -97,7 +97,7 @@ impl<T: Element> ArrayHandle<T> {
 
     /// Check this handle against a registry: the object must be registered
     /// and its payload size must equal `len * T::SIZE`.
-    pub fn validate(&self, registry: &ObjectRegistry) -> DsmResult<()> {
+    pub(crate) fn validate(&self, registry: &ObjectRegistry) -> DsmResult<()> {
         let desc = registry
             .get(self.id)
             .ok_or(DsmError::UnknownObject { obj: self.id })?;
@@ -110,11 +110,6 @@ impl<T: Element> ArrayHandle<T> {
             });
         }
         Ok(())
-    }
-
-    /// Payload size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.len * T::SIZE
     }
 }
 
@@ -146,25 +141,13 @@ impl<T: Element> ScalarHandle<T> {
         }
     }
 
-    /// Construct without registering (validated at first access).
-    pub fn lookup(name: &str) -> Self {
-        ScalarHandle {
-            inner: ArrayHandle::lookup(name, 0, 1),
-        }
-    }
-
     /// The underlying one-element array handle.
     pub fn array(&self) -> &ArrayHandle<T> {
         &self.inner
     }
 
-    /// The object's identity.
-    pub fn id(&self) -> ObjectId {
-        self.inner.id
-    }
-
     /// Read the value (fallible form).
-    pub fn try_get(&self, ctx: &NodeCtx) -> DsmResult<T> {
+    pub(crate) fn try_get(&self, ctx: &NodeCtx) -> DsmResult<T> {
         Ok(ctx.try_view(&self.inner)?[0])
     }
 
@@ -172,18 +155,6 @@ impl<T: Element> ScalarHandle<T> {
     pub fn get(&self, ctx: &NodeCtx) -> T {
         self.try_get(ctx)
             .unwrap_or_else(|e| panic!("scalar get failed: {e}"))
-    }
-
-    /// Overwrite the value (fallible form).
-    pub fn try_set(&self, ctx: &NodeCtx, value: T) -> DsmResult<()> {
-        ctx.try_view_mut(&self.inner)?[0] = value;
-        Ok(())
-    }
-
-    /// Overwrite the value.
-    pub fn set(&self, ctx: &NodeCtx, value: T) {
-        self.try_set(ctx, value)
-            .unwrap_or_else(|e| panic!("scalar set failed: {e}"))
     }
 
     /// Read-modify-write the value in one write view; returns the new value.
@@ -201,7 +172,6 @@ impl<T: Element> ScalarHandle<T> {
 #[derive(Debug, Clone)]
 pub struct Matrix2dHandle<T> {
     rows: Vec<ArrayHandle<T>>,
-    cols: usize,
 }
 
 impl<T: Element> Matrix2dHandle<T> {
@@ -221,7 +191,6 @@ impl<T: Element> Matrix2dHandle<T> {
                     ArrayHandle::<T>::register(registry, name, r as u64, cols, creator, assignment)
                 })
                 .collect(),
-            cols,
         }
     }
 
@@ -242,28 +211,7 @@ impl<T: Element> Matrix2dHandle<T> {
                     )
                 })
                 .collect(),
-            cols,
         }
-    }
-
-    /// Construct without registering (each row validated at first access).
-    pub fn lookup(name: &str, rows: usize, cols: usize) -> Self {
-        Matrix2dHandle {
-            rows: (0..rows)
-                .map(|r| ArrayHandle::<T>::lookup(name, r as u64, cols))
-                .collect(),
-            cols,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of columns (elements per row object).
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// The handle of row `r`.
@@ -277,11 +225,6 @@ impl<T: Element> Matrix2dHandle<T> {
     /// Iterate over the row handles in order.
     pub fn iter(&self) -> impl Iterator<Item = &ArrayHandle<T>> {
         self.rows.iter()
-    }
-
-    /// The row handles as a slice.
-    pub fn as_rows(&self) -> &[ArrayHandle<T>] {
-        &self.rows
     }
 }
 
@@ -303,7 +246,6 @@ mod tests {
         let l = ArrayHandle::<f64>::lookup("m", 3, 16);
         assert_eq!(h.id, l.id);
         assert_eq!(h.len, 16);
-        assert_eq!(h.size_bytes(), 128);
         assert_eq!(reg.expect(h.id).size_bytes, 128);
         assert!(!reg.expect(h.id).is_immutable());
         assert!(l.validate(&reg).is_ok());
@@ -352,7 +294,7 @@ mod tests {
             HomeAssignment::Master,
         );
         assert!(reg.expect(h.id).is_immutable());
-        assert_eq!(h.size_bytes(), 576);
+        assert_eq!(reg.expect(h.id).size_bytes, 576);
     }
 
     #[test]
@@ -366,19 +308,16 @@ mod tests {
             NodeId::MASTER,
             HomeAssignment::RoundRobin,
         );
-        assert_eq!(m.rows(), 8);
-        assert_eq!(m.cols(), 32);
-        assert_eq!(reg.len(), 8);
         assert_eq!(m.iter().count(), 8);
-        assert_eq!(m.as_rows().len(), 8);
+        assert!(m.iter().all(|row| row.len == 32));
+        assert_eq!(reg.len(), 8);
         // Round-robin homes spread across a 4-node cluster.
         let homes: Vec<NodeId> = m.iter().map(|h| reg.expect(h.id).initial_home(4)).collect();
         assert_eq!(homes[0], NodeId(0));
         assert_eq!(homes[1], NodeId(1));
         assert_eq!(homes[5], NodeId(1));
         // Lookup resolves the same ids.
-        let l = Matrix2dHandle::<f64>::lookup("sor", 8, 32);
-        assert_eq!(l.row(3).id, m.row(3).id);
+        assert_eq!(ArrayHandle::<f64>::lookup("sor", 3, 32).id, m.row(3).id);
     }
 
     #[test]
@@ -390,8 +329,8 @@ mod tests {
             NodeId::MASTER,
             HomeAssignment::Master,
         );
-        assert_eq!(reg.expect(s.id()).size_bytes, 8);
-        assert_eq!(ScalarHandle::<u64>::lookup("bound").id(), s.id());
+        assert_eq!(reg.expect(s.array().id).size_bytes, 8);
+        assert_eq!(ArrayHandle::<u64>::lookup("bound", 0, 1).id, s.array().id);
         assert_eq!(s.array().len, 1);
     }
 
@@ -400,8 +339,10 @@ mod tests {
         let h = ArrayHandle::<f64>::lookup("x", 0, 4);
         let h2 = h;
         assert_eq!(h.id, h2.id);
-        let s = ScalarHandle::<u32>::lookup("y");
+        let s = ScalarHandle::<u32> {
+            inner: ArrayHandle::lookup("y", 0, 1),
+        };
         let s2 = s;
-        assert_eq!(s.id(), s2.id());
+        assert_eq!(s.array().id, s2.array().id);
     }
 }

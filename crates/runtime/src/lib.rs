@@ -18,7 +18,8 @@
 //! home node never copy the payload; dropping a [`WriteView`] arms the
 //! twin/diff bookkeeping for the interval's release. Every access and
 //! synchronization operation also has a fallible `try_*` form returning
-//! [`DsmResult`], so protocol misuse surfaces as a typed [`DsmError`]
+//! [`DsmResult`], so protocol misuse surfaces as a typed
+//! [`DsmError`](dsm_objspace::DsmError)
 //! instead of a node-thread panic.
 //!
 //! All coherence traffic, home migrations and statistics fall out of the
@@ -40,7 +41,7 @@
 //! * **Threaded and TCP fabrics — the wake-on-send executor.** All nodes'
 //!   servers are multiplexed onto a bounded worker pool
 //!   (`min(available_parallelism, nodes)` workers by default;
-//!   [`ClusterBuilder::executor_workers`] overrides, and `1` fully
+//!   [`ClusterConfig::with_executor_workers`] overrides, and `1` fully
 //!   serializes server-side handling — the reference the test suite
 //!   fingerprints the default pool against). The act of sending into a
 //!   node's inbound channel — or, on TCP, the socket reader thread handing
@@ -148,37 +149,39 @@
 //! The one remaining cycle — two nodes each waiting for the other's server
 //! while their own write leases keep that server deferring — is ruled out
 //! on the application side: a context refuses to issue a remote fault-in
-//! while it holds any *write* view ([`DsmError::FetchWithLiveWrites`]), and
-//! synchronization operations require full quiescence
-//! ([`DsmError::ViewsOutstanding`]). Read views are safe to hold across a
+//! while it holds any *write* view
+//! ([`DsmError::FetchWithLiveWrites`](dsm_objspace::DsmError::FetchWithLiveWrites)),
+//! and synchronization operations require full quiescence
+//! ([`DsmError::ViewsOutstanding`](dsm_objspace::DsmError::ViewsOutstanding)). Read views are safe to hold across a
 //! fetch because serving a fault-in needs only a shared payload lock.
 //!
 //! ## Transports
 //!
 //! The cluster runs its protocol traffic over one of three fabrics
-//! ([`cluster::FabricMode`]); all three present the same sending surface,
-//! stamp the same modeled virtual times, and produce fingerprint-identical
-//! workload results — they differ in who schedules delivery and what the
-//! messages physically travel over:
+//! ([`FabricMode`]); all three present the same sending surface and
+//! produce fingerprint-identical workload results — they differ in who
+//! schedules delivery and what the messages physically travel over. Modeled
+//! virtual time is a pure function of the seed only on the sim; on the
+//! threaded and TCP fabrics it depends on the real interleaving:
 //!
 //! * **Threaded** (the default): in-process channels, all
 //!   nodes' protocol servers scheduled by the wake-on-send executor pool,
 //!   message interleaving decided by the OS scheduler. Per-link FIFO holds because
 //!   each link *is* one channel. Fastest wall-clock on many cores;
 //!   schedules are not reproducible run to run.
-//! * **Sim** ([`ClusterBuilder::sim_fabric`]`(seed)`): the deterministic
+//! * **Sim** (`FabricMode::Sim(SimConfig::perturbed(seed))`): the deterministic
 //!   virtual-time scheduler. Per-link FIFO is enforced by a delivery-time
 //!   clamp even under seeded reordering perturbations. Bit-identical
 //!   replays from a seed.
-//! * **TCP** ([`ClusterBuilder::tcp_fabric`]): real `std::net` sockets on
+//! * **TCP** (`FabricMode::Tcp(TcpConfig::default())`): real `std::net` sockets on
 //!   `127.0.0.1`. Every node binds a listener; the mesh is connected at
 //!   join time with a hello handshake that carries each node's identity
 //!   and expected cluster size. Per-link FIFO holds because all frames
 //!   from node *a* to node *b* travel on one dedicated ordered connection
 //!   drained by one writer thread. Messages are encoded with the
 //!   `dsm-wire` binary codec (see `dsm-net`'s wire-format docs); modeled
-//!   send/arrival times travel inside each frame, so virtual-clock
-//!   merging — and therefore every modeled-time figure — is unchanged.
+//!   send/arrival times travel inside each frame, but the receiver merges
+//!   them in real-time arrival order.
 //!   A per-node heartbeat thread feeds a membership/liveness tracker
 //!   (alive → suspect → dead on silence; a *suspect* peer recovers on
 //!   resumed traffic, but **death is sticky** — a dead peer's resumed
@@ -204,8 +207,8 @@
 //! **Lossy presets — testing the fault path:** [`SimConfig::lossy`]`(seed)`
 //! layers fault injection on top of the perturbed preset: 1% seeded
 //! per-link message drops plus one partition/heal cycle on virtual time;
-//! [`SimConfig::with_drop_rate`] / `with_partition` / `with_pause` compose
-//! the individual fault kinds (a [`PauseSpec`] is a node crash: every
+//! the `drop_rate`, `partition` and `pause` fields (or
+//! [`SimConfig::with_pause`]) compose the individual fault kinds (a [`PauseSpec`] is a node crash: every
 //! message to or from the node inside the window is lost). Whenever a
 //! configuration can lose messages ([`SimConfig::is_lossy`]), the runtime
 //! automatically arms its recovery machinery: every tracked request gets a
@@ -272,16 +275,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
-pub mod ctx;
+mod cluster;
+mod ctx;
 mod exec;
 mod fault;
-pub mod handle;
-pub mod node;
-pub mod report;
+mod handle;
+mod node;
+mod report;
 mod sim;
-pub mod vclock;
-pub mod view;
+mod vclock;
+mod view;
 
 pub use cluster::{Cluster, ClusterBuilder, ClusterConfig, FabricMode};
 pub use ctx::NodeCtx;
@@ -289,8 +292,7 @@ pub use dsm_net::{
     DeliveryRecord, DeliveryTrace, DropReason, DropRecord, MembershipReport, MembershipView,
     PartitionSpec, PauseSpec, PeerLiveness, SimConfig, TcpConfig,
 };
-pub use dsm_objspace::{DsmError, DsmResult};
+pub use dsm_objspace::DsmResult;
 pub use handle::{ArrayHandle, Matrix2dHandle, ScalarHandle};
 pub use report::{ExecutionReport, SchedulerReport};
-pub use vclock::VirtualClock;
 pub use view::{ReadView, WriteView};

@@ -201,7 +201,7 @@ pub(crate) struct NodeShared {
 }
 
 impl NodeShared {
-    pub fn new(
+    pub(crate) fn new(
         engine: ProtocolEngine,
         link: NodeLink,
         compute: ComputeModel,
@@ -309,7 +309,7 @@ impl NodeShared {
     }
 
     /// Allocate a request id unique within this node.
-    pub fn new_req(&self) -> ReqId {
+    pub(crate) fn new_req(&self) -> ReqId {
         // The node id is folded into the high bits so request ids are unique
         // cluster-wide, which makes debugging message traces easier.
         let seq = self.next_req.fetch_add(1, Ordering::Relaxed);
@@ -318,7 +318,7 @@ impl NodeShared {
 
     /// Register interest in the reply to `req` and return the channel to
     /// wait on.
-    pub fn register_pending(&self, req: ReqId) -> Receiver<Reply> {
+    pub(crate) fn register_pending(&self, req: ReqId) -> Receiver<Reply> {
         let (tx, rx) = bounded(1);
         let previous = self.pending_stripe(req).lock().insert(req, tx);
         assert!(previous.is_none(), "duplicate pending request id {req:?}");
@@ -327,7 +327,7 @@ impl NodeShared {
 
     /// Deliver a reply to a locally blocked request (no network involved,
     /// e.g. the manager node granting its own lock request).
-    pub fn deliver_local(&self, req: ReqId, msg: ProtocolMsg) {
+    pub(crate) fn deliver_local(&self, req: ReqId, msg: ProtocolMsg) {
         let arrival = self.clock.now();
         self.complete(req, msg, arrival);
     }
@@ -339,7 +339,7 @@ impl NodeShared {
     /// the install waited on the OS scheduler, and meanwhile this node sent
     /// requests for the object back to the old home, which forwarded them
     /// here again until the chase overran `redirect_limit`.
-    pub fn complete(&self, req: ReqId, mut msg: ProtocolMsg, arrival: SimTime) {
+    pub(crate) fn complete(&self, req: ReqId, mut msg: ProtocolMsg, arrival: SimTime) {
         if let Some(fault) = &self.fault {
             fault.clear(req);
         }
@@ -399,7 +399,7 @@ impl NodeShared {
     /// current clock. Under a lossy fabric, replies and acknowledgements
     /// are remembered by the request id they answer so duplicates of the
     /// answered request can be served from cache.
-    pub fn send(&self, dst: NodeId, msg: ProtocolMsg) {
+    pub(crate) fn send(&self, dst: NodeId, msg: ProtocolMsg) {
         fault::note_sent(self, dst, &msg);
         let category = msg.category();
         let bytes = msg.payload_bytes();
@@ -410,7 +410,7 @@ impl NodeShared {
     /// Send a one-way message that must survive loss: tracked for
     /// retransmission until the matching acknowledgement clears it. Falls
     /// back to a plain send on lossless fabrics.
-    pub fn send_tracked(&self, dst: NodeId, req: ReqId, msg: ProtocolMsg) {
+    pub(crate) fn send_tracked(&self, dst: NodeId, req: ReqId, msg: ProtocolMsg) {
         if let Some(fault) = &self.fault {
             fault.track(req, dst, msg.clone());
         }
@@ -422,7 +422,7 @@ impl NodeShared {
     /// the quiescence protocol: the fabric learns the application thread is
     /// about to block *after* every message it was going to send has been
     /// sent.
-    pub fn wait_reply(&self, rx: &Receiver<Reply>) -> Reply {
+    pub(crate) fn wait_reply(&self, rx: &Receiver<Reply>) -> Reply {
         if let NodeLink::Sim(ep) = &self.link {
             ep.agent_blocked();
         }
@@ -433,7 +433,7 @@ impl NodeShared {
     /// Issue a blocking request: send `msg` to `dst`, park until the reply
     /// arrives, merge the reply's arrival time into the local clock and
     /// return the reply message.
-    pub fn request(&self, dst: NodeId, req: ReqId, msg: ProtocolMsg) -> ProtocolMsg {
+    pub(crate) fn request(&self, dst: NodeId, req: ReqId, msg: ProtocolMsg) -> ProtocolMsg {
         if trace_enabled() {
             eprintln!("[{}] request -> {} {:?}", self.node, dst, msg);
         }
@@ -459,7 +459,7 @@ impl NodeShared {
     /// unwinds straight into `agent_finished`, so the caller must re-count
     /// it (`agent_unblocked`) while it is still provably parked — exactly
     /// the order `crate::sim`'s wake flush uses for ordinary replies.
-    pub fn abort_pending(&self, mut before_wake: impl FnMut()) {
+    pub(crate) fn abort_pending(&self, mut before_wake: impl FnMut()) {
         if let Some(fault) = &self.fault {
             fault.abort();
         }
@@ -473,7 +473,7 @@ impl NodeShared {
     }
 
     /// Request the protocol server to stop once its queues are drained.
-    pub fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 

@@ -58,12 +58,12 @@ pub struct ExecutionReport {
     /// Label of the migration policy that produced this run ("AT", "FT2", ...).
     pub policy_label: String,
     /// The complete, replayable delivery history of the run when it ran on
-    /// the sim fabric (`ClusterBuilder::sim_fabric`); `None` on the
+    /// the sim fabric (`FabricMode::Sim`); `None` on the
     /// threaded fabric. The same cluster seed + fabric seed reproduce this
     /// trace bit-identically.
     pub delivery_trace: Option<DeliveryTrace>,
     /// Per-node heartbeat liveness views when the run used the TCP fabric
-    /// (`ClusterBuilder::tcp_fabric`); `None` on the in-process fabrics.
+    /// (`FabricMode::Tcp`); `None` on the in-process fabrics.
     /// Captured at the end of the run, before teardown stops the heartbeat
     /// threads — on a healthy cluster every view reports every peer alive.
     /// The liveness classification is observational for now: a suspect or
@@ -99,11 +99,6 @@ impl ExecutionReport {
     /// Number of home migrations performed during the run.
     pub fn migrations(&self) -> u64 {
         self.protocol.migrations()
-    }
-
-    /// Number of redirection replies served during the run.
-    pub fn redirections(&self) -> u64 {
-        self.protocol.redirections_served
     }
 
     /// The merged home-migration decision telemetry: decisions considered
@@ -165,7 +160,7 @@ mod tests {
     fn report(ms: f64, messages: u64) -> ExecutionReport {
         let mut network = NetworkStats::new();
         for _ in 0..messages {
-            network.record(dsm_objspace::NodeId(0), MsgCategory::ObjReply, 100);
+            network.record(MsgCategory::ObjReply, 100);
         }
         ExecutionReport {
             execution_time: SimDuration::from_millis(ms),
@@ -199,7 +194,7 @@ mod tests {
         assert_eq!(r.messages(MsgCategory::Diff), 0);
         assert_eq!(r.breakdown_messages(), 3);
         assert_eq!(r.migrations(), 0);
-        assert_eq!(r.redirections(), 0);
+        assert_eq!(r.protocol.redirections_served, 0);
         assert_eq!(r.total_traffic_bytes(), 300);
     }
 

@@ -54,7 +54,7 @@ pub(crate) struct AppAgent<'fabric> {
 }
 
 impl<'fabric> AppAgent<'fabric> {
-    pub fn new(
+    pub(crate) fn new(
         fabric: &'fabric SimFabric<ProtocolMsg>,
         panicked: &'fabric AtomicBool,
         first_panic: &'fabric AtomicUsize,

@@ -18,23 +18,23 @@ use std::sync::Arc;
 
 /// A shareable monotone virtual clock.
 #[derive(Debug, Clone, Default)]
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     inner: Arc<Mutex<SimTime>>,
 }
 
 impl VirtualClock {
     /// A clock starting at virtual time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VirtualClock::default()
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         *self.inner.lock()
     }
 
     /// Advance the clock by `d` and return the new time.
-    pub fn advance(&self, d: SimDuration) -> SimTime {
+    pub(crate) fn advance(&self, d: SimDuration) -> SimTime {
         let mut t = self.inner.lock();
         *t += d;
         *t
@@ -42,14 +42,14 @@ impl VirtualClock {
 
     /// Move the clock forward to `instant` if it is later than the current
     /// time (never moves backwards). Returns the resulting time.
-    pub fn merge(&self, instant: SimTime) -> SimTime {
+    pub(crate) fn merge(&self, instant: SimTime) -> SimTime {
         let mut t = self.inner.lock();
         *t = t.max(instant);
         *t
     }
 
     /// Atomically merge an arrival and then charge a handling cost.
-    pub fn merge_and_advance(&self, instant: SimTime, d: SimDuration) -> SimTime {
+    pub(crate) fn merge_and_advance(&self, instant: SimTime, d: SimDuration) -> SimTime {
         let mut t = self.inner.lock();
         *t = t.max(instant) + d;
         *t

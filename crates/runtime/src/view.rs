@@ -70,19 +70,9 @@ impl<'ctx, T: Element> ReadView<'ctx, T> {
         }
     }
 
-    /// The viewed object's identity.
-    pub fn object_id(&self) -> ObjectId {
-        self.obj
-    }
-
     /// The elements, borrowed from engine storage.
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         self.guard.as_slice()
-    }
-
-    /// Copy the elements into an owned vector.
-    pub fn to_vec(&self) -> Vec<T> {
-        self.as_slice().to_vec()
     }
 }
 
@@ -131,24 +121,14 @@ impl<'ctx, T: Element> WriteView<'ctx, T> {
         }
     }
 
-    /// The viewed object's identity.
-    pub fn object_id(&self) -> ObjectId {
-        self.obj
-    }
-
     /// The elements, borrowed from engine storage.
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         self.guard.as_slice()
     }
 
     /// The elements, mutably borrowed from engine storage.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
         self.guard.as_mut_slice()
-    }
-
-    /// Copy the elements into an owned vector.
-    pub fn to_vec(&self) -> Vec<T> {
-        self.as_slice().to_vec()
     }
 }
 

@@ -51,11 +51,6 @@ impl<T> RwCell<T> {
         }
     }
 
-    /// Consume the cell and return the value.
-    pub fn into_inner(self) -> T {
-        self.value.into_inner()
-    }
-
     /// Try to acquire a shared read guard; `None` while a writer is active.
     pub fn try_read(self: &Arc<Self>) -> Option<RwReadGuard<T>> {
         let mut current = self.state.load(Ordering::Relaxed);
@@ -217,10 +212,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*cell.read(), 4000);
-    }
-
-    #[test]
-    fn into_inner_returns_value() {
-        assert_eq!(RwCell::new(3u8).into_inner(), 3);
     }
 }

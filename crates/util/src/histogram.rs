@@ -1,16 +1,14 @@
 //! A fixed-bucket log-linear latency histogram.
 //!
-//! The throughput harness needs latency percentiles over millions of
-//! samples without a dependency on `hdrhistogram`, so this is the classic
-//! log-linear scheme in ~8 KiB of fixed state: values are floored to their
-//! top four significant bits, giving 16 linear sub-buckets per power of
-//! two and a worst-case relative error of 1/16 (≈ 6 %). Recording is a
-//! leading-zeros count plus an array increment — cheap enough to sit on a
-//! serving fast path — and the bucket layout is value-independent, so
-//! histograms from different nodes [`merge`](LatencyHistogram::merge) by
-//! adding counts.
+//! The classic log-linear scheme in ~8 KiB of fixed state, without a
+//! dependency on `hdrhistogram`: values are floored to their top four
+//! significant bits, giving 16 linear sub-buckets per power of two and a
+//! worst-case relative error of 1/16 (≈ 6 %). Recording is a leading-zeros
+//! count plus an array increment — cheap enough to sit on a serving fast
+//! path. The program itself only records; the percentile, mean and merge
+//! readers exist in test builds, where they check the bucket layout.
 //!
-//! Values are dimensionless `u64`s; the runtime records nanoseconds.
+//! Values are dimensionless `u64`s.
 
 /// Sub-buckets per power of two (and the log2 of it): values are floored
 /// to `SUB` significant steps within their octave.
@@ -22,7 +20,7 @@ const SUB_BITS: u32 = 4;
 const BUCKETS: usize = SUB + 60 * SUB;
 
 /// A fixed-bucket histogram with ~6 % value resolution over the full `u64`
-/// range. See the [module docs](self) for the bucket layout.
+/// range. See the `histogram` module docs for the bucket layout.
 #[derive(Clone)]
 pub struct LatencyHistogram {
     counts: Box<[u64; BUCKETS]>,
@@ -64,6 +62,7 @@ fn bucket_index(value: u64) -> usize {
 /// The smallest value mapping to `index` — the representative percentile
 /// queries report, so reported quantiles are floored by at most one bucket
 /// width (≈ 6 %).
+#[cfg(test)]
 fn bucket_floor(index: usize) -> u64 {
     if index < SUB {
         index as u64
@@ -93,23 +92,22 @@ impl LatencyHistogram {
         self.max = self.max.max(value);
     }
 
-    /// Record a duration, in nanoseconds.
-    pub fn record_duration(&mut self, duration: std::time::Duration) {
-        self.record(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.total
     }
+}
 
+/// The readers: only the tests query a histogram.
+#[cfg(test)]
+impl LatencyHistogram {
     /// Largest recorded value, exactly (0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Mean of the recorded values, exactly (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
@@ -126,7 +124,7 @@ impl LatencyHistogram {
     /// **single-sample** histogram returns that sample *exactly* — every
     /// quantile of a one-point distribution is the point itself, so the
     /// ~6 % bucket flooring would only misreport it.
-    pub fn percentile(&self, q: f64) -> u64 {
+    pub(crate) fn percentile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;
         }
@@ -144,9 +142,8 @@ impl LatencyHistogram {
         unreachable!("cumulative bucket counts must reach the total")
     }
 
-    /// Add another histogram's samples into this one (the cross-node merge
-    /// of the throughput harness).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+    /// Add another histogram's samples into this one.
+    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine += theirs;
         }
@@ -266,12 +263,5 @@ mod tests {
         assert_eq!(a.count(), 100);
         assert_eq!(a.max(), 99_000);
         assert!(a.percentile(0.5) > a_only_p50);
-    }
-
-    #[test]
-    fn record_duration_uses_nanoseconds() {
-        let mut h = LatencyHistogram::new();
-        h.record_duration(std::time::Duration::from_micros(3));
-        assert_eq!(h.max(), 3_000);
     }
 }

@@ -20,10 +20,10 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cell;
+mod cell;
 pub mod channel;
-pub mod histogram;
-pub mod rng;
+mod histogram;
+mod rng;
 pub mod sync;
 
 pub use cell::{RwCell, RwReadGuard, RwWriteGuard};

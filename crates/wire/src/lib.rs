@@ -32,8 +32,6 @@
 //! and run table, so a malformed or hostile frame yields a typed
 //! [`WireError`] — never a panic, never an oversized allocation, never a
 //! `Diff` violating its run-ordering invariants.
-//! [`WireError`] converts into the application-facing error taxonomy via
-//! `DsmError::Transport`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,17 +41,7 @@ use dsm_core::{
     PolicyScratch, ProtocolMsg, ReqId,
 };
 use dsm_net::wire::{WireCodec, WireError, WireReader, WireWriter};
-use dsm_objspace::{BarrierId, Diff, DsmError, LockId, NodeId, ObjectId, Version};
-
-/// Convert a wire-decoding failure into the runtime's error taxonomy.
-///
-/// Defined here (not in `dsm-net`) because `dsm-objspace`'s `DsmError` and
-/// the framing layer meet for the first time in this crate.
-pub fn transport_error(e: WireError) -> DsmError {
-    DsmError::Transport {
-        detail: e.to_string(),
-    }
-}
+use dsm_objspace::{BarrierId, Diff, LockId, NodeId, ObjectId, Version};
 
 // Variant tags, stable on the wire. New variants append; existing tags
 // never renumber (that would be a WIRE_VERSION bump instead).
@@ -1066,16 +1054,6 @@ mod tests {
             ProtocolCodec::decode(&mut r),
             Err(WireError::Oversized { .. })
         ));
-    }
-
-    #[test]
-    fn wire_errors_map_into_the_dsm_error_taxonomy() {
-        let err = transport_error(WireError::BadMagic { found: 7 });
-        match &err {
-            DsmError::Transport { detail } => assert!(detail.contains("magic")),
-            other => panic!("expected Transport, got {other:?}"),
-        }
-        assert!(err.to_string().contains("transport error"));
     }
 
     /// Seeded fuzz: random byte mutations and truncations of valid frames
