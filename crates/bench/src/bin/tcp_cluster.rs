@@ -140,15 +140,7 @@ fn worker(node: usize, nodes: usize) {
     if let Some(fingerprint) = result.lock().take() {
         println!("FINGERPRINT {fingerprint:#018x}");
     }
-    let view = report
-        .membership
-        .as_ref()
-        .expect("TCP worker report carries membership");
-    println!(
-        "DONE node={node} messages={} peers_alive={}",
-        report.total_messages(),
-        view.all_alive()
-    );
+    println!("DONE node={node} messages={}", report.total_messages());
 }
 
 /// Parent of a multi-process run: spawn, exchange addresses, compare the
@@ -237,20 +229,14 @@ fn conformance_in_process() {
             FabricMode::Tcp(TcpConfig::default()),
         ));
         let ok = tcp_run.fingerprint == reference;
-        let membership_ok = tcp_run
-            .report
-            .membership
-            .as_ref()
-            .is_some_and(|m| m.all_alive());
         println!(
-            "  {:>10}: tcp {:#018x}  loopback {:#018x}  [{}]  membership alive: {}",
+            "  {:>10}: tcp {:#018x}  loopback {:#018x}  [{}]",
             workload.name,
             tcp_run.fingerprint,
             reference,
             if ok { "ok" } else { "MISMATCH" },
-            membership_ok,
         );
-        failures += usize::from(!ok) + usize::from(!membership_ok);
+        failures += usize::from(!ok);
     }
     let tcp = run_in_process(DEFAULT_NODES, FabricMode::Tcp(TcpConfig::default()));
     let loopback = run_in_process(DEFAULT_NODES, FabricMode::Threaded);

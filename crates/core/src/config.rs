@@ -11,7 +11,7 @@ use crate::policy::{
     AdaptiveThresholdPolicy, FixedThresholdPolicy, HomeMigrationPolicy, IntoMigrationPolicy,
     NoMigrationPolicy, PolicyOverrides,
 };
-use dsm_model::{NetworkParams, SimDuration};
+use dsm_model::NetworkParams;
 use dsm_objspace::ObjectId;
 use std::sync::Arc;
 
@@ -54,17 +54,8 @@ pub struct ProtocolConfig {
     pub notification: NotificationMechanism,
     /// Network parameters; used to derive the half-peak length `m_½` that
     /// enters the home access coefficient, and by the runtime for virtual
-    /// time stamping.
+    /// time stamping (including the per-request handling cost).
     pub network: NetworkParams,
-    /// Objects flagged immutable by the application (e.g. the TSP distance
-    /// matrix) stay cached across acquires. This reproduces the GOS
-    /// read-only object optimization of the paper's earlier system paper and
-    /// keeps synchronization-heavy applications from drowning in fault-ins
-    /// that the real system would not perform either.
-    pub cache_immutable_objects: bool,
-    /// Fixed protocol handling cost charged by the runtime for serving any
-    /// request at a node (added on top of the Hockney message cost).
-    pub handling_cost: SimDuration,
 }
 
 impl ProtocolConfig {
@@ -79,14 +70,11 @@ impl ProtocolConfig {
 
     /// The `NoHM`/`NM` baseline: home migration disabled.
     pub fn no_migration() -> Self {
-        let network = NetworkParams::fast_ethernet();
         ProtocolConfig {
             migration: Arc::new(NoMigrationPolicy),
             policy_overrides: PolicyOverrides::new(),
             notification: NotificationMechanism::ForwardingPointer,
-            network,
-            cache_immutable_objects: true,
-            handling_cost: network.handling_cost(),
+            network: NetworkParams::fast_ethernet(),
         }
     }
 
@@ -103,7 +91,6 @@ impl ProtocolConfig {
     #[must_use]
     pub fn with_network(mut self, network: NetworkParams) -> Self {
         self.network = network;
-        self.handling_cost = network.handling_cost();
         self
     }
 

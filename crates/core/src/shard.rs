@@ -177,7 +177,6 @@ impl EngineShard {
         for entry in self.homes.values_mut() {
             entry.state = AccessState::Invalid;
         }
-        let cache_immutable = self.config.cache_immutable_objects;
         let registry = Arc::clone(&self.registry);
         for (obj, entry) in self.caches.iter_mut() {
             if self.dirty.contains(obj) {
@@ -185,7 +184,10 @@ impl EngineShard {
                 // never discard them.
                 continue;
             }
-            if cache_immutable && registry.expect(*obj).is_immutable() {
+            // Objects flagged immutable by the application (e.g. the TSP
+            // distance matrix) stay cached across acquires: the GOS
+            // read-only object optimization of the paper's earlier system.
+            if registry.expect(*obj).is_immutable() {
                 continue;
             }
             if entry.state != AccessState::Invalid {

@@ -26,9 +26,9 @@
 //!   mode drives it with event-driven wakeups — no polling.
 //!
 //! * [`TcpFabric`] / [`TcpEndpoint`] — a real multi-process transport over
-//!   `std::net` TCP sockets on `127.0.0.1`, with join-time membership
-//!   exchange, heartbeat liveness ([`MembershipView`]) and the wire format
-//!   below. Same sending surface as the in-process fabric.
+//!   `std::net` TCP sockets on `127.0.0.1`: per-link FIFO connections, a
+//!   hello handshake at join time, an orderly leave at the end, and the
+//!   wire format below. Same sending surface as the in-process fabric.
 //!
 //! The fabrics are deliberately dumb: they move payloads, stamp virtual
 //! times and count bytes. All protocol semantics live in `dsm-core`.
@@ -46,11 +46,13 @@
 //! Frame kinds: `Hello` (join handshake: node id + cluster size),
 //! `Payload` (one [`Envelope`]: src, dst, category code, modeled
 //! `wire_bytes`, `sent_at`/`arrival` as u64 nanoseconds, then the protocol
-//! message encoded by a [`wire::WireCodec`]), `Heartbeat` and `Leave`
-//! (bodyless fabric-internal control frames). The modeled fields travel on
-//! the wire, but a receiver's clock merge still depends on when frames
-//! arrive in real time, so modeled time on TCP is not reproducible; only
-//! the sim fabric's is. This crate defines the *framing* and the codec trait; the
+//! message encoded by a [`wire::WireCodec`]) and `Leave` (a bodyless
+//! fabric-internal control frame). `Heartbeat` is a bodyless kind no
+//! sender emits any more; receivers still decode and ignore it. The
+//! modeled fields travel on the wire, but a receiver's clock merge still
+//! depends on when frames arrive in real time, so modeled time on TCP is
+//! not reproducible; only the sim fabric's is. This crate defines the
+//! *framing* and the codec trait; the
 //! concrete codec for the protocol's message enum lives in `dsm-wire`,
 //! which sits above both this crate and `dsm-core`. Decoding is total:
 //! malformed frames produce typed [`wire::WireError`]s, never panics.
@@ -61,7 +63,6 @@
 mod category;
 mod envelope;
 mod fabric;
-mod membership;
 mod sim;
 mod stats;
 mod tcp;
@@ -70,7 +71,6 @@ pub mod wire;
 pub use category::MsgCategory;
 pub use envelope::{Envelope, MESSAGE_HEADER_BYTES};
 pub use fabric::{Endpoint, Fabric, WakeNotifier};
-pub use membership::{MembershipReport, MembershipView, PeerLiveness};
 pub use sim::{
     DeliveryRecord, DeliveryTrace, DropReason, DropRecord, PartitionSpec, PauseSpec, SimConfig,
     SimEndpoint, SimFabric, SimStep,

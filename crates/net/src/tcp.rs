@@ -4,11 +4,10 @@
 //! # Topology and ordering
 //!
 //! Every node binds one `TcpListener` on an ephemeral `127.0.0.1` port and
-//! learns every peer's address before the run starts (the node registry is
-//! the join-time membership exchange). Each ordered pair of nodes gets a
-//! **dedicated connection**: node `a` *dials* node `b` and uses that
-//! connection exclusively for `a → b` traffic, while `b`'s accept loop
-//! turns the same connection into a read-only `b ← a` link. One writer
+//! learns every peer's address before the run starts. Each ordered pair of
+//! nodes gets a **dedicated connection**: node `a` *dials* node `b` and
+//! uses that connection exclusively for `a → b` traffic, while `b`'s accept
+//! loop turns the same connection into a read-only `b ← a` link. One writer
 //! thread per outgoing link (fed by an in-order queue of pre-encoded
 //! frames) and one reader thread per incoming link give the protocol its
 //! documented **per-link FIFO** guarantee: frames leave in send order on a
@@ -17,37 +16,34 @@
 //! # Modeled time on real sockets
 //!
 //! The envelope's modeled fields (`wire_bytes`, `sent_at`, `arrival`)
-//! travel in the frame, so the receiver merges the *sender's* virtual
-//! clock exactly as the loopback fabric does — protocol results are
-//! fingerprint-identical across fabrics even though real socket latency
-//! differs. `StatsCollector` records the same modeled `wire_bytes` at send
-//! time; fabric-internal frames (hello, heartbeat, leave) are **not**
-//! recorded there, so `NetworkStats` stays comparable across fabrics.
-//! Actual socket bytes are tracked separately in [`WireCounters`].
-//!
-//! # Membership and liveness
-//!
-//! A per-endpoint heartbeat thread emits heartbeat frames on every
-//! outgoing link at `heartbeat_interval`; readers feed every received
-//! frame into a [`LivenessTracker`],
-//! so each node maintains an alive/suspect/dead view of its peers
-//! (surfaced via [`TcpEndpoint::membership`], reported by the runtime, not
-//! yet acted on by the protocol).
+//! travel in the frame, so the receiver merges the *sender's* stamps as the
+//! threaded fabric does; the merge happens in real arrival order, so
+//! modeled time on TCP is not reproducible (only the sim fabric's is).
+//! `StatsCollector` records the same modeled `wire_bytes` at send time;
+//! fabric-internal frames (hello, leave) are **not** recorded there, so
+//! `NetworkStats` stays comparable across fabrics. Actual socket bytes are
+//! tracked separately in [`WireCounters`].
 //!
 //! # Teardown
 //!
-//! Shutdown is a single-phase **leave** protocol: once a node's server has
-//! drained, it announces a leave frame on every link (FIFO makes it the
-//! link's final frame) and waits until it has heard every peer's leave and
-//! emptied its inbound queue. [`TcpEndpoint::finish`] then stops the
-//! heartbeat thread, closes the write side (flushing queued frames) and
-//! joins all socket threads with bounded timeouts — a hung peer cannot
-//! wedge teardown for longer than the configured I/O timeout.
+//! A leave frame means "this node's application is done". The runtime
+//! announces it on every outgoing link once shutdown has been requested and
+//! the node's server has drained. In an in-process cluster every
+//! application has finished by then, so the leave is the last frame its
+//! links carry. In a multi-process cluster (`Cluster::run_tcp_worker` in
+//! `dsm-runtime`) a node leaves as soon as its *own* application is done,
+//! while peers may still fault in objects homed there, so replies can
+//! follow its leave; readers therefore keep reading past a leave. A node
+//! tears down once it has heard every peer's leave and emptied its inbound
+//! queue: [`TcpEndpoint::finish`] closes the write side (flushing queued
+//! frames), shuts down every incoming socket so its blocked reader wakes at
+//! end of stream, and joins all socket threads. Established links never
+//! poll a timeout; only the join phase is bounded, by `connect_timeout`,
+//! which also bounds the hello read on a fresh connection.
 
 use crate::category::MsgCategory;
 use crate::envelope::{Envelope, MESSAGE_HEADER_BYTES};
 use crate::fabric::WakeNotifier;
-use crate::membership::{LivenessTracker, MembershipView};
 use crate::stats::StatsCollector;
 use crate::wire::{
     decode_frame, decode_hello, encode_control, encode_envelope, encode_hello, FrameKind, Hello,
@@ -58,58 +54,24 @@ use dsm_objspace::NodeId;
 use dsm_util::channel::{unbounded, Receiver, Sender};
 use dsm_util::sync::Mutex;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of the TCP fabric: heartbeat cadence, liveness thresholds
-/// and socket timeouts. All timeouts are bounded so a hung peer degrades
-/// the membership view instead of wedging the run.
+/// Deployment settings of the TCP fabric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TcpConfig {
-    /// How often each node heartbeats every outgoing link.
-    pub heartbeat_interval: Duration,
-    /// Silence after which a peer is classified suspect.
-    pub suspect_after: Duration,
-    /// Silence after which a peer is classified dead.
-    pub dead_after: Duration,
-    /// Deadline for the join phase (dialing peers, accepting their dials).
+    /// Deadline for the join phase (dialing peers, accepting their dials
+    /// and reading their hellos).
     pub connect_timeout: Duration,
-    /// Socket read timeout; also bounds how long teardown waits per thread.
-    pub io_timeout: Duration,
-    /// This process's incarnation number, carried in the hello handshake.
-    /// A restarted node must present a strictly greater incarnation than
-    /// its previous life to pass the liveness tracker's rejoin fence; a
-    /// first launch uses the default `0`.
-    pub incarnation: u32,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            heartbeat_interval: Duration::from_millis(25),
-            suspect_after: Duration::from_millis(500),
-            dead_after: Duration::from_secs(2),
             connect_timeout: Duration::from_secs(10),
-            io_timeout: Duration::from_millis(25),
-            incarnation: 0,
-        }
-    }
-}
-
-impl TcpConfig {
-    /// Aggressively short heartbeat/liveness timings for tests that drive
-    /// alive → suspect → dead transitions without sleeping for seconds.
-    pub fn fast_liveness() -> Self {
-        TcpConfig {
-            heartbeat_interval: Duration::from_millis(2),
-            suspect_after: Duration::from_millis(50),
-            dead_after: Duration::from_millis(150),
-            connect_timeout: Duration::from_secs(5),
-            io_timeout: Duration::from_millis(5),
-            incarnation: 0,
         }
     }
 }
@@ -132,7 +94,7 @@ pub struct WireCounters {
     pub modeled_bytes_delivered: u64,
     /// Fabric-internal frames sent (hello + leave).
     pub control_frames_sent: u64,
-    /// Heartbeat frames sent.
+    /// Heartbeat frames sent: always 0, since the fabric sends none.
     pub heartbeats_sent: u64,
     /// Raw bytes written to sockets (frames + length prefixes).
     pub socket_bytes_sent: u64,
@@ -147,7 +109,6 @@ struct Counters {
     modeled_bytes_sent: AtomicU64,
     modeled_bytes_delivered: AtomicU64,
     control_frames_sent: AtomicU64,
-    heartbeats_sent: AtomicU64,
     socket_bytes_sent: AtomicU64,
     socket_bytes_received: AtomicU64,
 }
@@ -160,7 +121,7 @@ impl Counters {
             modeled_bytes_sent: self.modeled_bytes_sent.load(Ordering::Relaxed),
             modeled_bytes_delivered: self.modeled_bytes_delivered.load(Ordering::Relaxed),
             control_frames_sent: self.control_frames_sent.load(Ordering::Relaxed),
-            heartbeats_sent: self.heartbeats_sent.load(Ordering::Relaxed),
+            heartbeats_sent: 0,
             socket_bytes_sent: self.socket_bytes_sent.load(Ordering::Relaxed),
             socket_bytes_received: self.socket_bytes_received.load(Ordering::Relaxed),
         }
@@ -170,17 +131,8 @@ impl Counters {
 /// State shared between an endpoint and its socket threads.
 struct LinkShared<M: Send + 'static> {
     node: NodeId,
-    epoch: Instant,
-    tracker: Mutex<LivenessTracker>,
     counters: Counters,
     leaves_received: AtomicUsize,
-    /// Per-peer leave flags: once a peer's leave frame has been read, its
-    /// sockets may close at any moment, so write failures towards it are
-    /// expected teardown noise rather than link degradation.
-    peer_left: Box<[AtomicBool]>,
-    reader_stop: AtomicBool,
-    hb_stop: AtomicBool,
-    hb_paused: AtomicBool,
     inbound_tx: Sender<Envelope<M>>,
     /// Late-bound wake hook: reader threads fire it towards the *owning*
     /// node after enqueuing a payload (and on leave frames, so a drained
@@ -190,10 +142,6 @@ struct LinkShared<M: Send + 'static> {
 }
 
 impl<M: Send + 'static> LinkShared<M> {
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
     /// Mark the owning node runnable, if a notifier is installed.
     fn wake_self(&self) {
         if let Some(notifier) = self.notifier.get() {
@@ -255,10 +203,9 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
     }
 
     /// Join the cluster: dial every peer (the outgoing links), accept every
-    /// peer's dial (the incoming links), start writer/reader/heartbeat
-    /// threads and return the live endpoint. `peer_addrs` must hold one
-    /// address per node in node order; the entry at this node's own index
-    /// is ignored.
+    /// peer's dial (the incoming links), start writer/reader threads and
+    /// return the live endpoint. `peer_addrs` must hold one address per
+    /// node in node order; the entry at this node's own index is ignored.
     pub fn connect(self, peer_addrs: &[SocketAddr]) -> io::Result<TcpEndpoint<M>> {
         assert_eq!(
             peer_addrs.len(),
@@ -266,29 +213,10 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
             "expected one address per node"
         );
         let (inbound_tx, inbound_rx) = unbounded();
-        let peers: Vec<NodeId> = (0..self.num_nodes)
-            .map(NodeId::from)
-            .filter(|n| *n != self.node)
-            .collect();
-        let epoch = Instant::now();
         let shared = Arc::new(LinkShared {
             node: self.node,
-            epoch,
-            tracker: Mutex::new(LivenessTracker::new(
-                self.node,
-                peers.iter().copied(),
-                self.config.suspect_after.as_millis() as u64,
-                self.config.dead_after.as_millis() as u64,
-                0,
-            )),
             counters: Counters::default(),
             leaves_received: AtomicUsize::new(0),
-            peer_left: (0..self.num_nodes)
-                .map(|_| AtomicBool::new(false))
-                .collect(),
-            reader_stop: AtomicBool::new(false),
-            hb_stop: AtomicBool::new(false),
-            hb_paused: AtomicBool::new(false),
             inbound_tx,
             notifier: OnceLock::new(),
         });
@@ -296,14 +224,14 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
         // Accept loop: collect exactly num_nodes - 1 hello'd incoming
         // links, spawning one reader thread per link. Runs concurrently
         // with our own dialing below.
-        let reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let readers: Arc<Mutex<Vec<Reader>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = spawn_acceptor(
             self.listener,
             Arc::clone(&shared),
-            Arc::clone(&reader_handles),
+            Arc::clone(&readers),
             self.decode_env,
             self.num_nodes,
-            self.config.clone(),
+            Instant::now() + self.config.connect_timeout,
         );
 
         // Dial every peer; each dialed connection is this node's exclusive
@@ -320,7 +248,6 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
             let hello = encode_hello(Hello {
                 node: self.node,
                 num_nodes: self.num_nodes as u16,
-                incarnation: self.config.incarnation,
             });
             let (tx, rx) = unbounded::<Vec<u8>>();
             tx.send(hello).expect("writer receiver is live");
@@ -337,12 +264,6 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
             writer_txs.push(Some(tx));
         }
 
-        let hb_handle = spawn_heartbeat(
-            writer_txs.iter().flatten().cloned().collect(),
-            Arc::clone(&shared),
-            self.config.heartbeat_interval,
-        );
-
         Ok(TcpEndpoint {
             num_nodes: self.num_nodes,
             params: self.params,
@@ -353,9 +274,8 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
             leave_sent: AtomicBool::new(false),
             shared,
             acceptor: Mutex::new(Some(acceptor)),
-            hb_handle: Mutex::new(Some(hb_handle)),
             writer_handles: Mutex::new(writer_handles),
-            reader_handles,
+            readers,
             finished: AtomicBool::new(false),
         })
     }
@@ -409,6 +329,10 @@ impl<M: Send + 'static> TcpFabric<M> {
 /// Per-destination encoded-frame senders, `None` at this node's own slot.
 type WriterTxs = Vec<Option<Sender<Vec<u8>>>>;
 
+/// An incoming link's reader thread, plus a handle on its socket that
+/// teardown shuts down to wake the blocked read.
+type Reader = (JoinHandle<()>, TcpStream);
+
 /// One node's attachment to the TCP fabric. The sending surface mirrors
 /// [`Endpoint`](crate::fabric::Endpoint) — same modeled-time stamping,
 /// same statistics recording, same panics on misuse — so the runtime's
@@ -423,9 +347,8 @@ pub struct TcpEndpoint<M: Send + 'static> {
     leave_sent: AtomicBool,
     shared: Arc<LinkShared<M>>,
     acceptor: Mutex<Option<JoinHandle<()>>>,
-    hb_handle: Mutex<Option<JoinHandle<()>>>,
     writer_handles: Mutex<Vec<JoinHandle<()>>>,
-    reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    readers: Arc<Mutex<Vec<Reader>>>,
     finished: AtomicBool,
 }
 
@@ -507,8 +430,12 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         arrival
     }
 
-    /// Blocking receive of the next incoming message. Returns `None` after
-    /// [`finish`](TcpEndpoint::finish) has closed the link.
+    /// Blocking receive of the next incoming message. The endpoint itself
+    /// keeps the inbound queue's sender alive, so this never returns `None`
+    /// and, once traffic stops, blocks for good — even after
+    /// [`finish`](TcpEndpoint::finish). Callers that must stop end their
+    /// loop on a message of their own or use
+    /// [`try_recv`](TcpEndpoint::try_recv).
     pub fn recv(&self) -> Option<Envelope<M>> {
         self.inbound_rx.recv()
     }
@@ -545,9 +472,11 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         let _ = self.shared.notifier.set(notifier);
     }
 
-    /// Announce an orderly departure: enqueue a leave frame as the final
+    /// Announce that this node's application is done: enqueue a leave
     /// frame on every outgoing link (idempotent). Called by the runtime
-    /// once this node's server has fully drained.
+    /// once this node's server has drained after shutdown was requested.
+    /// Replies to peers' requests may still follow it (see the module
+    /// docs).
     pub fn announce_leave(&self) {
         if self.leave_sent.swap(true, Ordering::SeqCst) {
             return;
@@ -565,16 +494,11 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         }
     }
 
-    /// Whether every peer's leave frame has been received — with per-link
-    /// FIFO this means no peer will send anything further.
+    /// Whether every peer's leave frame has been received, i.e. every
+    /// peer's application is done. Once this node's own application is
+    /// done too, no peer sends it anything further.
     pub fn all_peers_left(&self) -> bool {
         self.shared.leaves_received.load(Ordering::SeqCst) >= self.num_nodes - 1
-    }
-
-    /// This node's current liveness view of its peers.
-    pub fn membership(&self) -> MembershipView {
-        let now = self.shared.now_ms();
-        self.shared.tracker.lock().view(now)
     }
 
     /// Snapshot of the socket-level traffic counters.
@@ -582,43 +506,31 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         self.shared.counters.snapshot()
     }
 
-    /// Test hook: suspend (or resume) this node's heartbeat emission so
-    /// liveness transitions can be driven deterministically.
-    pub fn pause_heartbeats(&self, paused: bool) {
-        self.shared.hb_paused.store(paused, Ordering::SeqCst);
-    }
-
-    /// Tear the link down: stop the heartbeat thread, flush and close every
-    /// outgoing connection, and join all socket threads. Idempotent. Safe
-    /// to call only after the protocol has quiesced (leave handshake done);
-    /// messages sent after `finish` panic as "destination dropped".
+    /// Tear the link down: flush and close every outgoing connection, shut
+    /// down every incoming one, and join all socket threads. Idempotent.
+    /// Safe to call only after the protocol has quiesced (leave handshake
+    /// done); messages sent after `finish` panic as "destination dropped",
+    /// and frames arriving after it are dropped.
     pub fn finish(&self) {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
-        // 1. Stop heartbeats; the heartbeat thread owns writer-sender
-        //    clones, so it must exit before dropping ours disconnects the
-        //    writer channels.
-        self.shared.hb_stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.hb_handle.lock().take() {
-            let _ = h.join();
-        }
-        // 2. Close the write side: writers drain their queues (flushing
+        // 1. Close the write side: writers drain their queues (flushing
         //    any final leave frame) and close their sockets, which EOFs
         //    the peers' readers.
         *self.writers.lock() = None;
         for h in self.writer_handles.lock().drain(..) {
             let _ = h.join();
         }
-        // 3. The acceptor exited once all peers dialed in (or its deadline
-        //    passed).
+        // 2. The acceptor exits once all peers dialed in (or the join
+        //    deadline passed), so every reader is registered after this.
         if let Some(h) = self.acceptor.lock().take() {
             let _ = h.join();
         }
-        // 4. Stop readers: each exits at EOF or at its next read timeout.
-        self.shared.reader_stop.store(true, Ordering::SeqCst);
-        for h in self.reader_handles.lock().drain(..) {
-            let _ = h.join();
+        // 3. Wake each blocked reader at end of stream, then join it.
+        for (handle, stream) in self.readers.lock().drain(..) {
+            let _ = stream.shutdown(Shutdown::Both);
+            let _ = handle.join();
         }
     }
 }
@@ -651,46 +563,13 @@ fn dial(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStream> {
     }
 }
 
-/// Fill `buf` from `stream`, riding out read timeouts without losing
-/// partial frames. Returns `Ok(false)` on a clean stop — EOF or a stop
-/// request arriving **between** frames (`filled == 0`); EOF mid-frame is
-/// an error.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(false)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "peer closed the connection mid-frame",
-                    ))
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::TimedOut || e.kind() == io::ErrorKind::WouldBlock =>
-            {
-                if stop.load(Ordering::SeqCst) && filled == 0 {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
 fn spawn_acceptor<M: Send + 'static>(
     listener: TcpListener,
     shared: Arc<LinkShared<M>>,
-    reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    readers: Arc<Mutex<Vec<Reader>>>,
     decode_env: fn(&[u8]) -> Result<Envelope<M>, WireError>,
     num_nodes: usize,
-    config: TcpConfig,
+    deadline: Instant,
 ) -> JoinHandle<()> {
     thread::spawn(move || {
         let expected = num_nodes - 1;
@@ -701,14 +580,15 @@ fn spawn_acceptor<M: Send + 'static>(
             eprintln!("tcp fabric: node {}: accept loop cannot poll", shared.node);
             return;
         }
-        let deadline = Instant::now() + config.connect_timeout;
+        let mut joined = vec![false; num_nodes];
         let mut accepted = 0;
         while accepted < expected {
             match listener.accept() {
-                Ok((stream, _)) => match prepare_incoming(stream, &shared, &config, num_nodes) {
-                    Ok((stream, peer)) => {
+                Ok((stream, _)) => match prepare_incoming(stream, &shared, &joined, deadline) {
+                    Ok((stream, waker, peer)) => {
+                        joined[peer.index()] = true;
                         let handle = spawn_reader(stream, peer, Arc::clone(&shared), decode_env);
-                        reader_handles.lock().push(handle);
+                        readers.lock().push((handle, waker));
                         accepted += 1;
                     }
                     Err(e) => {
@@ -719,7 +599,7 @@ fn spawn_acceptor<M: Send + 'static>(
                     }
                 },
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline || shared.reader_stop.load(Ordering::SeqCst) {
+                    if Instant::now() >= deadline {
                         eprintln!(
                             "tcp fabric: node {}: join incomplete ({accepted}/{expected} \
                              peers connected before the deadline)",
@@ -738,25 +618,32 @@ fn spawn_acceptor<M: Send + 'static>(
     })
 }
 
-/// Read and validate the hello handshake on a freshly accepted connection.
+/// Read and validate the hello handshake on a freshly accepted connection,
+/// returning the link, a second handle on it for teardown, and the peer.
+/// The read is bounded by the join `deadline`, since the bytes come from
+/// outside; a node id that already joined is refused, so an impostor cannot
+/// take the place of a real peer's link.
 fn prepare_incoming<M: Send + 'static>(
-    stream: TcpStream,
-    shared: &Arc<LinkShared<M>>,
-    config: &TcpConfig,
-    num_nodes: usize,
-) -> io::Result<(TcpStream, NodeId)> {
-    let mut stream = stream;
+    mut stream: TcpStream,
+    shared: &LinkShared<M>,
+    joined: &[bool],
+    deadline: Instant,
+) -> io::Result<(TcpStream, TcpStream, NodeId)> {
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(config.io_timeout))?;
-    let frame = match read_one_frame(&mut stream, shared)? {
-        Some(frame) => frame,
-        None => {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed before hello",
-            ))
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    stream.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
+    let frame = read_frame(&mut stream, shared).map_err(|e| match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+            io::Error::new(io::ErrorKind::TimedOut, "no hello before the join deadline")
         }
+        _ => e,
+    })?;
+    let Some(frame) = frame else {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed before hello",
+        ));
     };
     let bad = |detail: String| io::Error::new(io::ErrorKind::InvalidData, detail);
     let (kind, body) = decode_frame(&frame).map_err(|e| bad(e.to_string()))?;
@@ -764,6 +651,7 @@ fn prepare_incoming<M: Send + 'static>(
         return Err(bad(format!("expected hello, got {kind:?}")));
     }
     let hello = decode_hello(body).map_err(|e| bad(e.to_string()))?;
+    let num_nodes = joined.len();
     if hello.num_nodes as usize != num_nodes {
         return Err(bad(format!(
             "peer speaks a {}-node cluster, this is a {num_nodes}-node cluster",
@@ -773,33 +661,43 @@ fn prepare_incoming<M: Send + 'static>(
     if hello.node.index() >= num_nodes || hello.node == shared.node {
         return Err(bad(format!("hello from invalid node {}", hello.node)));
     }
-    // The hello is the rejoin point: a peer already latched dead must
-    // present a strictly greater incarnation or the connection is refused
-    // — a silently-resumed process never resurrects into the membership.
-    if !shared
-        .tracker
-        .lock()
-        .record_rejoin(hello.node, hello.incarnation, shared.now_ms())
-    {
-        return Err(bad(format!(
-            "rejected hello from dead peer {} (stale incarnation {})",
-            hello.node, hello.incarnation
-        )));
+    if joined[hello.node.index()] {
+        return Err(bad(format!("duplicate hello from node {}", hello.node)));
     }
-    Ok((stream, hello.node))
+    // Established links block in `read` until a frame or end of stream.
+    stream.set_read_timeout(None)?;
+    Ok((stream.try_clone()?, stream, hello.node))
+}
+
+/// Fill `buf` from `stream`. Returns `Ok(false)` on end of stream before
+/// the first byte; end of stream after it is an error.
+fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<bool> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) if filled == 0 => return Ok(false),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "peer closed the connection mid-frame",
+                ))
+            }
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
 }
 
 /// Read one length-prefixed frame (the bytes after the length prefix).
-/// Returns `Ok(None)` on clean EOF / stop between frames.
-fn read_one_frame<M: Send + 'static>(
+/// Returns `Ok(None)` on end of stream between frames.
+fn read_frame<M: Send + 'static>(
     stream: &mut TcpStream,
-    shared: &Arc<LinkShared<M>>,
+    shared: &LinkShared<M>,
 ) -> io::Result<Option<Vec<u8>>> {
-    if shared.reader_stop.load(Ordering::SeqCst) {
-        return Ok(None);
-    }
     let mut len_buf = [0u8; 4];
-    if !read_full(stream, &mut len_buf, &shared.reader_stop)? {
+    if !read_full(stream, &mut len_buf)? {
         return Ok(None);
     }
     let len = u32::from_le_bytes(len_buf);
@@ -810,12 +708,7 @@ fn read_one_frame<M: Send + 'static>(
         ));
     }
     let mut frame = vec![0u8; len as usize];
-    if !read_full(stream, &mut frame, &shared.reader_stop)? {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed mid-frame",
-        ));
-    }
+    stream.read_exact(&mut frame)?;
     shared
         .counters
         .socket_bytes_received
@@ -830,12 +723,11 @@ fn spawn_reader<M: Send + 'static>(
     decode_env: fn(&[u8]) -> Result<Envelope<M>, WireError>,
 ) -> JoinHandle<()> {
     thread::spawn(move || loop {
-        let frame = match read_one_frame(&mut stream, &shared) {
+        let frame = match read_frame(&mut stream, &shared) {
             Ok(Some(frame)) => frame,
             Ok(None) => return,
             Err(e) => {
-                // A malformed or broken link degrades: stop reading and
-                // let the liveness tracker classify the peer. Never panic
+                // A malformed or broken link stops this reader. Never panic
                 // on bytes from the network.
                 eprintln!(
                     "tcp fabric: node {}: link from {peer} failed: {e}",
@@ -854,22 +746,18 @@ fn spawn_reader<M: Send + 'static>(
                 return;
             }
         };
-        shared
-            .tracker
-            .lock()
-            .record_frame(peer, kind == FrameKind::Heartbeat, shared.now_ms());
         match kind {
-            FrameKind::Heartbeat => {}
+            // A duplicate hello after the handshake, or a heartbeat (a
+            // frame kind no current sender emits): ignore.
+            FrameKind::Hello | FrameKind::Heartbeat => {}
             FrameKind::Leave => {
-                shared.peer_left[peer.index()].store(true, Ordering::SeqCst);
+                // Keep reading: in a multi-process cluster replies may
+                // follow a peer's leave (see the module docs).
                 shared.leaves_received.fetch_add(1, Ordering::SeqCst);
                 // A leave can complete the teardown condition of an already
                 // drained node — wake it so the event-driven server re-checks
                 // `all_peers_left`.
                 shared.wake_self();
-            }
-            FrameKind::Hello => {
-                // Duplicate hello after the handshake: ignore.
             }
             FrameKind::Payload => match decode_env(body) {
                 Ok(envelope) => {
@@ -911,15 +799,10 @@ fn spawn_writer<M: Send + 'static>(
         // final leave) hit the socket before it closes.
         while let Some(frame) = rx.recv() {
             if let Err(e) = stream.write_all(&frame) {
-                // A peer that announced its leave closes its sockets as
-                // soon as its own teardown runs; failing to push further
-                // heartbeats at it is expected, not link degradation.
-                if !shared.peer_left[peer.index()].load(Ordering::SeqCst) {
-                    eprintln!(
-                        "tcp fabric: node {}: write to {peer} failed: {e}",
-                        shared.node
-                    );
-                }
+                eprintln!(
+                    "tcp fabric: node {}: write to {peer} failed: {e}",
+                    shared.node
+                );
                 return;
             }
             shared
@@ -931,38 +814,9 @@ fn spawn_writer<M: Send + 'static>(
     })
 }
 
-fn spawn_heartbeat<M: Send + 'static>(
-    writer_txs: Vec<Sender<Vec<u8>>>,
-    shared: Arc<LinkShared<M>>,
-    interval: Duration,
-) -> JoinHandle<()> {
-    thread::spawn(move || {
-        let slice = Duration::from_millis(1);
-        let mut since_beat = interval; // beat immediately on start
-        while !shared.hb_stop.load(Ordering::SeqCst) {
-            if since_beat >= interval {
-                since_beat = Duration::ZERO;
-                if !shared.hb_paused.load(Ordering::SeqCst) {
-                    for tx in &writer_txs {
-                        if tx.send(encode_control(FrameKind::Heartbeat)).is_ok() {
-                            shared
-                                .counters
-                                .heartbeats_sent
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            thread::sleep(slice);
-            since_beat += slice;
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::membership::PeerLiveness;
     use crate::wire::{WireReader, WireWriter};
 
     /// Minimal codec for tests: a u64 payload.
@@ -976,19 +830,37 @@ mod tests {
         }
     }
 
-    fn local_fabric(
-        num_nodes: usize,
-        config: TcpConfig,
-    ) -> (Vec<TcpEndpoint<u64>>, StatsCollector) {
+    fn local_fabric(num_nodes: usize) -> (Vec<TcpEndpoint<u64>>, StatsCollector) {
         let stats = StatsCollector::new();
         let fabric = TcpFabric::bind_local::<U64Codec>(
             num_nodes,
             NetworkParams::fast_ethernet(),
             stats.clone(),
-            config,
+            TcpConfig::default(),
         )
         .expect("bind 127.0.0.1 fabric");
         (fabric.into_endpoints(), stats)
+    }
+
+    /// Bind `num_nodes` listeners with a short join deadline, without
+    /// connecting any of them.
+    fn bindings(num_nodes: usize, connect_timeout: Duration) -> Vec<TcpNodeBinding<u64>> {
+        (0..num_nodes)
+            .map(|i| {
+                TcpNodeBinding::bind::<U64Codec>(
+                    NodeId::from(i),
+                    num_nodes,
+                    NetworkParams::fast_ethernet(),
+                    StatsCollector::new(),
+                    TcpConfig { connect_timeout },
+                )
+                .expect("bind 127.0.0.1 listener")
+            })
+            .collect()
+    }
+
+    fn addrs(bindings: &[TcpNodeBinding<u64>]) -> Vec<SocketAddr> {
+        bindings.iter().map(|b| b.local_addr().unwrap()).collect()
     }
 
     fn teardown(endpoints: &[TcpEndpoint<u64>]) {
@@ -1005,18 +877,9 @@ mod tests {
         }
     }
 
-    /// Poll until `cond` holds or a generous deadline passes.
-    fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !cond() {
-            assert!(Instant::now() < deadline, "timed out waiting for {what}");
-            thread::sleep(Duration::from_millis(1));
-        }
-    }
-
     #[test]
     fn send_and_receive_over_real_sockets() {
-        let (eps, stats) = local_fabric(2, TcpConfig::default());
+        let (eps, stats) = local_fabric(2);
         let arrival = eps[0].send(
             NodeId(1),
             MsgCategory::ObjRequest,
@@ -1060,7 +923,7 @@ mod tests {
 
     #[test]
     fn per_link_fifo_is_preserved() {
-        let (eps, _stats) = local_fabric(3, TcpConfig::default());
+        let (eps, _stats) = local_fabric(3);
         for i in 0..200u64 {
             eps[0].send(NodeId(2), MsgCategory::Control, 8, SimTime::ZERO, i);
             eps[1].send(NodeId(2), MsgCategory::Control, 8, SimTime::ZERO, 1_000 + i);
@@ -1084,7 +947,7 @@ mod tests {
 
     #[test]
     fn self_send_is_allowed() {
-        let (eps, _stats) = local_fabric(1, TcpConfig::default());
+        let (eps, _stats) = local_fabric(1);
         eps[0].send(NodeId(0), MsgCategory::Control, 0, SimTime::ZERO, 9);
         assert_eq!(
             eps[0].recv_timeout(Duration::from_secs(1)).unwrap().payload,
@@ -1100,100 +963,96 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn sending_to_unknown_node_panics() {
-        let (eps, _stats) = local_fabric(2, TcpConfig::default());
+        let (eps, _stats) = local_fabric(2);
         eps[0].send(NodeId(5), MsgCategory::Control, 0, SimTime::ZERO, 0);
     }
 
+    /// A leave means "my application is done", not "I send nothing more":
+    /// in a multi-process cluster a node that left still serves its peers'
+    /// requests, so its replies must reach them after its leave frame.
     #[test]
-    fn pause_degrades_suspect_then_dead_and_death_is_sticky() {
-        let (eps, _stats) = local_fabric(2, TcpConfig::fast_liveness());
-        // Heartbeats flow: both sides see each other alive.
-        wait_for(
-            || eps[0].membership().all_alive() && eps[1].membership().all_alive(),
-            "initial all-alive view",
-        );
-        // Node 0 goes silent: node 1's view degrades to suspect, then dead.
-        eps[0].pause_heartbeats(true);
-        wait_for(
-            || eps[1].membership().liveness(NodeId(0)) == Some(PeerLiveness::Suspect),
-            "suspect transition",
-        );
-        wait_for(
-            || eps[1].membership().liveness(NodeId(0)) == Some(PeerLiveness::Dead),
-            "dead transition",
-        );
-        // Node 1 kept beating the whole time, so node 0 still sees it alive.
-        assert_eq!(
-            eps[0].membership().liveness(NodeId(1)),
-            Some(PeerLiveness::Alive)
-        );
-        // Resumed heartbeats on the old connection do NOT resurrect the
-        // peer: the first frame after the silence latches it dead, and it
-        // stays dead without an incarnation-fenced rejoin.
-        eps[0].pause_heartbeats(false);
-        wait_for(
-            || {
-                let view = eps[1].membership();
-                let peer = view.peers.iter().find(|p| p.node == NodeId(0)).unwrap();
-                peer.silent_ms < 5 && peer.heartbeats > 0
-            },
-            "resumed heartbeats observed",
-        );
-        thread::sleep(Duration::from_millis(20));
-        let view = eps[1].membership();
-        let peer = view.peers.iter().find(|p| p.node == NodeId(0)).unwrap();
-        assert_eq!(
-            peer.liveness,
-            PeerLiveness::Dead,
-            "a silently-resumed peer must stay latched dead"
-        );
-        assert_eq!(peer.recoveries, 0);
-        teardown(&eps);
-    }
-
-    #[test]
-    fn suspect_recovery_still_works_under_sticky_death() {
-        let (eps, _stats) = local_fabric(2, TcpConfig::fast_liveness());
-        wait_for(
-            || eps[0].membership().all_alive() && eps[1].membership().all_alive(),
-            "initial all-alive view",
-        );
-        // Pause just long enough to go suspect, then resume well before
-        // the dead threshold: the peer recovers and counts a recovery.
-        eps[0].pause_heartbeats(true);
-        wait_for(
-            || eps[1].membership().liveness(NodeId(0)) == Some(PeerLiveness::Suspect),
-            "suspect transition",
-        );
-        eps[0].pause_heartbeats(false);
-        wait_for(
-            || eps[1].membership().liveness(NodeId(0)) == Some(PeerLiveness::Alive),
-            "recovery from suspect",
-        );
-        let view = eps[1].membership();
-        let peer = view.peers.iter().find(|p| p.node == NodeId(0)).unwrap();
-        assert!(peer.recoveries >= 1);
-        assert!(peer.heartbeats > 0);
-        teardown(&eps);
-    }
-
-    #[test]
-    fn payload_traffic_counts_as_liveness_signal() {
-        let (eps, _stats) = local_fabric(2, TcpConfig::fast_liveness());
-        eps[0].pause_heartbeats(true);
-        // Keep sending payloads; the peer must stay alive on payload
-        // traffic alone for well past the dead threshold.
-        let deadline = Instant::now() + Duration::from_millis(400);
-        while Instant::now() < deadline {
-            eps[0].send(NodeId(1), MsgCategory::Control, 0, SimTime::ZERO, 7);
-            assert!(eps[1].recv_timeout(Duration::from_secs(1)).is_ok());
-            thread::sleep(Duration::from_millis(5));
-            assert_eq!(
-                eps[1].membership().liveness(NodeId(0)),
-                Some(PeerLiveness::Alive)
-            );
+    fn replies_still_arrive_after_the_replier_left() {
+        let (eps, _stats) = local_fabric(2);
+        eps[1].announce_leave();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !eps[0].all_peers_left() {
+            assert!(Instant::now() < deadline, "node 1's leave never arrived");
+            thread::sleep(Duration::from_millis(1));
         }
-        eps[0].pause_heartbeats(false);
+        eps[0].send(NodeId(1), MsgCategory::ObjRequest, 8, SimTime::ZERO, 7);
+        let request = eps[1]
+            .recv_timeout(Duration::from_secs(5))
+            .expect("request delivered to the node that left");
+        eps[1].send(
+            request.src,
+            MsgCategory::ObjReply,
+            8,
+            SimTime::ZERO,
+            request.payload + 1,
+        );
+        let reply = eps[0]
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a reply sent after the leave still arrives");
+        assert_eq!(reply.payload, 8);
         teardown(&eps);
+    }
+
+    /// A second hello claiming a node id that already joined is refused, so
+    /// it cannot use up the slot of the peer that has not dialed yet.
+    #[test]
+    fn a_duplicate_hello_does_not_shut_out_a_real_peer() {
+        let bindings = bindings(3, Duration::from_millis(500));
+        let addrs = addrs(&bindings);
+        let impostor = encode_hello(Hello {
+            node: NodeId(1),
+            num_nodes: 3,
+        });
+        // Two connections that both claim to be node 1 reach node 0's
+        // listener before node 2 dials it.
+        let _fakes: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let mut fake = TcpStream::connect(addrs[0]).unwrap();
+                fake.write_all(&impostor).unwrap();
+                fake
+            })
+            .collect();
+        let mut bindings = bindings.into_iter();
+        let node0 = bindings.next().unwrap().connect(&addrs).unwrap();
+        let _node1 = bindings.next().unwrap();
+        let node2 = bindings
+            .next()
+            .unwrap()
+            .connect(&addrs)
+            .expect("node 0 still listens for node 2");
+        node2.send(NodeId(0), MsgCategory::Control, 8, SimTime::ZERO, 42);
+        let env = node0
+            .recv_timeout(Duration::from_secs(2))
+            .expect("node 2's link was accepted and read");
+        assert_eq!((env.src, env.payload), (NodeId(2), 42));
+    }
+
+    /// A connection that never sends its hello is dropped at the join
+    /// deadline instead of holding the accept loop until teardown.
+    #[test]
+    fn a_silent_dialer_does_not_park_the_accept_loop() {
+        let connect_timeout = Duration::from_millis(100);
+        let bindings = bindings(2, connect_timeout);
+        let addrs = addrs(&bindings);
+        let mut bindings = bindings.into_iter();
+        let node0 = bindings.next().unwrap().connect(&addrs).unwrap();
+        let _node1 = bindings.next().unwrap();
+        let _silent = TcpStream::connect(addrs[0]).unwrap();
+        let deadline = Instant::now() + connect_timeout + Duration::from_secs(2);
+        let finished = || {
+            node0
+                .acceptor
+                .lock()
+                .as_ref()
+                .is_some_and(JoinHandle::is_finished)
+        };
+        while !finished() && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert!(finished(), "the accept loop still waits on a silent dialer");
     }
 }

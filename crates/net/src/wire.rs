@@ -61,11 +61,12 @@ pub enum FrameKind {
     Hello,
     /// One protocol envelope.
     Payload,
-    /// Membership heartbeat (fabric-internal; not a protocol message and
-    /// not recorded in the network statistics).
+    /// A liveness heartbeat from an earlier fabric. No sender emits it any
+    /// more; it stays decodable (and receivers ignore it) because dropping
+    /// its code changes the version-1 layout.
     Heartbeat,
-    /// Orderly departure: the sender's server loop has drained and will
-    /// send nothing further on this link.
+    /// Orderly departure: the sender's application is done. Replies to
+    /// its peers' requests may still follow on the same link.
     Leave,
 }
 
@@ -453,7 +454,9 @@ pub fn decode_envelope<M, C: WireCodec<M>>(body: &[u8]) -> Result<Envelope<M>, W
     })
 }
 
-/// The join-handshake body sent on every per-link connection.
+/// The join-handshake body sent on every per-link connection. On the wire
+/// it is followed by a 4-byte slot that once carried an incarnation number:
+/// written as 0 and skipped on read, so the layout of wire version 1 holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Hello {
     /// The connecting (sending) node.
@@ -461,10 +464,6 @@ pub(crate) struct Hello {
     /// The cluster size the sender was configured with; both sides must
     /// agree or the join is refused.
     pub num_nodes: u16,
-    /// The sender's incarnation number. A restarted process presents a
-    /// strictly greater incarnation than its previous life; the liveness
-    /// tracker uses it to fence rejoins of peers already declared dead.
-    pub incarnation: u32,
 }
 
 /// Encode a full hello frame (length prefix included).
@@ -472,7 +471,7 @@ pub(crate) fn encode_hello(hello: Hello) -> Vec<u8> {
     build_frame(FrameKind::Hello, FRAME_PREFIX_BYTES + 8, |w| {
         w.u16(hello.node.0);
         w.u16(hello.num_nodes);
-        w.u32(hello.incarnation);
+        w.u32(0);
     })
 }
 
@@ -481,16 +480,12 @@ pub(crate) fn decode_hello(body: &[u8]) -> Result<Hello, WireError> {
     let mut r = WireReader::new(body);
     let node = NodeId(r.u16()?);
     let num_nodes = r.u16()?;
-    let incarnation = r.u32()?;
+    r.u32()?;
     r.finish()?;
-    Ok(Hello {
-        node,
-        num_nodes,
-        incarnation,
-    })
+    Ok(Hello { node, num_nodes })
 }
 
-/// Encode a bodyless control frame (heartbeat, leave).
+/// Encode a bodyless control frame (leave).
 pub(crate) fn encode_control(kind: FrameKind) -> Vec<u8> {
     encode_frame(kind, &[])
 }
@@ -614,11 +609,15 @@ mod tests {
         let hello = Hello {
             node: NodeId(3),
             num_nodes: 8,
-            incarnation: 5,
         };
         let frame = encode_hello(hello);
         let (kind, body) = decode_frame(&frame[4..]).unwrap();
         assert_eq!(kind, FrameKind::Hello);
+        assert_eq!(
+            body,
+            [3, 0, 8, 0, 0, 0, 0, 0],
+            "wire version 1 hello layout"
+        );
         assert_eq!(decode_hello(body).unwrap(), hello);
     }
 

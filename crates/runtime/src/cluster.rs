@@ -19,10 +19,7 @@ use dsm_core::{
     ProtocolStats,
 };
 use dsm_model::{ComputeModel, NetworkParams};
-use dsm_net::{
-    Fabric, MembershipReport, SimConfig, SimFabric, StatsCollector, TcpConfig, TcpEndpoint,
-    TcpFabric,
-};
+use dsm_net::{Fabric, SimConfig, SimFabric, StatsCollector, TcpConfig, TcpEndpoint, TcpFabric};
 use dsm_objspace::{Element, HomeAssignment, NodeId, ObjectId, ObjectRegistry};
 use dsm_wire::ProtocolCodec;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,10 +41,10 @@ pub enum FabricMode {
     Sim(SimConfig),
     /// The real TCP fabric: every node binds a `127.0.0.1` listener and the
     /// full mesh of ordered socket connections carries the protocol in the
-    /// `dsm-wire` binary format, with join-time membership exchange and
-    /// heartbeat liveness (surfaced in [`ExecutionReport::membership`]).
-    /// Message interleaving is OS-scheduled, as in threaded mode; results
-    /// are fingerprint-identical to the other fabrics.
+    /// `dsm-wire` binary format, joined by a hello handshake and torn down
+    /// by a leave handshake. Message interleaving is OS-scheduled, as in
+    /// threaded mode; results are fingerprint-identical to the other
+    /// fabrics.
     Tcp(TcpConfig),
 }
 
@@ -387,7 +384,7 @@ impl Cluster {
             })
             .collect();
         let scheduler = run_apps_with_executor(&config, &shareds, &app);
-        assemble_report(&config, &shareds, &stats, None, None, Some(scheduler))
+        assemble_report(&config, &shareds, &stats, None, Some(scheduler))
     }
 
     /// The TCP runner: every node binds a `127.0.0.1` listener, the mesh is
@@ -419,8 +416,6 @@ impl Cluster {
             .collect();
         let scheduler = run_apps_with_executor(&config, &shareds, &app);
 
-        // Capture each node's liveness view before teardown stops the
-        // heartbeat threads, then close the sockets.
         let endpoints: Vec<&TcpEndpoint<ProtocolMsg>> = shareds
             .iter()
             .map(|shared| match &shared.link {
@@ -428,9 +423,6 @@ impl Cluster {
                 _ => unreachable!("TCP runner built a non-TCP link"),
             })
             .collect();
-        let membership = MembershipReport {
-            views: endpoints.iter().map(|ep| ep.membership()).collect(),
-        };
         for ep in &endpoints {
             ep.finish();
         }
@@ -464,14 +456,7 @@ impl Cluster {
             "wire-level modeled bytes and network statistics disagree"
         );
 
-        assemble_report(
-            &config,
-            &shareds,
-            &stats,
-            None,
-            Some(membership),
-            Some(scheduler),
-        )
+        assemble_report(&config, &shareds, &stats, None, Some(scheduler))
     }
 
     /// Run one node of a **multi-process** TCP cluster and return this
@@ -521,18 +506,8 @@ impl Cluster {
         let NodeLink::Tcp(ep) = &shareds[0].link else {
             unreachable!("TCP worker built a non-TCP link");
         };
-        let membership = MembershipReport {
-            views: vec![ep.membership()],
-        };
         ep.finish();
-        assemble_report(
-            &config,
-            &shareds,
-            &stats,
-            None,
-            Some(membership),
-            Some(scheduler),
-        )
+        assemble_report(&config, &shareds, &stats, None, Some(scheduler))
     }
 
     /// The sim runner: no server pool, no timers — the calling thread
@@ -631,7 +606,7 @@ impl Cluster {
         );
         // The virtual-time scheduler has neither a server pool nor inbound
         // queues, so sim runs report no scheduler.
-        assemble_report(&config, &shareds, &stats, Some(trace), None, None)
+        assemble_report(&config, &shareds, &stats, Some(trace), None)
     }
 }
 
@@ -653,7 +628,7 @@ fn node_shared(
         engine,
         link,
         config.compute,
-        config.protocol.handling_cost,
+        config.protocol.network.handling_cost(),
         config.seed,
         config.flush_batching,
         fault,
@@ -739,7 +714,6 @@ fn assemble_report(
     shareds: &[Arc<NodeShared>],
     stats: &StatsCollector,
     delivery_trace: Option<dsm_net::DeliveryTrace>,
-    membership: Option<MembershipReport>,
     scheduler: Option<SchedulerReport>,
 ) -> ExecutionReport {
     let node_times: Vec<_> = shareds.iter().map(|s| s.clock.now()).collect();
@@ -761,7 +735,6 @@ fn assemble_report(
         num_nodes: config.num_nodes,
         policy_label: config.protocol.migration.label().to_string(),
         delivery_trace,
-        membership,
         scheduler,
     }
 }

@@ -26,7 +26,7 @@
 //! for application code where misuse is a bug.
 
 use crate::handle::ArrayHandle;
-use crate::node::{dispatch_barrier_release, dispatch_lock_grant, NodeShared};
+use crate::node::{dispatch_barrier_release, dispatch_lock_grant, NodeLink, NodeShared};
 use crate::view::{ReadView, WriteView};
 use dsm_core::sync::{BarrierOutcome, LockAcquireOutcome};
 use dsm_core::{
@@ -39,6 +39,7 @@ use dsm_util::SmallRng;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Node of the cluster that hosts the distributed lock and barrier managers.
 /// The paper's applications start on one node and send all distributed
@@ -537,6 +538,23 @@ impl NodeCtx {
         self.shared.num_nodes as u32 * 2 + 16
     }
 
+    /// Slow a long redirection chase down on TCP. There a migration grant
+    /// and the redirect it causes reach the new home on different sockets,
+    /// so a chaser can bounce between the old and the new home faster than
+    /// the new home's reader delivers the grant; counted in hops alone, the
+    /// chase gives the grant about a millisecond to land. Past `num_nodes`
+    /// hops each further hop waits 100 µs longer than the last, so the
+    /// whole [`Self::redirect_limit`] budget spans tens of milliseconds.
+    /// The other fabrics never wait: the sim has no real time, and a
+    /// node's single in-process inbound queue delivers a grant before any
+    /// redirect it caused.
+    fn pace_chase(&self, redirections: u32) {
+        let excess = redirections.saturating_sub(self.shared.num_nodes as u32);
+        if excess > 0 && matches!(self.shared.link, NodeLink::Tcp(_)) {
+            std::thread::sleep(Duration::from_micros(100) * excess);
+        }
+    }
+
     /// Refuse to block on the network while write views are live: the
     /// remote home's server would defer behind our write lease while we
     /// wait for its reply, and two nodes doing this to each other would
@@ -609,6 +627,7 @@ impl NodeCtx {
                         redirections <= self.redirect_limit(),
                         "redirection chain for {obj} did not converge"
                     );
+                    self.pace_chase(redirections);
                     let engine = &self.shared.engine;
                     engine.note_redirect(obj, new_home, epoch);
                     // Chase the hint — but never ourselves: a (stale) hint
@@ -706,6 +725,7 @@ impl NodeCtx {
                         "diff redirection chain for {} did not converge",
                         plan.obj
                     );
+                    self.pace_chase(redirections);
                     target = self.retarget_after_redirect(plan.obj, new_home, epoch);
                 }
                 other => panic!("unexpected reply to diff flush: {other:?}"),

@@ -62,17 +62,21 @@
 //! Channels can simply be dropped; sockets cannot, because a peer reading
 //! a closed connection mid-protocol would see an error instead of an
 //! orderly end of stream. The handshake is single-phase and leans on
-//! per-link FIFO. Once shutdown has been requested (all application
+//! per-link FIFO. Once shutdown has been requested (the pool's application
 //! threads joined), a handler step that leaves its node's inbound and
-//! deferral queues empty announces a `Leave` frame on every outgoing link
-//! — FIFO guarantees it is the last frame each peer reads from us. The
-//! pool keeps serving (one-way `LockRelease` / `HomeNotify` stragglers may
-//! still arrive) until every peer's leave has been read, at which point no
-//! further frame can arrive and the termination check lets the workers
-//! exit. A single phase suffices because shutdown is only requested after
-//! every application thread has joined: nothing is blocked on a reply, so
-//! the in-flight residue is fire-and-forget messages whose handling sends
-//! nothing back.
+//! deferral queues empty announces a `Leave` frame on every outgoing link:
+//! "this node's application is done". The pool keeps serving (one-way
+//! `LockRelease` / `HomeNotify` stragglers may still arrive) until every
+//! peer's leave has been read, at which point every peer's application is
+//! done too, no further frame can arrive and the termination check lets
+//! the workers exit. In an in-process cluster a single phase suffices
+//! because shutdown is only requested after every application thread has
+//! joined: nothing is blocked on a reply, so the in-flight residue is
+//! fire-and-forget messages whose handling sends nothing back, and FIFO
+//! makes the leave the last frame each peer reads from us. A
+//! multi-process worker hosts one node, so it leaves when its *own*
+//! application is done; it keeps serving its peers' requests, and its
+//! replies follow its leave on the same link.
 //!
 //! The sim fabric keeps its own virtual-time scheduler (`crate::sim`) and
 //! never touches this module.

@@ -181,16 +181,13 @@
 //!   drained by one writer thread. Messages are encoded with the
 //!   `dsm-wire` binary codec (see `dsm-net`'s wire-format docs); modeled
 //!   send/arrival times travel inside each frame, but the receiver merges
-//!   them in real-time arrival order.
-//!   A per-node heartbeat thread feeds a membership/liveness tracker
-//!   (alive → suspect → dead on silence; a *suspect* peer recovers on
-//!   resumed traffic, but **death is sticky** — a dead peer's resumed
-//!   frames are refused, and only a rejoin handshake carrying a strictly
-//!   greater incarnation number ([`TcpConfig::incarnation`]) readmits
-//!   it); the final per-node views are surfaced in
-//!   [`ExecutionReport::membership`]. Teardown is an
-//!   orderly leave handshake: a `Leave` frame is the last thing each link
-//!   carries, so no node closes a socket a peer still reads.
+//!   them in real-time arrival order. Teardown is an orderly leave
+//!   handshake: a `Leave` frame means "this node's application is done",
+//!   and a node closes its sockets only after every peer's leave has
+//!   arrived, so no node closes a socket a peer still reads. In an
+//!   in-process cluster the leave is the last frame on its link; a
+//!   multi-process worker ([`Cluster::run_tcp_worker`]) leaves when its
+//!   own application is done and may still send replies after it.
 //!
 //! ## Testing & determinism: picking a fabric, replaying a seed
 //!
@@ -289,8 +286,8 @@ mod view;
 pub use cluster::{Cluster, ClusterBuilder, ClusterConfig, FabricMode};
 pub use ctx::NodeCtx;
 pub use dsm_net::{
-    DeliveryRecord, DeliveryTrace, DropReason, DropRecord, MembershipReport, MembershipView,
-    PartitionSpec, PauseSpec, PeerLiveness, SimConfig, TcpConfig,
+    DeliveryRecord, DeliveryTrace, DropReason, DropRecord, PartitionSpec, PauseSpec, SimConfig,
+    TcpConfig,
 };
 pub use dsm_objspace::DsmResult;
 pub use handle::{ArrayHandle, Matrix2dHandle, ScalarHandle};

@@ -7,7 +7,7 @@
 
 use dsm_core::{PolicyTelemetry, ProtocolStats};
 use dsm_model::{SimDuration, SimTime};
-use dsm_net::{DeliveryTrace, MembershipReport, MsgCategory, NetworkStats};
+use dsm_net::{DeliveryTrace, MsgCategory, NetworkStats};
 
 /// Server-scheduling counters of one threaded or TCP run: what it cost the
 /// wake-on-send executor pool to drive every node's protocol server. The
@@ -62,13 +62,6 @@ pub struct ExecutionReport {
     /// threaded fabric. The same cluster seed + fabric seed reproduce this
     /// trace bit-identically.
     pub delivery_trace: Option<DeliveryTrace>,
-    /// Per-node heartbeat liveness views when the run used the TCP fabric
-    /// (`FabricMode::Tcp`); `None` on the in-process fabrics.
-    /// Captured at the end of the run, before teardown stops the heartbeat
-    /// threads — on a healthy cluster every view reports every peer alive.
-    /// The liveness classification is observational for now: a suspect or
-    /// dead peer is surfaced here, not acted upon.
-    pub membership: Option<MembershipReport>,
     /// The executor's scheduling counters; `None` on sim runs, whose
     /// virtual-time scheduler has neither a server pool nor inbound queues.
     pub scheduler: Option<SchedulerReport>,
@@ -170,7 +163,6 @@ mod tests {
             num_nodes: 1,
             policy_label: "AT".to_string(),
             delivery_trace: None,
-            membership: None,
             scheduler: None,
         }
     }
