@@ -33,7 +33,7 @@
 //! The quiescence protocol is a simple activity count: every application
 //! thread is one *agent*, counted active until it parks on a reply
 //! ([`SimEndpoint::agent_blocked`]) and re-counted when the scheduler wakes
-//! it ([`SimEndpoint::agent_unblocked`]); [`SimFabric::next_step`] waits
+//! it ([`SimFabric::agent_unblocked`]); [`SimFabric::next_step`] waits
 //! for the count to reach zero before popping, so at every delivery point
 //! the set of in-flight messages is complete and the choice deterministic.
 
@@ -677,10 +677,9 @@ impl<M: Send> SimFabric<M> {
         state.queue.peek().map(|event| event.deliver_at)
     }
 
-    /// Re-count one parked agent as runnable (scheduler side: called for
-    /// every buffered wake before the reply is actually sent, so the
-    /// quiescence count can never under-report a running application
-    /// thread).
+    /// Re-count one parked agent as runnable. The scheduler calls it for
+    /// every agent it wakes, *before* the wake, so the quiescence count can
+    /// never under-report a running application thread.
     pub fn agent_unblocked(&self) {
         let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
         state.active += 1;
@@ -861,14 +860,6 @@ impl<M: Send> SimEndpoint<M> {
             self.core.quiescent.notify_all();
         }
     }
-
-    /// Re-count this node's application agent as runnable; the inverse of
-    /// [`SimEndpoint::agent_blocked`], used by app-stack local deliveries
-    /// (the matching park follows immediately).
-    pub fn agent_unblocked(&self) {
-        let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.active += 1;
-    }
 }
 
 #[cfg(test)]
@@ -1007,7 +998,7 @@ mod tests {
         fab.agent_finished();
         assert!(matches!(fab.next_step(), SimStep::Stalled));
         // The blocked agent is woken and finishes: drained.
-        eps[0].agent_unblocked();
+        fab.agent_unblocked();
         fab.agent_finished();
         assert!(matches!(fab.next_step(), SimStep::Drained));
     }

@@ -13,7 +13,7 @@ use crate::fault::{FaultConfig, FaultState};
 use crate::handle::{ArrayHandle, Matrix2dHandle};
 use crate::node::{NodeLink, NodeShared};
 use crate::report::{ExecutionReport, SchedulerReport};
-use crate::sim::{abort_all_pending, sim_server_loop, AppAgent};
+use crate::sim::{abort_all_pending, sim_server_loop};
 use dsm_core::{
     IntoMigrationPolicy, NotificationMechanism, ProtocolConfig, ProtocolEngine, ProtocolMsg,
     ProtocolStats,
@@ -22,7 +22,8 @@ use dsm_model::{ComputeModel, NetworkParams};
 use dsm_net::{Fabric, SimConfig, SimFabric, StatsCollector, TcpConfig, TcpEndpoint, TcpFabric};
 use dsm_objspace::{Element, HomeAssignment, NodeId, ObjectId, ObjectRegistry};
 use dsm_wire::ProtocolCodec;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::thread;
 
@@ -351,8 +352,9 @@ impl Cluster {
     /// replayable delivery trace.
     ///
     /// # Panics
-    /// Propagates a panic from any application thread after shutting the
-    /// cluster down.
+    /// Propagates the first application panic, with its original payload,
+    /// after shutting the cluster down: on every fabric the peers parked on
+    /// replies the dead node will never send are woken and unwound.
     pub fn run<F>(self, app: F) -> ExecutionReport
     where
         F: Fn(&NodeCtx) + Send + Sync,
@@ -538,47 +540,20 @@ impl Cluster {
             })
             .collect();
 
-        let panicked = AtomicBool::new(false);
-        let first_panic = std::sync::atomic::AtomicUsize::new(crate::sim::NO_PANIC);
+        let first_panic = FirstPanic::new();
         thread::scope(|scope| {
-            let app = &app;
-            let fabric = &fabric;
-            let panicked = &panicked;
-            let first_panic = &first_panic;
-            let mut handles = Vec::with_capacity(num_nodes);
-            for (node, shared) in shareds.iter().enumerate() {
-                let shared = Arc::clone(shared);
-                handles.push(scope.spawn(move || {
-                    // Marks the agent finished on unwind too, so a panicking
-                    // application cannot wedge the scheduler.
-                    let _agent = AppAgent::new(fabric, panicked, first_panic, node);
-                    let ctx = NodeCtx::new(shared);
-                    app(&ctx);
-                }));
-            }
+            // An agent counts as finished on unwind too, so a panicking
+            // application cannot wedge the scheduler.
+            let apps = first_panic.spawn_apps(scope, &shareds, &app, |_| fabric.agent_finished());
             // The calling thread is the deterministic scheduler.
-            sim_server_loop(&shareds, fabric, panicked);
-            if panicked.load(Ordering::SeqCst) {
+            sim_server_loop(&shareds, &fabric, &first_panic);
+            if first_panic.is_set() {
                 // Unblock application threads parked on replies that will
-                // never come (their peer died); they observe a disconnect
-                // and unwind with a secondary "cluster shut down" panic.
-                abort_all_pending(&shareds, fabric);
+                // never come (their peer died); they unwind with a secondary
+                // "cluster shut down" panic.
+                abort_all_pending(&shareds, &fabric);
             }
-            let mut results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            // Re-raise the panic of the node that failed *first* — the
-            // other Errs are teardown fallout, and resuming one of those
-            // would hide the real failure message.
-            let original = first_panic.load(Ordering::SeqCst);
-            if original != crate::sim::NO_PANIC {
-                if let Err(payload) = std::mem::replace(&mut results[original], Ok(())) {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-            for result in results {
-                if let Err(payload) = result {
-                    std::panic::resume_unwind(payload);
-                }
-            }
+            first_panic.resume(apps.into_iter().map(|h| h.join().and_then(|r| r)).collect());
         });
 
         // Message-count reconciliation between the engines' view (network
@@ -670,33 +645,91 @@ where
     // Sweep every inbound queue once: wakes that fired before the notifier
     // was installed were dropped (a TCP peer may already have sent).
     executor.prime();
+    let first_panic = FirstPanic::new();
     thread::scope(|scope| {
         for _ in 0..executor.workers() {
             scope.spawn(|| executor.run_worker(shareds));
         }
-        let mut handles = Vec::with_capacity(shareds.len());
-        for shared in shareds {
-            let shared = Arc::clone(shared);
-            handles.push(scope.spawn(move || {
-                let ctx = NodeCtx::new(shared);
-                app(&ctx);
-            }));
-        }
+        // A panicking application aborts every node's reply slot, so peers
+        // parked on replies it will never send wake up instead of hanging.
+        let apps = first_panic.spawn_apps(scope, shareds, app, |panicking| {
+            if panicking {
+                shareds
+                    .iter()
+                    .for_each(|shared| shared.abort_pending(|| {}));
+            }
+        });
         // Join application threads first; then release the pool into its
         // drain/termination protocol even if an application panicked — the
         // workers must exit before the scope can close.
-        let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        let results: Vec<_> = apps.into_iter().map(|h| h.join().and_then(|r| r)).collect();
         for shared in shareds {
             shared.request_shutdown();
         }
         executor.begin_shutdown();
+        first_panic.resume(results);
+    });
+    executor.report(queue_depth_high_watermark(shareds))
+}
+
+/// The node whose application thread panicked first. The teardown wakes
+/// the other nodes into secondary "cluster shut down" panics; the runners
+/// re-raise this node's original payload instead.
+pub(crate) struct FirstPanic(AtomicUsize);
+
+impl FirstPanic {
+    const NONE: usize = usize::MAX;
+
+    fn new() -> Self {
+        FirstPanic(AtomicUsize::new(Self::NONE))
+    }
+
+    /// Spawn one application thread per node into `scope`. As a thread
+    /// leaves, `on_exit(panicked)` runs — after a panicking thread claimed
+    /// the first-panic slot. One atomic is both the slot and the "a node
+    /// panicked" flag, so a secondary panic the teardown provokes never
+    /// wins it.
+    fn spawn_apps<'scope, F, E>(
+        &'scope self,
+        scope: &'scope thread::Scope<'scope, '_>,
+        shareds: &'scope [Arc<NodeShared>],
+        app: &'scope F,
+        on_exit: E,
+    ) -> Vec<thread::ScopedJoinHandle<'scope, thread::Result<()>>>
+    where
+        F: Fn(&NodeCtx) + Sync,
+        E: Fn(bool) + Copy + Send + 'scope,
+    {
+        let spawn = |(node, shared): (usize, &'scope Arc<NodeShared>)| {
+            scope.spawn(move || {
+                let run = catch_unwind(AssertUnwindSafe(|| app(&NodeCtx::new(Arc::clone(shared)))));
+                if run.is_err() {
+                    let _ = self.0.compare_exchange(Self::NONE, node, SeqCst, SeqCst);
+                }
+                on_exit(run.is_err());
+                run
+            })
+        };
+        shareds.iter().enumerate().map(spawn).collect()
+    }
+
+    /// Whether some application thread panicked.
+    pub(crate) fn is_set(&self) -> bool {
+        self.0.load(SeqCst) != Self::NONE
+    }
+
+    /// Re-raise the joined application threads' panic, if any: the first
+    /// node's original payload ahead of the teardown fallout.
+    fn resume(&self, mut results: Vec<thread::Result<()>>) {
+        if self.is_set() {
+            results.swap(0, self.0.load(SeqCst));
+        }
         for result in results {
             if let Err(payload) = result {
                 std::panic::resume_unwind(payload);
             }
         }
-    });
-    executor.report(queue_depth_high_watermark(shareds))
+    }
 }
 
 /// The deepest any node's inbound queue ever got across the run.

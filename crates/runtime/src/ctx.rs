@@ -31,7 +31,7 @@ use crate::view::{ReadView, WriteView};
 use dsm_core::sync::{BarrierOutcome, LockAcquireOutcome};
 use dsm_core::{
     group_flush_plans, AccessPlan, DiffBatchEntry, DiffEntryStatus, FlushBatch, FlushPlan,
-    ProtocolMsg,
+    ProtocolMsg, ReqId,
 };
 use dsm_model::{SimDuration, SimTime};
 use dsm_objspace::{BarrierId, DsmError, DsmResult, Element, LockId, NodeId, ObjectId};
@@ -329,20 +329,13 @@ impl NodeCtx {
         self.ensure_quiescent()?;
         let node = self.shared.node;
         if SYNC_MANAGER == node {
-            let req = self.shared.new_req();
-            let rx = self.shared.register_pending(req);
-            let outcome = self.shared.engine.lock_acquire(lock, node, req);
-            match outcome {
-                LockAcquireOutcome::Granted => {
-                    // Nobody will ever send the grant; complete it ourselves
-                    // so the pending table stays clean.
+            self.request_at_manager(|req| {
+                if self.shared.engine.lock_acquire(lock, node, req) == LockAcquireOutcome::Granted {
+                    // Nobody will ever send the grant; deliver it ourselves.
                     self.shared
                         .deliver_local(req, ProtocolMsg::LockGrant { req, lock });
                 }
-                LockAcquireOutcome::Queued => {}
-            }
-            let reply = self.shared.wait_reply(&rx);
-            self.shared.clock.merge(reply.arrival);
+            });
         } else {
             let req = self.shared.new_req();
             let reply = self.shared.request(
@@ -409,7 +402,7 @@ impl NodeCtx {
                 ProtocolMsg::LockRelease {
                     lock,
                     holder: node,
-                    req: dsm_core::ReqId(0),
+                    req: ReqId(0),
                 },
             );
         }
@@ -450,20 +443,18 @@ impl NodeCtx {
             *e += 1;
             current
         };
-        let req = self.shared.new_req();
         if SYNC_MANAGER == node {
-            let rx = self.shared.register_pending(req);
-            let outcome = self.shared.engine.barrier_arrive(barrier, node, req);
-            if let BarrierOutcome::Complete {
-                waiters,
-                epoch: done,
-            } = outcome
-            {
-                dispatch_barrier_release(&self.shared, barrier, done, waiters);
-            }
-            let reply = self.shared.wait_reply(&rx);
-            self.shared.clock.merge(reply.arrival);
+            self.request_at_manager(|req| {
+                if let BarrierOutcome::Complete {
+                    waiters,
+                    epoch: done,
+                } = self.shared.engine.barrier_arrive(barrier, node, req)
+                {
+                    dispatch_barrier_release(&self.shared, barrier, done, waiters);
+                }
+            });
         } else {
+            let req = self.shared.new_req();
             let reply = self.shared.request(
                 SYNC_MANAGER,
                 req,
@@ -529,6 +520,19 @@ impl NodeCtx {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
+
+    /// A lock or barrier request made by the sync manager's own node: no
+    /// message travels. `arrive` runs the manager side on this thread with
+    /// the registered request id; when the operation completes at once, it
+    /// delivers the reply itself (`deliver_local`), which the wait then takes
+    /// without parking.
+    fn request_at_manager(&self, arrive: impl FnOnce(ReqId)) {
+        let req = self.shared.new_req();
+        self.shared.register_pending(req);
+        arrive(req);
+        let reply = self.shared.wait_reply();
+        self.shared.clock.merge(reply.arrival);
+    }
 
     /// Upper bound on redirection hops before declaring the chain broken.
     /// Epoch-guarded hints make chains monotone (each hop strictly newer),

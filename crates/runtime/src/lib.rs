@@ -60,10 +60,11 @@
 //! * **Sim fabric — the sequential virtual-time loop.** The thread that
 //!   called [`Cluster::run`] waits until every application thread is
 //!   parked, pops the earliest event of the fabric's virtual-time queue,
-//!   serves it at its destination node, retries the deferral queues,
-//!   wakes the applications whose replies arrived, and repeats. There are
-//!   no server threads and no inbound queues, so sim runs report no
-//!   scheduler. One event at a time is what makes a run a pure function
+//!   serves it at its destination node, retries the deferral queues, then
+//!   releases the replies the step left in the nodes' reply slots —
+//!   re-counting each woken application before it runs — and repeats.
+//!   There are no server threads and no inbound queues, so sim runs report
+//!   no scheduler. One event at a time is what makes a run a pure function
 //!   of its seed, and it is the semantic reference every other fabric's
 //!   results are fingerprinted against.
 //!
@@ -83,18 +84,22 @@
 //!   manager state and synchronization counters — state not keyed by an
 //!   object — behind its own small mutex, so synchronization traffic never
 //!   contends with object traffic.
-//! * **Pending-reply stripes** (this crate): the table matching replies to
-//!   blocked requests is striped by request id.
+//! * **Reply slots** (this crate): one per node. Its application thread
+//!   has at most one request outstanding, so one slot keyed by request id
+//!   matches every reply to its waiter — a mutex plus a condvar, no table
+//!   and no per-request channel.
 //! * **Payload leases** (`dsm-objspace` stores): zero-copy views hold a
 //!   read/write guard on one object's payload cell across application code,
 //!   *never* an engine lock.
 //!
 //! **Lock ordering:** there is none to get wrong — shard locks, the global
-//! lock and the pending stripes are all *leaf* locks; no code path holds
-//! two of them at once. Payload guards are the only long-lived acquisition,
-//! and the only place one is taken while a shard lock is held is inside the
-//! engine's `try_lease_*`/server handlers, which use non-blocking `try_`
-//! acquisition exclusively.
+//! lock and the reply slots are all *leaf* locks; no code path holds two of
+//! them at once. (On the sim, the scheduler re-counts a waiter under its
+//! slot lock, which takes the fabric's agent-count lock; the fabric never
+//! calls back into the runtime.) Payload guards are the only long-lived
+//! acquisition, and the only place one is taken while a shard lock is held
+//! is inside the engine's `try_lease_*`/server handlers, which use
+//! non-blocking `try_` acquisition exclusively.
 //!
 //! ## Release path & flush batching
 //!

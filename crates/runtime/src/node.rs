@@ -3,22 +3,23 @@
 //! Every simulated node pairs an **application thread** — it runs the user
 //! closure through [`crate::NodeCtx`], issues blocking requests
 //! (fault-ins, diff flushes, lock acquires, barrier arrivals) and parks on
-//! a reply channel — with a **protocol server**: the message pump that
-//! takes the node's inbound envelopes, dispatches requests to the protocol
-//! engine, sends the produced replies and wakes local waiters. A server is
-//! not a thread: its per-envelope step is `serve_envelope` below, and it is
-//! driven by exactly one of two callers (see the "Execution model" section
-//! of the crate docs) — the wake-on-send worker pool in `crate::exec` on
-//! the threaded and TCP fabrics, or the virtual-time loop in `crate::sim`
-//! on the sim fabric.
+//! the node's reply slot — with a **protocol server**: the message pump
+//! that takes the node's inbound envelopes, dispatches requests to the
+//! protocol engine, sends the produced replies and wakes local waiters. A
+//! server is not a thread: its per-envelope step is `serve_envelope`
+//! below, and it is driven by exactly one of two callers (see the
+//! "Execution model" section of the crate docs) — the wake-on-send worker
+//! pool in `crate::exec` on the threaded and TCP fabrics, or the
+//! virtual-time loop in `crate::sim` on the sim fabric.
 //!
 //! Application and server drive the engine directly through `&self` —
 //! there is **no node-global engine mutex**. The [`ProtocolEngine`] is
 //! internally lock-striped by `ObjectId`, so an object request being
 //! served here never contends with the application thread touching a
-//! different object, and the pending-reply table is striped by request id
-//! the same way (see the "Locking architecture" section of the crate
-//! docs).
+//! different object. Replies meet their waiter in one slot per node, keyed
+//! by request id: the application thread has at most one request
+//! outstanding, so no table is needed (see the "Locking architecture"
+//! section of the crate docs).
 //!
 //! The server **never blocks on object payloads**: when the engine reports
 //! a `Busy` outcome (the application holds a zero-copy view of the copy a
@@ -42,12 +43,10 @@ use dsm_core::{
 use dsm_model::{ComputeModel, SimDuration, SimTime};
 use dsm_net::{Endpoint, Envelope, MsgCategory, SimEndpoint, TcpEndpoint};
 use dsm_objspace::{NodeId, ObjectRegistry};
-use dsm_util::channel::{bounded, Receiver, Sender};
 use dsm_util::Mutex;
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 
 /// Whether protocol tracing (`DSM_TRACE=1`) is enabled; resolved once.
 /// Unset, empty and `0` all mean disabled.
@@ -89,70 +88,9 @@ impl NodeLink {
     }
 }
 
-/// A reply hand-off that has been matched to its waiting request but not
-/// yet sent to the application thread.
-pub(crate) struct SimWake {
-    tx: Sender<Reply>,
-    reply: Reply,
-}
-
-thread_local! {
-    /// The sim scheduler's wake buffer. While `Some`, replies completed on
-    /// this thread are parked here instead of waking the application thread
-    /// immediately; the scheduler flushes them *after* the current handler
-    /// step, so a woken application never runs concurrently with server
-    /// logic (which would let two threads race on one link's send order and
-    /// break trace determinism).
-    static SIM_WAKES: RefCell<Option<Vec<SimWake>>> = const { RefCell::new(None) };
-}
-
-/// Park a wake in the thread's buffer; returns it back when buffering is
-/// not enabled on this thread (the caller then delivers inline).
-fn try_buffer_wake(wake: SimWake) -> Option<SimWake> {
-    SIM_WAKES.with(|buffer| match &mut *buffer.borrow_mut() {
-        Some(wakes) => {
-            wakes.push(wake);
-            None
-        }
-        None => Some(wake),
-    })
-}
-
-/// Enable wake buffering on the calling (scheduler) thread.
-pub(crate) fn enable_wake_buffering() {
-    SIM_WAKES.with(|buffer| *buffer.borrow_mut() = Some(Vec::new()));
-}
-
-/// Disable wake buffering on the calling thread.
-///
-/// # Panics
-/// Panics if un-flushed wakes would be dropped (scheduler bug).
-pub(crate) fn disable_wake_buffering() {
-    SIM_WAKES.with(|buffer| {
-        let left = buffer.borrow_mut().take();
-        assert!(
-            left.is_none_or(|wakes| wakes.is_empty()),
-            "sim scheduler dropped buffered wakes"
-        );
-    });
-}
-
-/// Drain the calling thread's buffered wakes.
-pub(crate) fn take_buffered_wakes() -> Vec<SimWake> {
-    SIM_WAKES.with(|buffer| match &mut *buffer.borrow_mut() {
-        Some(wakes) => std::mem::take(wakes),
-        None => Vec::new(),
-    })
-}
-
-impl SimWake {
-    /// Deliver the buffered reply, waking the application thread.
-    pub(crate) fn deliver(self) {
-        // The application thread may have already given up only if the
-        // whole run is being torn down; losing the reply is then fine.
-        let _ = self.tx.send(self.reply);
-    }
-}
+/// The panic message of an application thread woken by, or requesting
+/// after, the teardown abort.
+const SHUT_DOWN: &str = "cluster shut down while a request was outstanding";
 
 /// A reply delivered to a blocked application-thread request.
 #[derive(Debug)]
@@ -163,13 +101,38 @@ pub(crate) struct Reply {
     pub arrival: SimTime,
 }
 
-/// Number of stripes of the pending-reply table. Request ids are allocated
-/// sequentially per node, so consecutive in-flight requests land on
-/// different stripes; a power of two keeps the index a mask.
-const PENDING_STRIPES: usize = 8;
+/// What a node's [`ReplySlot`] holds.
+#[derive(Debug)]
+enum SlotState {
+    /// No request outstanding.
+    Idle,
+    /// The application thread waits (or is about to wait) on this request.
+    Waiting(ReqId),
+    /// The reply arrived. `released` is whether the waiter may take it: at
+    /// once on the threaded and TCP fabrics; on the sim, only after the
+    /// scheduler's wake pass re-counted the parked agent (see
+    /// [`NodeShared::release_reply`]).
+    Ready { reply: Reply, released: bool },
+    /// The run is being torn down; sticky, so late replies are dropped and
+    /// later requests fail instead of parking.
+    Aborted,
+}
 
-/// One stripe of the pending-reply table.
-type PendingStripe = Mutex<HashMap<ReqId, Sender<Reply>>>;
+/// The one place a node's application thread waits for a reply. The paper's
+/// runtime runs one application thread per node, and it blocks on at most
+/// one remote request at a time, so one slot keyed by [`ReqId`] matches
+/// every reply to its waiter. The mutex is a leaf lock; only the sim's
+/// re-count callbacks ([`NodeShared::release_reply`],
+/// [`NodeShared::abort_pending`]) take the fabric's agent-count lock under
+/// it, and the fabric never calls back. The condvar is notified after the
+/// lock is released: a waiter woken under it would only block on it again,
+/// two more context switches per reply on a busy core (about a sixth of
+/// `kv-fixedhome-threaded`'s throughput with benchmark reps pinned to one
+/// CPU of a 2-vCPU guest).
+struct ReplySlot {
+    state: Mutex<SlotState>,
+    ready: Condvar,
+}
 
 /// State shared between one node's application thread and its protocol
 /// server.
@@ -190,9 +153,7 @@ pub(crate) struct NodeShared {
     /// Timeout/retry, dedup and home re-election state — `Some` only on
     /// lossy sim fabrics, where messages can be dropped (see `crate::fault`).
     pub fault: Option<FaultState>,
-    /// Pending-reply senders, striped by request id so completing a reply
-    /// for one request never contends with registering another.
-    pending: Box<[PendingStripe]>,
+    reply: ReplySlot,
     next_req: AtomicU64,
     shutdown: AtomicBool,
     /// The executor's re-arm hook (unset on the sim fabric): view-lease
@@ -222,9 +183,10 @@ impl NodeShared {
             seed,
             flush_batching,
             fault,
-            pending: (0..PENDING_STRIPES)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            reply: ReplySlot {
+                state: Mutex::new(SlotState::Idle),
+                ready: Condvar::new(),
+            },
             next_req: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             rearm: OnceLock::new(),
@@ -303,11 +265,6 @@ impl NodeShared {
         }
     }
 
-    /// The pending-table stripe for `req`.
-    fn pending_stripe(&self, req: ReqId) -> &PendingStripe {
-        &self.pending[(req.0 as usize) & (PENDING_STRIPES - 1)]
-    }
-
     /// Allocate a request id unique within this node.
     pub(crate) fn new_req(&self) -> ReqId {
         // The node id is folded into the high bits so request ids are unique
@@ -316,13 +273,22 @@ impl NodeShared {
         ReqId((u64::from(self.node.0) << 48) | seq)
     }
 
-    /// Register interest in the reply to `req` and return the channel to
-    /// wait on.
-    pub(crate) fn register_pending(&self, req: ReqId) -> Receiver<Reply> {
-        let (tx, rx) = bounded(1);
-        let previous = self.pending_stripe(req).lock().insert(req, tx);
-        assert!(previous.is_none(), "duplicate pending request id {req:?}");
-        rx
+    /// Register the application thread's interest in the reply to `req`,
+    /// its one outstanding request.
+    ///
+    /// # Panics
+    /// Panics once the run is torn down (see [`Self::abort_pending`]), so a
+    /// request issued after the abort fails instead of parking.
+    pub(crate) fn register_pending(&self, req: ReqId) {
+        let mut slot = self.reply.state.lock();
+        match *slot {
+            SlotState::Idle => *slot = SlotState::Waiting(req),
+            SlotState::Aborted => panic!("{SHUT_DOWN}"),
+            ref other => panic!(
+                "{} registered {req:?} with {other:?} still outstanding",
+                self.node
+            ),
+        }
     }
 
     /// Deliver a reply to a locally blocked request (no network involved,
@@ -332,7 +298,12 @@ impl NodeShared {
         self.complete(req, msg, arrival);
     }
 
-    /// Complete a pending request with a reply that arrived at `arrival`.
+    /// Complete the outstanding request with a reply that arrived at
+    /// `arrival`. A reply to any other request lands on the floor: under a
+    /// lossy fabric a request can be answered twice (a retransmission raced
+    /// the original reply and was answered from the server's dedup cache),
+    /// and after [`Self::abort_pending`] no one is left to wake. Anywhere
+    /// else such a reply is a protocol bug, and panics.
     ///
     /// A fault-in reply is installed here, by the server, so a migration
     /// grant takes effect on arrival. Left to the woken application thread,
@@ -343,54 +314,45 @@ impl NodeShared {
         if let Some(fault) = &self.fault {
             fault.clear(req);
         }
-        let slot = self.pending_stripe(req).lock().remove(&req);
-        match slot {
-            Some(tx) => {
-                if let ProtocolMsg::ObjectReply {
-                    obj,
-                    data,
-                    version,
-                    migration,
-                    ..
-                } = &mut msg
-                {
-                    self.engine.install_object(
-                        *obj,
-                        std::mem::take(data),
-                        *version,
-                        migration.take(),
-                    );
-                }
-                let wake = SimWake {
-                    tx,
-                    reply: Reply { msg, arrival },
-                };
-                match &self.link {
-                    NodeLink::Sim(ep) => {
-                        // Scheduler-side completions are buffered so the
-                        // woken application resumes only after the handler
-                        // step finished (`crate::sim` flushes them, pairing
-                        // each with an `agent_unblocked`). App-stack local
-                        // deliveries wake inline; the +1 here cancels
-                        // against the -1 of the `wait_reply` that follows.
-                        if let Some(wake) = try_buffer_wake(wake) {
-                            ep.agent_unblocked();
-                            wake.deliver();
-                        }
-                    }
-                    NodeLink::Threaded(_) | NodeLink::Tcp(_) => wake.deliver(),
-                }
-            }
-            None => {
-                // Under a lossy fabric a request can be answered twice: its
-                // reply was re-sent from the server's dedup cache because a
-                // retransmission raced the original reply. The duplicate is
-                // dropped on the floor.
+        match *self.reply.state.lock() {
+            SlotState::Waiting(waiting) if waiting == req => {}
+            SlotState::Aborted => return,
+            _ => {
                 assert!(
                     self.fault.is_some(),
                     "reply for unknown request {req:?} delivered to {} ({msg:?})",
                     self.node
                 );
+                return;
+            }
+        }
+        if let ProtocolMsg::ObjectReply {
+            obj,
+            data,
+            version,
+            migration,
+            ..
+        } = &mut msg
+        {
+            self.engine
+                .install_object(*obj, std::mem::take(data), *version, migration.take());
+        }
+        // The install ran outside the leaf slot lock. Only an abort can have
+        // moved the slot meanwhile: a second reply to `req` exists only under
+        // the fault layer, whose completions all run on the sim scheduler.
+        let mut slot = self.reply.state.lock();
+        if matches!(*slot, SlotState::Waiting(waiting) if waiting == req) {
+            // The sim scheduler's wake pass releases the waiter after the
+            // handler step (see `crate::sim`); a reply the application
+            // delivered on its own stack is taken without parking.
+            let released = !matches!(self.link, NodeLink::Sim(_));
+            *slot = SlotState::Ready {
+                reply: Reply { msg, arrival },
+                released,
+            };
+            drop(slot);
+            if released {
+                self.reply.ready.notify_one();
             }
         }
     }
@@ -417,17 +379,47 @@ impl NodeShared {
         self.send(dst, msg);
     }
 
-    /// Park until the reply to an already-registered request arrives, and
-    /// return it. In sim mode this is the agent-park notification point of
-    /// the quiescence protocol: the fabric learns the application thread is
-    /// about to block *after* every message it was going to send has been
-    /// sent.
-    pub(crate) fn wait_reply(&self, rx: &Receiver<Reply>) -> Reply {
-        if let NodeLink::Sim(ep) = &self.link {
-            ep.agent_blocked();
+    /// Park until the reply to the registered request arrives, and return
+    /// it.
+    ///
+    /// A reply already in the slot is taken without parking. On the sim it
+    /// can only be one the application delivered on its own stack (the
+    /// sync manager answering itself): a scheduler completion cannot run
+    /// while this agent is still counted active. Otherwise, in sim mode,
+    /// this is the agent-park notification point of the quiescence
+    /// protocol — the fabric learns the application thread is about to
+    /// block *after* every message it was going to send has been sent — and
+    /// the thread resumes once the scheduler's wake pass released the reply
+    /// ([`Self::release_reply`]).
+    ///
+    /// # Panics
+    /// Panics if the run is torn down while the request is outstanding.
+    pub(crate) fn wait_reply(&self) -> Reply {
+        let mut slot = self.reply.state.lock();
+        if !matches!(*slot, SlotState::Ready { .. }) {
+            if let NodeLink::Sim(ep) = &self.link {
+                drop(slot);
+                ep.agent_blocked();
+                slot = self.reply.state.lock();
+            }
+            while !matches!(
+                *slot,
+                SlotState::Ready { released: true, .. } | SlotState::Aborted
+            ) {
+                slot = self
+                    .reply
+                    .ready
+                    .wait(slot)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         }
-        rx.recv()
-            .expect("cluster shut down while a request was outstanding")
+        match std::mem::replace(&mut *slot, SlotState::Idle) {
+            SlotState::Ready { reply, .. } => reply,
+            aborted => {
+                *slot = aborted;
+                panic!("{SHUT_DOWN}")
+            }
+        }
     }
 
     /// Issue a blocking request: send `msg` to `dst`, park until the reply
@@ -437,39 +429,67 @@ impl NodeShared {
         if trace_enabled() {
             eprintln!("[{}] request -> {} {:?}", self.node, dst, msg);
         }
-        let rx = self.register_pending(req);
+        self.register_pending(req);
         if let Some(fault) = &self.fault {
             fault.track(req, dst, msg.clone());
         }
         self.send(dst, msg);
-        let reply = self.wait_reply(&rx);
+        let reply = self.wait_reply();
         self.clock.merge(reply.arrival);
         reply.msg
     }
 
-    /// Drop every pending-reply sender, waking parked application threads
-    /// with a disconnect. Used by the sim runner to tear the cluster down
-    /// after an application panic or a terminal stall (the executor keeps
-    /// serving until every application thread joined; the sim scheduler has
-    /// no one left to serve for).
+    /// The sim scheduler's wake pass for this node: hand a reply the last
+    /// step completed to its parked waiter, and return whether there was
+    /// one. `before_wake` runs first, under the slot lock: the waiter was
+    /// counted out of the sim fabric's agent tally when it parked, so the
+    /// scheduler re-counts it (`agent_unblocked`) while it provably still
+    /// waits, and the quiescence count never under-reports.
+    pub(crate) fn release_reply(&self, before_wake: impl FnOnce()) -> bool {
+        let mut slot = self.reply.state.lock();
+        let SlotState::Ready { released, .. } = &mut *slot else {
+            return false;
+        };
+        if *released {
+            return false;
+        }
+        before_wake();
+        *released = true;
+        drop(slot);
+        self.reply.ready.notify_one();
+        true
+    }
+
+    /// Tear this node's rendezvous down for good: a parked application
+    /// thread wakes and unwinds with a "cluster shut down" panic, a late
+    /// reply is dropped, and a request registered afterwards fails instead
+    /// of parking. Both runners call it on every node once an application
+    /// panicked, and the sim scheduler on a terminal stall.
     ///
-    /// `before_wake` runs once per waiter, under the stripe lock and
-    /// **before** the waiter's sender is dropped: each parked waiter was
-    /// counted out of the sim fabric's agent tally, and a woken thread
-    /// unwinds straight into `agent_finished`, so the caller must re-count
-    /// it (`agent_unblocked`) while it is still provably parked — exactly
-    /// the order `crate::sim`'s wake flush uses for ordinary replies.
-    pub(crate) fn abort_pending(&self, mut before_wake: impl FnMut()) {
+    /// `before_wake` runs once if a waiter is parked, under the slot lock
+    /// and **before** the waiter can wake: a parked sim waiter was counted
+    /// out of the agent tally, and a woken thread unwinds straight into
+    /// `agent_finished`, so the sim caller must re-count it
+    /// (`agent_unblocked`) first — the order [`Self::release_reply`] uses
+    /// for ordinary replies.
+    pub(crate) fn abort_pending(&self, before_wake: impl FnOnce()) {
         if let Some(fault) = &self.fault {
             fault.abort();
         }
-        for stripe in self.pending.iter() {
-            let mut stripe = stripe.lock();
-            for _ in 0..stripe.len() {
-                before_wake();
-            }
-            stripe.clear();
+        let mut slot = self.reply.state.lock();
+        if matches!(
+            *slot,
+            SlotState::Waiting(_)
+                | SlotState::Ready {
+                    released: false,
+                    ..
+                }
+        ) {
+            before_wake();
         }
+        *slot = SlotState::Aborted;
+        drop(slot);
+        self.reply.ready.notify_one();
     }
 
     /// Request the protocol server to stop once its queues are drained.
@@ -877,41 +897,85 @@ pub(crate) fn dispatch_barrier_release(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultConfig;
     use dsm_core::ProtocolConfig;
     use dsm_model::NetworkParams;
-    use dsm_net::{Fabric, StatsCollector};
-    use dsm_util::channel::RecvTimeoutError;
+    use dsm_net::{Fabric, SimConfig, SimFabric, SimStep, StatsCollector};
+    use dsm_objspace::{LockId, ObjectId};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicUsize;
+    use std::thread;
     use std::time::Duration;
+
+    fn shared_on(
+        link: NodeLink,
+        engine: ProtocolEngine,
+        fault: Option<FaultState>,
+    ) -> Arc<NodeShared> {
+        NodeShared::new(
+            engine,
+            link,
+            ComputeModel::free(),
+            SimDuration::ZERO,
+            0,
+            true,
+            fault,
+        )
+    }
 
     /// Node 0 of a `nodes`-node threaded fabric.
     fn node_zero(
         nodes: usize,
         protocol: ProtocolConfig,
         registry: Arc<ObjectRegistry>,
+        fault: Option<FaultState>,
     ) -> Arc<NodeShared> {
         let endpoint = Fabric::new(nodes, NetworkParams::ideal(), StatsCollector::new())
             .into_endpoints()
             .swap_remove(0);
         let engine = ProtocolEngine::new(NodeId(0), nodes, protocol, registry);
-        NodeShared::new(
-            engine,
-            NodeLink::Threaded(endpoint),
-            ComputeModel::free(),
-            SimDuration::ZERO,
-            0,
-            true,
-            None,
-        )
+        shared_on(NodeLink::Threaded(endpoint), engine, fault)
     }
 
     fn lone_node() -> Arc<NodeShared> {
-        node_zero(1, ProtocolConfig::no_migration(), Arc::default())
+        node_zero(1, ProtocolConfig::no_migration(), Arc::default(), None)
     }
 
-    /// The grantee serves the object as soon as its server completes the
-    /// reply carrying the grant, before the application thread wakes.
-    #[test]
-    fn a_migration_grant_takes_effect_before_the_application_wakes() {
+    /// The fabric and every node of a `nodes`-node sim fabric.
+    fn sim_nodes(nodes: usize) -> (SimFabric<ProtocolMsg>, Vec<Arc<NodeShared>>) {
+        let fabric = SimFabric::new(
+            nodes,
+            NetworkParams::ideal(),
+            StatsCollector::new(),
+            SimConfig::calm(0),
+        );
+        let shareds = fabric
+            .endpoints()
+            .into_iter()
+            .map(|endpoint| {
+                let engine = ProtocolEngine::new(
+                    endpoint.node(),
+                    nodes,
+                    ProtocolConfig::no_migration(),
+                    Arc::default(),
+                );
+                shared_on(NodeLink::Sim(endpoint), engine, None)
+            })
+            .collect();
+        (fabric, shareds)
+    }
+
+    fn grant(req: ReqId) -> ProtocolMsg {
+        ProtocolMsg::LockGrant {
+            req,
+            lock: LockId(7),
+        }
+    }
+
+    /// An object homed at node 1 of a two-node JUMP cluster, the
+    /// registry, and node 1's reply to node 0's write fault-in for it,
+    /// which carries a migration grant.
+    fn granted_fault_in(req: ReqId) -> (ObjectId, Arc<ObjectRegistry>, ProtocolMsg) {
         let mut registry = ObjectRegistry::new();
         let obj = registry.register_named(
             "grant.window",
@@ -921,8 +985,7 @@ mod tests {
             dsm_objspace::HomeAssignment::CreationNode,
         );
         let registry = Arc::new(registry);
-        let jump = ProtocolConfig::no_migration().with_migration(dsm_core::MigrateOnRequestPolicy);
-        let old_home = ProtocolEngine::new(NodeId(1), 2, jump.clone(), Arc::clone(&registry));
+        let old_home = ProtocolEngine::new(NodeId(1), 2, jump(), Arc::clone(&registry));
         let ObjectRequestOutcome::Reply {
             data,
             version,
@@ -932,9 +995,6 @@ mod tests {
         else {
             panic!("JUMP grants the home to a write faulter");
         };
-        let grantee = node_zero(2, jump, registry);
-        let req = grantee.new_req();
-        let _parked = grantee.register_pending(req);
         let reply = ProtocolMsg::ObjectReply {
             req,
             obj,
@@ -942,6 +1002,21 @@ mod tests {
             version,
             migration,
         };
+        (obj, registry, reply)
+    }
+
+    fn jump() -> ProtocolConfig {
+        ProtocolConfig::no_migration().with_migration(dsm_core::MigrateOnRequestPolicy)
+    }
+
+    /// The grantee serves the object as soon as its server completes the
+    /// reply carrying the grant, before the application thread wakes.
+    #[test]
+    fn a_migration_grant_takes_effect_before_the_application_wakes() {
+        let req = ReqId(1);
+        let (obj, registry, reply) = granted_fault_in(req);
+        let grantee = node_zero(2, jump(), registry, None);
+        grantee.register_pending(req);
         grantee.complete(req, reply, SimTime::ZERO);
         assert!(
             grantee.engine.is_home(obj),
@@ -949,37 +1024,152 @@ mod tests {
         );
     }
 
-    fn woken(rx: &Receiver<Reply>) -> bool {
-        match rx.recv_timeout(Duration::ZERO) {
-            Err(RecvTimeoutError::Timeout) => false,
-            Err(RecvTimeoutError::Disconnected) => true,
-            Ok(reply) => panic!("an aborted waiter received {reply:?}"),
-        }
+    /// Under the fault layer a request can be answered twice, and a
+    /// retransmitted older request can be answered late. Both replies land
+    /// on the floor by id — a stale fault-in reply installs nothing — and
+    /// the live request still receives its own reply.
+    #[test]
+    fn duplicate_and_stale_replies_land_on_the_floor_under_the_fault_layer() {
+        let older = ReqId(1);
+        let (obj, registry, stale) = granted_fault_in(older);
+        let fault = FaultState::new(FaultConfig::sim_default());
+        let shared = node_zero(2, jump(), registry, Some(fault));
+        assert_eq!(shared.new_req(), older, "node 0's first request id");
+        let done = shared.new_req();
+        shared.register_pending(done);
+        shared.complete(done, grant(done), SimTime::ZERO);
+        assert_eq!(shared.wait_reply().msg.reply_req(), Some(done));
+
+        let live = shared.new_req();
+        shared.register_pending(live);
+        shared.complete(done, grant(done), SimTime::ZERO);
+        shared.complete(older, stale, SimTime::ZERO);
+        assert!(
+            !shared.engine.has_copy(obj),
+            "a stale fault-in reply installed its object"
+        );
+        shared.complete(live, grant(live), SimTime::from_nanos(5));
+        let reply = shared.wait_reply();
+        assert_eq!(reply.msg.reply_req(), Some(live));
+        assert_eq!(reply.arrival, SimTime::from_nanos(5));
     }
 
-    /// The sim teardown re-counts one parked waiter per callback, and a
-    /// woken waiter unwinds straight into `agent_finished` — which aborts
-    /// the process if it finds the count at 0. So a waiter's callback must
-    /// run while its sender is still alive (the receiver reads empty, not
-    /// disconnected): at every callback, fewer waiters have been woken than
-    /// re-counted.
+    /// Without the fault layer every request is answered exactly once, so a
+    /// stray reply is a protocol bug and fails loudly, naming the node.
+    #[test]
+    #[should_panic(expected = "delivered to P0")]
+    fn a_reply_for_an_unknown_request_panics_naming_the_node() {
+        let shared = lone_node();
+        let req = shared.new_req();
+        shared.complete(req, grant(req), SimTime::ZERO);
+    }
+
+    /// After the teardown abort a late reply is dropped instead of panicking
+    /// the thread that serves it, and a new request fails fast instead of
+    /// parking.
+    #[test]
+    fn after_the_abort_late_replies_are_dropped_and_requests_fail_fast() {
+        let shared = lone_node();
+        let req = shared.new_req();
+        shared.register_pending(req);
+        shared.abort_pending(|| {});
+        shared.complete(req, grant(req), SimTime::ZERO);
+        let unknown = shared.new_req();
+        shared.complete(unknown, grant(unknown), SimTime::ZERO);
+        let refused = catch_unwind(AssertUnwindSafe(|| {
+            shared.register_pending(shared.new_req());
+        }))
+        .expect_err("a request after the abort must fail");
+        let message = refused
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(message.contains("cluster shut down"), "got: {message}");
+    }
+
+    /// Park one application thread per sim node on a request and run
+    /// `teardown` once every agent is parked, with a count of the waiters
+    /// woken so far. Each waiter finishes its agent after it wakes, as an
+    /// application thread's exit guard does; the agent tally must balance.
+    fn park_and_tear_down(
+        nodes: usize,
+        teardown: impl FnOnce(&SimFabric<ProtocolMsg>, &[Arc<NodeShared>], &AtomicUsize),
+    ) {
+        let (fabric, shareds) = sim_nodes(nodes);
+        let woken = AtomicUsize::new(0);
+        thread::scope(|scope| {
+            for shared in &shareds {
+                let (fabric, woken) = (&fabric, &woken);
+                scope.spawn(move || {
+                    shared.register_pending(shared.new_req());
+                    let _ = catch_unwind(AssertUnwindSafe(|| shared.wait_reply()));
+                    woken.fetch_add(1, Ordering::SeqCst);
+                    fabric.agent_finished();
+                });
+            }
+            assert!(
+                matches!(fabric.next_step(), SimStep::Stalled),
+                "every agent parks"
+            );
+            teardown(&fabric, &shareds, &woken);
+        });
+        // Every waiter was re-counted before it finished, so the tally
+        // balances: nothing active, every agent finished.
+        assert!(matches!(fabric.next_step(), SimStep::Drained));
+    }
+
+    /// The re-count callback: re-count the agent, then give a waiter that
+    /// is already free to run ample time to wake. Returns whether more
+    /// waiters woke than were re-counted before this one.
+    fn recount(fabric: &SimFabric<ProtocolMsg>, woken: &AtomicUsize, recounted: usize) -> bool {
+        fabric.agent_unblocked();
+        thread::sleep(Duration::from_millis(20));
+        woken.load(Ordering::SeqCst) > recounted
+    }
+
+    /// The sim teardown re-counts each parked waiter, and a woken waiter
+    /// unwinds straight into `agent_finished` — which panics if it finds
+    /// the count at 0. So a waiter's callback must run while it provably
+    /// still waits: at every callback, no more waiters have woken than were
+    /// re-counted before it.
     #[test]
     fn abort_pending_calls_back_before_each_waiter_is_woken() {
-        let shared = lone_node();
-        // Consecutive request ids land on distinct stripes.
-        let waiters: Vec<Receiver<Reply>> = (0..PENDING_STRIPES + 3)
-            .map(|_| shared.register_pending(shared.new_req()))
-            .collect();
-        let mut calls = 0;
-        shared.abort_pending(|| {
-            let already_woken = waiters.iter().filter(|rx| woken(rx)).count();
-            assert!(
-                already_woken <= calls,
-                "{already_woken} waiters woken after only {calls} re-counts"
-            );
-            calls += 1;
+        park_and_tear_down(3, |fabric, shareds, woken| {
+            let mut calls = 0;
+            let mut early = 0;
+            for shared in shareds {
+                shared.abort_pending(|| {
+                    early += usize::from(recount(fabric, woken, calls));
+                    calls += 1;
+                });
+            }
+            assert_eq!(calls, shareds.len(), "one callback per parked waiter");
+            assert_eq!(early, 0, "a waiter woke before its re-count");
         });
-        assert_eq!(calls, waiters.len(), "one callback per parked waiter");
-        assert!(waiters.iter().all(woken));
+    }
+
+    /// On the sim a completion fills the slot without waking the waiter;
+    /// the scheduler's wake pass releases it, re-counting the agent first,
+    /// and releases each reply once.
+    #[test]
+    fn a_sim_reply_waits_for_the_wake_pass_which_recounts_first() {
+        park_and_tear_down(2, |fabric, shareds, woken| {
+            for shared in shareds {
+                let SlotState::Waiting(req) = *shared.reply.state.lock() else {
+                    panic!("a parked waiter's slot is Waiting");
+                };
+                shared.complete(req, grant(req), SimTime::ZERO);
+            }
+            thread::sleep(Duration::from_millis(20));
+            assert_eq!(woken.load(Ordering::SeqCst), 0, "a completion woke");
+            let mut early = 0;
+            for (released, shared) in shareds.iter().enumerate() {
+                assert!(shared.release_reply(|| {
+                    early += usize::from(recount(fabric, woken, released));
+                }));
+                assert!(!shared.release_reply(|| unreachable!("released twice")));
+            }
+            assert_eq!(early, 0, "a waiter woke before its re-count");
+        });
     }
 }

@@ -12,8 +12,9 @@
 //!    earliest event is a deterministic choice;
 //! 2. pop it, serve it at the destination node (the same
 //!    [`node::serve_envelope`] step the executor runs), retry the deferral
-//!    queues, and only then flush the buffered reply wakes so woken
-//!    applications never race the handler's own sends;
+//!    queues, and only then release the replies the step completed — a
+//!    completion on this thread fills the node's reply slot without waking
+//!    the waiter, so woken applications never race the handler's own sends;
 //! 3. repeat until every agent finished and the queue drained.
 //!
 //! Because at most one of {the scheduler, the set of woken application
@@ -28,66 +29,13 @@
 //! application; the scheduler panics with diagnostics instead of hanging
 //! the test run, naming the state a failing seed can replay.
 
+use crate::cluster::FirstPanic;
 use crate::fault;
 use crate::node::{self, NodeShared, ServeState};
 use dsm_core::ProtocolMsg;
 use dsm_model::{SimDuration, SimTime};
 use dsm_net::{DropReason, SimFabric, SimStep};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Sentinel for "no application thread has panicked".
-pub(crate) const NO_PANIC: usize = usize::MAX;
-
-/// RAII agent registration for one application thread: marks the agent
-/// finished on scope exit — including unwinds, so a panicking application
-/// cannot leave the scheduler waiting for quiescence forever.
-pub(crate) struct AppAgent<'fabric> {
-    fabric: &'fabric SimFabric<ProtocolMsg>,
-    panicked: &'fabric AtomicBool,
-    /// First node whose application genuinely panicked ([`NO_PANIC`] until
-    /// then). The teardown wakes the *other* nodes into secondary
-    /// "cluster shut down" panics; the runner uses this to re-raise the
-    /// original payload instead of one of those.
-    first_panic: &'fabric AtomicUsize,
-    node: usize,
-}
-
-impl<'fabric> AppAgent<'fabric> {
-    pub(crate) fn new(
-        fabric: &'fabric SimFabric<ProtocolMsg>,
-        panicked: &'fabric AtomicBool,
-        first_panic: &'fabric AtomicUsize,
-        node: usize,
-    ) -> AppAgent<'fabric> {
-        AppAgent {
-            fabric,
-            panicked,
-            first_panic,
-            node,
-        }
-    }
-}
-
-impl Drop for AppAgent<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            // Claim first-panic *before* raising the flag: once `panicked`
-            // is visible the scheduler may start waking other threads into
-            // secondary panics, which must not win this slot.
-            let _ = self.first_panic.compare_exchange(
-                NO_PANIC,
-                self.node,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-            self.panicked.store(true, Ordering::SeqCst);
-        }
-        // The endpoint-side and fabric-side counters are one counter; any
-        // handle may report the park.
-        self.fabric.agent_finished();
-    }
-}
 
 /// Every node's serve-side state, in node order, owned by the scheduler.
 struct NodeQueues {
@@ -198,11 +146,10 @@ impl RetryTimer {
 pub(crate) fn sim_server_loop(
     shareds: &[Arc<NodeShared>],
     fabric: &SimFabric<ProtocolMsg>,
-    panicked: &AtomicBool,
+    first_panic: &FirstPanic,
 ) {
     let mut queues = NodeQueues::new(shareds.len());
     let mut timer = RetryTimer::arm(shareds);
-    node::enable_wake_buffering();
     loop {
         if let Some(timer) = timer.as_mut() {
             if timer.fire_if_due(shareds, fabric) {
@@ -214,14 +161,14 @@ pub(crate) fn sim_server_loop(
                 let dst = envelope.dst.index();
                 node::serve_envelope(&shareds[dst], envelope, &mut queues.nodes[dst]);
                 retry_all(shareds, &mut queues);
-                flush_wakes(fabric);
+                release_replies(shareds, fabric);
             }
             SimStep::Drained => {
                 if queues.is_empty() {
                     break;
                 }
                 if !make_progress(shareds, fabric, &mut queues) {
-                    teardown_or_panic(shareds, panicked, fabric, &queues, "drained");
+                    teardown_or_panic(shareds, first_panic, fabric, &queues, "drained");
                     break;
                 }
             }
@@ -234,7 +181,7 @@ pub(crate) fn sim_server_loop(
                 // stall terminal.
                 if !make_progress(shareds, fabric, &mut queues) {
                     if !fault::fire_retries(shareds, fault::RetryRound::Stalled) {
-                        teardown_or_panic(shareds, panicked, fabric, &queues, "stalled");
+                        teardown_or_panic(shareds, first_panic, fabric, &queues, "stalled");
                         break;
                     }
                     if let Some(timer) = timer.as_mut() {
@@ -244,7 +191,6 @@ pub(crate) fn sim_server_loop(
             }
         }
     }
-    node::disable_wake_buffering();
 }
 
 /// One deterministic retry pass over every node's deferral queue (node
@@ -255,17 +201,15 @@ fn retry_all(shareds: &[Arc<NodeShared>], queues: &mut NodeQueues) {
     }
 }
 
-/// Flush the scheduler's buffered reply wakes: re-count each woken agent
-/// *before* handing it its reply, so the quiescence count never
-/// under-reports. Returns the number of applications woken.
-fn flush_wakes(fabric: &SimFabric<ProtocolMsg>) -> usize {
-    let wakes = node::take_buffered_wakes();
-    let woken = wakes.len();
-    for wake in wakes {
-        fabric.agent_unblocked();
-        wake.deliver();
-    }
-    woken
+/// The wake pass after a step: release every reply the step completed to
+/// its parked application, re-counting each agent *before* it wakes, so the
+/// quiescence count never under-reports. Returns the number of applications
+/// woken.
+fn release_replies(shareds: &[Arc<NodeShared>], fabric: &SimFabric<ProtocolMsg>) -> usize {
+    shareds
+        .iter()
+        .filter(|shared| shared.release_reply(|| fabric.agent_unblocked()))
+        .count()
 }
 
 /// Retry all deferred work once and report whether anything moved: a
@@ -279,14 +223,14 @@ fn make_progress(
     let load_before = queues.load();
     let sent_before = fabric.sent_count();
     retry_all(shareds, queues);
-    let woken = flush_wakes(fabric);
+    let woken = release_replies(shareds, fabric);
     queues.load() < load_before || fabric.sent_count() > sent_before || woken > 0
 }
 
 /// Wake every application thread still parked on a reply that will never
-/// come; each observes a disconnect and unwinds with a "cluster shut down"
-/// panic. Every waiter is re-counted into the agent tally *before* it is
-/// woken (see [`NodeShared::abort_pending`]).
+/// come; each unwinds with a "cluster shut down" panic. Every waiter is
+/// re-counted into the agent tally *before* it is woken (see
+/// [`NodeShared::abort_pending`]).
 pub(crate) fn abort_all_pending(shareds: &[Arc<NodeShared>], fabric: &SimFabric<ProtocolMsg>) {
     for shared in shareds {
         shared.abort_pending(|| fabric.agent_unblocked());
@@ -298,12 +242,12 @@ pub(crate) fn abort_all_pending(shareds: &[Arc<NodeShared>], fabric: &SimFabric<
 /// protocol/application deadlock otherwise.
 fn teardown_or_panic(
     shareds: &[Arc<NodeShared>],
-    panicked: &AtomicBool,
+    first_panic: &FirstPanic,
     fabric: &SimFabric<ProtocolMsg>,
     queues: &NodeQueues,
     state: &str,
 ) {
-    if panicked.load(Ordering::SeqCst) {
+    if first_panic.is_set() {
         return;
     }
     let (sent, delivered, dropped, queued) = fabric.counters();

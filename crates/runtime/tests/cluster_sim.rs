@@ -6,7 +6,10 @@ use dsm_model::ComputeModel;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
 use dsm_runtime::{
     ArrayHandle, Cluster, ClusterConfig, DeliveryTrace, ExecutionReport, FabricMode, SimConfig,
+    TcpConfig,
 };
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn sim_config(nodes: usize, protocol: ProtocolConfig, sim: SimConfig) -> ClusterConfig {
     ClusterConfig::new(nodes, protocol)
@@ -234,26 +237,46 @@ fn protocol_deadlock_panics_with_diagnostics_instead_of_hanging() {
 fn original_application_panic_is_preserved_through_teardown() {
     // Node 2 fails while nodes 0 and 1 park at a barrier; teardown wakes
     // them into secondary "cluster shut down" panics, but the payload that
-    // reaches the caller must be node 2's original message.
-    let result = std::panic::catch_unwind(|| {
-        let config = sim_config(3, ProtocolConfig::adaptive(), SimConfig::perturbed(0));
-        Cluster::new(config, ObjectRegistry::new()).run(|ctx| {
-            if ctx.node_id() == NodeId(2) {
-                panic!("ORIGINAL application failure");
-            }
-            ctx.barrier(BarrierId(3));
+    // reaches the caller must be node 2's original message. This holds on
+    // every fabric, and each run must end: a watchdog turns a teardown that
+    // leaves the parked nodes waiting into a failure instead of a hung suite.
+    let fabrics = [
+        FabricMode::Threaded,
+        FabricMode::Sim(SimConfig::perturbed(0)),
+        FabricMode::Tcp(TcpConfig::default()),
+    ];
+    for fabric in fabrics {
+        let label = format!("{fabric:?}");
+        let (done_tx, done) = mpsc::channel();
+        std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(|| {
+                let config = ClusterConfig::new(3, ProtocolConfig::adaptive())
+                    .with_compute(ComputeModel::free())
+                    .with_fabric(fabric);
+                Cluster::new(config, ObjectRegistry::new()).run(|ctx| {
+                    if ctx.node_id() == NodeId(2) {
+                        panic!("ORIGINAL application failure");
+                    }
+                    ctx.barrier(BarrierId(3));
+                });
+            });
+            let message = result.err().map(|err| {
+                err.downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| err.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            let _ = done_tx.send(message);
         });
-    });
-    let err = result.expect_err("the application panic must propagate");
-    let msg = err
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| err.downcast_ref::<String>().cloned())
-        .unwrap_or_default();
-    assert!(
-        msg.contains("ORIGINAL application failure"),
-        "teardown fallout must not mask the original panic, got: {msg}"
-    );
+        let message = done
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("{label}: the run hung after an application panic"))
+            .unwrap_or_else(|| panic!("{label}: the application panic must propagate"));
+        assert!(
+            message.contains("ORIGINAL application failure"),
+            "{label}: teardown fallout must not mask the original panic, got: {message}"
+        );
+    }
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Multi-producer channels with a `Sync` receiver and a queue-depth counter.
+//! Unbounded multi-producer channels with a `Sync` receiver and a
+//! queue-depth counter.
 //!
 //! Built on `std::sync::mpsc`. Two gaps in the standard channels matter to
 //! the simulated cluster fabric and are papered over here: the standard
@@ -26,23 +27,9 @@ pub enum RecvTimeoutError {
 #[derive(Debug)]
 pub struct SendError<T>(pub T);
 
-enum Tx<T> {
-    Unbounded(mpsc::Sender<T>),
-    Bounded(mpsc::SyncSender<T>),
-}
-
-impl<T> Clone for Tx<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Tx::Unbounded(tx) => Tx::Unbounded(tx.clone()),
-            Tx::Bounded(tx) => Tx::Bounded(tx.clone()),
-        }
-    }
-}
-
 /// Sending half of a channel. Cloneable and shareable between threads.
 pub struct Sender<T> {
-    tx: Tx<T>,
+    tx: mpsc::Sender<T>,
     depth: Arc<AtomicUsize>,
     high_watermark: Arc<AtomicUsize>,
 }
@@ -64,18 +51,14 @@ impl<T> std::fmt::Debug for Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Send a message; for a bounded channel this blocks while the channel
-    /// is full. Fails only if the receiver has been dropped.
+    /// Send a message without blocking. Fails only if the receiver has been
+    /// dropped.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.high_watermark.fetch_max(depth, Ordering::Relaxed);
-        let result = match &self.tx {
-            Tx::Unbounded(tx) => tx.send(value).map_err(|e| e.0),
-            Tx::Bounded(tx) => tx.send(value).map_err(|e| e.0),
-        };
-        result.map_err(|value| {
+        self.tx.send(value).map_err(|e| {
             self.depth.fetch_sub(1, Ordering::Relaxed);
-            SendError(value)
+            SendError(e.0)
         })
     }
 }
@@ -149,7 +132,9 @@ impl<T> Receiver<T> {
     }
 }
 
-fn wrap<T>(tx: Tx<T>, rx: mpsc::Receiver<T>) -> (Sender<T>, Receiver<T>) {
+/// Create an unbounded channel.
+pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+    let (tx, rx) = mpsc::channel();
     let depth = Arc::new(AtomicUsize::new(0));
     let high_watermark = Arc::new(AtomicUsize::new(0));
     (
@@ -164,18 +149,6 @@ fn wrap<T>(tx: Tx<T>, rx: mpsc::Receiver<T>) -> (Sender<T>, Receiver<T>) {
             high_watermark,
         },
     )
-}
-
-/// Create an unbounded channel.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    let (tx, rx) = mpsc::channel();
-    wrap(Tx::Unbounded(tx), rx)
-}
-
-/// Create a bounded channel with the given capacity.
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    let (tx, rx) = mpsc::sync_channel(capacity);
-    wrap(Tx::Bounded(tx), rx)
 }
 
 #[cfg(test)]
@@ -211,13 +184,6 @@ mod tests {
         // Depth only reached 2 this time; the peak stays 3.
         assert_eq!(rx.len(), 2);
         assert_eq!(rx.max_len(), 3);
-    }
-
-    #[test]
-    fn bounded_oneshot() {
-        let (tx, rx) = bounded(1);
-        tx.send("reply").unwrap();
-        assert_eq!(rx.recv(), Some("reply"));
     }
 
     #[test]
