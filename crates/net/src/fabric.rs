@@ -2,71 +2,17 @@
 //!
 //! Each simulated cluster node owns one [`Endpoint`]. Sending stamps the
 //! envelope with the Hockney-model arrival time, records statistics, and
-//! enqueues it on the destination's unbounded channel and fires the
-//! [`WakeHub`]; whoever serves the destination (the runtime's executor)
-//! drains the channel. The fabric performs no protocol logic.
+//! pushes it onto the destination's [`Inbox`], which wakes the destination;
+//! whoever serves the destination (the runtime's executor) drains the
+//! inbox. The fabric performs no protocol logic.
 
 use crate::category::MsgCategory;
 use crate::envelope::{Envelope, MESSAGE_HEADER_BYTES};
+use crate::inbox::Inbox;
 use crate::stats::StatsCollector;
 use dsm_model::{NetworkParams, SimTime};
 use dsm_objspace::NodeId;
-use dsm_util::channel::{unbounded, Receiver, Sender};
-use std::sync::{Arc, OnceLock};
-
-/// A hook the fabric fires after enqueuing a message: `wake(dst)` marks the
-/// destination node runnable so an event-driven server (the runtime's
-/// executor) can react to the arrival instead of polling for it.
-///
-/// Implementations must be cheap and non-blocking — the hook runs on the
-/// sender's thread, inside `send`, after the envelope is already queued.
-/// That ordering is the no-lost-wakeup contract: by the time `wake` fires,
-/// a drain of the destination's queue is guaranteed to see the message.
-pub trait WakeNotifier: Send + Sync {
-    /// Mark `node` as having (possibly) runnable protocol work.
-    fn wake(&self, node: NodeId);
-}
-
-/// Shared, late-bound slot for a [`WakeNotifier`].
-///
-/// The fabric is built before the executor that wants the notifications
-/// exists, so every endpoint carries a clone of this hub and the runtime
-/// installs the notifier once the executor is up. Wakes fired before
-/// installation are dropped — installers must schedule every node once
-/// after installing to cover that window.
-#[derive(Clone, Default)]
-pub struct WakeHub {
-    slot: Arc<OnceLock<Arc<dyn WakeNotifier>>>,
-}
-
-impl WakeHub {
-    /// Install the notifier. The first installation wins; later calls are
-    /// ignored (the hub is shared by every endpoint clone, and the runtime
-    /// installs exactly once per run).
-    pub fn install(&self, notifier: Arc<dyn WakeNotifier>) {
-        let _ = self.slot.set(notifier);
-    }
-
-    /// Fire the notifier for `node`, if one is installed.
-    pub(crate) fn wake(&self, node: NodeId) {
-        if let Some(notifier) = self.slot.get() {
-            notifier.wake(node);
-        }
-    }
-
-    /// Whether a notifier has been installed.
-    pub(crate) fn is_installed(&self) -> bool {
-        self.slot.get().is_some()
-    }
-}
-
-impl std::fmt::Debug for WakeHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WakeHub")
-            .field("installed", &self.is_installed())
-            .finish()
-    }
-}
+use std::sync::Arc;
 
 /// Factory for the endpoints of an `n`-node cluster.
 #[derive(Debug)]
@@ -79,10 +25,9 @@ pub struct Fabric<M> {
 pub struct Endpoint<M> {
     node: NodeId,
     params: NetworkParams,
-    senders: Vec<Sender<Envelope<M>>>,
-    receiver: Receiver<Envelope<M>>,
+    /// Every node's inbox, in node order, shared by all endpoints.
+    inboxes: Arc<[Inbox<M>]>,
     stats: StatsCollector,
-    wake_hub: WakeHub,
 }
 
 impl<M: Send> Fabric<M> {
@@ -93,24 +38,15 @@ impl<M: Send> Fabric<M> {
     /// Panics if `num_nodes` is zero.
     pub fn new(num_nodes: usize, params: NetworkParams, stats: StatsCollector) -> Self {
         assert!(num_nodes > 0, "cluster must have at least one node");
-        let mut senders = Vec::with_capacity(num_nodes);
-        let mut receivers = Vec::with_capacity(num_nodes);
-        for _ in 0..num_nodes {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let wake_hub = WakeHub::default();
-        let endpoints = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(i, receiver)| Endpoint {
+        let inboxes: Arc<[Inbox<M>]> = (0..num_nodes)
+            .map(|i| Inbox::new(NodeId::from(i)))
+            .collect();
+        let endpoints = (0..num_nodes)
+            .map(|i| Endpoint {
                 node: NodeId::from(i),
                 params,
-                senders: senders.clone(),
-                receiver,
+                inboxes: Arc::clone(&inboxes),
                 stats: stats.clone(),
-                wake_hub: wake_hub.clone(),
             })
             .collect();
         Fabric { endpoints }
@@ -137,9 +73,7 @@ impl<M: Send> Endpoint<M> {
     /// round trips.
     ///
     /// # Panics
-    /// Panics if `dst` is out of range or if the destination endpoint has
-    /// been dropped (the cluster is shutting down while messages are still
-    /// being sent — a protocol bug).
+    /// Panics if `dst` is out of range.
     pub fn send(
         &self,
         dst: NodeId,
@@ -160,47 +94,21 @@ impl<M: Send> Endpoint<M> {
             arrival,
             payload,
         };
-        let delivered = self
-            .senders
+        self.inboxes
             .get(dst.index())
             .unwrap_or_else(|| panic!("destination {dst} out of range"))
-            .send(envelope)
-            .is_ok();
-        assert!(
-            delivered,
-            "destination endpoint dropped while cluster is running"
-        );
-        // Enqueue-before-wake: the destination is marked runnable only once
-        // a drain of its queue is guaranteed to find the envelope.
-        self.wake_hub.wake(dst);
+            .push(envelope);
         arrival
-    }
-
-    /// Blocking receive of the next incoming message (the runtime drains
-    /// with [`try_recv`](Self::try_recv); the tests block).
-    #[cfg(test)]
-    fn recv(&self) -> Option<Envelope<M>> {
-        self.receiver.recv()
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.receiver.try_recv()
+        self.inbox().try_recv()
     }
 
-    /// Number of messages currently queued for this node.
-    pub fn pending(&self) -> usize {
-        self.receiver.len()
-    }
-
-    /// Deepest this node's inbound queue has ever been.
-    pub fn queue_high_watermark(&self) -> usize {
-        self.receiver.max_len()
-    }
-
-    /// The wake hub shared by every endpoint of the owning fabric.
-    pub fn wake_hub(&self) -> WakeHub {
-        self.wake_hub.clone()
+    /// This node's inbox.
+    pub fn inbox(&self) -> &Inbox<M> {
+        &self.inboxes[self.node.index()]
     }
 }
 
@@ -216,7 +124,7 @@ mod tests {
         assert_eq!(eps.len(), 4);
         for (i, ep) in eps.iter().enumerate() {
             assert_eq!(ep.node(), NodeId::from(i));
-            assert_eq!(ep.senders.len(), 4);
+            assert_eq!(ep.inboxes.len(), 4);
         }
     }
 
@@ -235,7 +143,7 @@ mod tests {
             SimTime::from_micros(5.0),
             "hello".to_string(),
         );
-        let env = ep1.recv().expect("message should arrive");
+        let env = ep1.inbox().recv().expect("message should arrive");
         assert_eq!(env.src, NodeId(0));
         assert_eq!(env.dst, NodeId(1));
         assert_eq!(env.payload, "hello");
@@ -258,7 +166,7 @@ mod tests {
         let fabric: Fabric<u8> = Fabric::new(1, NetworkParams::ideal(), StatsCollector::new());
         let ep = fabric.into_endpoints().pop().unwrap();
         ep.send(NodeId(0), MsgCategory::Control, 0, SimTime::ZERO, 9);
-        assert_eq!(ep.recv().unwrap().payload, 9);
+        assert_eq!(ep.inbox().recv().unwrap().payload, 9);
     }
 
     #[test]
@@ -270,7 +178,7 @@ mod tests {
         let handle = thread::spawn(move || {
             let mut sum = 0;
             for _ in 0..100 {
-                sum += ep1.recv().unwrap().payload;
+                sum += ep1.inbox().recv().unwrap().payload;
             }
             sum
         });
@@ -287,53 +195,54 @@ mod tests {
         let ep1 = eps.pop().unwrap();
         let ep0 = eps.pop().unwrap();
         assert!(ep1.try_recv().is_none());
-        assert_eq!(ep1.pending(), 0);
+        assert_eq!(ep1.inbox().len(), 0);
         ep0.send(NodeId(1), MsgCategory::Control, 0, SimTime::ZERO, 1);
         ep0.send(NodeId(1), MsgCategory::Control, 0, SimTime::ZERO, 2);
-        assert_eq!(ep1.pending(), 2);
+        assert_eq!(ep1.inbox().len(), 2);
         assert_eq!(ep1.try_recv().unwrap().payload, 1);
         assert_eq!(ep1.try_recv().unwrap().payload, 2);
     }
 
     #[test]
-    fn wake_hub_fires_destination_after_enqueue() {
+    fn send_wakes_destination_after_enqueue() {
+        use crate::inbox::WakeNotifier;
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         struct Recorder {
             wakes: AtomicUsize,
-            pending_at_wake: AtomicUsize,
-            ep1_pending: Arc<dyn Fn() -> usize + Send + Sync>,
+            queued_at_wake: AtomicUsize,
+            ep1_queued: Box<dyn Fn() -> usize + Send + Sync>,
         }
         impl WakeNotifier for Recorder {
             fn wake(&self, node: NodeId) {
                 assert_eq!(node, NodeId(1));
                 self.wakes.fetch_add(1, Ordering::SeqCst);
-                self.pending_at_wake
-                    .fetch_max((self.ep1_pending)(), Ordering::SeqCst);
+                self.queued_at_wake
+                    .fetch_max((self.ep1_queued)(), Ordering::SeqCst);
             }
         }
 
         let fabric: Fabric<u8> = Fabric::new(2, NetworkParams::ideal(), StatsCollector::new());
         let eps: Vec<_> = fabric.into_endpoints().into_iter().map(Arc::new).collect();
-        let hub = eps[1].wake_hub();
 
         // A wake before installation is silently dropped.
         eps[0].send(NodeId(1), MsgCategory::Control, 0, SimTime::ZERO, 1);
 
-        let ep1 = Arc::clone(&eps[1]);
+        let ep1 = Arc::downgrade(&eps[1]);
         let recorder = Arc::new(Recorder {
             wakes: AtomicUsize::new(0),
-            pending_at_wake: AtomicUsize::new(0),
-            ep1_pending: Arc::new(move || ep1.pending()),
+            queued_at_wake: AtomicUsize::new(0),
+            ep1_queued: Box::new(move || ep1.upgrade().map_or(0, |ep| ep.inbox().len())),
         });
-        hub.install(Arc::clone(&recorder) as Arc<dyn WakeNotifier>);
-        assert!(hub.is_installed());
+        eps[1]
+            .inbox()
+            .install_notifier(Arc::clone(&recorder) as Arc<dyn WakeNotifier>);
 
         eps[0].send(NodeId(1), MsgCategory::Control, 0, SimTime::ZERO, 2);
         assert_eq!(recorder.wakes.load(Ordering::SeqCst), 1);
         // Enqueue-before-wake: the message was visible when the hook ran.
-        assert!(recorder.pending_at_wake.load(Ordering::SeqCst) >= 2);
-        assert_eq!(eps[1].queue_high_watermark(), 2);
+        assert!(recorder.queued_at_wake.load(Ordering::SeqCst) >= 2);
+        assert_eq!(eps[1].inbox().high_watermark(), 2);
     }
 
     #[test]

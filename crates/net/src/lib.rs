@@ -13,10 +13,12 @@
 //! * [`Envelope`] — a message in flight, carrying virtual-time send and
 //!   arrival stamps computed with the Hockney model from `dsm-model`.
 //! * [`Fabric`] / [`Endpoint`] — a channel-based full mesh between
-//!   node threads. Sending is non-blocking; each node's protocol server
-//!   drains its endpoint. Endpoints carry a wake hub so an event-driven
-//!   server (the runtime's executor) can be notified of each enqueue via a
-//!   [`WakeNotifier`] instead of polling.
+//!   node threads. Sending is non-blocking: it pushes onto the
+//!   destination's [`Inbox`], which its protocol server drains.
+//! * [`Inbox`] — the one inbound queue of the threaded and TCP fabrics.
+//!   Every delivery pushes, then fires the inbox's [`WakeNotifier`], so an
+//!   event-driven server (the runtime's executor) is notified of each
+//!   enqueue instead of polling.
 //! * [`SimFabric`] / [`SimEndpoint`] — the deterministic simulation fabric:
 //!   a seeded virtual-time scheduler that owns delivery itself, applies the
 //!   seeded delay perturbations of a [`SimConfig`] (latency jitter, bounded
@@ -63,6 +65,7 @@
 mod category;
 mod envelope;
 mod fabric;
+mod inbox;
 mod sim;
 mod stats;
 mod tcp;
@@ -70,7 +73,8 @@ pub mod wire;
 
 pub use category::MsgCategory;
 pub use envelope::{Envelope, MESSAGE_HEADER_BYTES};
-pub use fabric::{Endpoint, Fabric, WakeNotifier};
+pub use fabric::{Endpoint, Fabric};
+pub use inbox::{Inbox, WakeNotifier};
 pub use sim::{
     DeliveryRecord, DeliveryTrace, DropReason, DropRecord, PartitionSpec, PauseSpec, SimConfig,
     SimEndpoint, SimFabric, SimStep,

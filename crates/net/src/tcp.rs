@@ -7,11 +7,28 @@
 //! learns every peer's address before the run starts. Each ordered pair of
 //! nodes gets a **dedicated connection**: node `a` *dials* node `b` and
 //! uses that connection exclusively for `a → b` traffic, while `b`'s accept
-//! loop turns the same connection into a read-only `b ← a` link. One writer
-//! thread per outgoing link (fed by an in-order queue of pre-encoded
-//! frames) and one reader thread per incoming link give the protocol its
-//! documented **per-link FIFO** guarantee: frames leave in send order on a
-//! single TCP stream and are decoded sequentially at the far end.
+//! loop turns the same connection into a read-only `b ← a` link. A sender
+//! encodes its frame and writes it whole on its own thread, holding the
+//! outgoing link's lock, so the frames of concurrent senders never
+//! interleave and leave in the order the senders took the lock. One reader
+//! thread per incoming link decodes them sequentially and pushes them onto
+//! the node's [`Inbox`]. Together that is the protocol's documented
+//! **per-link FIFO** guarantee. A joined N-node mesh runs N(N−1) socket
+//! threads, all of them readers.
+//!
+//! # Why a blocking write cannot deadlock
+//!
+//! A write blocks only while the socket buffers towards the peer are full.
+//! The peer's reader for that link blocks only in `read`, and pushes what
+//! it reads onto an unbounded inbox, so it keeps draining the link and the
+//! write completes once it runs. The link lock is a leaf lock: a sender
+//! takes nothing else while holding it. Readers take no link lock, and no
+//! lock of the runtime beyond what the inbox's wake takes (the executor's
+//! run-queue lock, under which nothing writes); in particular no node's
+//! serve lock or reply slot. So no cycle of waits can pass through a
+//! blocked write. (A reader that stopped on a broken or malformed link no
+//! longer drains it, and writes to that link can then block for good; but
+//! that link has already failed.)
 //!
 //! # Modeled time on real sockets
 //!
@@ -34,16 +51,17 @@
 //! `dsm-runtime`) a node leaves as soon as its *own* application is done,
 //! while peers may still fault in objects homed there, so replies can
 //! follow its leave; readers therefore keep reading past a leave. A node
-//! tears down once it has heard every peer's leave and emptied its inbound
-//! queue: [`TcpEndpoint::finish`] closes the write side (flushing queued
-//! frames), shuts down every incoming socket so its blocked reader wakes at
-//! end of stream, and joins all socket threads. Established links never
-//! poll a timeout; only the join phase is bounded, by `connect_timeout`,
-//! which also bounds the hello read on a fresh connection.
+//! tears down once it has heard every peer's leave and emptied its inbox:
+//! [`TcpEndpoint::finish`] closes every outgoing socket (each frame was
+//! written by the send that made it, so there is nothing to flush), shuts
+//! down every incoming socket so its blocked reader wakes at end of stream,
+//! and joins the reader threads. Established links never poll a timeout;
+//! only the join phase is bounded, by `connect_timeout`, which also bounds
+//! the hello read on a fresh connection.
 
 use crate::category::MsgCategory;
 use crate::envelope::{Envelope, MESSAGE_HEADER_BYTES};
-use crate::fabric::WakeNotifier;
+use crate::inbox::Inbox;
 use crate::stats::StatsCollector;
 use crate::wire::{
     decode_frame, decode_hello, encode_control, encode_envelope, encode_hello, FrameKind, Hello,
@@ -51,12 +69,11 @@ use crate::wire::{
 };
 use dsm_model::{NetworkParams, SimTime};
 use dsm_objspace::NodeId;
-use dsm_util::channel::{unbounded, Receiver, Sender};
 use dsm_util::sync::Mutex;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -85,7 +102,7 @@ impl Default for TcpConfig {
 pub struct WireCounters {
     /// Payload (envelope) frames sent, including self-sends.
     pub payload_frames_sent: u64,
-    /// Payload frames delivered into the inbound queue.
+    /// Payload frames delivered into the inbox.
     pub payload_frames_delivered: u64,
     /// Modeled wire bytes (payload + modeled header) across sent payload
     /// frames — reconciles with `NetworkStats::total_bytes()`.
@@ -96,7 +113,8 @@ pub struct WireCounters {
     pub control_frames_sent: u64,
     /// Heartbeat frames sent: always 0, since the fabric sends none.
     pub heartbeats_sent: u64,
-    /// Raw bytes written to sockets (frames + length prefixes).
+    /// Raw bytes written to sockets (frames + length prefixes), counted
+    /// when a sender's write of a whole frame returns.
     pub socket_bytes_sent: u64,
     /// Raw bytes read from sockets.
     pub socket_bytes_received: u64,
@@ -128,26 +146,12 @@ impl Counters {
     }
 }
 
-/// State shared between an endpoint and its socket threads.
+/// State shared between an endpoint and its reader threads.
 struct LinkShared<M: Send + 'static> {
     node: NodeId,
     counters: Counters,
     leaves_received: AtomicUsize,
-    inbound_tx: Sender<Envelope<M>>,
-    /// Late-bound wake hook: reader threads fire it towards the *owning*
-    /// node after enqueuing a payload (and on leave frames, so a drained
-    /// server re-evaluates its teardown condition) — the TCP analogue of
-    /// the in-process fabric's [`crate::fabric::WakeHub`].
-    notifier: OnceLock<Arc<dyn WakeNotifier>>,
-}
-
-impl<M: Send + 'static> LinkShared<M> {
-    /// Mark the owning node runnable, if a notifier is installed.
-    fn wake_self(&self) {
-        if let Some(notifier) = self.notifier.get() {
-            notifier.wake(self.node);
-        }
-    }
+    inbox: Inbox<M>,
 }
 
 /// A node's listener, created before addresses are exchanged. `bind` and
@@ -203,7 +207,7 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
     }
 
     /// Join the cluster: dial every peer (the outgoing links), accept every
-    /// peer's dial (the incoming links), start writer/reader threads and
+    /// peer's dial (the incoming links), start the reader threads and
     /// return the live endpoint. `peer_addrs` must hold one address per
     /// node in node order; the entry at this node's own index is ignored.
     pub fn connect(self, peer_addrs: &[SocketAddr]) -> io::Result<TcpEndpoint<M>> {
@@ -212,13 +216,11 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
             self.num_nodes,
             "expected one address per node"
         );
-        let (inbound_tx, inbound_rx) = unbounded();
         let shared = Arc::new(LinkShared {
             node: self.node,
             counters: Counters::default(),
             leaves_received: AtomicUsize::new(0),
-            inbound_tx,
-            notifier: OnceLock::new(),
+            inbox: Inbox::new(self.node),
         });
 
         // Accept loop: collect exactly num_nodes - 1 hello'd incoming
@@ -234,34 +236,27 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
             Instant::now() + self.config.connect_timeout,
         );
 
-        // Dial every peer; each dialed connection is this node's exclusive
-        // ordered write channel to that peer.
-        let mut writer_txs: WriterTxs = Vec::with_capacity(self.num_nodes);
-        let mut writer_handles = Vec::new();
+        // Dial every peer and introduce ourselves; each dialed connection
+        // is this node's exclusive ordered write channel to that peer.
+        let hello = encode_hello(Hello {
+            node: self.node,
+            num_nodes: self.num_nodes as u16,
+        });
+        let mut links = Vec::with_capacity(self.num_nodes);
         for (dst, &addr) in peer_addrs.iter().enumerate() {
             if dst == self.node.index() {
-                writer_txs.push(None);
+                links.push(Mutex::new(None));
                 continue;
             }
-            let stream = dial(addr, self.config.connect_timeout)?;
+            let mut stream = dial(addr, self.config.connect_timeout)?;
             stream.set_nodelay(true)?;
-            let hello = encode_hello(Hello {
-                node: self.node,
-                num_nodes: self.num_nodes as u16,
-            });
-            let (tx, rx) = unbounded::<Vec<u8>>();
-            tx.send(hello).expect("writer receiver is live");
-            shared
-                .counters
-                .control_frames_sent
-                .fetch_add(1, Ordering::Relaxed);
-            writer_handles.push(spawn_writer(
-                stream,
-                rx,
-                Arc::clone(&shared),
-                NodeId::from(dst),
-            ));
-            writer_txs.push(Some(tx));
+            stream.write_all(&hello)?;
+            let counters = &shared.counters;
+            counters.control_frames_sent.fetch_add(1, Ordering::Relaxed);
+            counters
+                .socket_bytes_sent
+                .fetch_add(hello.len() as u64, Ordering::Relaxed);
+            links.push(Mutex::new(Some(stream)));
         }
 
         Ok(TcpEndpoint {
@@ -269,12 +264,10 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
             params: self.params,
             stats: self.stats,
             encode_env: self.encode_env,
-            inbound_rx,
-            writers: Mutex::new(Some(writer_txs)),
+            links,
             leave_sent: AtomicBool::new(false),
             shared,
             acceptor: Mutex::new(Some(acceptor)),
-            writer_handles: Mutex::new(writer_handles),
             readers,
             finished: AtomicBool::new(false),
         })
@@ -326,9 +319,6 @@ impl<M: Send + 'static> TcpFabric<M> {
     }
 }
 
-/// Per-destination encoded-frame senders, `None` at this node's own slot.
-type WriterTxs = Vec<Option<Sender<Vec<u8>>>>;
-
 /// An incoming link's reader thread, plus a handle on its socket that
 /// teardown shuts down to wake the blocked read.
 type Reader = (JoinHandle<()>, TcpStream);
@@ -342,12 +332,12 @@ pub struct TcpEndpoint<M: Send + 'static> {
     params: NetworkParams,
     stats: StatsCollector,
     encode_env: fn(&Envelope<M>) -> Vec<u8>,
-    inbound_rx: Receiver<Envelope<M>>,
-    writers: Mutex<Option<WriterTxs>>,
+    /// The outgoing connection to each node, in node order: `None` at
+    /// this node's own slot, after a failed write and after `finish`.
+    links: Vec<Mutex<Option<TcpStream>>>,
     leave_sent: AtomicBool,
     shared: Arc<LinkShared<M>>,
     acceptor: Mutex<Option<JoinHandle<()>>>,
-    writer_handles: Mutex<Vec<JoinHandle<()>>>,
     readers: Arc<Mutex<Vec<Reader>>>,
     finished: AtomicBool,
 }
@@ -365,13 +355,14 @@ impl<M: Send + 'static> TcpEndpoint<M> {
 
     /// Send `payload` of `payload_bytes` bytes to `dst`, stamping modeled
     /// time exactly as the in-process fabric does and recording the same
-    /// statistics. Frames to a given destination leave on one ordered
-    /// connection, preserving per-link FIFO.
+    /// statistics. The frame is written to `dst`'s ordered connection
+    /// before this returns, preserving per-link FIFO; the write blocks
+    /// while the socket buffers towards `dst` are full (see the module
+    /// docs).
     ///
     /// # Panics
     /// Panics if `dst` is out of range or the link to `dst` has been shut
-    /// down while the cluster is running (a protocol bug, as on the
-    /// in-process fabric).
+    /// down while the cluster is running (a protocol bug).
     pub fn send(
         &self,
         dst: NodeId,
@@ -405,75 +396,64 @@ impl<M: Send + 'static> TcpEndpoint<M> {
             counters
                 .modeled_bytes_delivered
                 .fetch_add(wire_bytes, Ordering::Relaxed);
-            let delivered = self.shared.inbound_tx.send(envelope).is_ok();
-            assert!(
-                delivered,
-                "destination endpoint dropped while cluster is running"
-            );
-            self.shared.wake_self();
+            self.shared.inbox.push(envelope);
             return arrival;
         }
-        let frame = (self.encode_env)(&envelope);
-        let writers = self.writers.lock();
-        let delivered = writers
-            .as_ref()
-            .and_then(|w| {
-                w.get(dst.index())
-                    .unwrap_or_else(|| panic!("destination {dst} out of range"))
-                    .as_ref()
-            })
-            .is_some_and(|tx| tx.send(frame).is_ok());
+        let written = self.write_frame(dst, &(self.encode_env)(&envelope));
         assert!(
-            delivered,
+            written,
             "destination endpoint dropped while cluster is running"
         );
         arrival
     }
 
-    /// Blocking receive of the next incoming message. The endpoint itself
-    /// keeps the inbound queue's sender alive, so this never returns `None`
-    /// and, once traffic stops, blocks for good — even after
-    /// [`finish`](TcpEndpoint::finish). Callers that must stop end their
-    /// loop on a message of their own or use
-    /// [`try_recv`](TcpEndpoint::try_recv).
+    /// Write one encoded frame on the outgoing link to `dst`, holding the
+    /// link's lock for the whole `write_all` so concurrent senders' frames
+    /// never interleave. Returns `false` if the link is closed. A failed
+    /// write is logged and closes this link only.
+    fn write_frame(&self, dst: NodeId, frame: &[u8]) -> bool {
+        let mut link = self
+            .links
+            .get(dst.index())
+            .unwrap_or_else(|| panic!("destination {dst} out of range"))
+            .lock();
+        let Some(stream) = link.as_mut() else {
+            return false;
+        };
+        match stream.write_all(frame) {
+            Ok(()) => {
+                self.shared
+                    .counters
+                    .socket_bytes_sent
+                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
+            }
+            Err(e) => {
+                eprintln!(
+                    "tcp fabric: node {}: write to {dst} failed: {e}",
+                    self.shared.node
+                );
+                *link = None;
+            }
+        }
+        true
+    }
+
+    /// Blocking receive of the next incoming message. The inbox keeps its
+    /// own sender alive, so this never returns `None` and, once traffic
+    /// stops, blocks for good — even after [`finish`](TcpEndpoint::finish).
+    /// Callers that must stop end their loop on a message of their own or
+    /// poll the [`inbox`](TcpEndpoint::inbox).
     pub fn recv(&self) -> Option<Envelope<M>> {
-        self.inbound_rx.recv()
+        self.shared.inbox.recv()
     }
 
-    /// Receive with a real-time timeout (the tests' bounded wait).
-    #[cfg(test)]
-    fn recv_timeout(
-        &self,
-        timeout: Duration,
-    ) -> Result<Envelope<M>, dsm_util::channel::RecvTimeoutError> {
-        self.inbound_rx.recv_timeout(timeout)
+    /// This node's inbox, filled by self-sends and the reader threads.
+    pub fn inbox(&self) -> &Inbox<M> {
+        &self.shared.inbox
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.inbound_rx.try_recv()
-    }
-
-    /// Number of messages currently queued for this node.
-    pub fn pending(&self) -> usize {
-        self.inbound_rx.len()
-    }
-
-    /// Deepest this node's inbound queue has ever been.
-    pub fn queue_high_watermark(&self) -> usize {
-        self.inbound_rx.max_len()
-    }
-
-    /// Install the wake hook fired by this endpoint's reader threads after
-    /// each payload enqueue (and on leave frames). The first installation
-    /// wins; wakes before installation are dropped, so installers must
-    /// schedule this node once afterwards to cover the window.
-    pub fn install_notifier(&self, notifier: Arc<dyn WakeNotifier>) {
-        let _ = self.shared.notifier.set(notifier);
-    }
-
-    /// Announce that this node's application is done: enqueue a leave
-    /// frame on every outgoing link (idempotent). Called by the runtime
+    /// Announce that this node's application is done: write a leave frame
+    /// on every outgoing link (idempotent). Called by the runtime
     /// once this node's server has drained after shutdown was requested.
     /// Replies to peers' requests may still follow it (see the module
     /// docs).
@@ -481,15 +461,13 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         if self.leave_sent.swap(true, Ordering::SeqCst) {
             return;
         }
-        let writers = self.writers.lock();
-        if let Some(writers) = writers.as_ref() {
-            for tx in writers.iter().flatten() {
-                if tx.send(encode_control(FrameKind::Leave)).is_ok() {
-                    self.shared
-                        .counters
-                        .control_frames_sent
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+        let leave = encode_control(FrameKind::Leave);
+        for dst in 0..self.num_nodes {
+            if self.write_frame(NodeId::from(dst), &leave) {
+                self.shared
+                    .counters
+                    .control_frames_sent
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -506,8 +484,8 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         self.shared.counters.snapshot()
     }
 
-    /// Tear the link down: flush and close every outgoing connection, shut
-    /// down every incoming one, and join all socket threads. Idempotent.
+    /// Tear the link down: close every outgoing connection, shut down every
+    /// incoming one, and join all socket threads. Idempotent.
     /// Safe to call only after the protocol has quiesced (leave handshake
     /// done); messages sent after `finish` panic as "destination dropped",
     /// and frames arriving after it are dropped.
@@ -515,12 +493,9 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
-        // 1. Close the write side: writers drain their queues (flushing
-        //    any final leave frame) and close their sockets, which EOFs
-        //    the peers' readers.
-        *self.writers.lock() = None;
-        for h in self.writer_handles.lock().drain(..) {
-            let _ = h.join();
+        // 1. Close every outgoing socket, which EOFs the peers' readers.
+        for link in &self.links {
+            *link.lock() = None;
         }
         // 2. The acceptor exits once all peers dialed in (or the join
         //    deadline passed), so every reader is registered after this.
@@ -757,7 +732,7 @@ fn spawn_reader<M: Send + 'static>(
                 // A leave can complete the teardown condition of an already
                 // drained node — wake it so the event-driven server re-checks
                 // `all_peers_left`.
-                shared.wake_self();
+                shared.inbox.wake();
             }
             FrameKind::Payload => match decode_env(body) {
                 Ok(envelope) => {
@@ -769,11 +744,7 @@ fn spawn_reader<M: Send + 'static>(
                         .counters
                         .modeled_bytes_delivered
                         .fetch_add(envelope.wire_bytes, Ordering::Relaxed);
-                    if shared.inbound_tx.send(envelope).is_err() {
-                        return;
-                    }
-                    // Enqueue-before-wake, as on the in-process fabric.
-                    shared.wake_self();
+                    shared.inbox.push(envelope);
                 }
                 Err(e) => {
                     eprintln!(
@@ -784,33 +755,6 @@ fn spawn_reader<M: Send + 'static>(
                 }
             },
         }
-    })
-}
-
-fn spawn_writer<M: Send + 'static>(
-    mut stream: TcpStream,
-    rx: Receiver<Vec<u8>>,
-    shared: Arc<LinkShared<M>>,
-    peer: NodeId,
-) -> JoinHandle<()> {
-    thread::spawn(move || {
-        // recv() returns None only once every sender clone is dropped AND
-        // the queue is drained, so all enqueued frames (including the
-        // final leave) hit the socket before it closes.
-        while let Some(frame) = rx.recv() {
-            if let Err(e) = stream.write_all(&frame) {
-                eprintln!(
-                    "tcp fabric: node {}: write to {peer} failed: {e}",
-                    shared.node
-                );
-                return;
-            }
-            shared
-                .counters
-                .socket_bytes_sent
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        }
-        let _ = stream.flush();
     })
 }
 
@@ -863,7 +807,7 @@ mod tests {
         bindings.iter().map(|b| b.local_addr().unwrap()).collect()
     }
 
-    fn teardown(endpoints: &[TcpEndpoint<u64>]) {
+    fn teardown<M: Send + 'static>(endpoints: &[TcpEndpoint<M>]) {
         for ep in endpoints {
             ep.announce_leave();
         }
@@ -888,6 +832,7 @@ mod tests {
             42,
         );
         let env = eps[1]
+            .inbox()
             .recv_timeout(Duration::from_secs(5))
             .expect("delivery");
         assert_eq!(env.src, NodeId(0));
@@ -932,6 +877,7 @@ mod tests {
         let mut from1 = Vec::new();
         while from0.len() + from1.len() < 400 {
             let env = eps[2]
+                .inbox()
                 .recv_timeout(Duration::from_secs(5))
                 .expect("delivery");
             if env.src == NodeId(0) {
@@ -945,12 +891,103 @@ mod tests {
         teardown(&eps);
     }
 
+    /// Codec for frames with a byte payload of any size.
+    struct BytesCodec;
+    impl WireCodec<Vec<u8>> for BytesCodec {
+        fn encode(msg: &Vec<u8>, w: &mut WireWriter) {
+            w.len_bytes(msg);
+        }
+        fn decode(r: &mut WireReader<'_>) -> Result<Vec<u8>, WireError> {
+            r.len_bytes().map(<[u8]>::to_vec)
+        }
+    }
+
+    /// Four threads share node 0's endpoint and send on its one link to
+    /// node 1 at once. Each frame is larger than one loopback `write`
+    /// moves, so `write_all` loops; the link lock must still keep every
+    /// frame whole and each sender's frames in order.
+    #[test]
+    fn concurrent_senders_on_one_link_keep_frames_whole_and_in_order() {
+        const SENDERS: u8 = 4;
+        const FRAMES: u32 = 100;
+        const FRAME_BYTES: usize = 256 * 1024;
+        // Sender id, sequence number, then a fill that differs per frame.
+        fn payload(sender: u8, seq: u32) -> Vec<u8> {
+            let mut bytes = vec![sender ^ seq as u8; FRAME_BYTES];
+            bytes[0] = sender;
+            bytes[1..5].copy_from_slice(&seq.to_le_bytes());
+            bytes
+        }
+        let mut eps = TcpFabric::bind_local::<BytesCodec>(
+            2,
+            NetworkParams::fast_ethernet(),
+            StatsCollector::new(),
+            TcpConfig::default(),
+        )
+        .expect("bind 127.0.0.1 fabric")
+        .into_endpoints();
+        let node1 = eps.pop().unwrap();
+        let node0 = Arc::new(eps.pop().unwrap());
+        // Detached senders: if a torn frame stops node 1's reader, the
+        // receive below times out and fails instead of waiting on writes
+        // that can no longer drain.
+        let senders: Vec<_> = (0..SENDERS)
+            .map(|sender| {
+                let node0 = Arc::clone(&node0);
+                thread::spawn(move || {
+                    for seq in 0..FRAMES {
+                        let bytes = payload(sender, seq);
+                        node0.send(NodeId(1), MsgCategory::Control, 0, SimTime::ZERO, bytes);
+                    }
+                })
+            })
+            .collect();
+        let mut next_seq = [0u32; SENDERS as usize];
+        let mut frame_bytes = 0u64;
+        for _ in 0..u32::from(SENDERS) * FRAMES {
+            let env = node1
+                .inbox()
+                .recv_timeout(Duration::from_secs(10))
+                .expect("delivery");
+            let sender = env.payload[0];
+            let seq = u32::from_le_bytes(env.payload[1..5].try_into().unwrap());
+            assert_eq!(
+                seq,
+                next_seq[usize::from(sender)],
+                "sender {sender} reordered"
+            );
+            next_seq[usize::from(sender)] += 1;
+            assert!(
+                env.payload == payload(sender, seq),
+                "frame {seq} of sender {sender} arrived torn"
+            );
+            frame_bytes += encode_envelope::<Vec<u8>, BytesCodec>(&env).len() as u64;
+        }
+        for sender in senders {
+            sender.join().expect("sender thread");
+        }
+        let hello = encode_hello(Hello {
+            node: NodeId(0),
+            num_nodes: 2,
+        });
+        assert_eq!(
+            node0.wire_counters().socket_bytes_sent,
+            hello.len() as u64 + frame_bytes
+        );
+        let node0 = Arc::into_inner(node0).expect("every sender joined");
+        teardown(&[node0, node1]);
+    }
+
     #[test]
     fn self_send_is_allowed() {
         let (eps, _stats) = local_fabric(1);
         eps[0].send(NodeId(0), MsgCategory::Control, 0, SimTime::ZERO, 9);
         assert_eq!(
-            eps[0].recv_timeout(Duration::from_secs(1)).unwrap().payload,
+            eps[0]
+                .inbox()
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap()
+                .payload,
             9
         );
         assert!(
@@ -981,6 +1018,7 @@ mod tests {
         }
         eps[0].send(NodeId(1), MsgCategory::ObjRequest, 8, SimTime::ZERO, 7);
         let request = eps[1]
+            .inbox()
             .recv_timeout(Duration::from_secs(5))
             .expect("request delivered to the node that left");
         eps[1].send(
@@ -991,6 +1029,7 @@ mod tests {
             request.payload + 1,
         );
         let reply = eps[0]
+            .inbox()
             .recv_timeout(Duration::from_secs(5))
             .expect("a reply sent after the leave still arrives");
         assert_eq!(reply.payload, 8);
@@ -1026,6 +1065,7 @@ mod tests {
             .expect("node 0 still listens for node 2");
         node2.send(NodeId(0), MsgCategory::Control, 8, SimTime::ZERO, 42);
         let env = node0
+            .inbox()
             .recv_timeout(Duration::from_secs(2))
             .expect("node 2's link was accepted and read");
         assert_eq!((env.src, env.payload), (NodeId(2), 42));

@@ -639,7 +639,7 @@ where
     let workers = effective_workers(config.executor_workers, shareds.len());
     let executor = Executor::new(shareds.iter().map(|s| s.node).collect(), workers);
     for (slot, shared) in shareds.iter().enumerate() {
-        shared.link_install_notifier(executor.notifier());
+        shared.inbox().install_notifier(executor.notifier());
         shared.attach_rearm(executor.hook(slot));
     }
     // Sweep every inbound queue once: wakes that fired before the notifier
@@ -736,7 +736,7 @@ impl FirstPanic {
 fn queue_depth_high_watermark(shareds: &[Arc<NodeShared>]) -> usize {
     shareds
         .iter()
-        .filter_map(|shared| shared.link_queue_high_watermark())
+        .map(|shared| shared.inbox().high_watermark())
         .max()
         .unwrap_or(0)
 }

@@ -632,16 +632,7 @@ impl NodeCtx {
                         "redirection chain for {obj} did not converge"
                     );
                     self.pace_chase(redirections);
-                    let engine = &self.shared.engine;
-                    engine.note_redirect(obj, new_home, epoch);
-                    // Chase the hint — but never ourselves: a (stale) hint
-                    // pointing back at the requester falls back to our own
-                    // forward belief, which the epoch guard kept intact.
-                    target = if new_home == node {
-                        engine.home_hint(obj)
-                    } else {
-                        new_home
-                    };
+                    target = self.retarget_after_redirect(obj, new_home, epoch);
                 }
                 other => panic!("unexpected reply to object request: {other:?}"),
             }
@@ -675,12 +666,12 @@ impl NodeCtx {
         self.shared.engine.finish_release();
     }
 
-    /// Adopt a flush-redirect hint (epoch-guarded) and return the node to
-    /// retry at: the hinted home — but never ourselves; a (stale) hint
-    /// pointing back at the flusher falls back to our own forward belief,
-    /// which the epoch guard kept intact. Shared by the individual-flush
-    /// chase and the per-entry re-plan of a redirected batch entry, so the
-    /// two paths can never drift apart.
+    /// Adopt a redirect hint (epoch-guarded) and return the node to retry
+    /// at: the hinted home — but never ourselves; a (stale) hint pointing
+    /// back at this node falls back to our own forward belief, which the
+    /// epoch guard kept intact. Shared by the fault-in chase, the
+    /// individual-flush chase and the per-entry re-plan of a redirected
+    /// batch entry, so the three paths can never drift apart.
     fn retarget_after_redirect(&self, obj: ObjectId, new_home: NodeId, epoch: u32) -> NodeId {
         let engine = &self.shared.engine;
         engine.note_redirect(obj, new_home, epoch);

@@ -7,7 +7,7 @@
 //! a threaded or TCP cluster onto a small pool of worker threads, driven
 //! by **wake-on-send notifications** from the fabric instead of timers:
 //!
-//! * Every enqueue into a node's inbound queue fires the fabric's
+//! * Every push onto a node's [`dsm_net::Inbox`] fires its
 //!   [`dsm_net::WakeNotifier`] hook, which marks the destination node
 //!   *runnable* and unparks one worker. A quiet cluster performs **zero**
 //!   timer wakeups — parked workers sit on a condvar until a message
@@ -274,14 +274,14 @@ impl ExecShared {
         let entered_empty = serve.deferred.is_empty();
         let mut handled = 0usize;
         while handled < STEP_BATCH {
-            let Some(envelope) = shared.link_try_recv() else {
+            let Some(envelope) = shared.inbox().try_recv() else {
                 break;
             };
             handled += 1;
             serve_envelope(shared, envelope, &mut serve);
             retry_deferred(shared, &mut serve);
         }
-        let mut requeue = handled == STEP_BATCH && shared.link_pending() > 0;
+        let mut requeue = handled == STEP_BATCH && !shared.inbox().is_empty();
 
         // Busy re-arm endgame (see the module docs): publish, snapshot the
         // epoch, retry once more, then compare.
@@ -306,7 +306,7 @@ impl ExecShared {
 
         // TCP teardown: a step that leaves the node fully drained after
         // shutdown announces the leave (idempotent; see the module docs).
-        if shared.should_shutdown() && serve.deferred.is_empty() && shared.link_pending() == 0 {
+        if shared.should_shutdown() && serve.deferred.is_empty() && shared.inbox().is_empty() {
             shared.link_announce_leave();
         }
 
@@ -384,8 +384,8 @@ impl Executor {
         self.workers
     }
 
-    /// The wake hook to install into the fabric (`WakeHub::install` /
-    /// `TcpEndpoint::install_notifier`).
+    /// The wake hook to install into every served node's inbox
+    /// (`Inbox::install_notifier`).
     pub(crate) fn notifier(&self) -> Arc<dyn WakeNotifier> {
         Arc::clone(&self.shared) as Arc<dyn WakeNotifier>
     }

@@ -43,9 +43,9 @@
 //!   (`min(available_parallelism, nodes)` workers by default;
 //!   [`ClusterConfig::with_executor_workers`] overrides, and `1` fully
 //!   serializes server-side handling — the reference the test suite
-//!   fingerprints the default pool against). The act of sending into a
-//!   node's inbound channel — or, on TCP, the socket reader thread handing
-//!   a frame to the inbound queue — marks that node runnable and wakes a
+//!   fingerprints the default pool against). Every push onto a node's
+//!   [`dsm_net::Inbox`] — a threaded send, a TCP self-send, or a TCP socket
+//!   reader handing over a frame — marks that node runnable and wakes a
 //!   parked worker. A quiet cluster is *silent*: no timer ticks, no idle
 //!   polls, workers parked on a condvar. This is what lets a 256-node
 //!   cluster run on one machine without 256 server threads. A per-node
@@ -182,8 +182,10 @@
 //!   `127.0.0.1`. Every node binds a listener; the mesh is connected at
 //!   join time with a hello handshake that carries each node's identity
 //!   and expected cluster size. Per-link FIFO holds because all frames
-//!   from node *a* to node *b* travel on one dedicated ordered connection
-//!   drained by one writer thread. Messages are encoded with the
+//!   from node *a* to node *b* travel on one dedicated ordered connection,
+//!   each written whole by its sender under that link's lock, and one
+//!   reader thread per incoming link decodes them in order into the
+//!   node's inbox. Messages are encoded with the
 //!   `dsm-wire` binary codec (see `dsm-net`'s wire-format docs); modeled
 //!   send/arrival times travel inside each frame, but the receiver merges
 //!   them in real-time arrival order. Teardown is an orderly leave

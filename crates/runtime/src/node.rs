@@ -41,7 +41,7 @@ use dsm_core::{
     ProtocolMsg, ReqId,
 };
 use dsm_model::{ComputeModel, SimDuration, SimTime};
-use dsm_net::{Endpoint, Envelope, MsgCategory, SimEndpoint, TcpEndpoint};
+use dsm_net::{Endpoint, Envelope, Inbox, MsgCategory, SimEndpoint, TcpEndpoint};
 use dsm_objspace::{NodeId, ObjectRegistry};
 use dsm_util::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -208,60 +208,31 @@ impl NodeShared {
         }
     }
 
-    /// Route this node's arrival notifications to the executor's wake hook.
-    /// (All endpoints of a threaded fabric share one hub; the first install
-    /// wins.)
-    pub(crate) fn link_install_notifier(&self, notifier: Arc<dyn dsm_net::WakeNotifier>) {
+    /// This node's inbox on the threaded or TCP fabric, where the executor
+    /// installs its wake hook and drains arrivals (the sim fabric owns
+    /// delivery itself and never lands here).
+    pub(crate) fn inbox(&self) -> &Inbox<ProtocolMsg> {
         match &self.link {
-            NodeLink::Threaded(ep) => ep.wake_hub().install(notifier),
-            NodeLink::Tcp(ep) => ep.install_notifier(notifier),
-            NodeLink::Sim(_) => unreachable!("executor asked to serve a sim-fabric node"),
-        }
-    }
-
-    /// Non-blocking receive from this node's fabric endpoint (executor
-    /// steps; the sim fabric owns delivery itself and never lands here).
-    pub(crate) fn link_try_recv(&self) -> Option<Envelope<ProtocolMsg>> {
-        match &self.link {
-            NodeLink::Threaded(ep) => ep.try_recv(),
-            NodeLink::Tcp(ep) => ep.try_recv(),
-            NodeLink::Sim(_) => unreachable!("executor stepped a sim-fabric node"),
-        }
-    }
-
-    /// Messages currently queued on this node's inbound endpoint.
-    pub(crate) fn link_pending(&self) -> usize {
-        match &self.link {
-            NodeLink::Threaded(ep) => ep.pending(),
-            NodeLink::Tcp(ep) => ep.pending(),
-            NodeLink::Sim(_) => unreachable!("executor stepped a sim-fabric node"),
+            NodeLink::Threaded(ep) => ep.inbox(),
+            NodeLink::Tcp(ep) => ep.inbox(),
+            NodeLink::Sim(_) => unreachable!("executor served a sim-fabric node"),
         }
     }
 
     /// Whether the fabric side of this node is fully drained for teardown:
     /// nothing queued, and (on TCP) every peer's leave received.
     pub(crate) fn link_drained(&self) -> bool {
-        match &self.link {
-            NodeLink::Threaded(ep) => ep.pending() == 0,
-            NodeLink::Tcp(ep) => ep.pending() == 0 && ep.all_peers_left(),
-            NodeLink::Sim(_) => unreachable!("executor stepped a sim-fabric node"),
-        }
+        self.inbox().is_empty()
+            && match &self.link {
+                NodeLink::Tcp(ep) => ep.all_peers_left(),
+                _ => true,
+            }
     }
 
     /// Announce the TCP leave frame (idempotent); no-op on other fabrics.
     pub(crate) fn link_announce_leave(&self) {
         if let NodeLink::Tcp(ep) = &self.link {
             ep.announce_leave();
-        }
-    }
-
-    /// This node's inbound queue-depth high-watermark (`None` on the sim
-    /// fabric, which has no per-node inbound queue).
-    pub(crate) fn link_queue_high_watermark(&self) -> Option<usize> {
-        match &self.link {
-            NodeLink::Threaded(ep) => Some(ep.queue_high_watermark()),
-            NodeLink::Tcp(ep) => Some(ep.queue_high_watermark()),
-            NodeLink::Sim(_) => None,
         }
     }
 
