@@ -21,9 +21,10 @@ use dsm_core::{
 use dsm_model::{ComputeModel, NetworkParams};
 use dsm_net::{Fabric, SimConfig, SimFabric, StatsCollector, TcpConfig, TcpEndpoint, TcpFabric};
 use dsm_objspace::{Element, HomeAssignment, NodeId, ObjectId, ObjectRegistry};
+use dsm_util::Mutex;
 use dsm_wire::ProtocolCodec;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 
@@ -553,8 +554,9 @@ impl Cluster {
                 // "cluster shut down" panic.
                 abort_all_pending(&shareds, &fabric);
             }
-            first_panic.resume(apps.into_iter().map(|h| h.join().and_then(|r| r)).collect());
+            first_panic.join(apps);
         });
+        first_panic.resume();
 
         // Message-count reconciliation between the engines' view (network
         // statistics recorded at send time) and the fabric's delivery
@@ -625,7 +627,7 @@ fn effective_workers(requested: usize, num_nodes: usize) -> usize {
 
 /// Serve `shareds` (all nodes of an in-process cluster, or the one node of
 /// a multi-process TCP worker) with the wake-on-send executor: build the
-/// pool, wire it to the nodes' links, run the per-node application threads
+/// pool wired to the nodes' links, run the per-node application threads
 /// next to the workers in one scope, join the applications, drive the pool
 /// through teardown and return its counters.
 fn run_apps_with_executor<F>(
@@ -637,108 +639,98 @@ where
     F: Fn(&NodeCtx) + Send + Sync,
 {
     let workers = effective_workers(config.executor_workers, shareds.len());
-    let executor = Executor::new(shareds.iter().map(|s| s.node).collect(), workers);
-    for (slot, shared) in shareds.iter().enumerate() {
-        shared.inbox().install_notifier(executor.notifier());
-        shared.attach_rearm(executor.hook(slot));
-    }
+    let executor = Executor::new(shareds, workers);
     // Sweep every inbound queue once: wakes that fired before the notifier
     // was installed were dropped (a TCP peer may already have sent).
     executor.prime();
     let first_panic = FirstPanic::new();
-    thread::scope(|scope| {
-        for _ in 0..executor.workers() {
-            scope.spawn(|| executor.run_worker(shareds));
+    // A panic in an application or a handler step aborts every node's reply
+    // slot, so peers waiting on replies that will never come wake up
+    // instead of hanging.
+    let on_exit = |panicked| {
+        if panicked {
+            shareds
+                .iter()
+                .for_each(|shared| shared.abort_pending(|| {}));
         }
-        // A panicking application aborts every node's reply slot, so peers
-        // parked on replies it will never send wake up instead of hanging.
-        let apps = first_panic.spawn_apps(scope, shareds, app, |panicking| {
-            if panicking {
-                shareds
-                    .iter()
-                    .for_each(|shared| shared.abort_pending(|| {}));
-            }
-        });
+    };
+    thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| on_exit(first_panic.catch(|| executor.run_worker())));
+        }
+        let apps = first_panic.spawn_apps(scope, shareds, app, on_exit);
         // Join application threads first; then release the pool into its
         // drain/termination protocol even if an application panicked — the
         // workers must exit before the scope can close.
-        let results: Vec<_> = apps.into_iter().map(|h| h.join().and_then(|r| r)).collect();
+        first_panic.join(apps);
         for shared in shareds {
             shared.request_shutdown();
         }
         executor.begin_shutdown();
-        first_panic.resume(results);
     });
-    executor.report(queue_depth_high_watermark(shareds))
+    first_panic.resume();
+    executor.report()
 }
 
-/// The node whose application thread panicked first. The teardown wakes
-/// the other nodes into secondary "cluster shut down" panics; the runners
-/// re-raise this node's original payload instead.
-pub(crate) struct FirstPanic(AtomicUsize);
+/// The run's first panic payload, from an application thread or an
+/// executor worker. The teardown it triggers wakes the other nodes into
+/// secondary "cluster shut down" panics; the runners re-raise this payload
+/// instead.
+pub(crate) struct FirstPanic(Mutex<Option<Box<dyn Any + Send>>>);
 
 impl FirstPanic {
-    const NONE: usize = usize::MAX;
-
     fn new() -> Self {
-        FirstPanic(AtomicUsize::new(Self::NONE))
+        FirstPanic(Mutex::new(None))
+    }
+
+    /// Run `body` and return whether it panicked. The payload is kept if
+    /// it is the run's first, before the caller starts any teardown, so a
+    /// secondary panic the teardown provokes never wins the slot.
+    fn catch(&self, body: impl FnOnce()) -> bool {
+        let Err(payload) = catch_unwind(AssertUnwindSafe(body)) else {
+            return false;
+        };
+        self.0.lock().get_or_insert(payload);
+        true
     }
 
     /// Spawn one application thread per node into `scope`. As a thread
-    /// leaves, `on_exit(panicked)` runs — after a panicking thread claimed
-    /// the first-panic slot. One atomic is both the slot and the "a node
-    /// panicked" flag, so a secondary panic the teardown provokes never
-    /// wins it.
+    /// leaves, `on_exit(panicked)` runs.
     fn spawn_apps<'scope, F, E>(
         &'scope self,
         scope: &'scope thread::Scope<'scope, '_>,
         shareds: &'scope [Arc<NodeShared>],
         app: &'scope F,
         on_exit: E,
-    ) -> Vec<thread::ScopedJoinHandle<'scope, thread::Result<()>>>
+    ) -> Vec<thread::ScopedJoinHandle<'scope, ()>>
     where
         F: Fn(&NodeCtx) + Sync,
         E: Fn(bool) + Copy + Send + 'scope,
     {
-        let spawn = |(node, shared): (usize, &'scope Arc<NodeShared>)| {
-            scope.spawn(move || {
-                let run = catch_unwind(AssertUnwindSafe(|| app(&NodeCtx::new(Arc::clone(shared)))));
-                if run.is_err() {
-                    let _ = self.0.compare_exchange(Self::NONE, node, SeqCst, SeqCst);
-                }
-                on_exit(run.is_err());
-                run
-            })
+        let spawn = |shared: &'scope Arc<NodeShared>| {
+            scope.spawn(move || on_exit(self.catch(|| app(&NodeCtx::new(Arc::clone(shared))))))
         };
-        shareds.iter().enumerate().map(spawn).collect()
+        shareds.iter().map(spawn).collect()
     }
 
-    /// Whether some application thread panicked.
+    /// Join the application threads, keeping a panic that escaped one.
+    fn join(&self, apps: Vec<thread::ScopedJoinHandle<'_, ()>>) {
+        for app in apps {
+            self.catch(|| app.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+    }
+
+    /// Whether some thread panicked.
     pub(crate) fn is_set(&self) -> bool {
-        self.0.load(SeqCst) != Self::NONE
+        self.0.lock().is_some()
     }
 
-    /// Re-raise the joined application threads' panic, if any: the first
-    /// node's original payload ahead of the teardown fallout.
-    fn resume(&self, mut results: Vec<thread::Result<()>>) {
-        if self.is_set() {
-            results.swap(0, self.0.load(SeqCst));
-        }
-        for result in results {
-            if let Err(payload) = result {
-                std::panic::resume_unwind(payload);
-            }
+    /// Re-raise the first panic, if any.
+    fn resume(&self) {
+        if let Some(payload) = self.0.lock().take() {
+            resume_unwind(payload);
         }
     }
-}
-
-/// The deepest any node's inbound queue ever got across the run.
-fn queue_depth_high_watermark(shareds: &[Arc<NodeShared>]) -> usize {
-    shareds
-        .iter()
-        .map(|shared| shared.inbox().high_watermark())
-        .max()
-        .unwrap_or(0)
 }
 
 /// Merge per-node clocks and statistics into the final report.
@@ -769,5 +761,50 @@ fn assemble_report(
         policy_label: config.protocol.migration.label().to_string(),
         delivery_trace,
         scheduler,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsm_core::ReqId;
+    use dsm_objspace::{BarrierId, LockId};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A handler step that panics, on a waiting application thread or on a
+    /// worker, ends the run with its payload instead of hanging it. Node 1
+    /// puts a reply for a request nobody made into node 0's inbox while
+    /// node 0 waits at a barrier; the step serving it panics.
+    #[test]
+    fn a_panicking_handler_step_ends_the_run_with_its_payload() {
+        let (finished, outcome) = mpsc::channel();
+        thread::spawn(move || {
+            let config = ClusterConfig::new(2, ProtocolConfig::no_migration())
+                .with_compute(ComputeModel::free())
+                .with_executor_workers(1);
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                Cluster::new(config, ObjectRegistry::new()).run(|ctx| {
+                    if !ctx.is_master() {
+                        let stray = ProtocolMsg::LockGrant {
+                            req: ReqId(u64::MAX),
+                            lock: LockId(1),
+                        };
+                        ctx.shared().send(NodeId::MASTER, stray);
+                    }
+                    ctx.barrier(BarrierId(1));
+                })
+            }));
+            let payload = run.err().and_then(|p| p.downcast_ref::<String>().cloned());
+            let _ = finished.send(payload);
+        });
+        let payload = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the run hung after a handler step panicked");
+        let message = payload.expect("the run must re-raise the step's String payload");
+        assert!(
+            message.contains("reply for unknown request"),
+            "got: {message}"
+        );
     }
 }

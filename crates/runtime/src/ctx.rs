@@ -69,6 +69,11 @@ impl NodeCtx {
         }
     }
 
+    #[cfg(test)]
+    pub(crate) fn shared(&self) -> &Arc<NodeShared> {
+        &self.shared
+    }
+
     /// This node's identity.
     pub fn node_id(&self) -> NodeId {
         self.shared.node
@@ -406,6 +411,7 @@ impl NodeCtx {
                 },
             );
         }
+        self.shared.lock_released();
         Ok(())
     }
 
@@ -523,14 +529,13 @@ impl NodeCtx {
 
     /// A lock or barrier request made by the sync manager's own node: no
     /// message travels. `arrive` runs the manager side on this thread with
-    /// the registered request id; when the operation completes at once, it
-    /// delivers the reply itself (`deliver_local`), which the wait then takes
-    /// without parking.
+    /// the registered request id, as the wait's issuing step; when the
+    /// operation completes at once, it delivers the reply itself
+    /// (`deliver_local`), which the wait then takes without parking.
     fn request_at_manager(&self, arrive: impl FnOnce(ReqId)) {
         let req = self.shared.new_req();
         self.shared.register_pending(req);
-        arrive(req);
-        let reply = self.shared.wait_reply();
+        let reply = self.shared.wait_reply(|| arrive(req));
         self.shared.clock.merge(reply.arrival);
     }
 

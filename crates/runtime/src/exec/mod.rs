@@ -20,7 +20,7 @@
 //! * The per-entry Busy-deferral queue **re-arms the node's runnable bit**
 //!   instead of re-polling: a `Busy` outcome can only originate from a live
 //!   application view holding the payload lease, so the view guard's drop
-//!   (see [`crate::view`]) fires [`RearmHook::lease_released`], which
+//!   (see [`crate::view`]) fires [`ExecHook::lease_released`], which
 //!   re-schedules the node exactly when the deferred work can make
 //!   progress. The handshake below makes this lost-wakeup-free.
 //!
@@ -48,14 +48,42 @@
 //! epoch moved and re-queues the node itself — in every interleaving the
 //! deferred work is retried after the release, with no polling.
 //!
+//! ## Helping
+//!
+//! An application thread waiting for a reply acts as a worker
+//! ([`HelpWindow`]): it steps runnable nodes, any node, until its reply is
+//! in or the run queue is empty, and parks only then. So on one CPU a
+//! remote fault-in runs request, home step, reply and requester step on the
+//! requester's thread with no OS handoff. A helper claims and releases
+//! nodes exactly as a worker does, and never claims after shutdown.
+//!
+//! A worker woken meanwhile would only race the helper, so while any
+//! thread helps, [`ExecShared::schedule`] queues without unparking one. No
+//! wake is lost: a helper increments `helpers` *before* sending its
+//! request; leaving, it decrements it, then takes the queue lock and
+//! unparks one parked worker per queued node. `schedule` pushes under that
+//! lock, then reads the count (all `SeqCst`). A push that took the lock
+//! first is seen by the leaving helper; otherwise the decrement happened
+//! before the push, so `schedule` reads zero and unparks a worker, or
+//! counts helpers that all take the lock after the push and see it.
+//!
+//! A helper rarely parks, so on the threaded fabric a lock release yields
+//! its CPU to runnable peers that may want the lock (on TCP the yield cost
+//! more tail latency than it won; `NodeShared::lock_released`). On several
+//! CPUs a helper runs steps a second worker could have run beside it:
+//! throughput still rises, but so does tail latency.
+//!
 //! ## Why handler steps cannot deadlock
 //!
-//! Handler steps never block: the engine only ever takes `try_` payload
-//! locks and reports `Busy`, workers take the node's serve lock (a leaf
-//! lock, uncontended — at most one worker runs a node) and the run-queue
-//! mutex, never both while calling into the engine, and the termination
-//! check reads only atomics and queue depths. An application thread blocked
-//! on the network therefore always has a responsive (schedulable) server.
+//! Handler steps never block on the threaded fabric: the engine only ever
+//! takes `try_` payload locks and reports `Busy`, steppers take the node's
+//! serve lock (a leaf lock, one stepper per node) and the run-queue mutex,
+//! never both while calling into the engine, and the termination check
+//! reads only atomics and queue depths. On TCP a step may block in a socket
+//! write, as on a worker, while the readers keep draining every link. A
+//! helper holds no lock while it steps and its live views only make the
+//! engine report `Busy`, so every blocked application thread always has a
+//! responsive (schedulable) server.
 //!
 //! ## TCP teardown: the leave handshake
 //!
@@ -88,7 +116,7 @@ use dsm_objspace::NodeId;
 use dsm_util::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Weak};
 
 /// Node scheduling states (see the module docs).
 const IDLE: u8 = 0;
@@ -136,7 +164,7 @@ impl NodeSched {
 struct RunQueue {
     /// Nodes in `QUEUED` state, FIFO.
     runnable: VecDeque<usize>,
-    /// Workers currently inside a handler step.
+    /// Workers and helpers currently inside a handler step.
     active: usize,
     /// Workers parked on the condvar.
     parked: usize,
@@ -148,10 +176,8 @@ struct RunQueue {
     parked_hwm: usize,
 }
 
-/// State shared by the workers, the fabric's wake hook and the re-arm
-/// hooks. Deliberately does **not** hold the `NodeShared`s (they hold
-/// `RearmHook`s back into this struct; an `Arc` cycle would leak) — workers
-/// borrow the node slice for the duration of the run instead.
+/// State shared by the workers, the helpers and the hooks. It holds the
+/// served nodes weakly: each holds an [`ExecHook`] back into this struct.
 pub(crate) struct ExecShared {
     queue: Mutex<RunQueue>,
     idle: Condvar,
@@ -159,7 +185,11 @@ pub(crate) struct ExecShared {
     /// Cluster node ids by executor slot (identity for in-process runners;
     /// a single entry for a multi-process TCP worker).
     ids: Box<[NodeId]>,
+    servers: Box<[Weak<NodeShared>]>,
+    /// Application threads inside a [`HelpWindow`].
+    helpers: AtomicUsize,
     steps: AtomicU64,
+    helped_steps: AtomicU64,
     idle_steps: AtomicU64,
     wakeups: AtomicU64,
     renotifies: AtomicU64,
@@ -187,7 +217,8 @@ impl ExecShared {
     }
 
     /// Mark a node runnable: `IDLE → QUEUED` enqueues it and unparks one
-    /// worker; `RUNNING → RUNNING_NOTIFIED` tells the stepping worker to
+    /// worker unless a thread is helping (see "Helping" in the module
+    /// docs); `RUNNING → RUNNING_NOTIFIED` tells the stepping thread to
     /// re-queue it; `QUEUED`/`RUNNING_NOTIFIED` are no-ops. Callers enqueue
     /// the triggering message *before* scheduling, so a node observed
     /// `IDLE` here either gets queued or is already being (re)stepped —
@@ -200,10 +231,17 @@ impl ExecShared {
                     self.wakeups.fetch_add(1, SeqCst);
                     {
                         let mut q = self.queue.lock();
+                        if q.done {
+                            // A TCP leave's wake can trail the pool's end.
+                            state.store(IDLE, SeqCst);
+                            return;
+                        }
                         q.runnable.push_back(node);
                         q.runnable_hwm = q.runnable_hwm.max(q.runnable.len());
                     }
-                    self.idle.notify_one();
+                    if self.helpers.load(SeqCst) == 0 {
+                        self.idle.notify_one();
+                    }
                     return;
                 }
                 Err(RUNNING) => {
@@ -222,22 +260,28 @@ impl ExecShared {
         }
     }
 
+    /// Claim the queue's next node for a step (`QUEUED → RUNNING`).
+    fn pop(&self, q: &mut RunQueue) -> Option<usize> {
+        let node = q.runnable.pop_front()?;
+        let was = self.nodes[node].state.swap(RUNNING, SeqCst);
+        debug_assert_eq!(was, QUEUED, "popped a node that was not queued");
+        q.active += 1;
+        Some(node)
+    }
+
     /// Claim the next runnable node, parking until one appears. Returns
     /// `None` when the pool is done (shutdown requested and every queue
     /// drained).
-    fn next_runnable(&self, shareds: &[Arc<NodeShared>]) -> Option<usize> {
+    fn next_runnable(&self) -> Option<usize> {
         let mut q = self.queue.lock();
         loop {
             if q.done {
                 return None;
             }
-            if let Some(node) = q.runnable.pop_front() {
-                let was = self.nodes[node].state.swap(RUNNING, SeqCst);
-                debug_assert_eq!(was, QUEUED, "popped a node that was not queued");
-                q.active += 1;
+            if let Some(node) = self.pop(&mut q) {
                 return Some(node);
             }
-            if q.shutdown && q.active == 0 && self.all_drained(shareds) {
+            if q.shutdown && q.active == 0 && self.all_drained() {
                 q.done = true;
                 self.idle.notify_all();
                 return None;
@@ -256,10 +300,26 @@ impl ExecShared {
     /// the TCP fabric, every peer's leave has been received). Reads only
     /// atomics — never a serve lock — so it cannot invert lock order
     /// against a stepping worker.
-    fn all_drained(&self, shareds: &[Arc<NodeShared>]) -> bool {
-        shareds.iter().enumerate().all(|(slot, shared)| {
-            self.nodes[slot].deferred_len.load(SeqCst) == 0 && shared.link_drained()
+    fn all_drained(&self) -> bool {
+        let mut nodes = self.servers.iter().zip(&*self.nodes);
+        nodes.all(|(server, sched)| {
+            let drained = server.upgrade().is_none_or(|shared| shared.link_drained());
+            drained && sched.deferred_len.load(SeqCst) == 0
         })
+    }
+
+    /// Run one handler step of a claimed node, then release the claim, on
+    /// unwind too: a panicking step leaves no node `RUNNING` behind.
+    fn step(&self, node: usize) {
+        struct Claim<'a>(&'a ExecShared, usize, bool);
+        impl Drop for Claim<'_> {
+            fn drop(&mut self) {
+                self.0.finish_step(self.1, self.2);
+            }
+        }
+        let mut claim = Claim(self, node, false);
+        let shared = self.servers[node].upgrade().expect("node outlives run");
+        claim.2 = self.run_step(node, &shared);
     }
 
     /// Run one handler step of `node`: drain up to [`STEP_BATCH`] inbound
@@ -320,7 +380,7 @@ impl ExecShared {
     /// and run the termination check. The re-queue happens *before* the
     /// active count drops, so a concurrent termination check can never
     /// observe "no work" while a hand-off is in flight.
-    fn finish_step(&self, node: usize, shareds: &[Arc<NodeShared>], requeue: bool) {
+    fn finish_step(&self, node: usize, requeue: bool) {
         let was = self.nodes[node].state.swap(IDLE, SeqCst);
         debug_assert!(
             was == RUNNING || was == RUNNING_NOTIFIED,
@@ -331,14 +391,41 @@ impl ExecShared {
         }
         let mut q = self.queue.lock();
         q.active -= 1;
-        if q.shutdown
-            && !q.done
-            && q.active == 0
-            && q.runnable.is_empty()
-            && self.all_drained(shareds)
-        {
+        if q.shutdown && !q.done && q.active == 0 && q.runnable.is_empty() && self.all_drained() {
             q.done = true;
             self.idle.notify_all();
+        }
+    }
+}
+
+/// An application thread's turn as a worker while it waits for a reply
+/// (see "Helping" in the module docs). Opened before the request is sent;
+/// dropping it hands anything still queued to the parked workers.
+pub(crate) struct HelpWindow<'a>(&'a ExecShared);
+
+impl HelpWindow<'_> {
+    /// Step queued nodes until `done` holds, the queue is empty or shutdown
+    /// has been requested, then close the window.
+    pub(crate) fn help(self, done: impl Fn() -> bool) {
+        let exec = self.0;
+        while !done() {
+            let mut q = exec.queue.lock();
+            let Some(node) = (!q.shutdown).then(|| exec.pop(&mut q)).flatten() else {
+                break;
+            };
+            drop(q);
+            exec.helped_steps.fetch_add(1, SeqCst);
+            exec.step(node);
+        }
+    }
+}
+
+impl Drop for HelpWindow<'_> {
+    fn drop(&mut self) {
+        self.0.helpers.fetch_sub(1, SeqCst);
+        let q = self.0.queue.lock();
+        for _ in 0..q.runnable.len().min(q.parked) {
+            self.0.idle.notify_one();
         }
     }
 }
@@ -350,53 +437,41 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    /// Create a pool of `workers` threads scheduling the given nodes
-    /// (`ids[slot]` is the cluster identity of executor slot `slot`).
-    pub(crate) fn new(ids: Vec<NodeId>, workers: usize) -> Self {
+    /// Create a pool of `workers` threads serving `shareds` (slot `i` is
+    /// `shareds[i]`) and wire each node to it: its inbox wakes the pool, and
+    /// its [`ExecHook`] re-arms deferred work and opens help windows.
+    pub(crate) fn new(shareds: &[Arc<NodeShared>], workers: usize) -> Self {
         assert!(workers > 0, "executor needs at least one worker");
-        let nodes: Box<[NodeSched]> = ids.iter().map(|_| NodeSched::new()).collect();
-        Executor {
-            shared: Arc::new(ExecShared {
-                queue: Mutex::new(RunQueue {
-                    runnable: VecDeque::new(),
-                    active: 0,
-                    parked: 0,
-                    shutdown: false,
-                    done: false,
-                    runnable_hwm: 0,
-                    parked_hwm: 0,
-                }),
-                idle: Condvar::new(),
-                nodes,
-                ids: ids.into_boxed_slice(),
-                steps: AtomicU64::new(0),
-                idle_steps: AtomicU64::new(0),
-                wakeups: AtomicU64::new(0),
-                renotifies: AtomicU64::new(0),
-                rearm_requeues: AtomicU64::new(0),
+        let shared = Arc::new(ExecShared {
+            queue: Mutex::new(RunQueue {
+                runnable: VecDeque::new(),
+                active: 0,
+                parked: 0,
+                shutdown: false,
+                done: false,
+                runnable_hwm: 0,
+                parked_hwm: 0,
             }),
-            workers,
+            idle: Condvar::new(),
+            nodes: shareds.iter().map(|_| NodeSched::new()).collect(),
+            ids: shareds.iter().map(|shared| shared.node).collect(),
+            servers: shareds.iter().map(Arc::downgrade).collect(),
+            helpers: AtomicUsize::new(0),
+            steps: AtomicU64::new(0),
+            helped_steps: AtomicU64::new(0),
+            idle_steps: AtomicU64::new(0),
+            wakeups: AtomicU64::new(0),
+            renotifies: AtomicU64::new(0),
+            rearm_requeues: AtomicU64::new(0),
+        });
+        for (node, server) in shareds.iter().enumerate() {
+            server.inbox().install_notifier(Arc::clone(&shared) as _);
+            server.attach_exec(ExecHook {
+                exec: Arc::clone(&shared),
+                node,
+            });
         }
-    }
-
-    /// Number of worker threads the pool was sized for.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The wake hook to install into every served node's inbox
-    /// (`Inbox::install_notifier`).
-    pub(crate) fn notifier(&self) -> Arc<dyn WakeNotifier> {
-        Arc::clone(&self.shared) as Arc<dyn WakeNotifier>
-    }
-
-    /// The re-arm hook for the node in executor slot `slot` (attached to
-    /// its `NodeShared` so view-lease releases re-schedule it).
-    pub(crate) fn hook(&self, slot: usize) -> RearmHook {
-        RearmHook {
-            exec: Arc::clone(&self.shared),
-            node: slot,
-        }
+        Executor { shared, workers }
     }
 
     /// Schedule every node once. Wakes that fired before the notifier was
@@ -410,59 +485,62 @@ impl Executor {
         }
     }
 
-    /// Begin teardown: mark shutdown, schedule every node for its drain
-    /// step (the TCP leave announcement happens there) and unpark everyone
-    /// so the termination check runs.
+    /// Begin teardown: schedule every node for its drain step (the TCP
+    /// leave announcement happens there), then mark shutdown and unpark
+    /// everyone so the termination check runs, which then cannot pass
+    /// before every drain step is queued.
     pub(crate) fn begin_shutdown(&self) {
-        self.shared.queue.lock().shutdown = true;
         for slot in 0..self.shared.nodes.len() {
             self.shared.schedule(slot);
         }
-        self.idle_notify_all();
-    }
-
-    fn idle_notify_all(&self) {
-        // Touch the queue lock so a worker between its empty-check and its
-        // park cannot miss the notification.
-        drop(self.shared.queue.lock());
+        self.shared.queue.lock().shutdown = true;
         self.shared.idle.notify_all();
     }
 
     /// One worker's main loop: claim runnable nodes and step them until the
     /// pool is done.
-    pub(crate) fn run_worker(&self, shareds: &[Arc<NodeShared>]) {
-        while let Some(node) = self.shared.next_runnable(shareds) {
-            let requeue = self.shared.run_step(node, &shareds[node]);
-            self.shared.finish_step(node, shareds, requeue);
+    pub(crate) fn run_worker(&self) {
+        while let Some(node) = self.shared.next_runnable() {
+            self.shared.step(node);
         }
     }
 
-    /// The scheduling counters of the finished run.
-    pub(crate) fn report(&self, queue_depth_high_watermark: usize) -> SchedulerReport {
+    /// The finished run's counters. Debug builds check that it left nothing
+    /// active and no node claimed or queued (bar a trailing TCP wake).
+    pub(crate) fn report(&self) -> SchedulerReport {
         let shared = &self.shared;
         let q = shared.queue.lock();
+        let claimed = shared.nodes.iter().any(|n| n.state.load(SeqCst) >= RUNNING);
+        debug_assert!(
+            q.active == 0 && q.runnable.is_empty() && !claimed,
+            "the pool finished with a node claimed or queued"
+        );
+        let servers = shared.servers.iter().filter_map(Weak::upgrade);
+        let inbox_hwm = servers.map(|s| s.inbox().high_watermark()).max();
         SchedulerReport {
             workers: self.workers,
             steps: shared.steps.load(SeqCst),
+            helped_steps: shared.helped_steps.load(SeqCst),
             wakeups: shared.wakeups.load(SeqCst),
             idle_wakeups: shared.idle_steps.load(SeqCst),
             renotifies: shared.renotifies.load(SeqCst),
             rearm_requeues: shared.rearm_requeues.load(SeqCst),
             runnable_high_watermark: q.runnable_hwm,
             parked_high_watermark: q.parked_hwm,
-            queue_depth_high_watermark,
+            queue_depth_high_watermark: inbox_hwm.unwrap_or(0),
         }
     }
 }
 
-/// The per-node re-arm hook held by a `NodeShared`: view-lease releases
-/// re-schedule the node through it.
-pub(crate) struct RearmHook {
+/// A served node's handle on the executor, held by its `NodeShared`:
+/// view-lease releases re-schedule the node through it, and its
+/// application thread helps through it while waiting for a reply.
+pub(crate) struct ExecHook {
     exec: Arc<ExecShared>,
     node: usize,
 }
 
-impl RearmHook {
+impl ExecHook {
     /// Called by the application thread after a view's payload lease is
     /// truly released (the guard has dropped). Bumps the re-arm epoch and
     /// re-schedules the node if its last step left deferred work.
@@ -473,27 +551,81 @@ impl RearmHook {
             self.exec.schedule(self.node);
         }
     }
-}
 
-impl std::fmt::Debug for RearmHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RearmHook")
-            .field("node", &self.node)
-            .finish()
+    /// Count the calling application thread as helping; call it before
+    /// sending the request whose reply it will wait for.
+    pub(crate) fn open_window(&self) -> HelpWindow<'_> {
+        self.exec.helpers.fetch_add(1, SeqCst);
+        HelpWindow(&self.exec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeLink;
+    use dsm_core::{ProtocolConfig, ProtocolEngine, ProtocolMsg, ReqId};
+    use dsm_model::{ComputeModel, NetworkParams, SimDuration};
+    use dsm_net::{Fabric, StatsCollector};
+    use dsm_objspace::LockId;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::thread;
+    use std::time::{Duration, Instant};
 
-    fn exec(nodes: usize) -> Executor {
-        Executor::new((0..nodes).map(|n| NodeId(n as u16)).collect(), 2)
+    /// Every node of a `nodes`-node threaded fabric, unserved.
+    fn served(nodes: usize) -> Vec<Arc<NodeShared>> {
+        let fabric = Fabric::new(nodes, NetworkParams::ideal(), StatsCollector::new());
+        let shared = |endpoint: dsm_net::Endpoint<ProtocolMsg>| {
+            let config = ProtocolConfig::no_migration();
+            let engine = ProtocolEngine::new(endpoint.node(), nodes, config, Arc::default());
+            let link = NodeLink::Threaded(endpoint);
+            let compute = ComputeModel::free();
+            NodeShared::new(engine, link, compute, SimDuration::ZERO, 0, true, None)
+        };
+        fabric.into_endpoints().into_iter().map(shared).collect()
+    }
+
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A hook into `e` for opening help windows.
+    fn hook(e: &Executor) -> ExecHook {
+        ExecHook {
+            exec: Arc::clone(&e.shared),
+            node: 0,
+        }
+    }
+
+    fn parked(e: &Executor) -> usize {
+        e.shared.queue.lock().parked
+    }
+
+    /// Run `body` beside `workers` pool workers, then shut the pool down,
+    /// also when `body` panics, so a failed check does not hang the test.
+    fn with_workers(e: &Executor, workers: usize, body: impl FnOnce()) {
+        struct Shutdown<'a>(&'a Executor);
+        impl Drop for Shutdown<'_> {
+            fn drop(&mut self) {
+                self.0.begin_shutdown();
+            }
+        }
+        thread::scope(|scope| {
+            (0..workers).for_each(|_| drop(scope.spawn(|| e.run_worker())));
+            let _shutdown = Shutdown(e);
+            wait_until("the workers park", || parked(e) == workers);
+            body();
+        });
     }
 
     #[test]
     fn schedule_queues_an_idle_node_exactly_once() {
-        let e = exec(2);
+        let nodes = served(2);
+        let e = Executor::new(&nodes, 2);
         e.shared.schedule(1);
         e.shared.schedule(1); // QUEUED: no-op
         let q = e.shared.queue.lock();
@@ -505,21 +637,17 @@ mod tests {
 
     #[test]
     fn notification_during_a_step_requeues_via_the_state_machine() {
-        let e = exec(1);
+        let nodes = served(1);
+        let e = Executor::new(&nodes, 2);
         // Simulate a worker mid-step: QUEUED -> RUNNING as next_runnable does.
         e.shared.schedule(0);
-        {
-            let mut q = e.shared.queue.lock();
-            let node = q.runnable.pop_front().unwrap();
-            e.shared.nodes[node].state.swap(RUNNING, SeqCst);
-            q.active += 1;
-        }
+        assert_eq!(e.shared.pop(&mut e.shared.queue.lock()), Some(0));
         // A wake lands while the step runs: no queue push, just the flag.
         e.shared.schedule(0);
         assert_eq!(e.shared.renotifies.load(SeqCst), 1);
         assert!(e.shared.queue.lock().runnable.is_empty());
         // The finishing worker observes the flag and re-queues the node.
-        e.shared.finish_step(0, &[], false);
+        e.shared.finish_step(0, false);
         let q = e.shared.queue.lock();
         assert_eq!(q.runnable, vec![0]);
         assert_eq!(q.active, 0);
@@ -528,24 +656,113 @@ mod tests {
 
     #[test]
     fn lease_release_reschedules_only_with_deferred_work() {
-        let e = exec(1);
-        let hook = e.hook(0);
-        hook.lease_released();
+        let nodes = served(1);
+        let e = Executor::new(&nodes, 2);
+        nodes[0].view_lease_released();
         assert!(e.shared.queue.lock().runnable.is_empty());
         assert_eq!(e.shared.nodes[0].rearm_epoch.load(SeqCst), 1);
         e.shared.nodes[0].has_deferred.store(true, SeqCst);
-        hook.lease_released();
+        nodes[0].view_lease_released();
         assert_eq!(e.shared.queue.lock().runnable, vec![0]);
         assert_eq!(e.shared.nodes[0].rearm_epoch.load(SeqCst), 2);
     }
 
     #[test]
     fn slot_maps_identity_and_single_node_workers() {
-        let cluster = exec(4);
+        let nodes = served(8);
+        let cluster = Executor::new(&nodes[..4], 2);
         assert_eq!(cluster.shared.slot(NodeId(3)), Some(3));
         assert_eq!(cluster.shared.slot(NodeId(4)), None);
-        let worker = Executor::new(vec![NodeId(7)], 1);
+        let worker = Executor::new(&nodes[7..], 1);
         assert_eq!(worker.shared.slot(NodeId(7)), Some(0));
         assert_eq!(worker.shared.slot(NodeId(0)), None);
+    }
+
+    /// While a thread helps, a wake queues the node and leaves the parked
+    /// worker alone; the helper steps the node itself.
+    #[test]
+    fn schedule_in_a_help_window_queues_without_waking_a_worker() {
+        let nodes = served(1);
+        let e = Executor::new(&nodes, 1);
+        with_workers(&e, 1, || {
+            let hook = hook(&e);
+            let window = hook.open_window();
+            e.shared.schedule(0);
+            thread::sleep(Duration::from_millis(20));
+            assert_eq!(e.shared.queue.lock().runnable, vec![0]);
+            assert_eq!(parked(&e), 1, "a wake in a help window unparked the worker");
+            window.help(|| false);
+            assert_eq!(e.shared.helped_steps.load(SeqCst), 1);
+            assert_eq!(e.shared.steps.load(SeqCst), 1);
+        });
+    }
+
+    /// A helper leaving with work still queued hands it to one parked
+    /// worker per queued node: one node wakes exactly one of two workers,
+    /// two nodes wake both.
+    #[test]
+    fn a_helper_leaving_with_queued_work_wakes_one_worker_per_node() {
+        for queued in [1, 2] {
+            let nodes = served(2);
+            let e = Executor::new(&nodes, 2);
+            with_workers(&e, 2, || {
+                let hook = hook(&e);
+                let window = hook.open_window();
+                (0..queued).for_each(|node| e.shared.schedule(node));
+                // The woken workers block inside their steps until these drop.
+                let serves: Vec<_> = e.shared.nodes.iter().map(|n| n.serve.lock()).collect();
+                drop(window);
+                wait_until("the workers claim the nodes", || {
+                    e.shared.queue.lock().active == queued
+                });
+                thread::sleep(Duration::from_millis(20));
+                assert_eq!(parked(&e), 2 - queued, "{queued} queued: wrong wakes");
+                drop(serves);
+                wait_until("the steps end", || parked(&e) == 2);
+                assert_eq!(e.shared.steps.load(SeqCst), queued as u64);
+                assert_eq!(e.shared.helped_steps.load(SeqCst), 0);
+            });
+        }
+    }
+
+    #[test]
+    fn no_helper_claims_a_node_after_begin_shutdown() {
+        let nodes = served(2);
+        let e = Executor::new(&nodes, 1);
+        e.begin_shutdown();
+        hook(&e).open_window().help(|| false);
+        assert_eq!(e.shared.steps.load(SeqCst), 0);
+        assert_eq!(e.shared.queue.lock().runnable, vec![0, 1]);
+        assert_eq!(e.shared.helpers.load(SeqCst), 0);
+    }
+
+    /// A handler step that panics on a helping thread returns its claim
+    /// before the panic leaves the window: the node is `IDLE` again and
+    /// nothing counts as active, so teardown does not wait on it.
+    #[test]
+    fn a_panicking_helped_step_returns_its_claim() {
+        let nodes = served(1);
+        let e = Executor::new(&nodes, 1);
+        let stray = ReqId(99);
+        nodes[0].send(
+            NodeId(0),
+            ProtocolMsg::LockGrant {
+                req: stray,
+                lock: LockId(1),
+            },
+        );
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            hook(&e).open_window().help(|| false);
+        }))
+        .expect_err("a reply for an unknown request panics its step");
+        let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            message.contains("reply for unknown request"),
+            "got: {message}"
+        );
+        assert_eq!(e.shared.nodes[0].state.load(SeqCst), IDLE);
+        assert_eq!(e.shared.queue.lock().active, 0);
+        assert_eq!(e.shared.helpers.load(SeqCst), 0);
+        assert_eq!(e.shared.helped_steps.load(SeqCst), 1);
     }
 }

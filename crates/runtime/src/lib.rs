@@ -47,16 +47,16 @@
 //!   [`dsm_net::Inbox`] — a threaded send, a TCP self-send, or a TCP socket
 //!   reader handing over a frame — marks that node runnable and wakes a
 //!   parked worker. A quiet cluster is *silent*: no timer ticks, no idle
-//!   polls, workers parked on a condvar. This is what lets a 256-node
-//!   cluster run on one machine without 256 server threads. A per-node
-//!   atomic state machine (idle → queued → running, plus a
-//!   notified-while-running bit) guarantees no lost wakeups: a
-//!   notification that lands mid-step re-queues the node after its step
-//!   finishes, and a handler that defers a Busy message re-arms the node's
-//!   runnable bit so the deferral is retried without any timer. The
-//!   scheduling counters — steps, wakeups, idle wakeups, re-notifications,
-//!   runnable/parked high-watermarks, queue-depth high-watermark — surface
-//!   in [`ExecutionReport::scheduler`] ([`SchedulerReport`]).
+//!   polls, workers parked on a condvar, so a 256-node cluster runs on one
+//!   machine without 256 server threads. An application thread waiting for
+//!   a reply steps queued nodes itself until its reply is in, and no
+//!   worker is woken meanwhile: on one CPU a remote fault-in then needs no
+//!   OS handoff. A per-node atomic state machine (idle → queued → running,
+//!   plus a notified-while-running bit) guarantees no lost wakeups and
+//!   one stepper per node, and a handler that defers a Busy message
+//!   re-arms the node's runnable bit so the deferral is retried without a
+//!   timer. The scheduling counters (steps, helped steps, wakeups, idle
+//!   wakeups, high-watermarks) surface in [`ExecutionReport::scheduler`].
 //! * **Sim fabric — the sequential virtual-time loop.** The thread that
 //!   called [`Cluster::run`] waits until every application thread is
 //!   parked, pops the earliest event of the fabric's virtual-time queue,
@@ -71,9 +71,9 @@
 //! ## Locking architecture
 //!
 //! A node's application thread and whichever thread is stepping its
-//! protocol server share the engine **without a node-global engine lock** — requests for distinct objects
-//! never serialize on one mutex, so protocol serving scales with cores. The
-//! locks that exist, from the outside in:
+//! protocol server (a worker, or an application thread waiting for its own
+//! reply) share the engine **without a node-global engine lock** — requests
+//! for distinct objects never serialize on one mutex. The locks that exist:
 //!
 //! * **Engine shard locks** (`dsm-core`): per-object protocol state is
 //!   striped over N independent shards keyed by `ObjectId`. Every engine
@@ -94,12 +94,13 @@
 //!
 //! **Lock ordering:** there is none to get wrong — shard locks, the global
 //! lock and the reply slots are all *leaf* locks; no code path holds two of
-//! them at once. (On the sim, the scheduler re-counts a waiter under its
-//! slot lock, which takes the fabric's agent-count lock; the fabric never
-//! calls back into the runtime.) Payload guards are the only long-lived
-//! acquisition, and the only place one is taken while a shard lock is held
-//! is inside the engine's `try_lease_*`/server handlers, which use
-//! non-blocking `try_` acquisition exclusively.
+//! them at once, and a waiter that steps handlers holds none of them. (On
+//! the sim, the scheduler re-counts a waiter under its slot lock, which
+//! takes the fabric's agent-count lock; the fabric never calls back into
+//! the runtime.) Payload guards are the only long-lived acquisition; one is
+//! taken under a shard lock only inside the engine's `try_lease_*`/server
+//! handlers, which use `try_` acquisition only, so a waiter's own views
+//! make the handlers it steps report `Busy`.
 //!
 //! ## Release path & flush batching
 //!

@@ -2,15 +2,15 @@
 //!
 //! Every simulated node pairs an **application thread** — it runs the user
 //! closure through [`crate::NodeCtx`], issues blocking requests
-//! (fault-ins, diff flushes, lock acquires, barrier arrivals) and parks on
+//! (fault-ins, diff flushes, lock acquires, barrier arrivals) and waits on
 //! the node's reply slot — with a **protocol server**: the message pump
 //! that takes the node's inbound envelopes, dispatches requests to the
 //! protocol engine, sends the produced replies and wakes local waiters. A
 //! server is not a thread: its per-envelope step is `serve_envelope`
 //! below, and it is driven by exactly one of two callers (see the
-//! "Execution model" section of the crate docs) — the wake-on-send worker
-//! pool in `crate::exec` on the threaded and TCP fabrics, or the
-//! virtual-time loop in `crate::sim` on the sim fabric.
+//! "Execution model" section of the crate docs) — the wake-on-send
+//! executor in `crate::exec` (workers and waiting application threads) on
+//! the threaded and TCP fabrics, or the virtual-time loop in `crate::sim`.
 //!
 //! Application and server drive the engine directly through `&self` —
 //! there is **no node-global engine mutex**. The [`ProtocolEngine`] is
@@ -124,11 +124,12 @@ enum SlotState {
 /// every reply to its waiter. The mutex is a leaf lock; only the sim's
 /// re-count callbacks ([`NodeShared::release_reply`],
 /// [`NodeShared::abort_pending`]) take the fabric's agent-count lock under
-/// it, and the fabric never calls back. The condvar is notified after the
-/// lock is released: a waiter woken under it would only block on it again,
-/// two more context switches per reply on a busy core (about a sixth of
-/// `kv-fixedhome-threaded`'s throughput with benchmark reps pinned to one
-/// CPU of a 2-vCPU guest).
+/// it, and the fabric never calls back. On the executor fabrics a waiter
+/// parks only once its help window found nothing left to step. The condvar
+/// is notified after the lock is released: a waiter woken under it would
+/// only block on it again, two more context switches per reply on a busy
+/// core (about a sixth of `kv-fixedhome-threaded`'s throughput with
+/// benchmark reps pinned to one CPU of a 2-vCPU guest).
 struct ReplySlot {
     state: Mutex<SlotState>,
     ready: Condvar,
@@ -156,9 +157,8 @@ pub(crate) struct NodeShared {
     reply: ReplySlot,
     next_req: AtomicU64,
     shutdown: AtomicBool,
-    /// The executor's re-arm hook (unset on the sim fabric): view-lease
-    /// releases re-schedule this node's server steps through it.
-    rearm: OnceLock<crate::exec::RearmHook>,
+    /// The executor's hook, for lease re-arms and help windows (not on sim).
+    exec: OnceLock<crate::exec::ExecHook>,
 }
 
 impl NodeShared {
@@ -189,21 +189,28 @@ impl NodeShared {
             },
             next_req: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
-            rearm: OnceLock::new(),
+            exec: OnceLock::new(),
         })
     }
 
-    /// Attach the executor's re-arm hook (first attach wins; sim runs never
-    /// attach one).
-    pub(crate) fn attach_rearm(&self, hook: crate::exec::RearmHook) {
-        let _ = self.rearm.set(hook);
+    /// Attach the executor's hook (first attach wins; never on the sim).
+    pub(crate) fn attach_exec(&self, hook: crate::exec::ExecHook) {
+        let _ = self.exec.set(hook);
+    }
+
+    /// Yield the CPU after a lock release on the threaded fabric, where a
+    /// helping thread rarely parks, so its runnable peers can ask for the lock.
+    pub(crate) fn lock_released(&self) {
+        if matches!(self.link, NodeLink::Threaded(_)) {
+            std::thread::yield_now();
+        }
     }
 
     /// Called (indirectly, from the view guards' trailing drop signal)
     /// after a view's payload lease has truly been released: re-arms the
     /// executor's deferred work for this node. No-op on the sim fabric.
     pub(crate) fn view_lease_released(&self) {
-        if let Some(hook) = self.rearm.get() {
+        if let Some(hook) = self.exec.get() {
             hook.lease_released();
         }
     }
@@ -350,8 +357,9 @@ impl NodeShared {
         self.send(dst, msg);
     }
 
-    /// Park until the reply to the registered request arrives, and return
-    /// it.
+    /// Send the registered request through `issue` (or answer it on this
+    /// thread), then wait for the reply and return it; on the executor
+    /// fabrics the thread helps meanwhile (see "Helping" in `crate::exec`).
     ///
     /// A reply already in the slot is taken without parking. On the sim it
     /// can only be one the application delivered on its own stack (the
@@ -365,7 +373,12 @@ impl NodeShared {
     ///
     /// # Panics
     /// Panics if the run is torn down while the request is outstanding.
-    pub(crate) fn wait_reply(&self) -> Reply {
+    pub(crate) fn wait_reply(&self, issue: impl FnOnce()) -> Reply {
+        let window = self.exec.get().map(crate::exec::ExecHook::open_window);
+        issue();
+        if let Some(window) = window {
+            window.help(|| !matches!(*self.reply.state.lock(), SlotState::Waiting(_)));
+        }
         let mut slot = self.reply.state.lock();
         if !matches!(*slot, SlotState::Ready { .. }) {
             if let NodeLink::Sim(ep) = &self.link {
@@ -393,9 +406,9 @@ impl NodeShared {
         }
     }
 
-    /// Issue a blocking request: send `msg` to `dst`, park until the reply
-    /// arrives, merge the reply's arrival time into the local clock and
-    /// return the reply message.
+    /// Issue a blocking request: send `msg` to `dst`, wait until the reply
+    /// arrives ([`Self::wait_reply`]), merge the reply's arrival time into
+    /// the local clock and return the reply message.
     pub(crate) fn request(&self, dst: NodeId, req: ReqId, msg: ProtocolMsg) -> ProtocolMsg {
         if trace_enabled() {
             eprintln!("[{}] request -> {} {:?}", self.node, dst, msg);
@@ -404,8 +417,7 @@ impl NodeShared {
         if let Some(fault) = &self.fault {
             fault.track(req, dst, msg.clone());
         }
-        self.send(dst, msg);
-        let reply = self.wait_reply();
+        let reply = self.wait_reply(|| self.send(dst, msg));
         self.clock.merge(reply.arrival);
         reply.msg
     }
@@ -1009,7 +1021,7 @@ mod tests {
         let done = shared.new_req();
         shared.register_pending(done);
         shared.complete(done, grant(done), SimTime::ZERO);
-        assert_eq!(shared.wait_reply().msg.reply_req(), Some(done));
+        assert_eq!(shared.wait_reply(|| {}).msg.reply_req(), Some(done));
 
         let live = shared.new_req();
         shared.register_pending(live);
@@ -1020,7 +1032,7 @@ mod tests {
             "a stale fault-in reply installed its object"
         );
         shared.complete(live, grant(live), SimTime::from_nanos(5));
-        let reply = shared.wait_reply();
+        let reply = shared.wait_reply(|| {});
         assert_eq!(reply.msg.reply_req(), Some(live));
         assert_eq!(reply.arrival, SimTime::from_nanos(5));
     }
@@ -1073,7 +1085,7 @@ mod tests {
                 let (fabric, woken) = (&fabric, &woken);
                 scope.spawn(move || {
                     shared.register_pending(shared.new_req());
-                    let _ = catch_unwind(AssertUnwindSafe(|| shared.wait_reply()));
+                    let _ = catch_unwind(AssertUnwindSafe(|| shared.wait_reply(|| {})));
                     woken.fetch_add(1, Ordering::SeqCst);
                     fabric.agent_finished();
                 });

@@ -18,8 +18,11 @@ use dsm_net::{DeliveryTrace, MsgCategory, NetworkStats};
 pub struct SchedulerReport {
     /// Worker threads in the executor pool.
     pub workers: usize,
-    /// Handler steps executed.
+    /// Handler steps executed, by workers and helpers alike.
     pub steps: u64,
+    /// Handler steps that ran on an application thread waiting for its
+    /// reply instead of on a worker (included in `steps`).
+    pub helped_steps: u64,
     /// Wake-on-send notifications that marked a node runnable.
     pub wakeups: u64,
     /// Idle server wakeups: handler steps that found nothing to do (a wake

@@ -23,13 +23,22 @@
 //!   counts surface in [`ExecutionReport::scheduler`] on both real
 //!   fabrics (threaded and TCP), and stay `None` on the sim fabric, whose
 //!   virtual-time scheduler has neither a server pool nor inbound queues.
+//! * **Waiting application threads help** — a thread waiting for its
+//!   reply steps queued nodes itself (`helped_steps`), and the results stay
+//!   those of the sim; a stress run of lock, fault-in and flush rounds ends
+//!   with no node claimed or queued and nothing active, which the executor
+//!   asserts as it reports in builds with debug assertions.
 
 use dsm_bench::matrix;
 use dsm_core::ProtocolConfig;
 use dsm_integration_tests::{seed_corpus, sim_test_cluster, tcp_test_cluster, test_cluster};
 use dsm_net::TcpConfig;
-use dsm_objspace::{BarrierId, HomeAssignment, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ExecutionReport, FabricMode, SchedulerReport, SimConfig};
+use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
+use dsm_runtime::{
+    ArrayHandle, Cluster, ClusterConfig, ExecutionReport, FabricMode, SchedulerReport, SimConfig,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Cluster size of the quiet runs.
@@ -247,4 +256,136 @@ fn sim_runs_report_no_scheduler() {
         ctx.barrier(BarrierId(5));
     });
     assert!(report.scheduler.is_none());
+}
+
+/// FNV-1a step, the same fold the matrix fingerprints use.
+fn fnv(hash: u64, value: u64) -> u64 {
+    (hash ^ value).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Run `app` on `config` and return the fingerprint the master published
+/// through the second argument, with the report.
+fn fingerprinted(
+    config: ClusterConfig,
+    registry: ObjectRegistry,
+    app: impl Fn(&dsm_runtime::NodeCtx, &AtomicU64) + Send + Sync,
+) -> (u64, ExecutionReport) {
+    let fingerprint = Arc::new(AtomicU64::new(0));
+    let published = Arc::clone(&fingerprint);
+    let report = Cluster::new(config, registry).run(move |ctx| app(ctx, &published));
+    (fingerprint.load(Ordering::SeqCst), report)
+}
+
+/// Node 1 writes 16 objects it is home of; node 0 then faults each one in
+/// and folds the values into the fingerprint.
+fn remote_fault_ins(config: ClusterConfig) -> (u64, ExecutionReport) {
+    let mut registry = ObjectRegistry::new();
+    let objects: Vec<ArrayHandle<u64>> = (0..16)
+        .map(|i| {
+            let creator = NodeId(1);
+            ArrayHandle::register(
+                &mut registry,
+                "exec.help",
+                i,
+                4,
+                creator,
+                HomeAssignment::CreationNode,
+            )
+        })
+        .collect();
+    fingerprinted(config, registry, move |ctx, fingerprint| {
+        if !ctx.is_master() {
+            for (i, object) in objects.iter().enumerate() {
+                ctx.view_mut(object).fill(7 * i as u64 + 1);
+            }
+        }
+        ctx.barrier(BarrierId(8));
+        if ctx.is_master() {
+            let hash = objects
+                .iter()
+                .flat_map(|object| ctx.view(object).to_vec())
+                .fold(0xcbf2_9ce4_8422_2325, fnv);
+            fingerprint.store(hash, Ordering::SeqCst);
+        }
+    })
+}
+
+/// A one-worker pool serving two nodes: node 0's fault-ins land on node
+/// 1's queue while node 0 waits, so node 0's thread steps node 1 itself
+/// instead of waking the worker. The result is the sim's.
+#[test]
+fn a_waiting_application_thread_steps_the_home_of_its_fault_in() {
+    let cluster = |fabric| test_cluster(2, ProtocolConfig::no_migration()).with_fabric(fabric);
+    let (threaded, report) =
+        remote_fault_ins(cluster(FabricMode::Threaded).with_executor_workers(1));
+    let (sim, _) = remote_fault_ins(cluster(FabricMode::Sim(SimConfig::calm(2004))));
+    assert_eq!(threaded, sim, "helping changed the fault-in result");
+    let sched = scheduler(&report);
+    assert!(
+        sched.helped_steps > 0 && sched.helped_steps <= sched.steps,
+        "no handler step ran on a waiting application thread ({} of {} steps)",
+        sched.helped_steps,
+        sched.steps
+    );
+}
+
+/// `rounds` rounds on four nodes: in round `r` node `m` locks counter
+/// `(m + r) % 4`, faults it in and adds `m + 1`, and the release flushes
+/// the diff to the counter's home; a barrier closes each round. The master
+/// then reads every counter back into the fingerprint.
+fn helper_stress(config: ClusterConfig, rounds: usize) -> (u64, ExecutionReport) {
+    const NODES: usize = 4;
+    let mut registry = ObjectRegistry::new();
+    let counters: Vec<ArrayHandle<u64>> = (0..NODES as u64)
+        .map(|c| {
+            let (master, homes) = (NodeId::MASTER, HomeAssignment::RoundRobin);
+            ArrayHandle::register(&mut registry, "exec.stress", c, 1, master, homes)
+        })
+        .collect();
+    let config = ClusterConfig {
+        num_nodes: NODES,
+        ..config
+    };
+    fingerprinted(config, registry, move |ctx, fingerprint| {
+        let me = ctx.node_id().index();
+        for round in 0..rounds {
+            let c = (me + round) % NODES;
+            ctx.synchronized(LockId(c as u32), || {
+                ctx.view_mut(&counters[c])[0] += me as u64 + 1;
+            });
+            ctx.barrier(BarrierId(9));
+        }
+        if ctx.is_master() {
+            let hash = counters
+                .iter()
+                .map(|counter| ctx.view(counter)[0])
+                .fold(0xcbf2_9ce4_8422_2325, fnv);
+            fingerprint.store(hash, Ordering::SeqCst);
+        }
+        ctx.barrier(BarrierId(9));
+    })
+}
+
+/// Many lock, fault-in and flush rounds with the helpers racing one and
+/// two workers. Every run must reproduce the sim's fingerprint, and with
+/// debug assertions on, the executor's report asserts that the pool ended
+/// with no node claimed or queued and nothing active: every node `IDLE`.
+#[test]
+fn stress_helping_application_threads_keep_the_sim_result() {
+    let rounds = 200;
+    let base = test_cluster(4, ProtocolConfig::no_migration());
+    let sim = FabricMode::Sim(SimConfig::calm(2004));
+    let (expected, _) = helper_stress(base.clone().with_fabric(sim), rounds);
+    for workers in [1, 2] {
+        let (fingerprint, report) =
+            helper_stress(base.clone().with_executor_workers(workers), rounds);
+        assert_eq!(
+            fingerprint, expected,
+            "{workers} workers: helping changed the result"
+        );
+        assert!(
+            scheduler(&report).helped_steps > 0,
+            "{workers} workers: nothing was helped"
+        );
+    }
 }
