@@ -10,8 +10,8 @@
 
 use crate::outcome::{AppRun, ResultSlot};
 use crate::sor::band;
-use dsm_objspace::{BarrierId, HomeAssignment, NodeId, ObjectRegistry};
-use dsm_runtime::{Cluster, ClusterConfig, Matrix2dHandle, NodeCtx};
+use dsm_objspace::{BarrierId, HomeAssignment, NodeId};
+use dsm_runtime::{ClusterBuilder, Matrix2dHandle, NodeCtx};
 use dsm_util::SmallRng;
 
 /// ASP workload parameters.
@@ -153,12 +153,11 @@ fn asp_node(
 
 /// Run the DSM-parallel ASP and return the distance matrix plus the
 /// execution report.
-pub fn run(config: ClusterConfig, params: &AspParams) -> AppRun<Vec<Vec<f64>>> {
+pub fn run(mut cluster: ClusterBuilder, params: &AspParams) -> AppRun<Vec<Vec<f64>>> {
     let n = params.vertices;
     assert!(n >= 2, "ASP needs at least two vertices");
-    let mut registry = ObjectRegistry::new();
     let rows = Matrix2dHandle::<f64>::register(
-        &mut registry,
+        cluster.registry(),
         "asp.dist",
         n,
         n,
@@ -168,7 +167,7 @@ pub fn run(config: ClusterConfig, params: &AspParams) -> AppRun<Vec<Vec<f64>>> {
     let slot = ResultSlot::new();
     let slot_in = slot.clone();
     let params_in = params.clone();
-    let report = Cluster::new(config, registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         asp_node(ctx, &rows, &params_in, &slot_in);
     });
     AppRun {
@@ -182,9 +181,13 @@ mod tests {
     use super::*;
     use dsm_core::ProtocolConfig;
     use dsm_model::ComputeModel;
+    use dsm_runtime::Cluster;
 
-    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterConfig {
-        ClusterConfig::new(nodes, protocol).with_compute(ComputeModel::free())
+    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterBuilder {
+        Cluster::builder()
+            .nodes(nodes)
+            .protocol(protocol)
+            .compute(ComputeModel::free())
     }
 
     #[test]

@@ -32,8 +32,8 @@
 
 use crate::outcome::ResultSlot;
 use dsm_core::ProtocolStats;
-use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{Cluster, ClusterConfig, ExecutionReport, Matrix2dHandle, NodeCtx};
+use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
+use dsm_runtime::{ClusterBuilder, ExecutionReport, Matrix2dHandle, NodeCtx};
 use dsm_util::{Mutex, SmallRng};
 use std::sync::Arc;
 
@@ -326,12 +326,11 @@ fn kv_node(
 
 /// Run the KV serving workload and return the fingerprint, the per-node
 /// serving counters and the execution report.
-pub fn run(config: ClusterConfig, params: &KvParams) -> KvRun {
-    let num_nodes = config.num_nodes;
+pub fn run(mut cluster: ClusterBuilder, params: &KvParams) -> KvRun {
+    let num_nodes = cluster.num_nodes();
     params.validate(num_nodes);
-    let mut registry = ObjectRegistry::new();
     let store: Matrix2dHandle<u64> = Matrix2dHandle::register(
-        &mut registry,
+        cluster.registry(),
         STORE_NAME,
         params.num_objects,
         params.keys_per_object,
@@ -344,7 +343,7 @@ pub fn run(config: ClusterConfig, params: &KvParams) -> KvRun {
     let slot_in = slot.clone();
     let stats_in = Arc::clone(&stats);
     let params_in = params.clone();
-    let report = Cluster::new(config, registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         kv_node(ctx, &store, &params_in, &stats_in, &slot_in);
     });
     let nodes = stats
@@ -364,9 +363,13 @@ mod tests {
     use super::*;
     use dsm_core::ProtocolConfig;
     use dsm_model::ComputeModel;
+    use dsm_runtime::Cluster;
 
-    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterConfig {
-        ClusterConfig::new(nodes, protocol).with_compute(ComputeModel::free())
+    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterBuilder {
+        Cluster::builder()
+            .nodes(nodes)
+            .protocol(protocol)
+            .compute(ComputeModel::free())
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! home migration is a performance optimization that must never change
 //! program semantics.
 //!
+//! Every entry point is `run(cluster: ClusterBuilder, params)`: the caller
+//! configures the cluster, and the workload registers its shared objects
+//! through the builder, then builds and runs it.
+//!
 //! Beyond the paper's evaluation, [`kv`] is the serving-mode workload: a
 //! Zipfian key-value traffic generator with a shifting hot set, driven by
 //! the `dsm-bench` regression gate's policy sweep and by the conformance

@@ -14,8 +14,8 @@
 //! pattern", while also showing that the protocol's overhead is negligible.
 
 use crate::outcome::{AppRun, ResultSlot};
-use dsm_objspace::{BarrierId, HomeAssignment, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig, NodeCtx};
+use dsm_objspace::{BarrierId, HomeAssignment, NodeId};
+use dsm_runtime::{ArrayHandle, ClusterBuilder, NodeCtx};
 use dsm_util::SmallRng;
 
 /// Fields stored per body inside a block object: x, y, vx, vy, mass.
@@ -443,10 +443,9 @@ fn nbody_node(
 }
 
 /// Run the DSM-parallel Barnes–Hut simulation.
-pub fn run(config: ClusterConfig, params: &NbodyParams) -> AppRun<Vec<Body>> {
-    let nodes = config.num_nodes;
+pub fn run(mut cluster: ClusterBuilder, params: &NbodyParams) -> AppRun<Vec<Body>> {
+    let nodes = cluster.num_nodes();
     assert!(params.bodies >= nodes, "need at least one body per node");
-    let mut registry = ObjectRegistry::new();
     // One block per node, created (and homed) on its owner: the initial home
     // placement is already optimal, so home migration has nothing to gain —
     // matching the paper's observation for Nbody.
@@ -454,7 +453,7 @@ pub fn run(config: ClusterConfig, params: &NbodyParams) -> AppRun<Vec<Body>> {
         .map(|b| {
             let (lo, hi) = block_range(b, nodes, params.bodies);
             ArrayHandle::<f64>::register(
-                &mut registry,
+                cluster.registry(),
                 "nbody.block",
                 b as u64,
                 (hi - lo) * FIELDS,
@@ -466,7 +465,7 @@ pub fn run(config: ClusterConfig, params: &NbodyParams) -> AppRun<Vec<Body>> {
     let slot = ResultSlot::new();
     let slot_in = slot.clone();
     let params_in = params.clone();
-    let report = Cluster::new(config, registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         nbody_node(ctx, &blocks, &params_in, &slot_in);
     });
     AppRun {
@@ -480,9 +479,13 @@ mod tests {
     use super::*;
     use dsm_core::ProtocolConfig;
     use dsm_model::ComputeModel;
+    use dsm_runtime::Cluster;
 
-    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterConfig {
-        ClusterConfig::new(nodes, protocol).with_compute(ComputeModel::free())
+    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterBuilder {
+        Cluster::builder()
+            .nodes(nodes)
+            .protocol(protocol)
+            .compute(ComputeModel::free())
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! phases.
 
 use crate::outcome::{AppRun, ResultSlot};
-use dsm_objspace::{BarrierId, HomeAssignment, NodeId, ObjectRegistry};
-use dsm_runtime::{Cluster, ClusterConfig, Matrix2dHandle, NodeCtx};
+use dsm_objspace::{BarrierId, HomeAssignment, NodeId};
+use dsm_runtime::{ClusterBuilder, Matrix2dHandle, NodeCtx};
 
 /// SOR workload parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,12 +165,11 @@ fn sor_node(
 
 /// Run the DSM-parallel SOR on a cluster and return the final matrix plus
 /// the execution report.
-pub fn run(config: ClusterConfig, params: &SorParams) -> AppRun<Vec<Vec<f64>>> {
+pub fn run(mut cluster: ClusterBuilder, params: &SorParams) -> AppRun<Vec<Vec<f64>>> {
     let n = params.size;
     assert!(n >= 4, "SOR needs at least a 4x4 matrix");
-    let mut registry = ObjectRegistry::new();
     let rows = Matrix2dHandle::<f64>::register(
-        &mut registry,
+        cluster.registry(),
         "sor.matrix",
         n,
         n,
@@ -180,7 +179,7 @@ pub fn run(config: ClusterConfig, params: &SorParams) -> AppRun<Vec<Vec<f64>>> {
     let slot = ResultSlot::new();
     let slot_in = slot.clone();
     let params_in = params.clone();
-    let report = Cluster::new(config, registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         sor_node(ctx, &rows, &params_in, &slot_in);
     });
     AppRun {
@@ -194,9 +193,13 @@ mod tests {
     use super::*;
     use dsm_core::ProtocolConfig;
     use dsm_model::ComputeModel;
+    use dsm_runtime::Cluster;
 
-    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterConfig {
-        ClusterConfig::new(nodes, protocol).with_compute(ComputeModel::free())
+    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterBuilder {
+        Cluster::builder()
+            .nodes(nodes)
+            .protocol(protocol)
+            .compute(ComputeModel::free())
     }
 
     #[test]

@@ -16,15 +16,16 @@
 //! comes from the home migration policy.
 
 use crate::outcome::{AppRun, ResultSlot};
-use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig, NodeCtx};
+use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectId};
+use dsm_runtime::{ArrayHandle, ClusterBuilder, NodeCtx};
 
 /// Registered name of the benchmark's shared counter object (index 0).
 const COUNTER_NAME: &str = "synthetic.counter";
 
 /// The id of the benchmark's shared counter object — stable across runs, so
-/// experiments can target it with per-object policy overrides
-/// (`ProtocolConfig::with_object_policy`).
+/// experiments can target it with a per-object policy override
+/// (`ProtocolConfig::with_object_policy`, handed to the cluster through
+/// `ClusterBuilder::protocol`).
 pub fn counter_object() -> ObjectId {
     ObjectId::derive(COUNTER_NAME, 0)
 }
@@ -117,13 +118,12 @@ fn synthetic_node(
 
 /// Run the synthetic benchmark and return the final counter value plus the
 /// execution report.
-pub fn run(config: ClusterConfig, params: &SyntheticParams) -> AppRun<u64> {
+pub fn run(mut cluster: ClusterBuilder, params: &SyntheticParams) -> AppRun<u64> {
     assert!(params.repetition >= 1, "repetition must be at least 1");
-    let mut registry = ObjectRegistry::new();
     // The shared counter object: created by the application's start node, so
     // its initial home is the master — the workers always start remote.
     let counter: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         COUNTER_NAME,
         0,
         16,
@@ -134,7 +134,7 @@ pub fn run(config: ClusterConfig, params: &SyntheticParams) -> AppRun<u64> {
     let slot = ResultSlot::new();
     let slot_in = slot.clone();
     let params_in = params.clone();
-    let report = Cluster::new(config, registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         synthetic_node(ctx, &counter, &params_in, &slot_in);
     });
     AppRun {
@@ -149,9 +149,13 @@ mod tests {
     use dsm_core::ProtocolConfig;
     use dsm_model::ComputeModel;
     use dsm_net::MsgCategory;
+    use dsm_runtime::Cluster;
 
-    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterConfig {
-        ClusterConfig::new(nodes, protocol).with_compute(ComputeModel::free())
+    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterBuilder {
+        Cluster::builder()
+            .nodes(nodes)
+            .protocol(protocol)
+            .compute(ComputeModel::free())
     }
 
     #[test]

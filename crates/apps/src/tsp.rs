@@ -14,8 +14,8 @@
 //! whenever a better complete tour is found.
 
 use crate::outcome::{AppRun, ResultSlot};
-use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{Cluster, ClusterConfig, Matrix2dHandle, NodeCtx, ScalarHandle};
+use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
+use dsm_runtime::{ClusterBuilder, Matrix2dHandle, NodeCtx, ScalarHandle};
 use dsm_util::SmallRng;
 
 /// TSP workload parameters.
@@ -197,14 +197,13 @@ fn tsp_node(
 
 /// Run the DSM-parallel branch-and-bound TSP and return the optimal tour
 /// length plus the execution report.
-pub fn run(config: ClusterConfig, params: &TspParams) -> AppRun<u64> {
+pub fn run(mut cluster: ClusterBuilder, params: &TspParams) -> AppRun<u64> {
     let n = params.cities;
     assert!(n >= 3, "TSP needs at least three cities");
-    let mut registry = ObjectRegistry::new();
     // The distance matrix is immutable after initialisation: one row object
     // per city, spread round-robin, flagged read-only (the GOS optimization).
     let dist_rows = Matrix2dHandle::<u64>::register_immutable(
-        &mut registry,
+        cluster.registry(),
         "tsp.dist",
         n,
         n,
@@ -212,7 +211,7 @@ pub fn run(config: ClusterConfig, params: &TspParams) -> AppRun<u64> {
         HomeAssignment::RoundRobin,
     );
     let best: ScalarHandle<u64> = ScalarHandle::register(
-        &mut registry,
+        cluster.registry(),
         "tsp.best",
         NodeId::MASTER,
         HomeAssignment::Master,
@@ -220,7 +219,7 @@ pub fn run(config: ClusterConfig, params: &TspParams) -> AppRun<u64> {
     let slot = ResultSlot::new();
     let slot_in = slot.clone();
     let params_in = params.clone();
-    let report = Cluster::new(config, registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         tsp_node(ctx, &dist_rows, &best, &params_in, &slot_in);
     });
     AppRun {
@@ -234,9 +233,13 @@ mod tests {
     use super::*;
     use dsm_core::ProtocolConfig;
     use dsm_model::ComputeModel;
+    use dsm_runtime::Cluster;
 
-    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterConfig {
-        ClusterConfig::new(nodes, protocol).with_compute(ComputeModel::free())
+    fn cfg(nodes: usize, protocol: ProtocolConfig) -> ClusterBuilder {
+        Cluster::builder()
+            .nodes(nodes)
+            .protocol(protocol)
+            .compute(ComputeModel::free())
     }
 
     #[test]

@@ -41,13 +41,19 @@ fn fnv(hash: u64, value: u64) -> u64 {
     (hash ^ value).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
+/// The launcher workload's protocol: adaptive migration. A worker also
+/// binds its listener with this protocol's network model.
+fn protocol() -> ProtocolConfig {
+    ProtocolConfig::adaptive()
+}
+
 /// Build the launcher workload's cluster: one shared u64 array, global
 /// lock, adaptive migration. Registration is deterministic, so every
 /// process of a multi-process run reconstructs the identical registry.
 fn build_cluster(nodes: usize, fabric: FabricMode) -> (ClusterBuilder, ArrayHandle<u64>) {
     let mut builder = Cluster::builder()
         .nodes(nodes)
-        .protocol(ProtocolConfig::adaptive())
+        .protocol(protocol())
         .compute(ComputeModel::free())
         .fabric(fabric);
     let cells = builder.register_array::<u64>("tcp_cluster.cells", nodes * CELLS_PER_NODE);
@@ -103,12 +109,11 @@ fn value_of<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 /// connect, run this node's slice of the workload.
 fn worker(node: usize, nodes: usize) {
     let (builder, cells) = build_cluster(nodes, FabricMode::Threaded);
-    let config = builder.config();
     let stats = StatsCollector::new();
     let binding = TcpNodeBinding::<ProtocolMsg>::bind::<ProtocolCodec>(
         NodeId::from(node),
         nodes,
-        config.protocol.network,
+        protocol().network,
         stats.clone(),
         TcpConfig::default(),
     )

@@ -52,7 +52,7 @@ pub fn collect(scale: Scale, sim: &SimConfig) -> Vec<Fig2Point> {
     let mut points = Vec::new();
     for nodes in node_counts(scale) {
         for (label, protocol) in policies() {
-            let config = || cluster(nodes, protocol.clone(), sim).with_flush_batching(false);
+            let config = || cluster(nodes, protocol.clone(), sim).flush_batching(false);
             let params = match scale {
                 Scale::Small => asp::AspParams::small(96),
                 Scale::Paper => asp::AspParams::paper(),
@@ -186,7 +186,7 @@ mod tests {
         // in the figure's wire mode, under every test schedule.
         for sim in crate::test_sims() {
             let config = |protocol: &ProtocolConfig| {
-                cluster(4, protocol.clone(), &sim).with_flush_batching(false)
+                cluster(4, protocol.clone(), &sim).flush_batching(false)
             };
             let mut points = Vec::new();
             for (label, protocol) in policies() {

@@ -7,7 +7,7 @@ use crate::table::{fmt_pct, Table};
 use crate::{cluster, Scale};
 use dsm_apps::{asp, sor};
 use dsm_core::ProtocolConfig;
-use dsm_runtime::{ClusterConfig, ExecutionReport, SimConfig};
+use dsm_runtime::{ClusterBuilder, ExecutionReport, SimConfig};
 
 /// Number of cluster nodes used by the figure (the paper uses eight).
 pub(crate) const NODES: usize = 8;
@@ -49,12 +49,12 @@ pub fn collect(scale: Scale, sim: &SimConfig) -> Vec<Fig3Point> {
 /// flush batching disabled (the paper's one-`DiffFlush`-per-object wire
 /// protocol), so the comparison measures exactly what the paper measured;
 /// the gate (`bench_gate`) reports Figure 3's workloads in both wire modes.
-fn at_and_ft2(sim: &SimConfig) -> [ClusterConfig; 2] {
+fn at_and_ft2(sim: &SimConfig) -> [ClusterBuilder; 2] {
     [
         ProtocolConfig::adaptive(),
         ProtocolConfig::fixed_threshold(2),
     ]
-    .map(|protocol| cluster(NODES, protocol, sim).with_flush_batching(false))
+    .map(|protocol| cluster(NODES, protocol, sim).flush_batching(false))
 }
 
 fn improvement(app: &str, size: usize, at: &ExecutionReport, ft2: &ExecutionReport) -> Fig3Point {

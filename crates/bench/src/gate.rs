@@ -134,8 +134,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
         // workload batching exists for.
         "fig2_sor_nohm" => {
             let params = sor::SorParams::small(sor_size, 4);
-            let config =
-                cluster(4, ProtocolConfig::no_migration(), &sim).with_flush_batching(batched);
+            let config = cluster(4, ProtocolConfig::no_migration(), &sim).flush_batching(batched);
             let run = sor::run(config, &params);
             GateRow::from_report(name, batched, sor::checksum(&run.result), &run.report)
         }
@@ -146,7 +145,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
         "fig3_sor_at" => {
             let params = sor::SorParams::small(at_sor_size, 4);
             let config = cluster(crate::fig3::NODES, ProtocolConfig::adaptive(), &sim)
-                .with_flush_batching(batched);
+                .flush_batching(batched);
             let run = sor::run(config, &params);
             GateRow::from_report(name, batched, sor::checksum(&run.result), &run.report)
         }
@@ -154,7 +153,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
         "fig3_asp_at" => {
             let params = asp::AspParams::small(asp_size);
             let config = cluster(crate::fig3::NODES, ProtocolConfig::adaptive(), &sim)
-                .with_flush_batching(batched);
+                .flush_batching(batched);
             let run = asp::run(config, &params);
             GateRow::from_report(name, batched, asp::checksum(&run.result), &run.report)
         }
@@ -170,8 +169,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
                 total_updates: updates,
                 compute_ops: 0,
             };
-            let config =
-                cluster(5, ProtocolConfig::no_migration(), &sim).with_flush_batching(batched);
+            let config = cluster(5, ProtocolConfig::no_migration(), &sim).flush_batching(batched);
             let run = synthetic::run(config, &params);
             GateRow::from_report(name, batched, run.result as f64, &run.report)
         }
@@ -212,7 +210,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
                 ),
                 other => panic!("unknown policy-matrix workload {other:?}"),
             };
-            let config = cluster(3, protocol, &sim).with_flush_batching(batched);
+            let config = cluster(3, protocol, &sim).flush_batching(batched);
             let run = synthetic::run(config, &params);
             GateRow::from_report(name, batched, run.result as f64, &run.report)
         }
@@ -431,7 +429,7 @@ impl KvRow {
 /// Run the KV workload under one policy.
 fn measure_kv(label: &str, protocol: ProtocolConfig, params: &KvParams) -> KvRow {
     let config =
-        matrix_cluster(protocol, FabricMode::Sim(SimConfig::calm(GATE_SEED))).with_seed(GATE_SEED);
+        matrix_cluster(protocol, FabricMode::Sim(SimConfig::calm(GATE_SEED))).seed(GATE_SEED);
     let run = kv::run(config, params);
     let mut shift = 0u64;
     let mut settle = 0u64;

@@ -32,8 +32,9 @@
 //!
 //! ## Adding a workload
 //!
-//! A workload is a function `fn(ClusterConfig) -> (fingerprint, report)` —
-//! there is deliberately no trait to implement. The contract is the
+//! A workload is a function `fn(ClusterBuilder) -> (fingerprint, report)`
+//! that registers its objects through the builder, then builds and runs
+//! it — there is deliberately no trait to implement. The contract is the
 //! *fingerprint*: a `u64` (FNV fold, by convention) over the workload's
 //! deterministic result, where "deterministic" means *schedule-independent
 //! for a fixed `(seed, params, num_nodes)`* — identical across fabrics
@@ -73,7 +74,7 @@ mod table;
 
 use dsm_core::ProtocolConfig;
 use dsm_model::ComputeModel;
-use dsm_runtime::{ClusterConfig, SimConfig};
+use dsm_runtime::{ClusterBuilder, SimConfig};
 
 /// Workload scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,16 +99,15 @@ impl Scale {
     }
 }
 
-/// Build the cluster configuration of an experiment run: the paper's Fast
+/// Configure the cluster of an experiment run: the paper's Fast
 /// Ethernet network and Pentium-4-class compute model, on the sim fabric
 /// under `sim`. Every figure, ablation and gate cell is built here.
-pub(crate) fn cluster(nodes: usize, protocol: ProtocolConfig, sim: &SimConfig) -> ClusterConfig {
+pub(crate) fn cluster(nodes: usize, protocol: ProtocolConfig, sim: &SimConfig) -> ClusterBuilder {
     dsm_runtime::Cluster::builder()
         .nodes(nodes)
         .protocol(protocol)
         .compute(ComputeModel::pentium4_2ghz())
         .fabric(dsm_runtime::FabricMode::Sim(*sim))
-        .config()
 }
 
 /// The schedules the harness's unit tests assert modeled claims under: the
@@ -133,9 +133,15 @@ mod tests {
     #[test]
     fn cluster_builder_uses_requested_nodes() {
         let sim = SimConfig::calm(gate::GATE_SEED);
-        let cfg = cluster(8, ProtocolConfig::adaptive(), &sim);
-        assert_eq!(cfg.num_nodes, 8);
-        assert_eq!(cfg.fabric, dsm_runtime::FabricMode::Sim(sim));
+        let cluster = cluster(8, ProtocolConfig::adaptive(), &sim);
+        assert_eq!(cluster.num_nodes(), 8);
+        // The caller's exact sim configuration, not merely some sim.
+        let fabric = format!("fabric: {:?},", dsm_runtime::FabricMode::Sim(sim));
+        assert!(format!("{cluster:?}").contains(&fabric), "{cluster:?}");
+        // Only the sim fabric records a delivery trace.
+        let report = cluster.build().run(|_| {});
+        assert_eq!(report.num_nodes, 8);
+        assert!(report.delivery_trace.is_some());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use dsm_core::{
     ProtocolConfig,
 };
 use dsm_model::ComputeModel;
-use dsm_runtime::{Cluster, ClusterConfig, ExecutionReport, FabricMode, SimConfig};
+use dsm_runtime::{Cluster, ClusterBuilder, ExecutionReport, FabricMode, SimConfig};
 
 /// Number of cluster nodes every matrix cell runs on.
 pub const MATRIX_NODES: usize = 4;
@@ -47,13 +47,13 @@ pub struct MatrixRun {
 pub struct MatrixWorkload {
     /// Workload name ("SOR", "ASP", ...).
     pub name: &'static str,
-    runner: fn(ClusterConfig) -> MatrixRun,
+    runner: fn(ClusterBuilder) -> MatrixRun,
 }
 
 impl MatrixWorkload {
-    /// Run the workload under the given cluster configuration.
-    pub fn run(&self, config: ClusterConfig) -> MatrixRun {
-        (self.runner)(config)
+    /// Run the workload on a cluster configured by `cluster`.
+    pub fn run(&self, cluster: ClusterBuilder) -> MatrixRun {
+        (self.runner)(cluster)
     }
 }
 
@@ -81,32 +81,32 @@ fn fingerprint_matrix(matrix: &[Vec<f64>]) -> u64 {
     hash
 }
 
-fn run_sor(config: ClusterConfig) -> MatrixRun {
-    let run = sor::run(config, &sor::SorParams::small(24, 2));
+fn run_sor(cluster: ClusterBuilder) -> MatrixRun {
+    let run = sor::run(cluster, &sor::SorParams::small(24, 2));
     MatrixRun {
         fingerprint: fingerprint_matrix(&run.result),
         report: run.report,
     }
 }
 
-fn run_asp(config: ClusterConfig) -> MatrixRun {
-    let run = asp::run(config, &asp::AspParams::small(16));
+fn run_asp(cluster: ClusterBuilder) -> MatrixRun {
+    let run = asp::run(cluster, &asp::AspParams::small(16));
     MatrixRun {
         fingerprint: fingerprint_matrix(&run.result),
         report: run.report,
     }
 }
 
-fn run_tsp(config: ClusterConfig) -> MatrixRun {
-    let run = tsp::run(config, &tsp::TspParams::small(7));
+fn run_tsp(cluster: ClusterBuilder) -> MatrixRun {
+    let run = tsp::run(cluster, &tsp::TspParams::small(7));
     MatrixRun {
         fingerprint: fnv(0xcbf2_9ce4_8422_2325, run.result),
         report: run.report,
     }
 }
 
-fn run_nbody(config: ClusterConfig) -> MatrixRun {
-    let run = nbody::run(config, &nbody::NbodyParams::small(24, 2));
+fn run_nbody(cluster: ClusterBuilder) -> MatrixRun {
+    let run = nbody::run(cluster, &nbody::NbodyParams::small(24, 2));
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for body in &run.result {
         for v in [body.x, body.y, body.vx, body.vy, body.mass] {
@@ -119,25 +119,25 @@ fn run_nbody(config: ClusterConfig) -> MatrixRun {
     }
 }
 
-fn run_kv(config: ClusterConfig) -> MatrixRun {
+fn run_kv(cluster: ClusterBuilder) -> MatrixRun {
     // The serving workload's first conformance cell: its fingerprint is the
     // final store contents, schedule-independent by the single-writer
     // phase discipline (see `dsm_apps::kv`), so the cell checks exactly
     // like the HPC kernels — including under the lossy fault sweep.
-    let run = kv::run(config, &kv::KvParams::small());
+    let run = kv::run(cluster, &kv::KvParams::small());
     MatrixRun {
         fingerprint: run.fingerprint,
         report: run.report,
     }
 }
 
-fn run_synthetic(config: ClusterConfig) -> MatrixRun {
+fn run_synthetic(cluster: ClusterBuilder) -> MatrixRun {
     let params = synthetic::SyntheticParams {
         repetition: 2,
         total_updates: 2 * 3 * MATRIX_NODES as u64,
         compute_ops: 0,
     };
-    let run = synthetic::run(config, &params);
+    let run = synthetic::run(cluster, &params);
     MatrixRun {
         fingerprint: fnv(0xcbf2_9ce4_8422_2325, run.result),
         report: run.report,
@@ -197,15 +197,14 @@ pub fn policies() -> Vec<(String, ProtocolConfig)> {
     ]
 }
 
-/// A matrix-cell cluster configuration: [`MATRIX_NODES`] nodes, zero
-/// compute cost, the requested fabric.
-pub fn matrix_cluster(protocol: ProtocolConfig, fabric: FabricMode) -> ClusterConfig {
+/// A matrix-cell cluster: [`MATRIX_NODES`] nodes, zero compute cost, the
+/// requested fabric.
+pub fn matrix_cluster(protocol: ProtocolConfig, fabric: FabricMode) -> ClusterBuilder {
     Cluster::builder()
         .nodes(MATRIX_NODES)
         .protocol(protocol)
         .compute(ComputeModel::free())
         .fabric(fabric)
-        .config()
 }
 
 /// Check the protocol invariants one conformance run must satisfy. Returns

@@ -45,8 +45,9 @@
 //!
 //! The migration rule is an open extension point: implement
 //! [`policy::HomeMigrationPolicy`] and hand the value to
-//! `ClusterBuilder::migration` (cluster-wide) or
-//! `ClusterBuilder::object_policy` (one object). The contract, in brief —
+//! [`ProtocolConfig::with_migration`] (cluster-wide) or
+//! [`ProtocolConfig::with_object_policy`] (one object), then the config to
+//! `ClusterBuilder::protocol`. The contract, in brief —
 //! the full version lives in the [`policy`] module docs:
 //!
 //! * **The engine owns the observation state.** Every protocol event is

@@ -170,9 +170,10 @@ pub trait HomeMigrationPolicy: fmt::Debug + Send + Sync {
 
 /// Conversion into a shared policy object, implemented by every policy
 /// value and by `Arc`s of policy values — so
-/// `builder.migration(AdaptiveThresholdPolicy::paper())`,
-/// `builder.migration(MyPolicy)` and `builder.migration(Arc::new(MyPolicy))`
-/// all work.
+/// `config.with_migration(AdaptiveThresholdPolicy::paper())`,
+/// `config.with_migration(MyPolicy)` and
+/// `config.with_migration(Arc::new(MyPolicy))` all work (likewise
+/// `ProtocolConfig::with_object_policy`).
 pub trait IntoMigrationPolicy {
     /// Convert into the shared trait object the engine consults.
     fn into_policy(self) -> Arc<dyn HomeMigrationPolicy>;

@@ -24,14 +24,16 @@ pub enum DsmError {
         /// The unknown id.
         obj: ObjectId,
     },
-    /// A handle's element count disagrees with the registered payload size —
-    /// decoding through it would corrupt element boundaries.
+    /// A handle's element count, or the length of the values supplied for
+    /// an object, disagrees with the registered payload size — decoding
+    /// through it would corrupt element boundaries.
     SizeMismatch {
         /// The object.
         obj: ObjectId,
         /// Payload size recorded in the registry, in bytes.
         registered_bytes: usize,
-        /// Payload size implied by the handle, in bytes.
+        /// Payload size implied by the handle or the supplied values, in
+        /// bytes.
         handle_bytes: usize,
     },
     /// A mutable view overlaps an existing view of the same object in the
@@ -73,8 +75,8 @@ impl fmt::Display for DsmError {
                 handle_bytes,
             } => write!(
                 f,
-                "handle for {obj} implies {handle_bytes} bytes but the registry \
-                 records {registered_bytes} bytes"
+                "{obj}: {handle_bytes} bytes supplied, the registry records \
+                 {registered_bytes} bytes"
             ),
             DsmError::ViewConflict { obj } => {
                 write!(f, "conflicting live view of {obj} in this critical section")
@@ -110,8 +112,8 @@ mod tests {
             registered_bytes: 64,
             handle_bytes: 32,
         };
-        assert!(e.to_string().contains("32"));
-        assert!(e.to_string().contains("64"));
+        assert!(e.to_string().contains("32 bytes supplied"));
+        assert!(e.to_string().contains("records 64 bytes"));
         assert!(DsmError::ViewConflict { obj }.to_string().contains("view"));
         assert!(DsmError::ViewsOutstanding { count: 2 }
             .to_string()

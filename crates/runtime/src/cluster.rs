@@ -1,11 +1,10 @@
 //! Cluster construction and execution.
 //!
-//! The preferred construction path is the chainable, seeded
-//! [`ClusterBuilder`] (see [`Cluster::builder`]): it owns the object
-//! registry, carries a default home-assignment policy for the objects it
-//! registers, and replaces the positional `ClusterConfig::new` + `with_*`
-//! sprawl. [`ClusterConfig`] remains as the plain value the builder
-//! produces, which workload entry points accept directly.
+//! A cluster is configured and built one way: the chainable, seeded
+//! [`ClusterBuilder`] (see [`Cluster::builder`]). It holds every setting of
+//! a run, one setter each, and owns the object registry, with a default
+//! home assignment for the objects it registers. Workload entry points take
+//! a builder, register their objects through it and build the cluster.
 
 use crate::ctx::NodeCtx;
 use crate::exec::Executor;
@@ -14,13 +13,10 @@ use crate::handle::{ArrayHandle, Matrix2dHandle};
 use crate::node::{NodeLink, NodeShared};
 use crate::report::{ExecutionReport, SchedulerReport};
 use crate::sim::{abort_all_pending, sim_server_loop};
-use dsm_core::{
-    IntoMigrationPolicy, NotificationMechanism, ProtocolConfig, ProtocolEngine, ProtocolMsg,
-    ProtocolStats,
-};
-use dsm_model::{ComputeModel, NetworkParams};
+use dsm_core::{ProtocolConfig, ProtocolEngine, ProtocolMsg, ProtocolStats};
+use dsm_model::ComputeModel;
 use dsm_net::{Fabric, SimConfig, SimFabric, StatsCollector, TcpConfig, TcpEndpoint, TcpFabric};
-use dsm_objspace::{Element, HomeAssignment, NodeId, ObjectId, ObjectRegistry};
+use dsm_objspace::{Element, HomeAssignment, NodeId, ObjectRegistry};
 use dsm_util::Mutex;
 use dsm_wire::ProtocolCodec;
 use std::any::Any;
@@ -50,99 +46,18 @@ pub enum FabricMode {
     Tcp(TcpConfig),
 }
 
-/// Configuration of one cluster run.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Number of simulated cluster nodes (the paper evaluates 2–16).
-    pub num_nodes: usize,
-    /// Coherence protocol configuration (migration policy, notification
-    /// mechanism, network model).
-    pub protocol: ProtocolConfig,
-    /// Computation cost model used by `NodeCtx::compute`.
-    pub compute: ComputeModel,
-    /// Cluster seed, exposed to applications through `NodeCtx::seed` /
-    /// `NodeCtx::node_rng` for deterministic workload generation.
-    pub seed: u64,
-    /// Whether release-time diff flushes to the same home are batched into
-    /// one `DiffBatch` message (on by default). Disable to reproduce the
-    /// paper-faithful wire behaviour of one `DiffFlush` per dirty object.
-    pub flush_batching: bool,
-    /// The fabric the cluster runs on (threaded by default; see
-    /// [`FabricMode`] for the deterministic sim and TCP modes).
-    pub fabric: FabricMode,
-    /// Executor worker-pool size; `0` (the default) sizes the pool to
-    /// `min(available cores, num_nodes)`. Ignored on the sim fabric.
-    pub executor_workers: usize,
-}
-
-impl ClusterConfig {
-    /// Create a configuration with the default computation model
-    /// (≈ 2 GHz Pentium 4) and seed 0. Prefer [`Cluster::builder`].
-    pub fn new(num_nodes: usize, protocol: ProtocolConfig) -> Self {
-        assert!(num_nodes > 0, "cluster must have at least one node");
-        ClusterConfig {
-            num_nodes,
-            protocol,
-            compute: ComputeModel::default(),
-            seed: 0,
-            flush_batching: true,
-            fabric: FabricMode::Threaded,
-            executor_workers: 0,
-        }
-    }
-
-    /// Replace the executor worker-pool size. `0` (the default) picks
-    /// `min(available cores, num_nodes)`; `1` serializes all server-side
-    /// protocol handling onto a single worker (the serialization reference
-    /// for equivalence testing). Ignored on the sim fabric.
-    #[must_use]
-    pub fn with_executor_workers(mut self, workers: usize) -> Self {
-        self.executor_workers = workers;
-        self
-    }
-
-    /// Replace the computation cost model.
-    #[must_use]
-    pub fn with_compute(mut self, compute: ComputeModel) -> Self {
-        self.compute = compute;
-        self
-    }
-
-    /// Replace the cluster seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enable or disable release-time flush batching (see
-    /// [`ClusterBuilder::flush_batching`]).
-    #[must_use]
-    pub fn with_flush_batching(mut self, enabled: bool) -> Self {
-        self.flush_batching = enabled;
-        self
-    }
-
-    /// Replace the fabric mode (see [`ClusterBuilder::fabric`]).
-    #[must_use]
-    pub fn with_fabric(mut self, fabric: FabricMode) -> Self {
-        self.fabric = fabric;
-        self
-    }
-}
-
-/// Chainable, seeded cluster construction: nodes, protocol pieces, compute
-/// model, network parameters and the default home assignment for objects
-/// registered through the builder.
+/// Chainable, seeded cluster construction — the one way to configure and
+/// build a [`Cluster`]. It holds every setting of a run (one setter each)
+/// and the [`ObjectRegistry`] of the shared objects the run uses.
 ///
 /// ```no_run
 /// use dsm_runtime::Cluster;
-/// use dsm_core::AdaptiveThresholdPolicy;
+/// use dsm_core::ProtocolConfig;
 /// use dsm_objspace::HomeAssignment;
 ///
 /// let mut cluster = Cluster::builder()
 ///     .nodes(8)
-///     .migration(AdaptiveThresholdPolicy::paper())
+///     .protocol(ProtocolConfig::adaptive())
 ///     .seed(2004)
 ///     .default_home(HomeAssignment::RoundRobin);
 /// let counter = cluster.register_array::<u64>("counter", 1);
@@ -151,7 +66,7 @@ impl ClusterConfig {
 /// });
 /// ```
 #[derive(Debug, Clone)]
-#[must_use = "a ClusterBuilder does nothing until .build() or .config() — \
+#[must_use = "a ClusterBuilder does nothing until .build() — \
               every chainable setter returns the (moved) builder"]
 pub struct ClusterBuilder {
     nodes: usize,
@@ -161,10 +76,14 @@ pub struct ClusterBuilder {
     default_home: HomeAssignment,
     flush_batching: bool,
     fabric: FabricMode,
+    executor_workers: usize,
     registry: ObjectRegistry,
 }
 
 impl Default for ClusterBuilder {
+    /// 2 nodes, the adaptive protocol, the Pentium-4-class compute model,
+    /// seed 0, creation-node homes, batched flushes, the threaded fabric and
+    /// an auto-sized executor pool.
     fn default() -> Self {
         ClusterBuilder {
             nodes: 2,
@@ -174,19 +93,14 @@ impl Default for ClusterBuilder {
             default_home: HomeAssignment::CreationNode,
             flush_batching: true,
             fabric: FabricMode::Threaded,
+            executor_workers: 0,
             registry: ObjectRegistry::new(),
         }
     }
 }
 
 impl ClusterBuilder {
-    /// Start from the defaults: 2 nodes, adaptive protocol, Pentium-4-class
-    /// compute model, creation-node home assignment, seed 0.
-    pub(crate) fn new() -> Self {
-        ClusterBuilder::default()
-    }
-
-    /// Set the number of simulated nodes.
+    /// Set the number of simulated nodes (the paper evaluates 2–16).
     ///
     /// # Panics
     /// Panics if `nodes` is zero.
@@ -196,56 +110,30 @@ impl ClusterBuilder {
         self
     }
 
-    /// Replace the whole protocol configuration.
+    /// Replace the coherence protocol configuration: the migration policy
+    /// and per-object overrides, the notification mechanism and the network
+    /// model, each set through `ProtocolConfig::with_*`.
     pub fn protocol(mut self, protocol: ProtocolConfig) -> Self {
         self.protocol = protocol;
         self
     }
 
-    /// Replace the cluster-wide default home-migration policy. Accepts any
-    /// policy value (`AdaptiveThresholdPolicy::paper()`,
-    /// `HysteresisPolicy::default()`, a user-defined `HomeMigrationPolicy`)
-    /// or an `Arc` of one — see `dsm_core::policy` for the trait contract.
-    pub fn migration(mut self, migration: impl IntoMigrationPolicy) -> Self {
-        self.protocol = self.protocol.with_migration(migration);
-        self
-    }
-
-    /// Override the home-migration policy for a single object, so one
-    /// cluster runs different policies on different objects (handles expose
-    /// their [`ObjectId`] via `handle.id` / `handle.id()`). Objects without
-    /// an override use the cluster-wide [`Self::migration`] policy.
-    pub fn object_policy(mut self, obj: ObjectId, policy: impl IntoMigrationPolicy) -> Self {
-        self.protocol = self.protocol.with_object_policy(obj, policy);
-        self
-    }
-
-    /// Replace the new-home notification mechanism.
-    pub fn notification(mut self, notification: NotificationMechanism) -> Self {
-        self.protocol = self.protocol.with_notification(notification);
-        self
-    }
-
-    /// Replace the network parameters (affects virtual time and α).
-    pub fn network(mut self, network: NetworkParams) -> Self {
-        self.protocol = self.protocol.with_network(network);
-        self
-    }
-
-    /// Replace the computation cost model.
+    /// Replace the computation cost model used by `NodeCtx::compute`.
     pub fn compute(mut self, compute: ComputeModel) -> Self {
         self.compute = compute;
         self
     }
 
-    /// Set the cluster seed (exposed as `NodeCtx::seed`).
+    /// Set the cluster seed, exposed to applications through
+    /// `NodeCtx::seed` / `NodeCtx::node_rng` for deterministic workload
+    /// generation.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Set the default home assignment used by the builder's `register_*`
-    /// helpers.
+    /// Set the default home assignment used by [`Self::register_array`] and
+    /// [`Self::register_matrix`].
     pub fn default_home(mut self, assignment: HomeAssignment) -> Self {
         self.default_home = assignment;
         self
@@ -264,12 +152,36 @@ impl ClusterBuilder {
         self
     }
 
-    /// Replace the fabric mode: threaded, the deterministic sim with an
-    /// explicit [`SimConfig`] (e.g. [`SimConfig::calm`] /
+    /// Replace the fabric mode: threaded (the default), the deterministic
+    /// sim with an explicit [`SimConfig`] (e.g. [`SimConfig::calm`] /
     /// [`SimConfig::perturbed`]), or real TCP sockets with a [`TcpConfig`].
     pub fn fabric(mut self, fabric: FabricMode) -> Self {
         self.fabric = fabric;
         self
+    }
+
+    /// Set the executor worker-pool size of a threaded or TCP run; `0` (the
+    /// default) picks `min(available cores, nodes)`. Ignored on the sim
+    /// fabric. With `1` worker, server-side handling still runs on more than
+    /// one thread — an application thread waiting for a reply steps queued
+    /// nodes beside the worker — so the fingerprint reference is the sim,
+    /// not a single worker.
+    pub fn executor_workers(mut self, workers: usize) -> Self {
+        self.executor_workers = workers;
+        self
+    }
+
+    /// The number of nodes set so far, for sizing per-node state before
+    /// the run.
+    pub fn num_nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// The registry the run will use, for objects with an explicit creator
+    /// or home (`ArrayHandle::register`, `Matrix2dHandle::register_immutable`,
+    /// `ScalarHandle::register`, ...).
+    pub fn registry(&mut self) -> &mut ObjectRegistry {
+        &mut self.registry
     }
 
     /// Register an array object under the default home assignment, created
@@ -303,42 +215,29 @@ impl ClusterBuilder {
         )
     }
 
-    /// The [`ClusterConfig`] this builder currently describes.
-    pub fn config(&self) -> ClusterConfig {
-        ClusterConfig {
-            num_nodes: self.nodes,
-            protocol: self.protocol.clone(),
-            compute: self.compute,
-            seed: self.seed,
-            flush_batching: self.flush_batching,
-            fabric: self.fabric.clone(),
-            executor_workers: 0,
+    /// Build the cluster with the builder's settings and registry.
+    pub fn build(mut self) -> Cluster {
+        let registry = Arc::new(std::mem::take(&mut self.registry));
+        Cluster {
+            settings: self,
+            registry,
         }
-    }
-
-    /// Build the cluster with the builder's own registry.
-    pub fn build(self) -> Cluster {
-        let config = self.config();
-        Cluster::new(config, self.registry)
     }
 }
 
-/// A simulated cluster ready to run one application.
+/// A simulated cluster ready to run one application, built by
+/// [`ClusterBuilder::build`].
 pub struct Cluster {
-    config: ClusterConfig,
-    registry: ObjectRegistry,
+    /// The builder's settings; its registry was moved into `registry`.
+    settings: ClusterBuilder,
+    registry: Arc<ObjectRegistry>,
 }
 
 impl Cluster {
-    /// Start a chainable [`ClusterBuilder`].
+    /// Start a [`ClusterBuilder`] from its defaults (see
+    /// [`ClusterBuilder::default`]).
     pub fn builder() -> ClusterBuilder {
-        ClusterBuilder::new()
-    }
-
-    /// Build a cluster from a configuration and the registry of shared
-    /// objects the application will use.
-    pub fn new(config: ClusterConfig, registry: ObjectRegistry) -> Self {
-        Cluster { config, registry }
+        ClusterBuilder::default()
     }
 
     /// Run `app` on every node (one application thread per node, exactly as
@@ -360,7 +259,7 @@ impl Cluster {
     where
         F: Fn(&NodeCtx) + Send + Sync,
     {
-        match self.config.fabric.clone() {
+        match self.settings.fabric.clone() {
             FabricMode::Threaded => self.run_threaded(app),
             FabricMode::Sim(sim) => self.run_sim(app, sim),
             FabricMode::Tcp(tcp) => self.run_tcp(app, tcp),
@@ -373,21 +272,19 @@ impl Cluster {
     where
         F: Fn(&NodeCtx) + Send + Sync,
     {
-        let Cluster { config, registry } = self;
-        let registry = Arc::new(registry);
         let stats = StatsCollector::new();
-        let fabric: Fabric<ProtocolMsg> =
-            Fabric::new(config.num_nodes, config.protocol.network, stats.clone());
+        let fabric: Fabric<ProtocolMsg> = Fabric::new(
+            self.settings.nodes,
+            self.settings.protocol.network,
+            stats.clone(),
+        );
         let shareds: Vec<Arc<NodeShared>> = fabric
             .into_endpoints()
             .into_iter()
-            .map(|endpoint| {
-                let node = endpoint.node();
-                node_shared(&config, &registry, node, NodeLink::Threaded(endpoint), None)
-            })
+            .map(|endpoint| self.node_shared(endpoint.node(), NodeLink::Threaded(endpoint), None))
             .collect();
-        let scheduler = run_apps_with_executor(&config, &shareds, &app);
-        assemble_report(&config, &shareds, &stats, None, Some(scheduler))
+        let scheduler = self.run_apps_with_executor(&shareds, &app);
+        self.assemble_report(&shareds, &stats, None, Some(scheduler))
     }
 
     /// The TCP runner: every node binds a `127.0.0.1` listener, the mesh is
@@ -399,12 +296,10 @@ impl Cluster {
     where
         F: Fn(&NodeCtx) + Send + Sync,
     {
-        let Cluster { config, registry } = self;
-        let registry = Arc::new(registry);
         let stats = StatsCollector::new();
         let fabric: TcpFabric<ProtocolMsg> = TcpFabric::bind_local::<ProtocolCodec>(
-            config.num_nodes,
-            config.protocol.network,
+            self.settings.nodes,
+            self.settings.protocol.network,
             stats.clone(),
             tcp,
         )
@@ -412,12 +307,9 @@ impl Cluster {
         let shareds: Vec<Arc<NodeShared>> = fabric
             .into_endpoints()
             .into_iter()
-            .map(|endpoint| {
-                let node = endpoint.node();
-                node_shared(&config, &registry, node, NodeLink::Tcp(endpoint), None)
-            })
+            .map(|endpoint| self.node_shared(endpoint.node(), NodeLink::Tcp(endpoint), None))
             .collect();
-        let scheduler = run_apps_with_executor(&config, &shareds, &app);
+        let scheduler = self.run_apps_with_executor(&shareds, &app);
 
         let endpoints: Vec<&TcpEndpoint<ProtocolMsg>> = shareds
             .iter()
@@ -459,7 +351,7 @@ impl Cluster {
             "wire-level modeled bytes and network statistics disagree"
         );
 
-        assemble_report(&config, &shareds, &stats, None, Some(scheduler))
+        self.assemble_report(&shareds, &stats, None, Some(scheduler))
     }
 
     /// Run one node of a **multi-process** TCP cluster and return this
@@ -486,31 +378,21 @@ impl Cluster {
     where
         F: Fn(&NodeCtx) + Send + Sync,
     {
-        let Cluster { config, registry } = self;
-        let num_nodes = config.num_nodes;
         assert_eq!(
             endpoint.num_nodes(),
-            num_nodes,
+            self.settings.nodes,
             "endpoint cluster size disagrees with the cluster configuration"
         );
-        let registry = Arc::new(registry);
-        let node = endpoint.node();
         // One hosted node: the pool defaults to a single worker, woken by
         // this process's TCP readers (and self-sends).
-        let shareds = [node_shared(
-            &config,
-            &registry,
-            node,
-            NodeLink::Tcp(endpoint),
-            None,
-        )];
-        let scheduler = run_apps_with_executor(&config, &shareds, &app);
+        let shareds = [self.node_shared(endpoint.node(), NodeLink::Tcp(endpoint), None)];
+        let scheduler = self.run_apps_with_executor(&shareds, &app);
 
         let NodeLink::Tcp(ep) = &shareds[0].link else {
             unreachable!("TCP worker built a non-TCP link");
         };
         ep.finish();
-        assemble_report(&config, &shareds, &stats, None, Some(scheduler))
+        self.assemble_report(&shareds, &stats, None, Some(scheduler))
     }
 
     /// The sim runner: no server pool, no timers — the calling thread
@@ -519,12 +401,13 @@ impl Cluster {
     where
         F: Fn(&NodeCtx) + Send + Sync,
     {
-        let Cluster { config, registry } = self;
-        let num_nodes = config.num_nodes;
-        let registry = Arc::new(registry);
         let stats = StatsCollector::new();
-        let fabric: SimFabric<ProtocolMsg> =
-            SimFabric::new(num_nodes, config.protocol.network, stats.clone(), sim);
+        let fabric: SimFabric<ProtocolMsg> = SimFabric::new(
+            self.settings.nodes,
+            self.settings.protocol.network,
+            stats.clone(),
+            sim,
+        );
 
         let shareds: Vec<Arc<NodeShared>> = fabric
             .endpoints()
@@ -536,8 +419,7 @@ impl Cluster {
                 let fault = sim
                     .is_lossy()
                     .then(|| FaultState::new(FaultConfig::sim_default()));
-                let node = endpoint.node();
-                node_shared(&config, &registry, node, NodeLink::Sim(endpoint), fault)
+                self.node_shared(endpoint.node(), NodeLink::Sim(endpoint), fault)
             })
             .collect();
 
@@ -583,33 +465,107 @@ impl Cluster {
         );
         // The virtual-time scheduler has neither a server pool nor inbound
         // queues, so sim runs report no scheduler.
-        assemble_report(&config, &shareds, &stats, Some(trace), None)
+        self.assemble_report(&shareds, &stats, Some(trace), None)
     }
-}
 
-/// Build one node's engine and shared state on the given link.
-fn node_shared(
-    config: &ClusterConfig,
-    registry: &Arc<ObjectRegistry>,
-    node: NodeId,
-    link: NodeLink,
-    fault: Option<FaultState>,
-) -> Arc<NodeShared> {
-    let engine = ProtocolEngine::new(
-        node,
-        config.num_nodes,
-        config.protocol.clone(),
-        Arc::clone(registry),
-    );
-    NodeShared::new(
-        engine,
-        link,
-        config.compute,
-        config.protocol.network.handling_cost(),
-        config.seed,
-        config.flush_batching,
-        fault,
-    )
+    /// Build one node's engine and shared state on the given link.
+    fn node_shared(
+        &self,
+        node: NodeId,
+        link: NodeLink,
+        fault: Option<FaultState>,
+    ) -> Arc<NodeShared> {
+        let engine = ProtocolEngine::new(
+            node,
+            self.settings.nodes,
+            self.settings.protocol.clone(),
+            Arc::clone(&self.registry),
+        );
+        NodeShared::new(
+            engine,
+            link,
+            self.settings.compute,
+            self.settings.protocol.network.handling_cost(),
+            self.settings.seed,
+            self.settings.flush_batching,
+            fault,
+        )
+    }
+
+    /// Serve `shareds` (all nodes of an in-process cluster, or the one node
+    /// of a multi-process TCP worker) with the wake-on-send executor: build
+    /// the pool wired to the nodes' links, run the per-node application
+    /// threads next to the workers in one scope, join the applications,
+    /// drive the pool through teardown and return its counters.
+    fn run_apps_with_executor<F>(&self, shareds: &[Arc<NodeShared>], app: &F) -> SchedulerReport
+    where
+        F: Fn(&NodeCtx) + Send + Sync,
+    {
+        let workers = effective_workers(self.settings.executor_workers, shareds.len());
+        let executor = Executor::new(shareds, workers);
+        // Sweep every inbound queue once: wakes that fired before the
+        // notifier was installed were dropped (a TCP peer may already have
+        // sent).
+        executor.prime();
+        let first_panic = FirstPanic::new();
+        // A panic in an application or a handler step aborts every node's
+        // reply slot, so peers waiting on replies that will never come wake
+        // up instead of hanging.
+        let on_exit = |panicked| {
+            if panicked {
+                shareds
+                    .iter()
+                    .for_each(|shared| shared.abort_pending(|| {}));
+            }
+        };
+        thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| on_exit(first_panic.catch(|| executor.run_worker())));
+            }
+            let apps = first_panic.spawn_apps(scope, shareds, app, on_exit);
+            // Join application threads first; then release the pool into
+            // its drain/termination protocol even if an application panicked
+            // — the workers must exit before the scope can close.
+            first_panic.join(apps);
+            for shared in shareds {
+                shared.request_shutdown();
+            }
+            executor.begin_shutdown();
+        });
+        first_panic.resume();
+        executor.report()
+    }
+
+    /// Merge per-node clocks and statistics into the final report.
+    fn assemble_report(
+        &self,
+        shareds: &[Arc<NodeShared>],
+        stats: &StatsCollector,
+        delivery_trace: Option<dsm_net::DeliveryTrace>,
+        scheduler: Option<SchedulerReport>,
+    ) -> ExecutionReport {
+        let node_times: Vec<_> = shareds.iter().map(|s| s.clock.now()).collect();
+        let execution_time = node_times
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or_default()
+            .saturating_since(dsm_model::SimTime::ZERO);
+        let mut protocol = ProtocolStats::default();
+        for shared in shareds {
+            protocol.merge(&shared.engine.stats());
+        }
+        ExecutionReport {
+            execution_time,
+            node_times,
+            network: stats.snapshot(),
+            protocol,
+            num_nodes: self.settings.nodes,
+            policy_label: self.settings.protocol.migration.label().to_string(),
+            delivery_trace,
+            scheduler,
+        }
+    }
 }
 
 /// The executor pool size for a run: an explicit request wins; `0` (auto)
@@ -623,53 +579,6 @@ fn effective_workers(requested: usize, num_nodes: usize) -> usize {
         .unwrap_or(4)
         .min(num_nodes)
         .max(1)
-}
-
-/// Serve `shareds` (all nodes of an in-process cluster, or the one node of
-/// a multi-process TCP worker) with the wake-on-send executor: build the
-/// pool wired to the nodes' links, run the per-node application threads
-/// next to the workers in one scope, join the applications, drive the pool
-/// through teardown and return its counters.
-fn run_apps_with_executor<F>(
-    config: &ClusterConfig,
-    shareds: &[Arc<NodeShared>],
-    app: &F,
-) -> SchedulerReport
-where
-    F: Fn(&NodeCtx) + Send + Sync,
-{
-    let workers = effective_workers(config.executor_workers, shareds.len());
-    let executor = Executor::new(shareds, workers);
-    // Sweep every inbound queue once: wakes that fired before the notifier
-    // was installed were dropped (a TCP peer may already have sent).
-    executor.prime();
-    let first_panic = FirstPanic::new();
-    // A panic in an application or a handler step aborts every node's reply
-    // slot, so peers waiting on replies that will never come wake up
-    // instead of hanging.
-    let on_exit = |panicked| {
-        if panicked {
-            shareds
-                .iter()
-                .for_each(|shared| shared.abort_pending(|| {}));
-        }
-    };
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| on_exit(first_panic.catch(|| executor.run_worker())));
-        }
-        let apps = first_panic.spawn_apps(scope, shareds, app, on_exit);
-        // Join application threads first; then release the pool into its
-        // drain/termination protocol even if an application panicked — the
-        // workers must exit before the scope can close.
-        first_panic.join(apps);
-        for shared in shareds {
-            shared.request_shutdown();
-        }
-        executor.begin_shutdown();
-    });
-    first_panic.resume();
-    executor.report()
 }
 
 /// The run's first panic payload, from an application thread or an
@@ -733,37 +642,6 @@ impl FirstPanic {
     }
 }
 
-/// Merge per-node clocks and statistics into the final report.
-fn assemble_report(
-    config: &ClusterConfig,
-    shareds: &[Arc<NodeShared>],
-    stats: &StatsCollector,
-    delivery_trace: Option<dsm_net::DeliveryTrace>,
-    scheduler: Option<SchedulerReport>,
-) -> ExecutionReport {
-    let node_times: Vec<_> = shareds.iter().map(|s| s.clock.now()).collect();
-    let execution_time = node_times
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or_default()
-        .saturating_since(dsm_model::SimTime::ZERO);
-    let mut protocol = ProtocolStats::default();
-    for shared in shareds {
-        protocol.merge(&shared.engine.stats());
-    }
-    ExecutionReport {
-        execution_time,
-        node_times,
-        network: stats.snapshot(),
-        protocol,
-        num_nodes: config.num_nodes,
-        policy_label: config.protocol.migration.label().to_string(),
-        delivery_trace,
-        scheduler,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -780,11 +658,13 @@ mod tests {
     fn a_panicking_handler_step_ends_the_run_with_its_payload() {
         let (finished, outcome) = mpsc::channel();
         thread::spawn(move || {
-            let config = ClusterConfig::new(2, ProtocolConfig::no_migration())
-                .with_compute(ComputeModel::free())
-                .with_executor_workers(1);
+            let cluster = Cluster::builder()
+                .protocol(ProtocolConfig::no_migration())
+                .compute(ComputeModel::free())
+                .executor_workers(1)
+                .build();
             let run = catch_unwind(AssertUnwindSafe(|| {
-                Cluster::new(config, ObjectRegistry::new()).run(|ctx| {
+                cluster.run(|ctx| {
                     if !ctx.is_master() {
                         let stray = ProtocolMsg::LockGrant {
                             req: ReqId(u64::MAX),

@@ -293,7 +293,14 @@ impl NodeCtx {
         {
             return Err(DsmError::ViewConflict { obj: handle.id });
         }
-        assert_eq!(values.len(), handle.len, "bootstrap length mismatch");
+        if values.len() != handle.len {
+            // The handle is validated, so its length is the object's size.
+            return Err(DsmError::SizeMismatch {
+                obj: handle.id,
+                registered_bytes: handle.len * T::SIZE,
+                handle_bytes: values.len() * T::SIZE,
+            });
+        }
         self.shared.engine.bootstrap_object(handle.id, values);
         Ok(())
     }

@@ -41,10 +41,11 @@
 //! * **Threaded and TCP fabrics — the wake-on-send executor.** All nodes'
 //!   servers are multiplexed onto a bounded worker pool
 //!   (`min(available_parallelism, nodes)` workers by default;
-//!   [`ClusterConfig::with_executor_workers`] overrides, and `1` fully
-//!   serializes server-side handling — the reference the test suite
-//!   fingerprints the default pool against). Every push onto a node's
-//!   [`dsm_net::Inbox`] — a threaded send, a TCP self-send, or a TCP socket
+//!   [`ClusterBuilder::executor_workers`] overrides). Even `1` worker does
+//!   not serialize server-side handling: application threads waiting for
+//!   a reply step queued nodes beside it, so the fingerprint reference for
+//!   the pool is the sim fabric (below), not a single worker. Every push
+//!   onto a node's [`dsm_net::Inbox`] — a threaded send, a TCP self-send, or a TCP socket
 //!   reader handing over a frame — marks that node runnable and wakes a
 //!   parked worker. A quiet cluster is *silent*: no timer ticks, no idle
 //!   polls, workers parked on a condvar, so a 256-node cluster runs on one
@@ -241,13 +242,14 @@
 //! checksum conformance with the threaded fabric, replay determinism and
 //! the protocol invariants.
 //!
-//! **Pluggable migration policies:** [`ClusterBuilder::migration`] accepts
-//! any policy value — the paper's (`AdaptiveThresholdPolicy::paper()`,
+//! **Pluggable migration policies:** `ProtocolConfig::with_migration`
+//! (the config goes to [`ClusterBuilder::protocol`]) accepts any policy
+//! value — the paper's (`AdaptiveThresholdPolicy::paper()`,
 //! `FixedThresholdPolicy::new(2)`, ...), the beyond-the-paper ones
 //! (`HysteresisPolicy`, `EwmaWriteRatioPolicy`) or a custom
 //! `HomeMigrationPolicy` impl — or an `Arc` of one (see `dsm_core::policy`
 //! for the trait contract and determinism rules).
-//! [`ClusterBuilder::object_policy`] pins a different policy to a single
+//! `ProtocolConfig::with_object_policy` pins a different policy to a single
 //! object, so one cluster can run a policy × object experiment grid; the
 //! per-run decision telemetry (considered vs. taken decisions,
 //! migrate-backs, threshold trajectory) is merged into
@@ -255,13 +257,13 @@
 //!
 //! ```no_run
 //! use dsm_runtime::Cluster;
-//! use dsm_core::AdaptiveThresholdPolicy;
+//! use dsm_core::{HysteresisPolicy, ProtocolConfig};
 //! use dsm_objspace::{HomeAssignment, LockId};
 //!
 //! // Chainable, seeded construction; the builder owns the registry.
 //! let mut builder = Cluster::builder()
 //!     .nodes(4)
-//!     .migration(AdaptiveThresholdPolicy::paper())
+//!     .protocol(ProtocolConfig::adaptive().with_migration(HysteresisPolicy::default()))
 //!     .seed(2004)
 //!     .default_home(HomeAssignment::Master);
 //! let counter = builder.register_array::<u64>("counter", 1);
@@ -291,7 +293,7 @@ mod sim;
 mod vclock;
 mod view;
 
-pub use cluster::{Cluster, ClusterBuilder, ClusterConfig, FabricMode};
+pub use cluster::{Cluster, ClusterBuilder, FabricMode};
 pub use ctx::NodeCtx;
 pub use dsm_net::{
     DeliveryRecord, DeliveryTrace, DropReason, DropRecord, PartitionSpec, PauseSpec, SimConfig,

@@ -3,18 +3,20 @@
 
 use dsm_core::{AdaptiveThresholdPolicy, MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_model::ComputeModel;
-use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
+use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{
-    ArrayHandle, Cluster, ClusterConfig, DeliveryTrace, ExecutionReport, FabricMode, SimConfig,
+    ArrayHandle, Cluster, ClusterBuilder, DeliveryTrace, ExecutionReport, FabricMode, SimConfig,
     TcpConfig,
 };
 use std::sync::mpsc;
 use std::time::Duration;
 
-fn sim_config(nodes: usize, protocol: ProtocolConfig, sim: SimConfig) -> ClusterConfig {
-    ClusterConfig::new(nodes, protocol)
-        .with_compute(ComputeModel::free())
-        .with_fabric(FabricMode::Sim(sim))
+fn sim_config(nodes: usize, protocol: ProtocolConfig, sim: SimConfig) -> ClusterBuilder {
+    Cluster::builder()
+        .nodes(nodes)
+        .protocol(protocol)
+        .compute(ComputeModel::free())
+        .fabric(FabricMode::Sim(sim))
 }
 
 /// Lock-protected counter increments on the sim fabric; returns the final
@@ -22,9 +24,9 @@ fn sim_config(nodes: usize, protocol: ProtocolConfig, sim: SimConfig) -> Cluster
 fn counter_run(sim: SimConfig) -> (u64, ExecutionReport) {
     let nodes = 4;
     let increments = 10u64;
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = sim_config(nodes, ProtocolConfig::adaptive(), sim);
     let counter: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "sim.counter",
         0,
         1,
@@ -36,21 +38,19 @@ fn counter_run(sim: SimConfig) -> (u64, ExecutionReport) {
     let total = std::sync::Arc::new(std::sync::Mutex::new(0u64));
     let total_in_run = std::sync::Arc::clone(&total);
 
-    let report = Cluster::new(sim_config(nodes, ProtocolConfig::adaptive(), sim), registry).run(
-        move |ctx| {
-            for _ in 0..increments {
-                ctx.acquire(lock);
-                ctx.update(&counter, |v| v[0] += 1);
-                ctx.release(lock);
-            }
-            ctx.barrier(done);
-            let seen = ctx.read(&counter)[0];
-            assert_eq!(seen, 4 * increments, "lost update on the sim fabric");
-            if ctx.is_master() {
-                *total_in_run.lock().unwrap() = seen;
-            }
-        },
-    );
+    let report = cluster.build().run(move |ctx| {
+        for _ in 0..increments {
+            ctx.acquire(lock);
+            ctx.update(&counter, |v| v[0] += 1);
+            ctx.release(lock);
+        }
+        ctx.barrier(done);
+        let seen = ctx.read(&counter)[0];
+        assert_eq!(seen, 4 * increments, "lost update on the sim fabric");
+        if ctx.is_master() {
+            *total_in_run.lock().unwrap() = seen;
+        }
+    });
     let total = *total.lock().unwrap();
     (total, report)
 }
@@ -105,9 +105,12 @@ fn calm_sim_matches_threaded_results() {
     assert_eq!(sim_total, 40);
     assert_eq!(trace(&sim_report).per_link_fifo_violation(), None);
     // The threaded fabric computes the same application result.
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = Cluster::builder()
+        .nodes(4)
+        .protocol(ProtocolConfig::adaptive())
+        .compute(ComputeModel::free());
     let counter: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "sim.counter",
         0,
         1,
@@ -115,9 +118,7 @@ fn calm_sim_matches_threaded_results() {
         HomeAssignment::Master,
     );
     let lock = LockId::derive("sim.counter.lock");
-    let config =
-        ClusterConfig::new(4, ProtocolConfig::adaptive()).with_compute(ComputeModel::free());
-    Cluster::new(config, registry).run(move |ctx| {
+    cluster.build().run(move |ctx| {
         for _ in 0..10 {
             ctx.synchronized(lock, || ctx.update(&counter, |v| v[0] += 1));
         }
@@ -131,9 +132,13 @@ fn migration_happens_deterministically_on_the_sim_fabric() {
     // Single-writer pattern from node 1: the adaptive policy must migrate
     // the home, identically on every replay.
     let run = |seed: u64| {
-        let mut registry = ObjectRegistry::new();
+        let mut cluster = sim_config(
+            4,
+            ProtocolConfig::no_migration().with_migration(AdaptiveThresholdPolicy::paper()),
+            SimConfig::perturbed(seed),
+        );
         let obj: ArrayHandle<u64> = ArrayHandle::register(
-            &mut registry,
+            cluster.registry(),
             "sim.mig",
             0,
             4,
@@ -142,12 +147,7 @@ fn migration_happens_deterministically_on_the_sim_fabric() {
         );
         let lock = LockId::derive("sim.mig.lock");
         let done = BarrierId(9);
-        let config = sim_config(
-            4,
-            ProtocolConfig::no_migration().with_migration(AdaptiveThresholdPolicy::paper()),
-            SimConfig::perturbed(seed),
-        );
-        Cluster::new(config, registry).run(move |ctx| {
+        cluster.build().run(move |ctx| {
             if ctx.node_id() == NodeId(1) {
                 for i in 0..6u64 {
                     ctx.synchronized(lock, || ctx.update(&obj, |v| v[0] = i + 1));
@@ -179,9 +179,10 @@ fn jump_policy_bounces_home_between_alternating_writers() {
     sims.extend([0x51E5_ED01, 0x51E5_ED02, 0x51E5_ED03].map(SimConfig::perturbed));
     for sim in sims {
         let seed = sim.seed;
-        let mut registry = ObjectRegistry::new();
+        let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
+        let mut cluster = sim_config(3, protocol, sim);
         let obj: ArrayHandle<u64> = ArrayHandle::register(
-            &mut registry,
+            cluster.registry(),
             "bounce",
             0,
             8,
@@ -189,8 +190,7 @@ fn jump_policy_bounces_home_between_alternating_writers() {
             HomeAssignment::Master,
         );
         let lock = LockId::derive("bounce.lock");
-        let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
-        let report = Cluster::new(sim_config(3, protocol, sim), registry).run(move |ctx| {
+        let report = cluster.build().run(move |ctx| {
             if ctx.node_id().index() > 0 {
                 for i in 0..10u64 {
                     ctx.synchronized(lock, || ctx.update(&obj, |v| v[0] += i + 1));
@@ -214,10 +214,12 @@ fn protocol_deadlock_panics_with_diagnostics_instead_of_hanging() {
     // must detect the stall, wake the parked threads and panic with replay
     // diagnostics.
     let result = std::panic::catch_unwind(|| {
-        let config = ClusterConfig::new(2, ProtocolConfig::adaptive())
-            .with_compute(ComputeModel::free())
-            .with_fabric(FabricMode::Sim(SimConfig::perturbed(0)));
-        Cluster::new(config, ObjectRegistry::new()).run(|ctx| {
+        let config = Cluster::builder()
+            .nodes(2)
+            .protocol(ProtocolConfig::adaptive())
+            .compute(ComputeModel::free())
+            .fabric(FabricMode::Sim(SimConfig::perturbed(0)));
+        config.build().run(|ctx| {
             if ctx.node_id() == NodeId(0) {
                 ctx.barrier(BarrierId(1));
             } else {
@@ -250,10 +252,12 @@ fn original_application_panic_is_preserved_through_teardown() {
         let (done_tx, done) = mpsc::channel();
         std::thread::spawn(move || {
             let result = std::panic::catch_unwind(|| {
-                let config = ClusterConfig::new(3, ProtocolConfig::adaptive())
-                    .with_compute(ComputeModel::free())
-                    .with_fabric(fabric);
-                Cluster::new(config, ObjectRegistry::new()).run(|ctx| {
+                let config = Cluster::builder()
+                    .nodes(3)
+                    .protocol(ProtocolConfig::adaptive())
+                    .compute(ComputeModel::free())
+                    .fabric(fabric);
+                config.build().run(|ctx| {
                     if ctx.node_id() == NodeId(2) {
                         panic!("ORIGINAL application failure");
                     }
@@ -282,9 +286,9 @@ fn original_application_panic_is_preserved_through_teardown() {
 #[test]
 fn application_panic_tears_the_sim_cluster_down() {
     let result = std::panic::catch_unwind(|| {
-        let mut registry = ObjectRegistry::new();
+        let mut cluster = sim_config(3, ProtocolConfig::adaptive(), SimConfig::perturbed(0));
         let _obj: ArrayHandle<u64> = ArrayHandle::register(
-            &mut registry,
+            cluster.registry(),
             "sim.panic",
             0,
             1,
@@ -292,8 +296,7 @@ fn application_panic_tears_the_sim_cluster_down() {
             HomeAssignment::Master,
         );
         let done = BarrierId(3);
-        let config = sim_config(3, ProtocolConfig::adaptive(), SimConfig::perturbed(0));
-        Cluster::new(config, registry).run(move |ctx| {
+        cluster.build().run(move |ctx| {
             if ctx.node_id() == NodeId(2) {
                 panic!("deliberate application failure");
             }

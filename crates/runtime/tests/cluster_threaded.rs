@@ -9,15 +9,18 @@
 use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_model::ComputeModel;
 use dsm_net::MsgCategory;
-use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig, FabricMode, Matrix2dHandle, SimConfig};
+use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
+use dsm_runtime::{ArrayHandle, Cluster, ClusterBuilder, FabricMode, Matrix2dHandle, SimConfig};
 
-fn config(nodes: usize, protocol: ProtocolConfig) -> ClusterConfig {
-    ClusterConfig::new(nodes, protocol).with_compute(ComputeModel::free())
+fn config(nodes: usize, protocol: ProtocolConfig) -> ClusterBuilder {
+    Cluster::builder()
+        .nodes(nodes)
+        .protocol(protocol)
+        .compute(ComputeModel::free())
 }
 
-fn sim_config(nodes: usize, protocol: ProtocolConfig, sim: SimConfig) -> ClusterConfig {
-    config(nodes, protocol).with_fabric(FabricMode::Sim(sim))
+fn sim_config(nodes: usize, protocol: ProtocolConfig, sim: SimConfig) -> ClusterBuilder {
+    config(nodes, protocol).fabric(FabricMode::Sim(sim))
 }
 
 /// The calm schedule at the gate seed plus the integration suite's
@@ -35,9 +38,9 @@ fn lock_protected_counter_is_consistent() {
     // interleaving. This is the fundamental no-lost-updates guarantee.
     let nodes = 4;
     let increments = 25u64;
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = config(nodes, ProtocolConfig::adaptive());
     let counter: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "counter",
         0,
         1,
@@ -47,18 +50,17 @@ fn lock_protected_counter_is_consistent() {
     let lock = LockId::derive("counter.lock");
     let done = BarrierId(1);
 
-    let report =
-        Cluster::new(config(nodes, ProtocolConfig::adaptive()), registry).run(move |ctx| {
-            for _ in 0..increments {
-                ctx.acquire(lock);
-                ctx.update(&counter, |v| v[0] += 1);
-                ctx.release(lock);
-            }
-            ctx.barrier(done);
-            // After the final barrier every node must observe the same total.
-            let total = ctx.read(&counter)[0];
-            assert_eq!(total, nodes as u64 * increments);
-        });
+    let report = cluster.build().run(move |ctx| {
+        for _ in 0..increments {
+            ctx.acquire(lock);
+            ctx.update(&counter, |v| v[0] += 1);
+            ctx.release(lock);
+        }
+        ctx.barrier(done);
+        // After the final barrier every node must observe the same total.
+        let total = ctx.read(&counter)[0];
+        assert_eq!(total, nodes as u64 * increments);
+    });
     // Acquire counts and modeled time of this workload are asserted on the
     // sim in `cluster_sim.rs` (`sim_fabric_runs_the_full_protocol`).
     assert_eq!(report.num_nodes, nodes);
@@ -73,10 +75,9 @@ fn single_writer_pattern_migrates_home_and_cuts_messages() {
     let nodes = 2;
     let intervals = 30u64;
 
-    let run = |config: ClusterConfig| {
-        let mut registry = ObjectRegistry::new();
+    let run = |mut cluster: ClusterBuilder| {
         let data: ArrayHandle<u64> = ArrayHandle::register(
-            &mut registry,
+            cluster.registry(),
             "single_writer",
             0,
             64,
@@ -84,7 +85,7 @@ fn single_writer_pattern_migrates_home_and_cuts_messages() {
             HomeAssignment::Master,
         );
         let lock = LockId::derive("sw.lock");
-        Cluster::new(config, registry).run(move |ctx| {
+        cluster.build().run(move |ctx| {
             if ctx.node_id() == NodeId(1) {
                 for i in 0..intervals {
                     ctx.acquire(lock);
@@ -145,9 +146,9 @@ fn barrier_based_producer_consumer_sees_fresh_data() {
     // invalidation at barriers and fault-in of fresh copies.
     let nodes = 2;
     let phases = 10u64;
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = config(nodes, ProtocolConfig::adaptive());
     let buf: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "pc.buffer",
         0,
         32,
@@ -156,7 +157,7 @@ fn barrier_based_producer_consumer_sees_fresh_data() {
     );
     let barrier = BarrierId(2);
 
-    Cluster::new(config(nodes, ProtocolConfig::adaptive()), registry).run(move |ctx| {
+    cluster.build().run(move |ctx| {
         for phase in 0..phases {
             if ctx.node_id() == NodeId(0) {
                 ctx.update(&buf, |v| {
@@ -193,10 +194,9 @@ fn round_robin_rows_relocate_to_their_writers() {
     let total_rows = nodes * rows_per_node;
     let iterations = 6u64;
 
-    let run = |config: ClusterConfig| {
-        let mut registry = ObjectRegistry::new();
+    let run = |mut cluster: ClusterBuilder| {
         let rows = Matrix2dHandle::<u64>::register(
-            &mut registry,
+            cluster.registry(),
             "rows",
             total_rows,
             16,
@@ -204,7 +204,7 @@ fn round_robin_rows_relocate_to_their_writers() {
             HomeAssignment::RoundRobin,
         );
         let barrier = BarrierId(3);
-        Cluster::new(config, registry).run(move |ctx| {
+        cluster.build().run(move |ctx| {
             let me = ctx.node_id().index();
             let my_rows: Vec<_> = (0..total_rows)
                 .filter(|r| r / rows_per_node == me)
@@ -255,10 +255,9 @@ fn round_robin_rows_relocate_to_their_writers() {
 #[test]
 fn immutable_objects_are_fetched_at_most_once_per_node() {
     let nodes = 4;
-    let run = |config: ClusterConfig| {
-        let mut registry = ObjectRegistry::new();
+    let run = |mut cluster: ClusterBuilder| {
         let table: ArrayHandle<u64> = ArrayHandle::register_immutable(
-            &mut registry,
+            cluster.registry(),
             "lookup.table",
             0,
             64,
@@ -267,7 +266,7 @@ fn immutable_objects_are_fetched_at_most_once_per_node() {
         );
         let lock = LockId::derive("work.lock");
         let barrier = BarrierId(4);
-        Cluster::new(config, registry).run(move |ctx| {
+        cluster.build().run(move |ctx| {
             ctx.bootstrap(&table, &(0..64).map(|i| i * 7).collect::<Vec<u64>>());
             ctx.barrier(barrier);
             // Many critical sections, each reading the immutable table:
@@ -301,9 +300,10 @@ fn immutable_objects_are_fetched_at_most_once_per_node() {
 #[test]
 fn jump_policy_bounces_home_between_alternating_writers() {
     let nodes = 3;
-    let mut registry = ObjectRegistry::new();
+    let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
+    let mut cluster = config(nodes, protocol);
     let obj: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "bounce",
         0,
         8,
@@ -311,8 +311,7 @@ fn jump_policy_bounces_home_between_alternating_writers() {
         HomeAssignment::Master,
     );
     let lock = LockId::derive("bounce.lock");
-    let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
-    Cluster::new(config(nodes, protocol), registry).run(move |ctx| {
+    cluster.build().run(move |ctx| {
         if ctx.node_id().index() > 0 {
             for i in 0..10u64 {
                 ctx.acquire(lock);
@@ -330,10 +329,9 @@ fn jump_policy_bounces_home_between_alternating_writers() {
 
 #[test]
 fn single_node_cluster_degenerates_to_local_execution() {
-    let run = |config: ClusterConfig| {
-        let mut registry = ObjectRegistry::new();
+    let run = |mut cluster: ClusterBuilder| {
         let data: ArrayHandle<u64> = ArrayHandle::register(
-            &mut registry,
+            cluster.registry(),
             "solo",
             0,
             16,
@@ -341,7 +339,7 @@ fn single_node_cluster_degenerates_to_local_execution() {
             HomeAssignment::CreationNode,
         );
         let lock = LockId::derive("solo.lock");
-        Cluster::new(config, registry).run(move |ctx| {
+        cluster.build().run(move |ctx| {
             for i in 0..20u64 {
                 ctx.acquire(lock);
                 ctx.update(&data, |v| v[0] += i);

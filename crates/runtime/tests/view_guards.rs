@@ -4,15 +4,14 @@
 use dsm_core::ProtocolConfig;
 use dsm_model::ComputeModel;
 use dsm_net::MsgCategory;
-use dsm_objspace::{BarrierId, DsmError, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig};
+use dsm_objspace::{BarrierId, DsmError, HomeAssignment, LockId, NodeId};
+use dsm_runtime::{ArrayHandle, Cluster, ClusterBuilder};
 
-fn config(nodes: usize) -> ClusterConfig {
+fn config(nodes: usize) -> ClusterBuilder {
     Cluster::builder()
         .nodes(nodes)
         .protocol(ProtocolConfig::no_migration())
         .compute(ComputeModel::free())
-        .config()
 }
 
 /// Dropping one `WriteView` produces exactly one diff at the next release,
@@ -20,9 +19,9 @@ fn config(nodes: usize) -> ClusterConfig {
 /// produces none.
 #[test]
 fn write_view_drop_produces_exactly_one_diff_per_release() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = config(2);
     let data: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "guards.data",
         0,
         32,
@@ -32,7 +31,7 @@ fn write_view_drop_produces_exactly_one_diff_per_release() {
     let lock = LockId::derive("guards.lock");
     let intervals = 5u64;
 
-    let report = Cluster::new(config(2), registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         if ctx.node_id() == NodeId(1) {
             for i in 0..intervals {
                 ctx.acquire(lock);
@@ -67,9 +66,9 @@ fn write_view_drop_produces_exactly_one_diff_per_release() {
 /// An unchanged write view produces no diff at all at the release.
 #[test]
 fn untouched_write_view_flushes_nothing() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = config(2);
     let data: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "guards.noop",
         0,
         8,
@@ -77,7 +76,7 @@ fn untouched_write_view_flushes_nothing() {
         HomeAssignment::Master,
     );
     let lock = LockId::derive("guards.noop.lock");
-    let report = Cluster::new(config(2), registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         if ctx.node_id() == NodeId(1) {
             ctx.acquire(lock);
             let view = ctx.view_mut(&data);
@@ -94,9 +93,9 @@ fn untouched_write_view_flushes_nothing() {
 /// any live view of the same object.
 #[test]
 fn overlapping_view_mut_is_rejected_with_view_conflict() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = config(1);
     let data: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "guards.conflict",
         0,
         4,
@@ -104,14 +103,14 @@ fn overlapping_view_mut_is_rejected_with_view_conflict() {
         HomeAssignment::Master,
     );
     let other: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "guards.other",
         0,
         4,
         NodeId::MASTER,
         HomeAssignment::Master,
     );
-    Cluster::new(config(1), registry).run(move |ctx| {
+    cluster.build().run(move |ctx| {
         // Shared views coexist.
         let r1 = ctx.view(&data);
         let r2 = ctx.view(&data);
@@ -149,16 +148,16 @@ fn overlapping_view_mut_is_rejected_with_view_conflict() {
 /// access (the `ArrayHandle::lookup` validation bugfix).
 #[test]
 fn unknown_objects_and_size_mismatches_are_typed_errors() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = config(1);
     let _known: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "guards.known",
         0,
         16,
         NodeId::MASTER,
         HomeAssignment::Master,
     );
-    Cluster::new(config(1), registry).run(|ctx| {
+    cluster.build().run(|ctx| {
         let unknown: ArrayHandle<u64> = ArrayHandle::lookup("guards.never", 0, 16);
         assert_eq!(
             ctx.try_view(&unknown).err(),
@@ -185,16 +184,16 @@ fn unknown_objects_and_size_mismatches_are_typed_errors() {
 /// dropping the views it succeeds.
 #[test]
 fn synchronization_with_live_views_is_refused() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = config(1);
     let data: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "guards.sync",
         0,
         4,
         NodeId::MASTER,
         HomeAssignment::Master,
     );
-    Cluster::new(config(1), registry).run(move |ctx| {
+    cluster.build().run(move |ctx| {
         let lock = LockId::derive("guards.sync.lock");
         let view = ctx.view(&data);
         assert_eq!(
@@ -220,16 +219,16 @@ fn synchronization_with_live_views_is_refused() {
 /// messages on a single node.
 #[test]
 fn home_views_are_in_place_and_message_free() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = config(1);
     let data: ArrayHandle<f64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "guards.home",
         0,
         1024,
         NodeId::MASTER,
         HomeAssignment::Master,
     );
-    let report = Cluster::new(config(1), registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         {
             let mut w = ctx.view_mut(&data);
             for (i, slot) in w.iter_mut().enumerate() {
@@ -251,10 +250,10 @@ fn home_views_are_in_place_and_message_free() {
 /// deferral); after dropping the write view the same access succeeds.
 #[test]
 fn remote_fetch_with_live_write_view_is_refused() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = config(2);
     // `local` is homed per creation node; `remote` always on the master.
     let local: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "guards.local",
         0,
         4,
@@ -262,14 +261,14 @@ fn remote_fetch_with_live_write_view_is_refused() {
         HomeAssignment::CreationNode,
     );
     let remote: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "guards.remote",
         0,
         4,
         NodeId::MASTER,
         HomeAssignment::Master,
     );
-    Cluster::new(config(2), registry).run(move |ctx| {
+    cluster.build().run(move |ctx| {
         if ctx.node_id() == NodeId(1) {
             // `local` is homed here: the write view takes no fetch.
             let w = ctx.view_mut(&local);
@@ -302,16 +301,16 @@ fn remote_fetch_with_live_write_view_is_refused() {
 /// wedging on the payload lease.
 #[test]
 fn bootstrap_with_live_view_is_refused() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = config(1);
     let data: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "guards.boot",
         0,
         4,
         NodeId::MASTER,
         HomeAssignment::Master,
     );
-    Cluster::new(config(1), registry).run(move |ctx| {
+    cluster.build().run(move |ctx| {
         let view = ctx.view(&data);
         assert!(matches!(
             ctx.try_bootstrap(&data, &[1, 2, 3, 4]),
@@ -320,5 +319,32 @@ fn bootstrap_with_live_view_is_refused() {
         drop(view);
         assert!(ctx.try_bootstrap(&data, &[1, 2, 3, 4]).is_ok());
         assert_eq!(ctx.view(&data)[3], 4);
+    });
+}
+
+/// Bootstrapping with a slice of the wrong length is a typed error, not a
+/// panic that takes the node thread down: the node goes on to a barrier.
+#[test]
+fn bootstrap_with_wrong_length_is_a_size_mismatch() {
+    let mut cluster = config(2);
+    let data: ArrayHandle<u64> = ArrayHandle::register(
+        cluster.registry(),
+        "guards.boot.len",
+        0,
+        4,
+        NodeId::MASTER,
+        HomeAssignment::Master,
+    );
+    cluster.build().run(move |ctx| {
+        assert_eq!(
+            ctx.try_bootstrap(&data, &[1, 2, 3]).err(),
+            Some(DsmError::SizeMismatch {
+                obj: data.id,
+                registered_bytes: 32,
+                handle_bytes: 24,
+            })
+        );
+        ctx.barrier(BarrierId(4));
+        assert!(ctx.try_bootstrap(&data, &[1, 2, 3, 4]).is_ok());
     });
 }

@@ -39,8 +39,8 @@ fn main() {
         ),
     ];
     for (name, policy) in policies {
-        let config = Cluster::builder().nodes(8).migration(policy).config();
-        let run = asp::run(config, &params);
+        let protocol = ProtocolConfig::no_migration().with_migration(policy);
+        let run = asp::run(Cluster::builder().nodes(8).protocol(protocol), &params);
         let telemetry = run.report.policy_telemetry();
         println!(
             "{name:>22} [{:>7}]: time {:>10}  msgs {:>7}  migrations {:>5}  \
@@ -75,8 +75,11 @@ fn main() {
         ),
     ];
     for (name, policy) in sweep {
-        let config = Cluster::builder().nodes(4).migration(policy).config();
-        let run = sor::run(config, &sweep_params);
+        let protocol = ProtocolConfig::no_migration().with_migration(policy);
+        let run = sor::run(
+            Cluster::builder().nodes(4).protocol(protocol),
+            &sweep_params,
+        );
         let telemetry = run.report.policy_telemetry();
         println!(
             "{name:>22} [{:>7}]: time {:>10}  msgs {:>7}  migrations {:>5}  \
@@ -96,14 +99,12 @@ fn main() {
     // stays pinned to its initial home, while the hot array's home moves to
     // its single writer and its fault-in/diff traffic disappears.
     println!("\n-- mixed cluster: per-object policy overrides (3 nodes) --");
-    let mut builder = Cluster::builder()
-        .nodes(3)
-        .migration(NoMigrationPolicy)
-        .seed(2004);
+    let mut builder = Cluster::builder().nodes(3).seed(2004);
     let hot = builder.register_array::<u64>("playground.hot", 32);
     let cold = builder.register_array::<u64>("playground.cold", 32);
-    let builder = builder.object_policy(hot.id, AdaptiveThresholdPolicy::paper());
-    let report = builder.build().run(move |ctx| {
+    let protocol =
+        ProtocolConfig::no_migration().with_object_policy(hot.id, AdaptiveThresholdPolicy::paper());
+    let report = builder.protocol(protocol).build().run(move |ctx| {
         let lock = LockId::derive("playground.lock");
         for round in 0..24u64 {
             ctx.acquire(lock);
@@ -135,8 +136,8 @@ fn main() {
         ("HomeManager", NotificationMechanism::HomeManager),
         ("Broadcast", NotificationMechanism::Broadcast),
     ] {
-        let config = Cluster::builder().nodes(8).notification(mechanism).config();
-        let run = asp::run(config, &params);
+        let protocol = ProtocolConfig::adaptive().with_notification(mechanism);
+        let run = asp::run(Cluster::builder().nodes(8).protocol(protocol), &params);
         println!(
             "{name:>22}: time {:>10}  msgs {:>7}  redirections {:>5}  notifications {:>5}",
             format!("{}", run.report.execution_time),
@@ -157,12 +158,11 @@ fn main() {
     println!("\n-- release-time flush batching (SOR, NoHM, 4 nodes) --");
     let sor_params = SorParams::small(64, 4);
     for (name, batching) in [("unbatched (paper wire)", false), ("batched", true)] {
-        let config = Cluster::builder()
+        let cluster = Cluster::builder()
             .nodes(4)
-            .migration(NoMigrationPolicy)
-            .flush_batching(batching)
-            .config();
-        let run = sor::run(config, &sor_params);
+            .protocol(ProtocolConfig::no_migration())
+            .flush_batching(batching);
+        let run = sor::run(cluster, &sor_params);
         // One interval per barrier crossing per node.
         let intervals = run.report.protocol.barriers.max(1);
         let diff_msgs =

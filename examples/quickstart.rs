@@ -11,7 +11,7 @@ fn run_once(policy_name: &str, policy: impl IntoMigrationPolicy) -> ExecutionRep
     // its shared objects in one chain.
     let mut builder = Cluster::builder()
         .nodes(8)
-        .migration(policy)
+        .protocol(ProtocolConfig::no_migration().with_migration(policy))
         .seed(2004)
         .default_home(HomeAssignment::Master);
     let counter = builder.register_array::<u64>("counter", 1);

@@ -27,8 +27,8 @@ fn main() {
                 total_updates: (repetition * (nodes - 1) * 10) as u64,
                 compute_ops: 2_000,
             };
-            let config = Cluster::builder().nodes(nodes).protocol(protocol).config();
-            let run = synthetic::run(config, &params);
+            let cluster = Cluster::builder().nodes(nodes).protocol(protocol);
+            let run = synthetic::run(cluster, &params);
             println!(
                 "{:>4} {:>6} {:>12} {:>8} {:>8} {:>8} {:>8}",
                 repetition,

@@ -18,8 +18,7 @@ fn main() {
         ("FT2", ProtocolConfig::fixed_threshold(2)),
         ("AT", ProtocolConfig::adaptive()),
     ] {
-        let config = Cluster::builder().nodes(8).protocol(protocol).config();
-        let run = sor::run(config, &params);
+        let run = sor::run(Cluster::builder().nodes(8).protocol(protocol), &params);
         println!(
             "{name:>5}: time {:>10}  coherence msgs {:>7}  traffic {:>9} B  migrations {:>5}  checksum {:.6}",
             format!("{}", run.report.execution_time),

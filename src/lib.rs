@@ -34,10 +34,12 @@
 //!
 //! ## Quick start
 //!
-//! Construction goes through the chainable, seeded cluster builder; object
-//! access goes through zero-copy views that borrow the engine's storage in
-//! place (`&[T]` / `&mut [T]`), so accesses at an object's home node never
-//! copy the payload:
+//! Construction goes through the chainable, seeded cluster builder, the one
+//! place every setting of a run is made (the migration policy travels in
+//! the [`prelude::ProtocolConfig`] it takes); object access goes through
+//! zero-copy views that borrow the engine's storage in place (`&[T]` /
+//! `&mut [T]`), so accesses at an object's home node never copy the
+//! payload:
 //!
 //! ```no_run
 //! use adaptive_dsm::prelude::*;
@@ -46,7 +48,7 @@
 //! // derives the same object ids, so no handle exchange is needed.
 //! let mut builder = Cluster::builder()
 //!     .nodes(8)
-//!     .migration(AdaptiveThresholdPolicy::paper())
+//!     .protocol(ProtocolConfig::adaptive())
 //!     .seed(2004)
 //!     .default_home(HomeAssignment::Master);
 //! let counter = builder.register_array::<u64>("counter", 1);
@@ -79,6 +81,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Compiles and runs the README's `rust` blocks as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use dsm_apps as apps;
 pub use dsm_core as protocol;
 pub use dsm_model as model;
@@ -100,8 +107,8 @@ pub mod prelude {
         BarrierId, DsmError, DsmResult, HomeAssignment, LockId, NodeId, ObjectId, ObjectRegistry,
     };
     pub use dsm_runtime::{
-        ArrayHandle, Cluster, ClusterBuilder, ClusterConfig, ExecutionReport, Matrix2dHandle,
-        NodeCtx, ReadView, ScalarHandle, WriteView,
+        ArrayHandle, Cluster, ClusterBuilder, ExecutionReport, Matrix2dHandle, NodeCtx, ReadView,
+        ScalarHandle, WriteView,
     };
 }
 

@@ -8,39 +8,36 @@
 
 use dsm_core::ProtocolConfig;
 use dsm_model::ComputeModel;
-use dsm_runtime::{ClusterConfig, FabricMode, SimConfig, TcpConfig};
+use dsm_runtime::{ClusterBuilder, FabricMode, SimConfig, TcpConfig};
 
-/// Build a fast (zero-compute-cost) cluster configuration for tests.
-pub fn test_cluster(nodes: usize, protocol: ProtocolConfig) -> ClusterConfig {
+/// Configure a fast (zero-compute-cost) cluster for tests.
+pub fn test_cluster(nodes: usize, protocol: ProtocolConfig) -> ClusterBuilder {
     dsm_runtime::Cluster::builder()
         .nodes(nodes)
         .protocol(protocol)
         .compute(ComputeModel::free())
-        .config()
 }
 
 /// As [`test_cluster`], but on the deterministic sim fabric with the given
 /// perturbation configuration (event-driven, seed-replayable schedules).
-pub fn sim_test_cluster(nodes: usize, protocol: ProtocolConfig, sim: SimConfig) -> ClusterConfig {
+pub fn sim_test_cluster(nodes: usize, protocol: ProtocolConfig, sim: SimConfig) -> ClusterBuilder {
     dsm_runtime::Cluster::builder()
         .nodes(nodes)
         .protocol(protocol)
         .compute(ComputeModel::free())
         .fabric(FabricMode::Sim(sim))
-        .config()
 }
 
 /// As [`test_cluster`], but on the real TCP fabric (`127.0.0.1` sockets,
 /// `dsm-wire` framing) with the given timeout configuration. Conformance
 /// suites pair this with [`test_cluster`] and assert fingerprint
 /// equality.
-pub fn tcp_test_cluster(nodes: usize, protocol: ProtocolConfig, tcp: TcpConfig) -> ClusterConfig {
+pub fn tcp_test_cluster(nodes: usize, protocol: ProtocolConfig, tcp: TcpConfig) -> ClusterBuilder {
     dsm_runtime::Cluster::builder()
         .nodes(nodes)
         .protocol(protocol)
         .compute(ComputeModel::free())
         .fabric(FabricMode::Tcp(tcp))
-        .config()
 }
 
 /// The default seed corpus every seeded suite draws from. Chosen once so a

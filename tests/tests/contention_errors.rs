@@ -12,8 +12,8 @@
 
 use dsm_core::ProtocolConfig;
 use dsm_integration_tests::test_cluster;
-use dsm_objspace::{BarrierId, DsmError, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster};
+use dsm_objspace::{BarrierId, DsmError, HomeAssignment, LockId, NodeId};
+use dsm_runtime::ArrayHandle;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -23,9 +23,9 @@ use std::time::Duration;
 /// served from a half-written copy.
 #[test]
 fn stress_busy_request_defers_until_write_view_drops() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = test_cluster(2, ProtocolConfig::no_migration());
     let data: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "busy.req",
         0,
         8,
@@ -37,30 +37,29 @@ fn stress_busy_request_defers_until_write_view_drops() {
     // exactly what this test needs to step around.
     let rendezvous = Arc::new(Barrier::new(2));
 
-    let report =
-        Cluster::new(test_cluster(2, ProtocolConfig::no_migration()), registry).run(move |ctx| {
-            if ctx.node_id() == NodeId::MASTER {
-                // Home side: take the write lease, then let node 1 fire its
-                // fault-in straight into the lease window.
-                let mut view = ctx.view_mut(&data);
-                view[0] = 41;
-                rendezvous.wait();
-                // Keep the lease long enough that the request (sent right
-                // after the rendezvous) arrives while it is still held and
-                // must be deferred at least once.
-                std::thread::sleep(Duration::from_millis(25));
-                view[0] = 42;
-                drop(view);
-            } else {
-                rendezvous.wait();
-                // Fault-in while the home lease is held: the home's server
-                // defers the request; this call simply blocks until the view
-                // drops — no deadlock, no torn read.
-                let seen = ctx.view(&data)[0];
-                assert_eq!(seen, 42, "the deferred request must see the final value");
-            }
-            ctx.barrier(BarrierId(1));
-        });
+    let report = cluster.build().run(move |ctx| {
+        if ctx.node_id() == NodeId::MASTER {
+            // Home side: take the write lease, then let node 1 fire its
+            // fault-in straight into the lease window.
+            let mut view = ctx.view_mut(&data);
+            view[0] = 41;
+            rendezvous.wait();
+            // Keep the lease long enough that the request (sent right
+            // after the rendezvous) arrives while it is still held and
+            // must be deferred at least once.
+            std::thread::sleep(Duration::from_millis(25));
+            view[0] = 42;
+            drop(view);
+        } else {
+            rendezvous.wait();
+            // Fault-in while the home lease is held: the home's server
+            // defers the request; this call simply blocks until the view
+            // drops — no deadlock, no torn read.
+            let seen = ctx.view(&data)[0];
+            assert_eq!(seen, 42, "the deferred request must see the final value");
+        }
+        ctx.barrier(BarrierId(1));
+    });
     assert!(
         report.protocol.busy_responses >= 1,
         "the fault-in must have found the home copy busy at least once \
@@ -75,9 +74,9 @@ fn stress_busy_request_defers_until_write_view_drops() {
 /// with no leases of its own) but the cluster keeps making progress.
 #[test]
 fn stress_busy_diff_defers_until_write_view_drops() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = test_cluster(2, ProtocolConfig::no_migration());
     let data: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "busy.diff",
         0,
         8,
@@ -91,42 +90,41 @@ fn stress_busy_diff_defers_until_write_view_drops() {
     let dirty = Arc::new(Barrier::new(2));
     let leased = Arc::new(Barrier::new(2));
 
-    let report =
-        Cluster::new(test_cluster(2, ProtocolConfig::no_migration()), registry).run(move |ctx| {
-            if ctx.node_id() == NodeId(1) {
-                // Produce a dirty cached copy inside a critical section while
-                // the home copy is unleased (the fault-in must not defer).
-                ctx.acquire(lock);
-                ctx.view_mut(&data)[1] = 7;
-                dirty.wait();
-                leased.wait();
-                // The release flushes the diff straight into the master's
-                // lease window; the master's server defers it (Busy) and
-                // applies it once the view drops. This blocks only on the
-                // network — node 1 holds no leases of its own here.
-                ctx.release(lock);
-                ctx.barrier(BarrierId(2));
-            } else {
-                dirty.wait();
-                // Lease the home copy across the window in which node 1's
-                // diff arrives.
-                let mut view = ctx.view_mut(&data);
-                view[0] = 1;
-                leased.wait();
-                std::thread::sleep(Duration::from_millis(25));
-                drop(view);
-                ctx.barrier(BarrierId(2));
-                // Synchronize and observe both writes merged: the home write
-                // went into the payload in place, the deferred diff on top.
-                ctx.acquire(lock);
-                {
-                    let view = ctx.view(&data);
-                    assert_eq!(view[0], 1, "home write survived the diff");
-                    assert_eq!(view[1], 7, "deferred diff was applied");
-                }
-                ctx.release(lock);
+    let report = cluster.build().run(move |ctx| {
+        if ctx.node_id() == NodeId(1) {
+            // Produce a dirty cached copy inside a critical section while
+            // the home copy is unleased (the fault-in must not defer).
+            ctx.acquire(lock);
+            ctx.view_mut(&data)[1] = 7;
+            dirty.wait();
+            leased.wait();
+            // The release flushes the diff straight into the master's
+            // lease window; the master's server defers it (Busy) and
+            // applies it once the view drops. This blocks only on the
+            // network — node 1 holds no leases of its own here.
+            ctx.release(lock);
+            ctx.barrier(BarrierId(2));
+        } else {
+            dirty.wait();
+            // Lease the home copy across the window in which node 1's
+            // diff arrives.
+            let mut view = ctx.view_mut(&data);
+            view[0] = 1;
+            leased.wait();
+            std::thread::sleep(Duration::from_millis(25));
+            drop(view);
+            ctx.barrier(BarrierId(2));
+            // Synchronize and observe both writes merged: the home write
+            // went into the payload in place, the deferred diff on top.
+            ctx.acquire(lock);
+            {
+                let view = ctx.view(&data);
+                assert_eq!(view[0], 1, "home write survived the diff");
+                assert_eq!(view[1], 7, "deferred diff was applied");
             }
-        });
+            ctx.release(lock);
+        }
+    });
     assert!(
         report.protocol.busy_responses >= 1,
         "the diff must have found the home copy busy at least once \
@@ -142,9 +140,9 @@ fn stress_busy_diff_defers_until_write_view_drops() {
 /// traffic proceeds.
 #[test]
 fn stress_views_outstanding_is_reported_under_contention() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = test_cluster(2, ProtocolConfig::adaptive());
     let mine: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "quiesce.mine",
         0,
         4,
@@ -152,7 +150,7 @@ fn stress_views_outstanding_is_reported_under_contention() {
         HomeAssignment::RoundRobin,
     );
     let yours: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "quiesce.yours",
         1,
         4,
@@ -161,7 +159,7 @@ fn stress_views_outstanding_is_reported_under_contention() {
     );
     let lock = LockId::derive("quiesce.lock");
 
-    Cluster::new(test_cluster(2, ProtocolConfig::adaptive()), registry).run(move |ctx| {
+    cluster.build().run(move |ctx| {
         // Both nodes hold two read views (their own object is homed
         // round-robin, the other one faults in) and try to synchronize.
         let local = if ctx.is_master() { &mine } else { &yours };
@@ -195,10 +193,10 @@ fn stress_views_outstanding_is_reported_under_contention() {
 /// trigger the rule.
 #[test]
 fn stress_fetch_with_live_writes_is_refused_symmetrically() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = test_cluster(2, ProtocolConfig::no_migration());
     // One object homed on each node (round-robin over two nodes).
     let on_master: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "fetch.m",
         0,
         4,
@@ -206,7 +204,7 @@ fn stress_fetch_with_live_writes_is_refused_symmetrically() {
         HomeAssignment::RoundRobin,
     );
     let on_worker: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "fetch.w",
         1,
         4,
@@ -215,7 +213,7 @@ fn stress_fetch_with_live_writes_is_refused_symmetrically() {
     );
     let rendezvous = Arc::new(Barrier::new(2));
 
-    Cluster::new(test_cluster(2, ProtocolConfig::no_migration()), registry).run(move |ctx| {
+    cluster.build().run(move |ctx| {
         let (local, remote) = if ctx.is_master() {
             (&on_master, &on_worker)
         } else {

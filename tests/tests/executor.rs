@@ -10,11 +10,12 @@
 //!   prime pass or shutdown, however long the quiet lasts: a parked pool
 //!   performs zero timer wakeups (asserted on the [`SchedulerReport`]
 //!   counters).
-//! * **Scheduling is semantics-free** — a single-worker (N=1) executor,
-//!   which fully serializes all server-side protocol handling, produces
-//!   the same workload fingerprints as the default pool and as the
+//! * **Scheduling is semantics-free** — a single-worker (N=1) executor
+//!   produces the same workload fingerprints as the default pool and as the
 //!   sequential sim loop across the shared seed corpus, on the matrix
-//!   workloads.
+//!   workloads. One worker does not serialize server-side handling
+//!   (waiting application threads step nodes beside it); the sim is the
+//!   reference.
 //! * **Teardown wakes parked waiters** — a pool deliberately larger than
 //!   the cluster keeps its surplus workers parked on the idle condvar the
 //!   whole run; shutdown must wake and retire them (the run completing at
@@ -33,9 +34,9 @@ use dsm_bench::matrix;
 use dsm_core::ProtocolConfig;
 use dsm_integration_tests::{seed_corpus, sim_test_cluster, tcp_test_cluster, test_cluster};
 use dsm_net::TcpConfig;
-use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
+use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{
-    ArrayHandle, Cluster, ClusterConfig, ExecutionReport, FabricMode, SchedulerReport, SimConfig,
+    ArrayHandle, ClusterBuilder, ExecutionReport, FabricMode, SchedulerReport, SimConfig,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,9 +48,8 @@ const QUIET_NODES: usize = 4;
 /// Run a four-node cluster that does one barrier, sleeps quietly for
 /// `quiet`, does another barrier, and return its report.
 fn quiet_run(quiet: Duration) -> ExecutionReport {
-    let registry = ObjectRegistry::new();
     let config = test_cluster(QUIET_NODES, ProtocolConfig::no_migration());
-    Cluster::new(config, registry).run(move |ctx| {
+    config.build().run(move |ctx| {
         ctx.barrier(BarrierId(1));
         // The quiet phase: no messages flow, so the event-driven pool has
         // nothing to wake up for.
@@ -136,10 +136,11 @@ fn quiet_cluster_wakeups_are_message_bounded_however_long_the_quiet_lasts() {
     }
 }
 
-/// A single-worker executor fully serializes all server-side handling —
-/// and must still produce exactly the fingerprints of the default
-/// (machine-sized) pool and of the sequential sim loop on the matrix
-/// workloads, for every corpus seed.
+/// A single-worker executor — whose server-side handling still runs on the
+/// worker and on every application thread waiting for a reply — must
+/// produce exactly the fingerprints of the default (machine-sized) pool and
+/// of the sequential sim loop, the reference, on the matrix workloads, for
+/// every corpus seed.
 #[test]
 fn single_worker_executor_matches_default_pool_and_sim_fingerprints_on_corpus_seeds() {
     let workloads = matrix::workloads();
@@ -147,9 +148,9 @@ fn single_worker_executor_matches_default_pool_and_sim_fingerprints_on_corpus_se
         // Rotate through the matrix so an overridden corpus sweeps cells.
         for workload in [&workloads[i % workloads.len()], &workloads[4]] {
             let cell = |fabric: FabricMode| {
-                matrix::matrix_cluster(ProtocolConfig::adaptive(), fabric).with_seed(seed)
+                matrix::matrix_cluster(ProtocolConfig::adaptive(), fabric).seed(seed)
             };
-            let single = workload.run(cell(FabricMode::Threaded).with_executor_workers(1));
+            let single = workload.run(cell(FabricMode::Threaded).executor_workers(1));
             let pool = workload.run(cell(FabricMode::Threaded));
             let sim = workload.run(cell(FabricMode::Sim(SimConfig::perturbed(seed))));
             assert_eq!(
@@ -173,9 +174,8 @@ fn single_worker_executor_matches_default_pool_and_sim_fingerprints_on_corpus_se
 /// in `thread::scope` — completing cleanly *is* the teardown assertion.
 #[test]
 fn teardown_wakes_parked_workers_and_reports_the_parked_high_watermark() {
-    let registry = ObjectRegistry::new();
-    let config = test_cluster(2, ProtocolConfig::no_migration()).with_executor_workers(8);
-    let report = Cluster::new(config, registry).run(|ctx| {
+    let config = test_cluster(2, ProtocolConfig::no_migration()).executor_workers(8);
+    let report = config.build().run(|ctx| {
         ctx.barrier(BarrierId(7));
     });
     let sched = scheduler(&report);
@@ -194,17 +194,16 @@ fn teardown_wakes_parked_workers_and_reports_the_parked_high_watermark() {
 /// in the report: any delivered message makes it at least one.
 #[test]
 fn queue_depth_high_watermark_surfaces_in_the_report() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = test_cluster(2, ProtocolConfig::no_migration());
     let data: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "exec.depth",
         0,
         4,
         NodeId::MASTER,
         HomeAssignment::Master,
     );
-    let config = test_cluster(2, ProtocolConfig::no_migration());
-    let report = Cluster::new(config, registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         if !ctx.is_master() {
             // A remote fault-in: at least one message crosses a channel.
             assert_eq!(ctx.view(&data)[0], 0);
@@ -221,17 +220,16 @@ fn queue_depth_high_watermark_surfaces_in_the_report() {
 /// socket reader threads, same report surface.
 #[test]
 fn tcp_runs_are_driven_by_the_executor_and_report_scheduling() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = tcp_test_cluster(2, ProtocolConfig::no_migration(), TcpConfig::default());
     let data: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "exec.tcp",
         0,
         4,
         NodeId::MASTER,
         HomeAssignment::Master,
     );
-    let config = tcp_test_cluster(2, ProtocolConfig::no_migration(), TcpConfig::default());
-    let report = Cluster::new(config, registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         if !ctx.is_master() {
             assert_eq!(ctx.view(&data)[0], 0);
         }
@@ -246,13 +244,12 @@ fn tcp_runs_are_driven_by_the_executor_and_report_scheduling() {
 /// no inbound queues, no scheduler report.
 #[test]
 fn sim_runs_report_no_scheduler() {
-    let registry = ObjectRegistry::new();
     let config = sim_test_cluster(
         2,
         ProtocolConfig::no_migration(),
         SimConfig::perturbed(seed_corpus()[0]),
     );
-    let report = Cluster::new(config, registry).run(|ctx| {
+    let report = config.build().run(|ctx| {
         ctx.barrier(BarrierId(5));
     });
     assert!(report.scheduler.is_none());
@@ -263,28 +260,26 @@ fn fnv(hash: u64, value: u64) -> u64 {
     (hash ^ value).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
-/// Run `app` on `config` and return the fingerprint the master published
+/// Run `app` on `cluster` and return the fingerprint the master published
 /// through the second argument, with the report.
 fn fingerprinted(
-    config: ClusterConfig,
-    registry: ObjectRegistry,
+    cluster: ClusterBuilder,
     app: impl Fn(&dsm_runtime::NodeCtx, &AtomicU64) + Send + Sync,
 ) -> (u64, ExecutionReport) {
     let fingerprint = Arc::new(AtomicU64::new(0));
     let published = Arc::clone(&fingerprint);
-    let report = Cluster::new(config, registry).run(move |ctx| app(ctx, &published));
+    let report = cluster.build().run(move |ctx| app(ctx, &published));
     (fingerprint.load(Ordering::SeqCst), report)
 }
 
 /// Node 1 writes 16 objects it is home of; node 0 then faults each one in
 /// and folds the values into the fingerprint.
-fn remote_fault_ins(config: ClusterConfig) -> (u64, ExecutionReport) {
-    let mut registry = ObjectRegistry::new();
+fn remote_fault_ins(mut cluster: ClusterBuilder) -> (u64, ExecutionReport) {
     let objects: Vec<ArrayHandle<u64>> = (0..16)
         .map(|i| {
             let creator = NodeId(1);
             ArrayHandle::register(
-                &mut registry,
+                cluster.registry(),
                 "exec.help",
                 i,
                 4,
@@ -293,7 +288,7 @@ fn remote_fault_ins(config: ClusterConfig) -> (u64, ExecutionReport) {
             )
         })
         .collect();
-    fingerprinted(config, registry, move |ctx, fingerprint| {
+    fingerprinted(cluster, move |ctx, fingerprint| {
         if !ctx.is_master() {
             for (i, object) in objects.iter().enumerate() {
                 ctx.view_mut(object).fill(7 * i as u64 + 1);
@@ -315,9 +310,8 @@ fn remote_fault_ins(config: ClusterConfig) -> (u64, ExecutionReport) {
 /// instead of waking the worker. The result is the sim's.
 #[test]
 fn a_waiting_application_thread_steps_the_home_of_its_fault_in() {
-    let cluster = |fabric| test_cluster(2, ProtocolConfig::no_migration()).with_fabric(fabric);
-    let (threaded, report) =
-        remote_fault_ins(cluster(FabricMode::Threaded).with_executor_workers(1));
+    let cluster = |fabric| test_cluster(2, ProtocolConfig::no_migration()).fabric(fabric);
+    let (threaded, report) = remote_fault_ins(cluster(FabricMode::Threaded).executor_workers(1));
     let (sim, _) = remote_fault_ins(cluster(FabricMode::Sim(SimConfig::calm(2004))));
     assert_eq!(threaded, sim, "helping changed the fault-in result");
     let sched = scheduler(&report);
@@ -333,20 +327,16 @@ fn a_waiting_application_thread_steps_the_home_of_its_fault_in() {
 /// `(m + r) % 4`, faults it in and adds `m + 1`, and the release flushes
 /// the diff to the counter's home; a barrier closes each round. The master
 /// then reads every counter back into the fingerprint.
-fn helper_stress(config: ClusterConfig, rounds: usize) -> (u64, ExecutionReport) {
+fn helper_stress(cluster: ClusterBuilder, rounds: usize) -> (u64, ExecutionReport) {
     const NODES: usize = 4;
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = cluster.nodes(NODES);
     let counters: Vec<ArrayHandle<u64>> = (0..NODES as u64)
         .map(|c| {
             let (master, homes) = (NodeId::MASTER, HomeAssignment::RoundRobin);
-            ArrayHandle::register(&mut registry, "exec.stress", c, 1, master, homes)
+            ArrayHandle::register(cluster.registry(), "exec.stress", c, 1, master, homes)
         })
         .collect();
-    let config = ClusterConfig {
-        num_nodes: NODES,
-        ..config
-    };
-    fingerprinted(config, registry, move |ctx, fingerprint| {
+    fingerprinted(cluster, move |ctx, fingerprint| {
         let me = ctx.node_id().index();
         for round in 0..rounds {
             let c = (me + round) % NODES;
@@ -375,10 +365,9 @@ fn stress_helping_application_threads_keep_the_sim_result() {
     let rounds = 200;
     let base = test_cluster(4, ProtocolConfig::no_migration());
     let sim = FabricMode::Sim(SimConfig::calm(2004));
-    let (expected, _) = helper_stress(base.clone().with_fabric(sim), rounds);
+    let (expected, _) = helper_stress(base.clone().fabric(sim), rounds);
     for workers in [1, 2] {
-        let (fingerprint, report) =
-            helper_stress(base.clone().with_executor_workers(workers), rounds);
+        let (fingerprint, report) = helper_stress(base.clone().executor_workers(workers), rounds);
         assert_eq!(
             fingerprint, expected,
             "{workers} workers: helping changed the result"

@@ -17,15 +17,15 @@
 use dsm_core::{ProtocolConfig, DIFF_BATCH_ENTRY_HEADER_BYTES};
 use dsm_integration_tests::{modeled_sims, seed_corpus, sim_test_cluster, test_cluster};
 use dsm_net::{MsgCategory, MESSAGE_HEADER_BYTES};
-use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig, ExecutionReport, SimConfig};
+use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
+use dsm_runtime::{ArrayHandle, ClusterBuilder, ExecutionReport, SimConfig};
 
 use dsm_apps::sor::{self, SorParams};
 
 /// SOR without home migration on four nodes: every node's band of rows is
 /// homed round-robin across the cluster, so each phase release flushes
 /// several same-home diffs — the batching sweet spot.
-fn sor_run(config: ClusterConfig) -> (f64, ExecutionReport) {
+fn sor_run(config: ClusterBuilder) -> (f64, ExecutionReport) {
     let run = sor::run(config, &SorParams::small(48, 4));
     (sor::checksum(&run.result), run.report)
 }
@@ -35,7 +35,7 @@ fn sor_batched_matches_unbatched_with_fewer_messages_and_lower_time() {
     for sim in modeled_sims() {
         let seed = sim.seed;
         let config = |batched| {
-            sim_test_cluster(4, ProtocolConfig::no_migration(), sim).with_flush_batching(batched)
+            sim_test_cluster(4, ProtocolConfig::no_migration(), sim).flush_batching(batched)
         };
         let (batched_sum, batched) = sor_run(config(true));
         let (unbatched_sum, unbatched) = sor_run(config(false));
@@ -152,9 +152,9 @@ fn diff_batch_replans_redirected_entries_under_sim_reordering() {
     let mut ack_carried_redirects = 0u64;
     let seeds = seed_corpus();
     for &seed in &seeds {
-        let mut registry = ObjectRegistry::new();
+        let mut cluster = sim_test_cluster(4, ProtocolConfig::adaptive(), SimConfig::stormy(seed));
         let stays: ArrayHandle<u64> = ArrayHandle::register(
-            &mut registry,
+            cluster.registry(),
             "batch.sim.stays",
             0,
             4,
@@ -162,7 +162,7 @@ fn diff_batch_replans_redirected_entries_under_sim_reordering() {
             HomeAssignment::Master,
         );
         let moves: ArrayHandle<u64> = ArrayHandle::register(
-            &mut registry,
+            cluster.registry(),
             "batch.sim.moves",
             0,
             4,
@@ -175,8 +175,7 @@ fn diff_batch_replans_redirected_entries_under_sim_reordering() {
         // Adaptive: node 2's first interval flushes a remote write (C = 1),
         // its second write fault migrates `moves` home to node 2. Node 1's
         // single interval never triggers a migration of its own.
-        let config = sim_test_cluster(4, ProtocolConfig::adaptive(), SimConfig::stormy(seed));
-        let report = Cluster::new(config, registry).run(move |ctx| {
+        let report = cluster.build().run(move |ctx| {
             match ctx.node_id().index() {
                 1 => {
                     // One interval dirtying both objects: the release groups

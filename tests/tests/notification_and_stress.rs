@@ -6,18 +6,17 @@
 use dsm_core::{NotificationMechanism, ProtocolConfig};
 use dsm_integration_tests::{modeled_sims, sim_test_cluster, test_cluster};
 use dsm_net::MsgCategory;
-use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig, ExecutionReport};
+use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
+use dsm_runtime::{ArrayHandle, ClusterBuilder, ExecutionReport};
 
 /// Run a single-writer workload on a four-node cluster (`config` picks the
 /// fabric and the notification mechanism); the readers check the final
 /// value inside the run. Returns (redirect messages, notification messages,
 /// migrations).
-fn single_writer_run(config: ClusterConfig) -> (u64, u64, u64) {
+fn single_writer_run(mut cluster: ClusterBuilder) -> (u64, u64, u64) {
     let intervals = 12u64;
-    let mut registry = ObjectRegistry::new();
     let data: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "notify.obj",
         0,
         32,
@@ -26,7 +25,7 @@ fn single_writer_run(config: ClusterConfig) -> (u64, u64, u64) {
     );
     let lock = LockId::derive("notify.lock");
     let barrier = BarrierId(77);
-    let report = Cluster::new(config, registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         // Node 1 is the single writer; node 2 and 3 are occasional readers
         // whose stale home hints exercise the notification mechanism.
         if ctx.node_id() == NodeId(1) {
@@ -142,14 +141,13 @@ fn mixed_pattern_stress_run_preserves_every_object() {
 /// (`config` picks the fabric; four nodes): single-writer objects (one per
 /// node), rotating-writer objects and a lock-protected accumulator. After
 /// the run every object must hold exactly the expected value on every node.
-fn mixed_pattern_run(config: ClusterConfig) -> ExecutionReport {
-    let nodes = config.num_nodes;
+fn mixed_pattern_run(mut cluster: ClusterBuilder) -> ExecutionReport {
+    let nodes = cluster.num_nodes();
     let rounds = 8u64;
-    let mut registry = ObjectRegistry::new();
     let single: Vec<ArrayHandle<u64>> = (0..nodes)
         .map(|i| {
             ArrayHandle::register(
-                &mut registry,
+                cluster.registry(),
                 "stress.single",
                 i as u64,
                 8,
@@ -161,7 +159,7 @@ fn mixed_pattern_run(config: ClusterConfig) -> ExecutionReport {
     let rotating: Vec<ArrayHandle<u64>> = (0..8)
         .map(|i| {
             ArrayHandle::register(
-                &mut registry,
+                cluster.registry(),
                 "stress.rotating",
                 i as u64,
                 4,
@@ -171,7 +169,7 @@ fn mixed_pattern_run(config: ClusterConfig) -> ExecutionReport {
         })
         .collect();
     let accumulator: ArrayHandle<u64> = ArrayHandle::register(
-        &mut registry,
+        cluster.registry(),
         "stress.accumulator",
         0,
         1,
@@ -181,7 +179,7 @@ fn mixed_pattern_run(config: ClusterConfig) -> ExecutionReport {
     let lock = LockId::derive("stress.lock");
     let barrier = BarrierId(88);
 
-    Cluster::new(config, registry).run(move |ctx| {
+    cluster.build().run(move |ctx| {
         let me = ctx.node_id().index();
         for round in 0..rounds {
             // Pattern 1: a lasting single writer per object, through a

@@ -29,7 +29,7 @@ use dsm_core::{
 };
 use dsm_integration_tests::{corpus_seed, sim_test_cluster, test_cluster};
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig, SimConfig};
+use dsm_runtime::{ArrayHandle, ClusterBuilder, SimConfig};
 use dsm_util::Mutex;
 use std::sync::Arc;
 
@@ -299,10 +299,9 @@ fn hysteresis_prev_home_survives_and_penalizes_migrate_back() {
 /// must agree bit-for-bit.
 #[test]
 fn policy_state_survives_handoff_on_both_fabrics() {
-    let run = |config: ClusterConfig| -> (u64, u64, Option<NodeId>, u32) {
-        let mut registry = ObjectRegistry::new();
+    let run = |mut cluster: ClusterBuilder| -> (u64, u64, Option<NodeId>, u32) {
         let handle: ArrayHandle<u64> = ArrayHandle::register(
-            &mut registry,
+            cluster.registry(),
             "carry.cluster",
             0,
             4,
@@ -313,7 +312,7 @@ fn policy_state_survives_handoff_on_both_fabrics() {
         let done = BarrierId(0xCA11);
         let observed = Arc::new(Mutex::new(None));
         let observed_in_run = Arc::clone(&observed);
-        Cluster::new(config, registry).run(move |ctx| {
+        cluster.build().run(move |ctx| {
             if ctx.node_id() == NodeId(1) {
                 for i in 0..4u64 {
                     ctx.synchronized(lock, || ctx.view_mut(&handle)[1] = i + 1);
@@ -365,10 +364,10 @@ fn policy_state_survives_handoff_on_both_fabrics() {
 /// the object left on the NoMigration default never moves.
 #[test]
 fn mixed_cluster_runs_different_policies_per_object() {
-    let mut registry = ObjectRegistry::new();
+    let mut cluster = sim_test_cluster(4, ProtocolConfig::no_migration(), SimConfig::calm(2004));
     let [pinned, overridden]: [ArrayHandle<u64>; 2] = [0, 1].map(|i| {
         ArrayHandle::register(
-            &mut registry,
+            cluster.registry(),
             "carry.mixed",
             i,
             4,
@@ -380,8 +379,7 @@ fn mixed_cluster_runs_different_policies_per_object() {
         .with_object_policy(overridden.id, AdaptiveThresholdPolicy::paper());
     let lock = LockId::derive("carry.mixed.lock");
     let done = BarrierId(0xC0DE);
-    let config = sim_test_cluster(4, protocol, SimConfig::calm(2004));
-    let report = Cluster::new(config, registry).run(move |ctx| {
+    let report = cluster.protocol(protocol).build().run(move |ctx| {
         if ctx.node_id() == NodeId(2) {
             for i in 0..6u64 {
                 ctx.synchronized(lock, || {

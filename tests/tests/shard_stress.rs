@@ -21,8 +21,8 @@
 
 use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_integration_tests::{corpus_seed, modeled_sims, sim_test_cluster, test_cluster};
-use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
-use dsm_runtime::{ArrayHandle, Cluster, ClusterConfig, ExecutionReport};
+use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
+use dsm_runtime::{ArrayHandle, ClusterBuilder, ExecutionReport};
 use dsm_util::SmallRng;
 
 const NODES: usize = 4;
@@ -50,12 +50,11 @@ fn expected_counts(seed: u64) -> Vec<[u64; NODES]> {
 /// Register the stress objects: one `[u64; 1 + NODES]` counter block per
 /// object (slot 0 totals, slot 1+n is node n's private tally), homes spread
 /// round-robin so every node starts as home of some objects.
-fn registry() -> (ObjectRegistry, Vec<ArrayHandle<u64>>, Vec<LockId>) {
-    let mut registry = ObjectRegistry::new();
+fn register(cluster: &mut ClusterBuilder) -> (Vec<ArrayHandle<u64>>, Vec<LockId>) {
     let handles: Vec<ArrayHandle<u64>> = (0..OBJECTS)
         .map(|i| {
             ArrayHandle::register(
-                &mut registry,
+                cluster.registry(),
                 "stress.shard",
                 i as u64,
                 1 + NODES,
@@ -67,20 +66,20 @@ fn registry() -> (ObjectRegistry, Vec<ArrayHandle<u64>>, Vec<LockId>) {
     let locks: Vec<LockId> = (0..OBJECTS)
         .map(|i| LockId::derive(&format!("stress.shard.lock.{i}")))
         .collect();
-    (registry, handles, locks)
+    (handles, locks)
 }
 
-/// Run the seeded soak on an adaptive `NODES`-node cluster (`config` picks
+/// Run the seeded soak on an adaptive `NODES`-node cluster (`cluster` picks
 /// the fabric): every node performs its schedule of lock-protected
 /// increments across many objects while homes migrate underneath, then all
 /// nodes verify the final contents against the replayed expectation.
-fn soak(seed: u64, config: ClusterConfig) -> ExecutionReport {
-    let (registry, handles, locks) = registry();
+fn soak(seed: u64, mut cluster: ClusterBuilder) -> ExecutionReport {
+    let (handles, locks) = register(&mut cluster);
     let barrier = BarrierId(0x57E5);
     let expected = expected_counts(seed);
     let expected_in_run = expected.clone();
 
-    let report = Cluster::new(config, registry).run(move |ctx| {
+    let report = cluster.build().run(move |ctx| {
         let me = ctx.node_id().index();
         let mut rng = node_rng(seed, me);
         for _ in 0..ROUNDS {
@@ -211,14 +210,13 @@ fn jump() -> ProtocolConfig {
     ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy)
 }
 
-fn hammer(config: ClusterConfig) -> ExecutionReport {
+fn hammer(mut cluster: ClusterBuilder) -> ExecutionReport {
     const HAMMER_OBJECTS: usize = 4;
     const HAMMER_ROUNDS: usize = 16;
-    let mut registry = ObjectRegistry::new();
     let handles: Vec<ArrayHandle<u64>> = (0..HAMMER_OBJECTS)
         .map(|i| {
             ArrayHandle::register(
-                &mut registry,
+                cluster.registry(),
                 "stress.hammer",
                 i as u64,
                 1 + NODES,
@@ -232,7 +230,7 @@ fn hammer(config: ClusterConfig) -> ExecutionReport {
         .collect();
     let barrier = BarrierId(0x57E6);
 
-    Cluster::new(config, registry).run(move |ctx| {
+    cluster.build().run(move |ctx| {
         let me = ctx.node_id().index();
         for round in 0..HAMMER_ROUNDS {
             // Writer of each object rotates every round: all four objects
@@ -311,13 +309,12 @@ fn stress_batched_mode_contents_match_unbatched() {
         }
     }
 
-    let run = |config: ClusterConfig| {
-        let flush_batching = config.flush_batching;
-        let mut registry = ObjectRegistry::new();
+    let run = |cluster: ClusterBuilder, flush_batching: bool| {
+        let mut cluster = cluster.flush_batching(flush_batching);
         let handles: Vec<ArrayHandle<u64>> = (0..BATCH_OBJECTS)
             .map(|i| {
                 ArrayHandle::register(
-                    &mut registry,
+                    cluster.registry(),
                     "stress.batch",
                     i as u64,
                     NODES,
@@ -329,7 +326,7 @@ fn stress_batched_mode_contents_match_unbatched() {
         let lock = LockId::derive("stress.batch.lock");
         let barrier = BarrierId(0x57E7);
         let expected_in_run = expected.clone();
-        Cluster::new(config, registry).run(move |ctx| {
+        cluster.build().run(move |ctx| {
             let me = ctx.node_id().index();
             let mut rng = schedule_rng(me);
             for _ in 0..BATCH_ROUNDS {
@@ -361,12 +358,12 @@ fn stress_batched_mode_contents_match_unbatched() {
     };
 
     let threaded = test_cluster(NODES, ProtocolConfig::adaptive());
-    run(threaded.clone().with_flush_batching(true));
-    run(threaded.with_flush_batching(false));
+    run(threaded.clone(), true);
+    run(threaded, false);
     for sim in modeled_sims() {
-        let config = sim_test_cluster(NODES, ProtocolConfig::adaptive(), sim);
-        let batched = run(config.clone().with_flush_batching(true));
-        let unbatched = run(config.with_flush_batching(false));
+        let cluster = sim_test_cluster(NODES, ProtocolConfig::adaptive(), sim);
+        let batched = run(cluster.clone(), true);
+        let unbatched = run(cluster, false);
 
         // Both runs already verified the same replayed contents on every
         // node; check the wire-level claims on top.

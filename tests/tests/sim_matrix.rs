@@ -30,7 +30,7 @@ use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_integration_tests::{seed_pair, sim_test_cluster};
 use dsm_model::{ComputeModel, NetworkParams, SimDuration, SimTime};
 use dsm_net::PauseSpec;
-use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
+use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{ArrayHandle, Cluster, ExecutionReport, FabricMode, SimConfig};
 
 /// Run every policy against `workload` under the corpus seeds and check
@@ -242,9 +242,15 @@ fn matrix_home_crash_triggers_reelection_and_workload_completes() {
         until: SimTime::from_micros(14_000.0),
     };
     let run = |seed: u64| -> ExecutionReport {
-        let mut registry = ObjectRegistry::new();
+        let mut cluster = Cluster::builder()
+            .nodes(NODES)
+            .protocol(ProtocolConfig::no_migration().with_network(NetworkParams::ideal()))
+            .compute(ComputeModel::free())
+            .fabric(FabricMode::Sim(
+                SimConfig::perturbed(seed).with_pause(pause),
+            ));
         let x: ArrayHandle<u64> = ArrayHandle::register(
-            &mut registry,
+            cluster.registry(),
             "matrix.crash",
             0,
             NODES,
@@ -257,16 +263,7 @@ fn matrix_home_crash_triggers_reelection_and_workload_completes() {
         // the tens of microseconds of virtual time, so the explicit
         // `charge` below places the write phase inside the pause window
         // with plenty of margin on both sides.
-        let config = Cluster::builder()
-            .nodes(NODES)
-            .protocol(ProtocolConfig::no_migration())
-            .compute(ComputeModel::free())
-            .network(NetworkParams::ideal())
-            .fabric(FabricMode::Sim(
-                SimConfig::perturbed(seed).with_pause(pause),
-            ))
-            .config();
-        Cluster::new(config, registry).run(move |ctx| {
+        cluster.build().run(move |ctx| {
             let me = ctx.node_id().index();
             // Bootstrap: the home seeds the value; node 3 caches a copy
             // (it will be the only live node able to win the election).
@@ -369,9 +366,16 @@ fn matrix_busy_deferral_is_deterministic_and_conforms_across_seeds() {
     }
 
     let run = |fabric: FabricMode, seed: u64| -> (u64, ExecutionReport) {
-        let mut registry = ObjectRegistry::new();
+        let leased =
+            matches!(fabric, FabricMode::Threaded).then(|| Arc::new(std::sync::Barrier::new(2)));
+        let mut cluster = Cluster::builder()
+            .nodes(2)
+            .protocol(ProtocolConfig::no_migration())
+            .compute(ComputeModel::free())
+            .seed(seed)
+            .fabric(fabric);
         let target: ArrayHandle<u64> = ArrayHandle::register(
-            &mut registry,
+            cluster.registry(),
             "busy.port.target",
             0,
             4,
@@ -381,7 +385,7 @@ fn matrix_busy_deferral_is_deterministic_and_conforms_across_seeds() {
         let fillers: Vec<ArrayHandle<u64>> = (0..FILLERS)
             .map(|k| {
                 ArrayHandle::register(
-                    &mut registry,
+                    cluster.registry(),
                     "busy.port.filler",
                     k as u64,
                     1,
@@ -395,17 +399,7 @@ fn matrix_busy_deferral_is_deterministic_and_conforms_across_seeds() {
         let done = BarrierId(0x61);
         let fingerprint = Arc::new(AtomicU64::new(0));
         let result = Arc::clone(&fingerprint);
-        let leased =
-            matches!(fabric, FabricMode::Threaded).then(|| Arc::new(std::sync::Barrier::new(2)));
-
-        let config = Cluster::builder()
-            .nodes(2)
-            .protocol(ProtocolConfig::no_migration())
-            .compute(ComputeModel::free())
-            .seed(seed)
-            .fabric(fabric)
-            .config();
-        let report = Cluster::new(config, registry).run(move |ctx| {
+        let report = cluster.build().run(move |ctx| {
             if ctx.is_master() {
                 // Seed the fillers in place (home writes, no traffic), then
                 // write the remote-homed target under the lock: the release
@@ -481,11 +475,12 @@ fn matrix_single_home_per_epoch_under_churn() {
     const ROUNDS: usize = 8;
     let nodes = 4;
     for seed in [seed_pair().0, seed_pair().1] {
-        let mut registry = ObjectRegistry::new();
+        let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
+        let mut cluster = sim_test_cluster(nodes, protocol, SimConfig::perturbed(seed));
         let handles: Vec<ArrayHandle<u64>> = (0..OBJECTS)
             .map(|i| {
                 ArrayHandle::register(
-                    &mut registry,
+                    cluster.registry(),
                     "matrix.home",
                     i as u64,
                     nodes,
@@ -497,7 +492,7 @@ fn matrix_single_home_per_epoch_under_churn() {
         let home_bits: Vec<ArrayHandle<u64>> = (0..OBJECTS)
             .map(|i| {
                 ArrayHandle::register(
-                    &mut registry,
+                    cluster.registry(),
                     "matrix.homebits",
                     i as u64,
                     nodes,
@@ -508,9 +503,7 @@ fn matrix_single_home_per_epoch_under_churn() {
             .collect();
         let lock = LockId::derive("matrix.home.lock");
         let check = BarrierId(0x51);
-        let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
-        let config = sim_test_cluster(nodes, protocol, SimConfig::perturbed(seed));
-        Cluster::new(config, registry).run(move |ctx| {
+        cluster.build().run(move |ctx| {
             let me = ctx.node_id().index();
             for round in 0..ROUNDS {
                 let obj = (round + me) % OBJECTS;

@@ -20,11 +20,10 @@ fn assert_tcp_conforms(workload_name: &str, protocol: ProtocolConfig, seed: u64)
         .find(|w| w.name == workload_name)
         .unwrap_or_else(|| panic!("unknown matrix workload {workload_name}"));
 
-    let reference = workload
-        .run(matrix::matrix_cluster(protocol.clone(), FabricMode::Threaded).with_seed(seed));
+    let reference =
+        workload.run(matrix::matrix_cluster(protocol.clone(), FabricMode::Threaded).seed(seed));
     let tcp = workload.run(
-        matrix::matrix_cluster(protocol.clone(), FabricMode::Tcp(TcpConfig::default()))
-            .with_seed(seed),
+        matrix::matrix_cluster(protocol.clone(), FabricMode::Tcp(TcpConfig::default())).seed(seed),
     );
 
     assert_eq!(
@@ -70,10 +69,10 @@ fn every_policy_conforms_on_the_synthetic_workload_over_tcp() {
             .into_iter()
             .find(|w| w.name == "synthetic")
             .expect("synthetic workload exists");
-        let reference = workload
-            .run(matrix::matrix_cluster(protocol.clone(), FabricMode::Threaded).with_seed(seed));
+        let reference =
+            workload.run(matrix::matrix_cluster(protocol.clone(), FabricMode::Threaded).seed(seed));
         let tcp = workload.run(
-            matrix::matrix_cluster(protocol, FabricMode::Tcp(TcpConfig::default())).with_seed(seed),
+            matrix::matrix_cluster(protocol, FabricMode::Tcp(TcpConfig::default())).seed(seed),
         );
         assert_eq!(
             tcp.fingerprint, reference.fingerprint,
