@@ -5,16 +5,18 @@
 //! synchronization-manager state, and it is driven from two sides:
 //!
 //! * the **application side** (the node's application thread, through the
-//!   runtime's `NodeCtx`): planning reads and writes, leasing object stores
-//!   for zero-copy views, installing fetched objects, preparing and
-//!   finishing releases, opening intervals;
-//! * the **server side** (the node's protocol server thread): handling
-//!   object requests, diffs, notifications and synchronization messages
-//!   arriving from other nodes.
+//!   runtime's `NodeCtx` and the client operations of [`crate::step`]):
+//!   planning reads and writes, leasing object stores for zero-copy views,
+//!   installing fetched objects, preparing and finishing releases, opening
+//!   intervals;
+//! * the **server side** ([`crate::step::serve`], run by whichever thread
+//!   steps the node's protocol server): handling object requests, diffs,
+//!   notifications and synchronization messages arriving from other nodes.
 //!
 //! The engine is deliberately transport-agnostic: methods return *plans* and
 //! *outcomes* describing what must be sent, and accept the results of those
-//! exchanges. The runtime owns blocking, retries and virtual-time
+//! exchanges. [`crate::step`] turns outcomes into messages and replies into
+//! the next request; the runtime owns blocking, retries and virtual-time
 //! accounting. This keeps every protocol rule in one place and unit-testable
 //! without threads.
 //!
@@ -44,10 +46,10 @@
 //! how `ReadView`/`WriteView` expose `&[T]`/`&mut [T]` over engine storage
 //! without copying and without pinning any engine lock. Because the home of
 //! an object can migrate away *between* the access plan and the lease (the
-//! server thread serves requests concurrently), the runtime uses the checked
-//! [`ProtocolEngine::try_lease_read`]/[`ProtocolEngine::try_lease_write`]
-//! forms, which validate
-//! the access state and take the payload guard atomically under the shard
+//! node's server side runs concurrently on another thread), the runtime
+//! uses the checked [`ProtocolEngine::try_lease_read`] and
+//! [`ProtocolEngine::try_lease_write`] forms, which validate the access
+//! state and take the payload guard atomically under the shard
 //! lock, and re-plan when the state moved underneath them. The server side
 //! only ever takes `try_` locks on payloads and reports [`Busy`] outcomes
 //! when an application view is live, so the protocol server can defer a
@@ -518,7 +520,7 @@ impl ProtocolEngine {
 
     /// Atomically re-validate readability and take the payload *read guard*
     /// under the shard lock. Returns `None` when the local copy is no longer
-    /// readable — e.g. the server thread migrated the home away between the
+    /// readable — e.g. the server side migrated the home away between the
     /// caller's [`Self::plan_read`] and this lease — in which case the
     /// caller must re-plan (and possibly fault the object back in).
     pub fn try_lease_read(&self, obj: ObjectId) -> Option<RwReadGuard<ObjectData>> {
@@ -651,12 +653,6 @@ impl ProtocolEngine {
     /// belief.
     pub fn handle_home_notify(&self, obj: ObjectId, new_home: NodeId, epoch: u32) {
         self.shard(obj).handle_home_notify(obj, new_home, epoch);
-    }
-
-    /// Answer a home-manager lookup: where does this node believe the home
-    /// of `obj` is?
-    pub fn handle_home_lookup(&self, obj: ObjectId) -> NodeId {
-        self.home_hint(obj)
     }
 
     /// Whether this node holds *any* local copy of `obj` (home or cached) —
@@ -809,7 +805,7 @@ impl ProtocolEngine {
 
     /// The current version of the home copy of `obj`, if homed here.
     #[cfg(test)]
-    fn home_version(&self, obj: ObjectId) -> Option<Version> {
+    pub(crate) fn home_version(&self, obj: ObjectId) -> Option<Version> {
         self.shard(obj).home_version(obj)
     }
 
@@ -1294,7 +1290,6 @@ mod tests {
         let obj = obj_x();
         e[2].handle_home_notify(obj, NodeId(1), 1);
         assert_eq!(e[2].home_hint(obj), NodeId(1));
-        assert_eq!(e[2].handle_home_lookup(obj), NodeId(1));
         // An older notify does not regress the belief.
         e[2].handle_home_notify(obj, NodeId(0), 0);
         assert_eq!(e[2].home_hint(obj), NodeId(1));

@@ -90,8 +90,14 @@
 //! * `engine` — the per-node protocol engine gluing it all together
 //!   ([`ProtocolEngine`]): a lock-striped facade over per-object shards
 //!   ([`shard`], private) and the node-global synchronization state
-//!   ([`global`], private), so protocol serving scales with cores instead
-//!   of serializing on one engine mutex.
+//!   ([`global`], private), so a request for one object never waits on
+//!   another object's lock.
+//! * [`step`] — the protocol as plain steps over the engine: [`step::serve`]
+//!   runs one inbound request and pushes the messages it sends to a sink,
+//!   and each blocking client operation (fault-in chase, diff flush, batch
+//!   flush, lock acquire, barrier) is a [`step::ClientOp`] state machine.
+//!   The runtime drives them over a fabric; a test can drive them with no
+//!   threads at all.
 //! * `stats` — per-node protocol statistics ([`ProtocolStats`]), including
 //!   the policy decision telemetry ([`PolicyTelemetry`]).
 //!
@@ -109,6 +115,7 @@ mod migration;
 pub mod policy;
 mod shard;
 mod stats;
+pub mod step;
 pub mod sync;
 
 pub use config::{NotificationMechanism, ProtocolConfig};

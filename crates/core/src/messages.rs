@@ -232,22 +232,6 @@ pub enum ProtocolMsg {
         /// can never overwrite fresher beliefs.
         epoch: u32,
     },
-    /// Query to the home manager: where is the home of `obj` now?
-    HomeLookup {
-        /// Request id.
-        req: ReqId,
-        /// The object.
-        obj: ObjectId,
-    },
-    /// Reply to a [`ProtocolMsg::HomeLookup`].
-    HomeLookupReply {
-        /// Echo of the request id.
-        req: ReqId,
-        /// The object.
-        obj: ObjectId,
-        /// The registered home.
-        home: NodeId,
-    },
     /// Home re-election request: `candidate` could not reach `suspect`
     /// (the believed home of `obj`) past the runtime's failover threshold
     /// and asks the object's arbiter to elect a reachable home. Carries
@@ -335,9 +319,6 @@ impl ProtocolMsg {
             ProtocolMsg::BarrierArrive { .. } => MsgCategory::BarrierArrive,
             ProtocolMsg::BarrierRelease { .. } => MsgCategory::BarrierRelease,
             ProtocolMsg::HomeNotify { .. } => MsgCategory::HomeNotify,
-            ProtocolMsg::HomeLookup { .. } | ProtocolMsg::HomeLookupReply { .. } => {
-                MsgCategory::HomeLookup
-            }
             // Fault-recovery control traffic: rare by construction (only
             // under loss), so it shares the catch-all control category
             // rather than widening the paper's per-category breakdown.
@@ -375,17 +356,7 @@ impl ProtocolMsg {
     /// side (the runtime routes them to the waiting application thread
     /// instead of the protocol handler).
     pub fn is_reply(&self) -> bool {
-        matches!(
-            self,
-            ProtocolMsg::ObjectReply { .. }
-                | ProtocolMsg::ObjectRedirect { .. }
-                | ProtocolMsg::DiffAck { .. }
-                | ProtocolMsg::DiffBatchAck { .. }
-                | ProtocolMsg::DiffRedirect { .. }
-                | ProtocolMsg::LockGrant { .. }
-                | ProtocolMsg::BarrierRelease { .. }
-                | ProtocolMsg::HomeLookupReply { .. }
-        )
+        self.reply_req().is_some()
     }
 
     /// The request id echoed by a reply, if this is a reply.
@@ -397,8 +368,7 @@ impl ProtocolMsg {
             | ProtocolMsg::DiffBatchAck { req, .. }
             | ProtocolMsg::DiffRedirect { req, .. }
             | ProtocolMsg::LockGrant { req, .. }
-            | ProtocolMsg::BarrierRelease { req, .. }
-            | ProtocolMsg::HomeLookupReply { req, .. } => Some(*req),
+            | ProtocolMsg::BarrierRelease { req, .. } => Some(*req),
             _ => None,
         }
     }
@@ -425,8 +395,7 @@ impl ProtocolMsg {
             | ProtocolMsg::DiffFlush { req, .. }
             | ProtocolMsg::DiffBatch { req, .. }
             | ProtocolMsg::LockAcquire { req, .. }
-            | ProtocolMsg::BarrierArrive { req, .. }
-            | ProtocolMsg::HomeLookup { req, .. } => Some(*req),
+            | ProtocolMsg::BarrierArrive { req, .. } => Some(*req),
             ProtocolMsg::LockRelease { req, .. } if req.0 != 0 => Some(*req),
             _ => None,
         }

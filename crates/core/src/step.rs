@@ -1,0 +1,917 @@
+//! The protocol as plain steps. [`serve`] runs one inbound request against
+//! the [`ProtocolEngine`] and pushes the messages to send, in order, to a
+//! sink; a request the engine reports `Busy` (its payload is leased to a
+//! live view) waits in the node's [`ServeState`]. A [`ClientOp`] is one
+//! blocking operation as a state machine — the fault-in chase, the diff
+//! flush, the batch flush with its per-entry re-plan, the lock acquire or
+//! the barrier: it names its next request, takes the reply and says
+//! whether it is done, so each chase and its retarget rule exist once.
+//! Whoever drives the steps owns the transport, the waiting and the clocks:
+//! the runtime's nodes on a fabric, or a test that holds every message in
+//! per-link queues.
+
+use crate::engine::{FlushBatch, FlushPlan, ProtocolEngine};
+use crate::messages::{DiffBatchEntry, DiffBatchResult, DiffEntryStatus, ProtocolMsg, ReqId};
+use crate::sync::{BarrierOutcome, LockAcquireOutcome};
+use crate::{DiffOutcome, ObjectRequestOutcome};
+use dsm_objspace::{BarrierId, LockId, NodeId, ObjectId};
+use std::collections::{HashMap, VecDeque};
+use std::fmt;
+
+/// The node that hosts the distributed lock and barrier managers. The
+/// paper's applications start on one node and send all distributed
+/// synchronization there.
+pub const SYNC_MANAGER: NodeId = NodeId::MASTER;
+
+/// One node's serve-side state: requests deferred while their payload was
+/// leased to an application view, and the results already resolved for
+/// partially deferred diff batches. It never crosses the wire.
+#[derive(Debug, Default)]
+pub struct ServeState {
+    deferred: VecDeque<(NodeId, ProtocolMsg)>,
+    /// Resolved entries of a deferred `DiffBatch`, keyed by its request id.
+    partials: HashMap<ReqId, Vec<DiffBatchResult>>,
+}
+
+impl ServeState {
+    /// Number of deferred requests.
+    pub fn deferred(&self) -> usize {
+        self.deferred.len()
+    }
+
+    /// Deferred work counted per diff-batch entry, so partial progress on a
+    /// batch shows as a smaller number.
+    pub fn deferred_entries(&self) -> usize {
+        self.deferred
+            .iter()
+            .map(|(_, msg)| match msg {
+                ProtocolMsg::DiffBatch { entries, .. } => entries.len(),
+                _ => 1,
+            })
+            .sum()
+    }
+
+    /// Give every deferred request one more chance, keeping arrival order
+    /// among the still-busy ones.
+    pub fn retry(&mut self, engine: &ProtocolEngine, out: &mut impl FnMut(NodeId, ProtocolMsg)) {
+        for _ in 0..self.deferred.len() {
+            let (src, msg) = self.deferred.pop_front().expect("length checked by loop");
+            serve(engine, self, src, msg, out);
+        }
+    }
+}
+
+/// Serve one inbound request from `src`: run it against the engine and push
+/// every message it produces to `out`, in send order. A request the engine
+/// reports `Busy` is deferred in `state` instead (see
+/// [`ServeState::retry`]).
+///
+/// Replies, the fault layer's acknowledgements and election answers, and
+/// `Shutdown` are not requests: the runtime consumes them itself.
+///
+/// # Panics
+/// Panics on a message that is not a request.
+pub fn serve(
+    engine: &ProtocolEngine,
+    state: &mut ServeState,
+    src: NodeId,
+    msg: ProtocolMsg,
+    out: &mut impl FnMut(NodeId, ProtocolMsg),
+) {
+    let busy = match msg {
+        ProtocolMsg::DiffBatch { req, entries, from } => {
+            serve_batch(engine, &mut state.partials, req, entries, from, out)
+        }
+        msg => handle(engine, src, msg, out),
+    };
+    if let Some(busy) = busy {
+        state.deferred.push_back((src, busy));
+    }
+    debug_assert!(
+        !state.deferred.is_empty() || state.partials.is_empty(),
+        "batch partials outlived their deferred entries"
+    );
+}
+
+/// Run one request other than a `DiffBatch`. Returns it back when the
+/// engine reported a busy payload.
+fn handle(
+    engine: &ProtocolEngine,
+    src: NodeId,
+    msg: ProtocolMsg,
+    out: &mut impl FnMut(NodeId, ProtocolMsg),
+) -> Option<ProtocolMsg> {
+    match &msg {
+        &ProtocolMsg::ObjectRequest {
+            req,
+            obj,
+            requester,
+            for_write,
+            redirections,
+        } => match engine.handle_object_request(obj, requester, for_write, redirections) {
+            ObjectRequestOutcome::Busy => return Some(msg),
+            ObjectRequestOutcome::Reply {
+                data,
+                version,
+                migration,
+                notify,
+            } => {
+                // New-home notifications (broadcast / manager mechanisms)
+                // go before the reply so their virtual send time is the
+                // migration instant.
+                let epoch = migration.as_ref().map_or(0, |grant| grant.epoch());
+                for target in notify {
+                    out(
+                        target,
+                        ProtocolMsg::HomeNotify {
+                            obj,
+                            new_home: requester,
+                            epoch,
+                        },
+                    );
+                }
+                out(
+                    requester,
+                    ProtocolMsg::ObjectReply {
+                        req,
+                        obj,
+                        data,
+                        version,
+                        migration,
+                    },
+                );
+            }
+            ObjectRequestOutcome::Redirect { hint, epoch } => out(
+                requester,
+                ProtocolMsg::ObjectRedirect {
+                    req,
+                    obj,
+                    new_home: hint,
+                    epoch,
+                },
+            ),
+        },
+        &ProtocolMsg::DiffFlush {
+            req,
+            obj,
+            ref diff,
+            from,
+            redirections,
+        } => match engine.handle_diff(obj, diff, from, redirections) {
+            DiffOutcome::Busy => return Some(msg),
+            DiffOutcome::Applied { new_version } => out(
+                from,
+                ProtocolMsg::DiffAck {
+                    req,
+                    obj,
+                    version: new_version,
+                },
+            ),
+            DiffOutcome::Redirect { hint, epoch } => out(
+                from,
+                ProtocolMsg::DiffRedirect {
+                    req,
+                    obj,
+                    new_home: hint,
+                    epoch,
+                },
+            ),
+        },
+        &ProtocolMsg::LockAcquire {
+            req,
+            lock,
+            requester,
+        } => {
+            // Queued: the grant goes out when the current holder releases.
+            if engine.lock_acquire(lock, requester, req) == LockAcquireOutcome::Granted {
+                out(requester, ProtocolMsg::LockGrant { req, lock });
+            }
+        }
+        &ProtocolMsg::LockRelease { lock, holder, req } => {
+            if let Some((next, grant)) = engine.lock_release(lock, holder).grant_next {
+                out(next, ProtocolMsg::LockGrant { req: grant, lock });
+            }
+            // `ReqId(0)` marks the fire-and-forget release of lossless
+            // fabrics; a tracked release wants its ack.
+            if req.0 != 0 {
+                out(holder, ProtocolMsg::LockReleaseAck { req, lock });
+            }
+        }
+        &ProtocolMsg::BarrierArrive {
+            req,
+            barrier,
+            node,
+            epoch,
+        } => {
+            if let BarrierOutcome::Complete {
+                waiters,
+                epoch: done,
+            } = engine.barrier_arrive(barrier, node, req)
+            {
+                debug_assert_eq!(done, epoch, "barrier epoch mismatch");
+                for (waiter, req) in waiters {
+                    out(
+                        waiter,
+                        ProtocolMsg::BarrierRelease {
+                            req,
+                            barrier,
+                            epoch: done,
+                        },
+                    );
+                }
+            }
+        }
+        &ProtocolMsg::HomeNotify {
+            obj,
+            new_home,
+            epoch,
+        } => engine.handle_home_notify(obj, new_home, epoch),
+        &ProtocolMsg::HomeElect {
+            req,
+            obj,
+            suspect,
+            candidate,
+            epoch,
+            has_copy,
+        } => {
+            let (home, epoch) = engine.handle_home_elect(obj, suspect, candidate, epoch, has_copy);
+            out(
+                src,
+                ProtocolMsg::HomeElectReply {
+                    req,
+                    obj,
+                    home,
+                    epoch,
+                },
+            );
+        }
+        &ProtocolMsg::HomeFence {
+            req,
+            obj,
+            new_home,
+            epoch,
+        } => {
+            engine.handle_home_notify(obj, new_home, epoch);
+            out(src, ProtocolMsg::HomeFenceAck { req, obj });
+        }
+        other => panic!("server received unexpected message {other:?}"),
+    }
+    None
+}
+
+/// Serve one `DiffBatch`, taken by value: resolve each entry as a
+/// `DiffFlush` would and answer with one `DiffBatchAck` once none is
+/// pending. Busy entries come back as a residual batch to defer, the
+/// resolved results parked in `partials`.
+fn serve_batch(
+    engine: &ProtocolEngine,
+    partials: &mut HashMap<ReqId, Vec<DiffBatchResult>>,
+    req: ReqId,
+    entries: Vec<DiffBatchEntry>,
+    from: NodeId,
+    out: &mut impl FnMut(NodeId, ProtocolMsg),
+) -> Option<ProtocolMsg> {
+    let mut results = partials.remove(&req).unwrap_or_default();
+    let mut still_busy = Vec::new();
+    for entry in entries {
+        // Entries arrive with zero redirection hops of their own: the batch
+        // was addressed directly to the believed home.
+        let status = match engine.handle_diff(entry.obj, &entry.diff, from, 0) {
+            DiffOutcome::Applied { new_version } => DiffEntryStatus::Applied {
+                version: new_version,
+            },
+            DiffOutcome::Redirect { hint, epoch } => DiffEntryStatus::Redirect {
+                new_home: hint,
+                epoch,
+            },
+            DiffOutcome::Busy => {
+                still_busy.push(entry);
+                continue;
+            }
+        };
+        results.push(DiffBatchResult {
+            obj: entry.obj,
+            status,
+        });
+    }
+    if still_busy.is_empty() {
+        out(from, ProtocolMsg::DiffBatchAck { req, results });
+        None
+    } else {
+        partials.insert(req, results);
+        Some(ProtocolMsg::DiffBatch {
+            req,
+            entries: still_busy,
+            from,
+        })
+    }
+}
+
+/// Install what a fault-in reply carries: the copy, and the home with it
+/// under a migration grant; other messages are left alone. Run it as the
+/// reply arrives, before the waiting op sees it, so a grant takes effect
+/// before the grantee's own requests can chase the old home back to it.
+pub fn install_reply(engine: &ProtocolEngine, reply: &mut ProtocolMsg) {
+    if let ProtocolMsg::ObjectReply {
+        obj,
+        data,
+        version,
+        migration,
+        ..
+    } = reply
+    {
+        engine.install_object(*obj, std::mem::take(data), *version, migration.take());
+    }
+}
+
+/// Adopt a redirect hint (epoch-guarded) and return the node to retry at:
+/// the hinted home, but never this node itself. A stale hint pointing back
+/// here falls back to this node's own forward belief, which the epoch guard
+/// kept intact.
+fn retarget(engine: &ProtocolEngine, obj: ObjectId, new_home: NodeId, epoch: u32) -> NodeId {
+    engine.note_redirect(obj, new_home, epoch);
+    if new_home == engine.node() {
+        engine.home_hint(obj)
+    } else {
+        new_home
+    }
+}
+
+/// A blocking client operation as a state machine. The caller sends
+/// [`Self::request`] under a fresh request id, hands its reply to
+/// [`Self::on_reply`], and repeats until that reports the operation done.
+///
+/// A chase adopts a redirect's hint when it names its next request, not
+/// when the redirect arrives: a caller that pauses between hops picks up
+/// a home notification that landed during the pause.
+#[derive(Debug)]
+pub enum ClientOp {
+    /// Fault `obj` in, following forwarding pointers until the current home
+    /// replies.
+    FaultIn {
+        /// The object.
+        obj: ObjectId,
+        /// Whether the fault is a write fault.
+        for_write: bool,
+        /// The believed home the next request goes to.
+        target: NodeId,
+        /// Redirections taken so far.
+        redirections: u32,
+        /// The last redirect's hint and epoch, until adopted.
+        redirect: Option<(NodeId, u32)>,
+    },
+    /// Flush one diff to its home, following forwarding pointers until the
+    /// current home acknowledges it.
+    Flush {
+        /// The diff, and the believed home the next request goes to.
+        plan: FlushPlan,
+        /// Redirections taken so far. A batch entry re-planned after a
+        /// per-entry redirect starts at 1, so the home that applies it sees
+        /// the same negative feedback `R_i` as an individually redirected
+        /// flush.
+        redirections: u32,
+        /// The last redirect's hint and epoch, until adopted.
+        redirect: Option<(NodeId, u32)>,
+    },
+    /// Flush same-home diffs as one `DiffBatch` (see [`ClientOp::batch`]).
+    Batch(BatchFlush),
+    /// Acquire a lock from the lock manager.
+    Acquire(LockId),
+    /// Arrive at a barrier, in this node's phase number for it, and wait
+    /// for the manager's release.
+    Arrive(BarrierId, u64),
+}
+
+/// The state of a [`ClientOp::Batch`]. The ack's per-entry results resolve
+/// in order: an applied entry completes at once, and an entry whose home
+/// migrated mid-flight comes back redirected and is re-planned as a
+/// [`ClientOp::Flush`] that runs to completion before the next result.
+#[derive(Debug)]
+pub struct BatchFlush {
+    batch: FlushBatch,
+    /// The ack's results still to resolve; `None` until the ack arrives.
+    results: Option<std::vec::IntoIter<DiffBatchResult>>,
+    /// The re-plan of a redirected entry, while it runs.
+    replan: Option<Box<ClientOp>>,
+}
+
+impl ClientOp {
+    /// A batch flush of `batch`, counted in `engine`'s statistics.
+    pub fn batch(engine: &ProtocolEngine, batch: FlushBatch) -> Self {
+        engine.note_diff_batch(batch.entries.len());
+        ClientOp::Batch(BatchFlush {
+            batch,
+            results: None,
+            replan: None,
+        })
+    }
+
+    /// The next request of `engine`'s node under id `req`: its destination
+    /// and message.
+    pub fn request(&mut self, engine: &ProtocolEngine, req: ReqId) -> (NodeId, ProtocolMsg) {
+        let node = engine.node();
+        match self {
+            ClientOp::FaultIn {
+                obj,
+                for_write,
+                target,
+                redirections,
+                redirect,
+            } => {
+                if let Some((new_home, epoch)) = redirect.take() {
+                    *target = retarget(engine, *obj, new_home, epoch);
+                }
+                debug_assert_ne!(*target, node, "fault-in aimed at the requester itself");
+                let msg = ProtocolMsg::ObjectRequest {
+                    req,
+                    obj: *obj,
+                    requester: node,
+                    for_write: *for_write,
+                    redirections: *redirections,
+                };
+                (*target, msg)
+            }
+            ClientOp::Flush {
+                plan,
+                redirections,
+                redirect,
+            } => {
+                if let Some((new_home, epoch)) = redirect.take() {
+                    plan.target = retarget(engine, plan.obj, new_home, epoch);
+                }
+                let msg = ProtocolMsg::DiffFlush {
+                    req,
+                    obj: plan.obj,
+                    // The plan keeps its diff for a redirected re-send; the
+                    // copy is two memcpys whatever the run count.
+                    diff: plan.diff.clone(),
+                    from: node,
+                    redirections: *redirections,
+                };
+                (plan.target, msg)
+            }
+            ClientOp::Batch(BatchFlush {
+                replan: Some(op), ..
+            }) => op.request(engine, req),
+            ClientOp::Batch(BatchFlush { batch, .. }) => {
+                let entries = batch.entries.iter();
+                let entries = entries.map(|plan| DiffBatchEntry {
+                    obj: plan.obj,
+                    diff: plan.diff.clone(),
+                });
+                let msg = ProtocolMsg::DiffBatch {
+                    req,
+                    entries: entries.collect(),
+                    from: node,
+                };
+                (batch.target, msg)
+            }
+            &mut ClientOp::Acquire(lock) => {
+                let msg = ProtocolMsg::LockAcquire {
+                    req,
+                    lock,
+                    requester: node,
+                };
+                (SYNC_MANAGER, msg)
+            }
+            &mut ClientOp::Arrive(barrier, epoch) => {
+                let msg = ProtocolMsg::BarrierArrive {
+                    req,
+                    barrier,
+                    node,
+                    epoch,
+                };
+                (SYNC_MANAGER, msg)
+            }
+        }
+    }
+
+    /// Take the reply to the last request. Returns whether the operation
+    /// is done; if not, [`Self::request`] names the next one.
+    ///
+    /// # Panics
+    /// Panics on a reply that does not answer this operation's request.
+    pub fn on_reply(&mut self, engine: &ProtocolEngine, reply: ProtocolMsg) -> bool {
+        match (self, reply) {
+            // The copy (and any grant) was installed on arrival.
+            (ClientOp::FaultIn { .. }, ProtocolMsg::ObjectReply { .. })
+            | (ClientOp::Acquire(_), ProtocolMsg::LockGrant { .. })
+            | (ClientOp::Arrive(..), ProtocolMsg::BarrierRelease { .. }) => true,
+            (
+                ClientOp::FaultIn {
+                    redirections,
+                    redirect,
+                    ..
+                },
+                ProtocolMsg::ObjectRedirect {
+                    new_home, epoch, ..
+                },
+            )
+            | (
+                ClientOp::Flush {
+                    redirections,
+                    redirect,
+                    ..
+                },
+                ProtocolMsg::DiffRedirect {
+                    new_home, epoch, ..
+                },
+            ) => {
+                *redirections += 1;
+                *redirect = Some((new_home, epoch));
+                false
+            }
+            (ClientOp::Flush { plan, .. }, ProtocolMsg::DiffAck { version, .. }) => {
+                engine.complete_flush(plan.obj, version);
+                true
+            }
+            (ClientOp::Batch(batch), reply) => batch.on_reply(engine, reply),
+            (op, reply) => panic!("unexpected reply to {op:?}: {reply:?}"),
+        }
+    }
+
+    /// Redirections taken so far by the chase in progress (0 for an
+    /// operation that never chases).
+    pub fn redirections(&self) -> u32 {
+        match self {
+            ClientOp::FaultIn { redirections, .. } | ClientOp::Flush { redirections, .. } => {
+                *redirections
+            }
+            ClientOp::Batch(batch) => batch.replan.as_ref().map_or(0, |op| op.redirections()),
+            ClientOp::Acquire(_) | ClientOp::Arrive(..) => 0,
+        }
+    }
+}
+
+impl BatchFlush {
+    fn on_reply(&mut self, engine: &ProtocolEngine, reply: ProtocolMsg) -> bool {
+        if let Some(op) = &mut self.replan {
+            if !op.on_reply(engine, reply) {
+                return false;
+            }
+            self.replan = None;
+        } else {
+            let ProtocolMsg::DiffBatchAck { results, .. } = reply else {
+                panic!("unexpected reply to diff batch: {reply:?}");
+            };
+            let entries = self.batch.entries.len();
+            assert_eq!(
+                results.len(),
+                entries,
+                "diff batch ack must resolve every entry"
+            );
+            self.results = Some(results.into_iter());
+        }
+        let results = self.results.as_mut().expect("the ack arrived");
+        for result in results.by_ref() {
+            match result.status {
+                DiffEntryStatus::Applied { version } => engine.complete_flush(result.obj, version),
+                DiffEntryStatus::Redirect { new_home, epoch } => {
+                    // Each entry resolves once, so the plan (and its diff)
+                    // moves into the re-plan, which adopts the redirect.
+                    let entries = &mut self.batch.entries;
+                    let pos = entries.iter().position(|plan| plan.obj == result.obj);
+                    let plan = entries.swap_remove(pos.expect("ack result matches an entry"));
+                    self.replan = Some(Box::new(ClientOp::Flush {
+                        plan,
+                        redirections: 1,
+                        redirect: Some((new_home, epoch)),
+                    }));
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Names a chase in its did-not-converge panic.
+impl fmt::Display for ClientOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ClientOp::FaultIn { obj, .. } => write!(f, "redirection chain for {obj}"),
+            ClientOp::Flush { plan, .. } => write!(f, "diff redirection chain for {}", plan.obj),
+            ClientOp::Batch(BatchFlush {
+                replan: Some(op), ..
+            }) => op.fmt(f),
+            op => write!(f, "{op:?}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{group_flush_plans, AccessPlan, MigrateOnRequestPolicy, ProtocolConfig};
+    use dsm_objspace::{HomeAssignment, ObjectRegistry, Version};
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    const NODES: usize = 3;
+
+    /// Three engines joined by per-link FIFO queues and stepped by hand: no
+    /// threads and no fabric, the delivery order picked by the test. A
+    /// message a node addresses to itself never travels, as in the runtime:
+    /// a request is served at once and a reply lands in the node's slot.
+    struct World {
+        engines: Vec<ProtocolEngine>,
+        serve: Vec<ServeState>,
+        links: BTreeMap<(usize, usize), VecDeque<ProtocolMsg>>,
+        /// The reply each node's waiting operation has not taken yet.
+        slots: Vec<Option<ProtocolMsg>>,
+        /// Messages each node put on a link.
+        sent: [usize; NODES],
+        last_req: u64,
+    }
+
+    impl World {
+        fn new(config: ProtocolConfig, objects: &[&str]) -> Self {
+            let mut registry = ObjectRegistry::new();
+            for name in objects {
+                registry.register_named(name, 0, 64, NodeId::MASTER, HomeAssignment::Master);
+            }
+            let registry = Arc::new(registry);
+            World {
+                engines: (0..NODES)
+                    .map(|i| {
+                        ProtocolEngine::new(
+                            NodeId::from(i),
+                            NODES,
+                            config.clone(),
+                            Arc::clone(&registry),
+                        )
+                    })
+                    .collect(),
+                serve: (0..NODES).map(|_| ServeState::default()).collect(),
+                links: BTreeMap::new(),
+                slots: vec![None; NODES],
+                sent: [0; NODES],
+                last_req: 0,
+            }
+        }
+
+        fn send(&mut self, src: usize, dst: NodeId, msg: ProtocolMsg) {
+            let dst = dst.index();
+            if src != dst {
+                self.sent[src] += 1;
+                self.links.entry((src, dst)).or_default().push_back(msg);
+            } else if msg.is_reply() {
+                self.slots[src] = Some(msg);
+            } else {
+                self.serve_at(src, src, msg);
+            }
+        }
+
+        fn serve_at(&mut self, node: usize, src: usize, msg: ProtocolMsg) {
+            let mut out = Vec::new();
+            serve(
+                &self.engines[node],
+                &mut self.serve[node],
+                NodeId::from(src),
+                msg,
+                &mut |dst, msg| out.push((dst, msg)),
+            );
+            for (dst, msg) in out {
+                self.send(node, dst, msg);
+            }
+        }
+
+        /// Deliver the oldest message on the link `src → dst`.
+        fn deliver(&mut self, src: usize, dst: usize) {
+            let mut msg = self
+                .links
+                .get_mut(&(src, dst))
+                .and_then(VecDeque::pop_front)
+                .unwrap_or_else(|| panic!("nothing queued on {src} -> {dst}"));
+            if msg.is_reply() {
+                install_reply(&self.engines[dst], &mut msg);
+                self.slots[dst] = Some(msg);
+            } else {
+                self.serve_at(dst, src, msg);
+            }
+        }
+
+        /// Send `op`'s next request from `node`.
+        fn send_next(&mut self, node: usize, op: &mut ClientOp) {
+            self.last_req += 1;
+            let (dst, msg) = op.request(&self.engines[node], ReqId(self.last_req));
+            self.send(node, dst, msg);
+        }
+
+        /// Hand `node`'s waiting reply to `op`: returns whether `op` is
+        /// done, and sends its next request if not.
+        fn resume(&mut self, node: usize, op: &mut ClientOp) -> bool {
+            let reply = self.slots[node].take().expect("a reply is waiting");
+            let done = op.on_reply(&self.engines[node], reply);
+            if !done {
+                self.send_next(node, op);
+            }
+            done
+        }
+
+        fn quiet(&self) -> bool {
+            self.links.values().all(VecDeque::is_empty)
+                && self.slots.iter().all(Option::is_none)
+                && self.serve.iter().all(|serve| serve.deferred() == 0)
+        }
+
+        fn homes(&self, obj: ObjectId) -> Vec<usize> {
+            (0..NODES)
+                .filter(|&n| self.engines[n].is_home(obj))
+                .collect()
+        }
+    }
+
+    fn object(name: &str) -> ObjectId {
+        ObjectId::derive(name, 0)
+    }
+
+    fn fault_in(obj: ObjectId, for_write: bool, target: NodeId) -> ClientOp {
+        ClientOp::FaultIn {
+            obj,
+            for_write,
+            target,
+            redirections: 0,
+            redirect: None,
+        }
+    }
+
+    fn jump() -> ProtocolConfig {
+        ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy)
+    }
+
+    /// A JUMP write fault-in takes the home from node 0 to node 1 while node
+    /// 2's read chases the old home: node 0 redirects the read, and node 2
+    /// fetches from node 1 the value node 1 wrote as the new home.
+    #[test]
+    fn a_read_chases_a_home_that_migrated_under_it() {
+        let x = object("x");
+        let mut world = World::new(jump(), &["x"]);
+        for engine in &world.engines[1..] {
+            engine.begin_interval();
+        }
+        let AccessPlan::Fetch { target } = world.engines[1].plan_write(x) else {
+            panic!("node 1 holds no copy");
+        };
+        let mut write = fault_in(x, true, target);
+        world.send_next(1, &mut write);
+        let AccessPlan::Fetch { target } = world.engines[2].plan_read(x) else {
+            panic!("node 2 holds no copy");
+        };
+        let mut read = fault_in(x, false, target);
+        world.send_next(2, &mut read);
+
+        // The write reaches the home first and takes the home with it; the
+        // read then finds a former home.
+        world.deliver(1, 0);
+        world.deliver(2, 0);
+        assert_eq!(
+            world.homes(x),
+            Vec::<usize>::new(),
+            "the grant is in flight"
+        );
+        world.deliver(0, 1);
+        assert!(world.resume(1, &mut write), "the grant completes the write");
+        assert_eq!(world.homes(x), [1]);
+        assert_eq!(world.engines[1].plan_write(x), AccessPlan::LocalHit);
+        world.engines[1].with_object_mut(x, |data| data.bytes_mut()[0] = 7);
+        assert!(
+            world.engines[1].prepare_release().is_empty(),
+            "home writes never flush"
+        );
+        world.engines[1].finish_release();
+
+        world.deliver(0, 2);
+        assert!(!world.resume(2, &mut read), "the redirect re-aims the read");
+        assert_eq!(read.redirections(), 1);
+        assert_eq!(world.engines[2].home_hint(x), NodeId(1));
+        world.deliver(2, 1);
+        world.deliver(1, 2);
+        assert!(world.resume(2, &mut read));
+        assert!(world.quiet());
+
+        assert_eq!(world.homes(x), [1]);
+        assert_eq!(world.engines[1].home_epoch(x), 1);
+        assert_eq!(world.engines[1].home_version(x), Some(Version(1)));
+        assert_eq!(world.engines[2].plan_read(x), AccessPlan::LocalHit);
+        let read_bytes = world.engines[2]
+            .try_lease_read(x)
+            .expect("readable")
+            .bytes()
+            .to_vec();
+        assert_eq!(read_bytes[..2], [7, 0]);
+        assert_eq!(world.engines[1].home_bytes(x), Some(read_bytes));
+        // 0: the grant and the redirect; 1: its request and the read's
+        // reply; 2: two requests.
+        assert_eq!(world.sent, [2, 2, 2]);
+    }
+
+    /// Node 1's release batches two diffs for node 0, but one object's home
+    /// moved to node 2 meanwhile: the ack redirects that entry, and the
+    /// batch op re-plans it as one flush to node 2.
+    #[test]
+    fn a_redirected_batch_entry_is_replanned_at_the_new_home() {
+        let (stays, moves) = (object("stays"), object("moves"));
+        let adaptive = ProtocolConfig::adaptive();
+        let mut world = World::new(adaptive, &["stays", "moves"]);
+        let fetch = |world: &mut World, node: usize, obj: ObjectId| {
+            let AccessPlan::Fetch { target } = world.engines[node].plan_write(obj) else {
+                panic!("node {node} holds no copy of {obj}");
+            };
+            let mut op = fault_in(obj, true, target);
+            world.send_next(node, &mut op);
+            world.deliver(node, target.index());
+            world.deliver(target.index(), node);
+            assert!(world.resume(node, &mut op));
+            assert_eq!(world.engines[node].plan_write(obj), AccessPlan::LocalHit);
+        };
+
+        world.engines[1].begin_interval();
+        fetch(&mut world, 1, stays);
+        fetch(&mut world, 1, moves);
+        world.engines[1].with_object_mut(stays, |data| data.bytes_mut()[0] = 11);
+        world.engines[1].with_object_mut(moves, |data| data.bytes_mut()[0] = 22);
+
+        // Node 2 writes `moves` in two intervals; the adaptive policy moves
+        // the home to it on the second fault-in.
+        for value in [8, 9] {
+            world.engines[2].begin_interval();
+            fetch(&mut world, 2, moves);
+            world.engines[2].with_object_mut(moves, |data| data.bytes_mut()[40] = value);
+            for plan in world.engines[2].prepare_release() {
+                let mut flush = ClientOp::Flush {
+                    plan,
+                    redirections: 0,
+                    redirect: None,
+                };
+                world.send_next(2, &mut flush);
+                world.deliver(2, 0);
+                world.deliver(0, 2);
+                assert!(world.resume(2, &mut flush));
+            }
+            world.engines[2].finish_release();
+        }
+        assert_eq!(world.homes(moves), [2]);
+        let sent_before = world.sent;
+
+        let mut batches = group_flush_plans(world.engines[1].prepare_release());
+        assert_eq!(batches.len(), 1, "both stale beliefs name node 0");
+        let mut batch = ClientOp::batch(&world.engines[1], batches.pop().unwrap());
+        world.send_next(1, &mut batch);
+        world.deliver(1, 0);
+        world.deliver(0, 1);
+        assert!(
+            !world.resume(1, &mut batch),
+            "the moved entry is re-planned"
+        );
+        assert_eq!(batch.redirections(), 1);
+        world.deliver(1, 2);
+        world.deliver(2, 1);
+        assert!(world.resume(1, &mut batch));
+        world.engines[1].finish_release();
+        assert!(world.quiet());
+
+        assert_eq!(world.homes(stays), [0]);
+        assert_eq!(world.homes(moves), [2]);
+        assert_eq!(world.engines[1].home_hint(moves), NodeId(2));
+        assert_eq!(world.engines[0].home_version(stays), Some(Version(1)));
+        assert_eq!(world.engines[2].home_version(moves), Some(Version(3)));
+        assert_eq!(world.engines[0].home_bytes(stays).unwrap()[0], 11);
+        let moved = world.engines[2].home_bytes(moves).unwrap();
+        assert_eq!((moved[0], moved[40]), (22, 9), "both writers' bytes");
+        // The release: the batch, its ack, the re-planned flush and its ack.
+        let sent: Vec<usize> = (0..NODES).map(|n| world.sent[n] - sent_before[n]).collect();
+        assert_eq!(sent, [1, 2, 1]);
+        // Before it, node 0 answered four fault-ins and node 2's one flush
+        // (node 2 was home by its second release).
+        assert_eq!(world.sent, [6, 4, 4]);
+    }
+
+    /// The sync manager's own acquire is served inline and queues behind
+    /// node 1; the step that serves node 1's release grants it, with no
+    /// message to the manager's own address on any link.
+    #[test]
+    fn the_managers_own_acquire_is_granted_by_the_remote_release() {
+        let lock = LockId(3);
+        let mut world = World::new(ProtocolConfig::adaptive(), &[]);
+        let mut remote = ClientOp::Acquire(lock);
+        world.send_next(1, &mut remote);
+        world.deliver(1, 0);
+        world.deliver(0, 1);
+        assert!(world.resume(1, &mut remote), "a free lock is granted");
+
+        let mut own = ClientOp::Acquire(lock);
+        world.send_next(0, &mut own);
+        assert!(world.slots[0].is_none(), "the manager queues behind node 1");
+        let release = ProtocolMsg::LockRelease {
+            lock,
+            holder: NodeId(1),
+            req: ReqId(0),
+        };
+        world.send(1, SYNC_MANAGER, release);
+        world.deliver(1, 0);
+        assert!(world.resume(0, &mut own), "serving the release granted it");
+        assert!(world.quiet());
+        assert_eq!(world.sent, [1, 2, 0]);
+    }
+}

@@ -51,7 +51,10 @@ pub enum MsgCategory {
     /// New-home notification used by the broadcast / home-manager
     /// notification mechanisms (the forwarding-pointer mechanism sends none).
     HomeNotify,
-    /// Home-manager lookup request/reply pair (home-manager mechanism only).
+    /// Home-manager lookup request/reply pair. No message maps to it: no
+    /// build ever sent a lookup, and the variants are gone. It stays
+    /// because its index in `ALL` is the category's wire code, until the
+    /// next wire-version bump renumbers the codes.
     HomeLookup,
     /// Anything else (start-up coordination, shutdown).
     Control,

@@ -4,7 +4,10 @@
 //! the analogue of the paper's GOS runtime interface as seen by a Java
 //! thread: transparent object access (fault-ins, twins and diffs happen
 //! behind the scenes), `synchronized`-style locking, barriers, and a hook to
-//! charge modelled computation time.
+//! charge modelled computation time. Each blocking operation — a fault-in,
+//! a diff or batch flush, a lock acquire, a barrier — is a `dsm-core`
+//! [`ClientOp`] that [`NodeCtx`] runs request by request; this module holds
+//! no protocol messages or chases of its own.
 //!
 //! ## Access model
 //!
@@ -26,13 +29,10 @@
 //! for application code where misuse is a bug.
 
 use crate::handle::ArrayHandle;
-use crate::node::{dispatch_barrier_release, dispatch_lock_grant, NodeLink, NodeShared};
+use crate::node::{NodeLink, NodeShared};
 use crate::view::{ReadView, WriteView};
-use dsm_core::sync::{BarrierOutcome, LockAcquireOutcome};
-use dsm_core::{
-    group_flush_plans, AccessPlan, DiffBatchEntry, DiffEntryStatus, FlushBatch, FlushPlan,
-    ProtocolMsg, ReqId,
-};
+use dsm_core::step::ClientOp;
+use dsm_core::{group_flush_plans, AccessPlan};
 use dsm_model::{SimDuration, SimTime};
 use dsm_objspace::{BarrierId, DsmError, DsmResult, Element, LockId, NodeId, ObjectId};
 use dsm_util::SmallRng;
@@ -40,11 +40,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Node of the cluster that hosts the distributed lock and barrier managers.
-/// The paper's applications start on one node and send all distributed
-/// synchronization there.
-const SYNC_MANAGER: NodeId = NodeId::MASTER;
 
 /// Live-view bookkeeping: a positive count of shared views, or -1 for the
 /// exclusive write view.
@@ -155,7 +150,7 @@ impl NodeCtx {
         // steps, in which case the checked lease refuses and we re-plan
         // (faulting the object back in if needed).
         let guard = loop {
-            self.ensure_readable(obj)?;
+            self.ensure_access(obj, false)?;
             if let Some(guard) = self.shared.engine.try_lease_read(obj) {
                 break guard;
             }
@@ -194,7 +189,7 @@ impl NodeCtx {
         // snatched the copy between the plan and the lease (the re-plan
         // re-arms the twin/diff bookkeeping before we write).
         let guard = loop {
-            self.ensure_writable(obj)?;
+            self.ensure_access(obj, true)?;
             if let Some(guard) = self.shared.engine.try_lease_write(obj) {
                 break guard;
             }
@@ -339,31 +334,7 @@ impl NodeCtx {
     /// Fails with [`DsmError::ViewsOutstanding`] if object views are live.
     pub fn try_acquire(&self, lock: LockId) -> DsmResult<()> {
         self.ensure_quiescent()?;
-        let node = self.shared.node;
-        if SYNC_MANAGER == node {
-            self.request_at_manager(|req| {
-                if self.shared.engine.lock_acquire(lock, node, req) == LockAcquireOutcome::Granted {
-                    // Nobody will ever send the grant; deliver it ourselves.
-                    self.shared
-                        .deliver_local(req, ProtocolMsg::LockGrant { req, lock });
-                }
-            });
-        } else {
-            let req = self.shared.new_req();
-            let reply = self.shared.request(
-                SYNC_MANAGER,
-                req,
-                ProtocolMsg::LockAcquire {
-                    req,
-                    lock,
-                    requester: node,
-                },
-            );
-            assert!(
-                matches!(reply, ProtocolMsg::LockGrant { .. }),
-                "unexpected reply to lock acquire: {reply:?}"
-            );
-        }
+        self.run(ClientOp::Acquire(lock));
         self.shared.engine.note_lock_acquire();
         self.shared.engine.begin_interval();
         Ok(())
@@ -386,39 +357,7 @@ impl NodeCtx {
     pub fn try_release(&self, lock: LockId) -> DsmResult<()> {
         self.ensure_quiescent()?;
         self.flush_interval();
-        let node = self.shared.node;
-        if SYNC_MANAGER == node {
-            let outcome = self.shared.engine.lock_release(lock, node);
-            if let Some((next, req)) = outcome.grant_next {
-                dispatch_lock_grant(&self.shared, lock, next, req);
-            }
-        } else if self.shared.fault.is_some() {
-            // Under a lossy fabric the release must survive a drop (a lost
-            // release wedges every later acquirer of the lock), so it is
-            // tracked and retransmitted until the manager acknowledges it.
-            let req = self.shared.new_req();
-            self.shared.send_tracked(
-                SYNC_MANAGER,
-                req,
-                ProtocolMsg::LockRelease {
-                    lock,
-                    holder: node,
-                    req,
-                },
-            );
-        } else {
-            // Lossless fabrics keep the paper-shaped fire-and-forget
-            // release; `ReqId(0)` means "no ack expected".
-            self.shared.send(
-                SYNC_MANAGER,
-                ProtocolMsg::LockRelease {
-                    lock,
-                    holder: node,
-                    req: ReqId(0),
-                },
-            );
-        }
-        self.shared.lock_released();
+        self.shared.release_lock(lock);
         Ok(())
     }
 
@@ -448,7 +387,6 @@ impl NodeCtx {
     pub fn try_barrier(&self, barrier: BarrierId) -> DsmResult<()> {
         self.ensure_quiescent()?;
         self.flush_interval();
-        let node = self.shared.node;
         let epoch = {
             let mut epochs = self.barrier_epochs.borrow_mut();
             let e = epochs.entry(barrier).or_insert(0);
@@ -456,33 +394,7 @@ impl NodeCtx {
             *e += 1;
             current
         };
-        if SYNC_MANAGER == node {
-            self.request_at_manager(|req| {
-                if let BarrierOutcome::Complete {
-                    waiters,
-                    epoch: done,
-                } = self.shared.engine.barrier_arrive(barrier, node, req)
-                {
-                    dispatch_barrier_release(&self.shared, barrier, done, waiters);
-                }
-            });
-        } else {
-            let req = self.shared.new_req();
-            let reply = self.shared.request(
-                SYNC_MANAGER,
-                req,
-                ProtocolMsg::BarrierArrive {
-                    req,
-                    barrier,
-                    node,
-                    epoch,
-                },
-            );
-            assert!(
-                matches!(reply, ProtocolMsg::BarrierRelease { .. }),
-                "unexpected reply to barrier arrive: {reply:?}"
-            );
-        }
+        self.run(ClientOp::Arrive(barrier, epoch));
         self.shared.engine.note_barrier();
         self.shared.engine.begin_interval();
         Ok(())
@@ -534,16 +446,26 @@ impl NodeCtx {
     // Internals
     // ------------------------------------------------------------------
 
-    /// A lock or barrier request made by the sync manager's own node: no
-    /// message travels. `arrive` runs the manager side on this thread with
-    /// the registered request id, as the wait's issuing step; when the
-    /// operation completes at once, it delivers the reply itself
-    /// (`deliver_local`), which the wait then takes without parking.
-    fn request_at_manager(&self, arrive: impl FnOnce(ReqId)) {
-        let req = self.shared.new_req();
-        self.shared.register_pending(req);
-        let reply = self.shared.wait_reply(|| arrive(req));
-        self.shared.clock.merge(reply.arrival);
+    /// Run a blocking client operation to completion: each of its requests
+    /// goes out through [`NodeShared::request`] (a request to this node
+    /// itself is served inline), and each reply goes back to the operation.
+    /// A chase past [`Self::redirect_limit`] hops panics, naming the chase;
+    /// the op adopts a redirect only after [`Self::pace_chase`]'s pause.
+    fn run(&self, mut op: ClientOp) {
+        loop {
+            let req = self.shared.new_req();
+            let (dst, msg) = op.request(&self.shared.engine, req);
+            let reply = self.shared.request(dst, req, msg);
+            if op.on_reply(&self.shared.engine, reply) {
+                return;
+            }
+            let redirections = op.redirections();
+            assert!(
+                redirections <= self.redirect_limit(),
+                "{op} did not converge"
+            );
+            self.pace_chase(redirections);
+        }
     }
 
     /// Upper bound on redirection hops before declaring the chain broken.
@@ -584,70 +506,27 @@ impl NodeCtx {
         Ok(())
     }
 
-    /// Make sure a valid local copy exists for reading.
-    fn ensure_readable(&self, obj: ObjectId) -> DsmResult<()> {
+    /// Make sure a valid local copy exists for reading, or a writable one
+    /// (twin created as needed) for writing.
+    fn ensure_access(&self, obj: ObjectId, for_write: bool) -> DsmResult<()> {
         loop {
-            let plan = self.shared.engine.plan_read(obj);
-            match plan {
-                AccessPlan::LocalHit => return Ok(()),
-                AccessPlan::Fetch { target } => {
-                    self.ensure_fetchable(obj)?;
-                    self.fault_in(obj, false, target);
-                }
-            }
-        }
-    }
-
-    /// Make sure a writable local copy exists (twin created as needed).
-    fn ensure_writable(&self, obj: ObjectId) -> DsmResult<()> {
-        loop {
-            let plan = self.shared.engine.plan_write(obj);
-            match plan {
-                AccessPlan::LocalHit => return Ok(()),
-                AccessPlan::Fetch { target } => {
-                    self.ensure_fetchable(obj)?;
-                    self.fault_in(obj, true, target);
-                }
-            }
-        }
-    }
-
-    /// Fault an object in from its (believed) home, following forwarding
-    /// pointers until the current home is found.
-    fn fault_in(&self, obj: ObjectId, for_write: bool, mut target: NodeId) {
-        let node = self.shared.node;
-        let mut redirections = 0u32;
-        loop {
-            debug_assert_ne!(target, node, "fault-in aimed at the requester itself");
-            let req = self.shared.new_req();
-            let reply = self.shared.request(
+            let engine = &self.shared.engine;
+            let plan = if for_write {
+                engine.plan_write(obj)
+            } else {
+                engine.plan_read(obj)
+            };
+            let AccessPlan::Fetch { target } = plan else {
+                return Ok(());
+            };
+            self.ensure_fetchable(obj)?;
+            self.run(ClientOp::FaultIn {
+                obj,
+                for_write,
                 target,
-                req,
-                ProtocolMsg::ObjectRequest {
-                    req,
-                    obj,
-                    requester: node,
-                    for_write,
-                    redirections,
-                },
-            );
-            match reply {
-                // The server installed the copy (and any migration grant)
-                // when the reply arrived; see `NodeShared::complete`.
-                ProtocolMsg::ObjectReply { .. } => return,
-                ProtocolMsg::ObjectRedirect {
-                    new_home, epoch, ..
-                } => {
-                    redirections += 1;
-                    assert!(
-                        redirections <= self.redirect_limit(),
-                        "redirection chain for {obj} did not converge"
-                    );
-                    self.pace_chase(redirections);
-                    target = self.retarget_after_redirect(obj, new_home, epoch);
-                }
-                other => panic!("unexpected reply to object request: {other:?}"),
-            }
+                redirections: 0,
+                redirect: None,
+            });
         }
     }
 
@@ -660,139 +539,30 @@ impl NodeCtx {
     /// per object. Singleton groups (and every flush when batching is
     /// disabled) take the paper-faithful one-`DiffFlush`-per-object path.
     fn flush_interval(&self) {
-        let plans = self.shared.engine.prepare_release();
+        let engine = &self.shared.engine;
+        let plans = engine.prepare_release();
         if self.shared.flush_batching {
-            for batch in group_flush_plans(plans) {
+            for mut batch in group_flush_plans(plans) {
                 if batch.entries.len() == 1 {
-                    let mut entries = batch.entries;
-                    self.flush_plan(entries.pop().expect("length checked"), 0);
+                    let plan = batch.entries.pop().expect("length checked");
+                    self.run(ClientOp::Flush {
+                        plan,
+                        redirections: 0,
+                        redirect: None,
+                    });
                 } else {
-                    self.flush_batch(batch);
+                    self.run(ClientOp::batch(engine, batch));
                 }
             }
         } else {
             for plan in plans {
-                self.flush_plan(plan, 0);
+                self.run(ClientOp::Flush {
+                    plan,
+                    redirections: 0,
+                    redirect: None,
+                });
             }
         }
-        self.shared.engine.finish_release();
-    }
-
-    /// Adopt a redirect hint (epoch-guarded) and return the node to retry
-    /// at: the hinted home — but never ourselves; a (stale) hint pointing
-    /// back at this node falls back to our own forward belief, which the
-    /// epoch guard kept intact. Shared by the fault-in chase, the
-    /// individual-flush chase and the per-entry re-plan of a redirected
-    /// batch entry, so the three paths can never drift apart.
-    fn retarget_after_redirect(&self, obj: ObjectId, new_home: NodeId, epoch: u32) -> NodeId {
-        let engine = &self.shared.engine;
-        engine.note_redirect(obj, new_home, epoch);
-        if new_home == self.shared.node {
-            engine.home_hint(obj)
-        } else {
-            new_home
-        }
-    }
-
-    /// Flush one diff to its home, following forwarding pointers until the
-    /// current home acknowledges it. `redirections` seeds the hop count (a
-    /// batch entry re-planned after a per-entry redirect starts at 1, so
-    /// the home that finally applies it sees the same negative feedback
-    /// `R_i` as an individually redirected flush).
-    fn flush_plan(&self, plan: FlushPlan, redirections: u32) {
-        let node = self.shared.node;
-        let mut target = plan.target;
-        let mut redirections = redirections;
-        loop {
-            let req = self.shared.new_req();
-            let reply = self.shared.request(
-                target,
-                req,
-                ProtocolMsg::DiffFlush {
-                    req,
-                    obj: plan.obj,
-                    // The plan keeps its diff for a redirected re-send; the
-                    // copy is two memcpys whatever the run count.
-                    diff: plan.diff.clone(),
-                    from: node,
-                    redirections,
-                },
-            );
-            match reply {
-                ProtocolMsg::DiffAck { version, .. } => {
-                    self.shared.engine.complete_flush(plan.obj, version);
-                    break;
-                }
-                ProtocolMsg::DiffRedirect {
-                    new_home, epoch, ..
-                } => {
-                    redirections += 1;
-                    assert!(
-                        redirections <= self.redirect_limit(),
-                        "diff redirection chain for {} did not converge",
-                        plan.obj
-                    );
-                    self.pace_chase(redirections);
-                    target = self.retarget_after_redirect(plan.obj, new_home, epoch);
-                }
-                other => panic!("unexpected reply to diff flush: {other:?}"),
-            }
-        }
-    }
-
-    /// Flush a group of same-home diffs as one `DiffBatch` message and
-    /// resolve the per-entry results of its ack: applied entries complete
-    /// immediately; entries whose home migrated mid-flight come back as
-    /// per-entry redirects and are re-planned individually through the
-    /// usual epoch-guarded [`Self::flush_plan`] chase.
-    fn flush_batch(&self, mut batch: FlushBatch) {
-        let node = self.shared.node;
-        let engine = &self.shared.engine;
-        engine.note_diff_batch(batch.entries.len());
-        let req = self.shared.new_req();
-        let entries: Vec<DiffBatchEntry> = batch
-            .entries
-            .iter()
-            .map(|plan| DiffBatchEntry {
-                obj: plan.obj,
-                diff: plan.diff.clone(),
-            })
-            .collect();
-        let reply = self.shared.request(
-            batch.target,
-            req,
-            ProtocolMsg::DiffBatch {
-                req,
-                entries,
-                from: node,
-            },
-        );
-        let ProtocolMsg::DiffBatchAck { results, .. } = reply else {
-            panic!("unexpected reply to diff batch: {reply:?}");
-        };
-        assert_eq!(
-            results.len(),
-            batch.entries.len(),
-            "diff batch ack must resolve every entry"
-        );
-        for result in results {
-            match result.status {
-                DiffEntryStatus::Applied { version } => {
-                    engine.complete_flush(result.obj, version);
-                }
-                DiffEntryStatus::Redirect { new_home, epoch } => {
-                    let target = self.retarget_after_redirect(result.obj, new_home, epoch);
-                    // Each entry resolves once, so the retained plan (and
-                    // its diff) moves into the individual chase.
-                    let pos = batch
-                        .entries
-                        .iter()
-                        .position(|plan| plan.obj == result.obj)
-                        .expect("ack result matches a batch entry");
-                    let plan = batch.entries.swap_remove(pos);
-                    self.flush_plan(FlushPlan { target, ..plan }, 1);
-                }
-            }
-        }
+        engine.finish_release();
     }
 }

@@ -69,7 +69,7 @@
 //!
 //! A helper rarely parks, so on the threaded fabric a lock release yields
 //! its CPU to runnable peers that may want the lock (on TCP the yield cost
-//! more tail latency than it won; `NodeShared::lock_released`). On several
+//! more tail latency than it won; `NodeShared::release_lock`). On several
 //! CPUs a helper runs steps a second worker could have run beside it:
 //! throughput still rises, but so does tail latency.
 //!
@@ -109,8 +109,9 @@
 //! The sim fabric keeps its own virtual-time scheduler (`crate::sim`) and
 //! never touches this module.
 
-use crate::node::{retry_deferred, serve_envelope, NodeShared, ServeState};
+use crate::node::{retry_deferred, serve_envelope, NodeShared};
 use crate::report::SchedulerReport;
+use dsm_core::step::ServeState;
 use dsm_net::WakeNotifier;
 use dsm_objspace::NodeId;
 use dsm_util::Mutex;
@@ -331,7 +332,7 @@ impl ExecShared {
         self.steps.fetch_add(1, SeqCst);
         let sched = &self.nodes[node];
         let mut serve = sched.serve.lock();
-        let entered_empty = serve.deferred.is_empty();
+        let entered_empty = serve.deferred() == 0;
         let mut handled = 0usize;
         while handled < STEP_BATCH {
             let Some(envelope) = shared.inbox().try_recv() else {
@@ -345,28 +346,24 @@ impl ExecShared {
 
         // Busy re-arm endgame (see the module docs): publish, snapshot the
         // epoch, retry once more, then compare.
-        if serve.deferred.is_empty() {
+        if serve.deferred() == 0 {
             sched.has_deferred.store(false, SeqCst);
         } else {
             sched.has_deferred.store(true, SeqCst);
             let epoch = sched.rearm_epoch.load(SeqCst);
             retry_deferred(shared, &mut serve);
-            if serve.deferred.is_empty() {
+            if serve.deferred() == 0 {
                 sched.has_deferred.store(false, SeqCst);
             } else if sched.rearm_epoch.load(SeqCst) != epoch {
                 self.rearm_requeues.fetch_add(1, SeqCst);
                 requeue = true;
             }
         }
-        debug_assert!(
-            !serve.deferred.is_empty() || serve.partials.is_empty(),
-            "batch partials outlived their deferred entries"
-        );
-        sched.deferred_len.store(serve.deferred.len(), SeqCst);
+        sched.deferred_len.store(serve.deferred(), SeqCst);
 
         // TCP teardown: a step that leaves the node fully drained after
         // shutdown announces the leave (idempotent; see the module docs).
-        if shared.should_shutdown() && serve.deferred.is_empty() && shared.inbox().is_empty() {
+        if shared.should_shutdown() && serve.deferred() == 0 && shared.inbox().is_empty() {
             shared.link_announce_leave();
         }
 

@@ -31,12 +31,16 @@
 //! ## Execution model
 //!
 //! Application code always gets one real OS thread per node — it blocks on
-//! locks, barriers and remote fetches, so it needs one. Server-side
-//! protocol handling does not: a protocol server is a non-blocking message
-//! pump (take an inbound envelope, run its handler, retry deferrals), idle
-//! whenever no message is in flight. Its per-envelope step exists once
-//! (`node::serve_envelope`), and there is exactly one way to drive it per
-//! kind of fabric:
+//! locks, barriers and remote fetches, so it needs one; each such operation
+//! is a `dsm_core::step::ClientOp` that the thread runs request by request.
+//! Server-side protocol handling does not: a protocol server is a
+//! non-blocking message pump (take an inbound envelope, serve it, retry
+//! deferrals), idle whenever no message is in flight. The protocol step is
+//! `dsm_core::step::serve`; the runtime wraps it once, in the per-envelope
+//! step `node::serve_envelope` (clock merge, dedup admission, reply
+//! completion, sends), and a message a node addresses to itself is served
+//! inline on the sending thread. There is exactly one way to drive the
+//! step per kind of fabric:
 //!
 //! * **Threaded and TCP fabrics — the wake-on-send executor.** All nodes'
 //!   servers are multiplexed onto a bounded worker pool

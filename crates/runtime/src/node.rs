@@ -1,16 +1,18 @@
-//! Per-node shared state and the protocol server.
+//! Per-node shared state and the protocol server's per-envelope step.
 //!
 //! Every simulated node pairs an **application thread** — it runs the user
-//! closure through [`crate::NodeCtx`], issues blocking requests
-//! (fault-ins, diff flushes, lock acquires, barrier arrivals) and waits on
-//! the node's reply slot — with a **protocol server**: the message pump
-//! that takes the node's inbound envelopes, dispatches requests to the
-//! protocol engine, sends the produced replies and wakes local waiters. A
-//! server is not a thread: its per-envelope step is `serve_envelope`
-//! below, and it is driven by exactly one of two callers (see the
-//! "Execution model" section of the crate docs) — the wake-on-send
-//! executor in `crate::exec` (workers and waiting application threads) on
-//! the threaded and TCP fabrics, or the virtual-time loop in `crate::sim`.
+//! closure through [`crate::NodeCtx`], runs each blocking operation as a
+//! [`dsm_core::step::ClientOp`] through [`NodeShared::request`] and waits
+//! on the node's reply slot — with a **protocol server**. A server is not
+//! a thread: its step is [`serve_envelope`], driven either by the
+//! wake-on-send executor in `crate::exec` (threaded and TCP fabrics) or by
+//! the virtual-time loop in `crate::sim` (see "Execution model" in the
+//! crate docs). The protocol itself is `dsm-core`'s [`dsm_core::step`];
+//! this module adds the clock merge, the lossy-run dedup admission, reply
+//! completion (with the migration-grant install on arrival), the fault
+//! layer's own messages, `Shutdown` and the actual sends. A message a node
+//! addresses to itself — the sync manager's own lock and barrier traffic —
+//! is served inline on the calling thread ([`NodeShared::post`]).
 //!
 //! Application and server drive the engine directly through `&self` —
 //! there is **no node-global engine mutex**. The [`ProtocolEngine`] is
@@ -23,7 +25,7 @@
 //!
 //! The server **never blocks on object payloads**: when the engine reports
 //! a `Busy` outcome (the application holds a zero-copy view of the copy a
-//! request needs), the message is parked on the node's deferral queue and
+//! request needs), the message is parked in the node's [`ServeState`] and
 //! retried after subsequent messages — plus, under the executor, whenever
 //! the deferral re-arm wakes the node (the application dropping a view
 //! re-notifies it). Replies to the local application are always processed
@@ -35,16 +37,12 @@
 
 use crate::fault::{self, FaultState};
 use crate::vclock::VirtualClock;
-use dsm_core::sync::{BarrierOutcome, LockAcquireOutcome};
-use dsm_core::{
-    DiffBatchResult, DiffEntryStatus, DiffOutcome, ObjectRequestOutcome, ProtocolEngine,
-    ProtocolMsg, ReqId,
-};
+use dsm_core::step::{self, ServeState, SYNC_MANAGER};
+use dsm_core::{ProtocolEngine, ProtocolMsg, ReqId};
 use dsm_model::{ComputeModel, SimDuration, SimTime};
 use dsm_net::{Endpoint, Envelope, Inbox, MsgCategory, SimEndpoint, TcpEndpoint};
-use dsm_objspace::{NodeId, ObjectRegistry};
+use dsm_objspace::{LockId, NodeId, ObjectRegistry};
 use dsm_util::Mutex;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 
@@ -198,9 +196,19 @@ impl NodeShared {
         let _ = self.exec.set(hook);
     }
 
-    /// Yield the CPU after a lock release on the threaded fabric, where a
-    /// helping thread rarely parks, so its runnable peers can ask for the lock.
-    pub(crate) fn lock_released(&self) {
+    /// Hand `lock` back to the [`SYNC_MANAGER`]. Under a lossy fabric a
+    /// release to a remote manager must survive a drop (a lost release
+    /// wedges every later acquirer of the lock), so it carries a fresh id
+    /// and is retransmitted until acknowledged. Elsewhere it is the paper's
+    /// fire-and-forget message (`ReqId(0)`: no ack expected); the manager's
+    /// own is served inline. On the threaded fabric, where a helping thread
+    /// rarely parks, the caller then yields the CPU so its runnable peers
+    /// can ask for the lock.
+    pub(crate) fn release_lock(&self, lock: LockId) {
+        let tracked = self.fault.is_some() && SYNC_MANAGER != self.node;
+        let req = if tracked { self.new_req() } else { ReqId(0) };
+        let holder = self.node;
+        self.post(SYNC_MANAGER, ProtocolMsg::LockRelease { lock, holder, req });
         if matches!(self.link, NodeLink::Threaded(_)) {
             std::thread::yield_now();
         }
@@ -269,13 +277,6 @@ impl NodeShared {
         }
     }
 
-    /// Deliver a reply to a locally blocked request (no network involved,
-    /// e.g. the manager node granting its own lock request).
-    pub(crate) fn deliver_local(&self, req: ReqId, msg: ProtocolMsg) {
-        let arrival = self.clock.now();
-        self.complete(req, msg, arrival);
-    }
-
     /// Complete the outstanding request with a reply that arrived at
     /// `arrival`. A reply to any other request lands on the floor: under a
     /// lossy fabric a request can be answered twice (a retransmission raced
@@ -304,17 +305,7 @@ impl NodeShared {
                 return;
             }
         }
-        if let ProtocolMsg::ObjectReply {
-            obj,
-            data,
-            version,
-            migration,
-            ..
-        } = &mut msg
-        {
-            self.engine
-                .install_object(*obj, std::mem::take(data), *version, migration.take());
-        }
+        step::install_reply(&self.engine, &mut msg);
         // The install ran outside the leaf slot lock. Only an abort can have
         // moved the slot meanwhile: a second reply to `req` exists only under
         // the fault layer, whose completions all run on the sim scheduler.
@@ -347,18 +338,44 @@ impl NodeShared {
         self.link.send(dst, category, bytes, now, msg);
     }
 
-    /// Send a one-way message that must survive loss: tracked for
-    /// retransmission until the matching acknowledgement clears it. Falls
-    /// back to a plain send on lossless fabrics.
-    pub(crate) fn send_tracked(&self, dst: NodeId, req: ReqId, msg: ProtocolMsg) {
-        if let Some(fault) = &self.fault {
-            fault.track(req, dst, msg.clone());
+    /// Send one message a served request produced. A lock grant or barrier
+    /// release for this node's own application never travels: the sync
+    /// manager answering its own node completes the waiting request here,
+    /// at the node's current time.
+    fn emit(&self, dst: NodeId, msg: ProtocolMsg) {
+        match msg {
+            ProtocolMsg::LockGrant { req, .. } | ProtocolMsg::BarrierRelease { req, .. }
+                if dst == self.node =>
+            {
+                self.complete(req, msg, self.clock.now());
+            }
+            msg => self.send(dst, msg),
         }
-        self.send(dst, msg);
     }
 
-    /// Send the registered request through `issue` (or answer it on this
-    /// thread), then wait for the reply and return it; on the executor
+    /// Send a message this node originates. Under a lossy fabric a request
+    /// (anything with a [`ProtocolMsg::dedup_req`] id) is tracked for
+    /// retransmission until its reply or ack clears it. A message to this
+    /// node itself is served inline, on the calling thread: it touches no
+    /// fabric, no fault-layer tracking or dedup, and charges no handling
+    /// cost. Only the sync manager's own lock and barrier traffic takes
+    /// that path, and it never defers.
+    pub(crate) fn post(&self, dst: NodeId, msg: ProtocolMsg) {
+        if dst != self.node {
+            if let (Some(fault), Some(req)) = (&self.fault, msg.dedup_req()) {
+                fault.track(req, dst, msg.clone());
+            }
+            return self.send(dst, msg);
+        }
+        let mut serve = ServeState::default();
+        step::serve(&self.engine, &mut serve, self.node, msg, &mut |dst, msg| {
+            self.emit(dst, msg)
+        });
+        debug_assert_eq!(serve.deferred(), 0, "a request to the node itself deferred");
+    }
+
+    /// Send the registered request through `issue` (which may answer it on
+    /// this thread), then wait for the reply and return it; on the executor
     /// fabrics the thread helps meanwhile (see "Helping" in `crate::exec`).
     ///
     /// A reply already in the slot is taken without parking. On the sim it
@@ -406,7 +423,8 @@ impl NodeShared {
         }
     }
 
-    /// Issue a blocking request: send `msg` to `dst`, wait until the reply
+    /// Issue a blocking request: post `msg` to `dst` ([`Self::post`]: a
+    /// request to this node itself is served inline), wait until the reply
     /// arrives ([`Self::wait_reply`]), merge the reply's arrival time into
     /// the local clock and return the reply message.
     pub(crate) fn request(&self, dst: NodeId, req: ReqId, msg: ProtocolMsg) -> ProtocolMsg {
@@ -414,10 +432,7 @@ impl NodeShared {
             eprintln!("[{}] request -> {} {:?}", self.node, dst, msg);
         }
         self.register_pending(req);
-        if let Some(fault) = &self.fault {
-            fault.track(req, dst, msg.clone());
-        }
-        let reply = self.wait_reply(|| self.send(dst, msg));
+        let reply = self.wait_reply(|| self.post(dst, msg));
         self.clock.merge(reply.arrival);
         reply.msg
     }
@@ -485,28 +500,14 @@ impl NodeShared {
     }
 }
 
-/// Server-local bookkeeping for partially processed diff batches: results
-/// of the entries already resolved, keyed by the batch's request id, while
-/// the still-busy entries wait on the deferral queue. Purely receiver-side
-/// state — it never crosses the wire.
-pub(crate) type BatchPartials = HashMap<ReqId, Vec<DiffBatchResult>>;
-
-/// One node's serve-side state: the Busy-deferral queue (messages whose
-/// payload store was leased to an application view when they arrived) and
-/// the partially resolved diff batches. Owned by whoever drives the node's
-/// protocol server — an executor slot or the sim loop.
-#[derive(Default)]
-pub(crate) struct ServeState {
-    pub deferred: VecDeque<(NodeId, ProtocolMsg)>,
-    pub partials: BatchPartials,
-}
-
 /// Serve one inbound envelope — the single per-envelope step of a protocol
-/// server, shared by the executor's handler steps and the sim loop. Replies
-/// complete the pending request they answer; requests pass the lossy-run
-/// dedup admission and are handed to [`handle_request`], landing on the
-/// deferral queue when the engine reports `Busy`. Retrying the deferral
-/// queue is the caller's job ([`retry_deferred`]).
+/// server, shared by the executor's handler steps and the sim loop. It
+/// charges the handling cost to the node's clock, completes the pending
+/// request a reply answers, hands the fault layer its acknowledgements and
+/// election answers, and passes every other request through the lossy-run
+/// dedup admission to [`step::serve`], whose sends go out through
+/// [`NodeShared::emit`]. Retrying the deferral queue is the caller's job
+/// ([`retry_deferred`]).
 pub(crate) fn serve_envelope(
     shared: &Arc<NodeShared>,
     envelope: Envelope<ProtocolMsg>,
@@ -528,360 +529,42 @@ pub(crate) fn serve_envelope(
         payload: msg,
         ..
     } = envelope;
-    if msg.is_reply() {
-        let req = msg.reply_req().expect("reply carries request id");
-        shared.complete(req, msg, arrival);
-    } else if !fault::admit_request(shared, &msg) {
-        // Duplicate of an already-seen request: absorbed, or answered from
-        // the reply cache by `admit_request`.
-    } else if let Some(busy) = handle_request(shared, src, msg, &mut serve.partials) {
-        serve.deferred.push_back((src, busy));
+    if let Some(req) = msg.reply_req() {
+        return shared.complete(req, msg, arrival);
     }
-}
-
-/// Give every deferred message one more chance, preserving arrival order
-/// among the still-busy ones.
-pub(crate) fn retry_deferred(shared: &Arc<NodeShared>, serve: &mut ServeState) {
-    for _ in 0..serve.deferred.len() {
-        let (src, msg) = serve.deferred.pop_front().expect("length checked by loop");
-        if let Some(busy) = handle_request(shared, src, msg, &mut serve.partials) {
-            serve.deferred.push_back((src, busy));
-        }
-    }
-}
-
-/// Dispatch one incoming (non-reply) protocol message. Returns the message
-/// back when the engine reported a busy payload store — for a `DiffBatch`,
-/// a residual batch holding only the still-busy entries — so the caller can
-/// defer and retry it.
-fn handle_request(
-    shared: &Arc<NodeShared>,
-    src: NodeId,
-    msg: ProtocolMsg,
-    partials: &mut BatchPartials,
-) -> Option<ProtocolMsg> {
-    // Batches are taken by value: their entries are consumed one at a time
-    // and only the busy remainder is re-queued.
-    let msg = match msg {
-        ProtocolMsg::DiffBatch { req, entries, from } => {
-            return handle_diff_batch(shared, req, entries, from, partials)
-        }
-        other => other,
-    };
-    match &msg {
-        ProtocolMsg::ObjectRequest {
-            req,
-            obj,
-            requester,
-            for_write,
-            redirections,
-        } => {
-            let (req, obj, requester) = (*req, *obj, *requester);
-            let outcome =
-                shared
-                    .engine
-                    .handle_object_request(obj, requester, *for_write, *redirections);
-            match outcome {
-                ObjectRequestOutcome::Busy => return Some(msg),
-                ObjectRequestOutcome::Reply {
-                    data,
-                    version,
-                    migration,
-                    notify,
-                } => {
-                    // New-home notifications (broadcast / manager mechanisms)
-                    // are sent before the reply so their virtual send time is
-                    // the migration instant.
-                    let epoch = migration.as_ref().map_or(0, |grant| grant.epoch());
-                    for target in notify {
-                        shared.send(
-                            target,
-                            ProtocolMsg::HomeNotify {
-                                obj,
-                                new_home: requester,
-                                epoch,
-                            },
-                        );
-                    }
-                    shared.send(
-                        requester,
-                        ProtocolMsg::ObjectReply {
-                            req,
-                            obj,
-                            data,
-                            version,
-                            migration,
-                        },
-                    );
-                }
-                ObjectRequestOutcome::Redirect { hint, epoch } => {
-                    shared.send(
-                        requester,
-                        ProtocolMsg::ObjectRedirect {
-                            req,
-                            obj,
-                            new_home: hint,
-                            epoch,
-                        },
-                    );
-                }
-            }
-        }
-        ProtocolMsg::DiffFlush {
-            req,
-            obj,
-            diff,
-            from,
-            redirections,
-        } => {
-            let (req, obj, from) = (*req, *obj, *from);
-            let outcome = shared.engine.handle_diff(obj, diff, from, *redirections);
-            match outcome {
-                DiffOutcome::Busy => return Some(msg),
-                DiffOutcome::Applied { new_version } => {
-                    shared.send(
-                        from,
-                        ProtocolMsg::DiffAck {
-                            req,
-                            obj,
-                            version: new_version,
-                        },
-                    );
-                }
-                DiffOutcome::Redirect { hint, epoch } => {
-                    shared.send(
-                        from,
-                        ProtocolMsg::DiffRedirect {
-                            req,
-                            obj,
-                            new_home: hint,
-                            epoch,
-                        },
-                    );
-                }
-            }
-        }
-        ProtocolMsg::LockAcquire {
-            req,
-            lock,
-            requester,
-        } => {
-            let outcome = shared.engine.lock_acquire(*lock, *requester, *req);
-            if outcome == LockAcquireOutcome::Granted {
-                shared.send(
-                    *requester,
-                    ProtocolMsg::LockGrant {
-                        req: *req,
-                        lock: *lock,
-                    },
-                );
-            }
-            // Queued: the grant is sent when the current holder releases.
-        }
-        ProtocolMsg::LockRelease { lock, holder, req } => {
-            let outcome = shared.engine.lock_release(*lock, *holder);
-            if let Some((next, grant_req)) = outcome.grant_next {
-                dispatch_lock_grant(shared, *lock, next, grant_req);
-            }
-            // `ReqId(0)` marks the legacy fire-and-forget release of
-            // lossless fabrics; a tracked release wants its ack.
-            if req.0 != 0 {
-                shared.send(
-                    *holder,
-                    ProtocolMsg::LockReleaseAck {
-                        req: *req,
-                        lock: *lock,
-                    },
-                );
-            }
-        }
-        ProtocolMsg::LockReleaseAck { req, .. } => {
-            fault::handle_ack(shared, *req);
-        }
-        ProtocolMsg::BarrierArrive {
-            req,
-            barrier,
-            node,
-            epoch,
-        } => {
-            let outcome = shared.engine.barrier_arrive(*barrier, *node, *req);
-            if let BarrierOutcome::Complete {
-                waiters,
-                epoch: done,
-            } = outcome
-            {
-                debug_assert_eq!(done, *epoch, "barrier epoch mismatch");
-                dispatch_barrier_release(shared, *barrier, done, waiters);
-            }
-        }
-        ProtocolMsg::HomeNotify {
-            obj,
-            new_home,
-            epoch,
-        } => {
-            shared.engine.handle_home_notify(*obj, *new_home, *epoch);
-        }
-        ProtocolMsg::HomeLookup { req, obj } => {
-            let home = shared.engine.handle_home_lookup(*obj);
-            shared.send(
-                src,
-                ProtocolMsg::HomeLookupReply {
-                    req: *req,
-                    obj: *obj,
-                    home,
-                },
-            );
-        }
-        ProtocolMsg::HomeElect {
-            req,
-            obj,
-            suspect,
-            candidate,
-            epoch,
-            has_copy,
-        } => {
-            let (home, epoch) = shared
-                .engine
-                .handle_home_elect(*obj, *suspect, *candidate, *epoch, *has_copy);
-            shared.send(
-                src,
-                ProtocolMsg::HomeElectReply {
-                    req: *req,
-                    obj: *obj,
-                    home,
-                    epoch,
-                },
-            );
+    match msg {
+        ProtocolMsg::LockReleaseAck { req, .. } | ProtocolMsg::HomeFenceAck { req, .. } => {
+            fault::handle_ack(shared, req);
         }
         ProtocolMsg::HomeElectReply {
             req,
             obj,
             home,
             epoch,
-        } => {
-            fault::handle_elect_reply(shared, *req, *obj, *home, *epoch);
+        } => fault::handle_elect_reply(shared, req, obj, home, epoch),
+        ProtocolMsg::Shutdown => shared.request_shutdown(),
+        // A duplicate of an already-seen request is absorbed, or answered
+        // from the reply cache, by `admit_request`.
+        msg => {
+            if fault::admit_request(shared, &msg) {
+                step::serve(&shared.engine, serve, src, msg, &mut |dst, msg| {
+                    shared.emit(dst, msg)
+                });
+            }
         }
-        ProtocolMsg::HomeFence {
-            req,
-            obj,
-            new_home,
-            epoch,
-        } => {
-            shared.engine.handle_home_notify(*obj, *new_home, *epoch);
-            shared.send(
-                src,
-                ProtocolMsg::HomeFenceAck {
-                    req: *req,
-                    obj: *obj,
-                },
-            );
-        }
-        ProtocolMsg::HomeFenceAck { req, .. } => {
-            fault::handle_ack(shared, *req);
-        }
-        ProtocolMsg::Shutdown => {
-            shared.request_shutdown();
-        }
-        other => panic!("server received unexpected message {other:?}"),
-    }
-    None
-}
-
-/// Serve one `DiffBatch`: resolve every entry independently under the
-/// engine's shard locks (exactly as k individual `DiffFlush` messages
-/// would, preserving the deferral scheme's deadlock-freedom argument), and
-/// answer with a single `DiffBatchAck` once no entry is pending.
-///
-/// * `Applied` / `Redirect` outcomes become per-entry results in the ack —
-///   a redirect means the entry's home migrated mid-flight and the flusher
-///   re-plans that entry individually.
-/// * `Busy` entries (payload leased to a live application view) are
-///   returned as a residual batch for the caller's deferral queue, with the
-///   already-resolved results parked in `partials`; the server never blocks.
-fn handle_diff_batch(
-    shared: &Arc<NodeShared>,
-    req: ReqId,
-    entries: Vec<dsm_core::DiffBatchEntry>,
-    from: NodeId,
-    partials: &mut BatchPartials,
-) -> Option<ProtocolMsg> {
-    let mut results = partials.remove(&req).unwrap_or_default();
-    let mut still_busy = Vec::new();
-    for entry in entries {
-        // Entries arrive with zero redirection hops of their own: the batch
-        // was addressed directly to the believed home.
-        match shared.engine.handle_diff(entry.obj, &entry.diff, from, 0) {
-            DiffOutcome::Applied { new_version } => results.push(DiffBatchResult {
-                obj: entry.obj,
-                status: DiffEntryStatus::Applied {
-                    version: new_version,
-                },
-            }),
-            DiffOutcome::Redirect { hint, epoch } => results.push(DiffBatchResult {
-                obj: entry.obj,
-                status: DiffEntryStatus::Redirect {
-                    new_home: hint,
-                    epoch,
-                },
-            }),
-            DiffOutcome::Busy => still_busy.push(entry),
-        }
-    }
-    if still_busy.is_empty() {
-        shared.send(from, ProtocolMsg::DiffBatchAck { req, results });
-        None
-    } else {
-        partials.insert(req, results);
-        Some(ProtocolMsg::DiffBatch {
-            req,
-            entries: still_busy,
-            from,
-        })
     }
 }
 
-/// Send (or locally deliver) a lock grant to the next holder.
-pub(crate) fn dispatch_lock_grant(
-    shared: &Arc<NodeShared>,
-    lock: dsm_objspace::LockId,
-    next: NodeId,
-    req: ReqId,
-) {
-    let grant = ProtocolMsg::LockGrant { req, lock };
-    if next == shared.node {
-        shared.deliver_local(req, grant);
-    } else {
-        shared.send(next, grant);
-    }
-}
-
-/// Send (or locally deliver) barrier releases to every waiter of a completed
-/// phase.
-pub(crate) fn dispatch_barrier_release(
-    shared: &Arc<NodeShared>,
-    barrier: dsm_objspace::BarrierId,
-    epoch: u64,
-    waiters: Vec<(NodeId, ReqId)>,
-) {
-    for (node, req) in waiters {
-        let release = ProtocolMsg::BarrierRelease {
-            req,
-            barrier,
-            epoch,
-        };
-        if node == shared.node {
-            shared.deliver_local(req, release);
-        } else {
-            shared.send(node, release);
-        }
-    }
+/// Give every deferred request one more chance (see [`ServeState::retry`]).
+pub(crate) fn retry_deferred(shared: &Arc<NodeShared>, serve: &mut ServeState) {
+    serve.retry(&shared.engine, &mut |dst, msg| shared.emit(dst, msg));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultConfig;
-    use dsm_core::ProtocolConfig;
+    use dsm_core::{ObjectRequestOutcome, ProtocolConfig};
     use dsm_model::NetworkParams;
     use dsm_net::{Fabric, SimConfig, SimFabric, SimStep, StatsCollector};
     use dsm_objspace::{LockId, ObjectId};

@@ -31,48 +31,18 @@
 
 use crate::cluster::FirstPanic;
 use crate::fault;
-use crate::node::{self, NodeShared, ServeState};
+use crate::node::{self, NodeShared};
+use dsm_core::step::ServeState;
 use dsm_core::ProtocolMsg;
 use dsm_model::{SimDuration, SimTime};
 use dsm_net::{DropReason, SimFabric, SimStep};
 use std::sync::Arc;
 
-/// Every node's serve-side state, in node order, owned by the scheduler.
-struct NodeQueues {
-    nodes: Vec<ServeState>,
-}
-
-impl NodeQueues {
-    fn new(nodes: usize) -> Self {
-        NodeQueues {
-            nodes: (0..nodes).map(|_| ServeState::default()).collect(),
-        }
-    }
-
-    /// Deferred work still parked, counting batch residuals per entry so
-    /// partial batch progress is visible to the stall detector.
-    fn load(&self) -> usize {
-        self.nodes
-            .iter()
-            .flat_map(|serve| &serve.deferred)
-            .map(|(_, msg)| match msg {
-                ProtocolMsg::DiffBatch { entries, .. } => entries.len(),
-                _ => 1,
-            })
-            .sum()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.nodes.iter().all(|serve| serve.deferred.is_empty())
-    }
-
-    /// Deferral-queue lengths per node (teardown diagnostics).
-    fn deferred_lens(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .map(|serve| serve.deferred.len())
-            .collect()
-    }
+/// Deferred work still parked across the nodes' serve states, counting
+/// batch residuals per entry so partial batch progress is visible to the
+/// stall detector.
+fn load(queues: &[ServeState]) -> usize {
+    queues.iter().map(ServeState::deferred_entries).sum()
 }
 
 /// The lossy-run retry timer, fired on **virtual time** rather than only
@@ -148,7 +118,8 @@ pub(crate) fn sim_server_loop(
     fabric: &SimFabric<ProtocolMsg>,
     first_panic: &FirstPanic,
 ) {
-    let mut queues = NodeQueues::new(shareds.len());
+    // Every node's serve-side state, in node order.
+    let mut queues: Vec<ServeState> = shareds.iter().map(|_| ServeState::default()).collect();
     let mut timer = RetryTimer::arm(shareds);
     loop {
         if let Some(timer) = timer.as_mut() {
@@ -159,12 +130,12 @@ pub(crate) fn sim_server_loop(
         match fabric.next_step() {
             SimStep::Deliver(envelope) => {
                 let dst = envelope.dst.index();
-                node::serve_envelope(&shareds[dst], envelope, &mut queues.nodes[dst]);
+                node::serve_envelope(&shareds[dst], envelope, &mut queues[dst]);
                 retry_all(shareds, &mut queues);
                 release_replies(shareds, fabric);
             }
             SimStep::Drained => {
-                if queues.is_empty() {
+                if load(&queues) == 0 {
                     break;
                 }
                 if !make_progress(shareds, fabric, &mut queues) {
@@ -195,8 +166,8 @@ pub(crate) fn sim_server_loop(
 
 /// One deterministic retry pass over every node's deferral queue (node
 /// order, arrival order within a node).
-fn retry_all(shareds: &[Arc<NodeShared>], queues: &mut NodeQueues) {
-    for (shared, serve) in shareds.iter().zip(&mut queues.nodes) {
+fn retry_all(shareds: &[Arc<NodeShared>], queues: &mut [ServeState]) {
+    for (shared, serve) in shareds.iter().zip(queues) {
         node::retry_deferred(shared, serve);
     }
 }
@@ -218,13 +189,13 @@ fn release_replies(shareds: &[Arc<NodeShared>], fabric: &SimFabric<ProtocolMsg>)
 fn make_progress(
     shareds: &[Arc<NodeShared>],
     fabric: &SimFabric<ProtocolMsg>,
-    queues: &mut NodeQueues,
+    queues: &mut [ServeState],
 ) -> bool {
-    let load_before = queues.load();
+    let load_before = load(queues);
     let sent_before = fabric.sent_count();
     retry_all(shareds, queues);
     let woken = release_replies(shareds, fabric);
-    queues.load() < load_before || fabric.sent_count() > sent_before || woken > 0
+    load(queues) < load_before || fabric.sent_count() > sent_before || woken > 0
 }
 
 /// Wake every application thread still parked on a reply that will never
@@ -244,14 +215,14 @@ fn teardown_or_panic(
     shareds: &[Arc<NodeShared>],
     first_panic: &FirstPanic,
     fabric: &SimFabric<ProtocolMsg>,
-    queues: &NodeQueues,
+    queues: &[ServeState],
     state: &str,
 ) {
     if first_panic.is_set() {
         return;
     }
     let (sent, delivered, dropped, queued) = fabric.counters();
-    let deferred = queues.deferred_lens();
+    let deferred: Vec<usize> = queues.iter().map(ServeState::deferred).collect();
     // Distinguish "the fault injection ate something the protocol could not
     // recover from" from a genuine protocol/application deadlock: list what
     // was dropped (and where) so the failing seed is attributable.

@@ -59,8 +59,8 @@ const TAG_LOCK_RELEASE: u8 = 10;
 const TAG_BARRIER_ARRIVE: u8 = 11;
 const TAG_BARRIER_RELEASE: u8 = 12;
 const TAG_HOME_NOTIFY: u8 = 13;
-const TAG_HOME_LOOKUP: u8 = 14;
-const TAG_HOME_LOOKUP_REPLY: u8 = 15;
+// Tags 14 and 15 were a home-manager lookup and its reply, which no build
+// ever sent; they stay reserved and decode as unknown.
 const TAG_SHUTDOWN: u8 = 16;
 const TAG_LOCK_RELEASE_ACK: u8 = 17;
 const TAG_HOME_ELECT: u8 = 18;
@@ -370,17 +370,6 @@ impl WireCodec<ProtocolMsg> for ProtocolCodec {
                 put_node(w, *new_home);
                 w.u32(*epoch);
             }
-            ProtocolMsg::HomeLookup { req, obj } => {
-                w.u8(TAG_HOME_LOOKUP);
-                w.u64(req.0);
-                w.u64(obj.0);
-            }
-            ProtocolMsg::HomeLookupReply { req, obj, home } => {
-                w.u8(TAG_HOME_LOOKUP_REPLY);
-                w.u64(req.0);
-                w.u64(obj.0);
-                put_node(w, *home);
-            }
             ProtocolMsg::HomeElect {
                 req,
                 obj,
@@ -543,15 +532,6 @@ impl WireCodec<ProtocolMsg> for ProtocolCodec {
                 obj: ObjectId(r.u64()?),
                 new_home: get_node(r)?,
                 epoch: r.u32()?,
-            }),
-            TAG_HOME_LOOKUP => Ok(ProtocolMsg::HomeLookup {
-                req: ReqId(r.u64()?),
-                obj: ObjectId(r.u64()?),
-            }),
-            TAG_HOME_LOOKUP_REPLY => Ok(ProtocolMsg::HomeLookupReply {
-                req: ReqId(r.u64()?),
-                obj: ObjectId(r.u64()?),
-                home: get_node(r)?,
             }),
             TAG_HOME_ELECT => Ok(ProtocolMsg::HomeElect {
                 req: ReqId(r.u64()?),
@@ -741,15 +721,6 @@ mod tests {
                 new_home: NodeId(0),
                 epoch: 8,
             },
-            ProtocolMsg::HomeLookup {
-                req: ReqId(14),
-                obj: ObjectId(110),
-            },
-            ProtocolMsg::HomeLookupReply {
-                req: ReqId(15),
-                obj: ObjectId(111),
-                home: NodeId(1),
-            },
             ProtocolMsg::HomeElect {
                 req: ReqId(17),
                 obj: ObjectId(112),
@@ -795,7 +766,7 @@ mod tests {
         let variants = every_variant();
         assert_eq!(
             variants.len(),
-            24,
+            22,
             "one instance per variant plus the grant and legacy-release cases"
         );
         for (i, msg) in variants.into_iter().enumerate() {
@@ -843,6 +814,27 @@ mod tests {
                 code: 200
             })
         ));
+        // The retired lookup tags, followed by what their bodies were
+        // (request id, object id, node).
+        for code in [14u8, 15] {
+            let mut w = WireWriter::new();
+            w.u8(code);
+            w.u64(1);
+            w.u64(2);
+            w.u16(3);
+            let bytes = w.into_vec();
+            let mut r = WireReader::new(&bytes);
+            assert!(
+                matches!(
+                    ProtocolCodec::decode(&mut r),
+                    Err(WireError::UnknownTag {
+                        context: "protocol message",
+                        code: c
+                    }) if c == code
+                ),
+                "tag {code} must stay retired"
+            );
+        }
         // A corrupt migration-present flag.
         let mut w = WireWriter::new();
         w.u8(TAG_OBJECT_REPLY);

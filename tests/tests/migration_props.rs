@@ -1,10 +1,13 @@
 //! Property-style invariant tests for concurrent home migration.
 //!
 //! These drive the protocol engines at the message level (no threads) with
-//! randomized, seed-replayable op sequences, and — unlike the sequential
-//! suites — deliberately model the *migration-grant window*: the interval
-//! between the old home granting a migration and the new home installing
-//! it, during which other nodes' requests race the in-flight grant. Every
+//! randomized, seed-replayable op sequences, through the same steps the
+//! runtime runs (`dsm_core::step`: the fault-in and flush chases, `serve`
+//! at every target), and — unlike the sequential suites — deliberately
+//! model the *migration-grant window*: the interval between the old home
+//! granting a migration and the new home installing it, during which other
+//! nodes' requests race the in-flight grant. The harness models it by
+//! holding the `ObjectReply` that carries the grant undelivered. Every
 //! interleaving decision comes from a `dsm-util` `SmallRng` stream, so a
 //! failing case is shrunk by replaying its printed seed and case index.
 //!
@@ -18,9 +21,8 @@
 //! * **last write wins**: after every completed interval the (unique) home
 //!   copy holds the last value committed to the object.
 
-use dsm_core::{
-    AccessPlan, DiffOutcome, MigrationGrant, ObjectRequestOutcome, ProtocolConfig, ProtocolEngine,
-};
+use dsm_core::step::{self, ClientOp, ServeState};
+use dsm_core::{AccessPlan, ProtocolConfig, ProtocolEngine, ProtocolMsg, ReqId};
 use dsm_objspace::{HomeAssignment, NodeId, ObjectId, ObjectRegistry};
 use dsm_util::SmallRng;
 use std::collections::HashMap;
@@ -59,14 +61,17 @@ fn engines(config: ProtocolConfig) -> Vec<ProtocolEngine> {
 struct Harness {
     engines: Vec<ProtocolEngine>,
     /// A migration grant that has left the old home but is not yet
-    /// installed at its grantee: (grantee, payload, version, grant).
-    in_flight: HashMap<ObjectId, (usize, Vec<u8>, dsm_objspace::Version, MigrationGrant)>,
+    /// installed at its grantee: the grantee and the undelivered
+    /// `ObjectReply` that carries the grant.
+    in_flight: HashMap<ObjectId, (usize, ProtocolMsg)>,
     /// Highest epoch ever installed per object (strict growth check).
     last_installed_epoch: HashMap<ObjectId, u32>,
     /// Last value committed per object (last-write-wins check).
     committed: HashMap<ObjectId, u8>,
     /// Previous believed epoch per (node, object) (monotonicity check).
     believed: Vec<HashMap<ObjectId, u32>>,
+    /// The last request id handed out.
+    last_req: u64,
     label: String,
 }
 
@@ -78,14 +83,22 @@ impl Harness {
             last_installed_epoch: HashMap::new(),
             committed: HashMap::new(),
             believed: (0..NODES).map(|_| HashMap::new()).collect(),
+            last_req: 0,
             label,
         }
     }
 
-    /// Install a pending grant at its grantee (the racing "other thread"
-    /// finishing its fault-in).
+    /// Deliver a held grant to its grantee (the racing "other thread"
+    /// finishing its fault-in): the reply completes, installing the home.
     fn install_in_flight(&mut self, obj: ObjectId) {
-        if let Some((grantee, data, version, grant)) = self.in_flight.remove(&obj) {
+        if let Some((grantee, mut reply)) = self.in_flight.remove(&obj) {
+            let ProtocolMsg::ObjectReply {
+                migration: Some(grant),
+                ..
+            } = &reply
+            else {
+                unreachable!("only grant replies are held");
+            };
             let epoch = grant.epoch();
             let previous = self.last_installed_epoch.get(&obj).copied().unwrap_or(0);
             assert!(
@@ -94,80 +107,93 @@ impl Harness {
                 self.label
             );
             self.last_installed_epoch.insert(obj, epoch);
-            self.engines[grantee].install_object(obj, data, version, Some(grant));
+            step::install_reply(&self.engines[grantee], &mut reply);
         }
     }
 
-    /// Route one fault-in of `obj` by `node`, following redirects. When the
-    /// chase lands on a node holding an in-flight grant, the grant installs
-    /// first (real time passing for the racing requester). Returns whether
-    /// a migration was granted to `node`.
-    fn fault_in(&mut self, node: usize, obj: ObjectId, for_write: bool) -> bool {
-        let mut target = self.engines[node].home_hint(obj);
-        let mut hops = 0u32;
+    /// Run `op` for `node` to completion: each request is served at its
+    /// target by the production [`step::serve`], and each reply completes
+    /// at `node` as it does in the runtime. When a request lands on a node
+    /// holding an in-flight grant for `obj`, the grant installs first (real
+    /// time passing for the racing requester). A reply carrying a grant to
+    /// `node` is held undelivered instead; returns whether that happened.
+    fn drive(&mut self, node: usize, obj: ObjectId, mut op: ClientOp) -> bool {
         loop {
-            if target.index() == node {
-                // Our own belief points at ourselves but we are not home:
-                // only possible while our grant is still in flight.
-                self.install_in_flight(obj);
-                assert!(
-                    self.engines[node].is_home(obj),
-                    "{}: self-belief without home or in-flight grant for {obj}",
-                    self.label
-                );
-                return false;
-            }
-            // A requester chasing a pointer onto a node whose grant is
-            // still in flight: let the grantee finish installing, exactly
-            // like the racing server thread would.
+            self.last_req += 1;
+            let (target, request) = op.request(&self.engines[node], ReqId(self.last_req));
             if self
                 .in_flight
                 .get(&obj)
-                .is_some_and(|(grantee, ..)| *grantee == target.index())
+                .is_some_and(|(grantee, _)| *grantee == target.index())
             {
                 self.install_in_flight(obj);
             }
-            let requester = NodeId::from(node);
-            match self.engines[target.index()]
-                .handle_object_request(obj, requester, for_write, hops)
-            {
-                ObjectRequestOutcome::Reply {
-                    data,
-                    version,
-                    migration: Some(grant),
+            let mut sent = Vec::new();
+            let mut serve = ServeState::default();
+            step::serve(
+                &self.engines[target.index()],
+                &mut serve,
+                NodeId::from(node),
+                request,
+                &mut |_, msg| sent.push(msg),
+            );
+            assert_eq!(
+                serve.deferred(),
+                0,
+                "{}: no views live in message-level test",
+                self.label
+            );
+            let mut reply = sent
+                .into_iter()
+                .find(ProtocolMsg::is_reply)
+                .expect("a served request is answered");
+            if matches!(
+                reply,
+                ProtocolMsg::ObjectReply {
+                    migration: Some(_),
                     ..
-                } => {
-                    // Old home gave the home up; the grant is in flight
-                    // until the harness decides to install it.
-                    self.in_flight.insert(obj, (node, data, version, grant));
-                    return true;
                 }
-                ObjectRequestOutcome::Reply {
-                    data,
-                    version,
-                    migration: None,
-                    ..
-                } => {
-                    self.engines[node].install_object(obj, data, version, None);
-                    return false;
-                }
-                ObjectRequestOutcome::Redirect { hint, epoch } => {
-                    self.engines[node].note_redirect(obj, hint, epoch);
-                    hops += 1;
-                    assert!(
-                        hops <= (NODES as u32) * 2 + 4,
-                        "{}: redirect chain for {obj} did not converge",
-                        self.label
-                    );
-                    target = if hint.index() == node {
-                        self.engines[node].home_hint(obj)
-                    } else {
-                        hint
-                    };
-                }
-                other => panic!("{}: unexpected outcome {other:?}", self.label),
+            ) {
+                // Old home gave the home up; the grant is in flight until
+                // the harness decides to deliver it.
+                self.in_flight.insert(obj, (node, reply));
+                return true;
             }
+            step::install_reply(&self.engines[node], &mut reply);
+            if op.on_reply(&self.engines[node], reply) {
+                return false;
+            }
+            assert!(
+                op.redirections() <= (NODES as u32) * 2 + 4,
+                "{}: {op} did not converge",
+                self.label
+            );
         }
+    }
+
+    /// Route one fault-in of `obj` by `node` through the production chase.
+    /// Returns whether a migration was granted to `node`.
+    fn fault_in(&mut self, node: usize, obj: ObjectId, for_write: bool) -> bool {
+        let target = self.engines[node].home_hint(obj);
+        if target.index() == node {
+            // Our own belief points at ourselves but we are not home: only
+            // possible while our grant is still in flight.
+            self.install_in_flight(obj);
+            assert!(
+                self.engines[node].is_home(obj),
+                "{}: self-belief without home or in-flight grant for {obj}",
+                self.label
+            );
+            return false;
+        }
+        let op = ClientOp::FaultIn {
+            obj,
+            for_write,
+            target,
+            redirections: 0,
+            redirect: None,
+        };
+        self.drive(node, obj, op)
     }
 
     /// One full write interval of `node` on `obj`, with the grant window
@@ -201,42 +227,13 @@ impl Harness {
         self.engines[node].with_object_mut(obj, |d| d.bytes_mut()[0] = value);
         let plans = self.engines[node].prepare_release();
         for plan in plans {
-            let mut target = plan.target;
-            let mut hops = 0u32;
-            loop {
-                if self
-                    .in_flight
-                    .get(&plan.obj)
-                    .is_some_and(|(grantee, ..)| *grantee == target.index())
-                {
-                    self.install_in_flight(plan.obj);
-                }
-                let from = self.engines[node].node();
-                match self.engines[target.index()].handle_diff(plan.obj, &plan.diff, from, hops) {
-                    DiffOutcome::Applied { new_version } => {
-                        self.engines[node].complete_flush(plan.obj, new_version);
-                        break;
-                    }
-                    DiffOutcome::Redirect { hint, epoch } => {
-                        self.engines[node].note_redirect(plan.obj, hint, epoch);
-                        hops += 1;
-                        assert!(
-                            hops <= (NODES as u32) * 2 + 4,
-                            "{}: diff redirect chain for {} did not converge",
-                            self.label,
-                            plan.obj
-                        );
-                        target = if hint.index() == node {
-                            self.engines[node].home_hint(plan.obj)
-                        } else {
-                            hint
-                        };
-                    }
-                    DiffOutcome::Busy => {
-                        unreachable!("{}: no views live in message-level test", self.label)
-                    }
-                }
-            }
+            let obj = plan.obj;
+            let op = ClientOp::Flush {
+                plan,
+                redirections: 0,
+                redirect: None,
+            };
+            self.drive(node, obj, op);
         }
         self.engines[node].finish_release();
         self.committed.insert(obj, value);

@@ -1,5 +1,7 @@
 //! Randomized integration tests of the protocol engine driven at the
-//! message level (no threads): random schedules of single-writer and
+//! message level (no threads) through the runtime's own steps
+//! (`dsm_core::step`: the client chases, and `serve` at every target):
+//! random schedules of single-writer and
 //! multi-writer intervals across a small cluster must never violate the
 //! protocol's core invariants:
 //!
@@ -13,9 +15,10 @@
 //! Schedules are generated from fixed seeds with the workspace's
 //! [`SmallRng`], so every failure is reproducible from the case index.
 
+use dsm_core::step::{self, ClientOp, ServeState};
 use dsm_core::{
-    group_flush_plans, AccessPlan, DiffOutcome, FlushPlan, ObjectRequestOutcome, PolicyInputs,
-    ProtocolConfig, ProtocolEngine,
+    group_flush_plans, AccessPlan, DiffEntryStatus, FlushPlan, PolicyInputs, ProtocolConfig,
+    ProtocolEngine, ProtocolMsg, ReqId,
 };
 use dsm_objspace::{HomeAssignment, NodeId, ObjectId, ObjectRegistry};
 use dsm_util::SmallRng;
@@ -53,65 +56,95 @@ fn schedule(rng: &mut SmallRng, max_len: usize) -> Vec<usize> {
     (0..len).map(|_| rng.gen_index(NODES)).collect()
 }
 
-/// Run one write interval of `writer`, following redirects, and return the
-/// number of redirection hops.
-fn write_interval(engines: &mut [ProtocolEngine], writer: usize, value: u8) -> u32 {
-    let id = obj();
-    engines[writer].begin_interval();
-    let mut hops = 0;
-    if let AccessPlan::Fetch { mut target } = engines[writer].plan_write(id) {
-        loop {
+/// Serve `request` from `from` at node `at` with the production step and
+/// return its reply, completed at the requester as the runtime completes it
+/// (a fault-in reply installs its copy and any grant).
+fn serve_at(
+    engines: &[ProtocolEngine],
+    at: usize,
+    from: NodeId,
+    request: ProtocolMsg,
+) -> ProtocolMsg {
+    let mut sent = Vec::new();
+    let mut serve = ServeState::default();
+    step::serve(&engines[at], &mut serve, from, request, &mut |_, msg| {
+        sent.push(msg)
+    });
+    assert_eq!(
+        serve.deferred(),
+        0,
+        "single-threaded request cannot be deferred"
+    );
+    let mut reply = sent
+        .into_iter()
+        .find(ProtocolMsg::is_reply)
+        .expect("a served request is answered");
+    step::install_reply(&engines[from.index()], &mut reply);
+    reply
+}
+
+/// A write fault-in first aimed at `target`.
+fn fault_in(obj: ObjectId, target: NodeId) -> ClientOp {
+    ClientOp::FaultIn {
+        obj,
+        for_write: true,
+        target,
+        redirections: 0,
+        redirect: None,
+    }
+}
+
+/// A flush of `plan` starting at `redirections` hops.
+fn flush(plan: FlushPlan, redirections: u32) -> ClientOp {
+    ClientOp::Flush {
+        plan,
+        redirections,
+        redirect: None,
+    }
+}
+
+/// Run `op` of `writer` to completion, serving every request at its target,
+/// and return the redirection hops it took; a redirect back to the writer
+/// itself, or a chase longer than `limit` hops, fails.
+fn drive(engines: &[ProtocolEngine], writer: usize, mut op: ClientOp, limit: u32) -> u32 {
+    let requester = engines[writer].node();
+    for req in 1.. {
+        let (target, request) = op.request(&engines[writer], ReqId(req));
+        assert_ne!(target, requester, "engine redirected a request to itself");
+        let reply = serve_at(engines, target.index(), requester, request);
+        if let ProtocolMsg::ObjectRedirect { new_home, .. }
+        | ProtocolMsg::DiffRedirect { new_home, .. } = &reply
+        {
             assert_ne!(
-                target,
-                engines[writer].node(),
+                *new_home, requester,
                 "engine redirected a request to itself"
             );
-            let requester = engines[writer].node();
-            match engines[target.index()].handle_object_request(id, requester, true, hops) {
-                ObjectRequestOutcome::Reply {
-                    data,
-                    version,
-                    migration,
-                    ..
-                } => {
-                    engines[writer].install_object(id, data, version, migration);
-                    break;
-                }
-                ObjectRequestOutcome::Redirect { hint, epoch } => {
-                    engines[writer].note_redirect(id, hint, epoch);
-                    hops += 1;
-                    assert!(
-                        hops <= engines.len() as u32 + 1,
-                        "forwarding chain did not converge"
-                    );
-                    target = hint;
-                }
-                other => panic!("single-threaded request cannot be deferred: {other:?}"),
-            }
         }
+        if op.on_reply(&engines[writer], reply) {
+            return op.redirections();
+        }
+        assert!(
+            op.redirections() <= limit,
+            "forwarding chain did not converge"
+        );
+    }
+    unreachable!("request ids ran out")
+}
+
+/// Run one write interval of `writer`, following redirects, and return the
+/// number of redirection hops of its fault-in.
+fn write_interval(engines: &[ProtocolEngine], writer: usize, value: u8) -> u32 {
+    let id = obj();
+    let limit = engines.len() as u32 + 1;
+    engines[writer].begin_interval();
+    let mut hops = 0;
+    if let AccessPlan::Fetch { target } = engines[writer].plan_write(id) {
+        hops = drive(engines, writer, fault_in(id, target), limit);
         assert_eq!(engines[writer].plan_write(id), AccessPlan::LocalHit);
     }
     engines[writer].with_object_mut(id, |d| d.bytes_mut()[0] = value);
-    let plans = engines[writer].prepare_release();
-    for plan in plans {
-        let mut target = plan.target;
-        let mut flush_hops = 0;
-        loop {
-            let from = engines[writer].node();
-            match engines[target.index()].handle_diff(plan.obj, &plan.diff, from, flush_hops) {
-                DiffOutcome::Applied { new_version } => {
-                    engines[writer].complete_flush(plan.obj, new_version);
-                    break;
-                }
-                DiffOutcome::Redirect { hint, epoch } => {
-                    engines[writer].note_redirect(plan.obj, hint, epoch);
-                    flush_hops += 1;
-                    assert!(flush_hops <= engines.len() as u32 + 1);
-                    target = hint;
-                }
-                other => panic!("single-threaded diff cannot be deferred: {other:?}"),
-            }
-        }
+    for plan in engines[writer].prepare_release() {
+        drive(engines, writer, flush(plan, 0), limit);
     }
     engines[writer].finish_release();
     hops
@@ -142,10 +175,10 @@ fn random_schedules_preserve_protocol_invariants() {
             _ => ProtocolConfig::adaptive(),
         };
         let steps = schedule(&mut rng, 60);
-        let mut cluster = engines(NODES, config);
+        let cluster = engines(NODES, config);
         for (step, &writer) in steps.iter().enumerate() {
             let value = (step % 250) as u8 + 1;
-            write_interval(&mut cluster, writer, value);
+            write_interval(&cluster, writer, value);
             assert_eq!(home_count(&cluster), 1, "case {case}: exactly one home");
             assert_eq!(
                 home_value(&cluster),
@@ -164,9 +197,9 @@ fn adaptive_threshold_never_below_initial() {
     let half_peak = ProtocolConfig::adaptive().half_peak_length();
     for case in 0..64 {
         let steps = schedule(&mut rng, 40);
-        let mut cluster = engines(NODES, ProtocolConfig::adaptive());
+        let cluster = engines(NODES, ProtocolConfig::adaptive());
         for (step, &writer) in steps.iter().enumerate() {
-            write_interval(&mut cluster, writer, (step % 250) as u8 + 1);
+            write_interval(&cluster, writer, (step % 250) as u8 + 1);
             for engine in &cluster {
                 if let Some(state) = engine.migration_state(obj()) {
                     // The threshold the engine's policy reports through the
@@ -191,29 +224,13 @@ fn adaptive_threshold_never_below_initial() {
 
 /// Fault `obj` in at `writer` for writing, following redirects.
 fn fault_in_for_write(engines: &[ProtocolEngine], writer: usize, obj: ObjectId) {
-    if let AccessPlan::Fetch { mut target } = engines[writer].plan_write(obj) {
-        let mut hops = 0;
-        loop {
-            let requester = engines[writer].node();
-            match engines[target.index()].handle_object_request(obj, requester, true, hops) {
-                ObjectRequestOutcome::Reply {
-                    data,
-                    version,
-                    migration,
-                    ..
-                } => {
-                    engines[writer].install_object(obj, data, version, migration);
-                    break;
-                }
-                ObjectRequestOutcome::Redirect { hint, epoch } => {
-                    engines[writer].note_redirect(obj, hint, epoch);
-                    hops += 1;
-                    assert!(hops <= engines.len() as u32 + 1);
-                    target = hint;
-                }
-                other => panic!("unexpected outcome {other:?}"),
-            }
-        }
+    if let AccessPlan::Fetch { target } = engines[writer].plan_write(obj) {
+        drive(
+            engines,
+            writer,
+            fault_in(obj, target),
+            engines.len() as u32 + 1,
+        );
         assert_eq!(engines[writer].plan_write(obj), AccessPlan::LocalHit);
     }
 }
@@ -222,24 +239,12 @@ fn fault_in_for_write(engines: &[ProtocolEngine], writer: usize, obj: ObjectId) 
 /// applied. `hops` seeds the redirection count (0 for a fresh flush, 1 for
 /// the re-plan of a batch entry whose batch-level redirect already counted).
 fn flush_individually(engines: &[ProtocolEngine], writer: usize, plan: &FlushPlan, hops: u32) {
-    let mut target = plan.target;
-    let mut hops = hops;
-    loop {
-        let from = engines[writer].node();
-        match engines[target.index()].handle_diff(plan.obj, &plan.diff, from, hops) {
-            DiffOutcome::Applied { new_version } => {
-                engines[writer].complete_flush(plan.obj, new_version);
-                return;
-            }
-            DiffOutcome::Redirect { hint, epoch } => {
-                engines[writer].note_redirect(plan.obj, hint, epoch);
-                hops += 1;
-                assert!(hops <= engines.len() as u32 + 2);
-                target = hint;
-            }
-            other => panic!("single-threaded diff cannot be deferred: {other:?}"),
-        }
-    }
+    drive(
+        engines,
+        writer,
+        flush(plan.clone(), hops),
+        engines.len() as u32 + 2,
+    );
 }
 
 /// Release-time flush batching with a home that migrated mid-flight: a
@@ -309,32 +314,41 @@ fn batch_to_migrated_home_replans_redirected_entries_individually() {
     let batch = batches.pop().unwrap();
     assert_eq!(batch.target, NodeId(0));
 
-    // Serve the batch exactly as the protocol server does: per-entry
-    // handle_diff at the addressed node.
-    let mut redirected = Vec::new();
-    for plan in &batch.entries {
-        match engines[0].handle_diff(plan.obj, &plan.diff, NodeId(1), 0) {
-            DiffOutcome::Applied { new_version } => {
-                engines[1].complete_flush(plan.obj, new_version);
-            }
-            DiffOutcome::Redirect { hint, epoch } => {
-                assert_eq!(plan.obj, moves, "only the migrated object redirects");
-                assert_eq!(hint, NodeId(2));
-                assert!(epoch > 0, "redirect hints carry the home epoch");
-                assert!(engines[1].note_redirect(plan.obj, hint, epoch));
-                redirected.push(FlushPlan {
-                    obj: plan.obj,
-                    target: hint,
-                    diff: plan.diff.clone(),
-                });
-            }
-            other => panic!("single-threaded diff cannot be deferred: {other:?}"),
-        }
-    }
+    // Serve the batch with the production steps: the server resolves it
+    // per entry at the addressed node and acks every entry at once.
+    let mut op = ClientOp::batch(&engines[1], batch);
+    let (target, request) = op.request(&engines[1], ReqId(1));
+    assert_eq!(target, NodeId(0));
+    let ack = serve_at(&engines, 0, NodeId(1), request);
+    let ProtocolMsg::DiffBatchAck { results, .. } = &ack else {
+        panic!("a batch is answered by its ack: {ack:?}");
+    };
+    let redirected: Vec<_> = results
+        .iter()
+        .filter_map(|result| match result.status {
+            DiffEntryStatus::Applied { .. } => None,
+            DiffEntryStatus::Redirect { new_home, epoch } => Some((result.obj, new_home, epoch)),
+        })
+        .collect();
     assert_eq!(redirected.len(), 1, "exactly the migrated entry re-plans");
-    for plan in &redirected {
-        flush_individually(&engines, 1, plan, 1);
-    }
+    let (redirected, hint, epoch) = redirected[0];
+    assert_eq!(redirected, moves, "only the migrated object redirects");
+    assert_eq!(hint, NodeId(2));
+    assert!(epoch > 0, "redirect hints carry the home epoch");
+    assert!(
+        !op.on_reply(&engines[1], ack),
+        "the redirected entry is re-planned"
+    );
+    // The re-plan adopted the hint: it is one individual flush at the new
+    // home, counting the batch-level redirect as its first hop.
+    let (target, request) = op.request(&engines[1], ReqId(2));
+    assert_eq!(target, NodeId(2), "the redirect hint was adopted");
+    assert!(
+        matches!(request, ProtocolMsg::DiffFlush { obj, redirections: 1, .. } if obj == moves),
+        "re-plan: {request:?}"
+    );
+    let applied = serve_at(&engines, 2, NodeId(1), request);
+    assert!(op.on_reply(&engines[1], applied), "the re-plan is applied");
     // All acks accounted for: finish_release must not find unflushed dirt.
     engines[1].finish_release();
 
@@ -351,9 +365,9 @@ fn no_migration_home_is_stable() {
     let mut rng = SmallRng::seed_from_u64(0x5AFE);
     for case in 0..64 {
         let steps = schedule(&mut rng, 40);
-        let mut cluster = engines(NODES, ProtocolConfig::no_migration());
+        let cluster = engines(NODES, ProtocolConfig::no_migration());
         for (step, &writer) in steps.iter().enumerate() {
-            write_interval(&mut cluster, writer, (step % 250) as u8 + 1);
+            write_interval(&cluster, writer, (step % 250) as u8 + 1);
         }
         assert!(
             cluster[0].is_home(obj()),
