@@ -828,6 +828,7 @@ mod tests {
     use super::*;
     use crate::config::NotificationMechanism;
     use crate::policy::MigrateOnRequestPolicy;
+    use crate::step::{self, ClientOp, ServeState};
     use dsm_objspace::HomeAssignment;
 
     const N: usize = 3;
@@ -852,6 +853,44 @@ mod tests {
         ObjectId::derive("x", 0)
     }
 
+    /// Run `op` for `node` to completion through the production chase: each
+    /// request is served at its target by [`step::serve`], and each reply
+    /// completes at `node` as in the runtime (a grant installs on arrival).
+    /// Returns the redirections the chase took.
+    fn drive(engines: &[ProtocolEngine], node: usize, mut op: ClientOp) -> u32 {
+        for req in 1.. {
+            let (target, request) = op.request(&engines[node], ReqId(req));
+            let (mut serve, mut reply) = (ServeState::default(), None);
+            let from = engines[node].node();
+            step::serve(
+                &engines[target.index()],
+                &mut serve,
+                from,
+                request,
+                &mut |_, msg| {
+                    if msg.is_reply() {
+                        reply = Some(msg);
+                    }
+                },
+            );
+            assert_eq!(
+                serve.deferred(),
+                0,
+                "no views are live in single-threaded tests"
+            );
+            let mut reply = reply.expect("a served request is answered");
+            step::install_reply(&engines[node], &mut reply);
+            if op.on_reply(&engines[node], reply) {
+                break;
+            }
+            assert!(
+                op.redirections() <= engines.len() as u32 + 2,
+                "redirection chain of {op:?} did not converge"
+            );
+        }
+        op.redirections()
+    }
+
     /// Drive one "remote write interval" of `writer` against the cluster:
     /// fault-in from whoever is home, write a byte, flush the diff. Returns
     /// the number of redirection hops experienced.
@@ -860,65 +899,29 @@ mod tests {
         engines[writer].begin_interval();
         let mut hops = 0;
         // Fault-in (write fault).
-        if let AccessPlan::Fetch { mut target } = engines[writer].plan_write(obj) {
-            loop {
-                let requester = engines[writer].node();
-                match engines[target.index()].handle_object_request(obj, requester, true, hops) {
-                    ObjectRequestOutcome::Reply {
-                        data,
-                        version,
-                        migration,
-                        ..
-                    } => {
-                        engines[writer].install_object(obj, data, version, migration);
-                        break;
-                    }
-                    ObjectRequestOutcome::Redirect { hint, epoch } => {
-                        engines[writer].note_redirect(obj, hint, epoch);
-                        hops += 1;
-                        assert!(
-                            hops <= engines.len() as u32 + 2,
-                            "redirection chain for {obj} did not converge"
-                        );
-                        target = hint;
-                    }
-                    ObjectRequestOutcome::Busy => {
-                        unreachable!("no views are live in single-threaded tests")
-                    }
-                }
-            }
+        if let AccessPlan::Fetch { target } = engines[writer].plan_write(obj) {
+            let (for_write, redirections, redirect) = (true, 0, None);
+            let op = ClientOp::FaultIn {
+                obj,
+                for_write,
+                target,
+                redirections,
+                redirect,
+            };
+            hops += drive(engines, writer, op);
             // Retry the write plan now that the copy is present.
             assert_eq!(engines[writer].plan_write(obj), AccessPlan::LocalHit);
         }
         engines[writer].with_object_mut(obj, |d| d.bytes_mut()[0] = value);
         // Release: flush diffs (if the writer is now home there are none).
-        let plans = engines[writer].prepare_release();
-        for plan in plans {
-            let mut target = plan.target;
-            let mut flush_hops = 0;
-            loop {
-                let from = engines[writer].node();
-                match engines[target.index()].handle_diff(plan.obj, &plan.diff, from, flush_hops) {
-                    DiffOutcome::Applied { new_version } => {
-                        engines[writer].complete_flush(plan.obj, new_version);
-                        break;
-                    }
-                    DiffOutcome::Redirect { hint, epoch } => {
-                        engines[writer].note_redirect(plan.obj, hint, epoch);
-                        flush_hops += 1;
-                        hops += 1;
-                        assert!(
-                            flush_hops <= engines.len() as u32 + 2,
-                            "diff redirection chain for {} did not converge",
-                            plan.obj
-                        );
-                        target = hint;
-                    }
-                    DiffOutcome::Busy => {
-                        unreachable!("no views are live in single-threaded tests")
-                    }
-                }
-            }
+        for plan in engines[writer].prepare_release() {
+            let (redirections, redirect) = (0, None);
+            let op = ClientOp::Flush {
+                plan,
+                redirections,
+                redirect,
+            };
+            hops += drive(engines, writer, op);
         }
         engines[writer].finish_release();
         hops
@@ -1116,28 +1119,19 @@ mod tests {
             AccessPlan::Fetch { target: NodeId(0) },
             "node 2 still believes the initial home"
         );
-        let mut hops = 0;
-        let mut target = NodeId(0);
-        loop {
-            match e[target.index()].handle_object_request(obj, NodeId(2), false, hops) {
-                ObjectRequestOutcome::Reply {
-                    data,
-                    version,
-                    migration,
-                    ..
-                } => {
-                    assert!(migration.is_none(), "a reader must not steal the home");
-                    e[2].install_object(obj, data, version, migration);
-                    break;
-                }
-                ObjectRequestOutcome::Redirect { hint, epoch } => {
-                    e[2].note_redirect(obj, hint, epoch);
-                    hops += 1;
-                    target = hint;
-                }
-                other => panic!("unexpected outcome {other:?}"),
-            }
-        }
+        let (target, for_write, redirections, redirect) = (NodeId(0), false, 0, None);
+        let op = ClientOp::FaultIn {
+            obj,
+            for_write,
+            target,
+            redirections,
+            redirect,
+        };
+        let hops = drive(&e, 2, op);
+        assert!(
+            e[1].is_home(obj) && !e[2].is_home(obj),
+            "a reader must not steal the home"
+        );
         assert_eq!(hops, 1);
         assert_eq!(e[0].stats().redirections_served, 1);
         assert_eq!(e[2].stats().redirections_suffered, 1);

@@ -11,7 +11,7 @@ use std::sync::{Arc, OnceLock};
 /// executor) can react to the arrival instead of polling for it.
 ///
 /// Implementations must be cheap and non-blocking — the hook runs on the
-/// pushing thread (a sender, or a TCP reader), after the envelope is
+/// pushing thread (a sender, or a TCP link's reader), after the envelope is
 /// already queued. That ordering is the no-lost-wakeup contract: by the
 /// time `wake` fires, a drain of the node's inbox is guaranteed to see the
 /// message.
@@ -21,8 +21,8 @@ pub trait WakeNotifier: Send + Sync {
 }
 
 /// One node's unbounded inbound queue: every delivery path of the threaded
-/// and TCP fabrics (a threaded send, a TCP self-send, a TCP reader) pushes
-/// here, and the node's server drains it. It tracks its depth and
+/// and TCP fabrics (a threaded send, a TCP self-send, a TCP link's reader)
+/// pushes here, and the node's server drains it. It tracks its depth and
 /// high-watermark, and carries a late-bound [`WakeNotifier`]: the fabric is
 /// built before the executor that wants the notifications exists, so the
 /// runtime installs the notifier afterwards. Wakes fired before that are

@@ -4,76 +4,68 @@
 //! # Topology and ordering
 //!
 //! Every node binds one `TcpListener` on an ephemeral `127.0.0.1` port and
-//! learns every peer's address before the run starts. Each ordered pair of
-//! nodes gets a **dedicated connection**: node `a` *dials* node `b` and
-//! uses that connection exclusively for `a → b` traffic, while `b`'s accept
-//! loop turns the same connection into a read-only `b ← a` link. A sender
-//! encodes its frame and writes it whole on its own thread, holding the
-//! outgoing link's lock, so the frames of concurrent senders never
-//! interleave and leave in the order the senders took the lock. One reader
-//! thread per incoming link decodes them sequentially and pushes them onto
-//! the node's [`Inbox`]. Together that is the protocol's documented
-//! **per-link FIFO** guarantee. A joined N-node mesh runs N(N−1) socket
-//! threads, all of them readers.
+//! learns every peer's address before the run starts. Node `a` *dials*
+//! node `b` and writes only `a → b` traffic on that connection; `b`'s accept
+//! loop makes it a read-only, non-blocking `b ← a` link. A sender writes
+//! its frame whole on its own thread under the outgoing link's lock, so
+//! concurrent senders' frames never interleave. A link is read by the
+//! endpoint's one **I/O thread**, which waits in `poll(2)`, or by any
+//! thread calling [`TcpEndpoint::drain_ready`], as the runtime's threads do
+//! while they wait for a reply. A reader holds the link's **read lock**
+//! while it reads, decodes every complete frame and pushes each onto the
+//! node's [`Inbox`] in order: the protocol's **per-link FIFO** guarantee.
+//! The I/O thread is the fallback: it waits for a read lock that a drainer
+//! skips, and a wake-up of it does not preempt the running thread
+//! (`SCHED_BATCH`), which is often about to read the same frame itself.
 //!
 //! # Why a blocking write cannot deadlock
 //!
 //! A write blocks only while the socket buffers towards the peer are full.
-//! The peer's reader for that link blocks only in `read`, and pushes what
-//! it reads onto an unbounded inbox, so it keeps draining the link and the
-//! write completes once it runs. The link lock is a leaf lock: a sender
-//! takes nothing else while holding it. Readers take no link lock, and no
-//! lock of the runtime beyond what the inbox's wake takes (the executor's
-//! run-queue lock, under which nothing writes); in particular no node's
-//! serve lock or reply slot. So no cycle of waits can pass through a
-//! blocked write. (A reader that stopped on a broken or malformed link no
-//! longer drains it, and writes to that link can then block for good; but
-//! that link has already failed.)
+//! The peer's I/O thread never writes and pushes onto an unbounded inbox,
+//! so every link keeps draining and the write completes. A read lock is a
+//! leaf lock, never held across a write: its holder reads without blocking
+//! and takes only what the inbox's wake takes (the executor's run-queue
+//! lock, under which nothing reads or writes). (A link that failed on
+//! broken or malformed bytes is no longer read; writes to it may block.)
 //!
 //! # Modeled time on real sockets
 //!
-//! The envelope's modeled fields (`wire_bytes`, `sent_at`, `arrival`)
-//! travel in the frame, so the receiver merges the *sender's* stamps as the
-//! threaded fabric does; the merge happens in real arrival order, so
-//! modeled time on TCP is not reproducible (only the sim fabric's is).
-//! `StatsCollector` records the same modeled `wire_bytes` at send time;
-//! fabric-internal frames (hello, leave) are **not** recorded there, so
-//! `NetworkStats` stays comparable across fabrics. Actual socket bytes are
-//! tracked separately in [`WireCounters`].
+//! Frames carry the envelope's modeled fields, so the receiver merges the
+//! *sender's* stamps, in real arrival order: modeled time on TCP is not
+//! reproducible. Modeled bytes are recorded at send time, as on the other
+//! fabrics, hello and leave frames excepted; [`WireCounters`] counts the
+//! actual socket traffic.
 //!
 //! # Teardown
 //!
-//! A leave frame means "this node's application is done". The runtime
-//! announces it on every outgoing link once shutdown has been requested and
-//! the node's server has drained. In an in-process cluster every
-//! application has finished by then, so the leave is the last frame its
-//! links carry. In a multi-process cluster (`Cluster::run_tcp_worker` in
-//! `dsm-runtime`) a node leaves as soon as its *own* application is done,
-//! while peers may still fault in objects homed there, so replies can
-//! follow its leave; readers therefore keep reading past a leave. A node
-//! tears down once it has heard every peer's leave and emptied its inbox:
-//! [`TcpEndpoint::finish`] closes every outgoing socket (each frame was
-//! written by the send that made it, so there is nothing to flush), shuts
-//! down every incoming socket so its blocked reader wakes at end of stream,
-//! and joins the reader threads. Established links never poll a timeout;
-//! only the join phase is bounded, by `connect_timeout`, which also bounds
-//! the hello read on a fresh connection.
+//! A leave frame means "this node's application is done"; the runtime
+//! sends it once shutdown was requested and the node's server drained.
+//! In-process, it is the last frame a link carries. A multi-process worker
+//! (`Cluster::run_tcp_worker`) leaves when its *own* application is done,
+//! and its replies may follow, so links are read past a leave. Once every
+//! peer left and the inbox is empty, [`TcpEndpoint::finish`] closes every
+//! outgoing socket, waits for the join phase to end and shuts down every
+//! incoming one; the I/O thread reads end of stream on each and exits.
+//! Only the join phase, hello reads included, has a deadline
+//! (`connect_timeout`); frames that arrive during it wait in their socket.
 
 use crate::category::MsgCategory;
 use crate::envelope::{Envelope, MESSAGE_HEADER_BYTES};
 use crate::inbox::Inbox;
 use crate::stats::StatsCollector;
 use crate::wire::{
-    decode_frame, decode_hello, encode_control, encode_envelope, encode_hello, FrameKind, Hello,
-    WireCodec, WireError, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
+    decode_envelope, decode_frame, decode_hello, encode_control, encode_envelope, encode_hello,
+    FrameKind, Hello, WireCodec, WireError, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
 };
 use dsm_model::{NetworkParams, SimTime};
 use dsm_objspace::NodeId;
 use dsm_util::sync::Mutex;
+use dsm_util::{batch_scheduling, poll_readable};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::os::fd::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, PoisonError, TryLockError::WouldBlock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -116,7 +108,7 @@ pub struct WireCounters {
     /// Raw bytes written to sockets (frames + length prefixes), counted
     /// when a sender's write of a whole frame returns.
     pub socket_bytes_sent: u64,
-    /// Raw bytes read from sockets.
+    /// Raw bytes read from sockets, counted per whole frame read.
     pub socket_bytes_received: u64,
 }
 
@@ -129,6 +121,11 @@ struct Counters {
     control_frames_sent: AtomicU64,
     socket_bytes_sent: AtomicU64,
     socket_bytes_received: AtomicU64,
+}
+
+/// Add `n` to one of the [`Counters`].
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
 }
 
 impl Counters {
@@ -146,26 +143,29 @@ impl Counters {
     }
 }
 
-/// State shared between an endpoint and its reader threads.
+/// State shared between an endpoint, its socket threads and every thread
+/// that drains its links.
 struct LinkShared<M: Send + 'static> {
     node: NodeId,
     counters: Counters,
     leaves_received: AtomicUsize,
     inbox: Inbox<M>,
+    decode_env: fn(&[u8]) -> Result<Envelope<M>, WireError>,
+    /// The incoming links, published when the join phase ends.
+    incoming: OnceLock<Box<[Incoming]>>,
 }
 
 /// A node's listener, created before addresses are exchanged. `bind` and
 /// `connect` are split so a multi-process launcher can publish its local
 /// address, gather the peers' addresses out of band, and only then connect.
 pub struct TcpNodeBinding<M: Send + 'static> {
-    node: NodeId,
     num_nodes: usize,
     params: NetworkParams,
     stats: StatsCollector,
     config: TcpConfig,
     listener: TcpListener,
     encode_env: fn(&Envelope<M>) -> Vec<u8>,
-    decode_env: fn(&[u8]) -> Result<Envelope<M>, WireError>,
+    shared: Arc<LinkShared<M>>,
 }
 
 impl<M: Send + 'static> TcpNodeBinding<M> {
@@ -190,14 +190,20 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
         );
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         Ok(TcpNodeBinding {
-            node,
             num_nodes,
             params,
             stats,
             config,
             listener,
             encode_env: encode_envelope::<M, C>,
-            decode_env: decode_envelope_fn::<M, C>,
+            shared: Arc::new(LinkShared {
+                node,
+                counters: Counters::default(),
+                leaves_received: AtomicUsize::new(0),
+                inbox: Inbox::new(node),
+                decode_env: decode_envelope::<M, C>,
+                incoming: OnceLock::new(),
+            }),
         })
     }
 
@@ -206,32 +212,21 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
         self.listener.local_addr()
     }
 
-    /// Join the cluster: dial every peer (the outgoing links), accept every
-    /// peer's dial (the incoming links), start the reader threads and
-    /// return the live endpoint. `peer_addrs` must hold one address per
-    /// node in node order; the entry at this node's own index is ignored.
+    /// Join the cluster: dial every peer (the outgoing links), start the
+    /// accept loop for their dials (the incoming links; it starts the I/O
+    /// thread) and return the live endpoint. `peer_addrs` must hold one
+    /// address per node in node order; this node's own entry is ignored.
     pub fn connect(self, peer_addrs: &[SocketAddr]) -> io::Result<TcpEndpoint<M>> {
         assert_eq!(
             peer_addrs.len(),
             self.num_nodes,
             "expected one address per node"
         );
-        let shared = Arc::new(LinkShared {
-            node: self.node,
-            counters: Counters::default(),
-            leaves_received: AtomicUsize::new(0),
-            inbox: Inbox::new(self.node),
-        });
-
-        // Accept loop: collect exactly num_nodes - 1 hello'd incoming
-        // links, spawning one reader thread per link. Runs concurrently
-        // with our own dialing below.
-        let readers: Arc<Mutex<Vec<Reader>>> = Arc::new(Mutex::new(Vec::new()));
+        let shared = self.shared;
+        // Runs concurrently with our own dialing below.
         let acceptor = spawn_acceptor(
             self.listener,
             Arc::clone(&shared),
-            Arc::clone(&readers),
-            self.decode_env,
             self.num_nodes,
             Instant::now() + self.config.connect_timeout,
         );
@@ -239,12 +234,12 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
         // Dial every peer and introduce ourselves; each dialed connection
         // is this node's exclusive ordered write channel to that peer.
         let hello = encode_hello(Hello {
-            node: self.node,
+            node: shared.node,
             num_nodes: self.num_nodes as u16,
         });
         let mut links = Vec::with_capacity(self.num_nodes);
         for (dst, &addr) in peer_addrs.iter().enumerate() {
-            if dst == self.node.index() {
+            if dst == shared.node.index() {
                 links.push(Mutex::new(None));
                 continue;
             }
@@ -252,10 +247,8 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
             stream.set_nodelay(true)?;
             stream.write_all(&hello)?;
             let counters = &shared.counters;
-            counters.control_frames_sent.fetch_add(1, Ordering::Relaxed);
-            counters
-                .socket_bytes_sent
-                .fetch_add(hello.len() as u64, Ordering::Relaxed);
+            bump(&counters.control_frames_sent, 1);
+            bump(&counters.socket_bytes_sent, hello.len() as u64);
             links.push(Mutex::new(Some(stream)));
         }
 
@@ -268,8 +261,6 @@ impl<M: Send + 'static> TcpNodeBinding<M> {
             leave_sent: AtomicBool::new(false),
             shared,
             acceptor: Mutex::new(Some(acceptor)),
-            readers,
-            finished: AtomicBool::new(false),
         })
     }
 }
@@ -319,10 +310,6 @@ impl<M: Send + 'static> TcpFabric<M> {
     }
 }
 
-/// An incoming link's reader thread, plus a handle on its socket that
-/// teardown shuts down to wake the blocked read.
-type Reader = (JoinHandle<()>, TcpStream);
-
 /// One node's attachment to the TCP fabric. The sending surface mirrors
 /// [`Endpoint`](crate::fabric::Endpoint) — same modeled-time stamping,
 /// same statistics recording, same panics on misuse — so the runtime's
@@ -337,9 +324,8 @@ pub struct TcpEndpoint<M: Send + 'static> {
     links: Vec<Mutex<Option<TcpStream>>>,
     leave_sent: AtomicBool,
     shared: Arc<LinkShared<M>>,
-    acceptor: Mutex<Option<JoinHandle<()>>>,
-    readers: Arc<Mutex<Vec<Reader>>>,
-    finished: AtomicBool,
+    /// The join's accept loop, which returns the I/O thread it started.
+    acceptor: Mutex<Option<JoinHandle<Option<JoinHandle<()>>>>>,
 }
 
 impl<M: Send + 'static> TcpEndpoint<M> {
@@ -375,10 +361,8 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         let arrival = sent_at + self.params.hockney.latency(wire_bytes);
         self.stats.record(category, wire_bytes);
         let counters = &self.shared.counters;
-        counters.payload_frames_sent.fetch_add(1, Ordering::Relaxed);
-        counters
-            .modeled_bytes_sent
-            .fetch_add(wire_bytes, Ordering::Relaxed);
+        bump(&counters.payload_frames_sent, 1);
+        bump(&counters.modeled_bytes_sent, wire_bytes);
         let envelope = Envelope {
             src: self.shared.node,
             dst,
@@ -390,13 +374,7 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         };
         if dst == self.shared.node {
             // Loop-back delivery never touches a socket.
-            counters
-                .payload_frames_delivered
-                .fetch_add(1, Ordering::Relaxed);
-            counters
-                .modeled_bytes_delivered
-                .fetch_add(wire_bytes, Ordering::Relaxed);
-            self.shared.inbox.push(envelope);
+            self.shared.deliver(envelope);
             return arrival;
         }
         let written = self.write_frame(dst, &(self.encode_env)(&envelope));
@@ -421,17 +399,10 @@ impl<M: Send + 'static> TcpEndpoint<M> {
             return false;
         };
         match stream.write_all(frame) {
-            Ok(()) => {
-                self.shared
-                    .counters
-                    .socket_bytes_sent
-                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
-            }
+            Ok(()) => bump(&self.shared.counters.socket_bytes_sent, frame.len() as u64),
             Err(e) => {
-                eprintln!(
-                    "tcp fabric: node {}: write to {dst} failed: {e}",
-                    self.shared.node
-                );
+                let node = self.shared.node;
+                eprintln!("tcp fabric: node {node}: write to {dst} failed: {e}");
                 *link = None;
             }
         }
@@ -447,9 +418,34 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         self.shared.inbox.recv()
     }
 
-    /// This node's inbox, filled by self-sends and the reader threads.
+    /// This node's inbox, filled by self-sends and by the threads that
+    /// drain the incoming links.
     pub fn inbox(&self) -> &Inbox<M> {
         &self.shared.inbox
+    }
+
+    /// Deliver, on the calling thread, the frames that have already arrived
+    /// on this endpoint's incoming links: look at them in `poll` without
+    /// waiting, and drain each readable one into the inbox. Never blocks: a
+    /// link another thread is reading is left to it, after a yield of the
+    /// CPU. Returns how many frames it delivered plus how many links it
+    /// left, so 0 means that every frame that had arrived is in the inbox.
+    pub fn drain_ready(&self) -> usize {
+        let links = self.shared.links();
+        let mut delivered = 0;
+        let fds = links.iter().map(Incoming::poll_fd);
+        let _ = poll_readable(fds, Some(Duration::ZERO), |i| {
+            if let Ok(mut state) = links[i].read.try_lock() {
+                delivered += links[i].drain(&self.shared, &mut state);
+            }
+        });
+        // A reader may not have delivered what it took from its socket yet.
+        let taken = |link: &&Incoming| matches!(link.read.try_lock(), Err(WouldBlock));
+        let busy = links.iter().filter(taken).count();
+        if busy > 0 {
+            thread::yield_now();
+        }
+        delivered + busy
     }
 
     /// Announce that this node's application is done: write a leave frame
@@ -464,10 +460,7 @@ impl<M: Send + 'static> TcpEndpoint<M> {
         let leave = encode_control(FrameKind::Leave);
         for dst in 0..self.num_nodes {
             if self.write_frame(NodeId::from(dst), &leave) {
-                self.shared
-                    .counters
-                    .control_frames_sent
-                    .fetch_add(1, Ordering::Relaxed);
+                bump(&self.shared.counters.control_frames_sent, 1);
             }
         }
     }
@@ -485,27 +478,24 @@ impl<M: Send + 'static> TcpEndpoint<M> {
     }
 
     /// Tear the link down: close every outgoing connection, shut down every
-    /// incoming one, and join all socket threads. Idempotent.
+    /// incoming one, and join the socket threads. Idempotent.
     /// Safe to call only after the protocol has quiesced (leave handshake
     /// done); messages sent after `finish` panic as "destination dropped",
     /// and frames arriving after it are dropped.
     pub fn finish(&self) {
-        if self.finished.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // 1. Close every outgoing socket, which EOFs the peers' readers.
+        // 1. Close every outgoing socket, which ends the peers' links.
         for link in &self.links {
             *link.lock() = None;
         }
-        // 2. The acceptor exits once all peers dialed in (or the join
-        //    deadline passed), so every reader is registered after this.
-        if let Some(h) = self.acceptor.lock().take() {
-            let _ = h.join();
+        // 2. The accept loop ends with the join and publishes the links.
+        let acceptor = self.acceptor.lock().take();
+        let io = acceptor.and_then(|h| h.join().ok().flatten());
+        // 3. End every incoming stream: the I/O thread closes each and exits.
+        for link in self.shared.links() {
+            let _ = link.stream.shutdown(Shutdown::Both);
         }
-        // 3. Wake each blocked reader at end of stream, then join it.
-        for (handle, stream) in self.readers.lock().drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
-            let _ = handle.join();
+        if let Some(io) = io {
+            let _ = io.join();
         }
     }
 }
@@ -514,11 +504,6 @@ impl<M: Send + 'static> Drop for TcpEndpoint<M> {
     fn drop(&mut self) {
         self.finish();
     }
-}
-
-/// Monomorphic wrapper so `bind` can store a plain fn pointer.
-fn decode_envelope_fn<M, C: WireCodec<M>>(body: &[u8]) -> Result<Envelope<M>, WireError> {
-    crate::wire::decode_envelope::<M, C>(body)
 }
 
 /// Dial `addr`, retrying brief refusals until `timeout` (peers bind before
@@ -538,95 +523,83 @@ fn dial(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStream> {
     }
 }
 
+/// The join's accept loop: wait in `poll` on the listener, and accept and
+/// vet one incoming link per peer, until every peer has joined or
+/// `deadline` passes. Then publish the links and start the I/O thread over
+/// them, whose handle the loop returns.
 fn spawn_acceptor<M: Send + 'static>(
     listener: TcpListener,
     shared: Arc<LinkShared<M>>,
-    readers: Arc<Mutex<Vec<Reader>>>,
-    decode_env: fn(&[u8]) -> Result<Envelope<M>, WireError>,
     num_nodes: usize,
     deadline: Instant,
-) -> JoinHandle<()> {
+) -> JoinHandle<Option<JoinHandle<()>>> {
     thread::spawn(move || {
-        let expected = num_nodes - 1;
-        if expected == 0 {
-            return;
-        }
-        if listener.set_nonblocking(true).is_err() {
-            eprintln!("tcp fabric: node {}: accept loop cannot poll", shared.node);
-            return;
-        }
-        let mut joined = vec![false; num_nodes];
-        let mut accepted = 0;
-        while accepted < expected {
-            match listener.accept() {
-                Ok((stream, _)) => match prepare_incoming(stream, &shared, &joined, deadline) {
-                    Ok((stream, waker, peer)) => {
-                        joined[peer.index()] = true;
-                        let handle = spawn_reader(stream, peer, Arc::clone(&shared), decode_env);
-                        readers.lock().push((handle, waker));
-                        accepted += 1;
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "tcp fabric: node {}: rejected incoming connection: {e}",
-                            shared.node
-                        );
-                    }
-                },
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        eprintln!(
-                            "tcp fabric: node {}: join incomplete ({accepted}/{expected} \
-                             peers connected before the deadline)",
-                            shared.node
-                        );
-                        return;
-                    }
-                    thread::sleep(Duration::from_millis(1));
-                }
+        let (node, expected) = (shared.node, num_nodes - 1);
+        let mut links: Vec<Incoming> = Vec::with_capacity(expected);
+        while links.len() < expected {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                let joined = links.len();
+                eprintln!("tcp fabric: node {node}: join incomplete ({joined}/{expected} peers)");
+                break;
+            }
+            // Readable means a dial is queued, so `accept` will not block.
+            let accepted = match poll_readable([listener.as_raw_fd()], Some(remaining), |_| {}) {
+                Ok(0) => continue,
+                polled => polled.and_then(|_| listener.accept()),
+            };
+            let vet = |(stream, _)| prepare_incoming(stream, &shared, num_nodes, &links, deadline);
+            match accepted.map(vet) {
+                Ok(Ok(link)) => links.push(link),
+                Ok(Err(e)) => eprintln!("tcp fabric: node {node}: rejected a connection: {e}"),
                 Err(e) => {
-                    eprintln!("tcp fabric: node {}: accept failed: {e}", shared.node);
-                    return;
+                    eprintln!("tcp fabric: node {node}: accept failed: {e}");
+                    break;
                 }
             }
         }
+        let links = shared.incoming.get_or_init(|| links.into());
+        (!links.is_empty()).then(|| thread::spawn(move || shared.run_io()))
     })
 }
 
 /// Read and validate the hello handshake on a freshly accepted connection,
-/// returning the link, a second handle on it for teardown, and the peer.
-/// The read is bounded by the join `deadline`, since the bytes come from
-/// outside; a node id that already joined is refused, so an impostor cannot
-/// take the place of a real peer's link.
+/// and return it as a non-blocking incoming link. The read is bounded by
+/// the join `deadline`, since the bytes come from outside; a node id that
+/// already joined is refused, so an impostor cannot take the place of a
+/// real peer's link.
 fn prepare_incoming<M: Send + 'static>(
     mut stream: TcpStream,
     shared: &LinkShared<M>,
-    joined: &[bool],
+    num_nodes: usize,
+    joined: &[Incoming],
     deadline: Instant,
-) -> io::Result<(TcpStream, TcpStream, NodeId)> {
-    stream.set_nonblocking(false)?;
+) -> io::Result<Incoming> {
     stream.set_nodelay(true)?;
     let remaining = deadline.saturating_duration_since(Instant::now());
     stream.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
-    let frame = read_frame(&mut stream, shared).map_err(|e| match e.kind() {
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
-            io::Error::new(io::ErrorKind::TimedOut, "no hello before the join deadline")
-        }
-        _ => e,
-    })?;
-    let Some(frame) = frame else {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed before hello",
-        ));
-    };
+    let mut prefix = [0u8; 4];
+    let mut frame = Vec::new();
+    stream
+        .read_exact(&mut prefix)
+        .and_then(|()| {
+            frame = vec![0; frame_len(&prefix)?];
+            stream.read_exact(&mut frame)
+        })
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                io::Error::new(io::ErrorKind::TimedOut, "no hello before the join deadline")
+            }
+            _ => e,
+        })?;
+    let received = 4 + frame.len() as u64;
+    bump(&shared.counters.socket_bytes_received, received);
     let bad = |detail: String| io::Error::new(io::ErrorKind::InvalidData, detail);
     let (kind, body) = decode_frame(&frame).map_err(|e| bad(e.to_string()))?;
     if kind != FrameKind::Hello {
         return Err(bad(format!("expected hello, got {kind:?}")));
     }
     let hello = decode_hello(body).map_err(|e| bad(e.to_string()))?;
-    let num_nodes = joined.len();
     if hello.num_nodes as usize != num_nodes {
         return Err(bad(format!(
             "peer speaks a {}-node cluster, this is a {num_nodes}-node cluster",
@@ -636,126 +609,163 @@ fn prepare_incoming<M: Send + 'static>(
     if hello.node.index() >= num_nodes || hello.node == shared.node {
         return Err(bad(format!("hello from invalid node {}", hello.node)));
     }
-    if joined[hello.node.index()] {
+    if joined.iter().any(|link| link.peer == hello.node) {
         return Err(bad(format!("duplicate hello from node {}", hello.node)));
     }
-    // Established links block in `read` until a frame or end of stream.
-    stream.set_read_timeout(None)?;
-    Ok((stream.try_clone()?, stream, hello.node))
+    stream.set_nonblocking(true)?;
+    Ok(Incoming {
+        peer: hello.node,
+        fd: AtomicI32::new(stream.as_raw_fd()),
+        stream,
+        // 64 KiB to start with; it grows to fit the link's largest frame.
+        read: std::sync::Mutex::new((vec![0; 64 * 1024], 0)),
+    })
 }
 
-/// Fill `buf` from `stream`. Returns `Ok(false)` on end of stream before
-/// the first byte; end of stream after it is an error.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed the connection mid-frame",
-                ))
+/// The body length a frame's 4-byte length prefix declares, if in bounds.
+fn frame_len(prefix: &[u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(*prefix);
+    if len > MAX_FRAME_BYTES || (len as usize) < FRAME_HEADER_BYTES {
+        let detail = format!("frame length {len} out of bounds");
+        return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
+    }
+    Ok(len as usize)
+}
+
+/// An incoming link: its non-blocking socket; the descriptor to `poll`,
+/// which turns -1 (skipped) once the link closes; and behind its read lock,
+/// a leaf lock (see the module docs), the bytes read but not yet delivered:
+/// `buf[..filled]`, which starts at a frame boundary.
+struct Incoming {
+    peer: NodeId,
+    stream: TcpStream,
+    fd: AtomicI32,
+    read: std::sync::Mutex<(Vec<u8>, usize)>,
+}
+
+impl Incoming {
+    fn poll_fd(&self) -> RawFd {
+        self.fd.load(Ordering::Acquire)
+    }
+
+    /// With the link's read `state` locked, read what has arrived and deliver
+    /// every complete frame, in order; return how many. End of stream, or a
+    /// broken or malformed link, closes this link only, with a log line for
+    /// a failure: bytes from the network never panic.
+    fn drain<M: Send + 'static>(
+        &self,
+        shared: &LinkShared<M>,
+        state: &mut (Vec<u8>, usize),
+    ) -> usize {
+        let mut delivered = 0;
+        if self.poll_fd() < 0 {
+            return 0;
+        }
+        if let Err(failure) = self.read_frames(shared, state, &mut delivered) {
+            self.fd.store(-1, Ordering::Release);
+            if let Some(e) = failure {
+                let (node, peer) = (shared.node, self.peer);
+                eprintln!("tcp fabric: node {node}: link from {peer} failed: {e}");
             }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+        }
+        delivered
+    }
+
+    /// [`Self::drain`]'s loop: `Ok` once the socket is empty for now,
+    /// `Err(None)` at end of stream between frames, `Err(Some(why))` else.
+    fn read_frames<M: Send + 'static>(
+        &self,
+        shared: &LinkShared<M>,
+        (buf, filled): &mut (Vec<u8>, usize),
+        delivered: &mut usize,
+    ) -> Result<(), Option<String>> {
+        loop {
+            if *filled == buf.len() {
+                buf.resize(2 * buf.len(), 0);
+            }
+            let space = buf.len() - *filled;
+            let n = match (&self.stream).read(&mut buf[*filled..]) {
+                Ok(0) if *filled == 0 => return Err(None),
+                Ok(0) => return Err(Some("peer closed the connection mid-frame".into())),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(Some(e.to_string())),
+            };
+            *filled += n;
+            // Deliver every complete frame, then move the rest to the front.
+            let mut at = 0;
+            while let Some(prefix) = buf[at..*filled].first_chunk() {
+                let len = frame_len(prefix).map_err(|e| Some(e.to_string()))?;
+                let Some(frame) = buf[at + 4..*filled].get(..len) else {
+                    break;
+                };
+                bump(&shared.counters.socket_bytes_received, 4 + len as u64);
+                shared.dispatch(frame).map_err(Some)?;
+                *delivered += 1;
+                at += 4 + len;
+            }
+            buf.copy_within(at..*filled, 0);
+            *filled -= at;
+            // A short read emptied the socket; `poll` reports what follows.
+            if n < space {
+                return Ok(());
+            }
         }
     }
-    Ok(true)
 }
 
-/// Read one length-prefixed frame (the bytes after the length prefix).
-/// Returns `Ok(None)` on end of stream between frames.
-fn read_frame<M: Send + 'static>(
-    stream: &mut TcpStream,
-    shared: &LinkShared<M>,
-) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    if !read_full(stream, &mut len_buf)? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_BYTES || (len as usize) < FRAME_HEADER_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} out of bounds"),
-        ));
-    }
-    let mut frame = vec![0u8; len as usize];
-    stream.read_exact(&mut frame)?;
-    shared
-        .counters
-        .socket_bytes_received
-        .fetch_add(4 + u64::from(len), Ordering::Relaxed);
-    Ok(Some(frame))
-}
-
-fn spawn_reader<M: Send + 'static>(
-    mut stream: TcpStream,
-    peer: NodeId,
-    shared: Arc<LinkShared<M>>,
-    decode_env: fn(&[u8]) -> Result<Envelope<M>, WireError>,
-) -> JoinHandle<()> {
-    thread::spawn(move || loop {
-        let frame = match read_frame(&mut stream, &shared) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return,
-            Err(e) => {
-                // A malformed or broken link stops this reader. Never panic
-                // on bytes from the network.
-                eprintln!(
-                    "tcp fabric: node {}: link from {peer} failed: {e}",
-                    shared.node
-                );
-                return;
-            }
-        };
-        let (kind, body) = match decode_frame(&frame) {
-            Ok(parts) => parts,
-            Err(e) => {
-                eprintln!(
-                    "tcp fabric: node {}: undecodable frame from {peer}: {e}",
-                    shared.node
-                );
-                return;
-            }
-        };
+impl<M: Send + 'static> LinkShared<M> {
+    /// Hand one frame to the node: a payload onto the inbox, a leave to the
+    /// tally.
+    fn dispatch(&self, frame: &[u8]) -> Result<(), String> {
+        let (kind, body) = decode_frame(frame).map_err(|e| format!("undecodable frame: {e}"))?;
         match kind {
-            // A duplicate hello after the handshake, or a heartbeat (a
-            // frame kind no current sender emits): ignore.
+            // A duplicate hello, or a heartbeat (no sender emits one).
             FrameKind::Hello | FrameKind::Heartbeat => {}
             FrameKind::Leave => {
-                // Keep reading: in a multi-process cluster replies may
-                // follow a peer's leave (see the module docs).
-                shared.leaves_received.fetch_add(1, Ordering::SeqCst);
-                // A leave can complete the teardown condition of an already
-                // drained node — wake it so the event-driven server re-checks
-                // `all_peers_left`.
-                shared.inbox.wake();
+                // Replies may follow a leave. A leave can complete a drained
+                // node's teardown: wake it to re-check `all_peers_left`.
+                self.leaves_received.fetch_add(1, Ordering::SeqCst);
+                self.inbox.wake();
             }
-            FrameKind::Payload => match decode_env(body) {
-                Ok(envelope) => {
-                    shared
-                        .counters
-                        .payload_frames_delivered
-                        .fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .counters
-                        .modeled_bytes_delivered
-                        .fetch_add(envelope.wire_bytes, Ordering::Relaxed);
-                    shared.inbox.push(envelope);
-                }
-                Err(e) => {
-                    eprintln!(
-                        "tcp fabric: node {}: undecodable payload from {peer}: {e}",
-                        shared.node
-                    );
-                    return;
-                }
-            },
+            FrameKind::Payload => {
+                let decoded = (self.decode_env)(body);
+                self.deliver(decoded.map_err(|e| format!("undecodable payload: {e}"))?);
+            }
         }
-    })
+        Ok(())
+    }
+
+    /// Count a payload envelope delivered and push it onto the inbox.
+    fn deliver(&self, envelope: Envelope<M>) {
+        bump(&self.counters.payload_frames_delivered, 1);
+        bump(&self.counters.modeled_bytes_delivered, envelope.wire_bytes);
+        self.inbox.push(envelope);
+    }
+
+    /// The incoming links; none during the join.
+    fn links(&self) -> &[Incoming] {
+        self.incoming.get().map_or(&[], |links| links)
+    }
+
+    /// The endpoint's I/O thread: wait in `poll` until a link is readable,
+    /// and drain it, waiting for its read lock if another thread holds it,
+    /// until every link is closed.
+    fn run_io(&self) {
+        let _ = batch_scheduling(); // see the module docs
+        let links = self.links();
+        while links.iter().any(|link| link.poll_fd() >= 0) {
+            let polled = poll_readable(links.iter().map(Incoming::poll_fd), None, |i| {
+                let mut state = links[i].read.lock().unwrap_or_else(PoisonError::into_inner);
+                links[i].drain(self, &mut state);
+            });
+            if let Err(e) = polled {
+                eprintln!("tcp fabric: node {}: I/O thread stopped: {e}", self.node);
+                return;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1094,5 +1104,146 @@ mod tests {
             thread::sleep(Duration::from_millis(5));
         }
         assert!(finished(), "the accept loop still waits on a silent dialer");
+    }
+
+    /// Node 0 of a `num_nodes`-node cluster, joined by raw sockets that
+    /// introduce themselves as nodes 1.. and then write whatever bytes a
+    /// test wants. The other nodes' bindings are returned to keep node 0's
+    /// outgoing links open.
+    fn raw_peers(num_nodes: usize) -> (TcpEndpoint<u64>, Vec<TcpStream>, Vec<TcpNodeBinding<u64>>) {
+        let mut bindings = bindings(num_nodes, Duration::from_secs(5));
+        let addrs = addrs(&bindings);
+        let node0 = bindings.remove(0).connect(&addrs).unwrap();
+        let raw = (1..num_nodes)
+            .map(|i| {
+                let mut stream = TcpStream::connect(addrs[0]).unwrap();
+                let hello = encode_hello(Hello {
+                    node: NodeId::from(i),
+                    num_nodes: num_nodes as u16,
+                });
+                stream.write_all(&hello).unwrap();
+                stream
+            })
+            .collect();
+        (node0, raw, bindings)
+    }
+
+    /// The frame a peer `src` would send node 0 for `payload`.
+    fn frame(src: u16, payload: u64) -> Vec<u8> {
+        encode_envelope::<u64, U64Codec>(&Envelope {
+            src: NodeId(src),
+            dst: NodeId(0),
+            category: MsgCategory::Control,
+            wire_bytes: 8 + MESSAGE_HEADER_BYTES,
+            sent_at: SimTime::ZERO,
+            arrival: SimTime::ZERO,
+            payload,
+        })
+    }
+
+    fn next(ep: &TcpEndpoint<u64>) -> (NodeId, u64) {
+        let env = ep
+            .inbox()
+            .recv_timeout(Duration::from_secs(5))
+            .expect("delivery");
+        (env.src, env.payload)
+    }
+
+    /// A frame whose bytes arrive in two parts, with a pause between them,
+    /// is delivered once, whole, whether it is split inside its length
+    /// prefix or inside its body.
+    #[test]
+    fn a_frame_written_in_two_parts_arrives_whole() {
+        let (node0, mut raw, _bindings) = raw_peers(2);
+        for (payload, split) in [(7, 2), (8, 13)] {
+            let bytes = frame(1, payload);
+            raw[0].write_all(&bytes[..split]).unwrap();
+            thread::sleep(Duration::from_millis(50));
+            node0.drain_ready();
+            assert!(
+                node0.inbox().try_recv().is_none(),
+                "a partial frame was delivered"
+            );
+            raw[0].write_all(&bytes[split..]).unwrap();
+            assert_eq!(next(&node0), (NodeId(1), payload));
+        }
+    }
+
+    /// Frames that reach the socket together, so that one read returns all
+    /// of them and part of the next, are delivered in order.
+    #[test]
+    fn several_frames_read_at_once_arrive_in_order() {
+        let (node0, mut raw, _bindings) = raw_peers(2);
+        let mut bytes: Vec<u8> = (0..5).flat_map(|i| frame(1, i)).collect();
+        let tail = frame(1, 5);
+        bytes.extend_from_slice(&tail[..9]);
+        raw[0].write_all(&bytes).unwrap();
+        for i in 0..5 {
+            assert_eq!(next(&node0), (NodeId(1), i));
+        }
+        raw[0].write_all(&tail[9..]).unwrap();
+        assert_eq!(next(&node0), (NodeId(1), 5));
+    }
+
+    /// A length prefix out of bounds closes that one link, without a panic;
+    /// a second link into the same endpoint keeps delivering, both to the
+    /// I/O thread and to a caller of `drain_ready`.
+    #[test]
+    fn a_malformed_length_stops_only_its_own_link() {
+        let (node0, mut raw, _bindings) = raw_peers(3);
+        raw[0].write_all(&frame(1, 1)).unwrap();
+        assert_eq!(next(&node0), (NodeId(1), 1));
+        raw[0].write_all(&2u32.to_le_bytes()).unwrap();
+        raw[0].write_all(&frame(1, 2)).unwrap();
+        raw[1].write_all(&frame(2, 3)).unwrap();
+        assert_eq!(next(&node0), (NodeId(2), 3));
+        let links = node0.shared.incoming.get().expect("the join ended");
+        let link = |peer| links.iter().find(|link| link.peer == peer).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while link(NodeId(1)).poll_fd() >= 0 {
+            assert!(Instant::now() < deadline, "the malformed link stayed open");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(link(NodeId(2)).poll_fd() >= 0, "the healthy link closed");
+        raw[1].write_all(&frame(2, 4)).unwrap();
+        assert_eq!(next(&node0), (NodeId(2), 4));
+        let drained = Instant::now() + Duration::from_secs(5);
+        raw[1].write_all(&frame(2, 5)).unwrap();
+        while node0.inbox().try_recv().is_none() {
+            assert!(Instant::now() < drained, "frame 5 never arrived");
+            node0.drain_ready();
+        }
+        assert!(
+            node0.inbox().try_recv().is_none(),
+            "the closed link delivered"
+        );
+    }
+
+    /// Once a 4-node mesh has joined, each endpoint runs exactly one socket
+    /// thread, its I/O thread, over its three links (the thread holds the
+    /// endpoint's only other reference to the shared state); `finish`
+    /// joins it.
+    #[test]
+    fn a_joined_mesh_runs_one_io_thread_per_endpoint_and_finish_joins_them() {
+        let (eps, _stats) = local_fabric(4);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let joined = |ep: &TcpEndpoint<u64>| {
+            ep.acceptor
+                .lock()
+                .as_ref()
+                .is_some_and(JoinHandle::is_finished)
+        };
+        while !eps.iter().all(joined) {
+            assert!(Instant::now() < deadline, "a join did not end");
+            thread::sleep(Duration::from_millis(1));
+        }
+        for ep in &eps {
+            assert_eq!(ep.shared.incoming.get().map(|links| links.len()), Some(3));
+            assert_eq!(Arc::strong_count(&ep.shared), 2, "one socket thread");
+        }
+        teardown(&eps);
+        for ep in &eps {
+            assert_eq!(Arc::strong_count(&ep.shared), 1, "finish joined it");
+        }
     }
 }

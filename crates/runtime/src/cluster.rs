@@ -289,9 +289,10 @@ impl Cluster {
 
     /// The TCP runner: every node binds a `127.0.0.1` listener, the mesh is
     /// connected through the join handshake, and the executor pool serves
-    /// what the socket reader threads enqueue. Teardown is the leave
-    /// handshake (see `crate::exec`), after which the wire counters are
-    /// reconciled against the modeled network statistics.
+    /// what is read from the sockets (by waiting application threads and
+    /// each endpoint's I/O thread). Teardown is the leave handshake (see
+    /// `crate::exec`), after which the wire counters are reconciled against
+    /// the modeled network statistics.
     fn run_tcp<F>(self, app: F, tcp: TcpConfig) -> ExecutionReport
     where
         F: Fn(&NodeCtx) + Send + Sync,
@@ -384,7 +385,7 @@ impl Cluster {
             "endpoint cluster size disagrees with the cluster configuration"
         );
         // One hosted node: the pool defaults to a single worker, woken by
-        // this process's TCP readers (and self-sends).
+        // this process's TCP I/O thread (and self-sends).
         let shareds = [self.node_shared(endpoint.node(), NodeLink::Tcp(endpoint), None)];
         let scheduler = self.run_apps_with_executor(&shareds, &app);
 

@@ -52,10 +52,26 @@
 //!
 //! An application thread waiting for a reply acts as a worker
 //! ([`HelpWindow`]): it steps runnable nodes, any node, until its reply is
-//! in or the run queue is empty, and parks only then. So on one CPU a
-//! remote fault-in runs request, home step, reply and requester step on the
+//! in, and parks only when nothing is left to step. So on one CPU a remote
+//! fault-in runs request, home step, reply and requester step on the
 //! requester's thread with no OS handoff. A helper claims and releases
 //! nodes exactly as a worker does, and never claims after shutdown.
+//!
+//! On TCP a frame reaches the run queue only once some thread reads it
+//! from its socket, so a helper that finds the queue empty reads the
+//! served nodes' links itself (`TcpEndpoint::drain_ready`), which queues
+//! the nodes of the frames it delivers, and steps those. It parks only when
+//! no node is queued and no link is readable, or being read by another
+//! thread (which may hold a frame it has taken from the socket but not yet
+//! queued). Since a reader queues what it reads before it releases the
+//! link, a last look at the run queue after that then settles it. In an
+//! in-process cluster the fault-in above thus runs request write, read at
+//! the home, home step, reply write, read at the requester and requester
+//! step on one thread; the endpoints' I/O threads (see `dsm_net`'s TCP
+//! module) only read what arrives while no thread helps. A frame can still
+//! reach its socket after the helper's last look (the kernel may defer a
+//! loopback delivery under load); the I/O thread then reads it and a
+//! worker serves it, as without helping.
 //!
 //! A worker woken meanwhile would only race the helper, so while any
 //! thread helps, [`ExecShared::schedule`] queues without unparking one. No
@@ -68,10 +84,10 @@
 //! counts helpers that all take the lock after the push and see it.
 //!
 //! A helper rarely parks, so on the threaded fabric a lock release yields
-//! its CPU to runnable peers that may want the lock (on TCP the yield cost
-//! more tail latency than it won; `NodeShared::release_lock`). On several
-//! CPUs a helper runs steps a second worker could have run beside it:
-//! throughput still rises, but so does tail latency.
+//! its CPU to runnable peers that may want the lock (on TCP it measured no
+//! gain; `NodeShared::release_lock`). On several CPUs a helper runs steps
+//! a second worker could have run beside it: throughput still rises, but
+//! so does tail latency.
 //!
 //! ## Why handler steps cannot deadlock
 //!
@@ -80,10 +96,14 @@
 //! serve lock (a leaf lock, one stepper per node) and the run-queue mutex,
 //! never both while calling into the engine, and the termination check
 //! reads only atomics and queue depths. On TCP a step may block in a socket
-//! write, as on a worker, while the readers keep draining every link. A
-//! helper holds no lock while it steps and its live views only make the
-//! engine report `Busy`, so every blocked application thread always has a
-//! responsive (schedulable) server.
+//! write, as on a worker. That write completes: the peer endpoint's I/O
+//! thread never writes, so it keeps draining every link, whatever the
+//! peer's helpers and workers are blocked on. A helper reading a link holds
+//! only that link's read lock, a leaf lock taken neither while stepping nor
+//! while writing, and never waits for it. A helper holds no lock while it
+//! steps and its live views only make the engine report `Busy`, so every
+//! blocked application thread always has a responsive (schedulable)
+//! server.
 //!
 //! ## TCP teardown: the leave handshake
 //!
@@ -109,7 +129,7 @@
 //! The sim fabric keeps its own virtual-time scheduler (`crate::sim`) and
 //! never touches this module.
 
-use crate::node::{retry_deferred, serve_envelope, NodeShared};
+use crate::node::{retry_deferred, serve_envelope, NodeLink, NodeShared};
 use crate::report::SchedulerReport;
 use dsm_core::step::ServeState;
 use dsm_net::WakeNotifier;
@@ -187,6 +207,9 @@ pub(crate) struct ExecShared {
     /// a single entry for a multi-process TCP worker).
     ids: Box<[NodeId]>,
     servers: Box<[Weak<NodeShared>]>,
+    /// Whether the served nodes are on the TCP fabric, whose links a helper
+    /// reads itself.
+    tcp: bool,
     /// Application threads inside a [`HelpWindow`].
     helpers: AtomicUsize,
     steps: AtomicU64,
@@ -309,6 +332,21 @@ impl ExecShared {
         })
     }
 
+    /// Read, on the calling thread, what has arrived on the served nodes'
+    /// TCP links (see `TcpEndpoint::drain_ready`); 0 on the threaded fabric.
+    fn drain_links(&self) -> usize {
+        if !self.tcp {
+            return 0;
+        }
+        let servers = self.servers.iter().filter_map(Weak::upgrade);
+        // The first endpoint with frames is enough: the helper steps the
+        // node they queued, then looks again.
+        servers
+            .map(|server| server.drain_link())
+            .find(|&n| n > 0)
+            .unwrap_or(0)
+    }
+
     /// Run one handler step of a claimed node, then release the claim, on
     /// unwind too: a panicking step leaves no node `RUNNING` behind.
     fn step(&self, node: usize) {
@@ -401,16 +439,27 @@ impl ExecShared {
 pub(crate) struct HelpWindow<'a>(&'a ExecShared);
 
 impl HelpWindow<'_> {
-    /// Step queued nodes until `done` holds, the queue is empty or shutdown
-    /// has been requested, then close the window.
+    /// Step queued nodes until `done` holds, nothing is queued or (on TCP)
+    /// readable, or shutdown has been requested, then close the window.
     pub(crate) fn help(self, done: impl Fn() -> bool) {
         let exec = self.0;
-        while !done() {
+        let claim = || {
             let mut q = exec.queue.lock();
-            let Some(node) = (!q.shutdown).then(|| exec.pop(&mut q)).flatten() else {
-                break;
+            (!q.shutdown).then(|| exec.pop(&mut q)).flatten()
+        };
+        while !done() {
+            // On TCP, reading the frames that arrived queues their nodes.
+            // Once no link is readable or being read, every frame that
+            // arrived is queued, so one more look settles it.
+            let node = match claim() {
+                Some(node) => node,
+                None if exec.drain_links() > 0 => continue,
+                None if !exec.tcp => break,
+                None => match claim() {
+                    Some(node) => node,
+                    None => break,
+                },
             };
-            drop(q);
             exec.helped_steps.fetch_add(1, SeqCst);
             exec.step(node);
         }
@@ -453,6 +502,7 @@ impl Executor {
             nodes: shareds.iter().map(|_| NodeSched::new()).collect(),
             ids: shareds.iter().map(|shared| shared.node).collect(),
             servers: shareds.iter().map(Arc::downgrade).collect(),
+            tcp: shareds.iter().any(|s| matches!(s.link, NodeLink::Tcp(_))),
             helpers: AtomicUsize::new(0),
             steps: AtomicU64::new(0),
             helped_steps: AtomicU64::new(0),
@@ -560,26 +610,47 @@ impl ExecHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeLink;
+    use dsm_core::step::SYNC_MANAGER;
     use dsm_core::{ProtocolConfig, ProtocolEngine, ProtocolMsg, ReqId};
     use dsm_model::{ComputeModel, NetworkParams, SimDuration};
-    use dsm_net::{Fabric, StatsCollector};
+    use dsm_net::{Fabric, StatsCollector, TcpConfig, TcpFabric};
     use dsm_objspace::LockId;
+    use dsm_wire::ProtocolCodec;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::thread;
     use std::time::{Duration, Instant};
 
-    /// Every node of a `nodes`-node threaded fabric, unserved.
-    fn served(nodes: usize) -> Vec<Arc<NodeShared>> {
-        let fabric = Fabric::new(nodes, NetworkParams::ideal(), StatsCollector::new());
-        let shared = |endpoint: dsm_net::Endpoint<ProtocolMsg>| {
+    /// One unserved node per link, in node order.
+    fn nodes_on(links: Vec<NodeLink>) -> Vec<Arc<NodeShared>> {
+        let nodes = links.len();
+        let shared = |(node, link)| {
             let config = ProtocolConfig::no_migration();
-            let engine = ProtocolEngine::new(endpoint.node(), nodes, config, Arc::default());
-            let link = NodeLink::Threaded(endpoint);
+            let engine = ProtocolEngine::new(NodeId::from(node), nodes, config, Arc::default());
             let compute = ComputeModel::free();
             NodeShared::new(engine, link, compute, SimDuration::ZERO, 0, true, None)
         };
-        fabric.into_endpoints().into_iter().map(shared).collect()
+        links.into_iter().enumerate().map(shared).collect()
+    }
+
+    /// Every node of a `nodes`-node threaded fabric, unserved.
+    fn served(nodes: usize) -> Vec<Arc<NodeShared>> {
+        let fabric = Fabric::new(nodes, NetworkParams::ideal(), StatsCollector::new());
+        nodes_on(
+            fabric
+                .into_endpoints()
+                .into_iter()
+                .map(NodeLink::Threaded)
+                .collect(),
+        )
+    }
+
+    /// Every node of a `nodes`-node TCP fabric on 127.0.0.1, unserved.
+    fn served_tcp(nodes: usize) -> Vec<Arc<NodeShared>> {
+        let (params, stats) = (NetworkParams::ideal(), StatsCollector::new());
+        let tcp = TcpConfig::default();
+        let fabric = TcpFabric::bind_local::<ProtocolCodec>(nodes, params, stats, tcp);
+        let endpoints = fabric.expect("bind 127.0.0.1").into_endpoints();
+        nodes_on(endpoints.into_iter().map(NodeLink::Tcp).collect())
     }
 
     fn wait_until(what: &str, done: impl Fn() -> bool) {
@@ -720,6 +791,54 @@ mod tests {
                 assert_eq!(e.shared.helped_steps.load(SeqCst), 0);
             });
         }
+    }
+
+    /// Ten lock acquires and releases from node 1 to the manager on a
+    /// two-node TCP cluster beside one parked worker: the helped steps, all
+    /// steps, and the parked workers at the end.
+    fn tcp_lock_round_trips() -> (u64, u64, usize) {
+        let nodes = served_tcp(2);
+        let e = Executor::new(&nodes, 1);
+        let (client, hook) = (&nodes[1], hook(&e));
+        let mut counts = (0, 0, 0);
+        with_workers(&e, 1, || {
+            for _ in 0..10 {
+                let (lock, req) = (LockId(3), client.new_req());
+                let requester = client.node;
+                let acquire = ProtocolMsg::LockAcquire {
+                    req,
+                    lock,
+                    requester,
+                };
+                let grant = client.request(SYNC_MANAGER, req, acquire);
+                assert!(matches!(grant, ProtocolMsg::LockGrant { .. }), "{grant:?}");
+                // A release is one-way: help until the manager served it.
+                let window = hook.open_window();
+                client.release_lock(lock);
+                window.help(|| false);
+            }
+            let (helped, steps) = (&e.shared.helped_steps, &e.shared.steps);
+            counts = (helped.load(SeqCst), steps.load(SeqCst), parked(&e));
+            // The pool's shutdown then runs the leave handshake.
+            nodes.iter().for_each(|node| node.request_shutdown());
+        });
+        counts
+    }
+
+    /// On TCP a waiting thread reads what arrived on the links itself: lock
+    /// round trips to the manager run every handler step on the client's
+    /// thread, and the parked worker takes none. Under CPU contention the
+    /// kernel may hand loopback delivery to its softirq thread, so a frame
+    /// can reach its socket after the helper's last look; the helper then
+    /// parks and the worker serves the frame, which is correct but not this
+    /// path. So one of up to five attempts must be clean.
+    #[test]
+    fn tcp_lock_round_trips_run_on_the_waiting_thread_alone() {
+        let clean = (0..5)
+            .map(|_| tcp_lock_round_trips())
+            .find(|&(helped, steps, parked)| helped == steps && parked == 1);
+        let (_, steps, _) = clean.expect("a worker stepped in every attempt");
+        assert_eq!(steps, 30, "two steps per acquire, one per release");
     }
 
     #[test]

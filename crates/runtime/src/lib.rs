@@ -189,9 +189,10 @@
 //!   join time with a hello handshake that carries each node's identity
 //!   and expected cluster size. Per-link FIFO holds because all frames
 //!   from node *a* to node *b* travel on one dedicated ordered connection,
-//!   each written whole by its sender under that link's lock, and one
-//!   reader thread per incoming link decodes them in order into the
-//!   node's inbox. Messages are encoded with the
+//!   each written whole by its sender under that link's lock, and read in
+//!   order into the node's inbox by whichever thread holds that link's
+//!   read lock: a waiting application thread, or the endpoint's one I/O
+//!   thread. Messages are encoded with the
 //!   `dsm-wire` binary codec (see `dsm-net`'s wire-format docs); modeled
 //!   send/arrival times travel inside each frame, but the receiver merges
 //!   them in real-time arrival order. Teardown is an orderly leave

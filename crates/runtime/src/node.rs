@@ -244,6 +244,15 @@ impl NodeShared {
             }
     }
 
+    /// Deliver the frames that have already arrived on this node's TCP
+    /// links (`TcpEndpoint::drain_ready`); 0 on other fabrics.
+    pub(crate) fn drain_link(&self) -> usize {
+        match &self.link {
+            NodeLink::Tcp(ep) => ep.drain_ready(),
+            _ => 0,
+        }
+    }
+
     /// Announce the TCP leave frame (idempotent); no-op on other fabrics.
     pub(crate) fn link_announce_leave(&self) {
         if let NodeLink::Tcp(ep) = &self.link {

@@ -14,9 +14,9 @@
 //! a diff) — long holders (application views) only ever face `try_*`
 //! acquirers on the protocol-server side, which defer instead of spinning.
 //!
-//! This module and `dsm-objspace`'s `raw` module are the only two places
-//! in the workspace that use `unsafe`; the invariants are spelled out
-//! inline.
+//! This module, the `os` module beside it and `dsm-objspace`'s `raw`
+//! module are the only places in the workspace that use `unsafe`; the
+//! invariants are spelled out inline.
 
 #![allow(unsafe_code)]
 

@@ -16,6 +16,9 @@
 //! * [`LatencyHistogram`] — a fixed-bucket log-linear histogram for
 //!   wall-clock latency percentiles (the piece `hdrhistogram` would
 //!   normally provide).
+//! * [`poll_readable`] and [`batch_scheduling`] — `poll(2)` over a set of
+//!   sockets, and a thread class that does not preempt on wake-up, for the
+//!   TCP fabric's readers (Unix only).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,10 +26,14 @@
 mod cell;
 pub mod channel;
 mod histogram;
+#[cfg(unix)]
+mod os;
 mod rng;
 pub mod sync;
 
 pub use cell::{RwCell, RwReadGuard, RwWriteGuard};
 pub use histogram::LatencyHistogram;
+#[cfg(unix)]
+pub use os::{batch_scheduling, poll_readable};
 pub use rng::{parse_seed, SmallRng};
 pub use sync::{Mutex, MutexGuard};
