@@ -54,8 +54,16 @@
 //! ([`HelpWindow`]): it steps runnable nodes, any node, until its reply is
 //! in, and parks only when nothing is left to step. So on one CPU a remote
 //! fault-in runs request, home step, reply and requester step on the
-//! requester's thread with no OS handoff. A helper claims and releases
-//! nodes exactly as a worker does, and never claims after shutdown.
+//! requester's thread with no OS handoff. A thread that releases a lock
+//! helps too, around its one-way `LockRelease` (`NodeShared::release_lock`),
+//! until nothing is left to step, so the manager's step runs on it. A
+//! helper claims and releases nodes exactly as a worker does, and never
+//! claims after shutdown.
+//!
+//! So another thread is woken only when it sleeps: a completion notifies
+//! its waiter only if the waiter parked on its reply slot, and a parked
+//! worker wakes only for a node queued while no thread helps, or still
+//! queued when the last helper leaves.
 //!
 //! On TCP a frame reaches the run queue only once some thread reads it
 //! from its socket, so a helper that finds the queue empty reads the
@@ -83,11 +91,11 @@
 //! before the push, so `schedule` reads zero and unparks a worker, or
 //! counts helpers that all take the lock after the push and see it.
 //!
-//! A helper rarely parks, so on the threaded fabric a lock release yields
-//! its CPU to runnable peers that may want the lock (on TCP it measured no
-//! gain; `NodeShared::release_lock`). On several CPUs a helper runs steps
-//! a second worker could have run beside it: throughput still rises, but
-//! so does tail latency.
+//! A helper rarely parks, so on the threaded fabric a lock release, after
+//! its help, yields its CPU to runnable peers that may want the lock (on
+//! TCP it measured no gain). On several CPUs a helper runs steps a second
+//! worker could have run beside it: throughput still rises, but so does
+//! tail latency.
 //!
 //! ## Why handler steps cannot deadlock
 //!
@@ -793,13 +801,12 @@ mod tests {
         }
     }
 
-    /// Ten lock acquires and releases from node 1 to the manager on a
-    /// two-node TCP cluster beside one parked worker: the helped steps, all
-    /// steps, and the parked workers at the end.
-    fn tcp_lock_round_trips() -> (u64, u64, usize) {
-        let nodes = served_tcp(2);
-        let e = Executor::new(&nodes, 1);
-        let (client, hook) = (&nodes[1], hook(&e));
+    /// Ten lock acquires and releases from node 1 to the manager of the
+    /// two-node cluster `nodes` beside one parked worker: the helped steps,
+    /// all steps, and the parked workers at the end.
+    fn lock_round_trips(nodes: &[Arc<NodeShared>]) -> (u64, u64, usize) {
+        let e = Executor::new(nodes, 1);
+        let client = &nodes[1];
         let mut counts = (0, 0, 0);
         with_workers(&e, 1, || {
             for _ in 0..10 {
@@ -812,17 +819,25 @@ mod tests {
                 };
                 let grant = client.request(SYNC_MANAGER, req, acquire);
                 assert!(matches!(grant, ProtocolMsg::LockGrant { .. }), "{grant:?}");
-                // A release is one-way: help until the manager served it.
-                let window = hook.open_window();
                 client.release_lock(lock);
-                window.help(|| false);
             }
             let (helped, steps) = (&e.shared.helped_steps, &e.shared.steps);
             counts = (helped.load(SeqCst), steps.load(SeqCst), parked(&e));
-            // The pool's shutdown then runs the leave handshake.
+            // The pool's shutdown then runs the TCP leave handshake.
             nodes.iter().for_each(|node| node.request_shutdown());
         });
         counts
+    }
+
+    /// A waiting thread steps the manager and itself, and a releasing
+    /// thread steps the manager's release: every handler step of lock round
+    /// trips runs on the client's thread, and the parked worker takes none.
+    #[test]
+    fn threaded_lock_round_trips_run_on_the_waiting_thread_alone() {
+        let (helped, steps, parked) = lock_round_trips(&served(2));
+        assert_eq!(steps, 30, "two steps per acquire, one per release");
+        assert_eq!(helped, steps, "a worker stepped");
+        assert_eq!(parked, 1, "the worker woke");
     }
 
     /// On TCP a waiting thread reads what arrived on the links itself: lock
@@ -835,7 +850,7 @@ mod tests {
     #[test]
     fn tcp_lock_round_trips_run_on_the_waiting_thread_alone() {
         let clean = (0..5)
-            .map(|_| tcp_lock_round_trips())
+            .map(|_| lock_round_trips(&served_tcp(2)))
             .find(|&(helped, steps, parked)| helped == steps && parked == 1);
         let (_, steps, _) = clean.expect("a worker stepped in every attempt");
         assert_eq!(steps, 30, "two steps per acquire, one per release");

@@ -56,8 +56,10 @@
 //!   machine without 256 server threads. An application thread waiting for
 //!   a reply steps queued nodes itself until its reply is in, and no
 //!   worker is woken meanwhile: on one CPU a remote fault-in then needs no
-//!   OS handoff. A per-node atomic state machine (idle → queued → running,
-//!   plus a notified-while-running bit) guarantees no lost wakeups and
+//!   OS handoff. A lock release helps the same way around its one-way
+//!   message, and a reply wakes its waiter only if the waiter parked. A
+//!   per-node atomic state machine (idle → queued → running, plus a
+//!   notified-while-running bit) guarantees no lost wakeups and
 //!   one stepper per node, and a handler that defers a Busy message
 //!   re-arms the node's runnable bit so the deferral is retried without a
 //!   timer. The scheduling counters (steps, helped steps, wakeups, idle

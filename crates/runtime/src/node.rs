@@ -104,8 +104,9 @@ pub(crate) struct Reply {
 enum SlotState {
     /// No request outstanding.
     Idle,
-    /// The application thread waits (or is about to wait) on this request.
-    Waiting(ReqId),
+    /// The application thread waits (or is about to wait) on this request;
+    /// `parked` is whether it sleeps on the condvar right now.
+    Waiting { req: ReqId, parked: bool },
     /// The reply arrived. `released` is whether the waiter may take it: at
     /// once on the threaded and TCP fabrics; on the sim, only after the
     /// scheduler's wake pass re-counted the parked agent (see
@@ -123,11 +124,15 @@ enum SlotState {
 /// re-count callbacks ([`NodeShared::release_reply`],
 /// [`NodeShared::abort_pending`]) take the fabric's agent-count lock under
 /// it, and the fabric never calls back. On the executor fabrics a waiter
-/// parks only once its help window found nothing left to step. The condvar
-/// is notified after the lock is released: a waiter woken under it would
-/// only block on it again, two more context switches per reply on a busy
-/// core (about a sixth of `kv-fixedhome-threaded`'s throughput with
-/// benchmark reps pinned to one CPU of a 2-vCPU guest).
+/// parks only once its help window found nothing left to step, and a
+/// completion notifies the condvar only if the waiter is parked: a reply
+/// that lands while its waiter still helps (often on the waiter's own
+/// thread) is taken with no system call. The sim's wake pass and the
+/// teardown abort always notify. The condvar is notified after the lock is
+/// released: a waiter woken under it would only block on it again, two
+/// more context switches per reply on a busy core (about a sixth of
+/// `kv-fixedhome-threaded`'s throughput with benchmark reps pinned to one
+/// CPU of a 2-vCPU guest).
 struct ReplySlot {
     state: Mutex<SlotState>,
     ready: Condvar,
@@ -201,14 +206,21 @@ impl NodeShared {
     /// wedges every later acquirer of the lock), so it carries a fresh id
     /// and is retransmitted until acknowledged. Elsewhere it is the paper's
     /// fire-and-forget message (`ReqId(0)`: no ack expected); the manager's
-    /// own is served inline. On the threaded fabric, where a helping thread
-    /// rarely parks, the caller then yields the CPU so its runnable peers
-    /// can ask for the lock.
+    /// own is served inline. On the executor fabrics the caller helps
+    /// around the post until nothing is queued (see "Helping" in
+    /// `crate::exec`), so the manager's step runs on this thread and no
+    /// parked worker is woken for it. On the threaded fabric, where a
+    /// helping thread rarely parks, the caller then yields the CPU so its
+    /// runnable peers can ask for the lock.
     pub(crate) fn release_lock(&self, lock: LockId) {
         let tracked = self.fault.is_some() && SYNC_MANAGER != self.node;
         let req = if tracked { self.new_req() } else { ReqId(0) };
         let holder = self.node;
+        let window = self.exec.get().map(crate::exec::ExecHook::open_window);
         self.post(SYNC_MANAGER, ProtocolMsg::LockRelease { lock, holder, req });
+        if let Some(window) = window {
+            window.help(|| false);
+        }
         if matches!(self.link, NodeLink::Threaded(_)) {
             std::thread::yield_now();
         }
@@ -277,7 +289,7 @@ impl NodeShared {
     pub(crate) fn register_pending(&self, req: ReqId) {
         let mut slot = self.reply.state.lock();
         match *slot {
-            SlotState::Idle => *slot = SlotState::Waiting(req),
+            SlotState::Idle => *slot = SlotState::Waiting { req, parked: false },
             SlotState::Aborted => panic!("{SHUT_DOWN}"),
             ref other => panic!(
                 "{} registered {req:?} with {other:?} still outstanding",
@@ -303,7 +315,7 @@ impl NodeShared {
             fault.clear(req);
         }
         match *self.reply.state.lock() {
-            SlotState::Waiting(waiting) if waiting == req => {}
+            SlotState::Waiting { req: waiting, .. } if waiting == req => {}
             SlotState::Aborted => return,
             _ => {
                 assert!(
@@ -319,19 +331,21 @@ impl NodeShared {
         // moved the slot meanwhile: a second reply to `req` exists only under
         // the fault layer, whose completions all run on the sim scheduler.
         let mut slot = self.reply.state.lock();
-        if matches!(*slot, SlotState::Waiting(waiting) if waiting == req) {
-            // The sim scheduler's wake pass releases the waiter after the
-            // handler step (see `crate::sim`); a reply the application
-            // delivered on its own stack is taken without parking.
-            let released = !matches!(self.link, NodeLink::Sim(_));
-            *slot = SlotState::Ready {
-                reply: Reply { msg, arrival },
-                released,
-            };
-            drop(slot);
-            if released {
-                self.reply.ready.notify_one();
-            }
+        let parked = match *slot {
+            SlotState::Waiting { req: id, parked } if id == req => parked,
+            _ => return,
+        };
+        // The sim scheduler's wake pass releases the waiter after the
+        // handler step (see `crate::sim`); a reply the application
+        // delivered on its own stack is taken without parking.
+        let released = !matches!(self.link, NodeLink::Sim(_));
+        *slot = SlotState::Ready {
+            reply: Reply { msg, arrival },
+            released,
+        };
+        drop(slot);
+        if released && parked {
+            self.reply.ready.notify_one();
         }
     }
 
@@ -403,7 +417,7 @@ impl NodeShared {
         let window = self.exec.get().map(crate::exec::ExecHook::open_window);
         issue();
         if let Some(window) = window {
-            window.help(|| !matches!(*self.reply.state.lock(), SlotState::Waiting(_)));
+            window.help(|| !matches!(*self.reply.state.lock(), SlotState::Waiting { .. }));
         }
         let mut slot = self.reply.state.lock();
         if !matches!(*slot, SlotState::Ready { .. }) {
@@ -416,6 +430,11 @@ impl NodeShared {
                 *slot,
                 SlotState::Ready { released: true, .. } | SlotState::Aborted
             ) {
+                // The flag needs no clearing: the waiter holds the lock from
+                // its wake until it parks again or the slot left `Waiting`.
+                if let SlotState::Waiting { parked, .. } = &mut *slot {
+                    *parked = true;
+                }
                 slot = self
                     .reply
                     .ready
@@ -486,7 +505,7 @@ impl NodeShared {
         let mut slot = self.reply.state.lock();
         if matches!(
             *slot,
-            SlotState::Waiting(_)
+            SlotState::Waiting { .. }
                 | SlotState::Ready {
                     released: false,
                     ..
@@ -579,6 +598,7 @@ mod tests {
     use dsm_objspace::{LockId, ObjectId};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc::{self, RecvTimeoutError};
     use std::thread;
     use std::time::Duration;
 
@@ -762,6 +782,100 @@ mod tests {
         assert!(message.contains("cluster shut down"), "got: {message}");
     }
 
+    /// Whether `shared`'s waiter sleeps on the reply slot's condvar.
+    fn parked(shared: &NodeShared) -> bool {
+        matches!(
+            *shared.reply.state.lock(),
+            SlotState::Waiting { parked: true, .. }
+        )
+    }
+
+    /// Run `body` on a thread of its own and fail if it takes over 20 s: a
+    /// waiter that parks and is never woken would otherwise hang the test.
+    fn within_deadline(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel::<()>();
+        let runner = thread::spawn(move || {
+            let _done = done;
+            body();
+        });
+        let timeout = finished.recv_timeout(Duration::from_secs(20));
+        assert_ne!(timeout, Err(RecvTimeoutError::Timeout), "a waiter hung");
+        if let Err(panic) = runner.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    /// A completion that lands while its waiter is still busy (here inside
+    /// `issue`, where a helper would be stepping) finds the waiter not
+    /// parked, so it fills the slot without a wake, and the waiter takes
+    /// the reply without parking: had it parked, nothing would wake it. A
+    /// handshake puts each of 1000 completions before the wait.
+    #[test]
+    fn a_completion_before_the_waiter_parks_is_taken_without_parking() {
+        within_deadline(|| {
+            let shared = lone_node();
+            let (go, requests) = mpsc::channel();
+            let (done, completions) = mpsc::channel();
+            let completer = Arc::clone(&shared);
+            let completer = thread::spawn(move || {
+                for req in requests {
+                    assert!(!parked(&completer), "the waiter parked inside `issue`");
+                    completer.complete(req, grant(req), SimTime::ZERO);
+                    done.send(()).expect("the waiter is alive");
+                }
+            });
+            for _ in 0..1000 {
+                let req = shared.new_req();
+                shared.register_pending(req);
+                let reply = shared.wait_reply(|| {
+                    go.send(req).expect("the completer is alive");
+                    completions.recv().expect("the completer completed");
+                });
+                assert_eq!(reply.msg.reply_req(), Some(req));
+            }
+            drop(go);
+            completer.join().expect("the completer finished");
+        });
+    }
+
+    /// 1000 rounds, each on a fresh node: a waiter thread parks on a
+    /// registered request, and once it sleeps on the slot's condvar this
+    /// thread runs `wake`. Each waiter must wake, with a reply if `replied`
+    /// and unwinding from the teardown abort otherwise.
+    fn wake_parked_waiters(wake: fn(&NodeShared, ReqId), replied: bool) {
+        within_deadline(move || {
+            for _ in 0..1000 {
+                let shared = lone_node();
+                let req = shared.new_req();
+                shared.register_pending(req);
+                let waiter = Arc::clone(&shared);
+                let waiter = thread::spawn(move || {
+                    catch_unwind(AssertUnwindSafe(|| waiter.wait_reply(|| {}))).is_ok()
+                });
+                while !parked(&shared) {
+                    thread::yield_now();
+                }
+                wake(&shared, req);
+                assert_eq!(waiter.join().expect("the waiter returned"), replied);
+            }
+        });
+    }
+
+    /// A completion from another thread after the waiter parked wakes it.
+    #[test]
+    fn a_completion_after_the_waiter_parked_wakes_it() {
+        wake_parked_waiters(
+            |shared, req| shared.complete(req, grant(req), SimTime::ZERO),
+            true,
+        );
+    }
+
+    /// The teardown abort wakes a parked waiter, which then unwinds.
+    #[test]
+    fn abort_pending_wakes_a_parked_waiter() {
+        wake_parked_waiters(|shared, _| shared.abort_pending(|| {}), false);
+    }
+
     /// Park one application thread per sim node on a request and run
     /// `teardown` once every agent is parked, with a count of the waiters
     /// woken so far. Each waiter finishes its agent after it wakes, as an
@@ -830,7 +944,7 @@ mod tests {
     fn a_sim_reply_waits_for_the_wake_pass_which_recounts_first() {
         park_and_tear_down(2, |fabric, shareds, woken| {
             for shared in shareds {
-                let SlotState::Waiting(req) = *shared.reply.state.lock() else {
+                let SlotState::Waiting { req, .. } = *shared.reply.state.lock() else {
                     panic!("a parked waiter's slot is Waiting");
                 };
                 shared.complete(req, grant(req), SimTime::ZERO);
