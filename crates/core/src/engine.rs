@@ -20,23 +20,21 @@
 //! accounting. This keeps every protocol rule in one place and unit-testable
 //! without threads.
 //!
-//! ## Sharded locking
+//! ## Locking
 //!
-//! The engine is internally **lock-striped** so the two sides never
-//! serialize on a node-global lock. Per-object state (home copies, cached
-//! copies, home beliefs, interval write sets) lives in `N` independent
-//! [`EngineShard`]s, each behind its own mutex, keyed by `ObjectId`;
-//! node-global state (the distributed lock and barrier managers and the
-//! synchronization counters) sits behind a separate small lock
-//! ([`NodeGlobals`]). Every public method takes `&self` and acquires exactly
-//! one internal lock — shard locks and the global lock are all *leaf* locks,
-//! never nested — so requests for objects in different shards proceed fully
-//! in parallel and the engine's internal locking cannot deadlock.
-//! Interval-wide operations (`begin_interval`, `prepare_release`,
-//! `finish_release`) walk the shards one at a time; they are issued by the
-//! node's single application thread, which the protocol permits to observe
-//! shards at slightly different instants (the server side only performs
-//! per-object transitions).
+//! All of the engine's mutable state — the per-object maps, the lock and
+//! barrier managers, the arbiter's election book and the statistics — sits
+//! in one private `EngineState` behind **one** mutex. Every public method
+//! takes `&self` and the lock exactly once, for the length of one protocol
+//! transition: an interval-wide operation (`begin_interval`,
+//! `prepare_release`, `finish_release`) sees the whole node at one instant,
+//! and a home re-election observes, decides and installs in one critical
+//! section. It is a *leaf* lock: it is never held across application code
+//! or a send, and no engine call takes another lock under it except the
+//! non-blocking `try_` payload guards below, so the engine's locking
+//! cannot deadlock. The paper's nodes are single-CPU machines whose
+//! application and protocol handler share one processor; one lock per node
+//! matches that.
 //!
 //! ## Payload leases
 //!
@@ -49,7 +47,7 @@
 //! node's server side runs concurrently on another thread), the runtime
 //! uses the checked [`ProtocolEngine::try_lease_read`] and
 //! [`ProtocolEngine::try_lease_write`] forms, which validate the access
-//! state and take the payload guard atomically under the shard
+//! state and take the payload guard atomically under the engine
 //! lock, and re-plan when the state moved underneath them. The server side
 //! only ever takes `try_` locks on payloads and reports [`Busy`] outcomes
 //! when an application view is live, so the protocol server can defer a
@@ -58,8 +56,6 @@
 //! server).
 //!
 //! [`Busy`]: ObjectRequestOutcome::Busy
-//! [`EngineShard`]: crate::engine#sharded-locking
-//! [`NodeGlobals`]: crate::engine#sharded-locking
 //!
 //! ## Home epochs
 //!
@@ -154,25 +150,17 @@
 //!   the winner retries until acknowledged).
 
 use crate::config::ProtocolConfig;
-use crate::global::NodeGlobals;
 use crate::messages::ReqId;
 use crate::migration::MigrationState;
-use crate::shard::EngineShard;
+use crate::state::EngineState;
 use crate::stats::ProtocolStats;
 use crate::sync::{BarrierOutcome, LockAcquireOutcome, LockReleaseOutcome};
 use dsm_objspace::{
     BarrierId, Diff, Element, LockId, NodeId, ObjectData, ObjectId, ObjectRegistry, ObjectStore,
     Version,
 };
-use dsm_util::{Mutex, MutexGuard, RwReadGuard, RwWriteGuard};
-use std::collections::HashMap;
+use dsm_util::{Mutex, RwReadGuard, RwWriteGuard};
 use std::sync::Arc;
-
-/// Default number of lock stripes per engine. Sixteen shards keep the
-/// per-shard mutexes essentially uncontended for the paper's workloads
-/// (hundreds of objects, a handful of cores) while costing next to nothing
-/// for single-object tests.
-pub(crate) const DEFAULT_ENGINE_SHARDS: usize = 16;
 
 /// The home-epoch stride of a re-election fence: an elected home's epoch
 /// is the highest observed epoch plus this stride, so it strictly exceeds
@@ -303,26 +291,19 @@ pub enum DiffOutcome {
     Busy,
 }
 
-/// The per-node protocol engine: a facade over `N` lock-striped object
-/// shards plus one node-global lock. See the module documentation.
+/// The per-node protocol engine: immutable cluster facts plus one mutex
+/// over the node's protocol state. See the module documentation.
 #[derive(Debug)]
 pub struct ProtocolEngine {
     node: NodeId,
     num_nodes: usize,
     config: ProtocolConfig,
     registry: Arc<ObjectRegistry>,
-    shards: Box<[Mutex<EngineShard>]>,
-    globals: Mutex<NodeGlobals>,
-    /// Arbiter-side election book: the elected `(home, epoch)` per object.
-    /// Sticky so concurrent candidates converge on one winner; re-election
-    /// is allowed only when the previously elected home is itself the new
-    /// suspect. A leaf lock like the shards, never nested with them.
-    elections: Mutex<HashMap<ObjectId, (NodeId, u32)>>,
+    state: Mutex<EngineState>,
 }
 
 impl ProtocolEngine {
-    /// Create the engine for `node` in a cluster of `num_nodes` nodes, with
-    /// the default shard count (`DEFAULT_ENGINE_SHARDS`).
+    /// Create the engine for `node` in a cluster of `num_nodes` nodes.
     ///
     /// Home copies (zero-filled) are created for every registered object
     /// whose initial home is this node.
@@ -332,49 +313,19 @@ impl ProtocolEngine {
         config: ProtocolConfig,
         registry: Arc<ObjectRegistry>,
     ) -> Self {
-        Self::with_shards(node, num_nodes, config, registry, DEFAULT_ENGINE_SHARDS)
-    }
-
-    /// Create the engine with an explicit shard count (rounded up to the
-    /// next power of two; at least one).
-    pub(crate) fn with_shards(
-        node: NodeId,
-        num_nodes: usize,
-        config: ProtocolConfig,
-        registry: Arc<ObjectRegistry>,
-        shards: usize,
-    ) -> Self {
         assert!(num_nodes > 0, "cluster must have at least one node");
         assert!(
             node.index() < num_nodes,
             "node {node} outside cluster of {num_nodes}"
         );
-        let count = shards.max(1).next_power_of_two();
-        let shards: Box<[Mutex<EngineShard>]> = (0..count)
-            .map(|index| {
-                Mutex::new(EngineShard::new(
-                    node,
-                    num_nodes,
-                    config.clone(),
-                    Arc::clone(&registry),
-                    |obj| shard_index(obj, count) == index,
-                ))
-            })
-            .collect();
+        let state = EngineState::new(node, num_nodes, config.clone(), Arc::clone(&registry));
         ProtocolEngine {
             node,
             num_nodes,
             config,
             registry,
-            shards,
-            globals: Mutex::new(NodeGlobals::new(num_nodes)),
-            elections: Mutex::new(HashMap::new()),
+            state: Mutex::new(state),
         }
-    }
-
-    /// The shard guarding `obj`'s per-object state.
-    fn shard(&self, obj: ObjectId) -> MutexGuard<'_, EngineShard> {
-        self.shards[shard_index(obj, self.shards.len())].lock()
     }
 
     /// The node this engine belongs to.
@@ -397,49 +348,26 @@ impl ProtocolEngine {
         &self.registry
     }
 
-    /// Number of lock stripes in this engine.
-    #[cfg(test)]
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard index `obj`'s state lives in (stable for the lifetime of
-    /// the engine; exposed for tests that reason about stripe contention).
-    #[cfg(test)]
-    fn shard_of(&self, obj: ObjectId) -> usize {
-        shard_index(obj, self.shards.len())
-    }
-
-    /// Protocol statistics accumulated so far, aggregated across shards and
-    /// the node-global state.
+    /// Protocol statistics accumulated so far.
     pub fn stats(&self) -> ProtocolStats {
-        let mut total = ProtocolStats::default();
-        for shard in self.shards.iter() {
-            total.merge(&shard.lock().stats);
-        }
-        let globals = self.globals.lock();
-        total.lock_acquires += globals.lock_acquires;
-        total.barriers += globals.barriers_crossed;
-        total.batched_flushes += globals.batched_flushes;
-        total.batch_entries += globals.batch_entries;
-        total
+        self.state.lock().stats
     }
 
     /// Whether this node currently is the home of `obj`.
     pub fn is_home(&self, obj: ObjectId) -> bool {
-        self.shard(obj).is_home(obj)
+        self.state.lock().is_home(obj)
     }
 
     /// The node this engine currently believes to be the home of `obj`.
     pub fn home_hint(&self, obj: ObjectId) -> NodeId {
-        self.shard(obj).home_hint(obj)
+        self.state.lock().home_hint(obj)
     }
 
     /// The home epoch this node believes `obj`'s current home is at (its
     /// own epoch when it is the home, 0 when it only knows the initial
     /// assignment).
     pub fn home_epoch(&self, obj: ObjectId) -> u32 {
-        self.shard(obj).home_epoch(obj)
+        self.state.lock().home_epoch(obj)
     }
 
     /// The manager node of `obj` under the home-manager notification
@@ -459,7 +387,7 @@ impl ProtocolEngine {
     /// Panics if the payload size does not match the registered descriptor,
     /// or if the object has already been written through the protocol.
     pub fn bootstrap_object<T: Element>(&self, obj: ObjectId, values: &[T]) {
-        self.shard(obj).bootstrap_object(obj, values);
+        self.state.lock().bootstrap_object(obj, values);
     }
 
     // ------------------------------------------------------------------
@@ -472,22 +400,19 @@ impl ProtocolEngine {
     /// Under the Java-consistency flavour of LRC used by the paper's GOS,
     /// the node conservatively invalidates its cached non-home copies (its
     /// own unflushed writes are preserved) and re-arms the home-access traps
-    /// so the first home read/write of the interval is observable. Walks the
-    /// shards one at a time (one leaf lock held at any instant).
+    /// so the first home read/write of the interval is observable.
     pub fn begin_interval(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().begin_interval();
-        }
+        self.state.lock().begin_interval();
     }
 
     /// Plan a read of `obj` by the local application thread.
     pub fn plan_read(&self, obj: ObjectId) -> AccessPlan {
-        self.shard(obj).plan_read(obj)
+        self.state.lock().plan_read(obj)
     }
 
     /// Plan a write of `obj` by the local application thread.
     pub fn plan_write(&self, obj: ObjectId) -> AccessPlan {
-        self.shard(obj).plan_write(obj)
+        self.state.lock().plan_write(obj)
     }
 
     /// Lease the payload store of a locally *readable* copy of `obj` — the
@@ -501,7 +426,7 @@ impl ProtocolEngine {
     /// Panics if the object is not locally readable.
     #[cfg(test)]
     fn lease_read(&self, obj: ObjectId) -> ObjectStore {
-        self.shard(obj).lease_read(obj)
+        self.state.lock().lease_read(obj)
     }
 
     /// Lease the payload store of a locally *writable* copy of `obj` — the
@@ -515,24 +440,24 @@ impl ProtocolEngine {
     /// # Panics
     /// Panics if the object is not locally writable.
     pub(crate) fn lease_write(&self, obj: ObjectId) -> ObjectStore {
-        self.shard(obj).lease_write(obj)
+        self.state.lock().lease_write(obj)
     }
 
     /// Atomically re-validate readability and take the payload *read guard*
-    /// under the shard lock. Returns `None` when the local copy is no longer
+    /// under the engine lock. Returns `None` when the local copy is no longer
     /// readable — e.g. the server side migrated the home away between the
     /// caller's [`Self::plan_read`] and this lease — in which case the
     /// caller must re-plan (and possibly fault the object back in).
     pub fn try_lease_read(&self, obj: ObjectId) -> Option<RwReadGuard<ObjectData>> {
-        self.shard(obj).try_lease_read(obj)
+        self.state.lock().try_lease_read(obj)
     }
 
     /// Atomically re-validate writability and take the payload *write
-    /// guard* under the shard lock. Returns `None` when the local copy is no
+    /// guard* under the engine lock. Returns `None` when the local copy is no
     /// longer writable — the caller must re-plan, which re-arms the
     /// twin/diff bookkeeping before the next attempt.
     pub fn try_lease_write(&self, obj: ObjectId) -> Option<RwWriteGuard<ObjectData>> {
-        self.shard(obj).try_lease_write(obj)
+        self.state.lock().try_lease_write(obj)
     }
 
     /// Read access to a locally valid copy of `obj` through a closure
@@ -567,7 +492,8 @@ impl ProtocolEngine {
         version: Version,
         migration: Option<MigrationGrant>,
     ) {
-        self.shard(obj)
+        self.state
+            .lock()
             .install_object(obj, data, version, migration);
     }
 
@@ -579,26 +505,19 @@ impl ProtocolEngine {
     /// hints must never overwrite a correct forward pointer (they would
     /// create redirect cycles). Returns whether the hint was adopted.
     pub fn note_redirect(&self, obj: ObjectId, new_home: NodeId, epoch: u32) -> bool {
-        self.shard(obj).note_redirect(obj, new_home, epoch)
+        self.state.lock().note_redirect(obj, new_home, epoch)
     }
 
     /// Compute the diffs that must be propagated to remote homes before the
     /// current interval can release. Objects whose writes turn out to be
     /// no-ops are cleaned up immediately and produce no flush.
     pub fn prepare_release(&self) -> Vec<FlushPlan> {
-        let mut plans = Vec::new();
-        for shard in self.shards.iter() {
-            shard.lock().prepare_release(&mut plans);
-        }
-        // Deterministic flush order (object id) so experiments are
-        // reproducible regardless of hash-map iteration order.
-        plans.sort_by_key(|p| p.obj);
-        plans
+        self.state.lock().prepare_release()
     }
 
     /// Record the acknowledgement of one flushed diff.
     pub fn complete_flush(&self, obj: ObjectId, new_version: Version) {
-        self.shard(obj).complete_flush(obj, new_version);
+        self.state.lock().complete_flush(obj, new_version);
     }
 
     /// Close the current interval after all flushes are acknowledged:
@@ -609,9 +528,7 @@ impl ProtocolEngine {
     /// # Panics
     /// Panics if some flushed diff was never acknowledged (runtime bug).
     pub fn finish_release(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().finish_release();
-        }
+        self.state.lock().finish_release();
     }
 
     // ------------------------------------------------------------------
@@ -630,7 +547,8 @@ impl ProtocolEngine {
         for_write: bool,
         redirections: u32,
     ) -> ObjectRequestOutcome {
-        self.shard(obj)
+        self.state
+            .lock()
             .handle_object_request(obj, requester, for_write, redirections)
     }
 
@@ -645,20 +563,20 @@ impl ProtocolEngine {
         from: NodeId,
         redirections: u32,
     ) -> DiffOutcome {
-        self.shard(obj).handle_diff(obj, diff, from, redirections)
+        self.state.lock().handle_diff(obj, diff, from, redirections)
     }
 
     /// Handle a new-home notification (broadcast or home-manager
     /// mechanisms): adopt the announced home if it is newer than the local
     /// belief.
     pub fn handle_home_notify(&self, obj: ObjectId, new_home: NodeId, epoch: u32) {
-        self.shard(obj).handle_home_notify(obj, new_home, epoch);
+        self.state.lock().handle_home_notify(obj, new_home, epoch);
     }
 
     /// Whether this node holds *any* local copy of `obj` (home or cached) —
     /// what makes it a promotable election candidate.
     pub fn has_copy(&self, obj: ObjectId) -> bool {
-        self.shard(obj).has_copy(obj)
+        self.state.lock().has_copy(obj)
     }
 
     /// Arbiter side of a home re-election: `candidate` reports that
@@ -681,53 +599,13 @@ impl ProtocolEngine {
         candidate_epoch: u32,
         candidate_has_copy: bool,
     ) -> (NodeId, u32) {
-        // Leaf-lock discipline: observe the shard, release, then decide
-        // under the election lock — never both at once.
-        let (is_home, own_epoch, own_copy) = {
-            let shard = self.shard(obj);
-            (
-                shard.is_home(obj),
-                shard.home_epoch(obj),
-                shard.has_copy(obj),
-            )
-        };
-        if is_home {
-            // The candidate's belief is simply stale: this node already is
-            // a live home — point the candidate here, no election needed.
-            return (self.node, own_epoch);
-        }
-        let elected = {
-            let mut elections = self.elections.lock();
-            let prior = elections.get(&obj).copied();
-            if let Some((winner, epoch)) = prior {
-                if winner != suspect {
-                    return (winner, epoch);
-                }
-            }
-            let winner = if candidate_has_copy && candidate != suspect {
-                Some(candidate)
-            } else if own_copy && self.node != suspect {
-                Some(self.node)
-            } else {
-                None
-            };
-            winner.map(|winner| {
-                let base = candidate_epoch
-                    .max(own_epoch)
-                    .max(prior.map_or(0, |(_, e)| e));
-                let epoch = base.saturating_add(ELECTION_EPOCH_STRIDE);
-                elections.insert(obj, (winner, epoch));
-                (winner, epoch)
-            })
-        };
-        let Some((winner, epoch)) = elected else {
-            return (suspect, 0);
-        };
-        self.shard(obj).stats.elections += 1;
-        // Adopt (or, if this node won, promote to) the elected home so the
-        // arbiter's own redirects point at the winner immediately.
-        self.install_elected_home(obj, winner, epoch);
-        (winner, epoch)
+        self.state.lock().handle_home_elect(
+            obj,
+            suspect,
+            candidate,
+            candidate_epoch,
+            candidate_has_copy,
+        )
     }
 
     /// Install the outcome of a home re-election on this node: promote the
@@ -735,12 +613,7 @@ impl ProtocolEngine {
     /// belief. Returns false only when this node won but holds no copy to
     /// promote (an arbiter bug — elections only pick copy holders).
     pub fn install_elected_home(&self, obj: ObjectId, home: NodeId, epoch: u32) -> bool {
-        if home == self.node {
-            self.shard(obj).promote_to_home(obj, epoch)
-        } else {
-            self.handle_home_notify(obj, home, epoch);
-            true
-        }
+        self.state.lock().install_elected_home(obj, home, epoch)
     }
 
     // ------------------------------------------------------------------
@@ -749,36 +622,36 @@ impl ProtocolEngine {
 
     /// Manager-side lock acquire.
     pub fn lock_acquire(&self, lock: LockId, requester: NodeId, req: ReqId) -> LockAcquireOutcome {
-        self.globals.lock().lock_acquire(lock, requester, req)
+        self.state.lock().locks.acquire(lock, requester, req)
     }
 
     /// Manager-side lock release.
     pub fn lock_release(&self, lock: LockId, holder: NodeId) -> LockReleaseOutcome {
-        self.globals.lock().lock_release(lock, holder)
+        self.state.lock().locks.release(lock, holder)
     }
 
     /// Manager-side barrier arrival.
     pub fn barrier_arrive(&self, barrier: BarrierId, node: NodeId, req: ReqId) -> BarrierOutcome {
-        self.globals.lock().barrier_arrive(barrier, node, req)
+        self.state.lock().barriers.arrive(barrier, node, req)
     }
 
     /// Record one application-level lock acquisition (for reporting).
     pub fn note_lock_acquire(&self) {
-        self.globals.lock().lock_acquires += 1;
+        self.state.lock().stats.lock_acquires += 1;
     }
 
     /// Record one application-level barrier crossing (for reporting).
     pub fn note_barrier(&self) {
-        self.globals.lock().barriers_crossed += 1;
+        self.state.lock().stats.barriers += 1;
     }
 
     /// Record that `entries` release-time flushes were shipped as one
     /// `DiffBatch` message (for the `batched_flushes` / `batch_entries`
     /// statistics).
     pub fn note_diff_batch(&self, entries: usize) {
-        let mut globals = self.globals.lock();
-        globals.batched_flushes += 1;
-        globals.batch_entries += entries as u64;
+        let stats = &mut self.state.lock().stats;
+        stats.batched_flushes += 1;
+        stats.batch_entries += entries as u64;
     }
 
     // ------------------------------------------------------------------
@@ -789,38 +662,25 @@ impl ProtocolEngine {
     /// tests).
     #[cfg(test)]
     fn homed_objects(&self) -> Vec<ObjectId> {
-        let mut v = Vec::new();
-        for shard in self.shards.iter() {
-            shard.lock().homed_objects(&mut v);
-        }
-        v.sort();
-        v
+        self.state.lock().homed_objects()
     }
 
     /// A snapshot of the migration bookkeeping of an object homed here, if
     /// any.
     pub fn migration_state(&self, obj: ObjectId) -> Option<MigrationState> {
-        self.shard(obj).migration_state(obj)
+        self.state.lock().migration_state(obj)
     }
 
     /// The current version of the home copy of `obj`, if homed here.
     #[cfg(test)]
     pub(crate) fn home_version(&self, obj: ObjectId) -> Option<Version> {
-        self.shard(obj).home_version(obj)
+        self.state.lock().home_version(obj)
     }
 
     /// Snapshot of a home copy's bytes (tests and invariant checks).
     pub fn home_bytes(&self, obj: ObjectId) -> Option<Vec<u8>> {
-        self.shard(obj).home_bytes(obj)
+        self.state.lock().home_bytes(obj)
     }
-}
-
-/// The lock stripe an object maps to: fold the high half of the (already
-/// FNV-mixed) id into the low half and mask. `count` must be a power of two.
-fn shard_index(obj: ObjectId, count: usize) -> usize {
-    debug_assert!(count.is_power_of_two());
-    let h = obj.raw();
-    ((h ^ (h >> 32)) as usize) & (count - 1)
 }
 
 #[cfg(test)]
@@ -1404,79 +1264,38 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Sharding-specific tests
+    // Concurrency
     // ------------------------------------------------------------------
-
-    /// A registry with many objects, all initially homed on node 0.
-    fn many_object_registry(count: usize) -> Arc<ObjectRegistry> {
-        let mut r = ObjectRegistry::new();
-        for i in 0..count {
-            r.register_named("shard.obj", i as u64, 64, NodeId(0), HomeAssignment::Master);
-        }
-        Arc::new(r)
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two_and_partitions_objects() {
-        let reg = many_object_registry(128);
-        let engine = ProtocolEngine::with_shards(
-            NodeId(0),
-            2,
-            ProtocolConfig::no_migration(),
-            Arc::clone(&reg),
-            12,
-        );
-        assert_eq!(engine.shard_count(), 16, "12 rounds up to 16");
-        // Every registered object is homed here exactly once (no shard lost
-        // or duplicated an object), and the ids spread over several stripes.
-        assert_eq!(engine.homed_objects().len(), 128);
-        let mut used = std::collections::HashSet::new();
-        for i in 0..128u64 {
-            used.insert(engine.shard_of(ObjectId::derive("shard.obj", i)));
-        }
-        assert!(
-            used.len() >= 8,
-            "128 FNV-hashed ids should spread over many of 16 stripes, got {}",
-            used.len()
-        );
-    }
-
-    #[test]
-    fn single_shard_engine_still_works() {
-        let reg = many_object_registry(8);
-        let engine =
-            ProtocolEngine::with_shards(NodeId(0), 1, ProtocolConfig::no_migration(), reg, 1);
-        assert_eq!(engine.shard_count(), 1);
-        engine.begin_interval();
-        for i in 0..8u64 {
-            let obj = ObjectId::derive("shard.obj", i);
-            assert_eq!(engine.plan_write(obj), AccessPlan::LocalHit);
-            engine.with_object_mut(obj, |d| d.bytes_mut()[0] = i as u8 + 1);
-        }
-        engine.finish_release();
-        for i in 0..8u64 {
-            let obj = ObjectId::derive("shard.obj", i);
-            assert_eq!(engine.home_bytes(obj).unwrap()[0], i as u8 + 1);
-        }
-    }
 
     #[test]
     fn stress_concurrent_server_traffic_on_distinct_objects() {
-        // The whole point of the sharded engine: `&self` protocol handling
-        // from many threads at once, with no external mutex. Four "remote
-        // requester" threads hammer fault-ins and diffs for disjoint object
-        // sets against one home engine while its own "application thread"
-        // keeps doing local work, all through a shared reference.
+        // `&self` protocol handling from many threads at once, with no
+        // external mutex. Four "remote requester" threads hammer fault-ins
+        // and diffs for disjoint object sets against one home engine while
+        // its own "application thread" keeps doing local work on objects no
+        // requester touches, all through a shared reference. The
+        // application thread runs the interval-wide calls (`begin_interval`,
+        // `prepare_release`, `finish_release`) against that server traffic.
         use std::sync::Barrier;
-        let objects = 64usize;
-        let reg = many_object_registry(objects);
+        let (objects, local) = (64usize, 16usize);
+        let mut reg = ObjectRegistry::new();
+        for i in 0..objects {
+            reg.register_named("shard.obj", i as u64, 64, NodeId(0), HomeAssignment::Master);
+        }
+        for i in 0..local {
+            reg.register_named("shard.app", i as u64, 64, NodeId(0), HomeAssignment::Master);
+        }
+        let mut all: Vec<ObjectId> = reg.iter().map(|desc| desc.id).collect();
+        all.sort();
         let home = Arc::new(ProtocolEngine::new(
             NodeId(0),
             5,
             ProtocolConfig::no_migration(),
-            reg,
+            Arc::new(reg),
         ));
-        let start = Arc::new(Barrier::new(4));
+        // Every registered object is homed here exactly once.
+        assert_eq!(home.homed_objects(), all);
+        let start = Arc::new(Barrier::new(5));
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let home = Arc::clone(&home);
@@ -1504,16 +1323,45 @@ mod tests {
                 }
             }));
         }
+        let app = {
+            let home = Arc::clone(&home);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                for round in 0..50u8 {
+                    home.begin_interval();
+                    for i in 0..local as u64 {
+                        let obj = ObjectId::derive("shard.app", i);
+                        assert_eq!(home.plan_write(obj), AccessPlan::LocalHit);
+                        home.with_object_mut(obj, |d| {
+                            d.bytes_mut()[0] = round + 1;
+                            d.bytes_mut()[1] = i as u8;
+                        });
+                    }
+                    assert!(home.prepare_release().is_empty(), "home writes never flush");
+                    home.finish_release();
+                }
+            })
+        };
+        app.join().expect("the application thread may not panic");
         for h in handles {
             h.join().expect("no requester thread may panic");
         }
-        // Every object saw 50 requests and 50 diffs; nothing was lost.
+        // Every object saw 50 requests and 50 diffs, and every local object
+        // 50 write intervals; nothing was lost.
         let stats = home.stats();
         assert_eq!(stats.requests_served, 4 * 50 * (objects as u64 / 4));
         assert_eq!(stats.diffs_applied, 4 * 50 * (objects as u64 / 4));
+        assert_eq!(stats.home_writes, 50 * local as u64);
         for i in 0..objects as u64 {
             let obj = ObjectId::derive("shard.obj", i);
             assert_eq!(home.home_bytes(obj).unwrap()[0], 50);
+            assert_eq!(home.home_version(obj), Some(Version(50)));
+        }
+        for i in 0..local as u64 {
+            let obj = ObjectId::derive("shard.app", i);
+            assert_eq!(home.home_bytes(obj).unwrap()[..2], [50, i as u8]);
+            assert_eq!(home.home_version(obj), Some(Version(50)));
         }
     }
 }

@@ -58,10 +58,11 @@
 //!   also performs the migration epoch reset and ships the state to the new
 //!   home inside the grant.
 //! * **The policy owns its configuration and the scratch.** Policy values
-//!   are shared `Send + Sync` objects consulted by every shard without
-//!   locks, so they must be immutable after construction; per-object state
-//!   a policy needs goes into the [`migration::PolicyScratch`] embedded in
-//!   `MigrationState`, which only the hooks mutate.
+//!   are shared `Send + Sync` objects consulted by every engine without
+//!   locks of their own, so they must be immutable after construction;
+//!   per-object state a policy needs goes into the
+//!   [`migration::PolicyScratch`] embedded in `MigrationState`, which only
+//!   the hooks mutate.
 //! * **Decisions must be deterministic.** `decide` is a pure function of
 //!   [`policy::PolicyInputs`] (state + requester + cost-model terms); no
 //!   randomness, clocks or interior mutability — the sim fabric's replay
@@ -88,10 +89,9 @@
 //! * [`sync`] — distributed lock and barrier managers (the synchronization
 //!   substrate that delimits intervals).
 //! * `engine` — the per-node protocol engine gluing it all together
-//!   ([`ProtocolEngine`]): a lock-striped facade over per-object shards
-//!   ([`shard`], private) and the node-global synchronization state
-//!   ([`global`], private), so a request for one object never waits on
-//!   another object's lock.
+//!   ([`ProtocolEngine`]): immutable cluster facts plus one mutex over the
+//!   node's protocol state (`state`, private: the per-object maps, the lock
+//!   and barrier managers, the election book and the statistics).
 //! * [`step`] — the protocol as plain steps over the engine: [`step::serve`]
 //!   runs one inbound request and pushes the messages it sends to a sink,
 //!   and each blocking client operation (fault-in chase, diff flush, batch
@@ -100,20 +100,16 @@
 //!   threads at all.
 //! * `stats` — per-node protocol statistics ([`ProtocolStats`]), including
 //!   the policy decision telemetry ([`PolicyTelemetry`]).
-//!
-//! [`shard`]: ProtocolEngine#sharded-locking
-//! [`global`]: ProtocolEngine#sharded-locking
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;
 mod engine;
-mod global;
 mod messages;
 mod migration;
 pub mod policy;
-mod shard;
+mod state;
 mod stats;
 pub mod step;
 pub mod sync;

@@ -4,8 +4,8 @@
 //! object's home should migrate — and this module makes that rule an open
 //! extension point. A policy is any type
 //! implementing [`HomeMigrationPolicy`]: a `Send + Sync` object shared by
-//! every engine shard (and, for the common single-policy cluster, by every
-//! node), consulted through
+//! every node's engine (one value, for the common single-policy cluster),
+//! consulted through
 //!
 //! * three **observation hooks** ([`on_remote_write`], [`on_home_write`],
 //!   [`on_redirect`]) called after the engine has recorded the protocol
@@ -113,12 +113,12 @@ impl PolicyInputs<'_> {
     }
 }
 
-/// An open home-migration policy, consulted by every engine shard.
+/// An open home-migration policy, consulted by every node's engine.
 ///
 /// See the [module documentation](self) for the contract: which state the
 /// engine owns, which state the policy owns, and the determinism
 /// requirements. All methods take `&self` — one policy value is shared
-/// (behind an [`Arc`]) by all shards of a node and usually by all nodes of
+/// (behind an [`Arc`]) by the engine of a node and usually by all nodes of
 /// the cluster.
 pub trait HomeMigrationPolicy: fmt::Debug + Send + Sync {
     /// Short report label ("AT", "FT2", "HYST1+2", ...). Implementations

@@ -1,23 +1,20 @@
-//! One lock stripe of the per-node protocol engine.
+//! The mutable state of the per-node protocol engine.
 //!
-//! An [`EngineShard`] owns the per-object protocol state — home copies,
-//! cached copies, home beliefs, interval write sets and the statistics those
-//! operations generate — for the subset of objects whose id hashes onto the
-//! shard. The [`ProtocolEngine`](crate::engine::ProtocolEngine) facade keeps
-//! `N` shards behind `N` independent mutexes, so protocol operations on
-//! objects in different shards never contend on a shared lock.
-//!
-//! Every method here runs under exactly one shard mutex (held by the
-//! facade); a shard never reaches into another shard or into the node-global
-//! state, which is what makes the engine's locking trivially deadlock-free:
-//! no code path in the workspace ever holds two engine-internal locks at
-//! once.
+//! An [`EngineState`] owns everything a node's protocol changes: home
+//! copies, cached copies, home beliefs, interval write sets, the lock and
+//! barrier managers, the arbiter's election book and the statistics those
+//! operations generate. The [`ProtocolEngine`](crate::engine::ProtocolEngine)
+//! keeps it behind its one mutex, and every method here runs under that
+//! lock (see the engine's "Locking" section).
 
 use crate::config::{NotificationMechanism, ProtocolConfig};
-use crate::engine::{AccessPlan, DiffOutcome, FlushPlan, MigrationGrant, ObjectRequestOutcome};
+use crate::engine::{
+    AccessPlan, DiffOutcome, FlushPlan, MigrationGrant, ObjectRequestOutcome, ELECTION_EPOCH_STRIDE,
+};
 use crate::migration::MigrationState;
 use crate::policy::PolicyInputs;
 use crate::stats::ProtocolStats;
+use crate::sync::{BarrierManager, LockManager};
 use dsm_objspace::{
     new_store, AccessState, Diff, Element, NodeId, ObjectData, ObjectId, ObjectRegistry,
     ObjectStore, Twin, Version,
@@ -52,10 +49,9 @@ struct HomeBelief {
     epoch: u32,
 }
 
-/// Per-object protocol state for one lock stripe of the engine. See the
-/// module documentation.
+/// One node's mutable protocol state. See the module documentation.
 #[derive(Debug)]
-pub(crate) struct EngineShard {
+pub(crate) struct EngineState {
     node: NodeId,
     num_nodes: usize,
     config: ProtocolConfig,
@@ -67,25 +63,31 @@ pub(crate) struct EngineShard {
     dirty: HashSet<ObjectId>,
     /// Home objects written in the current interval (version bump at release).
     home_written: HashSet<ObjectId>,
-    /// Protocol statistics for events handled by this shard.
+    /// The distributed lock manager (only used on the manager node).
+    pub(crate) locks: LockManager,
+    /// The barrier manager (only used on the manager node).
+    pub(crate) barriers: BarrierManager,
+    /// Arbiter-side election book: the elected `(home, epoch)` per object.
+    /// Sticky so concurrent candidates converge on one winner; re-election
+    /// is allowed only when the previously elected home is itself the new
+    /// suspect.
+    elections: HashMap<ObjectId, (NodeId, u32)>,
+    /// Protocol statistics of this node.
     pub(crate) stats: ProtocolStats,
 }
 
-impl EngineShard {
-    /// Create one shard for `node`, seeding home copies (zero-filled) for
-    /// every registered object that hashes onto this shard *and* whose
-    /// initial home is this node. `belongs` decides shard membership — the
-    /// facade passes its `ObjectId -> shard index` mapping down.
+impl EngineState {
+    /// The state of `node`, seeding home copies (zero-filled) for every
+    /// registered object whose initial home is this node.
     pub(crate) fn new(
         node: NodeId,
         num_nodes: usize,
         config: ProtocolConfig,
         registry: Arc<ObjectRegistry>,
-        belongs: impl Fn(ObjectId) -> bool,
     ) -> Self {
         let mut homes = HashMap::new();
         for desc in registry.iter() {
-            if belongs(desc.id) && desc.initial_home(num_nodes) == node {
+            if desc.initial_home(num_nodes) == node {
                 homes.insert(
                     desc.id,
                     HomeEntry {
@@ -97,7 +99,7 @@ impl EngineShard {
                 );
             }
         }
-        EngineShard {
+        EngineState {
             node,
             num_nodes,
             config,
@@ -107,6 +109,9 @@ impl EngineShard {
             known_home: HashMap::new(),
             dirty: HashSet::new(),
             home_written: HashSet::new(),
+            locks: LockManager::new(),
+            barriers: BarrierManager::new(num_nodes),
+            elections: HashMap::new(),
             stats: ProtocolStats::default(),
         }
     }
@@ -116,7 +121,7 @@ impl EngineShard {
         self.homes.contains_key(&obj)
     }
 
-    /// The node this shard currently believes to be the home of `obj`.
+    /// The node this node currently believes to be the home of `obj`.
     pub(crate) fn home_hint(&self, obj: ObjectId) -> NodeId {
         if self.is_home(obj) {
             return self.node;
@@ -170,9 +175,9 @@ impl EngineShard {
     // Application side
     // ------------------------------------------------------------------
 
-    /// Open a new interval for this shard's objects: home-access traps are
-    /// re-armed and cached non-home copies conservatively invalidated (own
-    /// unflushed writes preserved).
+    /// Open a new interval: home-access traps are re-armed and cached
+    /// non-home copies conservatively invalidated (own unflushed writes
+    /// preserved).
     pub(crate) fn begin_interval(&mut self) {
         for entry in self.homes.values_mut() {
             entry.state = AccessState::Invalid;
@@ -314,7 +319,7 @@ impl EngineShard {
     }
 
     /// Atomically check readability and take the payload read guard under
-    /// the shard lock. Returns `None` when the copy is no longer readable
+    /// the engine lock. Returns `None` when the copy is no longer readable
     /// (e.g. the home migrated away between the access plan and the lease) —
     /// the caller must re-plan.
     pub(crate) fn try_lease_read(&self, obj: ObjectId) -> Option<RwReadGuard<ObjectData>> {
@@ -330,7 +335,7 @@ impl EngineShard {
     }
 
     /// Atomically check writability and take the payload write guard under
-    /// the shard lock. Returns `None` when the copy is no longer writable —
+    /// the engine lock. Returns `None` when the copy is no longer writable —
     /// the caller must re-plan (which re-arms the twin/diff bookkeeping).
     pub(crate) fn try_lease_write(&self, obj: ObjectId) -> Option<RwWriteGuard<ObjectData>> {
         if let Some(entry) = self.homes.get(&obj) {
@@ -434,10 +439,12 @@ impl EngineShard {
         false
     }
 
-    /// Compute the diffs this shard must propagate to remote homes before
-    /// the current interval can release. Objects whose writes turn out to be
-    /// no-ops are cleaned up immediately and produce no flush.
-    pub(crate) fn prepare_release(&mut self, plans: &mut Vec<FlushPlan>) {
+    /// Compute the diffs that must be propagated to remote homes before the
+    /// current interval can release, in object-id order. Objects whose
+    /// writes turn out to be no-ops are cleaned up immediately and produce
+    /// no flush.
+    pub(crate) fn prepare_release(&mut self) -> Vec<FlushPlan> {
+        let mut plans = Vec::new();
         let dirty: Vec<ObjectId> = self.dirty.iter().copied().collect();
         for obj in dirty {
             let entry = self
@@ -460,6 +467,10 @@ impl EngineShard {
                 diff,
             });
         }
+        // Deterministic flush order (object id) so experiments are
+        // reproducible regardless of hash-map iteration order.
+        plans.sort_by_key(|p| p.obj);
+        plans
     }
 
     /// Record the acknowledgement of one flushed diff.
@@ -471,8 +482,7 @@ impl EngineShard {
         self.dirty.remove(&obj);
     }
 
-    /// Close the current interval for this shard's objects after all flushes
-    /// are acknowledged.
+    /// Close the current interval after all flushes are acknowledged.
     ///
     /// # Panics
     /// Panics if some flushed diff was never acknowledged (runtime bug).
@@ -719,6 +729,60 @@ impl EngineShard {
         }
     }
 
+    /// Arbiter side of a home re-election (see
+    /// [`ProtocolEngine::handle_home_elect`](crate::ProtocolEngine::handle_home_elect)):
+    /// observe, decide and install in one critical section.
+    pub(crate) fn handle_home_elect(
+        &mut self,
+        obj: ObjectId,
+        suspect: NodeId,
+        candidate: NodeId,
+        candidate_epoch: u32,
+        candidate_has_copy: bool,
+    ) -> (NodeId, u32) {
+        let own_epoch = self.home_epoch(obj);
+        if self.is_home(obj) {
+            // The candidate's belief is simply stale: this node already is
+            // a live home — point the candidate here, no election needed.
+            return (self.node, own_epoch);
+        }
+        let prior = self.elections.get(&obj).copied();
+        if let Some((winner, epoch)) = prior {
+            if winner != suspect {
+                return (winner, epoch);
+            }
+        }
+        let winner = if candidate_has_copy && candidate != suspect {
+            candidate
+        } else if self.has_copy(obj) && self.node != suspect {
+            self.node
+        } else {
+            return (suspect, 0);
+        };
+        let base = candidate_epoch
+            .max(own_epoch)
+            .max(prior.map_or(0, |(_, e)| e));
+        let epoch = base.saturating_add(ELECTION_EPOCH_STRIDE);
+        self.elections.insert(obj, (winner, epoch));
+        self.stats.elections += 1;
+        // Adopt (or, if this node won, promote to) the elected home so the
+        // arbiter's own redirects point at the winner immediately.
+        self.install_elected_home(obj, winner, epoch);
+        (winner, epoch)
+    }
+
+    /// Install the outcome of a home re-election: promote the local copy
+    /// when this node is the winner, otherwise adopt the fenced belief.
+    /// Returns false only when this node won but holds no copy to promote.
+    pub(crate) fn install_elected_home(&mut self, obj: ObjectId, home: NodeId, epoch: u32) -> bool {
+        if home == self.node {
+            self.promote_to_home(obj, epoch)
+        } else {
+            self.handle_home_notify(obj, home, epoch);
+            true
+        }
+    }
+
     /// Promote this node's local copy of `obj` to the home copy at the
     /// (strictly newer, election-strided) `epoch` — the winner's side of a
     /// home re-election. Returns false when there is no local copy to
@@ -726,7 +790,7 @@ impl EngineShard {
     /// payload may be stale by up to the orphaned interval, which is the
     /// documented recovery semantics when a home crashes with unflushed
     /// state.
-    pub(crate) fn promote_to_home(&mut self, obj: ObjectId, epoch: u32) -> bool {
+    fn promote_to_home(&mut self, obj: ObjectId, epoch: u32) -> bool {
         if self.is_home(obj) {
             return true;
         }
@@ -765,10 +829,12 @@ impl EngineShard {
     // Introspection for tests and invariant checks
     // ------------------------------------------------------------------
 
-    /// Objects currently homed in this shard (unsorted).
+    /// Objects currently homed at this node, sorted.
     #[cfg(test)]
-    pub(crate) fn homed_objects(&self, out: &mut Vec<ObjectId>) {
-        out.extend(self.homes.keys().copied());
+    pub(crate) fn homed_objects(&self) -> Vec<ObjectId> {
+        let mut v: Vec<ObjectId> = self.homes.keys().copied().collect();
+        v.sort();
+        v
     }
 
     /// The migration bookkeeping of an object homed here, if any.

@@ -42,9 +42,9 @@ use crate::envelope::{Envelope, MESSAGE_HEADER_BYTES};
 use crate::stats::StatsCollector;
 use dsm_model::{NetworkParams, SimDuration, SimTime};
 use dsm_objspace::NodeId;
-use dsm_util::SmallRng;
+use dsm_util::{Mutex, SmallRng};
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 
 // ----------------------------------------------------------------------
 // Configuration
@@ -629,7 +629,7 @@ impl<M: Send> SimFabric<M> {
     /// one-step primitive. Event-driven: waits on a condition variable, no
     /// polling.
     pub fn next_step(&self) -> SimStep<M> {
-        let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.core.state.lock();
         while state.active > 0 {
             state = self
                 .core
@@ -666,7 +666,7 @@ impl<M: Send> SimFabric<M> {
     /// rounds first. Deciding on the un-popped head at the quiescence
     /// point is what keeps lossy traces a pure function of the seed.
     pub fn peek_due(&self) -> Option<SimTime> {
-        let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.core.state.lock();
         while state.active > 0 {
             state = self
                 .core
@@ -681,7 +681,7 @@ impl<M: Send> SimFabric<M> {
     /// every agent it wakes, *before* the wake, so the quiescence count can
     /// never under-report a running application thread.
     pub fn agent_unblocked(&self) {
-        let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.core.state.lock();
         state.active += 1;
     }
 
@@ -689,7 +689,7 @@ impl<M: Send> SimFabric<M> {
     /// endpoints report into; offered on the fabric so run guards do not
     /// need to hold an endpoint).
     pub fn agent_finished(&self) {
-        let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.core.state.lock();
         state.active = state
             .active
             .checked_sub(1)
@@ -702,18 +702,14 @@ impl<M: Send> SimFabric<M> {
 
     /// Messages sent so far.
     pub fn sent_count(&self) -> u64 {
-        self.core
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .sent
+        self.core.state.lock().sent
     }
 
     /// `(sent, delivered, dropped, still queued)` message counts. Every
     /// send ends up in exactly one of the last three buckets, so at
     /// teardown `sent == delivered + dropped` and `queued == 0`.
     pub fn counters(&self) -> (u64, u64, u64, usize) {
-        let state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.core.state.lock();
         (
             state.sent,
             state.delivered,
@@ -725,12 +721,7 @@ impl<M: Send> SimFabric<M> {
     /// The messages dropped so far, in drop order (a snapshot; the run's
     /// full drop history also rides on [`SimFabric::take_trace`]).
     pub fn drops(&self) -> Vec<DropRecord> {
-        self.core
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drops
-            .clone()
+        self.core.state.lock().drops.clone()
     }
 
     /// Take the delivery trace recorded so far (leaves an empty trace).
@@ -742,7 +733,7 @@ impl<M: Send> SimFabric<M> {
     /// concurrently). The canonical key makes the drop half of the trace
     /// seed-pure again without losing any information.
     pub fn take_trace(&self) -> DeliveryTrace {
-        let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.core.state.lock();
         let mut drops = std::mem::take(&mut state.drops);
         drops.sort_by_key(|d| (d.sent_at, d.src.0, d.dst.0, d.link_seq));
         for (seq, drop) in drops.iter_mut().enumerate() {
@@ -783,7 +774,7 @@ impl<M: Send> SimEndpoint<M> {
         let wire_bytes = payload_bytes + MESSAGE_HEADER_BYTES;
         let base = self.core.params.hockney.latency(wire_bytes);
         self.core.stats.record(category, wire_bytes);
-        let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.core.state.lock();
         let seed = state.config.seed;
         let src = self.node;
         // Split-borrow: the configuration and the link map live side by side
@@ -851,7 +842,7 @@ impl<M: Send> SimEndpoint<M> {
     /// Count this node's application agent as parked (about to block on a
     /// reply). Called *after* the triggering request has been sent.
     pub fn agent_blocked(&self) {
-        let mut state = self.core.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.core.state.lock();
         state.active = state
             .active
             .checked_sub(1)

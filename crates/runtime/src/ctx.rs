@@ -76,7 +76,7 @@ impl NodeCtx {
 
     /// Number of nodes in the cluster.
     pub fn num_nodes(&self) -> usize {
-        self.shared.num_nodes
+        self.shared.engine.num_nodes()
     }
 
     /// Whether this node is the master (the node the application starts on).
@@ -128,7 +128,7 @@ impl NodeCtx {
     /// size (a `lookup` with the wrong length would otherwise corrupt
     /// element decoding).
     fn validate_handle<T: Element>(&self, handle: &ArrayHandle<T>) -> DsmResult<()> {
-        handle.validate(&self.shared.registry)
+        handle.validate(self.shared.engine.registry())
     }
 
     /// Take a zero-copy read view of the object (faulting it in if needed).
@@ -145,7 +145,7 @@ impl NodeCtx {
         if self.active_views.borrow().get(&obj).copied().unwrap_or(0) < 0 {
             return Err(DsmError::ViewConflict { obj });
         }
-        // Plan, then take the payload guard *atomically* under the shard
+        // Plan, then take the payload guard *atomically* under the engine
         // lock: the server thread may migrate the home away between the two
         // steps, in which case the checked lease refuses and we re-plan
         // (faulting the object back in if needed).
@@ -185,7 +185,7 @@ impl NodeCtx {
             return Err(DsmError::ViewConflict { obj });
         }
         // As in `try_view`: re-validate writability and take the write guard
-        // under the shard lock, re-planning if a concurrent migration
+        // under the engine lock, re-planning if a concurrent migration
         // snatched the copy between the plan and the lease (the re-plan
         // re-arms the twin/diff bookkeeping before we write).
         let guard = loop {
@@ -431,13 +431,12 @@ impl NodeCtx {
         self.shared.engine.migration_state(handle.id)
     }
 
-    /// A live snapshot of this node's protocol counters (merged across
-    /// engine shards). Counters recorded on the requester side — lock
-    /// acquires, barriers, `redirections_suffered` — only advance during
-    /// this node's own operations, so sampling them between operations
-    /// attributes activity to windows race-free; home-side counters
-    /// (`redirections_served`, migrations in/out) can move whenever a peer
-    /// makes progress.
+    /// A live snapshot of this node's protocol counters. Counters recorded
+    /// on the requester side — lock acquires, barriers,
+    /// `redirections_suffered` — only advance during this node's own
+    /// operations, so sampling them between operations attributes activity
+    /// to windows race-free; home-side counters (`redirections_served`,
+    /// migrations in/out) can move whenever a peer makes progress.
     pub fn protocol_stats(&self) -> dsm_core::ProtocolStats {
         self.shared.engine.stats()
     }
@@ -473,7 +472,7 @@ impl NodeCtx {
     /// so the bound only trips on a genuine protocol bug; it is generous
     /// because concurrent migrations can legitimately lengthen a chase.
     fn redirect_limit(&self) -> u32 {
-        self.shared.num_nodes as u32 * 2 + 16
+        self.shared.engine.num_nodes() as u32 * 2 + 16
     }
 
     /// Slow a long redirection chase down on TCP. There a migration grant
@@ -487,7 +486,7 @@ impl NodeCtx {
     /// node's single in-process inbound queue delivers a grant before any
     /// redirect it caused.
     fn pace_chase(&self, redirections: u32) {
-        let excess = redirections.saturating_sub(self.shared.num_nodes as u32);
+        let excess = redirections.saturating_sub(self.shared.engine.num_nodes() as u32);
         if excess > 0 && matches!(self.shared.link, NodeLink::Tcp(_)) {
             std::thread::sleep(Duration::from_micros(100) * excess);
         }

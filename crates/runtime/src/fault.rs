@@ -215,7 +215,7 @@ fn electable_obj(msg: &ProtocolMsg) -> Option<ObjectId> {
 fn arbiter_for(shared: &NodeShared, obj: ObjectId, suspect: NodeId) -> NodeId {
     let manager = shared.engine.manager_of(obj);
     if manager == suspect {
-        NodeId((manager.0 + 1) % shared.num_nodes as u16)
+        NodeId((manager.0 + 1) % shared.engine.num_nodes() as u16)
     } else {
         manager
     }
@@ -408,7 +408,7 @@ pub(crate) fn handle_elect_reply(
     // Spread the news. These are fire-and-forget and may themselves be
     // dropped; a node that misses one re-discovers the home through the
     // sticky arbiter when its own traffic to the dead home times out.
-    for n in 0..shared.num_nodes as u16 {
+    for n in 0..shared.engine.num_nodes() as u16 {
         let n = NodeId(n);
         if n != shared.node && n != deposed && n != home {
             shared.send(

@@ -79,18 +79,16 @@
 //!
 //! A node's application thread and whichever thread is stepping its
 //! protocol server (a worker, or an application thread waiting for its own
-//! reply) share the engine **without a node-global engine lock** — requests
-//! for distinct objects never serialize on one mutex. The locks that exist:
+//! reply) call the same engine through `&self`. The locks that exist:
 //!
-//! * **Engine shard locks** (`dsm-core`): per-object protocol state is
-//!   striped over N independent shards keyed by `ObjectId`. Every engine
-//!   call takes exactly one shard lock, briefly; interval-wide operations
-//!   (`begin_interval`, `prepare_release`, `finish_release`) walk the
-//!   shards one at a time.
-//! * **The node-global lock** (`dsm-core`): distributed lock/barrier
-//!   manager state and synchronization counters — state not keyed by an
-//!   object — behind its own small mutex, so synchronization traffic never
-//!   contends with object traffic.
+//! * **The engine lock** (`dsm-core`): one mutex per node over all of its
+//!   protocol state — per-object maps, lock/barrier managers, the election
+//!   book and the counters. Every engine call takes it once, for one
+//!   protocol transition, and never across application code or a send;
+//!   interval-wide operations (`begin_interval`, `prepare_release`,
+//!   `finish_release`) see the whole node at one instant. The paper's
+//!   nodes are single-CPU machines whose application and protocol handler
+//!   share one processor, and one lock per node matches that.
 //! * **Reply slots** (this crate): one per node. Its application thread
 //!   has at most one request outstanding, so one slot keyed by request id
 //!   matches every reply to its waiter — a mutex plus a condvar, no table
@@ -99,13 +97,13 @@
 //!   read/write guard on one object's payload cell across application code,
 //!   *never* an engine lock.
 //!
-//! **Lock ordering:** there is none to get wrong — shard locks, the global
-//! lock and the reply slots are all *leaf* locks; no code path holds two of
-//! them at once, and a waiter that steps handlers holds none of them. (On
+//! **Lock ordering:** there is none to get wrong — the engine lock and the
+//! reply slots are both *leaf* locks; no code path holds two of them at
+//! once, and a waiter that steps handlers holds none of them. (On
 //! the sim, the scheduler re-counts a waiter under its slot lock, which
 //! takes the fabric's agent-count lock; the fabric never calls back into
 //! the runtime.) Payload guards are the only long-lived acquisition; one is
-//! taken under a shard lock only inside the engine's `try_lease_*`/server
+//! taken under the engine lock only inside the engine's `try_lease_*`/server
 //! handlers, which use `try_` acquisition only, so a waiter's own views
 //! make the handlers it steps report `Busy`.
 //!
@@ -135,7 +133,7 @@
 //!   epoch-guarded forwarding pointers exactly like a redirected
 //!   `DiffFlush` (stale hints are never adopted, so chains cannot cycle).
 //! * **Why per-entry Busy deferral keeps deadlock-freedom:** the receiving
-//!   server applies batch entries under the same per-object shard locks and
+//!   server applies batch entries under the same engine lock and
 //!   non-blocking payload `try_` locks as individual diffs. An entry whose
 //!   payload is leased to a live application view does not block the
 //!   server: the already-resolved results are parked server-side and only

@@ -14,11 +14,11 @@
 //! addresses to itself — the sync manager's own lock and barrier traffic —
 //! is served inline on the calling thread ([`NodeShared::post`]).
 //!
-//! Application and server drive the engine directly through `&self` —
-//! there is **no node-global engine mutex**. The [`ProtocolEngine`] is
-//! internally lock-striped by `ObjectId`, so an object request being
-//! served here never contends with the application thread touching a
-//! different object. Replies meet their waiter in one slot per node, keyed
+//! Application and server drive the engine directly through `&self`. The
+//! [`ProtocolEngine`] keeps its state behind one internal leaf lock that
+//! each call takes once and never holds across application code or a
+//! send, so neither side waits on the other for longer than one protocol
+//! transition. Replies meet their waiter in one slot per node, keyed
 //! by request id: the application thread has at most one request
 //! outstanding, so no table is needed (see the "Locking architecture"
 //! section of the crate docs).
@@ -41,7 +41,7 @@ use dsm_core::step::{self, ServeState, SYNC_MANAGER};
 use dsm_core::{ProtocolEngine, ProtocolMsg, ReqId};
 use dsm_model::{ComputeModel, SimDuration, SimTime};
 use dsm_net::{Endpoint, Envelope, Inbox, MsgCategory, SimEndpoint, TcpEndpoint};
-use dsm_objspace::{LockId, NodeId, ObjectRegistry};
+use dsm_objspace::{LockId, NodeId};
 use dsm_util::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, OnceLock, PoisonError};
@@ -142,10 +142,9 @@ struct ReplySlot {
 /// server.
 pub(crate) struct NodeShared {
     pub node: NodeId,
-    pub num_nodes: usize,
-    /// The internally lock-striped engine; both threads call it directly.
+    /// The engine; both threads call it directly (see the crate's
+    /// "Locking architecture").
     pub engine: ProtocolEngine,
-    pub registry: Arc<ObjectRegistry>,
     pub link: NodeLink,
     pub clock: VirtualClock,
     pub compute: ComputeModel,
@@ -176,8 +175,6 @@ impl NodeShared {
     ) -> Arc<Self> {
         Arc::new(NodeShared {
             node: engine.node(),
-            num_nodes: engine.num_nodes(),
-            registry: Arc::clone(engine.registry()),
             engine,
             link,
             clock: VirtualClock::new(),
@@ -595,7 +592,7 @@ mod tests {
     use dsm_core::{ObjectRequestOutcome, ProtocolConfig};
     use dsm_model::NetworkParams;
     use dsm_net::{Fabric, SimConfig, SimFabric, SimStep, StatsCollector};
-    use dsm_objspace::{LockId, ObjectId};
+    use dsm_objspace::{LockId, ObjectId, ObjectRegistry};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc::{self, RecvTimeoutError};

@@ -14,12 +14,12 @@
 
 use dsm_model::{SimDuration, SimTime};
 use dsm_util::Mutex;
-use std::sync::Arc;
 
-/// A shareable monotone virtual clock.
-#[derive(Debug, Clone, Default)]
+/// A monotone virtual clock. Its node's application thread and protocol
+/// server share it through the node's shared state.
+#[derive(Debug, Default)]
 pub(crate) struct VirtualClock {
-    inner: Arc<Mutex<SimTime>>,
+    inner: Mutex<SimTime>,
 }
 
 impl VirtualClock {
@@ -86,13 +86,5 @@ mod tests {
         // Arrival earlier than the clock: only the handling cost applies.
         c.merge_and_advance(SimTime::from_micros(5.0), SimDuration::from_micros(3.0));
         assert_eq!(c.now(), SimTime::from_micros(15.0));
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let c = VirtualClock::new();
-        let c2 = c.clone();
-        c.advance(SimDuration::from_micros(7.0));
-        assert_eq!(c2.now(), SimTime::from_micros(7.0));
     }
 }

@@ -1,8 +1,11 @@
-//! Seeded multi-threaded stress suite for the sharded protocol engine.
+//! Seeded multi-threaded stress suite for the protocol engine under
+//! concurrent application and server calls.
 //!
-//! Every test drives the *real* threaded runtime (application + protocol
-//! server threads per node, no global engine lock) with schedules derived
-//! from fixed seeds, and checks the concurrency claims the engine makes:
+//! Every test drives the *real* threaded runtime (application threads and
+//! executor workers stepping each node's protocol server, all calling the
+//! node's engine through `&self`, each call under its one lock) with
+//! schedules derived from fixed seeds, and checks the concurrency claims
+//! the engine makes:
 //!
 //! * **no deadlock** — the runs complete (busy payloads are deferred, never
 //!   blocked on; fetch-with-live-writes is refused at the source);
