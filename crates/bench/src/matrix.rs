@@ -257,6 +257,11 @@ pub struct CellResult {
     pub seeds: usize,
     /// The threaded-reference fingerprint.
     pub fingerprint: u64,
+    /// A fold of every swept seed's [`dsm_runtime::DeliveryTrace::checksum`],
+    /// in seed order: it moves when any delivery or drop moves (its
+    /// category, size or times), so a change that claims to keep the
+    /// traffic the same must keep this column too.
+    pub trace: u64,
     /// Failures, as `(seed, description)` — empty when the cell conforms.
     pub failures: Vec<(u64, String)>,
 }
@@ -280,6 +285,7 @@ pub fn conformance_with(seeds: &[u64], sim_config: fn(u64) -> SimConfig) -> Vec<
             let reference = workload.run(matrix_cluster(protocol.clone(), FabricMode::Threaded));
             let mut reference_order: Option<Vec<(u16, u16, u64)>> = None;
             let mut order_diverged = seeds.len() < 2;
+            let mut traces = 0xcbf2_9ce4_8422_2325u64;
             for (i, &seed) in seeds.iter().enumerate() {
                 let fabric = FabricMode::Sim(sim_config(seed));
                 let run = workload.run(matrix_cluster(protocol.clone(), fabric.clone()));
@@ -300,6 +306,7 @@ pub fn conformance_with(seeds: &[u64], sim_config: fn(u64) -> SimConfig) -> Vec<
                     .delivery_trace
                     .as_ref()
                     .expect("sim run has a trace");
+                traces = fnv(traces, trace.checksum());
                 match &reference_order {
                     None => reference_order = Some(trace.order_signature()),
                     Some(first) => order_diverged |= trace.order_signature() != *first,
@@ -341,6 +348,7 @@ pub fn conformance_with(seeds: &[u64], sim_config: fn(u64) -> SimConfig) -> Vec<
                 policy: label,
                 seeds: seeds.len(),
                 fingerprint: reference.fingerprint,
+                trace: traces,
                 failures,
             });
         }
@@ -350,13 +358,21 @@ pub fn conformance_with(seeds: &[u64], sim_config: fn(u64) -> SimConfig) -> Vec<
 
 /// Render a conformance sweep as a table.
 pub fn render(rows: &[CellResult]) -> Table {
-    let mut table = Table::new(&["workload", "policy", "seeds", "fingerprint", "status"]);
+    let mut table = Table::new(&[
+        "workload",
+        "policy",
+        "seeds",
+        "fingerprint",
+        "trace",
+        "status",
+    ]);
     for row in rows {
         table.row(vec![
             row.workload.to_string(),
             row.policy.clone(),
             row.seeds.to_string(),
             format!("{:#018x}", row.fingerprint),
+            format!("{:#018x}", row.trace),
             if row.failures.is_empty() {
                 "ok".to_string()
             } else {
