@@ -16,8 +16,8 @@
 //! The engine is deliberately transport-agnostic: methods return *plans* and
 //! *outcomes* describing what must be sent, and accept the results of those
 //! exchanges. [`crate::step`] turns outcomes into messages and replies into
-//! the next request; the runtime owns blocking, retries and virtual-time
-//! accounting. This keeps every protocol rule in one place and unit-testable
+//! the next request; the runtime owns blocking, transport, the timing of
+//! retry rounds and virtual-time accounting. This keeps every protocol rule in one place and unit-testable
 //! without threads.
 //!
 //! ## Locking
@@ -88,9 +88,9 @@
 //! * **At-most-once delivery.** A message is delivered at most once per
 //!   send. Lossless fabrics (threaded channels, calm/perturbed sim
 //!   configurations, TCP) deliver exactly once and need nothing else; the
-//!   lossy sim configurations may *drop* messages, which the runtime
-//!   papers over with timeouts, retransmissions and a server-side
-//!   request-id dedup table — see *Fault model & recovery* below. The sim
+//!   lossy sim configurations may *drop* messages, which an armed engine
+//!   papers over with retransmissions and a server-side reply cache — see
+//!   *Fault model & recovery* below. The sim
 //!   fabric asserts send = delivery + drop conservation at teardown.
 //! * **No global order.** Nothing assumes cluster-wide delivery order or
 //!   a shared clock; any interleaving consistent with the two points above
@@ -105,35 +105,39 @@
 //!
 //! ## Fault model & recovery
 //!
-//! Under a *lossy* fabric the engine's job splits in two: the runtime owns
-//! detection and retransmission (per-request timeouts that fire only when
-//! the cluster is otherwise quiescent, so lossless schedules are
-//! untouched), while the engine owns the state rules that make those
-//! retransmissions *safe*:
+//! Under a *lossy* fabric the runtime arms each engine
+//! ([`ProtocolEngine::with_recovery`]) and the recovery machine runs as
+//! plain state under the engine lock (`crate::recovery`). The runtime only
+//! decides *when* a retry round runs ([`ProtocolEngine::retry_round`]): the
+//! sim scheduler fires one whenever the fabric stalls with agents parked
+//! ([`RetryRound::Stalled`]), and one whenever its retry deadline passes
+//! while the network is still busy ([`RetryRound::Due`]). Lossless runs
+//! never arm an engine, so their schedules are untouched.
 //!
 //! * **What can be lost.** Any message. Requests and one-way notifications
-//!   are retransmitted by the sender's retry table; replies and acks are
+//!   are retransmitted from the sender's retry table; replies and acks are
 //!   re-sent from the server's per-`ReqId` reply cache when the retried
 //!   request arrives again. `LockRelease` — historically fire-and-forget —
 //!   carries a real request id on lossy runs so a lost release cannot
 //!   deadlock the lock manager.
 //! * **Why duplicates are safe.** Every retriable request with side
-//!   effects ([`crate::messages::ProtocolMsg::dedup_req`]) is deduplicated
-//!   at the server's network ingress: the first delivery executes and its
-//!   reply is cached; later deliveries of the same `ReqId` either re-send
-//!   the cached reply or (while the original is still deferred) are
+//!   effects ([`crate::messages::ProtocolMsg::dedup_req`]) is admitted once,
+//!   at [`crate::step::serve`]'s ingress: the first delivery executes and
+//!   its reply is cached; later deliveries of the same `ReqId` either
+//!   re-send the cached reply or (while the original is still deferred) are
 //!   silently absorbed. The handlers themselves therefore never observe a
-//!   duplicate, and the non-dedup'd fault-recovery messages
+//!   duplicate, and the non-dedup'd recovery messages
 //!   (`HomeElect`/`HomeFence` and their answers) are idempotent by
 //!   construction — elections are sticky, fencing compares epochs.
-//! * **Home re-election.** When a node cannot reach an object's believed
-//!   home past the runtime's failover threshold, it asks the object's
+//! * **Home re-election.** When a node's fault-in or diff flush stays
+//!   unanswered for 16 stalled rounds (`Due` rounds never count: on a busy
+//!   network silence usually means a slow or deferring home), it asks the object's
 //!   *arbiter* — its well-known manager node, or the next node when the
 //!   manager itself is the suspect — to elect a new home
 //!   ([`ProtocolEngine::handle_home_elect`]). The arbiter elects a node
 //!   that still holds a copy (preferring the live candidate), records the
 //!   decision so concurrent candidates converge on one winner, and the
-//!   winner promotes its local copy ([`ProtocolEngine::install_elected_home`]).
+//!   winner promotes its local copy when the answer reaches it.
 //!   A crashed home's unflushed interval is lost: recovery restores the
 //!   best surviving copy, which is exactly the guarantee a home-based LRC
 //!   protocol can give without replication.
@@ -150,8 +154,9 @@
 //!   the winner retries until acknowledged).
 
 use crate::config::ProtocolConfig;
-use crate::messages::ReqId;
+use crate::messages::{ProtocolMsg, ReqId};
 use crate::migration::MigrationState;
+use crate::recovery::{Recovery, RetryRound};
 use crate::state::EngineState;
 use crate::stats::ProtocolStats;
 use crate::sync::{BarrierOutcome, LockAcquireOutcome, LockReleaseOutcome};
@@ -160,6 +165,7 @@ use dsm_objspace::{
     Version,
 };
 use dsm_util::{Mutex, RwReadGuard, RwWriteGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The home-epoch stride of a re-election fence: an elected home's epoch
@@ -299,6 +305,9 @@ pub struct ProtocolEngine {
     num_nodes: usize,
     config: ProtocolConfig,
     registry: Arc<ObjectRegistry>,
+    /// Whether the state carries the recovery tables; read without the lock.
+    recovers: bool,
+    next_req: AtomicU64,
     state: Mutex<EngineState>,
 }
 
@@ -324,8 +333,32 @@ impl ProtocolEngine {
             num_nodes,
             config,
             registry,
+            recovers: false,
+            next_req: AtomicU64::new(1),
             state: Mutex::new(state),
         }
+    }
+
+    /// Arm the recovery machine for a fabric that drops messages (see
+    /// *Fault model & recovery*): the engine then tracks the requests it
+    /// sends for [`Self::retry_round`], and [`crate::step::serve`] admits
+    /// each request once and answers its duplicates from a reply cache.
+    pub fn with_recovery(mut self) -> Self {
+        self.recovers = true;
+        self.state.lock().recovery = Some(Recovery::default());
+        self
+    }
+
+    /// Whether [`Self::with_recovery`] armed this engine.
+    pub fn recovers(&self) -> bool {
+        self.recovers
+    }
+
+    /// Allocate a request id unique within the cluster: the node id sits in
+    /// the high bits, which also makes message traces easier to read.
+    pub fn new_req(&self) -> ReqId {
+        let seq = self.next_req.fetch_add(1, Ordering::Relaxed);
+        ReqId((u64::from(self.node.0) << 48) | seq)
     }
 
     /// The node this engine belongs to.
@@ -368,12 +401,6 @@ impl ProtocolEngine {
     /// assignment).
     pub fn home_epoch(&self, obj: ObjectId) -> u32 {
         self.state.lock().home_epoch(obj)
-    }
-
-    /// The manager node of `obj` under the home-manager notification
-    /// mechanism: its well-known initial home.
-    pub fn manager_of(&self, obj: ObjectId) -> NodeId {
-        self.registry.expect(obj).initial_home(self.num_nodes)
     }
 
     /// Seed the home copy of `obj` with deterministic initial contents.
@@ -608,14 +635,6 @@ impl ProtocolEngine {
         )
     }
 
-    /// Install the outcome of a home re-election on this node: promote the
-    /// local copy when this node is the winner, otherwise adopt the fenced
-    /// belief. Returns false only when this node won but holds no copy to
-    /// promote (an arbiter bug — elections only pick copy holders).
-    pub fn install_elected_home(&self, obj: ObjectId, home: NodeId, epoch: u32) -> bool {
-        self.state.lock().install_elected_home(obj, home, epoch)
-    }
-
     // ------------------------------------------------------------------
     // Synchronization managers (only meaningful on the manager node)
     // ------------------------------------------------------------------
@@ -652,6 +671,46 @@ impl ProtocolEngine {
         let stats = &mut self.state.lock().stats;
         stats.batched_flushes += 1;
         stats.batch_entries += entries as u64;
+    }
+
+    // ------------------------------------------------------------------
+    // Recovery (armed engines only; a no-op elsewhere)
+    // ------------------------------------------------------------------
+
+    /// Track `msg`, which this node sends to another node `dst`, for
+    /// retransmission until its reply or ack arrives. Only requests with a
+    /// [`ProtocolMsg::dedup_req`] id are tracked.
+    pub fn track(&self, dst: NodeId, msg: &ProtocolMsg) {
+        if let Some(req) = msg.dedup_req() {
+            self.recovery(|recovery, _| recovery.track(req, dst, msg.clone()));
+        }
+    }
+
+    /// One retry round over this node's tracked messages: what to send
+    /// again, in request-id order (see [`RetryRound`]). Empty when every
+    /// entry is exhausted or none exists, and on an unarmed engine.
+    pub fn retry_round(&self, round: RetryRound) -> Vec<(NodeId, ProtocolMsg)> {
+        self.recovery(|recovery, state| recovery.round(state, round))
+            .unwrap_or_default()
+    }
+
+    /// Run `f` over the recovery tables and the rest of the state under the
+    /// lock; `None`, without taking the lock, on an unarmed engine.
+    pub(crate) fn recovery<R>(
+        &self,
+        f: impl FnOnce(&mut Recovery, &mut EngineState) -> R,
+    ) -> Option<R> {
+        if !self.recovers {
+            return None;
+        }
+        let mut state = self.state.lock();
+        let mut recovery = state
+            .recovery
+            .take()
+            .expect("an armed engine has its tables");
+        let result = f(&mut recovery, &mut state);
+        state.recovery = Some(recovery);
+        Some(result)
     }
 
     // ------------------------------------------------------------------

@@ -109,6 +109,7 @@ mod engine;
 mod messages;
 mod migration;
 pub mod policy;
+mod recovery;
 mod state;
 mod stats;
 pub mod step;
@@ -129,4 +130,5 @@ pub use policy::{
     HomeMigrationPolicy, HysteresisPolicy, IntoMigrationPolicy, LazyFlushingPolicy,
     MigrateOnRequestPolicy, NoMigrationPolicy, PolicyInputs, PolicyOverrides,
 };
+pub use recovery::RetryRound;
 pub use stats::{PolicyTelemetry, ProtocolStats};

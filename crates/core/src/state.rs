@@ -2,10 +2,11 @@
 //!
 //! An [`EngineState`] owns everything a node's protocol changes: home
 //! copies, cached copies, home beliefs, interval write sets, the lock and
-//! barrier managers, the arbiter's election book and the statistics those
-//! operations generate. The [`ProtocolEngine`](crate::engine::ProtocolEngine)
-//! keeps it behind its one mutex, and every method here runs under that
-//! lock (see the engine's "Locking" section).
+//! barrier managers, the arbiter's election book, the statistics those
+//! operations generate and, on a lossy fabric, the recovery tables. The
+//! [`ProtocolEngine`](crate::engine::ProtocolEngine) keeps it behind its one
+//! mutex, and every method here runs under that lock (see the engine's
+//! "Locking" section).
 
 use crate::config::{NotificationMechanism, ProtocolConfig};
 use crate::engine::{
@@ -13,6 +14,7 @@ use crate::engine::{
 };
 use crate::migration::MigrationState;
 use crate::policy::PolicyInputs;
+use crate::recovery::Recovery;
 use crate::stats::ProtocolStats;
 use crate::sync::{BarrierManager, LockManager};
 use dsm_objspace::{
@@ -52,8 +54,8 @@ struct HomeBelief {
 /// One node's mutable protocol state. See the module documentation.
 #[derive(Debug)]
 pub(crate) struct EngineState {
-    node: NodeId,
-    num_nodes: usize,
+    pub(crate) node: NodeId,
+    pub(crate) num_nodes: usize,
     config: ProtocolConfig,
     registry: Arc<ObjectRegistry>,
     homes: HashMap<ObjectId, HomeEntry>,
@@ -74,6 +76,9 @@ pub(crate) struct EngineState {
     elections: HashMap<ObjectId, (NodeId, u32)>,
     /// Protocol statistics of this node.
     pub(crate) stats: ProtocolStats,
+    /// The retry table and reply cache; `Some` only on an engine armed for
+    /// a lossy fabric (see `crate::recovery`).
+    pub(crate) recovery: Option<Recovery>,
 }
 
 impl EngineState {
@@ -113,6 +118,7 @@ impl EngineState {
             barriers: BarrierManager::new(num_nodes),
             elections: HashMap::new(),
             stats: ProtocolStats::default(),
+            recovery: None,
         }
     }
 

@@ -12,6 +12,7 @@
 
 use crate::engine::{FlushBatch, FlushPlan, ProtocolEngine};
 use crate::messages::{DiffBatchEntry, DiffBatchResult, DiffEntryStatus, ProtocolMsg, ReqId};
+use crate::recovery::Admission;
 use crate::sync::{BarrierOutcome, LockAcquireOutcome};
 use crate::{DiffOutcome, ObjectRequestOutcome};
 use dsm_objspace::{BarrierId, LockId, NodeId, ObjectId};
@@ -52,26 +53,70 @@ impl ServeState {
     }
 
     /// Give every deferred request one more chance, keeping arrival order
-    /// among the still-busy ones.
+    /// among the still-busy ones. A deferred request was admitted when it
+    /// arrived, so it is not admitted again.
     pub fn retry(&mut self, engine: &ProtocolEngine, out: &mut impl FnMut(NodeId, ProtocolMsg)) {
         for _ in 0..self.deferred.len() {
             let (src, msg) = self.deferred.pop_front().expect("length checked by loop");
-            serve(engine, self, src, msg, out);
+            dispatch(engine, self, src, msg, out);
         }
     }
 }
 
-/// Serve one inbound request from `src`: run it against the engine and push
+/// Serve one inbound message from `src`: run it against the engine and push
 /// every message it produces to `out`, in send order. A request the engine
 /// reports `Busy` is deferred in `state` instead (see
 /// [`ServeState::retry`]).
 ///
-/// Replies, the fault layer's acknowledgements and election answers, and
-/// `Shutdown` are not requests: the runtime consumes them itself.
+/// On an engine armed for recovery ([`ProtocolEngine::with_recovery`]) the
+/// step first admits the message: a duplicate of a request still being
+/// served is absorbed, and a duplicate of an answered one gets the cached
+/// answer again. Every reply and ack the step sends is cached by the
+/// request it answers. Recovery's own messages are served here too: an ack
+/// settles its retry entry, and an election answer installs the elected
+/// home, fences the deposed one and re-aims the suspended request.
 ///
 /// # Panics
-/// Panics on a message that is not a request.
+/// Panics on a reply or `Shutdown`: the runtime consumes those itself.
 pub fn serve(
+    engine: &ProtocolEngine,
+    state: &mut ServeState,
+    src: NodeId,
+    msg: ProtocolMsg,
+    out: &mut impl FnMut(NodeId, ProtocolMsg),
+) {
+    let admission = msg
+        .dedup_req()
+        .and_then(|req| engine.recovery(|r, _| r.admit(req)));
+    match admission {
+        None | Some(Admission::Serve) => dispatch(engine, state, src, msg, out),
+        Some(Admission::Absorb) => {}
+        Some(Admission::Resend(dst, reply)) => out(dst, reply),
+    }
+}
+
+/// Serve an admitted message; on an armed engine, cache what it answers.
+fn dispatch(
+    engine: &ProtocolEngine,
+    state: &mut ServeState,
+    src: NodeId,
+    msg: ProtocolMsg,
+    out: &mut impl FnMut(NodeId, ProtocolMsg),
+) {
+    if engine.recovers() {
+        let mut cached = |dst, msg: ProtocolMsg| {
+            if let Some(req) = msg.reply_req().or_else(|| msg.ack_req()) {
+                engine.recovery(|r, _| r.cache(req, dst, &msg));
+            }
+            out(dst, msg);
+        };
+        run(engine, state, src, msg, &mut cached);
+    } else {
+        run(engine, state, src, msg, out);
+    }
+}
+
+fn run(
     engine: &ProtocolEngine,
     state: &mut ServeState,
     src: NodeId,
@@ -254,6 +299,21 @@ fn handle(
             engine.handle_home_notify(obj, new_home, epoch);
             out(src, ProtocolMsg::HomeFenceAck { req, obj });
         }
+        &ProtocolMsg::HomeElectReply {
+            req,
+            obj,
+            home,
+            epoch,
+        } => {
+            let new_req = || engine.new_req();
+            let sends = engine.recovery(|r, s| r.elect_reply(s, req, obj, home, epoch, new_req));
+            for (dst, msg) in sends.unwrap_or_default() {
+                out(dst, msg);
+            }
+        }
+        &ProtocolMsg::LockReleaseAck { req, .. } | &ProtocolMsg::HomeFenceAck { req, .. } => {
+            engine.recovery(|r, _| r.settle(req));
+        }
         other => panic!("server received unexpected message {other:?}"),
     }
     None
@@ -307,11 +367,15 @@ fn serve_batch(
     }
 }
 
-/// Install what a fault-in reply carries: the copy, and the home with it
-/// under a migration grant; other messages are left alone. Run it as the
-/// reply arrives, before the waiting op sees it, so a grant takes effect
-/// before the grantee's own requests can chase the old home back to it.
+/// Take in a reply: its request stops being retransmitted (on an engine
+/// armed for recovery), and a fault-in reply installs what it carries: the
+/// copy, and the home with it under a migration grant. Run it as the reply
+/// arrives, before the waiting op sees it, so a grant takes effect before
+/// the grantee's own requests can chase the old home back to it.
 pub fn install_reply(engine: &ProtocolEngine, reply: &mut ProtocolMsg) {
+    if let Some(req) = reply.reply_req() {
+        engine.recovery(|r, _| r.settle(req));
+    }
     if let ProtocolMsg::ObjectReply {
         obj,
         data,
@@ -602,7 +666,9 @@ impl fmt::Display for ClientOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{group_flush_plans, AccessPlan, MigrateOnRequestPolicy, ProtocolConfig};
+    use crate::{
+        group_flush_plans, AccessPlan, MigrateOnRequestPolicy, ProtocolConfig, RetryRound,
+    };
     use dsm_objspace::{HomeAssignment, ObjectRegistry, Version};
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -621,10 +687,18 @@ mod tests {
         slots: Vec<Option<ProtocolMsg>>,
         /// Messages each node put on a link.
         sent: [usize; NODES],
-        last_req: u64,
     }
 
     impl World {
+        /// The world with every engine armed for recovery, as on a lossy
+        /// fabric.
+        fn lossy(config: ProtocolConfig, objects: &[&str]) -> Self {
+            let mut world = World::new(config, objects);
+            let engines = world.engines.drain(..).map(ProtocolEngine::with_recovery);
+            world.engines = engines.collect();
+            world
+        }
+
         fn new(config: ProtocolConfig, objects: &[&str]) -> Self {
             let mut registry = ObjectRegistry::new();
             for name in objects {
@@ -646,8 +720,16 @@ mod tests {
                 links: BTreeMap::new(),
                 slots: vec![None; NODES],
                 sent: [0; NODES],
-                last_req: 0,
             }
+        }
+
+        /// Send a message `src` originates: the runtime's `post`, which
+        /// tracks a request to another node for retransmission.
+        fn post(&mut self, src: usize, dst: NodeId, msg: ProtocolMsg) {
+            if dst.index() != src {
+                self.engines[src].track(dst, &msg);
+            }
+            self.send(src, dst, msg);
         }
 
         fn send(&mut self, src: usize, dst: NodeId, msg: ProtocolMsg) {
@@ -656,6 +738,8 @@ mod tests {
                 self.sent[src] += 1;
                 self.links.entry((src, dst)).or_default().push_back(msg);
             } else if msg.is_reply() {
+                let mut msg = msg;
+                install_reply(&self.engines[src], &mut msg);
                 self.slots[src] = Some(msg);
             } else {
                 self.serve_at(src, src, msg);
@@ -676,13 +760,44 @@ mod tests {
             }
         }
 
-        /// Deliver the oldest message on the link `src → dst`.
-        fn deliver(&mut self, src: usize, dst: usize) {
-            let mut msg = self
-                .links
+        /// Take the oldest message off the link `src → dst` undelivered:
+        /// the fabric dropped it.
+        fn drop_next(&mut self, src: usize, dst: usize) -> ProtocolMsg {
+            self.links
                 .get_mut(&(src, dst))
                 .and_then(VecDeque::pop_front)
-                .unwrap_or_else(|| panic!("nothing queued on {src} -> {dst}"));
+                .unwrap_or_else(|| panic!("nothing queued on {src} -> {dst}"))
+        }
+
+        /// Queue a second copy of the oldest message on `src → dst`.
+        fn duplicate(&mut self, src: usize, dst: usize) {
+            let link = self.links.get_mut(&(src, dst)).expect("a queued message");
+            let copy = link.front().expect("a queued message").clone();
+            link.push_front(copy);
+        }
+
+        /// Run one retry round at `node` and send what it retransmits, as
+        /// the runtime does; returns the sends.
+        fn retry_round(&mut self, node: usize, round: RetryRound) -> Vec<(NodeId, ProtocolMsg)> {
+            let sends = self.engines[node].retry_round(round);
+            for (dst, msg) in sends.clone() {
+                self.send(node, dst, msg);
+            }
+            sends
+        }
+
+        /// Retry `node`'s deferred requests.
+        fn retry_deferred(&mut self, node: usize) {
+            let mut out = Vec::new();
+            self.serve[node].retry(&self.engines[node], &mut |dst, msg| out.push((dst, msg)));
+            for (dst, msg) in out {
+                self.send(node, dst, msg);
+            }
+        }
+
+        /// Deliver the oldest message on the link `src → dst`.
+        fn deliver(&mut self, src: usize, dst: usize) {
+            let mut msg = self.drop_next(src, dst);
             if msg.is_reply() {
                 install_reply(&self.engines[dst], &mut msg);
                 self.slots[dst] = Some(msg);
@@ -693,9 +808,9 @@ mod tests {
 
         /// Send `op`'s next request from `node`.
         fn send_next(&mut self, node: usize, op: &mut ClientOp) {
-            self.last_req += 1;
-            let (dst, msg) = op.request(&self.engines[node], ReqId(self.last_req));
-            self.send(node, dst, msg);
+            let req = self.engines[node].new_req();
+            let (dst, msg) = op.request(&self.engines[node], req);
+            self.post(node, dst, msg);
         }
 
         /// Hand `node`'s waiting reply to `op`: returns whether `op` is
@@ -913,5 +1028,229 @@ mod tests {
         assert!(world.resume(0, &mut own), "serving the release granted it");
         assert!(world.quiet());
         assert_eq!(world.sent, [1, 2, 0]);
+    }
+
+    /// Node `node` faults `obj` in from its believed home and completes,
+    /// with no loss on the way.
+    fn fetch(world: &mut World, node: usize, obj: ObjectId, for_write: bool) {
+        let plan = if for_write {
+            world.engines[node].plan_write(obj)
+        } else {
+            world.engines[node].plan_read(obj)
+        };
+        let AccessPlan::Fetch { target } = plan else {
+            panic!("node {node} holds a valid copy of {obj}");
+        };
+        let mut op = fault_in(obj, for_write, target);
+        world.send_next(node, &mut op);
+        world.deliver(node, target.index());
+        world.deliver(target.index(), node);
+        assert!(world.resume(node, &mut op));
+    }
+
+    /// The reply carrying a JUMP grant is dropped. The retransmitted request
+    /// reaches a node that is no longer home, so serving it again would
+    /// redirect the grantee to itself; the reply cache answers it with the
+    /// same grant instead, which installs once.
+    #[test]
+    fn a_dropped_grant_is_answered_from_the_cache_and_installs_once() {
+        let x = object("x");
+        let mut world = World::lossy(jump(), &["x"]);
+        world.engines[1].begin_interval();
+        let mut write = fault_in(x, true, NodeId(0));
+        assert_eq!(
+            world.engines[1].plan_write(x),
+            AccessPlan::Fetch { target: NodeId(0) }
+        );
+        world.send_next(1, &mut write);
+        world.deliver(1, 0);
+        let lost = world.drop_next(0, 1);
+        assert!(
+            matches!(
+                lost,
+                ProtocolMsg::ObjectReply {
+                    migration: Some(_),
+                    ..
+                }
+            ),
+            "the reply carried the grant: {lost:?}"
+        );
+        assert_eq!(world.homes(x), Vec::<usize>::new(), "the grant was lost");
+
+        let resent = world.retry_round(1, RetryRound::Due);
+        assert!(matches!(
+            resent[..],
+            [(NodeId(0), ProtocolMsg::ObjectRequest { .. })]
+        ));
+        world.deliver(1, 0);
+        world.deliver(0, 1);
+        assert!(world.resume(1, &mut write));
+        assert!(world.quiet());
+        assert_eq!(world.homes(x), [1]);
+        assert_eq!(world.engines[1].home_epoch(x), 1);
+        assert_eq!(world.engines[0].stats().migrations_out, 1);
+        assert_eq!(world.engines[1].stats().migrations_in, 1);
+        assert!(
+            world.engines[1].retry_round(RetryRound::Due).is_empty(),
+            "the reply settled the request"
+        );
+    }
+
+    /// A duplicated diff flush is applied once; the duplicate is answered
+    /// with the cached ack.
+    #[test]
+    fn a_duplicated_diff_flush_is_applied_once() {
+        let x = object("x");
+        let mut world = World::lossy(ProtocolConfig::no_migration(), &["x"]);
+        world.engines[1].begin_interval();
+        fetch(&mut world, 1, x, true);
+        assert_eq!(world.engines[1].plan_write(x), AccessPlan::LocalHit);
+        world.engines[1].with_object_mut(x, |data| data.bytes_mut()[0] = 5);
+        let plan = world.engines[1].prepare_release().pop().expect("one diff");
+        let mut flush = ClientOp::Flush {
+            plan,
+            redirections: 0,
+            redirect: None,
+        };
+        world.send_next(1, &mut flush);
+        world.duplicate(1, 0);
+        world.deliver(1, 0);
+        world.deliver(1, 0);
+        assert_eq!(world.engines[0].home_version(x), Some(Version(1)));
+        world.deliver(0, 1);
+        assert!(world.resume(1, &mut flush));
+        world.deliver(0, 1);
+        let again = world.slots[1].take().expect("the duplicate's answer");
+        assert!(matches!(
+            again,
+            ProtocolMsg::DiffAck {
+                version: Version(1),
+                ..
+            }
+        ));
+        world.engines[1].finish_release();
+        assert!(world.quiet());
+        assert_eq!(world.engines[0].home_version(x), Some(Version(1)));
+        assert_eq!(world.engines[0].home_bytes(x).unwrap()[0], 5);
+    }
+
+    /// Node 0, the home and manager of `x`, goes dark while node 2 holds a
+    /// cached copy. After `FAILOVER_AFTER` stalled rounds node 2 asks the
+    /// arbiter (node 1, as the manager is the suspect), wins with its copy,
+    /// notifies node 1, fences node 0 and re-aims its fault-in at itself.
+    #[test]
+    fn a_dark_home_is_replaced_by_an_election() {
+        let x = object("x");
+        let mut world = World::lossy(ProtocolConfig::no_migration(), &["x"]);
+        world.engines[2].begin_interval();
+        fetch(&mut world, 2, x, false);
+        world.engines[2].begin_interval();
+        let mut read = fault_in(x, false, NodeId(0));
+        world.send_next(2, &mut read);
+        let request = world.drop_next(2, 0);
+        for round in 1..16 {
+            let sends = world.retry_round(2, RetryRound::Stalled);
+            assert_eq!(sends, [(NodeId(0), request.clone())], "round {round}");
+            world.drop_next(2, 0);
+        }
+        let elect = world.retry_round(2, RetryRound::Stalled);
+        let req = request.dedup_req().unwrap();
+        let expected = ProtocolMsg::HomeElect {
+            req,
+            obj: x,
+            suspect: NodeId(0),
+            candidate: NodeId(2),
+            epoch: 0,
+            has_copy: true,
+        };
+        assert_eq!(elect, [(NodeId(1), expected)]);
+
+        world.deliver(2, 1);
+        let sent_before = world.sent[2];
+        // The answer installs node 2, which serves its own re-aimed request.
+        world.deliver(1, 2);
+        assert!(world.resume(2, &mut read));
+        assert_eq!(world.sent[2] - sent_before, 2, "a notify and a fence");
+        assert_eq!(world.homes(x), [0, 2], "the fence is in flight");
+        world.deliver(2, 1);
+        world.deliver(2, 0);
+        world.deliver(0, 2);
+        assert!(world.quiet());
+        assert_eq!(world.homes(x), [2]);
+        let epoch = world.engines[2].home_epoch(x);
+        assert!(epoch > 1 << 15, "an election epoch: {epoch}");
+        for node in [0, 1] {
+            assert_eq!(world.engines[node].home_hint(x), NodeId(2));
+            assert_eq!(world.engines[node].home_epoch(x), epoch);
+        }
+        assert_eq!(world.engines[1].stats().elections, 1);
+        assert_eq!(world.engines[0].stats().homes_fenced, 1);
+        assert!(world.engines[2].retry_round(RetryRound::Stalled).is_empty());
+    }
+
+    /// A request deferred while its payload is leased is admitted once: its
+    /// retransmission is absorbed, and the retry after the lease drops
+    /// serves it exactly once.
+    #[test]
+    fn a_deferred_request_is_served_once_and_its_duplicate_absorbed() {
+        let x = object("x");
+        let mut world = World::lossy(ProtocolConfig::no_migration(), &["x"]);
+        world.engines[0].begin_interval();
+        assert_eq!(world.engines[0].plan_write(x), AccessPlan::LocalHit);
+        let lease = world.engines[0]
+            .try_lease_write(x)
+            .expect("the home is writable");
+        world.engines[1].begin_interval();
+        let mut read = fault_in(x, false, NodeId(0));
+        world.send_next(1, &mut read);
+        world.deliver(1, 0);
+        assert_eq!(world.serve[0].deferred(), 1, "the lease defers the request");
+        world.retry_round(1, RetryRound::Due);
+        world.deliver(1, 0);
+        world.retry_deferred(0);
+        assert_eq!(world.serve[0].deferred(), 1, "the duplicate was absorbed");
+        assert_eq!(world.sent[0], 0);
+
+        drop(lease);
+        world.retry_deferred(0);
+        assert_eq!(world.serve[0].deferred(), 0);
+        assert_eq!(world.sent[0], 1, "served exactly once");
+        world.deliver(0, 1);
+        assert!(world.resume(1, &mut read));
+        assert!(world.quiet());
+    }
+
+    /// The manager serves its own release inline, and that step grants the
+    /// lock to node 1. The grant is dropped; node 1's retransmitted acquire
+    /// is answered from the cache the inline step filled.
+    #[test]
+    fn a_grant_from_the_managers_inline_release_is_cached() {
+        let lock = LockId(3);
+        let mut world = World::lossy(ProtocolConfig::adaptive(), &[]);
+        let mut own = ClientOp::Acquire(lock);
+        world.send_next(0, &mut own);
+        assert!(world.resume(0, &mut own), "a free lock is granted inline");
+        let mut remote = ClientOp::Acquire(lock);
+        world.send_next(1, &mut remote);
+        world.deliver(1, 0);
+        let release = ProtocolMsg::LockRelease {
+            lock,
+            holder: NodeId(0),
+            req: ReqId(0),
+        };
+        world.post(0, SYNC_MANAGER, release);
+        let lost = world.drop_next(0, 1);
+        assert!(matches!(lost, ProtocolMsg::LockGrant { .. }), "{lost:?}");
+
+        let resent = world.retry_round(1, RetryRound::Due);
+        assert!(matches!(
+            resent[..],
+            [(NodeId(0), ProtocolMsg::LockAcquire { .. })]
+        ));
+        world.deliver(1, 0);
+        world.deliver(0, 1);
+        assert!(world.resume(1, &mut remote));
+        assert!(world.quiet());
+        assert!(world.engines[1].retry_round(RetryRound::Due).is_empty());
     }
 }

@@ -8,7 +8,6 @@
 
 use crate::ctx::NodeCtx;
 use crate::exec::Executor;
-use crate::fault::{FaultConfig, FaultState};
 use crate::handle::{ArrayHandle, Matrix2dHandle};
 use crate::node::{NodeLink, NodeShared};
 use crate::report::{ExecutionReport, SchedulerReport};
@@ -281,7 +280,9 @@ impl Cluster {
         let shareds: Vec<Arc<NodeShared>> = fabric
             .into_endpoints()
             .into_iter()
-            .map(|endpoint| self.node_shared(endpoint.node(), NodeLink::Threaded(endpoint), None))
+            .map(|endpoint| {
+                self.node_shared(self.engine(endpoint.node()), NodeLink::Threaded(endpoint))
+            })
             .collect();
         let scheduler = self.run_apps_with_executor(&shareds, &app);
         self.assemble_report(&shareds, &stats, None, Some(scheduler))
@@ -308,7 +309,7 @@ impl Cluster {
         let shareds: Vec<Arc<NodeShared>> = fabric
             .into_endpoints()
             .into_iter()
-            .map(|endpoint| self.node_shared(endpoint.node(), NodeLink::Tcp(endpoint), None))
+            .map(|endpoint| self.node_shared(self.engine(endpoint.node()), NodeLink::Tcp(endpoint)))
             .collect();
         let scheduler = self.run_apps_with_executor(&shareds, &app);
 
@@ -386,7 +387,7 @@ impl Cluster {
         );
         // One hosted node: the pool defaults to a single worker, woken by
         // this process's TCP I/O thread (and self-sends).
-        let shareds = [self.node_shared(endpoint.node(), NodeLink::Tcp(endpoint), None)];
+        let shareds = [self.node_shared(self.engine(endpoint.node()), NodeLink::Tcp(endpoint))];
         let scheduler = self.run_apps_with_executor(&shareds, &app);
 
         let NodeLink::Tcp(ep) = &shareds[0].link else {
@@ -414,13 +415,14 @@ impl Cluster {
             .endpoints()
             .into_iter()
             .map(|endpoint| {
-                // Lossy fabrics need the recovery machinery (timeouts,
-                // retransmission, dedup, re-election); lossless ones must
-                // not have it, so genuine deadlocks still panic loudly.
-                let fault = sim
-                    .is_lossy()
-                    .then(|| FaultState::new(FaultConfig::sim_default()));
-                self.node_shared(endpoint.node(), NodeLink::Sim(endpoint), fault)
+                // Lossy fabrics need recovery (retransmission, at-most-once
+                // serving, re-election); lossless ones must not have it, so
+                // genuine deadlocks still panic loudly.
+                let mut engine = self.engine(endpoint.node());
+                if sim.is_lossy() {
+                    engine = engine.with_recovery();
+                }
+                self.node_shared(engine, NodeLink::Sim(endpoint))
             })
             .collect();
 
@@ -469,19 +471,18 @@ impl Cluster {
         self.assemble_report(&shareds, &stats, Some(trace), None)
     }
 
-    /// Build one node's engine and shared state on the given link.
-    fn node_shared(
-        &self,
-        node: NodeId,
-        link: NodeLink,
-        fault: Option<FaultState>,
-    ) -> Arc<NodeShared> {
-        let engine = ProtocolEngine::new(
+    /// Build one node's engine.
+    fn engine(&self, node: NodeId) -> ProtocolEngine {
+        ProtocolEngine::new(
             node,
             self.settings.nodes,
             self.settings.protocol.clone(),
             Arc::clone(&self.registry),
-        );
+        )
+    }
+
+    /// Build one node's shared state around `engine` on the given link.
+    fn node_shared(&self, engine: ProtocolEngine, link: NodeLink) -> Arc<NodeShared> {
         NodeShared::new(
             engine,
             link,
@@ -489,7 +490,6 @@ impl Cluster {
             self.settings.protocol.network.handling_cost(),
             self.settings.seed,
             self.settings.flush_batching,
-            fault,
         )
     }
 

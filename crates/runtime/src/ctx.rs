@@ -452,7 +452,7 @@ impl NodeCtx {
     /// the op adopts a redirect only after [`Self::pace_chase`]'s pause.
     fn run(&self, mut op: ClientOp) {
         loop {
-            let req = self.shared.new_req();
+            let req = self.shared.engine.new_req();
             let (dst, msg) = op.request(&self.shared.engine, req);
             let reply = self.shared.request(dst, req, msg);
             if op.on_reply(&self.shared.engine, reply) {

@@ -635,7 +635,7 @@ mod tests {
             let config = ProtocolConfig::no_migration();
             let engine = ProtocolEngine::new(NodeId::from(node), nodes, config, Arc::default());
             let compute = ComputeModel::free();
-            NodeShared::new(engine, link, compute, SimDuration::ZERO, 0, true, None)
+            NodeShared::new(engine, link, compute, SimDuration::ZERO, 0, true)
         };
         links.into_iter().enumerate().map(shared).collect()
     }
@@ -810,7 +810,7 @@ mod tests {
         let mut counts = (0, 0, 0);
         with_workers(&e, 1, || {
             for _ in 0..10 {
-                let (lock, req) = (LockId(3), client.new_req());
+                let (lock, req) = (LockId(3), client.engine.new_req());
                 let requester = client.node;
                 let acquire = ProtocolMsg::LockAcquire {
                     req,

@@ -36,11 +36,12 @@
 //! Server-side protocol handling does not: a protocol server is a
 //! non-blocking message pump (take an inbound envelope, serve it, retry
 //! deferrals), idle whenever no message is in flight. The protocol step is
-//! `dsm_core::step::serve`; the runtime wraps it once, in the per-envelope
-//! step `node::serve_envelope` (clock merge, dedup admission, reply
-//! completion, sends), and a message a node addresses to itself is served
-//! inline on the sending thread. There is exactly one way to drive the
-//! step per kind of fabric:
+//! `dsm_core::step::serve`, which also runs lossy-run recovery (admission,
+//! the reply cache, acks and election answers); the runtime wraps it once,
+//! in the per-envelope step `node::serve_envelope` (clock merge, reply
+//! completion, `Shutdown`, sends), and a message a node addresses to itself
+//! is served inline on the sending thread. There is exactly one way to
+//! drive the step per kind of fabric:
 //!
 //! * **Threaded and TCP fabrics — the wake-on-send executor.** All nodes'
 //!   servers are multiplexed onto a bounded worker pool
@@ -71,7 +72,10 @@
 //!   releases the replies the step left in the nodes' reply slots —
 //!   re-counting each woken application before it runs — and repeats.
 //!   There are no server threads and no inbound queues, so sim runs report
-//!   no scheduler. One event at a time is what makes a run a pure function
+//!   no scheduler. On a lossy config the loop also runs the engines' retry
+//!   rounds (`ProtocolEngine::retry_round`): one when the fabric stalls,
+//!   after advancing each retrying node's clock by the 50 µs retry timeout,
+//!   and one when that timeout passes on a busy network. One event at a time is what makes a run a pure function
 //!   of its seed, and it is the semantic reference every other fabric's
 //!   results are fingerprinted against.
 //!
@@ -222,10 +226,11 @@
 //! [`SimConfig::with_pause`]) compose the individual fault kinds (a [`PauseSpec`] is a node crash: every
 //! message to or from the node inside the window is lost). Whenever a
 //! configuration can lose messages ([`SimConfig::is_lossy`]), the runtime
-//! automatically arms its recovery machinery: every tracked request gets a
-//! virtual-time retry timeout with **idempotent, server-side-deduplicated
-//! retransmissions** (replies are cached per request id and re-sent, so a
-//! retry can never double-apply), and a request aimed at a home that stays
+//! arms every engine's recovery (`ProtocolEngine::with_recovery`; the
+//! rules live in `dsm-core`): every request a node sends to another node
+//! gets a virtual-time retry timeout with **idempotent, server-side
+//! deduplicated retransmissions** (replies are cached per request id and
+//! re-sent, so a retry can never double-apply), and a request aimed at a home that stays
 //! dark past the failover threshold triggers a **deterministic home
 //! re-election** at the object's arbiter — the winner is fenced by a new
 //! home epoch, the deposed home is demoted on its first contact with the
@@ -290,7 +295,6 @@
 mod cluster;
 mod ctx;
 mod exec;
-mod fault;
 mod handle;
 mod node;
 mod report;

@@ -7,12 +7,12 @@
 //! a thread: its step is [`serve_envelope`], driven either by the
 //! wake-on-send executor in `crate::exec` (threaded and TCP fabrics) or by
 //! the virtual-time loop in `crate::sim` (see "Execution model" in the
-//! crate docs). The protocol itself is `dsm-core`'s [`dsm_core::step`];
-//! this module adds the clock merge, the lossy-run dedup admission, reply
-//! completion (with the migration-grant install on arrival), the fault
-//! layer's own messages, `Shutdown` and the actual sends. A message a node
-//! addresses to itself — the sync manager's own lock and barrier traffic —
-//! is served inline on the calling thread ([`NodeShared::post`]).
+//! crate docs). The protocol itself, lossy-run recovery included, is
+//! `dsm-core`'s [`dsm_core::step`]; this module adds the clock merge, reply
+//! completion (with the migration-grant install on arrival), `Shutdown` and
+//! the actual sends. A message a node addresses to itself — the sync
+//! manager's own lock and barrier traffic — is served inline on the calling
+//! thread ([`NodeShared::post`]).
 //!
 //! Application and server drive the engine directly through `&self`. The
 //! [`ProtocolEngine`] keeps its state behind one internal leaf lock that
@@ -35,7 +35,6 @@
 //! deferral, so the context refuses remote fault-ins in that state
 //! (`DsmError::FetchWithLiveWrites`).
 
-use crate::fault::{self, FaultState};
 use crate::vclock::VirtualClock;
 use dsm_core::step::{self, ServeState, SYNC_MANAGER};
 use dsm_core::{ProtocolEngine, ProtocolMsg, ReqId};
@@ -43,7 +42,7 @@ use dsm_model::{ComputeModel, SimDuration, SimTime};
 use dsm_net::{Endpoint, Envelope, Inbox, MsgCategory, SimEndpoint, TcpEndpoint};
 use dsm_objspace::{LockId, NodeId};
 use dsm_util::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 
 /// Whether protocol tracing (`DSM_TRACE=1`) is enabled; resolved once.
@@ -153,11 +152,7 @@ pub(crate) struct NodeShared {
     /// Whether the release path groups same-home diff flushes into
     /// `DiffBatch` messages (see `ClusterBuilder::flush_batching`).
     pub flush_batching: bool,
-    /// Timeout/retry, dedup and home re-election state — `Some` only on
-    /// lossy sim fabrics, where messages can be dropped (see `crate::fault`).
-    pub fault: Option<FaultState>,
     reply: ReplySlot,
-    next_req: AtomicU64,
     shutdown: AtomicBool,
     /// The executor's hook, for lease re-arms and help windows (not on sim).
     exec: OnceLock<crate::exec::ExecHook>,
@@ -171,7 +166,6 @@ impl NodeShared {
         handling_cost: SimDuration,
         seed: u64,
         flush_batching: bool,
-        fault: Option<FaultState>,
     ) -> Arc<Self> {
         Arc::new(NodeShared {
             node: engine.node(),
@@ -182,12 +176,10 @@ impl NodeShared {
             handling_cost,
             seed,
             flush_batching,
-            fault,
             reply: ReplySlot {
                 state: Mutex::new(SlotState::Idle),
                 ready: Condvar::new(),
             },
-            next_req: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             exec: OnceLock::new(),
         })
@@ -198,10 +190,10 @@ impl NodeShared {
         let _ = self.exec.set(hook);
     }
 
-    /// Hand `lock` back to the [`SYNC_MANAGER`]. Under a lossy fabric a
-    /// release to a remote manager must survive a drop (a lost release
-    /// wedges every later acquirer of the lock), so it carries a fresh id
-    /// and is retransmitted until acknowledged. Elsewhere it is the paper's
+    /// Hand `lock` back to the [`SYNC_MANAGER`]. On an engine armed for
+    /// recovery a release to a remote manager must survive a drop (a lost
+    /// release wedges every later acquirer of the lock), so it carries a
+    /// fresh id and is retransmitted until acknowledged. Elsewhere it is the paper's
     /// fire-and-forget message (`ReqId(0)`: no ack expected); the manager's
     /// own is served inline. On the executor fabrics the caller helps
     /// around the post until nothing is queued (see "Helping" in
@@ -210,8 +202,12 @@ impl NodeShared {
     /// helping thread rarely parks, the caller then yields the CPU so its
     /// runnable peers can ask for the lock.
     pub(crate) fn release_lock(&self, lock: LockId) {
-        let tracked = self.fault.is_some() && SYNC_MANAGER != self.node;
-        let req = if tracked { self.new_req() } else { ReqId(0) };
+        let tracked = self.engine.recovers() && SYNC_MANAGER != self.node;
+        let req = if tracked {
+            self.engine.new_req()
+        } else {
+            ReqId(0)
+        };
         let holder = self.node;
         let window = self.exec.get().map(crate::exec::ExecHook::open_window);
         self.post(SYNC_MANAGER, ProtocolMsg::LockRelease { lock, holder, req });
@@ -269,14 +265,6 @@ impl NodeShared {
         }
     }
 
-    /// Allocate a request id unique within this node.
-    pub(crate) fn new_req(&self) -> ReqId {
-        // The node id is folded into the high bits so request ids are unique
-        // cluster-wide, which makes debugging message traces easier.
-        let seq = self.next_req.fetch_add(1, Ordering::Relaxed);
-        ReqId((u64::from(self.node.0) << 48) | seq)
-    }
-
     /// Register the application thread's interest in the reply to `req`,
     /// its one outstanding request.
     ///
@@ -296,11 +284,11 @@ impl NodeShared {
     }
 
     /// Complete the outstanding request with a reply that arrived at
-    /// `arrival`. A reply to any other request lands on the floor: under a
-    /// lossy fabric a request can be answered twice (a retransmission raced
-    /// the original reply and was answered from the server's dedup cache),
-    /// and after [`Self::abort_pending`] no one is left to wake. Anywhere
-    /// else such a reply is a protocol bug, and panics.
+    /// `arrival`. A reply to any other request lands on the floor: under
+    /// recovery a request can be answered twice (a retransmission raced the
+    /// original reply and was answered from the server's reply cache), and
+    /// after [`Self::abort_pending`] no one is left to wake. Anywhere else
+    /// such a reply is a protocol bug, and panics.
     ///
     /// A fault-in reply is installed here, by the server, so a migration
     /// grant takes effect on arrival. Left to the woken application thread,
@@ -308,15 +296,12 @@ impl NodeShared {
     /// requests for the object back to the old home, which forwarded them
     /// here again until the chase overran `redirect_limit`.
     pub(crate) fn complete(&self, req: ReqId, mut msg: ProtocolMsg, arrival: SimTime) {
-        if let Some(fault) = &self.fault {
-            fault.clear(req);
-        }
         match *self.reply.state.lock() {
             SlotState::Waiting { req: waiting, .. } if waiting == req => {}
             SlotState::Aborted => return,
             _ => {
                 assert!(
-                    self.fault.is_some(),
+                    self.engine.recovers(),
                     "reply for unknown request {req:?} delivered to {} ({msg:?})",
                     self.node
                 );
@@ -326,7 +311,7 @@ impl NodeShared {
         step::install_reply(&self.engine, &mut msg);
         // The install ran outside the leaf slot lock. Only an abort can have
         // moved the slot meanwhile: a second reply to `req` exists only under
-        // the fault layer, whose completions all run on the sim scheduler.
+        // recovery, whose completions all run on the sim scheduler.
         let mut slot = self.reply.state.lock();
         let parked = match *slot {
             SlotState::Waiting { req: id, parked } if id == req => parked,
@@ -347,11 +332,8 @@ impl NodeShared {
     }
 
     /// Send a one-way protocol message; virtual send time is the node's
-    /// current clock. Under a lossy fabric, replies and acknowledgements
-    /// are remembered by the request id they answer so duplicates of the
-    /// answered request can be served from cache.
+    /// current clock.
     pub(crate) fn send(&self, dst: NodeId, msg: ProtocolMsg) {
-        fault::note_sent(self, dst, &msg);
         let category = msg.category();
         let bytes = msg.payload_bytes();
         let now = self.clock.now();
@@ -373,18 +355,15 @@ impl NodeShared {
         }
     }
 
-    /// Send a message this node originates. Under a lossy fabric a request
-    /// (anything with a [`ProtocolMsg::dedup_req`] id) is tracked for
-    /// retransmission until its reply or ack clears it. A message to this
-    /// node itself is served inline, on the calling thread: it touches no
-    /// fabric, no fault-layer tracking or dedup, and charges no handling
-    /// cost. Only the sync manager's own lock and barrier traffic takes
-    /// that path, and it never defers.
+    /// Send a message this node originates. An armed engine tracks a
+    /// request for retransmission until its reply or ack settles it
+    /// ([`ProtocolEngine::track`]). A message to this node itself is served
+    /// inline, on the calling thread: it touches no fabric, is never
+    /// retransmitted, and charges no handling cost. Only the sync manager's
+    /// own lock and barrier traffic takes that path, and it never defers.
     pub(crate) fn post(&self, dst: NodeId, msg: ProtocolMsg) {
         if dst != self.node {
-            if let (Some(fault), Some(req)) = (&self.fault, msg.dedup_req()) {
-                fault.track(req, dst, msg.clone());
-            }
+            self.engine.track(dst, &msg);
             return self.send(dst, msg);
         }
         let mut serve = ServeState::default();
@@ -496,9 +475,6 @@ impl NodeShared {
     /// (`agent_unblocked`) first — the order [`Self::release_reply`] uses
     /// for ordinary replies.
     pub(crate) fn abort_pending(&self, before_wake: impl FnOnce()) {
-        if let Some(fault) = &self.fault {
-            fault.abort();
-        }
         let mut slot = self.reply.state.lock();
         if matches!(
             *slot,
@@ -528,9 +504,8 @@ impl NodeShared {
 /// Serve one inbound envelope — the single per-envelope step of a protocol
 /// server, shared by the executor's handler steps and the sim loop. It
 /// charges the handling cost to the node's clock, completes the pending
-/// request a reply answers, hands the fault layer its acknowledgements and
-/// election answers, and passes every other request through the lossy-run
-/// dedup admission to [`step::serve`], whose sends go out through
+/// request a reply answers, stops on `Shutdown`, and hands every other
+/// message to [`step::serve`], whose sends go out through
 /// [`NodeShared::emit`]. Retrying the deferral queue is the caller's job
 /// ([`retry_deferred`]).
 pub(crate) fn serve_envelope(
@@ -558,25 +533,10 @@ pub(crate) fn serve_envelope(
         return shared.complete(req, msg, arrival);
     }
     match msg {
-        ProtocolMsg::LockReleaseAck { req, .. } | ProtocolMsg::HomeFenceAck { req, .. } => {
-            fault::handle_ack(shared, req);
-        }
-        ProtocolMsg::HomeElectReply {
-            req,
-            obj,
-            home,
-            epoch,
-        } => fault::handle_elect_reply(shared, req, obj, home, epoch),
         ProtocolMsg::Shutdown => shared.request_shutdown(),
-        // A duplicate of an already-seen request is absorbed, or answered
-        // from the reply cache, by `admit_request`.
-        msg => {
-            if fault::admit_request(shared, &msg) {
-                step::serve(&shared.engine, serve, src, msg, &mut |dst, msg| {
-                    shared.emit(dst, msg)
-                });
-            }
-        }
+        msg => step::serve(&shared.engine, serve, src, msg, &mut |dst, msg| {
+            shared.emit(dst, msg)
+        }),
     }
 }
 
@@ -588,7 +548,6 @@ pub(crate) fn retry_deferred(shared: &Arc<NodeShared>, serve: &mut ServeState) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultConfig;
     use dsm_core::{ObjectRequestOutcome, ProtocolConfig};
     use dsm_model::NetworkParams;
     use dsm_net::{Fabric, SimConfig, SimFabric, SimStep, StatsCollector};
@@ -599,11 +558,7 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
-    fn shared_on(
-        link: NodeLink,
-        engine: ProtocolEngine,
-        fault: Option<FaultState>,
-    ) -> Arc<NodeShared> {
+    fn shared_on(link: NodeLink, engine: ProtocolEngine) -> Arc<NodeShared> {
         NodeShared::new(
             engine,
             link,
@@ -611,26 +566,29 @@ mod tests {
             SimDuration::ZERO,
             0,
             true,
-            fault,
         )
     }
 
-    /// Node 0 of a `nodes`-node threaded fabric.
+    /// Node 0 of a `nodes`-node threaded fabric, its engine armed for
+    /// recovery if `recovers`.
     fn node_zero(
         nodes: usize,
         protocol: ProtocolConfig,
         registry: Arc<ObjectRegistry>,
-        fault: Option<FaultState>,
+        recovers: bool,
     ) -> Arc<NodeShared> {
         let endpoint = Fabric::new(nodes, NetworkParams::ideal(), StatsCollector::new())
             .into_endpoints()
             .swap_remove(0);
-        let engine = ProtocolEngine::new(NodeId(0), nodes, protocol, registry);
-        shared_on(NodeLink::Threaded(endpoint), engine, fault)
+        let mut engine = ProtocolEngine::new(NodeId(0), nodes, protocol, registry);
+        if recovers {
+            engine = engine.with_recovery();
+        }
+        shared_on(NodeLink::Threaded(endpoint), engine)
     }
 
     fn lone_node() -> Arc<NodeShared> {
-        node_zero(1, ProtocolConfig::no_migration(), Arc::default(), None)
+        node_zero(1, ProtocolConfig::no_migration(), Arc::default(), false)
     }
 
     /// The fabric and every node of a `nodes`-node sim fabric.
@@ -651,7 +609,7 @@ mod tests {
                     ProtocolConfig::no_migration(),
                     Arc::default(),
                 );
-                shared_on(NodeLink::Sim(endpoint), engine, None)
+                shared_on(NodeLink::Sim(endpoint), engine)
             })
             .collect();
         (fabric, shareds)
@@ -707,7 +665,7 @@ mod tests {
     fn a_migration_grant_takes_effect_before_the_application_wakes() {
         let req = ReqId(1);
         let (obj, registry, reply) = granted_fault_in(req);
-        let grantee = node_zero(2, jump(), registry, None);
+        let grantee = node_zero(2, jump(), registry, false);
         grantee.register_pending(req);
         grantee.complete(req, reply, SimTime::ZERO);
         assert!(
@@ -716,7 +674,7 @@ mod tests {
         );
     }
 
-    /// Under the fault layer a request can be answered twice, and a
+    /// Under recovery a request can be answered twice, and a
     /// retransmitted older request can be answered late. Both replies land
     /// on the floor by id — a stale fault-in reply installs nothing — and
     /// the live request still receives its own reply.
@@ -724,15 +682,14 @@ mod tests {
     fn duplicate_and_stale_replies_land_on_the_floor_under_the_fault_layer() {
         let older = ReqId(1);
         let (obj, registry, stale) = granted_fault_in(older);
-        let fault = FaultState::new(FaultConfig::sim_default());
-        let shared = node_zero(2, jump(), registry, Some(fault));
-        assert_eq!(shared.new_req(), older, "node 0's first request id");
-        let done = shared.new_req();
+        let shared = node_zero(2, jump(), registry, true);
+        assert_eq!(shared.engine.new_req(), older, "node 0's first request id");
+        let done = shared.engine.new_req();
         shared.register_pending(done);
         shared.complete(done, grant(done), SimTime::ZERO);
         assert_eq!(shared.wait_reply(|| {}).msg.reply_req(), Some(done));
 
-        let live = shared.new_req();
+        let live = shared.engine.new_req();
         shared.register_pending(live);
         shared.complete(done, grant(done), SimTime::ZERO);
         shared.complete(older, stale, SimTime::ZERO);
@@ -746,13 +703,13 @@ mod tests {
         assert_eq!(reply.arrival, SimTime::from_nanos(5));
     }
 
-    /// Without the fault layer every request is answered exactly once, so a
+    /// Without recovery every request is answered exactly once, so a
     /// stray reply is a protocol bug and fails loudly, naming the node.
     #[test]
     #[should_panic(expected = "delivered to P0")]
     fn a_reply_for_an_unknown_request_panics_naming_the_node() {
         let shared = lone_node();
-        let req = shared.new_req();
+        let req = shared.engine.new_req();
         shared.complete(req, grant(req), SimTime::ZERO);
     }
 
@@ -762,14 +719,14 @@ mod tests {
     #[test]
     fn after_the_abort_late_replies_are_dropped_and_requests_fail_fast() {
         let shared = lone_node();
-        let req = shared.new_req();
+        let req = shared.engine.new_req();
         shared.register_pending(req);
         shared.abort_pending(|| {});
         shared.complete(req, grant(req), SimTime::ZERO);
-        let unknown = shared.new_req();
+        let unknown = shared.engine.new_req();
         shared.complete(unknown, grant(unknown), SimTime::ZERO);
         let refused = catch_unwind(AssertUnwindSafe(|| {
-            shared.register_pending(shared.new_req());
+            shared.register_pending(shared.engine.new_req());
         }))
         .expect_err("a request after the abort must fail");
         let message = refused
@@ -822,7 +779,7 @@ mod tests {
                 }
             });
             for _ in 0..1000 {
-                let req = shared.new_req();
+                let req = shared.engine.new_req();
                 shared.register_pending(req);
                 let reply = shared.wait_reply(|| {
                     go.send(req).expect("the completer is alive");
@@ -843,7 +800,7 @@ mod tests {
         within_deadline(move || {
             for _ in 0..1000 {
                 let shared = lone_node();
-                let req = shared.new_req();
+                let req = shared.engine.new_req();
                 shared.register_pending(req);
                 let waiter = Arc::clone(&shared);
                 let waiter = thread::spawn(move || {
@@ -887,7 +844,7 @@ mod tests {
             for shared in &shareds {
                 let (fabric, woken) = (&fabric, &woken);
                 scope.spawn(move || {
-                    shared.register_pending(shared.new_req());
+                    shared.register_pending(shared.engine.new_req());
                     let _ = catch_unwind(AssertUnwindSafe(|| shared.wait_reply(|| {})));
                     woken.fetch_add(1, Ordering::SeqCst);
                     fabric.agent_finished();

@@ -30,10 +30,9 @@
 //! the test run, naming the state a failing seed can replay.
 
 use crate::cluster::FirstPanic;
-use crate::fault;
 use crate::node::{self, NodeShared};
 use dsm_core::step::ServeState;
-use dsm_core::ProtocolMsg;
+use dsm_core::{ProtocolMsg, RetryRound};
 use dsm_model::{SimDuration, SimTime};
 use dsm_net::{DropReason, SimFabric, SimStep};
 use std::sync::Arc;
@@ -45,6 +44,36 @@ fn load(queues: &[ServeState]) -> usize {
     queues.iter().map(ServeState::deferred_entries).sum()
 }
 
+/// Virtual time a retrying node's clock advances per stalled retry round,
+/// and the period of the timed rounds: 50 µs, a few round trips under the
+/// default network model.
+fn retry_timeout() -> SimDuration {
+    SimDuration::from_micros(50.0)
+}
+
+/// One retry round across every node, in node order ([`RetryRound`]). A
+/// node with something to retransmit first advances its clock by one
+/// timeout if the fabric stalled (all of its timers burn down together),
+/// then sends. Returns whether anything was sent; `false` means every
+/// entry is exhausted or none exists.
+fn retry_round(shareds: &[Arc<NodeShared>], round: RetryRound) -> bool {
+    let mut progressed = false;
+    for shared in shareds {
+        let sends = shared.engine.retry_round(round);
+        if sends.is_empty() {
+            continue;
+        }
+        if round == RetryRound::Stalled {
+            shared.clock.advance(retry_timeout());
+        }
+        for (dst, msg) in sends {
+            shared.send(dst, msg);
+        }
+        progressed = true;
+    }
+    progressed
+}
+
 /// The lossy-run retry timer, fired on **virtual time** rather than only
 /// at stalls. Stall-only firing has a starvation hole: a lost reply's
 /// retransmission can be held off forever by *other* nodes' traffic — a
@@ -53,11 +82,11 @@ fn load(queues: &[ServeState]) -> usize {
 /// resolve the chase never fires (the redirect chain then trips its
 /// convergence bound). The timer closes the hole: before every pop, the
 /// scheduler compares the un-popped head's due time against the deadline
-/// and fires a [`fault::RetryRound::Due`] round first.
+/// and fires a [`RetryRound::Due`] round first.
 ///
 /// Determinism: the decision reads only the head event's `deliver_at` at
 /// a quiescence point ([`SimFabric::peek_due`]). Armed only when the
-/// fabric carries fault state (lossy configs) — lossless runs pay nothing.
+/// engines are (lossy configs) — lossless runs pay nothing.
 struct RetryTimer {
     next_at: SimTime,
     period: SimDuration,
@@ -65,14 +94,14 @@ struct RetryTimer {
 
 impl RetryTimer {
     fn arm(shareds: &[Arc<NodeShared>]) -> Option<RetryTimer> {
-        let period = shareds
+        let period = retry_timeout();
+        shareds
             .iter()
-            .find_map(|s| s.fault.as_ref())
-            .map(|f| f.config.retry_timeout)?;
-        Some(RetryTimer {
-            next_at: SimTime::ZERO + period,
-            period,
-        })
+            .any(|shared| shared.engine.recovers())
+            .then(|| RetryTimer {
+                next_at: SimTime::ZERO + period,
+                period,
+            })
     }
 
     /// Fire a timed retry round if the pending head is due at or past the
@@ -89,12 +118,12 @@ impl RetryTimer {
         if due < self.next_at {
             return false;
         }
-        fault::fire_retries(shareds, fault::RetryRound::Due);
+        retry_round(shareds, RetryRound::Due);
         self.next_at = due + self.period;
         true
     }
 
-    /// Re-arm after a [`fault::RetryRound::Stalled`] round: that round
+    /// Re-arm after a [`RetryRound::Stalled`] round: that round
     /// already advanced the retrying nodes' clocks by one timeout, so the
     /// next timed deadline counts from there — otherwise the timer would
     /// immediately double-fire on the retransmissions the stall round
@@ -145,13 +174,12 @@ pub(crate) fn sim_server_loop(
             }
             SimStep::Stalled => {
                 // Deferred work first; if nothing local moves, this is the
-                // timeout point of the lossy-fabric recovery machinery:
-                // every node retransmits its outstanding requests (see
-                // `crate::fault`). Only when that too is out of attempts
-                // (or the fabric is lossless and has no retry state) is the
+                // timeout point of lossy-run recovery: every node
+                // retransmits its outstanding requests. Only when that too
+                // is out of attempts (or the engines are unarmed) is the
                 // stall terminal.
                 if !make_progress(shareds, fabric, &mut queues) {
-                    if !fault::fire_retries(shareds, fault::RetryRound::Stalled) {
+                    if !retry_round(shareds, RetryRound::Stalled) {
                         teardown_or_panic(shareds, first_panic, fabric, &queues, "stalled");
                         break;
                     }
