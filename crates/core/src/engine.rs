@@ -17,8 +17,8 @@
 //! *outcomes* describing what must be sent, and accept the results of those
 //! exchanges. [`crate::step`] turns outcomes into messages and replies into
 //! the next request; the runtime owns blocking, transport, the timing of
-//! retry rounds and virtual-time accounting. This keeps every protocol rule in one place and unit-testable
-//! without threads.
+//! retry rounds and virtual-time accounting. This keeps every protocol rule
+//! in one place and unit-testable without threads.
 //!
 //! ## Locking
 //!
@@ -131,9 +131,9 @@
 //!   construction — elections are sticky, fencing compares epochs.
 //! * **Home re-election.** When a node's fault-in or diff flush stays
 //!   unanswered for 16 stalled rounds (`Due` rounds never count: on a busy
-//!   network silence usually means a slow or deferring home), it asks the object's
-//!   *arbiter* — its well-known manager node, or the next node when the
-//!   manager itself is the suspect — to elect a new home
+//!   network silence usually means a slow or deferring home), it asks the
+//!   object's *arbiter* — its well-known manager node, or the next node
+//!   when the manager itself is the suspect — to elect a new home
 //!   ([`ProtocolEngine::handle_home_elect`]). The arbiter elects a node
 //!   that still holds a copy (preferring the live candidate), records the
 //!   decision so concurrent candidates converge on one winner, and the

@@ -98,6 +98,10 @@
 //!   flush, lock acquire, barrier) is a [`step::ClientOp`] state machine.
 //!   The runtime drives them over a fabric; a test can drive them with no
 //!   threads at all.
+//! * `recovery` — lossy-run recovery as engine state: the retry table, the
+//!   reply cache and home re-election, armed by
+//!   [`ProtocolEngine::with_recovery`] and driven through [`step::serve`]
+//!   and [`ProtocolEngine::retry_round`].
 //! * `stats` — per-node protocol statistics ([`ProtocolStats`]), including
 //!   the policy decision telemetry ([`PolicyTelemetry`]).
 

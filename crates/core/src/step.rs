@@ -1,7 +1,9 @@
-//! The protocol as plain steps. [`serve`] runs one inbound request against
+//! The protocol as plain steps. [`serve`] runs one inbound message against
 //! the [`ProtocolEngine`] and pushes the messages to send, in order, to a
 //! sink; a request the engine reports `Busy` (its payload is leased to a
-//! live view) waits in the node's [`ServeState`]. A [`ClientOp`] is one
+//! live view) waits in the node's [`ServeState`]. On a lossy fabric the
+//! same step admits requests, answers duplicates from the reply cache and
+//! serves recovery's acks and election answers. A [`ClientOp`] is one
 //! blocking operation as a state machine — the fault-in chase, the diff
 //! flush, the batch flush with its per-entry re-plan, the lock acquire or
 //! the barrier: it names its next request, takes the reply and says
@@ -95,7 +97,7 @@ pub fn serve(
     }
 }
 
-/// Serve an admitted message; on an armed engine, cache what it answers.
+/// Serve an admitted message.
 fn dispatch(
     engine: &ProtocolEngine,
     state: &mut ServeState,
@@ -103,26 +105,13 @@ fn dispatch(
     msg: ProtocolMsg,
     out: &mut impl FnMut(NodeId, ProtocolMsg),
 ) {
-    if engine.recovers() {
-        let mut cached = |dst, msg: ProtocolMsg| {
-            if let Some(req) = msg.reply_req().or_else(|| msg.ack_req()) {
-                engine.recovery(|r, _| r.cache(req, dst, &msg));
-            }
-            out(dst, msg);
-        };
-        run(engine, state, src, msg, &mut cached);
-    } else {
-        run(engine, state, src, msg, out);
-    }
-}
-
-fn run(
-    engine: &ProtocolEngine,
-    state: &mut ServeState,
-    src: NodeId,
-    msg: ProtocolMsg,
-    out: &mut impl FnMut(NodeId, ProtocolMsg),
-) {
+    // An armed engine caches every reply and ack by the request it answers.
+    let out = &mut |dst, msg: ProtocolMsg| {
+        if let Some(req) = msg.reply_req().or_else(|| msg.ack_req()) {
+            engine.recovery(|r, _| r.cache(req, dst, &msg));
+        }
+        out(dst, msg);
+    };
     let busy = match msg {
         ProtocolMsg::DiffBatch { req, entries, from } => {
             serve_batch(engine, &mut state.partials, req, entries, from, out)

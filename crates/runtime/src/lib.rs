@@ -75,9 +75,10 @@
 //!   no scheduler. On a lossy config the loop also runs the engines' retry
 //!   rounds (`ProtocolEngine::retry_round`): one when the fabric stalls,
 //!   after advancing each retrying node's clock by the 50 µs retry timeout,
-//!   and one when that timeout passes on a busy network. One event at a time is what makes a run a pure function
-//!   of its seed, and it is the semantic reference every other fabric's
-//!   results are fingerprinted against.
+//!   and one when that timeout passes on a busy network. One event at a
+//!   time is what makes a run a pure function of its seed, and it is the
+//!   semantic reference every other fabric's results are fingerprinted
+//!   against.
 //!
 //! ## Locking architecture
 //!
@@ -230,11 +231,12 @@
 //! rules live in `dsm-core`): every request a node sends to another node
 //! gets a virtual-time retry timeout with **idempotent, server-side
 //! deduplicated retransmissions** (replies are cached per request id and
-//! re-sent, so a retry can never double-apply), and a request aimed at a home that stays
-//! dark past the failover threshold triggers a **deterministic home
-//! re-election** at the object's arbiter — the winner is fenced by a new
-//! home epoch, the deposed home is demoted on its first contact with the
-//! new epoch, and the requester transparently re-aims at the winner.
+//! re-sent, so a retry can never double-apply), and a request aimed at a
+//! home that stays dark past the failover threshold triggers a
+//! **deterministic home re-election** at the object's arbiter — the winner
+//! is fenced by a new home epoch, the deposed home is demoted on its first
+//! contact with the new epoch, and the requester transparently re-aims at
+//! the winner.
 //! Everything stays bit-identically replayable: drops are part of the
 //! seeded schedule, and the delivery trace records them
 //! ([`DeliveryTrace::drops`], one [`DropRecord`] with its [`DropReason`]
