@@ -6,9 +6,8 @@
 //!
 //! * the **application side** (the node's application thread, through the
 //!   runtime's `NodeCtx` and the client operations of [`crate::step`]):
-//!   planning reads and writes, leasing object stores for zero-copy views,
-//!   installing fetched objects, preparing and finishing releases, opening
-//!   intervals;
+//!   leasing object payloads for zero-copy views, installing fetched
+//!   objects, preparing and finishing releases, opening intervals;
 //! * the **server side** ([`crate::step::serve`], run by whichever thread
 //!   steps the node's protocol server): handling object requests, diffs,
 //!   notifications and synchronization messages arriving from other nodes.
@@ -31,24 +30,26 @@
 //! and a home re-election observes, decides and installs in one critical
 //! section. It is a *leaf* lock: it is never held across application code
 //! or a send, and no engine call takes another lock under it except the
-//! non-blocking `try_` payload guards below, so the engine's locking
-//! cannot deadlock. The paper's nodes are single-CPU machines whose
-//! application and protocol handler share one processor; one lock per node
-//! matches that.
+//! payload guards below, which never wait on a thread that wants the
+//! engine lock, so the engine's locking cannot deadlock. The paper's nodes
+//! are single-CPU machines whose application and protocol handler share
+//! one processor; one lock per node matches that.
 //!
 //! ## Payload leases
 //!
-//! Object payloads live behind [`ObjectStore`] handles (shared read/write
-//! cells). The application side *leases* a store after a successful access
-//! plan and holds its read or write guard across application code — that is
-//! how `ReadView`/`WriteView` expose `&[T]`/`&mut [T]` over engine storage
-//! without copying and without pinning any engine lock. Because the home of
-//! an object can migrate away *between* the access plan and the lease (the
-//! node's server side runs concurrently on another thread), the runtime
-//! uses the checked [`ProtocolEngine::try_lease_read`] and
-//! [`ProtocolEngine::try_lease_write`] forms, which validate the access
-//! state and take the payload guard atomically under the engine
-//! lock, and re-plan when the state moved underneath them. The server side
+//! Object payloads live behind `ObjectStore` handles (shared read/write
+//! cells). One application access is one engine call:
+//! [`ProtocolEngine::lease_read`] and [`ProtocolEngine::lease_write`] plan
+//! the access and, on a hit, take the payload's read or write guard in the
+//! same critical section (a write's twin capture and write-set entry too),
+//! so the node's server side, running on another thread, cannot move the
+//! copy away between the plan and the guard. Otherwise the lease names the
+//! believed home to fault the object in from, and the caller leases again
+//! once the copy is installed. The guard is held across application code —
+//! that is how `ReadView`/`WriteView` expose `&[T]`/`&mut [T]` over engine
+//! storage without copying and without pinning any engine lock. Every
+//! other payload guard is taken and dropped inside one engine call, so the
+//! only guards a lease can meet are the caller's own views. The server side
 //! only ever takes `try_` locks on payloads and reports [`Busy`] outcomes
 //! when an application view is live, so the protocol server can defer a
 //! message instead of blocking — the property that makes lease-holding
@@ -161,8 +162,7 @@ use crate::state::EngineState;
 use crate::stats::ProtocolStats;
 use crate::sync::{BarrierOutcome, LockAcquireOutcome, LockReleaseOutcome};
 use dsm_objspace::{
-    BarrierId, Diff, Element, LockId, NodeId, ObjectData, ObjectId, ObjectRegistry, ObjectStore,
-    Version,
+    BarrierId, Diff, Element, LockId, NodeId, ObjectData, ObjectId, ObjectRegistry, Version,
 };
 use dsm_util::{Mutex, RwReadGuard, RwWriteGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,6 +202,48 @@ pub enum AccessPlan {
         /// The believed home node.
         target: NodeId,
     },
+}
+
+impl AccessPlan {
+    fn of(lease: Lease<()>) -> Self {
+        match lease {
+            Lease::Hit(()) => AccessPlan::LocalHit,
+            Lease::Fetch { target } => AccessPlan::Fetch { target },
+        }
+    }
+}
+
+/// An application access taken in one engine call: the payload guard of a
+/// valid local copy, or the node to fault the object in from.
+#[derive(Debug)]
+pub enum Lease<G> {
+    /// The access is served from the local copy whose payload `G` guards.
+    Hit(G),
+    /// The object must be faulted in from (what this node believes is) its
+    /// home; lease again once it is installed.
+    Fetch {
+        /// The believed home node.
+        target: NodeId,
+    },
+}
+
+#[cfg(test)]
+impl<G> Lease<G> {
+    /// The guard of a lease expected to hit.
+    pub(crate) fn hit(self) -> G {
+        match self {
+            Lease::Hit(guard) => guard,
+            Lease::Fetch { target } => panic!("expected a hit, not a fetch from {target}"),
+        }
+    }
+
+    /// The believed home of a lease expected to miss.
+    pub(crate) fn miss(self) -> NodeId {
+        match self {
+            Lease::Fetch { target } => target,
+            Lease::Hit(_) => panic!("expected a fetch, not a hit"),
+        }
+    }
 }
 
 /// One diff that must be propagated to a home at release time.
@@ -421,8 +463,9 @@ impl ProtocolEngine {
     // Application side
     // ------------------------------------------------------------------
 
-    /// Open a new interval: called when the application thread's lock
-    /// acquire is granted or its barrier releases.
+    /// Open a new interval, as a lock acquire's grant or a barrier's release
+    /// does inside its [`ClientOp`](crate::step::ClientOp) step (which also
+    /// counts the acquire or barrier under the same lock).
     ///
     /// Under the Java-consistency flavour of LRC used by the paper's GOS,
     /// the node conservatively invalidates its cached non-home copies (its
@@ -432,71 +475,46 @@ impl ProtocolEngine {
         self.state.lock().begin_interval();
     }
 
-    /// Plan a read of `obj` by the local application thread.
+    /// Plan a read of `obj` by the local application thread, counted as
+    /// [`Self::lease_read`] counts it but without taking the payload.
     pub fn plan_read(&self, obj: ObjectId) -> AccessPlan {
-        self.state.lock().plan_read(obj)
+        AccessPlan::of(self.state.lock().lease_read(obj, |_| ()))
     }
 
-    /// Plan a write of `obj` by the local application thread.
+    /// Plan a write of `obj` by the local application thread, with the
+    /// bookkeeping of [`Self::lease_write`] but without taking the payload.
     pub fn plan_write(&self, obj: ObjectId) -> AccessPlan {
-        self.state.lock().plan_write(obj)
+        AccessPlan::of(self.state.lock().lease_write(obj, |_| ()))
     }
 
-    /// Lease the payload store of a locally *readable* copy of `obj` — the
-    /// zero-copy read path. Callers must first obtain
-    /// [`AccessPlan::LocalHit`] from [`Self::plan_read`]; the returned store
-    /// is then read-locked by the runtime's `ReadView` without holding any
-    /// engine lock. Single-threaded callers only — concurrent runtimes must
-    /// use [`Self::try_lease_read`], which cannot race a migration.
+    /// Read `obj` on behalf of the local application thread: plan the read
+    /// and, on a hit, take the payload's read guard, in one critical
+    /// section, so no server step can move the copy away in between. The
+    /// guard is then held across application code without any engine lock
+    /// (that is how `ReadView` borrows engine storage).
     ///
     /// # Panics
-    /// Panics if the object is not locally readable.
-    #[cfg(test)]
-    fn lease_read(&self, obj: ObjectId) -> ObjectStore {
-        self.state.lock().lease_read(obj)
+    /// Panics if the caller itself holds the payload's write guard.
+    pub fn lease_read(&self, obj: ObjectId) -> Lease<RwReadGuard<ObjectData>> {
+        self.state.lock().lease_read(obj, |store| {
+            store
+                .try_read()
+                .expect("a live write guard conflicts with the read lease")
+        })
     }
 
-    /// Lease the payload store of a locally *writable* copy of `obj` — the
-    /// zero-copy write path. Callers must first obtain
-    /// [`AccessPlan::LocalHit`] from [`Self::plan_write`]; the twin (for
-    /// cached copies) was captured by that plan, so the diff bookkeeping is
-    /// already armed and the store can be write-locked directly.
-    /// Single-threaded callers only — concurrent runtimes must use
-    /// [`Self::try_lease_write`].
+    /// Write `obj` on behalf of the local application thread, as
+    /// [`Self::lease_read`]: a cached copy's twin capture and write-set
+    /// entry, and the write guard, are taken in the same critical section.
     ///
     /// # Panics
-    /// Panics if the object is not locally writable.
-    pub(crate) fn lease_write(&self, obj: ObjectId) -> ObjectStore {
-        self.state.lock().lease_write(obj)
-    }
-
-    /// Atomically re-validate readability and take the payload *read guard*
-    /// under the engine lock. Returns `None` when the local copy is no longer
-    /// readable — e.g. the server side migrated the home away between the
-    /// caller's [`Self::plan_read`] and this lease — in which case the
-    /// caller must re-plan (and possibly fault the object back in).
-    pub fn try_lease_read(&self, obj: ObjectId) -> Option<RwReadGuard<ObjectData>> {
-        self.state.lock().try_lease_read(obj)
-    }
-
-    /// Atomically re-validate writability and take the payload *write
-    /// guard* under the engine lock. Returns `None` when the local copy is no
-    /// longer writable — the caller must re-plan, which re-arms the
-    /// twin/diff bookkeeping before the next attempt.
-    pub fn try_lease_write(&self, obj: ObjectId) -> Option<RwWriteGuard<ObjectData>> {
-        self.state.lock().try_lease_write(obj)
-    }
-
-    /// Read access to a locally valid copy of `obj` through a closure
-    /// (convenience over [`Self::lease_read`] for tests).
-    ///
-    /// # Panics
-    /// As [`Self::lease_read`].
-    #[cfg(test)]
-    fn with_object<R>(&self, obj: ObjectId, f: impl FnOnce(&ObjectData) -> R) -> R {
-        let store = self.lease_read(obj);
-        let guard = store.read();
-        f(&guard)
+    /// Panics if the caller itself holds a guard on the payload.
+    pub fn lease_write(&self, obj: ObjectId) -> Lease<RwWriteGuard<ObjectData>> {
+        self.state.lock().lease_write(obj, |store| {
+            store
+                .try_write()
+                .expect("a live guard conflicts with the write lease")
+        })
     }
 
     /// Write access to a locally writable copy of `obj` through a closure.
@@ -504,7 +522,7 @@ impl ProtocolEngine {
     /// # Panics
     /// Panics if the object is not locally writable.
     pub fn with_object_mut<R>(&self, obj: ObjectId, f: impl FnOnce(&mut ObjectData) -> R) -> R {
-        let store = self.lease_write(obj);
+        let store = self.state.lock().writable_store(obj);
         let mut guard = store.write();
         f(&mut guard)
     }
@@ -654,14 +672,12 @@ impl ProtocolEngine {
         self.state.lock().barriers.arrive(barrier, node, req)
     }
 
-    /// Record one application-level lock acquisition (for reporting).
-    pub fn note_lock_acquire(&self) {
-        self.state.lock().stats.lock_acquires += 1;
-    }
-
-    /// Record one application-level barrier crossing (for reporting).
-    pub fn note_barrier(&self) {
-        self.state.lock().stats.barriers += 1;
+    /// Count a completed lock acquire or barrier in the statistic `counter`
+    /// names and open the interval it starts, in one critical section.
+    pub(crate) fn begin_sync_interval(&self, counter: fn(&mut ProtocolStats) -> &mut u64) {
+        let mut state = self.state.lock();
+        *counter(&mut state.stats) += 1;
+        state.begin_interval();
     }
 
     /// Record that `entries` release-time flushes were shipped as one
@@ -817,21 +833,16 @@ mod tests {
         let obj = obj_x();
         engines[writer].begin_interval();
         let mut hops = 0;
-        // Fault-in (write fault).
-        if let AccessPlan::Fetch { target } = engines[writer].plan_write(obj) {
-            let (for_write, redirections, redirect) = (true, 0, None);
-            let op = ClientOp::FaultIn {
-                obj,
-                for_write,
-                target,
-                redirections,
-                redirect,
-            };
-            hops += drive(engines, writer, op);
-            // Retry the write plan now that the copy is present.
-            assert_eq!(engines[writer].plan_write(obj), AccessPlan::LocalHit);
-        }
-        engines[writer].with_object_mut(obj, |d| d.bytes_mut()[0] = value);
+        // Lease the write, faulting the object in on a miss; the second
+        // lease hits the installed copy.
+        let lease = match engines[writer].lease_write(obj) {
+            Lease::Fetch { target } => {
+                hops += drive(engines, writer, ClientOp::fault_in(obj, true, target));
+                engines[writer].lease_write(obj)
+            }
+            lease => lease,
+        };
+        lease.hit().bytes_mut()[0] = value;
         // Release: flush diffs (if the writer is now home there are none).
         for plan in engines[writer].prepare_release() {
             let (redirections, redirect) = (0, None);
@@ -877,37 +888,48 @@ mod tests {
         let engines = engines(ProtocolConfig::no_migration());
         let obj = obj_x();
         engines[0].begin_interval();
-        assert_eq!(engines[0].plan_write(obj), AccessPlan::LocalHit);
-        {
-            let store = engines[0].lease_write(obj);
-            store.write().bytes_mut()[0] = 42;
-        }
+        engines[0].lease_write(obj).hit().bytes_mut()[0] = 42;
         // The write went straight into the home copy, no copy-back needed.
         assert_eq!(engines[0].home_bytes(obj).unwrap()[0], 42);
-        let store = engines[0].lease_read(obj);
-        assert_eq!(store.read().bytes()[0], 42);
+        assert_eq!(engines[0].lease_read(obj).hit().bytes()[0], 42);
     }
 
+    /// Each access is one lease call: a home copy hits, a read-only cached
+    /// copy arms its twin once, no copy or an invalid one names the believed
+    /// home, and a former home fetches from the node it granted the home to.
     #[test]
-    fn checked_leases_validate_state_under_the_shard_lock() {
-        let engines = engines(ProtocolConfig::no_migration());
+    fn a_lease_hits_a_valid_copy_and_fetches_otherwise() {
+        let cfg = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
+        let e = engines(cfg);
         let obj = obj_x();
-        engines[0].begin_interval();
-        // No write plan yet: the checked write lease refuses.
-        assert!(engines[0].try_lease_write(obj).is_none());
-        assert_eq!(engines[0].plan_write(obj), AccessPlan::LocalHit);
-        {
-            let mut guard = engines[0]
-                .try_lease_write(obj)
-                .expect("writable after plan");
-            guard.bytes_mut()[0] = 9;
+        for engine in &e {
+            engine.begin_interval();
         }
-        // Home copies are always readable through the checked read lease.
-        let guard = engines[0].try_lease_read(obj).expect("home copy readable");
-        assert_eq!(guard.bytes()[0], 9);
-        // A node with no copy at all gets `None`, not a panic.
-        assert!(engines[1].try_lease_read(obj).is_none());
-        assert!(engines[1].try_lease_write(obj).is_none());
+        assert_eq!(e[0].lease_read(obj).hit().bytes(), [0; 64], "the home hits");
+
+        let home = e[1].home_hint(obj);
+        assert!(matches!(e[1].lease_read(obj), Lease::Fetch { target } if target == home));
+        drive(&e, 1, ClientOp::fault_in(obj, false, home));
+        for _ in 0..2 {
+            e[1].lease_write(obj).hit().bytes_mut()[0] = 1;
+        }
+        assert_eq!(e[1].stats().twins_created, 1, "one twin per interval");
+
+        drive(&e, 2, ClientOp::fault_in(obj, false, home));
+        e[2].begin_interval();
+        assert!(
+            matches!(e[2].lease_read(obj), Lease::Fetch { target } if target == home),
+            "a new interval invalidated the cached copy"
+        );
+
+        drive(&e, 2, ClientOp::fault_in(obj, true, home));
+        assert!(e[2].is_home(obj), "the JUMP write fault took the home");
+        // The old home keeps a read-only copy until its next interval.
+        e[0].begin_interval();
+        assert!(matches!(
+            e[0].lease_write(obj),
+            Lease::Fetch { target: NodeId(2) }
+        ));
     }
 
     #[test]
@@ -915,9 +937,7 @@ mod tests {
         let engines = engines(ProtocolConfig::no_migration());
         let obj = obj_x();
         engines[0].begin_interval();
-        assert_eq!(engines[0].plan_write(obj), AccessPlan::LocalHit);
-        let store = engines[0].lease_write(obj);
-        let guard = store.write();
+        let guard = engines[0].lease_write(obj).hit();
         // A write lease blocks both server-side payload operations ...
         assert_eq!(
             engines[0].handle_object_request(obj, NodeId(1), false, 0),
@@ -1038,15 +1058,7 @@ mod tests {
             AccessPlan::Fetch { target: NodeId(0) },
             "node 2 still believes the initial home"
         );
-        let (target, for_write, redirections, redirect) = (NodeId(0), false, 0, None);
-        let op = ClientOp::FaultIn {
-            obj,
-            for_write,
-            target,
-            redirections,
-            redirect,
-        };
-        let hops = drive(&e, 2, op);
+        let hops = drive(&e, 2, ClientOp::fault_in(obj, false, NodeId(0)));
         assert!(
             e[1].is_home(obj) && !e[2].is_home(obj),
             "a reader must not steal the home"
@@ -1055,8 +1067,7 @@ mod tests {
         assert_eq!(e[0].stats().redirections_served, 1);
         assert_eq!(e[2].stats().redirections_suffered, 1);
         assert_eq!(e[2].home_hint(obj), NodeId(1), "the fresh hint was adopted");
-        assert_eq!(e[2].plan_read(obj), AccessPlan::LocalHit);
-        e[2].with_object(obj, |d| assert_eq!(d.bytes()[0], 2));
+        assert_eq!(e[2].lease_read(obj).hit().bytes()[0], 2);
         // The redirection became negative feedback at the current home.
         assert_eq!(e[1].migration_state(obj).unwrap().redirected_requests, 1);
     }
@@ -1391,11 +1402,8 @@ mod tests {
                     home.begin_interval();
                     for i in 0..local as u64 {
                         let obj = ObjectId::derive("shard.app", i);
-                        assert_eq!(home.plan_write(obj), AccessPlan::LocalHit);
-                        home.with_object_mut(obj, |d| {
-                            d.bytes_mut()[0] = round + 1;
-                            d.bytes_mut()[1] = i as u8;
-                        });
+                        let mut guard = home.lease_write(obj).hit();
+                        guard.bytes_mut()[..2].copy_from_slice(&[round + 1, i as u8]);
                     }
                     assert!(home.prepare_release().is_empty(), "home writes never flush");
                     home.finish_release();

@@ -121,7 +121,7 @@ pub mod sync;
 
 pub use config::{NotificationMechanism, ProtocolConfig};
 pub use engine::{
-    group_flush_plans, AccessPlan, DiffOutcome, FlushBatch, FlushPlan, MigrationGrant,
+    group_flush_plans, AccessPlan, DiffOutcome, FlushBatch, FlushPlan, Lease, MigrationGrant,
     ObjectRequestOutcome, ProtocolEngine,
 };
 pub use messages::{

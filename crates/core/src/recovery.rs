@@ -15,7 +15,9 @@
 //!   request whose original is still being served is absorbed, and one that
 //!   was answered gets the cached reply again instead of a second run of its
 //!   handler. This is what makes a retransmitted lock acquire, barrier
-//!   arrival or diff safe.
+//!   arrival or diff safe. Only other nodes' requests and answers to other
+//!   nodes enter it: a node's messages to itself never travel, so nothing
+//!   retransmits them.
 //!
 //! A fault-in or diff flush that stays unanswered for [`FAILOVER_AFTER`]
 //! stalled rounds treats its destination as a dark home and asks the
@@ -145,6 +147,12 @@ impl Recovery {
     /// request `req`.
     pub(crate) fn cache(&mut self, req: ReqId, dst: NodeId, msg: &ProtocolMsg) {
         self.replies.insert(req, Some((dst, msg.clone())));
+    }
+
+    /// Requests in the reply cache, answered or not.
+    #[cfg(test)]
+    pub(crate) fn cached(&self) -> usize {
+        self.replies.len()
     }
 
     /// One retry round: every entry short of [`MAX_ATTEMPTS`], in request-id

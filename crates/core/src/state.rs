@@ -10,7 +10,7 @@
 
 use crate::config::{NotificationMechanism, ProtocolConfig};
 use crate::engine::{
-    AccessPlan, DiffOutcome, FlushPlan, MigrationGrant, ObjectRequestOutcome, ELECTION_EPOCH_STRIDE,
+    DiffOutcome, FlushPlan, Lease, MigrationGrant, ObjectRequestOutcome, ELECTION_EPOCH_STRIDE,
 };
 use crate::migration::MigrationState;
 use crate::policy::PolicyInputs;
@@ -21,7 +21,6 @@ use dsm_objspace::{
     new_store, AccessState, Diff, Element, NodeId, ObjectData, ObjectId, ObjectRegistry,
     ObjectStore, Twin, Version,
 };
-use dsm_util::{RwReadGuard, RwWriteGuard};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -208,8 +207,15 @@ impl EngineState {
         }
     }
 
-    /// Plan a read of `obj` by the local application thread.
-    pub(crate) fn plan_read(&mut self, obj: ObjectId) -> AccessPlan {
+    /// The local application's read of `obj`: a valid copy hands its
+    /// payload store to `take`, whose result is the hit (a home copy's
+    /// first read of the interval is counted as a home read); otherwise
+    /// the fault-in is counted and the believed home named.
+    pub(crate) fn lease_read<G>(
+        &mut self,
+        obj: ObjectId,
+        take: impl FnOnce(&ObjectStore) -> G,
+    ) -> Lease<G> {
         if let Some(entry) = self.homes.get_mut(&obj) {
             if entry.state.read_faults() {
                 self.stats.home_reads += 1;
@@ -217,22 +223,29 @@ impl EngineState {
             } else {
                 self.stats.local_read_hits += 1;
             }
-            return AccessPlan::LocalHit;
+            return Lease::Hit(take(&entry.data));
         }
         if let Some(entry) = self.caches.get(&obj) {
             if !entry.state.read_faults() {
                 self.stats.local_read_hits += 1;
-                return AccessPlan::LocalHit;
+                return Lease::Hit(take(&entry.data));
             }
         }
         self.stats.fault_ins += 1;
-        AccessPlan::Fetch {
+        Lease::Fetch {
             target: self.home_hint(obj),
         }
     }
 
-    /// Plan a write of `obj` by the local application thread.
-    pub(crate) fn plan_write(&mut self, obj: ObjectId) -> AccessPlan {
+    /// The local application's write of `obj`, as [`Self::lease_read`]: a
+    /// home copy's first write of the interval is counted and reported to
+    /// the migration policy, and a read-only cached copy captures its twin
+    /// and joins the interval's write set before `take` sees its store.
+    pub(crate) fn lease_write<G>(
+        &mut self,
+        obj: ObjectId,
+        take: impl FnOnce(&ObjectStore) -> G,
+    ) -> Lease<G> {
         if let Some(entry) = self.homes.get_mut(&obj) {
             if entry.state.write_faults() {
                 self.stats.home_writes += 1;
@@ -251,13 +264,13 @@ impl EngineState {
             } else {
                 self.stats.local_write_hits += 1;
             }
-            return AccessPlan::LocalHit;
+            return Lease::Hit(take(&entry.data));
         }
         if let Some(entry) = self.caches.get_mut(&obj) {
             match entry.state {
                 AccessState::ReadWrite => {
                     self.stats.local_write_hits += 1;
-                    return AccessPlan::LocalHit;
+                    return Lease::Hit(take(&entry.data));
                 }
                 AccessState::ReadOnly => {
                     if entry.twin.is_none() {
@@ -266,96 +279,32 @@ impl EngineState {
                     }
                     entry.state = AccessState::ReadWrite;
                     self.dirty.insert(obj);
-                    return AccessPlan::LocalHit;
+                    return Lease::Hit(take(&entry.data));
                 }
                 AccessState::Invalid => {}
             }
         }
         self.stats.fault_ins += 1;
-        AccessPlan::Fetch {
+        Lease::Fetch {
             target: self.home_hint(obj),
         }
     }
 
-    /// Lease the payload store of a locally *readable* copy of `obj`.
-    ///
-    /// # Panics
-    /// Panics if the object is not locally readable.
-    #[cfg(test)]
-    pub(crate) fn lease_read(&self, obj: ObjectId) -> ObjectStore {
-        if let Some(entry) = self.homes.get(&obj) {
-            return Arc::clone(&entry.data);
-        }
-        if let Some(entry) = self.caches.get(&obj) {
-            assert!(
-                entry.state != AccessState::Invalid,
-                "read lease of invalid cached copy of {obj}; fault it in first"
-            );
-            return Arc::clone(&entry.data);
-        }
-        panic!(
-            "read lease of {obj} which is neither homed nor cached on {}",
-            self.node
-        );
-    }
-
-    /// Lease the payload store of a locally *writable* copy of `obj`.
+    /// The payload store of a locally *writable* copy of `obj`.
     ///
     /// # Panics
     /// Panics if the object is not locally writable.
-    pub(crate) fn lease_write(&self, obj: ObjectId) -> ObjectStore {
-        if let Some(entry) = self.homes.get(&obj) {
-            assert!(
-                entry.state == AccessState::ReadWrite,
-                "write lease of home copy of {obj} without a write plan"
-            );
-            return Arc::clone(&entry.data);
-        }
-        if let Some(entry) = self.caches.get(&obj) {
-            assert!(
-                entry.state == AccessState::ReadWrite,
-                "write lease of cached copy of {obj} without a write plan"
-            );
-            return Arc::clone(&entry.data);
-        }
-        panic!(
-            "write lease of {obj} which is neither homed nor cached on {}",
-            self.node
+    pub(crate) fn writable_store(&self, obj: ObjectId) -> ObjectStore {
+        let (state, data) = match (self.homes.get(&obj), self.caches.get(&obj)) {
+            (Some(home), _) => (home.state, &home.data),
+            (None, Some(cache)) => (cache.state, &cache.data),
+            (None, None) => panic!("write of {obj}, neither homed nor cached on {}", self.node),
+        };
+        assert!(
+            state == AccessState::ReadWrite,
+            "write of {obj} without a write plan"
         );
-    }
-
-    /// Atomically check readability and take the payload read guard under
-    /// the engine lock. Returns `None` when the copy is no longer readable
-    /// (e.g. the home migrated away between the access plan and the lease) —
-    /// the caller must re-plan.
-    pub(crate) fn try_lease_read(&self, obj: ObjectId) -> Option<RwReadGuard<ObjectData>> {
-        if let Some(entry) = self.homes.get(&obj) {
-            return entry.data.try_read();
-        }
-        if let Some(entry) = self.caches.get(&obj) {
-            if entry.state != AccessState::Invalid {
-                return entry.data.try_read();
-            }
-        }
-        None
-    }
-
-    /// Atomically check writability and take the payload write guard under
-    /// the engine lock. Returns `None` when the copy is no longer writable —
-    /// the caller must re-plan (which re-arms the twin/diff bookkeeping).
-    pub(crate) fn try_lease_write(&self, obj: ObjectId) -> Option<RwWriteGuard<ObjectData>> {
-        if let Some(entry) = self.homes.get(&obj) {
-            if entry.state == AccessState::ReadWrite {
-                return entry.data.try_write();
-            }
-            return None;
-        }
-        if let Some(entry) = self.caches.get(&obj) {
-            if entry.state == AccessState::ReadWrite {
-                return entry.data.try_write();
-            }
-        }
-        None
+        Arc::clone(data)
     }
 
     /// Install the payload of a completed fault-in. If `migration` is

@@ -71,10 +71,12 @@ impl ServeState {
 /// [`ServeState::retry`]).
 ///
 /// On an engine armed for recovery ([`ProtocolEngine::with_recovery`]) the
-/// step first admits the message: a duplicate of a request still being
-/// served is absorbed, and a duplicate of an answered one gets the cached
-/// answer again. Every reply and ack the step sends is cached by the
-/// request it answers. Recovery's own messages are served here too: an ack
+/// step first admits a message from another node: a duplicate of a request
+/// still being served is absorbed, and a duplicate of an answered one gets
+/// the cached answer again. Every reply and ack the step sends to another
+/// node is cached by the request it answers. A node's messages to itself
+/// are served inline and never retransmitted, so they are neither admitted
+/// nor cached. Recovery's own messages are served here too: an ack
 /// settles its retry entry, and an election answer installs the elected
 /// home, fences the deposed one and re-aims the suspended request.
 ///
@@ -89,6 +91,7 @@ pub fn serve(
 ) {
     let admission = msg
         .dedup_req()
+        .filter(|_| src != engine.node())
         .and_then(|req| engine.recovery(|r, _| r.admit(req)));
     match admission {
         None | Some(Admission::Serve) => dispatch(engine, state, src, msg, out),
@@ -105,10 +108,13 @@ fn dispatch(
     msg: ProtocolMsg,
     out: &mut impl FnMut(NodeId, ProtocolMsg),
 ) {
-    // An armed engine caches every reply and ack by the request it answers.
+    // An armed engine caches every reply and ack to another node by the
+    // request it answers.
     let out = &mut |dst, msg: ProtocolMsg| {
         if let Some(req) = msg.reply_req().or_else(|| msg.ack_req()) {
-            engine.recovery(|r, _| r.cache(req, dst, &msg));
+            if dst != engine.node() {
+                engine.recovery(|r, _| r.cache(req, dst, &msg));
+            }
         }
         out(dst, msg);
     };
@@ -449,6 +455,18 @@ pub struct BatchFlush {
 }
 
 impl ClientOp {
+    /// A fault-in of `obj` aimed at `target`, with no redirections yet.
+    #[cfg(test)]
+    pub(crate) fn fault_in(obj: ObjectId, for_write: bool, target: NodeId) -> Self {
+        ClientOp::FaultIn {
+            obj,
+            for_write,
+            target,
+            redirections: 0,
+            redirect: None,
+        }
+    }
+
     /// A batch flush of `batch`, counted in `engine`'s statistics.
     pub fn batch(engine: &ProtocolEngine, batch: FlushBatch) -> Self {
         engine.note_diff_batch(batch.entries.len());
@@ -547,9 +565,17 @@ impl ClientOp {
     pub fn on_reply(&mut self, engine: &ProtocolEngine, reply: ProtocolMsg) -> bool {
         match (self, reply) {
             // The copy (and any grant) was installed on arrival.
-            (ClientOp::FaultIn { .. }, ProtocolMsg::ObjectReply { .. })
-            | (ClientOp::Acquire(_), ProtocolMsg::LockGrant { .. })
-            | (ClientOp::Arrive(..), ProtocolMsg::BarrierRelease { .. }) => true,
+            (ClientOp::FaultIn { .. }, ProtocolMsg::ObjectReply { .. }) => true,
+            // A granted acquire and a released barrier each open the
+            // node's next interval.
+            (ClientOp::Acquire(_), ProtocolMsg::LockGrant { .. }) => {
+                engine.begin_sync_interval(|stats| &mut stats.lock_acquires);
+                true
+            }
+            (ClientOp::Arrive(..), ProtocolMsg::BarrierRelease { .. }) => {
+                engine.begin_sync_interval(|stats| &mut stats.barriers);
+                true
+            }
             (
                 ClientOp::FaultIn {
                     redirections,
@@ -655,9 +681,7 @@ impl fmt::Display for ClientOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        group_flush_plans, AccessPlan, MigrateOnRequestPolicy, ProtocolConfig, RetryRound,
-    };
+    use crate::{group_flush_plans, MigrateOnRequestPolicy, ProtocolConfig, RetryRound};
     use dsm_objspace::{HomeAssignment, ObjectRegistry, Version};
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -830,16 +854,6 @@ mod tests {
         ObjectId::derive(name, 0)
     }
 
-    fn fault_in(obj: ObjectId, for_write: bool, target: NodeId) -> ClientOp {
-        ClientOp::FaultIn {
-            obj,
-            for_write,
-            target,
-            redirections: 0,
-            redirect: None,
-        }
-    }
-
     fn jump() -> ProtocolConfig {
         ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy)
     }
@@ -854,15 +868,11 @@ mod tests {
         for engine in &world.engines[1..] {
             engine.begin_interval();
         }
-        let AccessPlan::Fetch { target } = world.engines[1].plan_write(x) else {
-            panic!("node 1 holds no copy");
-        };
-        let mut write = fault_in(x, true, target);
+        let target = world.engines[1].lease_write(x).miss();
+        let mut write = ClientOp::fault_in(x, true, target);
         world.send_next(1, &mut write);
-        let AccessPlan::Fetch { target } = world.engines[2].plan_read(x) else {
-            panic!("node 2 holds no copy");
-        };
-        let mut read = fault_in(x, false, target);
+        let target = world.engines[2].lease_read(x).miss();
+        let mut read = ClientOp::fault_in(x, false, target);
         world.send_next(2, &mut read);
 
         // The write reaches the home first and takes the home with it; the
@@ -877,8 +887,7 @@ mod tests {
         world.deliver(0, 1);
         assert!(world.resume(1, &mut write), "the grant completes the write");
         assert_eq!(world.homes(x), [1]);
-        assert_eq!(world.engines[1].plan_write(x), AccessPlan::LocalHit);
-        world.engines[1].with_object_mut(x, |data| data.bytes_mut()[0] = 7);
+        world.engines[1].lease_write(x).hit().bytes_mut()[0] = 7;
         assert!(
             world.engines[1].prepare_release().is_empty(),
             "home writes never flush"
@@ -897,12 +906,7 @@ mod tests {
         assert_eq!(world.homes(x), [1]);
         assert_eq!(world.engines[1].home_epoch(x), 1);
         assert_eq!(world.engines[1].home_version(x), Some(Version(1)));
-        assert_eq!(world.engines[2].plan_read(x), AccessPlan::LocalHit);
-        let read_bytes = world.engines[2]
-            .try_lease_read(x)
-            .expect("readable")
-            .bytes()
-            .to_vec();
+        let read_bytes = world.engines[2].lease_read(x).hit().bytes().to_vec();
         assert_eq!(read_bytes[..2], [7, 0]);
         assert_eq!(world.engines[1].home_bytes(x), Some(read_bytes));
         // 0: the grant and the redirect; 1: its request and the read's
@@ -918,30 +922,19 @@ mod tests {
         let (stays, moves) = (object("stays"), object("moves"));
         let adaptive = ProtocolConfig::adaptive();
         let mut world = World::new(adaptive, &["stays", "moves"]);
-        let fetch = |world: &mut World, node: usize, obj: ObjectId| {
-            let AccessPlan::Fetch { target } = world.engines[node].plan_write(obj) else {
-                panic!("node {node} holds no copy of {obj}");
-            };
-            let mut op = fault_in(obj, true, target);
-            world.send_next(node, &mut op);
-            world.deliver(node, target.index());
-            world.deliver(target.index(), node);
-            assert!(world.resume(node, &mut op));
-            assert_eq!(world.engines[node].plan_write(obj), AccessPlan::LocalHit);
-        };
 
         world.engines[1].begin_interval();
-        fetch(&mut world, 1, stays);
-        fetch(&mut world, 1, moves);
-        world.engines[1].with_object_mut(stays, |data| data.bytes_mut()[0] = 11);
-        world.engines[1].with_object_mut(moves, |data| data.bytes_mut()[0] = 22);
+        fetch(&mut world, 1, stays, true);
+        fetch(&mut world, 1, moves, true);
+        world.engines[1].lease_write(stays).hit().bytes_mut()[0] = 11;
+        world.engines[1].lease_write(moves).hit().bytes_mut()[0] = 22;
 
         // Node 2 writes `moves` in two intervals; the adaptive policy moves
         // the home to it on the second fault-in.
         for value in [8, 9] {
             world.engines[2].begin_interval();
-            fetch(&mut world, 2, moves);
-            world.engines[2].with_object_mut(moves, |data| data.bytes_mut()[40] = value);
+            fetch(&mut world, 2, moves, true);
+            world.engines[2].lease_write(moves).hit().bytes_mut()[40] = value;
             for plan in world.engines[2].prepare_release() {
                 let mut flush = ClientOp::Flush {
                     plan,
@@ -1019,18 +1012,80 @@ mod tests {
         assert_eq!(world.sent, [1, 2, 0]);
     }
 
+    /// A lock acquire and a barrier each open the node's next interval in
+    /// their own step: node 1's cached copy is invalidated by both, and
+    /// both are counted, with no `begin_interval` in the script.
+    #[test]
+    fn the_sync_ops_open_their_interval_themselves() {
+        let (x, lock, barrier) = (object("x"), LockId(3), BarrierId(1));
+        let mut world = World::new(ProtocolConfig::no_migration(), &["x"]);
+        fetch(&mut world, 1, x, false);
+        world.engines[1].lease_read(x).hit();
+
+        let mut acquire = ClientOp::Acquire(lock);
+        world.send_next(1, &mut acquire);
+        world.deliver(1, 0);
+        world.deliver(0, 1);
+        assert!(world.resume(1, &mut acquire));
+        assert_eq!(world.engines[1].stats().invalidations, 1);
+        fetch(&mut world, 1, x, true);
+        world.engines[1].lease_write(x).hit().bytes_mut()[0] = 7;
+        for plan in world.engines[1].prepare_release() {
+            let mut flush = ClientOp::Flush {
+                plan,
+                redirections: 0,
+                redirect: None,
+            };
+            world.send_next(1, &mut flush);
+            world.deliver(1, 0);
+            world.deliver(0, 1);
+            assert!(world.resume(1, &mut flush));
+        }
+        world.engines[1].finish_release();
+        let release = ProtocolMsg::LockRelease {
+            lock,
+            holder: NodeId(1),
+            req: ReqId(0),
+        };
+        world.post(1, SYNC_MANAGER, release);
+        world.deliver(1, 0);
+        assert_eq!(world.engines[1].lease_read(x).hit().bytes()[0], 7);
+
+        let mut arrivals: Vec<ClientOp> =
+            (0..NODES).map(|_| ClientOp::Arrive(barrier, 0)).collect();
+        for (node, arrive) in arrivals.iter_mut().enumerate().rev() {
+            world.send_next(node, arrive);
+            if node != 0 {
+                world.deliver(node, 0);
+            }
+        }
+        for (node, arrive) in arrivals.iter_mut().enumerate() {
+            if node != 0 {
+                world.deliver(0, node);
+            }
+            assert!(world.resume(node, arrive), "node {node} passed the barrier");
+        }
+        assert!(world.quiet());
+        assert_eq!(world.engines[1].lease_read(x).miss(), NodeId(0));
+        let stats = world.engines[1].stats();
+        assert_eq!(stats.invalidations, 2, "once per opened interval");
+        assert_eq!((stats.lock_acquires, stats.barriers), (1, 1));
+        for node in [0, 2] {
+            assert_eq!(world.engines[node].stats().barriers, 1);
+        }
+        assert_eq!(world.engines[0].home_bytes(x).unwrap()[0], 7);
+    }
+
     /// Node `node` faults `obj` in from its believed home and completes,
     /// with no loss on the way.
     fn fetch(world: &mut World, node: usize, obj: ObjectId, for_write: bool) {
-        let plan = if for_write {
-            world.engines[node].plan_write(obj)
+        let engine = &world.engines[node];
+        let target = if for_write {
+            engine.lease_write(obj).miss()
         } else {
-            world.engines[node].plan_read(obj)
+            engine.lease_read(obj).miss()
         };
-        let AccessPlan::Fetch { target } = plan else {
-            panic!("node {node} holds a valid copy of {obj}");
-        };
-        let mut op = fault_in(obj, for_write, target);
+        let mut op = ClientOp::fault_in(obj, for_write, target);
         world.send_next(node, &mut op);
         world.deliver(node, target.index());
         world.deliver(target.index(), node);
@@ -1046,11 +1101,8 @@ mod tests {
         let x = object("x");
         let mut world = World::lossy(jump(), &["x"]);
         world.engines[1].begin_interval();
-        let mut write = fault_in(x, true, NodeId(0));
-        assert_eq!(
-            world.engines[1].plan_write(x),
-            AccessPlan::Fetch { target: NodeId(0) }
-        );
+        let mut write = ClientOp::fault_in(x, true, NodeId(0));
+        assert_eq!(world.engines[1].lease_write(x).miss(), NodeId(0));
         world.send_next(1, &mut write);
         world.deliver(1, 0);
         let lost = world.drop_next(0, 1);
@@ -1093,8 +1145,7 @@ mod tests {
         let mut world = World::lossy(ProtocolConfig::no_migration(), &["x"]);
         world.engines[1].begin_interval();
         fetch(&mut world, 1, x, true);
-        assert_eq!(world.engines[1].plan_write(x), AccessPlan::LocalHit);
-        world.engines[1].with_object_mut(x, |data| data.bytes_mut()[0] = 5);
+        world.engines[1].lease_write(x).hit().bytes_mut()[0] = 5;
         let plan = world.engines[1].prepare_release().pop().expect("one diff");
         let mut flush = ClientOp::Flush {
             plan,
@@ -1134,7 +1185,7 @@ mod tests {
         world.engines[2].begin_interval();
         fetch(&mut world, 2, x, false);
         world.engines[2].begin_interval();
-        let mut read = fault_in(x, false, NodeId(0));
+        let mut read = ClientOp::fault_in(x, false, NodeId(0));
         world.send_next(2, &mut read);
         let request = world.drop_next(2, 0);
         for round in 1..16 {
@@ -1185,12 +1236,9 @@ mod tests {
         let x = object("x");
         let mut world = World::lossy(ProtocolConfig::no_migration(), &["x"]);
         world.engines[0].begin_interval();
-        assert_eq!(world.engines[0].plan_write(x), AccessPlan::LocalHit);
-        let lease = world.engines[0]
-            .try_lease_write(x)
-            .expect("the home is writable");
+        let lease = world.engines[0].lease_write(x).hit();
         world.engines[1].begin_interval();
-        let mut read = fault_in(x, false, NodeId(0));
+        let mut read = ClientOp::fault_in(x, false, NodeId(0));
         world.send_next(1, &mut read);
         world.deliver(1, 0);
         assert_eq!(world.serve[0].deferred(), 1, "the lease defers the request");
@@ -1241,5 +1289,25 @@ mod tests {
         assert!(world.resume(1, &mut remote));
         assert!(world.quiet());
         assert!(world.engines[1].retry_round(RetryRound::Due).is_empty());
+    }
+
+    /// The manager's own acquire and release are served inline and never
+    /// retransmitted, so its reply cache keeps no entry for them.
+    #[test]
+    fn the_managers_own_lock_traffic_is_not_cached() {
+        let lock = LockId(3);
+        let mut world = World::lossy(ProtocolConfig::adaptive(), &[]);
+        let mut own = ClientOp::Acquire(lock);
+        world.send_next(0, &mut own);
+        assert!(world.resume(0, &mut own), "a free lock is granted inline");
+        let release = ProtocolMsg::LockRelease {
+            lock,
+            holder: NodeId(0),
+            req: ReqId(0),
+        };
+        world.post(0, SYNC_MANAGER, release);
+        assert!(world.quiet());
+        assert_eq!(world.sent, [0; NODES]);
+        assert_eq!(world.engines[0].recovery(|r, _| r.cached()), Some(0));
     }
 }

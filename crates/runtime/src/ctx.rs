@@ -20,6 +20,13 @@
 //! `WriteView` arms the twin/diff bookkeeping so the interval's next
 //! release flushes exactly one diff for the object.
 //!
+//! A view of a valid copy takes the engine lock once: `lease_read` /
+//! `lease_write` plan the access, arm a write's twin and take the payload
+//! guard in one call. A miss faults the object in and leases again. The
+//! synchronization operations follow the same rule: a lock acquire or a
+//! barrier counts itself and opens the next interval inside its
+//! [`ClientOp`] step, when the grant or the release arrives.
+//!
 //! Every access has a **fallible form** (`try_view`, `try_view_mut`,
 //! `try_acquire`, `try_release`, `try_barrier`) returning
 //! [`DsmResult`]; protocol misuse — unknown objects, size-mismatched
@@ -32,7 +39,7 @@ use crate::handle::ArrayHandle;
 use crate::node::{NodeLink, NodeShared};
 use crate::view::{ReadView, WriteView};
 use dsm_core::step::ClientOp;
-use dsm_core::{group_flush_plans, AccessPlan};
+use dsm_core::{group_flush_plans, Lease};
 use dsm_model::{SimDuration, SimTime};
 use dsm_objspace::{BarrierId, DsmError, DsmResult, Element, LockId, NodeId, ObjectId};
 use dsm_util::SmallRng;
@@ -145,14 +152,13 @@ impl NodeCtx {
         if self.active_views.borrow().get(&obj).copied().unwrap_or(0) < 0 {
             return Err(DsmError::ViewConflict { obj });
         }
-        // Plan, then take the payload guard *atomically* under the engine
-        // lock: the server thread may migrate the home away between the two
-        // steps, in which case the checked lease refuses and we re-plan
-        // (faulting the object back in if needed).
+        // One engine call plans the read and takes the payload guard. A miss
+        // faults the object in and leases again: a server step may move the
+        // copy on before the retry.
         let guard = loop {
-            self.ensure_access(obj, false)?;
-            if let Some(guard) = self.shared.engine.try_lease_read(obj) {
-                break guard;
+            match self.shared.engine.lease_read(obj) {
+                Lease::Hit(guard) => break guard,
+                Lease::Fetch { target } => self.fault_in(obj, false, target)?,
             }
         };
         *self.active_views.borrow_mut().entry(obj).or_insert(0) += 1;
@@ -184,14 +190,12 @@ impl NodeCtx {
         if self.active_views.borrow().get(&obj).copied().unwrap_or(0) != 0 {
             return Err(DsmError::ViewConflict { obj });
         }
-        // As in `try_view`: re-validate writability and take the write guard
-        // under the engine lock, re-planning if a concurrent migration
-        // snatched the copy between the plan and the lease (the re-plan
-        // re-arms the twin/diff bookkeeping before we write).
+        // As in `try_view`; the hit also arms the twin/diff bookkeeping in
+        // the same engine call.
         let guard = loop {
-            self.ensure_access(obj, true)?;
-            if let Some(guard) = self.shared.engine.try_lease_write(obj) {
-                break guard;
+            match self.shared.engine.lease_write(obj) {
+                Lease::Hit(guard) => break guard,
+                Lease::Fetch { target } => self.fault_in(obj, true, target)?,
             }
         };
         self.active_views.borrow_mut().insert(obj, WRITER);
@@ -335,8 +339,6 @@ impl NodeCtx {
     pub fn try_acquire(&self, lock: LockId) -> DsmResult<()> {
         self.ensure_quiescent()?;
         self.run(ClientOp::Acquire(lock));
-        self.shared.engine.note_lock_acquire();
-        self.shared.engine.begin_interval();
         Ok(())
     }
 
@@ -395,8 +397,6 @@ impl NodeCtx {
             current
         };
         self.run(ClientOp::Arrive(barrier, epoch));
-        self.shared.engine.note_barrier();
-        self.shared.engine.begin_interval();
         Ok(())
     }
 
@@ -492,41 +492,24 @@ impl NodeCtx {
         }
     }
 
-    /// Refuse to block on the network while write views are live: the
-    /// remote home's server would defer behind our write lease while we
-    /// wait for its reply, and two nodes doing this to each other would
-    /// deadlock. Read views are safe to hold across a fetch (serving a
-    /// fault-in only needs a shared payload lock).
-    fn ensure_fetchable(&self, obj: ObjectId) -> DsmResult<()> {
+    /// Fault `obj` in from `target`, its believed home. Refused while
+    /// write views are live: the remote home's server would defer behind our
+    /// write lease while we wait for its reply, and two nodes doing this to
+    /// each other would deadlock. Read views are safe to hold across a
+    /// fetch (serving a fault-in only needs a shared payload lock).
+    fn fault_in(&self, obj: ObjectId, for_write: bool, target: NodeId) -> DsmResult<()> {
         let writers = self.live_write_views();
         if writers > 0 {
             return Err(DsmError::FetchWithLiveWrites { obj, writers });
         }
+        self.run(ClientOp::FaultIn {
+            obj,
+            for_write,
+            target,
+            redirections: 0,
+            redirect: None,
+        });
         Ok(())
-    }
-
-    /// Make sure a valid local copy exists for reading, or a writable one
-    /// (twin created as needed) for writing.
-    fn ensure_access(&self, obj: ObjectId, for_write: bool) -> DsmResult<()> {
-        loop {
-            let engine = &self.shared.engine;
-            let plan = if for_write {
-                engine.plan_write(obj)
-            } else {
-                engine.plan_read(obj)
-            };
-            let AccessPlan::Fetch { target } = plan else {
-                return Ok(());
-            };
-            self.ensure_fetchable(obj)?;
-            self.run(ClientOp::FaultIn {
-                obj,
-                for_write,
-                target,
-                redirections: 0,
-                redirect: None,
-            });
-        }
     }
 
     /// Flush every dirty object of the current interval to its home and

@@ -107,10 +107,12 @@
 //! once, and a waiter that steps handlers holds none of them. (On
 //! the sim, the scheduler re-counts a waiter under its slot lock, which
 //! takes the fabric's agent-count lock; the fabric never calls back into
-//! the runtime.) Payload guards are the only long-lived acquisition; one is
-//! taken under the engine lock only inside the engine's `try_lease_*`/server
-//! handlers, which use `try_` acquisition only, so a waiter's own views
-//! make the handlers it steps report `Busy`.
+//! the runtime.) Payload guards are the only long-lived acquisition. One
+//! is taken under the engine lock only inside an engine call: a view's
+//! `lease_read`/`lease_write` plans the access and takes its guard in one
+//! critical section (a hit takes the engine lock once), and the server
+//! handlers use `try_` acquisition only, so a waiter's own views make the
+//! handlers it steps report `Busy`.
 //!
 //! ## Release path & flush batching
 //!

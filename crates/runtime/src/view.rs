@@ -5,11 +5,11 @@
 //! `&[T]` / `&mut [T]` (via `Deref`), so accesses at the home node touch
 //! the home copy directly — no decode into a `Vec<T>`, no encode back.
 //!
-//! Lifecycle: constructing a view runs the access plan (faulting the object
-//! in and, for writes, capturing the twin) and then takes a lease on the
-//! object's payload store. Dropping the view releases the lease and
-//! unregisters it from the [`NodeCtx`]'s conflict table; for a
-//! [`WriteView`] the twin captured at plan time makes the diff bookkeeping
+//! Lifecycle: constructing a view leases the object's payload in one engine
+//! call, which plans the access (for writes, capturing the twin) and takes
+//! the guard; a miss faults the object in first. Dropping the view releases
+//! the lease and unregisters it from the [`NodeCtx`]'s conflict table; for
+//! a [`WriteView`] the twin captured at lease time makes the diff bookkeeping
 //! automatic — the delta is computed against the twin at the next release,
 //! so one write view produces at most one diff per interval no matter how
 //! many elements it touched.
