@@ -1,10 +1,12 @@
 //! The channel-based full-mesh fabric connecting node threads.
 //!
 //! Each simulated cluster node owns one [`Endpoint`]. Sending stamps the
-//! envelope with the Hockney-model arrival time, records statistics, and
-//! pushes it onto the destination's [`Inbox`], which wakes the destination;
-//! whoever serves the destination (the runtime's executor) drains the
-//! inbox. The fabric performs no protocol logic.
+//! envelope with the Hockney-model arrival time, records statistics
+//! ([`Endpoint::stamp`]), and pushes it onto the destination's [`Inbox`],
+//! which wakes the destination; whoever serves the destination (the
+//! runtime's executor) drains the inbox. A caller that completes a message
+//! at its destination itself stamps it without the push. The fabric
+//! performs no protocol logic.
 
 use crate::category::MsgCategory;
 use crate::envelope::{Envelope, MESSAGE_HEADER_BYTES};
@@ -82,23 +84,41 @@ impl<M: Send> Endpoint<M> {
         sent_at: SimTime,
         payload: M,
     ) -> SimTime {
+        let inbox = self
+            .inboxes
+            .get(dst.index())
+            .unwrap_or_else(|| panic!("destination {dst} out of range"));
+        let envelope = self.stamp(dst, category, payload_bytes, sent_at, payload);
+        let arrival = envelope.arrival;
+        inbox.push(envelope);
+        arrival
+    }
+
+    /// Count `payload` as sent to `dst` and return its envelope without
+    /// delivering it: the statistics record and the Hockney arrival stamp
+    /// that [`Self::send`] applies before it pushes the envelope. A caller
+    /// that hands the message to its destination some other way (the
+    /// runtime completes a reply in the step that sends it) stamps it here,
+    /// so it counts exactly as a sent message does.
+    pub fn stamp(
+        &self,
+        dst: NodeId,
+        category: MsgCategory,
+        payload_bytes: u64,
+        sent_at: SimTime,
+        payload: M,
+    ) -> Envelope<M> {
         let wire_bytes = payload_bytes + MESSAGE_HEADER_BYTES;
-        let arrival = sent_at + self.params.hockney.latency(wire_bytes);
         self.stats.record(category, wire_bytes);
-        let envelope = Envelope {
+        Envelope {
             src: self.node,
             dst,
             category,
             wire_bytes,
             sent_at,
-            arrival,
+            arrival: sent_at + self.params.hockney.latency(wire_bytes),
             payload,
-        };
-        self.inboxes
-            .get(dst.index())
-            .unwrap_or_else(|| panic!("destination {dst} out of range"))
-            .push(envelope);
-        arrival
+        }
     }
 
     /// Non-blocking receive.
@@ -157,6 +177,25 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.total_messages(), 1);
         assert_eq!(snap.total_bytes(), 8 + MESSAGE_HEADER_BYTES);
+    }
+
+    /// A stamped message counts as a sent one (category, wire bytes,
+    /// arrival) but reaches no inbox.
+    #[test]
+    fn stamp_counts_like_send_and_delivers_nothing() {
+        let stats = StatsCollector::new();
+        let fabric: Fabric<u8> = Fabric::new(2, NetworkParams::fast_ethernet(), stats.clone());
+        let eps = fabric.into_endpoints();
+        let at = SimTime::from_micros(5.0);
+        let sent = eps[0].send(NodeId(1), MsgCategory::ObjReply, 512, at, 1);
+        let stamped = eps[0].stamp(NodeId(1), MsgCategory::ObjReply, 512, at, 2);
+        assert_eq!(stamped.arrival, sent);
+        assert_eq!(stamped.wire_bytes, 512 + MESSAGE_HEADER_BYTES);
+        assert_eq!((stamped.src, stamped.dst), (NodeId(0), NodeId(1)));
+        assert_eq!(eps[1].inbox().len(), 1, "the stamped message was pushed");
+        let snap = stats.snapshot();
+        assert_eq!(snap.total_messages(), 2);
+        assert_eq!(snap.total_bytes(), 2 * (512 + MESSAGE_HEADER_BYTES));
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! its frame whole on its own thread under the outgoing link's lock, so
 //! concurrent senders' frames never interleave. A link is read by the
 //! endpoint's one **I/O thread**, which waits in `poll(2)`, or by any
-//! thread calling [`TcpEndpoint::drain_ready`], as the runtime's threads do
-//! while they wait for a reply. A reader holds the link's **read lock**
-//! while it reads, decodes every complete frame and pushes each onto the
-//! node's [`Inbox`] in order: the protocol's **per-link FIFO** guarantee.
+//! thread calling [`TcpEndpoint::drain_ready`] (or
+//! [`TcpEndpoint::drain_ready_all`] for several endpoints in one `poll`), as
+//! the runtime's threads do while they wait for a reply. A reader holds the
+//! link's **read lock** while it reads, decodes every complete frame and
+//! pushes each onto the node's [`Inbox`] in order: the protocol's
+//! **per-link FIFO** guarantee.
 //! The I/O thread is the fallback: it waits for a read lock that a drainer
 //! skips, and a wake-up of it does not preempt the running thread
 //! (`SCHED_BATCH`), which is often about to read the same frame itself.
@@ -431,17 +433,41 @@ impl<M: Send + 'static> TcpEndpoint<M> {
     /// CPU. Returns how many frames it delivered plus how many links it
     /// left, so 0 means that every frame that had arrived is in the inbox.
     pub fn drain_ready(&self) -> usize {
-        let links = self.shared.links();
-        let mut delivered = 0;
-        let fds = links.iter().map(Incoming::poll_fd);
-        let _ = poll_readable(fds, Some(Duration::ZERO), |i| {
-            if let Ok(mut state) = links[i].read.try_lock() {
-                delivered += links[i].drain(&self.shared, &mut state);
-            }
+        Self::drain_ready_all([self])
+    }
+
+    /// [`Self::drain_ready`] over the incoming links of all `endpoints` at
+    /// once: one `poll` looks at up to 64 links (an in-process mesh of more
+    /// than 8 nodes takes one per 64), and the caller yields at most once.
+    /// Returns the frames delivered plus the links left to another thread,
+    /// summed over the endpoints.
+    pub fn drain_ready_all<'a>(endpoints: impl IntoIterator<Item = &'a Self>) -> usize
+    where
+        M: 'a,
+    {
+        let mut links = endpoints.into_iter().flat_map(|endpoint| {
+            let shared = &*endpoint.shared;
+            shared.links().iter().map(move |link| (shared, link))
         });
-        // A reader may not have delivered what it took from its socket yet.
-        let taken = |link: &&Incoming| matches!(link.read.try_lock(), Err(WouldBlock));
-        let busy = links.iter().filter(taken).count();
+        let (mut delivered, mut busy) = (0, 0);
+        loop {
+            let chunk: [_; POLL_CHUNK] = std::array::from_fn(|_| links.next());
+            let filled = || chunk.iter().map_while(|entry| *entry);
+            let fds = filled().map(|(_, link)| link.poll_fd());
+            let _ = poll_readable(fds, Some(Duration::ZERO), |i| {
+                let (shared, link) = chunk[i].expect("a polled entry is filled");
+                if let Ok(mut state) = link.read.try_lock() {
+                    delivered += link.drain(shared, &mut state);
+                }
+            });
+            // A reader may not have delivered what it took from its socket yet.
+            let taken =
+                |(_, link): &(_, &Incoming)| matches!(link.read.try_lock(), Err(WouldBlock));
+            busy += filled().filter(taken).count();
+            if chunk[POLL_CHUNK - 1].is_none() {
+                break;
+            }
+        }
         if busy > 0 {
             thread::yield_now();
         }
@@ -631,6 +657,10 @@ fn frame_len(prefix: &[u8; 4]) -> io::Result<usize> {
     }
     Ok(len as usize)
 }
+
+/// Links looked at by one `poll` of [`TcpEndpoint::drain_ready_all`]: as
+/// many as `poll_readable` keeps on its stack.
+const POLL_CHUNK: usize = 64;
 
 /// An incoming link: its non-blocking socket; the descriptor to `poll`,
 /// which turns -1 (skipped) once the link closes; and behind its read lock,

@@ -232,7 +232,7 @@ impl NodeCtx {
     /// the guard itself dropped): re-arms the executor's deferred server
     /// work for this node. No-op outside executor mode.
     pub(crate) fn lease_released(&self) {
-        self.shared.view_lease_released();
+        self.shared.rearm_deferred();
     }
 
     /// Number of live write views in this context.

@@ -14,13 +14,15 @@
 //!   actually arrives.
 //! * A worker claims a runnable node and runs one **handler step**: it
 //!   drains a bounded batch of inbound messages through
-//!   [`crate::node::serve_envelope`] (replies complete pending requests,
-//!   `Busy` outcomes park on the node's deferral queue) and retries the
-//!   deferral queue after each message.
+//!   [`crate::node::serve_envelope`] (`Busy` outcomes park on the node's
+//!   deferral queue) and retries the deferral queue after each message. On
+//!   the threaded fabric a reply the step sends completes its waiter at the
+//!   destination inside the step, unless a thread is stepping the
+//!   destination (see `crate::node`); on TCP replies arrive as messages.
 //! * The per-entry Busy-deferral queue **re-arms the node's runnable bit**
 //!   instead of re-polling: a `Busy` outcome can only originate from a live
 //!   application view holding the payload lease, so the view guard's drop
-//!   (see [`crate::view`]) fires [`ExecHook::lease_released`], which
+//!   (see [`crate::view`]) fires [`ExecHook::rearm`], which
 //!   re-schedules the node exactly when the deferred work can make
 //!   progress. The handshake below makes this lost-wakeup-free.
 //!
@@ -53,28 +55,36 @@
 //! An application thread waiting for a reply acts as a worker
 //! ([`HelpWindow`]): it steps runnable nodes, any node, until its reply is
 //! in, and parks only when nothing is left to step. So on one CPU a remote
-//! fault-in runs request, home step, reply and requester step on the
-//! requester's thread with no OS handoff. A thread that releases a lock
-//! helps too, around its one-way `LockRelease` (`NodeShared::release_lock`),
-//! until nothing is left to step, so the manager's step runs on it. A
-//! helper claims and releases nodes exactly as a worker does, and never
-//! claims after shutdown.
+//! fault-in on the threaded fabric is one step, the home's, run on the
+//! requester's thread with no OS handoff: the request queues the home,
+//! the requester steps it, and that step completes the reply in the
+//! requester's slot. A thread that releases a lock helps too, around its
+//! one-way `LockRelease` (`NodeShared::release_lock`), until nothing is
+//! left to step, so the manager's step runs on it. A helper claims and
+//! releases nodes exactly as a worker does, and never claims after
+//! shutdown.
 //!
-//! So another thread is woken only when it sleeps: a completion notifies
-//! its waiter only if the waiter parked on its reply slot, and a parked
-//! worker wakes only for a node queued while no thread helps, or still
-//! queued when the last helper leaves.
+//! So another thread is woken only when it sleeps. The wakes that remain:
+//! * a step completing a reply notifies its waiter only if the waiter
+//!   parked on its reply slot;
+//! * a parked worker wakes for a node queued while no thread helps, or
+//!   still queued when the last helper leaves;
+//! * a released view lease, or a grant installed from another node's step,
+//!   re-queues a node with deferred work ([`ExecHook::rearm`]);
+//! * a reply to a node that a thread is stepping, and on TCP every
+//!   message, enters the destination's inbox and queues the node.
 //!
 //! On TCP a frame reaches the run queue only once some thread reads it
 //! from its socket, so a helper that finds the queue empty reads the
-//! served nodes' links itself (`TcpEndpoint::drain_ready`), which queues
+//! served nodes' links itself, all of them in one `poll`
+//! (`TcpEndpoint::drain_ready_all`), which queues
 //! the nodes of the frames it delivers, and steps those. It parks only when
 //! no node is queued and no link is readable, or being read by another
 //! thread (which may hold a frame it has taken from the socket but not yet
 //! queued). Since a reader queues what it reads before it releases the
 //! link, a last look at the run queue after that then settles it. In an
-//! in-process cluster the fault-in above thus runs request write, read at
-//! the home, home step, reply write, read at the requester and requester
+//! in-process TCP cluster a remote fault-in thus runs request write, read
+//! at the home, home step, reply write, read at the requester and requester
 //! step on one thread; the endpoints' I/O threads (see `dsm_net`'s TCP
 //! module) only read what arrives while no thread helps. A frame can still
 //! reach its socket after the helper's last look (the kernel may defer a
@@ -140,7 +150,7 @@
 use crate::node::{retry_deferred, serve_envelope, NodeLink, NodeShared};
 use crate::report::SchedulerReport;
 use dsm_core::step::ServeState;
-use dsm_net::WakeNotifier;
+use dsm_net::{TcpEndpoint, WakeNotifier};
 use dsm_objspace::NodeId;
 use dsm_util::Mutex;
 use std::collections::VecDeque;
@@ -341,18 +351,14 @@ impl ExecShared {
     }
 
     /// Read, on the calling thread, what has arrived on the served nodes'
-    /// TCP links (see `TcpEndpoint::drain_ready`); 0 on the threaded fabric.
+    /// TCP links, with one `poll` over all of them (see
+    /// `TcpEndpoint::drain_ready_all`); 0 on the threaded fabric.
     fn drain_links(&self) -> usize {
         if !self.tcp {
             return 0;
         }
-        let servers = self.servers.iter().filter_map(Weak::upgrade);
-        // The first endpoint with frames is enough: the helper steps the
-        // node they queued, then looks again.
-        servers
-            .map(|server| server.drain_link())
-            .find(|&n| n > 0)
-            .unwrap_or(0)
+        let servers: Vec<_> = self.servers.iter().filter_map(Weak::upgrade).collect();
+        TcpEndpoint::drain_ready_all(servers.iter().filter_map(|server| server.tcp_endpoint()))
     }
 
     /// Run one handler step of a claimed node, then release the claim, on
@@ -596,15 +602,28 @@ pub(crate) struct ExecHook {
 }
 
 impl ExecHook {
-    /// Called by the application thread after a view's payload lease is
-    /// truly released (the guard has dropped). Bumps the re-arm epoch and
-    /// re-schedules the node if its last step left deferred work.
-    pub(crate) fn lease_released(&self) {
+    /// Called after a view's payload lease is truly released (the guard
+    /// has dropped), on the application thread, and after another node's
+    /// step installed a migration grant on this node. Bumps the re-arm
+    /// epoch and re-schedules the node if its last step left deferred work.
+    pub(crate) fn rearm(&self) {
         let sched = &self.exec.nodes[self.node];
         sched.rearm_epoch.fetch_add(1, SeqCst);
         if sched.has_deferred.load(SeqCst) {
             self.exec.schedule(self.node);
         }
+    }
+
+    /// The served node `node`, if a threaded reply to it may complete in
+    /// its sending step: this executor serves it, and no thread is stepping
+    /// it right now (see `crate::node`'s module docs for why a node in a
+    /// step takes its replies through its inbox).
+    pub(crate) fn reply_target(&self, node: NodeId) -> Option<Arc<NodeShared>> {
+        let slot = self.exec.slot(node)?;
+        if self.exec.nodes[slot].state.load(SeqCst) >= RUNNING {
+            return None;
+        }
+        self.exec.servers[slot].upgrade()
     }
 
     /// Count the calling application thread as helping; call it before
@@ -619,37 +638,72 @@ impl ExecHook {
 mod tests {
     use super::*;
     use dsm_core::step::SYNC_MANAGER;
-    use dsm_core::{ProtocolConfig, ProtocolEngine, ProtocolMsg, ReqId};
+    use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig, ProtocolEngine, ProtocolMsg, ReqId};
     use dsm_model::{ComputeModel, NetworkParams, SimDuration};
     use dsm_net::{Fabric, StatsCollector, TcpConfig, TcpFabric};
-    use dsm_objspace::LockId;
+    use dsm_objspace::{HomeAssignment, LockId, ObjectId, ObjectRegistry};
     use dsm_wire::ProtocolCodec;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::thread;
     use std::time::{Duration, Instant};
 
-    /// One unserved node per link, in node order.
-    fn nodes_on(links: Vec<NodeLink>) -> Vec<Arc<NodeShared>> {
+    /// One unserved node per link, in node order, under `config` over
+    /// `registry`.
+    fn nodes_with(
+        links: Vec<NodeLink>,
+        config: &ProtocolConfig,
+        registry: &Arc<ObjectRegistry>,
+    ) -> Vec<Arc<NodeShared>> {
         let nodes = links.len();
         let shared = |(node, link)| {
-            let config = ProtocolConfig::no_migration();
-            let engine = ProtocolEngine::new(NodeId::from(node), nodes, config, Arc::default());
+            let registry = Arc::clone(registry);
+            let engine = ProtocolEngine::new(NodeId::from(node), nodes, config.clone(), registry);
             let compute = ComputeModel::free();
             NodeShared::new(engine, link, compute, SimDuration::ZERO, 0, true)
         };
         links.into_iter().enumerate().map(shared).collect()
     }
 
+    /// One unserved node per link, in node order, with no objects and no
+    /// migration.
+    fn nodes_on(links: Vec<NodeLink>) -> Vec<Arc<NodeShared>> {
+        nodes_with(links, &ProtocolConfig::no_migration(), &Arc::default())
+    }
+
+    /// Every node of a `nodes`-node threaded fabric under `config` over
+    /// `registry`, unserved.
+    fn served_with(
+        nodes: usize,
+        config: &ProtocolConfig,
+        registry: &Arc<ObjectRegistry>,
+    ) -> Vec<Arc<NodeShared>> {
+        let fabric = Fabric::new(nodes, NetworkParams::ideal(), StatsCollector::new());
+        let links = fabric.into_endpoints().into_iter().map(NodeLink::Threaded);
+        nodes_with(links.collect(), config, registry)
+    }
+
     /// Every node of a `nodes`-node threaded fabric, unserved.
     fn served(nodes: usize) -> Vec<Arc<NodeShared>> {
-        let fabric = Fabric::new(nodes, NetworkParams::ideal(), StatsCollector::new());
-        nodes_on(
-            fabric
-                .into_endpoints()
-                .into_iter()
-                .map(NodeLink::Threaded)
-                .collect(),
-        )
+        served_with(nodes, &ProtocolConfig::no_migration(), &Arc::default())
+    }
+
+    /// A registry holding one 8-byte object homed at `home`.
+    fn one_object_at(home: NodeId) -> (Arc<ObjectRegistry>, ObjectId) {
+        let mut registry = ObjectRegistry::new();
+        let assignment = HomeAssignment::CreationNode;
+        let obj = registry.register_named("exec.object", 0, 8, home, assignment);
+        (Arc::new(registry), obj)
+    }
+
+    /// A fault-in request from `requester` for `obj` under `req`.
+    fn fault_in(req: ReqId, obj: ObjectId, requester: NodeId, for_write: bool) -> ProtocolMsg {
+        ProtocolMsg::ObjectRequest {
+            req,
+            obj,
+            requester,
+            for_write,
+            redirections: 0,
+        }
     }
 
     /// Every node of a `nodes`-node TCP fabric on 127.0.0.1, unserved.
@@ -734,11 +788,11 @@ mod tests {
     fn lease_release_reschedules_only_with_deferred_work() {
         let nodes = served(1);
         let e = Executor::new(&nodes, 2);
-        nodes[0].view_lease_released();
+        nodes[0].rearm_deferred();
         assert!(e.shared.queue.lock().runnable.is_empty());
         assert_eq!(e.shared.nodes[0].rearm_epoch.load(SeqCst), 1);
         e.shared.nodes[0].has_deferred.store(true, SeqCst);
-        nodes[0].view_lease_released();
+        nodes[0].rearm_deferred();
         assert_eq!(e.shared.queue.lock().runnable, vec![0]);
         assert_eq!(e.shared.nodes[0].rearm_epoch.load(SeqCst), 2);
     }
@@ -801,12 +855,12 @@ mod tests {
         }
     }
 
-    /// Ten lock acquires and releases from node 1 to the manager of the
-    /// two-node cluster `nodes` beside one parked worker: the helped steps,
+    /// Ten lock acquires and releases from the last node of the cluster
+    /// `nodes` to the manager beside one parked worker: the helped steps,
     /// all steps, and the parked workers at the end.
     fn lock_round_trips(nodes: &[Arc<NodeShared>]) -> (u64, u64, usize) {
         let e = Executor::new(nodes, 1);
-        let client = &nodes[1];
+        let client = nodes.last().expect("a cluster has nodes");
         let mut counts = (0, 0, 0);
         with_workers(&e, 1, || {
             for _ in 0..10 {
@@ -829,15 +883,74 @@ mod tests {
         counts
     }
 
-    /// A waiting thread steps the manager and itself, and a releasing
-    /// thread steps the manager's release: every handler step of lock round
-    /// trips runs on the client's thread, and the parked worker takes none.
+    /// A waiting thread steps the manager, whose step completes the grant
+    /// in the client's slot, and a releasing thread steps the manager's
+    /// release: every handler step of lock round trips runs on the client's
+    /// thread, and the parked worker takes none.
     #[test]
     fn threaded_lock_round_trips_run_on_the_waiting_thread_alone() {
         let (helped, steps, parked) = lock_round_trips(&served(2));
-        assert_eq!(steps, 30, "two steps per acquire, one per release");
+        assert_eq!(steps, 20, "one step per acquire, one per release");
         assert_eq!(helped, steps, "a worker stepped");
         assert_eq!(parked, 1, "the worker woke");
+    }
+
+    /// A threaded fault-in costs the executor one step, the home's: that
+    /// step completes the reply in the requester's slot. So with one worker,
+    /// 50 fault-ins from node 0 of an object homed at node 1 take 50 steps,
+    /// and node 0's inbox never holds a message.
+    #[test]
+    fn a_threaded_fault_in_is_one_step_and_its_reply_skips_the_inbox() {
+        const FAULT_INS: u64 = 50;
+        let (registry, obj) = one_object_at(NodeId(1));
+        let nodes = served_with(2, &ProtocolConfig::no_migration(), &registry);
+        let e = Executor::new(&nodes, 1);
+        let client = &nodes[0];
+        with_workers(&e, 1, || {
+            for _ in 0..FAULT_INS {
+                let req = client.engine.new_req();
+                let request = fault_in(req, obj, client.node, false);
+                let reply = client.request(NodeId(1), req, request);
+                assert!(
+                    matches!(reply, ProtocolMsg::ObjectReply { .. }),
+                    "{reply:?}"
+                );
+            }
+            assert_eq!(
+                e.shared.steps.load(SeqCst),
+                FAULT_INS,
+                "one step per fault-in"
+            );
+            assert_eq!(
+                client.inbox().high_watermark(),
+                0,
+                "a reply entered the inbox"
+            );
+            nodes.iter().for_each(|node| node.request_shutdown());
+        });
+    }
+
+    /// A migration grant takes effect in the grantor's step: when node 0's
+    /// step granting node 1 the home returns, node 1 is home, its inbox is
+    /// empty, and its waiter takes the reply without another step.
+    #[test]
+    fn the_grantee_is_home_when_the_grantors_step_returns() {
+        let (registry, obj) = one_object_at(NodeId(0));
+        let jump = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
+        let nodes = served_with(2, &jump, &registry);
+        let e = Executor::new(&nodes, 1);
+        let grantee = &nodes[1];
+        let req = grantee.engine.new_req();
+        grantee.register_pending(req);
+        grantee.send(NodeId(0), fault_in(req, obj, grantee.node, true));
+        assert_eq!(e.shared.pop(&mut e.shared.queue.lock()), Some(0));
+        e.shared.step(0);
+        assert!(grantee.engine.is_home(obj), "the grantee is not home yet");
+        assert!(!nodes[0].engine.is_home(obj), "the grantor is still home");
+        assert!(grantee.inbox().is_empty(), "the grant entered the inbox");
+        let reply = grantee.wait_reply(|| {});
+        assert!(matches!(reply.msg, ProtocolMsg::ObjectReply { .. }));
+        assert_eq!(e.shared.steps.load(SeqCst), 1, "the waiter needed a step");
     }
 
     /// On TCP a waiting thread reads what arrived on the links itself: lock
@@ -851,6 +964,21 @@ mod tests {
     fn tcp_lock_round_trips_run_on_the_waiting_thread_alone() {
         let clean = (0..5)
             .map(|_| lock_round_trips(&served_tcp(2)))
+            .find(|&(helped, steps, parked)| helped == steps && parked == 1);
+        let (_, steps, _) = clean.expect("a worker stepped in every attempt");
+        assert_eq!(steps, 30, "two steps per acquire, one per release");
+    }
+
+    /// A helper's look polls 64 links at a time. In a 10-node mesh (90
+    /// links) the manager's replies reach node 9 on links past the first
+    /// 64, and its lock round trips still run every step on its own thread
+    /// in one of up to five attempts (see the two-node test above). On one
+    /// CPU, where the I/O threads do not race the helper, a look that
+    /// skipped the links past the first 64 fails every attempt.
+    #[test]
+    fn tcp_round_trips_past_one_poll_of_links_run_on_the_waiting_thread() {
+        let clean = (0..5)
+            .map(|_| lock_round_trips(&served_tcp(10)))
             .find(|&(helped, steps, parked)| helped == steps && parked == 1);
         let (_, steps, _) = clean.expect("a worker stepped in every attempt");
         assert_eq!(steps, 30, "two steps per acquire, one per release");

@@ -57,7 +57,11 @@
 //!   machine without 256 server threads. An application thread waiting for
 //!   a reply steps queued nodes itself until its reply is in, and no
 //!   worker is woken meanwhile: on one CPU a remote fault-in then needs no
-//!   OS handoff. A lock release helps the same way around its one-way
+//!   OS handoff. On the threaded fabric a reply skips its destination's
+//!   inbox: the step that sends it completes the waiting request there,
+//!   unless a thread is stepping the destination right now, so a remote
+//!   fault-in, flush, acquire or barrier costs one step, the home's or the
+//!   manager's. A lock release helps the same way around its one-way
 //!   message, and a reply wakes its waiter only if the waiter parked. A
 //!   per-node atomic state machine (idle → queued → running, plus a
 //!   notified-while-running bit) guarantees no lost wakeups and
@@ -102,13 +106,18 @@
 //!   read/write guard on one object's payload cell across application code,
 //!   *never* an engine lock.
 //!
-//! **Lock ordering:** there is none to get wrong — the engine lock and the
-//! reply slots are both *leaf* locks; no code path holds two of them at
-//! once, and a waiter that steps handlers holds none of them. (On
-//! the sim, the scheduler re-counts a waiter under its slot lock, which
-//! takes the fabric's agent-count lock; the fabric never calls back into
-//! the runtime.) Payload guards are the only long-lived acquisition. One
-//! is taken under the engine lock only inside an engine call: a view's
+//! **Lock ordering:** there is little to get wrong — the engine lock, the
+//! reply slots and the virtual clocks are *leaf* locks; no code path holds
+//! two of them at once, and a waiter that steps handlers holds none of them
+//! between steps. A handler step holds its node's serve lock (the
+//! executor's, one stepper per node) while it sends, so a threaded reply
+//! completed in the sending step takes the destination's slot, engine and
+//! clock locks, one at a time, under the sender's serve lock; nothing
+//! takes a serve lock while holding a leaf. (On the sim, the scheduler
+//! re-counts a waiter under its slot lock, which takes the fabric's
+//! agent-count lock; the fabric never calls back into the runtime.)
+//! Payload guards are the only long-lived acquisition. One is taken under
+//! the engine lock only inside an engine call: a view's
 //! `lease_read`/`lease_write` plans the access and takes its guard in one
 //! critical section (a hit takes the engine lock once), and the server
 //! handlers use `try_` acquisition only, so a waiter's own views make the

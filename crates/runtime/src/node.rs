@@ -9,10 +9,64 @@
 //! the virtual-time loop in `crate::sim` (see "Execution model" in the
 //! crate docs). The protocol itself, lossy-run recovery included, is
 //! `dsm-core`'s [`dsm_core::step`]; this module adds the clock merge, reply
-//! completion (with the migration-grant install on arrival), `Shutdown` and
-//! the actual sends. A message a node addresses to itself — the sync
-//! manager's own lock and barrier traffic — is served inline on the calling
-//! thread ([`NodeShared::post`]).
+//! completion (with the migration-grant install), `Shutdown` and the actual
+//! sends. A message a node addresses to itself — the sync manager's own
+//! lock and barrier traffic — is served inline on the calling thread
+//! ([`NodeShared::post`]).
+//!
+//! ## A reply completes in the step that sends it
+//!
+//! On the threaded fabric a reply skips its destination's inbox: the step
+//! that produces it stamps it like any send (statistics, wire bytes,
+//! Hockney arrival: `dsm_net::Endpoint::stamp`), merges the arrival into
+//! the destination's clock with the handling cost, as [`serve_envelope`]
+//! does, and completes the destination's request there
+//! ([`NodeShared::complete`]). The destination is found through the
+//! executor that serves both nodes. A remote fault-in, flush, acquire or
+//! barrier then costs the executor one step, the home's, not two. The sim
+//! keeps delivering replies as events, since their order is the run's
+//! deterministic event order, and TCP keeps them on the socket. A reply
+//! thus no longer waits behind what its destination's inbox holds, and
+//! that is safe for these reasons:
+//!
+//! * A node has at most one request outstanding, and registers it
+//!   ([`NodeShared::register_pending`]) before sending it. So its slot sees
+//!   at most one reply, and never before it waits for it.
+//! * On lossless runs, messages on different links are ordered by acks,
+//!   not by inbox order. A release or barrier arrival goes out only after
+//!   the releaser's flush ran every `DiffFlush` / `DiffBatch` to its ack,
+//!   so a lock grant or barrier release cannot overtake a diff it depends
+//!   on. A diff still in flight was sent by a node that has not released,
+//!   and lazy release consistency owes no reader its writes yet.
+//! * A migration grant only takes effect earlier than it did through the
+//!   inbox: when the grantor's step returns, the grantee is home. The old
+//!   home redirects later requests in later steps, so a grant still lands
+//!   before any redirect it caused.
+//! * The install is engine calls under the destination engine's leaf
+//!   lock. They race the destination's own server steps just as its
+//!   application thread's calls already do. The sending step holds its own
+//!   node's serve lock, then takes the destination's slot, engine and clock
+//!   locks, each of them a leaf.
+//! * Retrying the deferral queue after every served message used to
+//!   follow a grant's install. A grant installed from another node's step
+//!   re-arms the destination's deferral queue instead
+//!   ([`NodeShared::rearm_deferred`]), as a released view lease does.
+//!
+//! One order the inbox gave is still needed: a node takes no reply while
+//! one of its own steps is half done. A step that grants a home away
+//! changes the grantor's belief in its engine call and installs the grant
+//! only when it sends the reply. If that step is preempted in between,
+//! the grantor's application can fault the object in from the grantee,
+//! which is not home yet and redirects back; the grantor's own belief
+//! then points at the grantee again. Through the inbox, each such
+//! redirect waited for the grantor's half-done step to finish, so the
+//! chase took one more hop. Completed directly, it ran on the
+//! application's thread until it overran `redirect_limit` (3 of 200 runs
+//! of `dsm-apps`' KV tests on a 2-CPU guest). So a reply to a node that a
+//! thread is stepping right now goes through its inbox, and the node's
+//! next step completes it (`ExecHook::reply_target`). A step claimed after
+//! that check can let at most one such redirect through: the node stays
+//! claimed until its step sends the grant.
 //!
 //! Application and server drive the engine directly through `&self`. The
 //! [`ProtocolEngine`] keeps its state behind one internal leaf lock that
@@ -219,12 +273,13 @@ impl NodeShared {
         }
     }
 
-    /// Called (indirectly, from the view guards' trailing drop signal)
-    /// after a view's payload lease has truly been released: re-arms the
-    /// executor's deferred work for this node. No-op on the sim fabric.
-    pub(crate) fn view_lease_released(&self) {
+    /// Re-arm the executor's deferred work for this node: called after a
+    /// view's payload lease has truly been released (indirectly, from the
+    /// view guards' trailing drop signal) and after another node's step
+    /// installed a migration grant here. No-op on the sim fabric.
+    pub(crate) fn rearm_deferred(&self) {
         if let Some(hook) = self.exec.get() {
-            hook.lease_released();
+            hook.rearm();
         }
     }
 
@@ -249,12 +304,12 @@ impl NodeShared {
             }
     }
 
-    /// Deliver the frames that have already arrived on this node's TCP
-    /// links (`TcpEndpoint::drain_ready`); 0 on other fabrics.
-    pub(crate) fn drain_link(&self) -> usize {
+    /// This node's TCP endpoint, whose links a helper reads itself; `None`
+    /// on other fabrics.
+    pub(crate) fn tcp_endpoint(&self) -> Option<&TcpEndpoint<ProtocolMsg>> {
         match &self.link {
-            NodeLink::Tcp(ep) => ep.drain_ready(),
-            _ => 0,
+            NodeLink::Tcp(ep) => Some(ep),
+            _ => None,
         }
     }
 
@@ -290,11 +345,13 @@ impl NodeShared {
     /// after [`Self::abort_pending`] no one is left to wake. Anywhere else
     /// such a reply is a protocol bug, and panics.
     ///
-    /// A fault-in reply is installed here, by the server, so a migration
-    /// grant takes effect on arrival. Left to the woken application thread,
-    /// the install waited on the OS scheduler, and meanwhile this node sent
-    /// requests for the object back to the old home, which forwarded them
-    /// here again until the chase overran `redirect_limit`.
+    /// A fault-in reply is installed here, so a migration grant takes
+    /// effect on arrival: on the threaded fabric that is inside the step
+    /// that sends the reply (see the module docs), elsewhere in the step
+    /// that serves it. Left to the woken application thread, the install
+    /// waited on the OS scheduler, and meanwhile this node sent requests
+    /// for the object back to the old home, which forwarded them here again
+    /// until the chase overran `redirect_limit`.
     pub(crate) fn complete(&self, req: ReqId, mut msg: ProtocolMsg, arrival: SimTime) {
         match *self.reply.state.lock() {
             SlotState::Waiting { req: waiting, .. } if waiting == req => {}
@@ -343,15 +400,40 @@ impl NodeShared {
     /// Send one message a served request produced. A lock grant or barrier
     /// release for this node's own application never travels: the sync
     /// manager answering its own node completes the waiting request here,
-    /// at the node's current time.
+    /// at the node's current time. On the threaded fabric a reply to
+    /// another node completes at its destination in this step, unless a
+    /// thread is stepping the destination (see the module docs).
     fn emit(&self, dst: NodeId, msg: ProtocolMsg) {
-        match msg {
-            ProtocolMsg::LockGrant { req, .. } | ProtocolMsg::BarrierRelease { req, .. }
-                if dst == self.node =>
-            {
-                self.complete(req, msg, self.clock.now());
+        if let ProtocolMsg::LockGrant { req, .. } | ProtocolMsg::BarrierRelease { req, .. } = msg {
+            if dst == self.node {
+                return self.complete(req, msg, self.clock.now());
             }
-            msg => self.send(dst, msg),
+        }
+        let direct = match (&self.link, self.exec.get(), msg.reply_req()) {
+            (NodeLink::Threaded(ep), Some(exec), Some(req)) => {
+                exec.reply_target(dst).map(|target| (ep, target, req))
+            }
+            _ => None,
+        };
+        let Some((ep, target, req)) = direct else {
+            return self.send(dst, msg);
+        };
+        let grant = matches!(
+            msg,
+            ProtocolMsg::ObjectReply {
+                migration: Some(_),
+                ..
+            }
+        );
+        let (category, bytes) = (msg.category(), msg.payload_bytes());
+        let envelope = ep.stamp(dst, category, bytes, self.clock.now(), msg);
+        trace_serve(&envelope);
+        target
+            .clock
+            .merge_and_advance(envelope.arrival, target.handling_cost);
+        target.complete(req, envelope.payload, envelope.arrival);
+        if grant {
+            target.rearm_deferred();
         }
     }
 
@@ -513,12 +595,7 @@ pub(crate) fn serve_envelope(
     envelope: Envelope<ProtocolMsg>,
     serve: &mut ServeState,
 ) {
-    if trace_enabled() {
-        eprintln!(
-            "[{}] serve from {} {:?}",
-            shared.node, envelope.src, envelope.payload
-        );
-    }
+    trace_serve(&envelope);
     // Protocol handling shares the node's (virtual) CPU.
     shared
         .clock
@@ -537,6 +614,14 @@ pub(crate) fn serve_envelope(
         msg => step::serve(&shared.engine, serve, src, msg, &mut |dst, msg| {
             shared.emit(dst, msg)
         }),
+    }
+}
+
+/// The `DSM_TRACE` line of a message arriving at its destination.
+fn trace_serve(envelope: &Envelope<ProtocolMsg>) {
+    if trace_enabled() {
+        let Envelope { src, dst, .. } = envelope;
+        eprintln!("[{dst}] serve from {src} {:?}", envelope.payload);
     }
 }
 
@@ -828,6 +913,58 @@ mod tests {
     #[test]
     fn abort_pending_wakes_a_parked_waiter() {
         wake_parked_waiters(|shared, _| shared.abort_pending(|| {}), false);
+    }
+
+    /// A worker's step that completes a reply in the step sending it wakes
+    /// the waiter parked on it. For 1000 rounds, node 1's waiter parks on a
+    /// lock acquire; then its request reaches the manager's inbox, and the
+    /// one worker steps the manager, completing the grant in node 1's slot.
+    /// No reply ever enters node 1's inbox, and no thread but the worker
+    /// steps.
+    #[test]
+    fn a_workers_direct_completion_wakes_a_parked_waiter() {
+        const ROUNDS: u32 = 1000;
+        within_deadline(|| {
+            let fabric = Fabric::new(2, NetworkParams::ideal(), StatsCollector::new());
+            let nodes: Vec<_> = (fabric.into_endpoints().into_iter().enumerate())
+                .map(|(node, endpoint)| {
+                    let config = ProtocolConfig::no_migration();
+                    let engine = ProtocolEngine::new(NodeId::from(node), 2, config, Arc::default());
+                    shared_on(NodeLink::Threaded(endpoint), engine)
+                })
+                .collect();
+            let executor = crate::exec::Executor::new(&nodes, 1);
+            let client = Arc::clone(&nodes[1]);
+            thread::scope(|scope| {
+                let worker = scope.spawn(|| executor.run_worker());
+                for round in 0..ROUNDS {
+                    let (req, lock) = (client.engine.new_req(), LockId(round));
+                    client.register_pending(req);
+                    let waiter = Arc::clone(&client);
+                    let waiter = thread::spawn(move || waiter.wait_reply(|| {}));
+                    while !parked(&client) {
+                        thread::yield_now();
+                    }
+                    let requester = client.node;
+                    let acquire = ProtocolMsg::LockAcquire {
+                        req,
+                        lock,
+                        requester,
+                    };
+                    client.send(SYNC_MANAGER, acquire);
+                    let reply = waiter.join().expect("the waiter returned");
+                    assert_eq!(reply.msg.reply_req(), Some(req));
+                }
+                nodes.iter().for_each(|node| node.request_shutdown());
+                executor.begin_shutdown();
+                worker.join().expect("the worker finished");
+            });
+            // Beside one step per round, the shutdown drains both nodes.
+            let report = executor.report();
+            assert_eq!(report.steps, u64::from(ROUNDS) + 2, "one step per round");
+            assert_eq!(report.helped_steps, 0, "a waiter stepped");
+            assert_eq!(client.inbox().high_watermark(), 0, "a reply was queued");
+        });
     }
 
     /// Park one application thread per sim node on a request and run

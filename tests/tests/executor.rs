@@ -31,7 +31,7 @@
 //!   asserts as it reports in builds with debug assertions.
 
 use dsm_bench::matrix;
-use dsm_core::ProtocolConfig;
+use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_integration_tests::{seed_corpus, sim_test_cluster, tcp_test_cluster, test_cluster};
 use dsm_net::TcpConfig;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
@@ -383,24 +383,36 @@ fn helper_stress(cluster: ClusterBuilder, rounds: usize) -> (u64, ExecutionRepor
 }
 
 /// Many lock, fault-in and flush rounds with the helpers racing one and
-/// two workers. Every run must reproduce the sim's fingerprint, and with
-/// debug assertions on, the executor's report asserts that the pool ended
-/// with no node claimed or queued and nothing active: every node `IDLE`.
+/// two workers, without migration and under a policy that moves a counter's
+/// home to each writer, so grants installed by the step that sends them
+/// race the helpers too. Every run must reproduce the sim's fingerprint,
+/// and with debug assertions on, the executor's report asserts that the
+/// pool ended with no node claimed or queued and nothing active: every
+/// node `IDLE`.
 #[test]
 fn stress_helping_application_threads_keep_the_sim_result() {
     let rounds = 200;
-    let base = test_cluster(4, ProtocolConfig::no_migration());
     let sim = FabricMode::Sim(SimConfig::calm(2004));
-    let (expected, _) = helper_stress(base.clone().fabric(sim), rounds);
-    for workers in [1, 2] {
-        let (fingerprint, report) = helper_stress(base.clone().executor_workers(workers), rounds);
+    let jump = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
+    for (name, protocol) in [("NM", ProtocolConfig::no_migration()), ("JUMP", jump)] {
+        let base = test_cluster(4, protocol);
+        let (expected, reference) = helper_stress(base.clone().fabric(sim.clone()), rounds);
         assert_eq!(
-            fingerprint, expected,
-            "{workers} workers: helping changed the result"
+            reference.migrations() > 0,
+            name == "JUMP",
+            "{name}: migrations on the sim"
         );
-        assert!(
-            scheduler(&report).helped_steps > 0,
-            "{workers} workers: nothing was helped"
-        );
+        for workers in [1, 2] {
+            let (fingerprint, report) =
+                helper_stress(base.clone().executor_workers(workers), rounds);
+            assert_eq!(
+                fingerprint, expected,
+                "{name}, {workers} workers: helping changed the result"
+            );
+            assert!(
+                scheduler(&report).helped_steps > 0,
+                "{name}, {workers} workers: nothing was helped"
+            );
+        }
     }
 }
