@@ -65,7 +65,8 @@ fn main() {
     } else {
         dsm_runtime::SimConfig::perturbed
     };
-    let rows = matrix::conformance_with(&seeds, sim_config);
+    let sweep = |workload| matrix::conformance_for(workload, &seeds, sim_config);
+    let rows: Vec<_> = matrix::workloads().iter().flat_map(sweep).collect();
     println!(
         "Conformance matrix — sim fabric{} vs. threaded reference, seeds {seeds:?}\n",
         if lossy {

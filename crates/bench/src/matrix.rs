@@ -246,7 +246,7 @@ pub fn check_invariants(report: &ExecutionReport) -> Vec<String> {
     violations
 }
 
-/// One row of a [`conformance_with`] sweep.
+/// One row of a [`conformance_for`] sweep.
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// Workload name.
@@ -262,96 +262,107 @@ pub struct CellResult {
     /// category, size or times), so a change that claims to keep the
     /// traffic the same must keep this column too.
     pub trace: u64,
+    /// Messages the fabric dropped, over every swept seed's first run.
+    pub drops: usize,
     /// Failures, as `(seed, description)` — empty when the cell conforms.
     pub failures: Vec<(u64, String)>,
 }
 
-/// Sweep the full policy × workload matrix under `sim_config`: for every
+/// Sweep every policy against `workload` under `sim_config`: for every
 /// cell, one threaded reference run, then per seed one sim run (the first
 /// seed twice, to check replay) — asserting fingerprint conformance, trace
-/// replay and the protocol invariants. Failures are collected, not
-/// panicked, so a sweep reports *every* failing seed.
+/// replay, the protocol invariants and, with two or more seeds, that the
+/// seeds' delivery orders differ. Failures are collected, not panicked, so
+/// a sweep reports *every* failing seed.
 ///
 /// With [`SimConfig::lossy`] (1% seeded per-link drops plus a
 /// partition/heal cycle) cells must still produce the threaded reference
 /// fingerprint — the timeout/retry/re-election machinery makes message loss
 /// a performance event, never a semantic one — and the run must replay
 /// bit-identically, drop records included.
-pub fn conformance_with(seeds: &[u64], sim_config: fn(u64) -> SimConfig) -> Vec<CellResult> {
+pub fn conformance_for(
+    workload: &MatrixWorkload,
+    seeds: &[u64],
+    sim_config: fn(u64) -> SimConfig,
+) -> Vec<CellResult> {
     let mut rows = Vec::new();
-    for workload in workloads() {
-        for (label, protocol) in policies() {
-            let mut failures: Vec<(u64, String)> = Vec::new();
-            let reference = workload.run(matrix_cluster(protocol.clone(), FabricMode::Threaded));
-            let mut reference_order: Option<Vec<(u16, u16, u64)>> = None;
-            let mut order_diverged = seeds.len() < 2;
-            let mut traces = 0xcbf2_9ce4_8422_2325u64;
-            for (i, &seed) in seeds.iter().enumerate() {
-                let fabric = FabricMode::Sim(sim_config(seed));
-                let run = workload.run(matrix_cluster(protocol.clone(), fabric.clone()));
-                if run.fingerprint != reference.fingerprint {
-                    failures.push((
-                        seed,
-                        format!(
-                            "sim fingerprint {:#018x} != threaded reference {:#018x}",
-                            run.fingerprint, reference.fingerprint
-                        ),
-                    ));
-                }
-                for violation in check_invariants(&run.report) {
-                    failures.push((seed, violation));
-                }
-                let trace = run
-                    .report
-                    .delivery_trace
-                    .as_ref()
-                    .expect("sim run has a trace");
-                traces = fnv(traces, trace.checksum());
-                match &reference_order {
-                    None => reference_order = Some(trace.order_signature()),
-                    Some(first) => order_diverged |= trace.order_signature() != *first,
-                }
-                if i == 0 {
-                    // Replay the first seed: bit-identical trace required.
-                    let replay = workload.run(matrix_cluster(protocol.clone(), fabric));
-                    if replay.report.delivery_trace.as_ref() != Some(trace) {
-                        failures.push((
-                            seed,
-                            format!(
-                                "replay diverged: trace checksum {:#018x} then {:#018x}",
-                                trace.checksum(),
-                                replay
-                                    .report
-                                    .delivery_trace
-                                    .as_ref()
-                                    .map_or(0, |t| t.checksum())
-                            ),
-                        ));
-                    }
-                    if replay.fingerprint != run.fingerprint {
-                        failures.push((seed, "replay changed the result".to_string()));
-                    }
-                }
-            }
-            if !order_diverged {
+    for (label, protocol) in policies() {
+        let mut failures: Vec<(u64, String)> = Vec::new();
+        let reference = workload.run(matrix_cluster(protocol.clone(), FabricMode::Threaded));
+        let mut reference_order: Option<Vec<(u16, u16, u64)>> = None;
+        let mut order_diverged = seeds.len() < 2;
+        let mut traces = 0xcbf2_9ce4_8422_2325u64;
+        let mut drops = 0;
+        for (i, &seed) in seeds.iter().enumerate() {
+            let fabric = FabricMode::Sim(sim_config(seed));
+            let run = workload.run(matrix_cluster(protocol.clone(), fabric.clone()));
+            if run.fingerprint != reference.fingerprint {
                 failures.push((
-                    seeds[0],
+                    seed,
                     format!(
-                        "all {} seeds produced the same delivery order — \
-                         perturbations had no effect on this cell",
-                        seeds.len()
+                        "sim fingerprint {:#018x} != threaded reference {:#018x}",
+                        run.fingerprint, reference.fingerprint
                     ),
                 ));
             }
-            rows.push(CellResult {
-                workload: workload.name,
-                policy: label,
-                seeds: seeds.len(),
-                fingerprint: reference.fingerprint,
-                trace: traces,
-                failures,
-            });
+            for violation in check_invariants(&run.report) {
+                failures.push((seed, violation));
+            }
+            let trace = run
+                .report
+                .delivery_trace
+                .as_ref()
+                .expect("sim run has a trace");
+            traces = fnv(traces, trace.checksum());
+            drops += trace.drops.len();
+            match &reference_order {
+                None => reference_order = Some(trace.order_signature()),
+                Some(first) => order_diverged |= trace.order_signature() != *first,
+            }
+            if i == 0 {
+                // Replay the first seed: bit-identical trace required.
+                let replay = workload.run(matrix_cluster(protocol.clone(), fabric));
+                if replay.report.delivery_trace.as_ref() != Some(trace) {
+                    failures.push((
+                        seed,
+                        format!(
+                            "replay diverged: trace checksum {:#018x} then {:#018x}",
+                            trace.checksum(),
+                            replay
+                                .report
+                                .delivery_trace
+                                .as_ref()
+                                .map_or(0, |t| t.checksum())
+                        ),
+                    ));
+                }
+                if replay.fingerprint != run.fingerprint {
+                    failures.push((seed, "replay changed the result".to_string()));
+                }
+                for violation in check_invariants(&replay.report) {
+                    failures.push((seed, format!("replay: {violation}")));
+                }
+            }
         }
+        if !order_diverged {
+            failures.push((
+                seeds[0],
+                format!(
+                    "all {} seeds produced the same delivery order — \
+                     perturbations had no effect on this cell",
+                    seeds.len()
+                ),
+            ));
+        }
+        rows.push(CellResult {
+            workload: workload.name,
+            policy: label,
+            seeds: seeds.len(),
+            fingerprint: reference.fingerprint,
+            trace: traces,
+            drops,
+            failures,
+        });
     }
     rows
 }

@@ -276,8 +276,7 @@ pub struct FlushBatch {
 /// entries within a batch by object id, so experiments are reproducible
 /// regardless of hash-map iteration order upstream.
 pub fn group_flush_plans(plans: Vec<FlushPlan>) -> Vec<FlushBatch> {
-    let mut by_target: std::collections::BTreeMap<NodeId, Vec<FlushPlan>> =
-        std::collections::BTreeMap::new();
+    let mut by_target = std::collections::BTreeMap::<NodeId, Vec<FlushPlan>>::new();
     for plan in plans {
         by_target.entry(plan.target).or_default().push(plan);
     }
@@ -763,135 +762,63 @@ mod tests {
     use super::*;
     use crate::config::NotificationMechanism;
     use crate::policy::MigrateOnRequestPolicy;
-    use crate::step::{self, ClientOp, ServeState};
+    use crate::step::ClientOp;
+    use crate::world::World;
     use dsm_objspace::HomeAssignment;
 
     const N: usize = 3;
 
-    /// Build a registry with a single 64-byte object "x" homed (initially)
-    /// on node 0, plus a second object "y" homed on node 1.
-    fn registry() -> Arc<ObjectRegistry> {
+    /// Three engines joined in a [`World`], sharing a single 64-byte object
+    /// "x" homed (initially) on node 0, plus a second object "y" homed on
+    /// node 1. A chase may take N + 2 redirections.
+    fn world(config: ProtocolConfig) -> World {
         let mut r = ObjectRegistry::new();
         r.register_named("x", 0, 64, NodeId(0), HomeAssignment::CreationNode);
         r.register_named("y", 0, 64, NodeId(1), HomeAssignment::CreationNode);
-        Arc::new(r)
-    }
-
-    fn engines(config: ProtocolConfig) -> Vec<ProtocolEngine> {
-        let reg = registry();
-        (0..N)
-            .map(|i| ProtocolEngine::new(NodeId::from(i), N, config.clone(), Arc::clone(&reg)))
-            .collect()
+        let mut world = World::new(N, config, Arc::new(r));
+        world.chase_limit = N as u32 + 2;
+        world
     }
 
     fn obj_x() -> ObjectId {
         ObjectId::derive("x", 0)
     }
 
-    /// Run `op` for `node` to completion through the production chase: each
-    /// request is served at its target by [`step::serve`], and each reply
-    /// completes at `node` as in the runtime (a grant installs on arrival).
-    /// Returns the redirections the chase took.
-    fn drive(engines: &[ProtocolEngine], node: usize, mut op: ClientOp) -> u32 {
-        for req in 1.. {
-            let (target, request) = op.request(&engines[node], ReqId(req));
-            let (mut serve, mut reply) = (ServeState::default(), None);
-            let from = engines[node].node();
-            step::serve(
-                &engines[target.index()],
-                &mut serve,
-                from,
-                request,
-                &mut |_, msg| {
-                    if msg.is_reply() {
-                        reply = Some(msg);
-                    }
-                },
-            );
-            assert_eq!(
-                serve.deferred(),
-                0,
-                "no views are live in single-threaded tests"
-            );
-            let mut reply = reply.expect("a served request is answered");
-            step::install_reply(&engines[node], &mut reply);
-            if op.on_reply(&engines[node], reply) {
-                break;
-            }
-            assert!(
-                op.redirections() <= engines.len() as u32 + 2,
-                "redirection chain of {op:?} did not converge"
-            );
-        }
-        op.redirections()
-    }
-
-    /// Drive one "remote write interval" of `writer` against the cluster:
-    /// fault-in from whoever is home, write a byte, flush the diff. Returns
-    /// the number of redirection hops experienced.
-    fn remote_write_interval(engines: &[ProtocolEngine], writer: usize, value: u8) -> u32 {
-        let obj = obj_x();
-        engines[writer].begin_interval();
-        let mut hops = 0;
-        // Lease the write, faulting the object in on a miss; the second
-        // lease hits the installed copy.
-        let lease = match engines[writer].lease_write(obj) {
-            Lease::Fetch { target } => {
-                hops += drive(engines, writer, ClientOp::fault_in(obj, true, target));
-                engines[writer].lease_write(obj)
-            }
-            lease => lease,
-        };
-        lease.hit().bytes_mut()[0] = value;
-        // Release: flush diffs (if the writer is now home there are none).
-        for plan in engines[writer].prepare_release() {
-            let (redirections, redirect) = (0, None);
-            let op = ClientOp::Flush {
-                plan,
-                redirections,
-                redirect,
-            };
-            hops += drive(engines, writer, op);
-        }
-        engines[writer].finish_release();
-        hops
-    }
-
     #[test]
     fn initial_homes_follow_registry() {
-        let engines = engines(ProtocolConfig::no_migration());
-        assert!(engines[0].is_home(obj_x()));
-        assert!(!engines[1].is_home(obj_x()));
-        assert_eq!(engines[1].home_hint(obj_x()), NodeId(0));
-        assert_eq!(engines[0].homed_objects(), vec![obj_x()]);
-        assert_eq!(engines[1].home_epoch(obj_x()), 0);
+        let e = world(ProtocolConfig::no_migration());
+        assert!(e[0].is_home(obj_x()));
+        assert!(!e[1].is_home(obj_x()));
+        assert_eq!(e[1].home_hint(obj_x()), NodeId(0));
+        assert_eq!(e[0].homed_objects(), vec![obj_x()]);
+        assert_eq!(e[1].home_epoch(obj_x()), 0);
     }
 
     #[test]
     fn local_home_access_never_needs_fetch() {
-        let engines = engines(ProtocolConfig::no_migration());
+        let e = world(ProtocolConfig::no_migration());
         let obj = obj_x();
-        engines[0].begin_interval();
-        assert_eq!(engines[0].plan_read(obj), AccessPlan::LocalHit);
-        assert_eq!(engines[0].plan_write(obj), AccessPlan::LocalHit);
-        engines[0].with_object_mut(obj, |d| d.bytes_mut()[0] = 7);
-        assert!(engines[0].prepare_release().is_empty());
-        engines[0].finish_release();
-        assert_eq!(engines[0].stats().home_reads, 1);
-        assert_eq!(engines[0].stats().home_writes, 1);
-        assert_eq!(engines[0].stats().fault_ins, 0);
-        assert_eq!(engines[0].home_version(obj), Some(Version(1)));
+        e[0].begin_interval();
+        assert_eq!(e[0].plan_read(obj), AccessPlan::LocalHit);
+        assert_eq!(e[0].plan_write(obj), AccessPlan::LocalHit);
+        e[0].with_object_mut(obj, |d| d.bytes_mut()[0] = 7);
+        assert!(e[0].prepare_release().is_empty());
+        e[0].finish_release();
+        assert_eq!(e[0].stats().home_reads, 1);
+        assert_eq!(e[0].stats().home_writes, 1);
+        assert_eq!(e[0].stats().fault_ins, 0);
+        assert_eq!(e[0].home_version(obj), Some(Version(1)));
     }
 
     #[test]
     fn leases_expose_engine_storage() {
-        let engines = engines(ProtocolConfig::no_migration());
+        let e = world(ProtocolConfig::no_migration());
         let obj = obj_x();
-        engines[0].begin_interval();
-        engines[0].lease_write(obj).hit().bytes_mut()[0] = 42;
+        e[0].begin_interval();
+        e[0].lease_write(obj).hit().bytes_mut()[0] = 42;
         // The write went straight into the home copy, no copy-back needed.
-        assert_eq!(engines[0].home_bytes(obj).unwrap()[0], 42);
-        assert_eq!(engines[0].lease_read(obj).hit().bytes()[0], 42);
+        assert_eq!(e[0].home_bytes(obj).unwrap()[0], 42);
+        assert_eq!(e[0].lease_read(obj).hit().bytes()[0], 42);
     }
 
     /// Each access is one lease call: a home copy hits, a read-only cached
@@ -900,71 +827,71 @@ mod tests {
     #[test]
     fn a_lease_hits_a_valid_copy_and_fetches_otherwise() {
         let cfg = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
-        let e = engines(cfg);
+        let mut w = world(cfg);
         let obj = obj_x();
-        for engine in &e {
+        for engine in &w.engines {
             engine.begin_interval();
         }
-        assert_eq!(e[0].lease_read(obj).hit().bytes(), [0; 64], "the home hits");
+        assert_eq!(w[0].lease_read(obj).hit().bytes(), [0; 64], "the home hits");
 
-        let home = e[1].home_hint(obj);
-        assert!(matches!(e[1].lease_read(obj), Lease::Fetch { target } if target == home));
-        drive(&e, 1, ClientOp::fault_in(obj, false, home));
+        let home = w[1].home_hint(obj);
+        assert!(matches!(w[1].lease_read(obj), Lease::Fetch { target } if target == home));
+        w.complete(1, ClientOp::fault_in(obj, false, home));
         for _ in 0..2 {
-            e[1].lease_write(obj).hit().bytes_mut()[0] = 1;
+            w[1].lease_write(obj).hit().bytes_mut()[0] = 1;
         }
-        assert_eq!(e[1].stats().twins_created, 1, "one twin per interval");
+        assert_eq!(w[1].stats().twins_created, 1, "one twin per interval");
 
-        drive(&e, 2, ClientOp::fault_in(obj, false, home));
-        e[2].begin_interval();
+        w.complete(2, ClientOp::fault_in(obj, false, home));
+        w[2].begin_interval();
         assert!(
-            matches!(e[2].lease_read(obj), Lease::Fetch { target } if target == home),
+            matches!(w[2].lease_read(obj), Lease::Fetch { target } if target == home),
             "a new interval invalidated the cached copy"
         );
 
-        drive(&e, 2, ClientOp::fault_in(obj, true, home));
-        assert!(e[2].is_home(obj), "the JUMP write fault took the home");
+        w.complete(2, ClientOp::fault_in(obj, true, home));
+        assert!(w[2].is_home(obj), "the JUMP write fault took the home");
         // The old home keeps a read-only copy until its next interval.
-        e[0].begin_interval();
+        w[0].begin_interval();
         assert!(matches!(
-            e[0].lease_write(obj),
+            w[0].lease_write(obj),
             Lease::Fetch { target: NodeId(2) }
         ));
     }
 
     #[test]
     fn busy_home_copy_defers_requests_and_diffs() {
-        let engines = engines(ProtocolConfig::no_migration());
+        let e = world(ProtocolConfig::no_migration());
         let obj = obj_x();
-        engines[0].begin_interval();
-        let guard = engines[0].lease_write(obj).hit();
+        e[0].begin_interval();
+        let guard = e[0].lease_write(obj).hit();
         // A write lease blocks both server-side payload operations ...
         assert_eq!(
-            engines[0].handle_object_request(obj, NodeId(1), false, 0),
+            e[0].handle_object_request(obj, NodeId(1), false, 0),
             ObjectRequestOutcome::Busy
         );
         let diff = Diff::full(&[1u8; 64]);
         assert_eq!(
-            engines[0].handle_diff(obj, &diff, NodeId(1), 0),
+            e[0].handle_diff(obj, &diff, NodeId(1), 0),
             DiffOutcome::Busy
         );
         drop(guard);
         // ... and the retries succeed once the view drops.
         assert!(matches!(
-            engines[0].handle_object_request(obj, NodeId(1), false, 0),
+            e[0].handle_object_request(obj, NodeId(1), false, 0),
             ObjectRequestOutcome::Reply { .. }
         ));
         assert!(matches!(
-            engines[0].handle_diff(obj, &diff, NodeId(1), 0),
+            e[0].handle_diff(obj, &diff, NodeId(1), 0),
             DiffOutcome::Applied { .. }
         ));
     }
 
     #[test]
     fn remote_write_faults_in_and_flushes_diff() {
-        let e = engines(ProtocolConfig::no_migration());
+        let mut e = world(ProtocolConfig::no_migration());
         let obj = obj_x();
-        let hops = remote_write_interval(&e, 1, 42);
+        let hops = e.write_interval(1, obj_x(), 42);
         assert_eq!(hops, 0);
         assert_eq!(e[1].stats().fault_ins, 1);
         assert_eq!(e[1].stats().diffs_sent, 1);
@@ -980,12 +907,12 @@ mod tests {
 
     #[test]
     fn no_migration_policy_keeps_paying_remote_access() {
-        let e = engines(ProtocolConfig::no_migration());
+        let mut e = world(ProtocolConfig::no_migration());
         for i in 0..10 {
             // Write values 1..=10 so every interval really changes the object
             // (writing 0 over the zero-initialised object would be a no-op
             // interval with no diff to flush).
-            remote_write_interval(&e, 1, i + 1);
+            e.write_interval(1, obj_x(), i + 1);
         }
         assert!(e[0].is_home(obj_x()));
         assert_eq!(e[1].stats().fault_ins, 10);
@@ -994,14 +921,14 @@ mod tests {
 
     #[test]
     fn adaptive_policy_migrates_to_single_writer() {
-        let e = engines(ProtocolConfig::adaptive());
+        let mut e = world(ProtocolConfig::adaptive());
         let obj = obj_x();
         // Interval 1: node 1 writes; home still node 0 (C becomes 1).
-        remote_write_interval(&e, 1, 1);
+        e.write_interval(1, obj_x(), 1);
         assert!(e[0].is_home(obj));
         // Interval 2: node 1 faults again; with T=1 and C=1 the home migrates
         // together with the reply.
-        remote_write_interval(&e, 1, 2);
+        e.write_interval(1, obj_x(), 2);
         assert!(
             e[1].is_home(obj),
             "home should have migrated to the single writer"
@@ -1015,7 +942,7 @@ mod tests {
         assert_eq!(e[0].home_hint(obj), NodeId(1));
         // Interval 3+: accesses are purely local for node 1.
         let before = e[1].stats().fault_ins;
-        remote_write_interval(&e, 1, 3);
+        e.write_interval(1, obj_x(), 3);
         assert_eq!(
             e[1].stats().fault_ins,
             before,
@@ -1026,18 +953,18 @@ mod tests {
 
     #[test]
     fn fixed_threshold_two_migrates_one_interval_later_than_adaptive() {
-        let adaptive = engines(ProtocolConfig::adaptive());
-        let ft2 = engines(ProtocolConfig::fixed_threshold(2));
-        remote_write_interval(&adaptive, 1, 1);
-        remote_write_interval(&ft2, 1, 1);
-        remote_write_interval(&adaptive, 1, 2);
-        remote_write_interval(&ft2, 1, 2);
+        let mut adaptive = world(ProtocolConfig::adaptive());
+        let mut ft2 = world(ProtocolConfig::fixed_threshold(2));
+        adaptive.write_interval(1, obj_x(), 1);
+        ft2.write_interval(1, obj_x(), 1);
+        adaptive.write_interval(1, obj_x(), 2);
+        ft2.write_interval(1, obj_x(), 2);
         assert!(adaptive[1].is_home(obj_x()), "AT migrates at the 2nd fault");
         assert!(
             !ft2[1].is_home(obj_x()),
             "FT2 needs C=2 before the next fault"
         );
-        remote_write_interval(&ft2, 1, 3);
+        ft2.write_interval(1, obj_x(), 3);
         assert!(ft2[1].is_home(obj_x()), "FT2 migrates once C reaches 2");
     }
 
@@ -1046,10 +973,10 @@ mod tests {
         // Move the home from 0 to 1, then have node 2 request it while still
         // believing node 0 is the home: node 0 redirects (1 hop), node 1
         // serves the request and records the redirection as feedback.
-        let e = engines(ProtocolConfig::adaptive());
+        let mut e = world(ProtocolConfig::adaptive());
         let obj = obj_x();
-        remote_write_interval(&e, 1, 1);
-        remote_write_interval(&e, 1, 2);
+        e.write_interval(1, obj_x(), 1);
+        e.write_interval(1, obj_x(), 2);
         assert!(e[1].is_home(obj));
 
         e[2].begin_interval();
@@ -1058,7 +985,7 @@ mod tests {
             AccessPlan::Fetch { target: NodeId(0) },
             "node 2 still believes the initial home"
         );
-        let hops = drive(&e, 2, ClientOp::fault_in(obj, false, NodeId(0)));
+        let hops = e.complete(2, ClientOp::fault_in(obj, false, NodeId(0)));
         assert!(
             e[1].is_home(obj) && !e[2].is_home(obj),
             "a reader must not steal the home"
@@ -1074,11 +1001,11 @@ mod tests {
 
     #[test]
     fn stale_hints_are_not_adopted() {
-        let e = engines(ProtocolConfig::adaptive());
+        let mut e = world(ProtocolConfig::adaptive());
         let obj = obj_x();
         // Home migrates 0 -> 1 (epoch 1); node 1's belief points at itself.
-        remote_write_interval(&e, 1, 1);
-        remote_write_interval(&e, 1, 2);
+        e.write_interval(1, obj_x(), 1);
+        e.write_interval(1, obj_x(), 2);
         assert!(e[1].is_home(obj));
         // A stale hint claiming node 0 (epoch 0) must not regress node 2's
         // belief once it has adopted epoch 1, and a self-hint must never be
@@ -1099,15 +1026,15 @@ mod tests {
         // Transient single-writer pattern: writers 1 and 2 take turns in
         // bursts of two intervals. FT1 migrates on every burst; AT observes
         // the redirection feedback and is at most as eager, never more.
-        let at = engines(ProtocolConfig::adaptive());
-        let ft1 = engines(ProtocolConfig::fixed_threshold(1));
+        let mut at = world(ProtocolConfig::adaptive());
+        let mut ft1 = world(ProtocolConfig::fixed_threshold(1));
         for round in 0..16 {
             let writer = 1 + ((round / 2) % 2);
-            remote_write_interval(&at, writer, round as u8);
-            remote_write_interval(&ft1, writer, round as u8);
+            at.write_interval(writer, obj_x(), round as u8);
+            ft1.write_interval(writer, obj_x(), round as u8);
         }
-        let at_migrations: u64 = at.iter().map(|e| e.stats().migrations_out).sum();
-        let ft1_migrations: u64 = ft1.iter().map(|e| e.stats().migrations_out).sum();
+        let at_migrations: u64 = at.engines.iter().map(|e| e.stats().migrations_out).sum();
+        let ft1_migrations: u64 = ft1.engines.iter().map(|e| e.stats().migrations_out).sum();
         assert!(
             ft1_migrations >= 4,
             "FT1 should keep migrating under the alternating-burst pattern, got {ft1_migrations}"
@@ -1117,21 +1044,29 @@ mod tests {
             "AT ({at_migrations}) must not migrate more than FT1 ({ft1_migrations})"
         );
         // And the redirection traffic follows the same ordering.
-        let at_redirs: u64 = at.iter().map(|e| e.stats().redirections_served).sum();
-        let ft1_redirs: u64 = ft1.iter().map(|e| e.stats().redirections_served).sum();
+        let at_redirs: u64 = at
+            .engines
+            .iter()
+            .map(|e| e.stats().redirections_served)
+            .sum();
+        let ft1_redirs: u64 = ft1
+            .engines
+            .iter()
+            .map(|e| e.stats().redirections_served)
+            .sum();
         assert!(at_redirs <= ft1_redirs);
     }
 
     #[test]
     fn jump_policy_migrates_on_every_write_fault() {
         let cfg = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
-        let e = engines(cfg);
-        remote_write_interval(&e, 1, 1);
+        let mut e = world(cfg);
+        e.write_interval(1, obj_x(), 1);
         assert!(
             e[1].is_home(obj_x()),
             "JUMP migrates on the very first write fault"
         );
-        remote_write_interval(&e, 2, 2);
+        e.write_interval(2, obj_x(), 2);
         assert!(
             e[2].is_home(obj_x()),
             "JUMP migrates again to the next writer"
@@ -1142,25 +1077,25 @@ mod tests {
 
     #[test]
     fn migration_preserves_data_and_versions() {
-        let e = engines(ProtocolConfig::adaptive());
+        let mut e = world(ProtocolConfig::adaptive());
         let obj = obj_x();
-        remote_write_interval(&e, 1, 11);
-        remote_write_interval(&e, 1, 22);
+        e.write_interval(1, obj_x(), 11);
+        e.write_interval(1, obj_x(), 22);
         assert!(e[1].is_home(obj));
         // Version history: one diff applied at the old home (v1); the data
         // with value 22 was written locally at the new home after migration.
         assert_eq!(e[1].home_bytes(obj).unwrap()[0], 22);
         assert!(e[1].home_version(obj).unwrap() >= Version(1));
         // Exactly one node considers itself home.
-        let home_count = e.iter().filter(|eng| eng.is_home(obj)).count();
+        let home_count = e.engines.iter().filter(|eng| eng.is_home(obj)).count();
         assert_eq!(home_count, 1);
     }
 
     #[test]
     fn bootstrap_seeds_only_the_home() {
-        let e = engines(ProtocolConfig::no_migration());
+        let e = world(ProtocolConfig::no_migration());
         let obj = obj_x();
-        for eng in e.iter() {
+        for eng in &e.engines {
             eng.bootstrap_object(obj, &[9u8; 64]);
         }
         assert_eq!(e[0].home_bytes(obj).unwrap(), vec![9u8; 64]);
@@ -1170,14 +1105,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn bootstrap_rejects_wrong_size() {
-        let e = engines(ProtocolConfig::no_migration());
+        let e = world(ProtocolConfig::no_migration());
         e[0].bootstrap_object(obj_x(), &[0u8; 8]);
     }
 
     #[test]
     #[should_panic(expected = "without a write plan")]
     fn writing_without_plan_panics() {
-        let e = engines(ProtocolConfig::no_migration());
+        let e = world(ProtocolConfig::no_migration());
         // plan_read only gives read permission at the home.
         e[0].begin_interval();
         let _ = e[0].plan_read(obj_x());
@@ -1187,9 +1122,9 @@ mod tests {
     #[test]
     fn broadcast_notification_lists_all_other_nodes() {
         let cfg = ProtocolConfig::adaptive().with_notification(NotificationMechanism::Broadcast);
-        let e = engines(cfg);
+        let mut e = world(cfg);
         let obj = obj_x();
-        remote_write_interval(&e, 1, 1);
+        e.write_interval(1, obj_x(), 1);
         // Second fault triggers migration; inspect the outcome directly.
         e[1].begin_interval();
         assert!(matches!(e[1].plan_write(obj), AccessPlan::Fetch { .. }));
@@ -1210,7 +1145,7 @@ mod tests {
 
     #[test]
     fn home_notify_updates_hint_monotonically() {
-        let e = engines(ProtocolConfig::adaptive());
+        let e = world(ProtocolConfig::adaptive());
         let obj = obj_x();
         e[2].handle_home_notify(obj, NodeId(1), 1);
         assert_eq!(e[2].home_hint(obj), NodeId(1));
@@ -1236,56 +1171,32 @@ mod tests {
 
     #[test]
     fn interval_invalidation_forces_refetch_of_cached_copies() {
-        let e = engines(ProtocolConfig::no_migration());
+        let mut w = world(ProtocolConfig::no_migration());
         let obj = obj_x();
         // Node 1 reads the object (fault-in, then cached).
-        e[1].begin_interval();
-        if let AccessPlan::Fetch { target } = e[1].plan_read(obj) {
-            match e[target.index()].handle_object_request(obj, NodeId(1), false, 0) {
-                ObjectRequestOutcome::Reply {
-                    data,
-                    version,
-                    migration,
-                    ..
-                } => {
-                    e[1].install_object(obj, data, version, migration);
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(e[1].plan_read(obj), AccessPlan::LocalHit);
-        e[1].finish_release();
+        w[1].begin_interval();
+        w.fault_in(1, obj, false);
+        assert_eq!(w[1].plan_read(obj), AccessPlan::LocalHit);
+        w[1].finish_release();
         // Next interval: the cached copy is conservatively invalidated.
-        e[1].begin_interval();
-        assert!(matches!(e[1].plan_read(obj), AccessPlan::Fetch { .. }));
-        assert_eq!(e[1].stats().invalidations, 1);
+        w[1].begin_interval();
+        assert!(matches!(w[1].plan_read(obj), AccessPlan::Fetch { .. }));
+        assert_eq!(w[1].stats().invalidations, 1);
     }
 
     #[test]
     fn unwritten_dirty_objects_produce_no_flush() {
-        let e = engines(ProtocolConfig::no_migration());
+        let mut w = world(ProtocolConfig::no_migration());
         let obj = obj_x();
-        e[1].begin_interval();
-        if let AccessPlan::Fetch { target } = e[1].plan_write(obj) {
-            match e[target.index()].handle_object_request(obj, NodeId(1), true, 0) {
-                ObjectRequestOutcome::Reply {
-                    data,
-                    version,
-                    migration,
-                    ..
-                } => {
-                    e[1].install_object(obj, data, version, migration);
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(e[1].plan_write(obj), AccessPlan::LocalHit);
+        w[1].begin_interval();
+        w.fault_in(1, obj, true);
+        assert_eq!(w[1].plan_write(obj), AccessPlan::LocalHit);
         // The application "writes" the same value that was already there, so
         // the diff is empty and nothing is flushed.
-        e[1].with_object_mut(obj, |d| d.bytes_mut()[0] = 0);
-        assert!(e[1].prepare_release().is_empty());
-        e[1].finish_release();
-        assert_eq!(e[1].stats().diffs_sent, 0);
+        w[1].with_object_mut(obj, |d| d.bytes_mut()[0] = 0);
+        assert!(w[1].prepare_release().is_empty());
+        w[1].finish_release();
+        assert_eq!(w[1].stats().diffs_sent, 0);
     }
 
     #[test]
@@ -1324,7 +1235,7 @@ mod tests {
 
     #[test]
     fn batch_counters_accumulate_in_stats() {
-        let e = engines(ProtocolConfig::no_migration());
+        let e = world(ProtocolConfig::no_migration());
         assert_eq!(e[0].stats().batched_flushes, 0);
         e[0].note_diff_batch(3);
         e[0].note_diff_batch(2);

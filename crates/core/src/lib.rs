@@ -96,7 +96,7 @@
 //!   runs one inbound request and pushes the messages it sends to a sink,
 //!   and each blocking client operation (fault-in chase, diff flush, batch
 //!   flush, lock acquire, barrier) is a [`step::ClientOp`] state machine.
-//!   The runtime drives them over a fabric; a test can drive them with no
+//!   The runtime drives them over a fabric, [`world::World`] with no
 //!   threads at all.
 //! * `recovery` — lossy-run recovery as engine state: the retry table, the
 //!   reply cache and home re-election, armed by
@@ -118,6 +118,7 @@ mod state;
 mod stats;
 pub mod step;
 pub mod sync;
+pub mod world;
 
 pub use config::{NotificationMechanism, ProtocolConfig};
 pub use engine::{

@@ -328,67 +328,36 @@ fn electable_obj(msg: &ProtocolMsg) -> Option<ObjectId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::{self, ServeState};
-    use crate::{ProtocolConfig, ProtocolEngine};
-    use dsm_objspace::{HomeAssignment, ObjectRegistry, Version};
+    use crate::step::ClientOp;
+    use crate::world::World;
+    use crate::ProtocolConfig;
+    use dsm_objspace::{HomeAssignment, LockId, ObjectRegistry, Version};
     use std::sync::Arc;
+    use RetryRound::{Due, Stalled};
 
     /// Three armed engines sharing `x`, homed at (and managed by) node 0.
-    fn engines() -> Vec<ProtocolEngine> {
+    fn world() -> World {
         let mut registry = ObjectRegistry::new();
         registry.register_named("x", 0, 64, NodeId::MASTER, HomeAssignment::Master);
-        let registry = Arc::new(registry);
-        let config = ProtocolConfig::no_migration();
-        (0..3u16)
-            .map(|n| {
-                ProtocolEngine::new(NodeId(n), 3, config.clone(), Arc::clone(&registry))
-                    .with_recovery()
-            })
-            .collect()
+        World::new(3, ProtocolConfig::no_migration(), Arc::new(registry)).lossy()
     }
 
     fn x() -> ObjectId {
         ObjectId::derive("x", 0)
     }
 
-    /// Node 2's fault-in of `x`, tracked as sent to node 0.
-    fn tracked_fault_in(engine: &ProtocolEngine) -> ProtocolMsg {
-        let msg = ProtocolMsg::ObjectRequest {
-            req: engine.new_req(),
-            obj: x(),
-            requester: engine.node(),
-            for_write: false,
-            redirections: 0,
-        };
-        engine.track(NodeId(0), &msg);
-        msg
+    /// Node 2's fault-in of `x`, tracked as sent to node 0 and lost there.
+    fn lost_fault_in(world: &mut World) -> ProtocolMsg {
+        world.send_next(2, &mut ClientOp::fault_in(x(), false, NodeId(0)));
+        world.drop_next(2, 0)
     }
 
-    /// Serve `msg` from `src` at `engine` and return what the step sends.
-    fn serve(engine: &ProtocolEngine, src: NodeId, msg: ProtocolMsg) -> Vec<(NodeId, ProtocolMsg)> {
-        let mut sends = Vec::new();
-        let mut state = ServeState::default();
-        step::serve(engine, &mut state, src, msg, &mut |dst, msg| {
-            sends.push((dst, msg))
-        });
-        sends
-    }
-
-    /// `rounds` retry rounds of `round`, each of which must send `expected`
-    /// and nothing else.
-    fn rounds_send(
-        engine: &ProtocolEngine,
-        round: RetryRound,
-        rounds: u32,
-        expected: &ProtocolMsg,
-    ) {
-        for i in 0..rounds {
-            let sends = engine.retry_round(round);
-            assert_eq!(
-                sends,
-                [(NodeId(0), expected.clone())],
-                "{round:?} round {i}"
-            );
+    /// `n` retry rounds of `round` at `node`, each of which must send `msg`
+    /// to node 0 and nothing else.
+    fn rounds_send(world: &mut World, node: usize, round: RetryRound, n: u32, msg: &ProtocolMsg) {
+        for i in 0..n {
+            let sends = world.retry_round(node, round);
+            assert_eq!(sends, [(NodeId(0), msg.clone())], "{round:?} round {i}");
         }
     }
 
@@ -398,69 +367,50 @@ mod tests {
 
     #[test]
     fn due_rounds_retransmit_without_aging_and_only_stalled_rounds_fail_over() {
-        let engines = engines();
-        let request = tracked_fault_in(&engines[2]);
-        rounds_send(&engines[2], RetryRound::Due, 3 * FAILOVER_AFTER, &request);
-        rounds_send(
-            &engines[2],
-            RetryRound::Stalled,
-            FAILOVER_AFTER - 1,
-            &request,
-        );
-        assert!(is_elect(&engines[2].retry_round(RetryRound::Stalled)));
+        let mut world = world();
+        let request = lost_fault_in(&mut world);
+        rounds_send(&mut world, 2, Due, 3 * FAILOVER_AFTER, &request);
+        rounds_send(&mut world, 2, Stalled, FAILOVER_AFTER - 1, &request);
+        assert!(is_elect(&world.retry_round(2, Stalled)));
     }
 
     #[test]
     fn a_refused_election_reverts_to_the_original_aim() {
-        let engines = engines();
-        let request = tracked_fault_in(&engines[2]);
-        rounds_send(
-            &engines[2],
-            RetryRound::Stalled,
-            FAILOVER_AFTER - 1,
-            &request,
-        );
-        assert!(is_elect(&engines[2].retry_round(RetryRound::Stalled)));
+        let mut world = world();
+        let request = lost_fault_in(&mut world);
+        rounds_send(&mut world, 2, Stalled, FAILOVER_AFTER - 1, &request);
+        assert!(is_elect(&world.retry_round(2, Stalled)));
         let refusal = ProtocolMsg::HomeElectReply {
             req: request.dedup_req().unwrap(),
             obj: x(),
             home: NodeId(0),
             epoch: 0,
         };
-        assert!(serve(&engines[2], NodeId(1), refusal).is_empty());
+        assert!(world.receive(1, 2, refusal).is_empty());
         // Back on the original aim, with its silence count reset.
-        rounds_send(
-            &engines[2],
-            RetryRound::Stalled,
-            FAILOVER_AFTER - 1,
-            &request,
-        );
-        assert!(is_elect(&engines[2].retry_round(RetryRound::Stalled)));
-        assert_eq!(engines[2].home_hint(x()), NodeId(0));
+        rounds_send(&mut world, 2, Stalled, FAILOVER_AFTER - 1, &request);
+        assert!(is_elect(&world.retry_round(2, Stalled)));
+        assert_eq!(world[2].home_hint(x()), NodeId(0));
     }
 
     #[test]
     fn an_exhausted_table_sends_nothing() {
-        let engines = engines();
-        let acquire = ProtocolMsg::LockAcquire {
-            req: engines[1].new_req(),
-            lock: dsm_objspace::LockId(1),
-            requester: NodeId(1),
-        };
-        engines[1].track(NodeId(0), &acquire);
-        rounds_send(&engines[1], RetryRound::Stalled, MAX_ATTEMPTS - 1, &acquire);
-        assert!(engines[1].retry_round(RetryRound::Stalled).is_empty());
-        assert!(engines[1].retry_round(RetryRound::Due).is_empty());
+        let mut world = world();
+        world.send_next(1, &mut ClientOp::Acquire(LockId(1)));
+        let acquire = world.drop_next(1, 0);
+        rounds_send(&mut world, 1, Stalled, MAX_ATTEMPTS - 1, &acquire);
+        assert!(world.retry_round(1, Stalled).is_empty());
+        assert!(world.retry_round(1, Due).is_empty());
     }
 
     /// Node 2 holds a copy of `x` but no election entry, and receives an
     /// acceptance naming itself: the arbiter's decision is sticky, so it
     /// must take the home (and fence node 0, its previous belief) rather
     /// than keep aiming at the deposed home as the lone dissenter. Returns
-    /// the engines and the acceptance.
-    fn accepted_without_an_entry() -> (Vec<ProtocolEngine>, ProtocolMsg) {
-        let engines = engines();
-        engines[2].install_object(x(), vec![0; 64], Version(0), None);
+    /// the world and the acceptance.
+    fn accepted_without_an_entry() -> (World, ProtocolMsg) {
+        let mut world = world();
+        world[2].install_object(x(), vec![0; 64], Version(0), None);
         let epoch = 1 << 16;
         let accept = ProtocolMsg::HomeElectReply {
             req: ReqId(99),
@@ -468,9 +418,9 @@ mod tests {
             home: NodeId(2),
             epoch,
         };
-        let sends = serve(&engines[2], NodeId(1), accept.clone());
-        assert!(engines[2].is_home(x()));
-        assert_eq!(engines[2].home_epoch(x()), epoch);
+        let sends = world.receive(1, 2, accept.clone());
+        assert!(world[2].is_home(x()));
+        assert_eq!(world[2].home_epoch(x()), epoch);
         let notify = ProtocolMsg::HomeNotify {
             obj: x(),
             new_home: NodeId(2),
@@ -482,7 +432,7 @@ mod tests {
             sends[1],
             (NodeId(0), ProtocolMsg::HomeFence { .. })
         ));
-        (engines, accept)
+        (world, accept)
     }
 
     #[test]
@@ -492,19 +442,20 @@ mod tests {
 
     #[test]
     fn a_duplicate_acceptance_changes_nothing() {
-        let (engines, accept) = accepted_without_an_entry();
-        let fence = engines[2].retry_round(RetryRound::Due);
-        assert!(serve(&engines[2], NodeId(1), accept).is_empty());
-        assert!(engines[2].is_home(x()));
-        assert_eq!(engines[2].retry_round(RetryRound::Due), fence, "one fence");
+        let (mut world, accept) = accepted_without_an_entry();
+        let fence = world.retry_round(2, Due);
+        assert!(world.receive(1, 2, accept).is_empty());
+        assert!(world[2].is_home(x()));
+        assert_eq!(world.retry_round(2, Due), fence, "one fence");
     }
 
     #[test]
     fn fence_entries_never_start_an_election() {
-        let (engines, _) = accepted_without_an_entry();
-        let [(NodeId(0), fence)] = &engines[2].retry_round(RetryRound::Due)[..] else {
+        let (mut world, _) = accepted_without_an_entry();
+        let [(NodeId(0), fence)] = &world.retry_round(2, Due)[..] else {
             panic!("one fence to the deposed home");
         };
-        rounds_send(&engines[2], RetryRound::Stalled, 3 * FAILOVER_AFTER, fence);
+        let fence = fence.clone();
+        rounds_send(&mut world, 2, Stalled, 3 * FAILOVER_AFTER, &fence);
     }
 }

@@ -344,13 +344,7 @@ impl EngineState {
                         migration: grant.state,
                     },
                 );
-                self.known_home.insert(
-                    obj,
-                    HomeBelief {
-                        node: self.node,
-                        epoch,
-                    },
-                );
+                self.believe(obj, self.node, epoch);
                 self.stats.migrations_in += 1;
             }
             None => {
@@ -382,13 +376,7 @@ impl EngineState {
         let believed = self.home_epoch(obj);
         let known = self.known_home.contains_key(&obj);
         if epoch > believed || (!known && new_home != self.home_hint(obj)) {
-            self.known_home.insert(
-                obj,
-                HomeBelief {
-                    node: new_home,
-                    epoch,
-                },
-            );
+            self.believe(obj, new_home, epoch);
             return true;
         }
         false
@@ -464,9 +452,10 @@ impl EngineState {
     // Server side
     // ------------------------------------------------------------------
 
-    /// The hint and epoch to put into a redirect reply from this (non-home)
-    /// node.
-    fn redirect_hint(&self, obj: ObjectId) -> (NodeId, u32) {
+    /// Count a redirect from this (non-home) node and return the hint and
+    /// epoch to put into it.
+    fn redirect_hint(&mut self, obj: ObjectId) -> (NodeId, u32) {
+        self.stats.redirections_served += 1;
         match self.config.notification {
             NotificationMechanism::HomeManager if self.node != self.manager_of(obj) => {
                 // Routing-only pointer to the manager: epoch 0 so the
@@ -490,7 +479,6 @@ impl EngineState {
         redirections: u32,
     ) -> ObjectRequestOutcome {
         if !self.is_home(obj) {
-            self.stats.redirections_served += 1;
             let (hint, epoch) = self.redirect_hint(obj);
             return ObjectRequestOutcome::Redirect { hint, epoch };
         }
@@ -555,24 +543,7 @@ impl EngineState {
         policy.on_migrate(&mut shipped);
         let grant = MigrationGrant { state: shipped };
         let new_epoch = grant.epoch();
-        let old = self.homes.remove(&obj).expect("home entry present");
-        self.caches.insert(
-            obj,
-            CacheEntry {
-                data: old.data,
-                version: old.version,
-                state: AccessState::ReadOnly,
-                twin: None,
-            },
-        );
-        self.home_written.remove(&obj);
-        self.known_home.insert(
-            obj,
-            HomeBelief {
-                node: requester,
-                epoch: new_epoch,
-            },
-        );
+        self.demote(obj, AccessState::ReadOnly, requester, new_epoch);
         self.stats.migrations_out += 1;
 
         let notify = match notification {
@@ -610,7 +581,6 @@ impl EngineState {
         redirections: u32,
     ) -> DiffOutcome {
         if !self.is_home(obj) {
-            self.stats.redirections_served += 1;
             let (hint, epoch) = self.redirect_hint(obj);
             return DiffOutcome::Redirect { hint, epoch };
         }
@@ -651,36 +621,13 @@ impl EngineState {
         }
         if self.is_home(obj) {
             if epoch > self.home_epoch(obj) {
-                let old = self.homes.remove(&obj).expect("checked is_home above");
-                self.home_written.remove(&obj);
-                self.caches.insert(
-                    obj,
-                    CacheEntry {
-                        data: old.data,
-                        version: old.version,
-                        state: AccessState::Invalid,
-                        twin: None,
-                    },
-                );
-                self.known_home.insert(
-                    obj,
-                    HomeBelief {
-                        node: new_home,
-                        epoch,
-                    },
-                );
+                self.demote(obj, AccessState::Invalid, new_home, epoch);
                 self.stats.homes_fenced += 1;
             }
             return;
         }
         if epoch > self.home_epoch(obj) || !self.known_home.contains_key(&obj) {
-            self.known_home.insert(
-                obj,
-                HomeBelief {
-                    node: new_home,
-                    epoch,
-                },
-            );
+            self.believe(obj, new_home, epoch);
         }
     }
 
@@ -764,14 +711,30 @@ impl EngineState {
                 migration,
             },
         );
-        self.known_home.insert(
+        self.believe(obj, self.node, epoch);
+        true
+    }
+
+    /// Believe that `node` is `obj`'s home at `epoch`.
+    fn believe(&mut self, obj: ObjectId, node: NodeId, epoch: u32) {
+        self.known_home.insert(obj, HomeBelief { node, epoch });
+    }
+
+    /// Hand `obj`'s home copy over to `new_home` at `epoch`: it stays here
+    /// as a cached copy in `state`, and the belief points forward.
+    fn demote(&mut self, obj: ObjectId, state: AccessState, new_home: NodeId, epoch: u32) {
+        let old = self.homes.remove(&obj).expect("this node is the home");
+        self.home_written.remove(&obj);
+        self.caches.insert(
             obj,
-            HomeBelief {
-                node: self.node,
-                epoch,
+            CacheEntry {
+                data: old.data,
+                version: old.version,
+                state,
+                twin: None,
             },
         );
-        true
+        self.believe(obj, new_home, epoch);
     }
 
     /// Whether this node holds *any* local copy of `obj` (home or cached,

@@ -9,10 +9,10 @@
 //! the barrier: it names its next request, takes the reply and says
 //! whether it is done, so each chase and its retarget rule exist once.
 //! Whoever drives the steps owns the transport, the waiting and the clocks:
-//! the runtime's nodes on a fabric, or a test that holds every message in
-//! per-link queues.
+//! the runtime's nodes on a fabric, or the thread-free second driver,
+//! [`World`](crate::world::World), which holds messages in per-link queues.
 
-use crate::engine::{FlushBatch, FlushPlan, ProtocolEngine};
+use crate::engine::{group_flush_plans, FlushBatch, FlushPlan, ProtocolEngine};
 use crate::messages::{DiffBatchEntry, DiffBatchResult, DiffEntryStatus, ProtocolMsg, ReqId};
 use crate::recovery::Admission;
 use crate::sync::{BarrierOutcome, LockAcquireOutcome};
@@ -396,6 +396,29 @@ fn retarget(engine: &ProtocolEngine, obj: ObjectId, new_home: NodeId, epoch: u32
     }
 }
 
+/// The redirections a chase among `nodes` nodes may take. Epoch-guarded
+/// hints make chains monotone, so only a protocol bug exceeds this bound;
+/// it is generous because concurrent migrations lengthen a chase.
+pub fn redirect_limit(nodes: usize) -> u32 {
+    nodes as u32 * 2 + 16
+}
+
+/// The flushes that release `engine`'s interval, in run order: with
+/// `batching`, one per believed home ([`group_flush_plans`]), a
+/// [`ClientOp::batch`] if it holds two plans or more; without, the paper's
+/// one `DiffFlush` per object. [`ProtocolEngine::finish_release`] follows.
+pub fn release_ops(engine: &ProtocolEngine, batching: bool) -> Vec<ClientOp> {
+    let plans = engine.prepare_release();
+    if !batching {
+        return plans.into_iter().map(ClientOp::flush).collect();
+    }
+    let op = |mut batch: FlushBatch| match batch.entries.len() {
+        1 => ClientOp::flush(batch.entries.pop().expect("one plan")),
+        _ => ClientOp::batch(engine, batch),
+    };
+    group_flush_plans(plans).into_iter().map(op).collect()
+}
+
 /// A blocking client operation as a state machine. The caller sends
 /// [`Self::request`] under a fresh request id, hands its reply to
 /// [`Self::on_reply`], and repeats until that reports the operation done.
@@ -455,9 +478,17 @@ pub struct BatchFlush {
 }
 
 impl ClientOp {
+    /// A flush of `plan` to its believed home, with no redirections yet.
+    pub fn flush(plan: FlushPlan) -> Self {
+        ClientOp::Flush {
+            plan,
+            redirections: 0,
+            redirect: None,
+        }
+    }
+
     /// A fault-in of `obj` aimed at `target`, with no redirections yet.
-    #[cfg(test)]
-    pub(crate) fn fault_in(obj: ObjectId, for_write: bool, target: NodeId) -> Self {
+    pub fn fault_in(obj: ObjectId, for_write: bool, target: NodeId) -> Self {
         ClientOp::FaultIn {
             obj,
             for_write,
@@ -681,173 +712,20 @@ impl fmt::Display for ClientOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{group_flush_plans, MigrateOnRequestPolicy, ProtocolConfig, RetryRound};
+    use crate::world::World;
+    use crate::{MigrateOnRequestPolicy, NotificationMechanism, ProtocolConfig, RetryRound};
     use dsm_objspace::{HomeAssignment, ObjectRegistry, Version};
-    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     const NODES: usize = 3;
 
-    /// Three engines joined by per-link FIFO queues and stepped by hand: no
-    /// threads and no fabric, the delivery order picked by the test. A
-    /// message a node addresses to itself never travels, as in the runtime:
-    /// a request is served at once and a reply lands in the node's slot.
-    struct World {
-        engines: Vec<ProtocolEngine>,
-        serve: Vec<ServeState>,
-        links: BTreeMap<(usize, usize), VecDeque<ProtocolMsg>>,
-        /// The reply each node's waiting operation has not taken yet.
-        slots: Vec<Option<ProtocolMsg>>,
-        /// Messages each node put on a link.
-        sent: [usize; NODES],
-    }
-
-    impl World {
-        /// The world with every engine armed for recovery, as on a lossy
-        /// fabric.
-        fn lossy(config: ProtocolConfig, objects: &[&str]) -> Self {
-            let mut world = World::new(config, objects);
-            let engines = world.engines.drain(..).map(ProtocolEngine::with_recovery);
-            world.engines = engines.collect();
-            world
+    /// Three engines sharing `objects`, all homed at node 0.
+    fn world(config: ProtocolConfig, objects: &[&str]) -> World {
+        let mut registry = ObjectRegistry::new();
+        for name in objects {
+            registry.register_named(name, 0, 64, NodeId::MASTER, HomeAssignment::Master);
         }
-
-        fn new(config: ProtocolConfig, objects: &[&str]) -> Self {
-            let mut registry = ObjectRegistry::new();
-            for name in objects {
-                registry.register_named(name, 0, 64, NodeId::MASTER, HomeAssignment::Master);
-            }
-            let registry = Arc::new(registry);
-            World {
-                engines: (0..NODES)
-                    .map(|i| {
-                        ProtocolEngine::new(
-                            NodeId::from(i),
-                            NODES,
-                            config.clone(),
-                            Arc::clone(&registry),
-                        )
-                    })
-                    .collect(),
-                serve: (0..NODES).map(|_| ServeState::default()).collect(),
-                links: BTreeMap::new(),
-                slots: vec![None; NODES],
-                sent: [0; NODES],
-            }
-        }
-
-        /// Send a message `src` originates: the runtime's `post`, which
-        /// tracks a request to another node for retransmission.
-        fn post(&mut self, src: usize, dst: NodeId, msg: ProtocolMsg) {
-            if dst.index() != src {
-                self.engines[src].track(dst, &msg);
-            }
-            self.send(src, dst, msg);
-        }
-
-        fn send(&mut self, src: usize, dst: NodeId, msg: ProtocolMsg) {
-            let dst = dst.index();
-            if src != dst {
-                self.sent[src] += 1;
-                self.links.entry((src, dst)).or_default().push_back(msg);
-            } else if msg.is_reply() {
-                let mut msg = msg;
-                install_reply(&self.engines[src], &mut msg);
-                self.slots[src] = Some(msg);
-            } else {
-                self.serve_at(src, src, msg);
-            }
-        }
-
-        fn serve_at(&mut self, node: usize, src: usize, msg: ProtocolMsg) {
-            let mut out = Vec::new();
-            serve(
-                &self.engines[node],
-                &mut self.serve[node],
-                NodeId::from(src),
-                msg,
-                &mut |dst, msg| out.push((dst, msg)),
-            );
-            for (dst, msg) in out {
-                self.send(node, dst, msg);
-            }
-        }
-
-        /// Take the oldest message off the link `src → dst` undelivered:
-        /// the fabric dropped it.
-        fn drop_next(&mut self, src: usize, dst: usize) -> ProtocolMsg {
-            self.links
-                .get_mut(&(src, dst))
-                .and_then(VecDeque::pop_front)
-                .unwrap_or_else(|| panic!("nothing queued on {src} -> {dst}"))
-        }
-
-        /// Queue a second copy of the oldest message on `src → dst`.
-        fn duplicate(&mut self, src: usize, dst: usize) {
-            let link = self.links.get_mut(&(src, dst)).expect("a queued message");
-            let copy = link.front().expect("a queued message").clone();
-            link.push_front(copy);
-        }
-
-        /// Run one retry round at `node` and send what it retransmits, as
-        /// the runtime does; returns the sends.
-        fn retry_round(&mut self, node: usize, round: RetryRound) -> Vec<(NodeId, ProtocolMsg)> {
-            let sends = self.engines[node].retry_round(round);
-            for (dst, msg) in sends.clone() {
-                self.send(node, dst, msg);
-            }
-            sends
-        }
-
-        /// Retry `node`'s deferred requests.
-        fn retry_deferred(&mut self, node: usize) {
-            let mut out = Vec::new();
-            self.serve[node].retry(&self.engines[node], &mut |dst, msg| out.push((dst, msg)));
-            for (dst, msg) in out {
-                self.send(node, dst, msg);
-            }
-        }
-
-        /// Deliver the oldest message on the link `src → dst`.
-        fn deliver(&mut self, src: usize, dst: usize) {
-            let mut msg = self.drop_next(src, dst);
-            if msg.is_reply() {
-                install_reply(&self.engines[dst], &mut msg);
-                self.slots[dst] = Some(msg);
-            } else {
-                self.serve_at(dst, src, msg);
-            }
-        }
-
-        /// Send `op`'s next request from `node`.
-        fn send_next(&mut self, node: usize, op: &mut ClientOp) {
-            let req = self.engines[node].new_req();
-            let (dst, msg) = op.request(&self.engines[node], req);
-            self.post(node, dst, msg);
-        }
-
-        /// Hand `node`'s waiting reply to `op`: returns whether `op` is
-        /// done, and sends its next request if not.
-        fn resume(&mut self, node: usize, op: &mut ClientOp) -> bool {
-            let reply = self.slots[node].take().expect("a reply is waiting");
-            let done = op.on_reply(&self.engines[node], reply);
-            if !done {
-                self.send_next(node, op);
-            }
-            done
-        }
-
-        fn quiet(&self) -> bool {
-            self.links.values().all(VecDeque::is_empty)
-                && self.slots.iter().all(Option::is_none)
-                && self.serve.iter().all(|serve| serve.deferred() == 0)
-        }
-
-        fn homes(&self, obj: ObjectId) -> Vec<usize> {
-            (0..NODES)
-                .filter(|&n| self.engines[n].is_home(obj))
-                .collect()
-        }
+        World::new(NODES, config, Arc::new(registry))
     }
 
     fn object(name: &str) -> ObjectId {
@@ -864,14 +742,14 @@ mod tests {
     #[test]
     fn a_read_chases_a_home_that_migrated_under_it() {
         let x = object("x");
-        let mut world = World::new(jump(), &["x"]);
+        let mut world = world(jump(), &["x"]);
         for engine in &world.engines[1..] {
             engine.begin_interval();
         }
-        let target = world.engines[1].lease_write(x).miss();
+        let target = world[1].lease_write(x).miss();
         let mut write = ClientOp::fault_in(x, true, target);
         world.send_next(1, &mut write);
-        let target = world.engines[2].lease_read(x).miss();
+        let target = world[2].lease_read(x).miss();
         let mut read = ClientOp::fault_in(x, false, target);
         world.send_next(2, &mut read);
 
@@ -887,31 +765,89 @@ mod tests {
         world.deliver(0, 1);
         assert!(world.resume(1, &mut write), "the grant completes the write");
         assert_eq!(world.homes(x), [1]);
-        world.engines[1].lease_write(x).hit().bytes_mut()[0] = 7;
+        world[1].lease_write(x).hit().bytes_mut()[0] = 7;
         assert!(
-            world.engines[1].prepare_release().is_empty(),
+            world[1].prepare_release().is_empty(),
             "home writes never flush"
         );
-        world.engines[1].finish_release();
+        world[1].finish_release();
 
         world.deliver(0, 2);
         assert!(!world.resume(2, &mut read), "the redirect re-aims the read");
         assert_eq!(read.redirections(), 1);
-        assert_eq!(world.engines[2].home_hint(x), NodeId(1));
+        assert_eq!(world[2].home_hint(x), NodeId(1));
         world.deliver(2, 1);
         world.deliver(1, 2);
         assert!(world.resume(2, &mut read));
         assert!(world.quiet());
 
         assert_eq!(world.homes(x), [1]);
-        assert_eq!(world.engines[1].home_epoch(x), 1);
-        assert_eq!(world.engines[1].home_version(x), Some(Version(1)));
-        let read_bytes = world.engines[2].lease_read(x).hit().bytes().to_vec();
+        assert_eq!(world[1].home_epoch(x), 1);
+        assert_eq!(world[1].home_version(x), Some(Version(1)));
+        let read_bytes = world[2].lease_read(x).hit().bytes().to_vec();
         assert_eq!(read_bytes[..2], [7, 0]);
-        assert_eq!(world.engines[1].home_bytes(x), Some(read_bytes));
+        assert_eq!(world[1].home_bytes(x), Some(read_bytes));
         // 0: the grant and the redirect; 1: its request and the read's
         // reply; 2: two requests.
-        assert_eq!(world.sent, [2, 2, 2]);
+        assert_eq!(world.sent(), [2, 2, 2]);
+    }
+
+    /// A release sends one `DiffBatch` per home, or one `DiffFlush` per
+    /// object unbatched, through the runtime's [`release_ops`].
+    #[test]
+    fn a_release_batches_per_home_or_flushes_per_object() {
+        for (batching, messages) in [(true, 1), (false, 2)] {
+            let mut world = world(ProtocolConfig::no_migration(), &["a", "b"]);
+            world.batching = batching;
+            world[1].begin_interval();
+            for (value, obj) in [(1, object("a")), (2, object("b"))] {
+                fetch(&mut world, 1, obj, true);
+                world[1].with_object_mut(obj, |data| data.bytes_mut()[0] = value);
+            }
+            let sent = world.sent();
+            assert_eq!(world.release(1), 0);
+            assert_eq!(world.sent()[1] - sent[1], messages, "batching {batching}");
+            assert_eq!(world[1].stats().batched_flushes, u64::from(batching));
+            assert_eq!(world[0].home_bytes(object("b")).unwrap()[0], 2);
+        }
+    }
+
+    /// Under the home-manager mechanism a node that is not home redirects
+    /// to the manager, so a manager chasing a stale belief is redirected to
+    /// itself. It retries at its own belief instead, which the notification
+    /// ahead of that redirect on the same link has just moved on.
+    #[test]
+    fn a_redirect_naming_the_requester_retries_at_its_own_belief() {
+        let x = object("x");
+        let manager = jump().with_notification(NotificationMechanism::HomeManager);
+        let mut world = world(manager, &["x"]);
+        world.write_interval(1, x, 1);
+        world[2].begin_interval();
+        let mut write = ClientOp::fault_in(x, true, NodeId(1));
+        world.send_next(2, &mut write);
+        world.deliver(2, 1);
+        world.deliver(1, 2);
+        assert!(world.resume(2, &mut write), "node 1 granted the home");
+        assert_eq!(world[0].home_hint(x), NodeId(1), "the notify is in flight");
+
+        world[0].begin_interval();
+        let mut read = ClientOp::fault_in(x, false, NodeId(1));
+        world.send_next(0, &mut read);
+        world.deliver(0, 1);
+        world.deliver(1, 0);
+        world.deliver(1, 0);
+        let redirect = world.slots[0].as_ref();
+        let home = |msg: &ProtocolMsg| match msg {
+            ProtocolMsg::ObjectRedirect { new_home, .. } => Some(*new_home),
+            _ => None,
+        };
+        assert_eq!(redirect.and_then(home), Some(NodeId(0)), "to itself");
+        assert!(!world.resume(0, &mut read));
+        assert!(world.peek(0, 2).is_some(), "the retry goes to node 2");
+        world.run();
+        assert!(world.resume(0, &mut read));
+        let value = world[0].lease_read(x).hit().bytes()[0];
+        assert_eq!(value, 1, "node 1's write moved with the home");
     }
 
     /// Node 1's release batches two diffs for node 0, but one object's home
@@ -920,40 +856,29 @@ mod tests {
     #[test]
     fn a_redirected_batch_entry_is_replanned_at_the_new_home() {
         let (stays, moves) = (object("stays"), object("moves"));
-        let adaptive = ProtocolConfig::adaptive();
-        let mut world = World::new(adaptive, &["stays", "moves"]);
+        let mut world = world(ProtocolConfig::adaptive(), &["stays", "moves"]);
 
-        world.engines[1].begin_interval();
+        world[1].begin_interval();
         fetch(&mut world, 1, stays, true);
         fetch(&mut world, 1, moves, true);
-        world.engines[1].lease_write(stays).hit().bytes_mut()[0] = 11;
-        world.engines[1].lease_write(moves).hit().bytes_mut()[0] = 22;
+        world[1].lease_write(stays).hit().bytes_mut()[0] = 11;
+        world[1].lease_write(moves).hit().bytes_mut()[0] = 22;
 
         // Node 2 writes `moves` in two intervals; the adaptive policy moves
         // the home to it on the second fault-in.
         for value in [8, 9] {
-            world.engines[2].begin_interval();
+            world[2].begin_interval();
             fetch(&mut world, 2, moves, true);
-            world.engines[2].lease_write(moves).hit().bytes_mut()[40] = value;
-            for plan in world.engines[2].prepare_release() {
-                let mut flush = ClientOp::Flush {
-                    plan,
-                    redirections: 0,
-                    redirect: None,
-                };
-                world.send_next(2, &mut flush);
-                world.deliver(2, 0);
-                world.deliver(0, 2);
-                assert!(world.resume(2, &mut flush));
-            }
-            world.engines[2].finish_release();
+            world[2].lease_write(moves).hit().bytes_mut()[40] = value;
+            assert_eq!(world.release(2), 0, "every flush is acked at once");
         }
         assert_eq!(world.homes(moves), [2]);
-        let sent_before = world.sent;
+        let sent_before = world.sent();
 
-        let mut batches = group_flush_plans(world.engines[1].prepare_release());
+        let mut batches = release_ops(&world[1], true);
         assert_eq!(batches.len(), 1, "both stale beliefs name node 0");
-        let mut batch = ClientOp::batch(&world.engines[1], batches.pop().unwrap());
+        let mut batch = batches.pop().unwrap();
+        assert!(matches!(batch, ClientOp::Batch(_)), "{batch:?}");
         world.send_next(1, &mut batch);
         world.deliver(1, 0);
         world.deliver(0, 1);
@@ -965,23 +890,24 @@ mod tests {
         world.deliver(1, 2);
         world.deliver(2, 1);
         assert!(world.resume(1, &mut batch));
-        world.engines[1].finish_release();
+        world[1].finish_release();
         assert!(world.quiet());
 
         assert_eq!(world.homes(stays), [0]);
         assert_eq!(world.homes(moves), [2]);
-        assert_eq!(world.engines[1].home_hint(moves), NodeId(2));
-        assert_eq!(world.engines[0].home_version(stays), Some(Version(1)));
-        assert_eq!(world.engines[2].home_version(moves), Some(Version(3)));
-        assert_eq!(world.engines[0].home_bytes(stays).unwrap()[0], 11);
-        let moved = world.engines[2].home_bytes(moves).unwrap();
+        assert_eq!(world[1].home_hint(moves), NodeId(2));
+        assert_eq!(world[0].home_version(stays), Some(Version(1)));
+        assert_eq!(world[2].home_version(moves), Some(Version(3)));
+        assert_eq!(world[0].home_bytes(stays).unwrap()[0], 11);
+        let moved = world[2].home_bytes(moves).unwrap();
         assert_eq!((moved[0], moved[40]), (22, 9), "both writers' bytes");
         // The release: the batch, its ack, the re-planned flush and its ack.
-        let sent: Vec<usize> = (0..NODES).map(|n| world.sent[n] - sent_before[n]).collect();
+        let sent = world.sent();
+        let sent: Vec<usize> = (0..NODES).map(|n| sent[n] - sent_before[n]).collect();
         assert_eq!(sent, [1, 2, 1]);
         // Before it, node 0 answered four fault-ins and node 2's one flush
         // (node 2 was home by its second release).
-        assert_eq!(world.sent, [6, 4, 4]);
+        assert_eq!(world.sent(), [6, 4, 4]);
     }
 
     /// The sync manager's own acquire is served inline and queues behind
@@ -990,12 +916,9 @@ mod tests {
     #[test]
     fn the_managers_own_acquire_is_granted_by_the_remote_release() {
         let lock = LockId(3);
-        let mut world = World::new(ProtocolConfig::adaptive(), &[]);
-        let mut remote = ClientOp::Acquire(lock);
-        world.send_next(1, &mut remote);
-        world.deliver(1, 0);
-        world.deliver(0, 1);
-        assert!(world.resume(1, &mut remote), "a free lock is granted");
+        let mut world = world(ProtocolConfig::adaptive(), &[]);
+        // A free lock is granted at once.
+        world.complete(1, ClientOp::Acquire(lock));
 
         let mut own = ClientOp::Acquire(lock);
         world.send_next(0, &mut own);
@@ -1009,7 +932,7 @@ mod tests {
         world.deliver(1, 0);
         assert!(world.resume(0, &mut own), "serving the release granted it");
         assert!(world.quiet());
-        assert_eq!(world.sent, [1, 2, 0]);
+        assert_eq!(world.sent(), [1, 2, 0]);
     }
 
     /// A lock acquire and a barrier each open the node's next interval in
@@ -1018,30 +941,15 @@ mod tests {
     #[test]
     fn the_sync_ops_open_their_interval_themselves() {
         let (x, lock, barrier) = (object("x"), LockId(3), BarrierId(1));
-        let mut world = World::new(ProtocolConfig::no_migration(), &["x"]);
+        let mut world = world(ProtocolConfig::no_migration(), &["x"]);
         fetch(&mut world, 1, x, false);
-        world.engines[1].lease_read(x).hit();
+        world[1].lease_read(x).hit();
 
-        let mut acquire = ClientOp::Acquire(lock);
-        world.send_next(1, &mut acquire);
-        world.deliver(1, 0);
-        world.deliver(0, 1);
-        assert!(world.resume(1, &mut acquire));
-        assert_eq!(world.engines[1].stats().invalidations, 1);
+        world.complete(1, ClientOp::Acquire(lock));
+        assert_eq!(world[1].stats().invalidations, 1);
         fetch(&mut world, 1, x, true);
-        world.engines[1].lease_write(x).hit().bytes_mut()[0] = 7;
-        for plan in world.engines[1].prepare_release() {
-            let mut flush = ClientOp::Flush {
-                plan,
-                redirections: 0,
-                redirect: None,
-            };
-            world.send_next(1, &mut flush);
-            world.deliver(1, 0);
-            world.deliver(0, 1);
-            assert!(world.resume(1, &mut flush));
-        }
-        world.engines[1].finish_release();
+        world[1].lease_write(x).hit().bytes_mut()[0] = 7;
+        assert_eq!(world.release(1), 0, "the flush is acked at once");
         let release = ProtocolMsg::LockRelease {
             lock,
             holder: NodeId(1),
@@ -1049,47 +957,34 @@ mod tests {
         };
         world.post(1, SYNC_MANAGER, release);
         world.deliver(1, 0);
-        assert_eq!(world.engines[1].lease_read(x).hit().bytes()[0], 7);
+        assert_eq!(world[1].lease_read(x).hit().bytes()[0], 7);
 
         let mut arrivals: Vec<ClientOp> =
             (0..NODES).map(|_| ClientOp::Arrive(barrier, 0)).collect();
-        for (node, arrive) in arrivals.iter_mut().enumerate().rev() {
-            world.send_next(node, arrive);
-            if node != 0 {
-                world.deliver(node, 0);
-            }
-        }
         for (node, arrive) in arrivals.iter_mut().enumerate() {
-            if node != 0 {
-                world.deliver(0, node);
-            }
+            world.send_next(node, arrive);
+        }
+        world.run();
+        for (node, arrive) in arrivals.iter_mut().enumerate() {
             assert!(world.resume(node, arrive), "node {node} passed the barrier");
         }
         assert!(world.quiet());
-        assert_eq!(world.engines[1].lease_read(x).miss(), NodeId(0));
-        let stats = world.engines[1].stats();
+        assert_eq!(world[1].lease_read(x).miss(), NodeId(0));
+        let stats = world[1].stats();
         assert_eq!(stats.invalidations, 2, "once per opened interval");
         assert_eq!((stats.lock_acquires, stats.barriers), (1, 1));
         for node in [0, 2] {
-            assert_eq!(world.engines[node].stats().barriers, 1);
+            assert_eq!(world[node].stats().barriers, 1);
         }
-        assert_eq!(world.engines[0].home_bytes(x).unwrap()[0], 7);
+        assert_eq!(world[0].home_bytes(x).unwrap()[0], 7);
     }
 
-    /// Node `node` faults `obj` in from its believed home and completes,
-    /// with no loss on the way.
+    /// Node `node` misses `obj`, faults it in from its believed home and
+    /// completes in one round trip, with no loss on the way.
     fn fetch(world: &mut World, node: usize, obj: ObjectId, for_write: bool) {
-        let engine = &world.engines[node];
-        let target = if for_write {
-            engine.lease_write(obj).miss()
-        } else {
-            engine.lease_read(obj).miss()
-        };
-        let mut op = ClientOp::fault_in(obj, for_write, target);
-        world.send_next(node, &mut op);
-        world.deliver(node, target.index());
-        world.deliver(target.index(), node);
-        assert!(world.resume(node, &mut op));
+        let misses = world[node].stats().fault_ins;
+        assert_eq!(world.fault_in(node, obj, for_write), 0, "no redirect");
+        assert_eq!(world[node].stats().fault_ins, misses + 1, "a miss");
     }
 
     /// The reply carrying a JUMP grant is dropped. The retransmitted request
@@ -1099,10 +994,10 @@ mod tests {
     #[test]
     fn a_dropped_grant_is_answered_from_the_cache_and_installs_once() {
         let x = object("x");
-        let mut world = World::lossy(jump(), &["x"]);
-        world.engines[1].begin_interval();
+        let mut world = world(jump(), &["x"]).lossy();
+        world[1].begin_interval();
         let mut write = ClientOp::fault_in(x, true, NodeId(0));
-        assert_eq!(world.engines[1].lease_write(x).miss(), NodeId(0));
+        assert_eq!(world[1].lease_write(x).miss(), NodeId(0));
         world.send_next(1, &mut write);
         world.deliver(1, 0);
         let lost = world.drop_next(0, 1);
@@ -1123,16 +1018,15 @@ mod tests {
             resent[..],
             [(NodeId(0), ProtocolMsg::ObjectRequest { .. })]
         ));
-        world.deliver(1, 0);
-        world.deliver(0, 1);
+        world.run();
         assert!(world.resume(1, &mut write));
         assert!(world.quiet());
         assert_eq!(world.homes(x), [1]);
-        assert_eq!(world.engines[1].home_epoch(x), 1);
-        assert_eq!(world.engines[0].stats().migrations_out, 1);
-        assert_eq!(world.engines[1].stats().migrations_in, 1);
+        assert_eq!(world[1].home_epoch(x), 1);
+        assert_eq!(world[0].stats().migrations_out, 1);
+        assert_eq!(world[1].stats().migrations_in, 1);
         assert!(
-            world.engines[1].retry_round(RetryRound::Due).is_empty(),
+            world[1].retry_round(RetryRound::Due).is_empty(),
             "the reply settled the request"
         );
     }
@@ -1142,21 +1036,17 @@ mod tests {
     #[test]
     fn a_duplicated_diff_flush_is_applied_once() {
         let x = object("x");
-        let mut world = World::lossy(ProtocolConfig::no_migration(), &["x"]);
-        world.engines[1].begin_interval();
+        let mut world = world(ProtocolConfig::no_migration(), &["x"]).lossy();
+        world[1].begin_interval();
         fetch(&mut world, 1, x, true);
-        world.engines[1].lease_write(x).hit().bytes_mut()[0] = 5;
-        let plan = world.engines[1].prepare_release().pop().expect("one diff");
-        let mut flush = ClientOp::Flush {
-            plan,
-            redirections: 0,
-            redirect: None,
-        };
+        world[1].lease_write(x).hit().bytes_mut()[0] = 5;
+        let plan = world[1].prepare_release().pop().expect("one diff");
+        let mut flush = ClientOp::flush(plan);
         world.send_next(1, &mut flush);
         world.duplicate(1, 0);
         world.deliver(1, 0);
         world.deliver(1, 0);
-        assert_eq!(world.engines[0].home_version(x), Some(Version(1)));
+        assert_eq!(world[0].home_version(x), Some(Version(1)));
         world.deliver(0, 1);
         assert!(world.resume(1, &mut flush));
         world.deliver(0, 1);
@@ -1168,10 +1058,10 @@ mod tests {
                 ..
             }
         ));
-        world.engines[1].finish_release();
+        world[1].finish_release();
         assert!(world.quiet());
-        assert_eq!(world.engines[0].home_version(x), Some(Version(1)));
-        assert_eq!(world.engines[0].home_bytes(x).unwrap()[0], 5);
+        assert_eq!(world[0].home_version(x), Some(Version(1)));
+        assert_eq!(world[0].home_bytes(x).unwrap()[0], 5);
     }
 
     /// Node 0, the home and manager of `x`, goes dark while node 2 holds a
@@ -1181,10 +1071,10 @@ mod tests {
     #[test]
     fn a_dark_home_is_replaced_by_an_election() {
         let x = object("x");
-        let mut world = World::lossy(ProtocolConfig::no_migration(), &["x"]);
-        world.engines[2].begin_interval();
+        let mut world = world(ProtocolConfig::no_migration(), &["x"]).lossy();
+        world[2].begin_interval();
         fetch(&mut world, 2, x, false);
-        world.engines[2].begin_interval();
+        world[2].begin_interval();
         let mut read = ClientOp::fault_in(x, false, NodeId(0));
         world.send_next(2, &mut read);
         let request = world.drop_next(2, 0);
@@ -1206,26 +1096,24 @@ mod tests {
         assert_eq!(elect, [(NodeId(1), expected)]);
 
         world.deliver(2, 1);
-        let sent_before = world.sent[2];
+        let sent_before = world.sent()[2];
         // The answer installs node 2, which serves its own re-aimed request.
         world.deliver(1, 2);
         assert!(world.resume(2, &mut read));
-        assert_eq!(world.sent[2] - sent_before, 2, "a notify and a fence");
+        assert_eq!(world.sent()[2] - sent_before, 2, "a notify and a fence");
         assert_eq!(world.homes(x), [0, 2], "the fence is in flight");
-        world.deliver(2, 1);
-        world.deliver(2, 0);
-        world.deliver(0, 2);
+        world.run();
         assert!(world.quiet());
         assert_eq!(world.homes(x), [2]);
-        let epoch = world.engines[2].home_epoch(x);
+        let epoch = world[2].home_epoch(x);
         assert!(epoch > 1 << 15, "an election epoch: {epoch}");
         for node in [0, 1] {
-            assert_eq!(world.engines[node].home_hint(x), NodeId(2));
-            assert_eq!(world.engines[node].home_epoch(x), epoch);
+            assert_eq!(world[node].home_hint(x), NodeId(2));
+            assert_eq!(world[node].home_epoch(x), epoch);
         }
-        assert_eq!(world.engines[1].stats().elections, 1);
-        assert_eq!(world.engines[0].stats().homes_fenced, 1);
-        assert!(world.engines[2].retry_round(RetryRound::Stalled).is_empty());
+        assert_eq!(world[1].stats().elections, 1);
+        assert_eq!(world[0].stats().homes_fenced, 1);
+        assert!(world[2].retry_round(RetryRound::Stalled).is_empty());
     }
 
     /// A request deferred while its payload is leased is admitted once: its
@@ -1234,10 +1122,10 @@ mod tests {
     #[test]
     fn a_deferred_request_is_served_once_and_its_duplicate_absorbed() {
         let x = object("x");
-        let mut world = World::lossy(ProtocolConfig::no_migration(), &["x"]);
-        world.engines[0].begin_interval();
-        let lease = world.engines[0].lease_write(x).hit();
-        world.engines[1].begin_interval();
+        let mut world = world(ProtocolConfig::no_migration(), &["x"]).lossy();
+        world[0].begin_interval();
+        let lease = world[0].lease_write(x).hit();
+        world[1].begin_interval();
         let mut read = ClientOp::fault_in(x, false, NodeId(0));
         world.send_next(1, &mut read);
         world.deliver(1, 0);
@@ -1246,12 +1134,12 @@ mod tests {
         world.deliver(1, 0);
         world.retry_deferred(0);
         assert_eq!(world.serve[0].deferred(), 1, "the duplicate was absorbed");
-        assert_eq!(world.sent[0], 0);
+        assert_eq!(world.sent()[0], 0);
 
         drop(lease);
         world.retry_deferred(0);
         assert_eq!(world.serve[0].deferred(), 0);
-        assert_eq!(world.sent[0], 1, "served exactly once");
+        assert_eq!(world.sent()[0], 1, "served exactly once");
         world.deliver(0, 1);
         assert!(world.resume(1, &mut read));
         assert!(world.quiet());
@@ -1263,7 +1151,7 @@ mod tests {
     #[test]
     fn a_grant_from_the_managers_inline_release_is_cached() {
         let lock = LockId(3);
-        let mut world = World::lossy(ProtocolConfig::adaptive(), &[]);
+        let mut world = world(ProtocolConfig::adaptive(), &[]).lossy();
         let mut own = ClientOp::Acquire(lock);
         world.send_next(0, &mut own);
         assert!(world.resume(0, &mut own), "a free lock is granted inline");
@@ -1284,11 +1172,10 @@ mod tests {
             resent[..],
             [(NodeId(0), ProtocolMsg::LockAcquire { .. })]
         ));
-        world.deliver(1, 0);
-        world.deliver(0, 1);
+        world.run();
         assert!(world.resume(1, &mut remote));
         assert!(world.quiet());
-        assert!(world.engines[1].retry_round(RetryRound::Due).is_empty());
+        assert!(world[1].retry_round(RetryRound::Due).is_empty());
     }
 
     /// The manager's own acquire and release are served inline and never
@@ -1296,7 +1183,7 @@ mod tests {
     #[test]
     fn the_managers_own_lock_traffic_is_not_cached() {
         let lock = LockId(3);
-        let mut world = World::lossy(ProtocolConfig::adaptive(), &[]);
+        let mut world = world(ProtocolConfig::adaptive(), &[]).lossy();
         let mut own = ClientOp::Acquire(lock);
         world.send_next(0, &mut own);
         assert!(world.resume(0, &mut own), "a free lock is granted inline");
@@ -1307,7 +1194,7 @@ mod tests {
         };
         world.post(0, SYNC_MANAGER, release);
         assert!(world.quiet());
-        assert_eq!(world.sent, [0; NODES]);
-        assert_eq!(world.engines[0].recovery(|r, _| r.cached()), Some(0));
+        assert_eq!(world.sent(), [0; NODES]);
+        assert_eq!(world[0].recovery(|r, _| r.cached()), Some(0));
     }
 }

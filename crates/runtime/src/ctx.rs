@@ -38,8 +38,8 @@
 use crate::handle::ArrayHandle;
 use crate::node::{NodeLink, NodeShared};
 use crate::view::{ReadView, WriteView};
-use dsm_core::step::ClientOp;
-use dsm_core::{group_flush_plans, Lease};
+use dsm_core::step::{self, ClientOp};
+use dsm_core::Lease;
 use dsm_model::{SimDuration, SimTime};
 use dsm_objspace::{BarrierId, DsmError, DsmResult, Element, LockId, NodeId, ObjectId};
 use dsm_util::SmallRng;
@@ -448,7 +448,7 @@ impl NodeCtx {
     /// Run a blocking client operation to completion: each of its requests
     /// goes out through [`NodeShared::request`] (a request to this node
     /// itself is served inline), and each reply goes back to the operation.
-    /// A chase past [`Self::redirect_limit`] hops panics, naming the chase;
+    /// A chase past [`step::redirect_limit`] hops panics, naming the chase;
     /// the op adopts a redirect only after [`Self::pace_chase`]'s pause.
     fn run(&self, mut op: ClientOp) {
         loop {
@@ -460,19 +460,11 @@ impl NodeCtx {
             }
             let redirections = op.redirections();
             assert!(
-                redirections <= self.redirect_limit(),
+                redirections <= step::redirect_limit(self.num_nodes()),
                 "{op} did not converge"
             );
             self.pace_chase(redirections);
         }
-    }
-
-    /// Upper bound on redirection hops before declaring the chain broken.
-    /// Epoch-guarded hints make chains monotone (each hop strictly newer),
-    /// so the bound only trips on a genuine protocol bug; it is generous
-    /// because concurrent migrations can legitimately lengthen a chase.
-    fn redirect_limit(&self) -> u32 {
-        self.shared.engine.num_nodes() as u32 * 2 + 16
     }
 
     /// Slow a long redirection chase down on TCP. There a migration grant
@@ -481,7 +473,7 @@ impl NodeCtx {
     /// the new home's reader delivers the grant; counted in hops alone, the
     /// chase gives the grant about a millisecond to land. Past `num_nodes`
     /// hops each further hop waits 100 µs longer than the last, so the
-    /// whole [`Self::redirect_limit`] budget spans tens of milliseconds.
+    /// whole [`step::redirect_limit`] budget spans tens of milliseconds.
     /// The other fabrics never wait: the sim has no real time, and a
     /// node's single in-process inbound queue delivers a grant before any
     /// redirect it caused.
@@ -502,48 +494,19 @@ impl NodeCtx {
         if writers > 0 {
             return Err(DsmError::FetchWithLiveWrites { obj, writers });
         }
-        self.run(ClientOp::FaultIn {
-            obj,
-            for_write,
-            target,
-            redirections: 0,
-            redirect: None,
-        });
+        self.run(ClientOp::fault_in(obj, for_write, target));
         Ok(())
     }
 
     /// Flush every dirty object of the current interval to its home and
-    /// close the interval.
-    ///
-    /// With flush batching enabled (the default), the plans are grouped by
-    /// their believed home and each group of two or more travels as one
+    /// close the interval. With flush batching enabled (the default), each
+    /// group of two or more plans for one believed home travels as one
     /// `DiffBatch` message — one per-message start-up time instead of one
-    /// per object. Singleton groups (and every flush when batching is
-    /// disabled) take the paper-faithful one-`DiffFlush`-per-object path.
+    /// per object ([`step::release_ops`]).
     fn flush_interval(&self) {
         let engine = &self.shared.engine;
-        let plans = engine.prepare_release();
-        if self.shared.flush_batching {
-            for mut batch in group_flush_plans(plans) {
-                if batch.entries.len() == 1 {
-                    let plan = batch.entries.pop().expect("length checked");
-                    self.run(ClientOp::Flush {
-                        plan,
-                        redirections: 0,
-                        redirect: None,
-                    });
-                } else {
-                    self.run(ClientOp::batch(engine, batch));
-                }
-            }
-        } else {
-            for plan in plans {
-                self.run(ClientOp::Flush {
-                    plan,
-                    redirections: 0,
-                    redirect: None,
-                });
-            }
+        for op in step::release_ops(engine, self.shared.flush_batching) {
+            self.run(op);
         }
         engine.finish_release();
     }

@@ -949,7 +949,7 @@ mod tests {
         assert!(!nodes[0].engine.is_home(obj), "the grantor is still home");
         assert!(grantee.inbox().is_empty(), "the grant entered the inbox");
         let reply = grantee.wait_reply(|| {});
-        assert!(matches!(reply.msg, ProtocolMsg::ObjectReply { .. }));
+        assert!(matches!(reply, ProtocolMsg::ObjectReply { .. }));
         assert_eq!(e.shared.steps.load(SeqCst), 1, "the waiter needed a step");
     }
 

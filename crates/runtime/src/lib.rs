@@ -141,6 +141,8 @@
 //!   paying one start-up plus the summed byte cost. Singleton groups take
 //!   the classic one-`DiffFlush` path, so single-object intervals (the
 //!   synthetic benchmark, counters) are wire-identical in both modes.
+//!   `dsm_core::step::release_ops` decides this, here and in the
+//!   thread-free `dsm_core::world::World`.
 //! * **Partial redirects:** the home of an individual entry can migrate
 //!   between `prepare_release` and the batch's arrival. The receiver
 //!   resolves every entry independently and the single `DiffBatchAck`

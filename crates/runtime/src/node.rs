@@ -143,15 +143,6 @@ impl NodeLink {
 /// after, the teardown abort.
 const SHUT_DOWN: &str = "cluster shut down while a request was outstanding";
 
-/// A reply delivered to a blocked application-thread request.
-#[derive(Debug)]
-pub(crate) struct Reply {
-    /// The reply message.
-    pub msg: ProtocolMsg,
-    /// Virtual arrival time of the reply at this node.
-    pub arrival: SimTime,
-}
-
 /// What a node's [`ReplySlot`] holds.
 #[derive(Debug)]
 enum SlotState {
@@ -164,7 +155,7 @@ enum SlotState {
     /// once on the threaded and TCP fabrics; on the sim, only after the
     /// scheduler's wake pass re-counted the parked agent (see
     /// [`NodeShared::release_reply`]).
-    Ready { reply: Reply, released: bool },
+    Ready { reply: ProtocolMsg, released: bool },
     /// The run is being torn down; sticky, so late replies are dropped and
     /// later requests fail instead of parking.
     Aborted,
@@ -338,12 +329,13 @@ impl NodeShared {
         }
     }
 
-    /// Complete the outstanding request with a reply that arrived at
-    /// `arrival`. A reply to any other request lands on the floor: under
-    /// recovery a request can be answered twice (a retransmission raced the
-    /// original reply and was answered from the server's reply cache), and
-    /// after [`Self::abort_pending`] no one is left to wake. Anywhere else
-    /// such a reply is a protocol bug, and panics.
+    /// Complete the outstanding request with `msg`; the caller has already
+    /// moved this node's clock past the reply's arrival. A reply to any
+    /// other request lands on the floor: under recovery a request can be
+    /// answered twice (a retransmission raced the original reply and was
+    /// answered from the server's reply cache), and after
+    /// [`Self::abort_pending`] no one is left to wake. Anywhere else such a
+    /// reply is a protocol bug, and panics.
     ///
     /// A fault-in reply is installed here, so a migration grant takes
     /// effect on arrival: on the threaded fabric that is inside the step
@@ -352,7 +344,7 @@ impl NodeShared {
     /// waited on the OS scheduler, and meanwhile this node sent requests
     /// for the object back to the old home, which forwarded them here again
     /// until the chase overran `redirect_limit`.
-    pub(crate) fn complete(&self, req: ReqId, mut msg: ProtocolMsg, arrival: SimTime) {
+    pub(crate) fn complete(&self, req: ReqId, mut msg: ProtocolMsg) {
         match *self.reply.state.lock() {
             SlotState::Waiting { req: waiting, .. } if waiting == req => {}
             SlotState::Aborted => return,
@@ -379,7 +371,7 @@ impl NodeShared {
         // delivered on its own stack is taken without parking.
         let released = !matches!(self.link, NodeLink::Sim(_));
         *slot = SlotState::Ready {
-            reply: Reply { msg, arrival },
+            reply: msg,
             released,
         };
         drop(slot);
@@ -406,7 +398,7 @@ impl NodeShared {
     fn emit(&self, dst: NodeId, msg: ProtocolMsg) {
         if let ProtocolMsg::LockGrant { req, .. } | ProtocolMsg::BarrierRelease { req, .. } = msg {
             if dst == self.node {
-                return self.complete(req, msg, self.clock.now());
+                return self.complete(req, msg);
             }
         }
         let direct = match (&self.link, self.exec.get(), msg.reply_req()) {
@@ -431,7 +423,7 @@ impl NodeShared {
         target
             .clock
             .merge_and_advance(envelope.arrival, target.handling_cost);
-        target.complete(req, envelope.payload, envelope.arrival);
+        target.complete(req, envelope.payload);
         if grant {
             target.rearm_deferred();
         }
@@ -471,7 +463,7 @@ impl NodeShared {
     ///
     /// # Panics
     /// Panics if the run is torn down while the request is outstanding.
-    pub(crate) fn wait_reply(&self, issue: impl FnOnce()) -> Reply {
+    pub(crate) fn wait_reply(&self, issue: impl FnOnce()) -> ProtocolMsg {
         let window = self.exec.get().map(crate::exec::ExecHook::open_window);
         issue();
         if let Some(window) = window {
@@ -511,16 +503,14 @@ impl NodeShared {
 
     /// Issue a blocking request: post `msg` to `dst` ([`Self::post`]: a
     /// request to this node itself is served inline), wait until the reply
-    /// arrives ([`Self::wait_reply`]), merge the reply's arrival time into
-    /// the local clock and return the reply message.
+    /// arrives ([`Self::wait_reply`]) and return it. Whoever completed the
+    /// reply already merged its arrival into this node's clock.
     pub(crate) fn request(&self, dst: NodeId, req: ReqId, msg: ProtocolMsg) -> ProtocolMsg {
         if trace_enabled() {
             eprintln!("[{}] request -> {} {:?}", self.node, dst, msg);
         }
         self.register_pending(req);
-        let reply = self.wait_reply(|| self.post(dst, msg));
-        self.clock.merge(reply.arrival);
-        reply.msg
+        self.wait_reply(|| self.post(dst, msg))
     }
 
     /// The sim scheduler's wake pass for this node: hand a reply the last
@@ -601,13 +591,10 @@ pub(crate) fn serve_envelope(
         .clock
         .merge_and_advance(envelope.arrival, shared.handling_cost);
     let Envelope {
-        src,
-        arrival,
-        payload: msg,
-        ..
+        src, payload: msg, ..
     } = envelope;
     if let Some(req) = msg.reply_req() {
-        return shared.complete(req, msg, arrival);
+        return shared.complete(req, msg);
     }
     match msg {
         ProtocolMsg::Shutdown => shared.request_shutdown(),
@@ -633,7 +620,9 @@ pub(crate) fn retry_deferred(shared: &Arc<NodeShared>, serve: &mut ServeState) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_core::{ObjectRequestOutcome, ProtocolConfig};
+    use dsm_core::step::ClientOp;
+    use dsm_core::world::World;
+    use dsm_core::ProtocolConfig;
     use dsm_model::NetworkParams;
     use dsm_net::{Fabric, SimConfig, SimFabric, SimStep, StatsCollector};
     use dsm_objspace::{LockId, ObjectId, ObjectRegistry};
@@ -720,23 +709,19 @@ mod tests {
             dsm_objspace::HomeAssignment::CreationNode,
         );
         let registry = Arc::new(registry);
-        let old_home = ProtocolEngine::new(NodeId(1), 2, jump(), Arc::clone(&registry));
-        let ObjectRequestOutcome::Reply {
-            data,
-            version,
-            migration: migration @ Some(_),
+        let mut world = World::new(2, jump(), Arc::clone(&registry));
+        world.send_next(0, &mut ClientOp::fault_in(obj, true, NodeId(1)));
+        world.deliver(0, 1);
+        let mut reply = world.drop_next(1, 0);
+        let ProtocolMsg::ObjectReply {
+            req: id,
+            migration: Some(_),
             ..
-        } = old_home.handle_object_request(obj, NodeId(0), true, 0)
+        } = &mut reply
         else {
             panic!("JUMP grants the home to a write faulter");
         };
-        let reply = ProtocolMsg::ObjectReply {
-            req,
-            obj,
-            data,
-            version,
-            migration,
-        };
+        *id = req;
         (obj, registry, reply)
     }
 
@@ -752,7 +737,7 @@ mod tests {
         let (obj, registry, reply) = granted_fault_in(req);
         let grantee = node_zero(2, jump(), registry, false);
         grantee.register_pending(req);
-        grantee.complete(req, reply, SimTime::ZERO);
+        grantee.complete(req, reply);
         assert!(
             grantee.engine.is_home(obj),
             "the server installed the grant"
@@ -771,21 +756,20 @@ mod tests {
         assert_eq!(shared.engine.new_req(), older, "node 0's first request id");
         let done = shared.engine.new_req();
         shared.register_pending(done);
-        shared.complete(done, grant(done), SimTime::ZERO);
-        assert_eq!(shared.wait_reply(|| {}).msg.reply_req(), Some(done));
+        shared.complete(done, grant(done));
+        assert_eq!(shared.wait_reply(|| {}).reply_req(), Some(done));
 
         let live = shared.engine.new_req();
         shared.register_pending(live);
-        shared.complete(done, grant(done), SimTime::ZERO);
-        shared.complete(older, stale, SimTime::ZERO);
+        shared.complete(done, grant(done));
+        shared.complete(older, stale);
         assert!(
             !shared.engine.has_copy(obj),
             "a stale fault-in reply installed its object"
         );
-        shared.complete(live, grant(live), SimTime::from_nanos(5));
+        shared.complete(live, grant(live));
         let reply = shared.wait_reply(|| {});
-        assert_eq!(reply.msg.reply_req(), Some(live));
-        assert_eq!(reply.arrival, SimTime::from_nanos(5));
+        assert_eq!(reply.reply_req(), Some(live));
     }
 
     /// Without recovery every request is answered exactly once, so a
@@ -795,7 +779,7 @@ mod tests {
     fn a_reply_for_an_unknown_request_panics_naming_the_node() {
         let shared = lone_node();
         let req = shared.engine.new_req();
-        shared.complete(req, grant(req), SimTime::ZERO);
+        shared.complete(req, grant(req));
     }
 
     /// After the teardown abort a late reply is dropped instead of panicking
@@ -807,9 +791,9 @@ mod tests {
         let req = shared.engine.new_req();
         shared.register_pending(req);
         shared.abort_pending(|| {});
-        shared.complete(req, grant(req), SimTime::ZERO);
+        shared.complete(req, grant(req));
         let unknown = shared.engine.new_req();
-        shared.complete(unknown, grant(unknown), SimTime::ZERO);
+        shared.complete(unknown, grant(unknown));
         let refused = catch_unwind(AssertUnwindSafe(|| {
             shared.register_pending(shared.engine.new_req());
         }))
@@ -859,7 +843,7 @@ mod tests {
             let completer = thread::spawn(move || {
                 for req in requests {
                     assert!(!parked(&completer), "the waiter parked inside `issue`");
-                    completer.complete(req, grant(req), SimTime::ZERO);
+                    completer.complete(req, grant(req));
                     done.send(()).expect("the waiter is alive");
                 }
             });
@@ -870,7 +854,7 @@ mod tests {
                     go.send(req).expect("the completer is alive");
                     completions.recv().expect("the completer completed");
                 });
-                assert_eq!(reply.msg.reply_req(), Some(req));
+                assert_eq!(reply.reply_req(), Some(req));
             }
             drop(go);
             completer.join().expect("the completer finished");
@@ -903,10 +887,7 @@ mod tests {
     /// A completion from another thread after the waiter parked wakes it.
     #[test]
     fn a_completion_after_the_waiter_parked_wakes_it() {
-        wake_parked_waiters(
-            |shared, req| shared.complete(req, grant(req), SimTime::ZERO),
-            true,
-        );
+        wake_parked_waiters(|shared, req| shared.complete(req, grant(req)), true);
     }
 
     /// The teardown abort wakes a parked waiter, which then unwinds.
@@ -953,7 +934,7 @@ mod tests {
                     };
                     client.send(SYNC_MANAGER, acquire);
                     let reply = waiter.join().expect("the waiter returned");
-                    assert_eq!(reply.msg.reply_req(), Some(req));
+                    assert_eq!(reply.reply_req(), Some(req));
                 }
                 nodes.iter().for_each(|node| node.request_shutdown());
                 executor.begin_shutdown();
@@ -1038,7 +1019,7 @@ mod tests {
                 let SlotState::Waiting { req, .. } = *shared.reply.state.lock() else {
                     panic!("a parked waiter's slot is Waiting");
                 };
-                shared.complete(req, grant(req), SimTime::ZERO);
+                shared.complete(req, grant(req));
             }
             thread::sleep(Duration::from_millis(20));
             assert_eq!(woken.load(Ordering::SeqCst), 0, "a completion woke");

@@ -41,14 +41,8 @@ impl VirtualClock {
     }
 
     /// Move the clock forward to `instant` if it is later than the current
-    /// time (never moves backwards). Returns the resulting time.
-    pub(crate) fn merge(&self, instant: SimTime) -> SimTime {
-        let mut t = self.inner.lock();
-        *t = t.max(instant);
-        *t
-    }
-
-    /// Atomically merge an arrival and then charge a handling cost.
+    /// time (never backwards), then charge a handling cost `d`. Returns the
+    /// resulting time.
     pub(crate) fn merge_and_advance(&self, instant: SimTime, d: SimDuration) -> SimTime {
         let mut t = self.inner.lock();
         *t = t.max(instant) + d;
@@ -72,9 +66,9 @@ mod tests {
     fn merge_never_goes_backwards() {
         let c = VirtualClock::new();
         c.advance(SimDuration::from_micros(100.0));
-        c.merge(SimTime::from_micros(40.0));
+        c.merge_and_advance(SimTime::from_micros(40.0), SimDuration::ZERO);
         assert_eq!(c.now(), SimTime::from_micros(100.0));
-        c.merge(SimTime::from_micros(250.0));
+        c.merge_and_advance(SimTime::from_micros(250.0), SimDuration::ZERO);
         assert_eq!(c.now(), SimTime::from_micros(250.0));
     }
 

@@ -7,7 +7,8 @@
 //! model the *migration-grant window*: the interval between the old home
 //! granting a migration and the new home installing it, during which other
 //! nodes' requests race the in-flight grant. The harness models it by
-//! holding the `ObjectReply` that carries the grant undelivered. Every
+//! leaving the `ObjectReply` that carries the grant undelivered on its
+//! link of a [`World`], the thread-free driver of those steps. Every
 //! interleaving decision comes from a `dsm-util` `SmallRng` stream, so a
 //! failing case is shrunk by replaying its printed seed and case index.
 //!
@@ -21,8 +22,9 @@
 //! * **last write wins**: after every completed interval the (unique) home
 //!   copy holds the last value committed to the object.
 
-use dsm_core::step::{self, ClientOp, ServeState};
-use dsm_core::{AccessPlan, ProtocolConfig, ProtocolEngine, ProtocolMsg, ReqId};
+use dsm_core::step::ClientOp;
+use dsm_core::world::World;
+use dsm_core::{AccessPlan, ProtocolConfig, ProtocolMsg};
 use dsm_objspace::{HomeAssignment, NodeId, ObjectId, ObjectRegistry};
 use dsm_util::SmallRng;
 use std::collections::HashMap;
@@ -50,40 +52,33 @@ fn object(i: usize) -> ObjectId {
     ObjectId::derive("props.obj", i as u64)
 }
 
-fn engines(config: ProtocolConfig) -> Vec<ProtocolEngine> {
-    let reg = registry();
-    (0..NODES)
-        .map(|i| ProtocolEngine::new(NodeId::from(i), NODES, config.clone(), Arc::clone(&reg)))
-        .collect()
-}
-
 /// The cluster under test plus the invariant-tracking state.
 struct Harness {
-    engines: Vec<ProtocolEngine>,
+    world: World,
     /// A migration grant that has left the old home but is not yet
-    /// installed at its grantee: the grantee and the undelivered
-    /// `ObjectReply` that carries the grant.
-    in_flight: HashMap<ObjectId, (usize, ProtocolMsg)>,
+    /// installed at its grantee: the grantor, the grantee and its fault-in,
+    /// which waits for the `ObjectReply` carrying the grant at the head of
+    /// the grantor → grantee link.
+    in_flight: HashMap<ObjectId, (usize, usize, ClientOp)>,
     /// Highest epoch ever installed per object (strict growth check).
     last_installed_epoch: HashMap<ObjectId, u32>,
     /// Last value committed per object (last-write-wins check).
     committed: HashMap<ObjectId, u8>,
     /// Previous believed epoch per (node, object) (monotonicity check).
     believed: Vec<HashMap<ObjectId, u32>>,
-    /// The last request id handed out.
-    last_req: u64,
     label: String,
 }
 
 impl Harness {
     fn new(config: ProtocolConfig, label: String) -> Self {
+        let mut world = World::new(NODES, config, registry());
+        world.chase_limit = NODES as u32 * 2 + 4;
         Harness {
-            engines: engines(config),
+            world,
             in_flight: HashMap::new(),
             last_installed_epoch: HashMap::new(),
             committed: HashMap::new(),
             believed: (0..NODES).map(|_| HashMap::new()).collect(),
-            last_req: 0,
             label,
         }
     }
@@ -91,116 +86,98 @@ impl Harness {
     /// Deliver a held grant to its grantee (the racing "other thread"
     /// finishing its fault-in): the reply completes, installing the home.
     fn install_in_flight(&mut self, obj: ObjectId) {
-        if let Some((grantee, mut reply)) = self.in_flight.remove(&obj) {
-            let ProtocolMsg::ObjectReply {
-                migration: Some(grant),
-                ..
-            } = &reply
-            else {
-                unreachable!("only grant replies are held");
-            };
-            let epoch = grant.epoch();
-            let previous = self.last_installed_epoch.get(&obj).copied().unwrap_or(0);
-            assert!(
-                epoch > previous,
-                "{}: installed epoch {epoch} not above previous {previous} for {obj}",
-                self.label
-            );
-            self.last_installed_epoch.insert(obj, epoch);
-            step::install_reply(&self.engines[grantee], &mut reply);
-        }
+        let Some((grantor, grantee, mut fault_in)) = self.in_flight.remove(&obj) else {
+            return;
+        };
+        let Some(ProtocolMsg::ObjectReply {
+            migration: Some(migration),
+            ..
+        }) = self.world.peek(grantor, grantee)
+        else {
+            unreachable!("only grant replies are held");
+        };
+        let epoch = migration.epoch();
+        let previous = self.last_installed_epoch.get(&obj).copied().unwrap_or(0);
+        assert!(
+            epoch > previous,
+            "{}: installed epoch {epoch} not above previous {previous} for {obj}",
+            self.label
+        );
+        self.last_installed_epoch.insert(obj, epoch);
+        self.world.deliver(grantor, grantee);
+        assert!(self.world.resume(grantee, &mut fault_in));
     }
 
-    /// Run `op` for `node` to completion: each request is served at its
-    /// target by the production [`step::serve`], and each reply completes
-    /// at `node` as it does in the runtime. When a request lands on a node
-    /// holding an in-flight grant for `obj`, the grant installs first (real
-    /// time passing for the racing requester). A reply carrying a grant to
-    /// `node` is held undelivered instead; returns whether that happened.
+    /// Run `op` for `node` to completion through the [`World`], one message
+    /// at a time. When a request is bound for a node holding an in-flight
+    /// grant for `obj`, the grant installs first (real time passing for the
+    /// racing requester). A reply carrying a grant to `node` is held
+    /// undelivered instead; returns whether that happened.
     fn drive(&mut self, node: usize, obj: ObjectId, mut op: ClientOp) -> bool {
+        let mut target = self.world.send_next(node, &mut op);
         loop {
-            self.last_req += 1;
-            let (target, request) = op.request(&self.engines[node], ReqId(self.last_req));
             if self
                 .in_flight
                 .get(&obj)
-                .is_some_and(|(grantee, _)| *grantee == target.index())
+                .is_some_and(|held| held.1 == target)
             {
                 self.install_in_flight(obj);
             }
-            let mut sent = Vec::new();
-            let mut serve = ServeState::default();
-            step::serve(
-                &self.engines[target.index()],
-                &mut serve,
-                NodeId::from(node),
-                request,
-                &mut |_, msg| sent.push(msg),
-            );
+            self.world.deliver(node, target);
             assert_eq!(
-                serve.deferred(),
+                self.world.serve[target].deferred(),
                 0,
                 "{}: no views live in message-level test",
                 self.label
             );
-            let mut reply = sent
-                .into_iter()
-                .find(ProtocolMsg::is_reply)
-                .expect("a served request is answered");
-            if matches!(
-                reply,
-                ProtocolMsg::ObjectReply {
-                    migration: Some(_),
-                    ..
-                }
-            ) {
+            if let Some(ProtocolMsg::ObjectReply {
+                migration: Some(_), ..
+            }) = self.world.peek(target, node)
+            {
                 // Old home gave the home up; the grant is in flight until
                 // the harness decides to deliver it.
-                self.in_flight.insert(obj, (node, reply));
+                self.in_flight.insert(obj, (target, node, op));
                 return true;
             }
-            step::install_reply(&self.engines[node], &mut reply);
-            if op.on_reply(&self.engines[node], reply) {
+            self.world.deliver(target, node);
+            if self.world.resume(node, &mut op) {
                 return false;
             }
             assert!(
-                op.redirections() <= (NODES as u32) * 2 + 4,
+                op.redirections() <= self.world.chase_limit,
                 "{}: {op} did not converge",
                 self.label
             );
+            let (_, next, _) = self.world.log.last().expect("the next request");
+            target = *next;
         }
     }
 
     /// Route one fault-in of `obj` by `node` through the production chase.
     /// Returns whether a migration was granted to `node`.
     fn fault_in(&mut self, node: usize, obj: ObjectId, for_write: bool) -> bool {
-        let target = self.engines[node].home_hint(obj);
+        let engine = &self.world[node];
+        let target = engine.home_hint(obj);
         if target.index() == node {
             // Our own belief points at ourselves but we are not home: only
             // possible while our grant is still in flight.
             self.install_in_flight(obj);
             assert!(
-                self.engines[node].is_home(obj),
+                self.world[node].is_home(obj),
                 "{}: self-belief without home or in-flight grant for {obj}",
                 self.label
             );
             return false;
         }
-        let op = ClientOp::FaultIn {
-            obj,
-            for_write,
-            target,
-            redirections: 0,
-            redirect: None,
-        };
-        self.drive(node, obj, op)
+        self.drive(node, obj, ClientOp::fault_in(obj, for_write, target))
     }
 
     /// One full write interval of `node` on `obj`, with the grant window
     /// interleaving decided by `rng`.
     fn write_interval(&mut self, node: usize, obj: ObjectId, value: u8, rng: &mut SmallRng) {
-        self.engines[node].begin_interval();
-        if let AccessPlan::Fetch { .. } = self.engines[node].plan_write(obj) {
+        let engine = &self.world[node];
+        engine.begin_interval();
+        if let AccessPlan::Fetch { .. } = engine.plan_write(obj) {
             let migrated = self.fault_in(node, obj, true);
             if migrated {
                 // The racy window: with probability 1/2 let other nodes
@@ -208,34 +185,26 @@ impl Harness {
                 if rng.gen_index(2) == 0 {
                     let reader = rng.gen_index(NODES);
                     if reader != node {
-                        self.engines[reader].begin_interval();
-                        if let AccessPlan::Fetch { .. } = self.engines[reader].plan_read(obj) {
+                        let engine = &self.world[reader];
+                        engine.begin_interval();
+                        if let AccessPlan::Fetch { .. } = engine.plan_read(obj) {
                             self.fault_in(reader, obj, false);
                         }
-                        self.engines[reader].finish_release();
+                        self.world[reader].finish_release();
                     }
                 }
                 self.install_in_flight(obj);
             }
             assert_eq!(
-                self.engines[node].plan_write(obj),
+                self.world[node].plan_write(obj),
                 AccessPlan::LocalHit,
                 "{}: copy present after fault-in",
                 self.label
             );
         }
-        self.engines[node].with_object_mut(obj, |d| d.bytes_mut()[0] = value);
-        let plans = self.engines[node].prepare_release();
-        for plan in plans {
-            let obj = plan.obj;
-            let op = ClientOp::Flush {
-                plan,
-                redirections: 0,
-                redirect: None,
-            };
-            self.drive(node, obj, op);
-        }
-        self.engines[node].finish_release();
+        let engine = &self.world[node];
+        engine.with_object_mut(obj, |d| d.bytes_mut()[0] = value);
+        self.world.release(node);
         self.committed.insert(obj, value);
     }
 
@@ -243,7 +212,7 @@ impl Harness {
     fn check_invariants(&mut self) {
         for i in 0..OBJECTS {
             let obj = object(i);
-            let homes = self.engines.iter().filter(|e| e.is_home(obj)).count();
+            let homes = self.world.homes(obj).len();
             if self.in_flight.contains_key(&obj) {
                 assert_eq!(
                     homes, 0,
@@ -255,6 +224,7 @@ impl Harness {
                 // Last write wins at the unique home.
                 if let Some(&value) = self.committed.get(&obj) {
                     let bytes = self
+                        .world
                         .engines
                         .iter()
                         .find_map(|e| e.home_bytes(obj))
@@ -267,7 +237,7 @@ impl Harness {
                 }
             }
             // Believed epochs never regress, on any node.
-            for (n, engine) in self.engines.iter().enumerate() {
+            for (n, engine) in self.world.engines.iter().enumerate() {
                 let epoch = engine.home_epoch(obj);
                 let previous = self.believed[n].get(&obj).copied().unwrap_or(0);
                 assert!(

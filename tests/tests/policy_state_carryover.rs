@@ -23,9 +23,11 @@
 
 use dsm_apps::sor;
 use dsm_core::policy::{Decision, HomeMigrationPolicy, PolicyInputs};
+use dsm_core::step::ClientOp;
+use dsm_core::world::World;
 use dsm_core::{
-    AccessPlan, AdaptiveThresholdPolicy, DiffOutcome, EwmaWriteRatioPolicy, HysteresisPolicy,
-    MigrationState, ObjectRequestOutcome, ProtocolConfig, ProtocolEngine,
+    AccessPlan, AdaptiveThresholdPolicy, EwmaWriteRatioPolicy, HysteresisPolicy, MigrationState,
+    ProtocolConfig, ProtocolMsg,
 };
 use dsm_integration_tests::{corpus_seed, sim_test_cluster, test_cluster};
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId, ObjectRegistry};
@@ -70,7 +72,9 @@ impl HomeMigrationPolicy for ScratchStampPolicy {
     }
 }
 
-fn registry() -> Arc<ObjectRegistry> {
+/// `NODES` engines sharing the one object, homed at the master. A chase
+/// may take `NODES + 2` redirections.
+fn world(config: ProtocolConfig) -> World {
     let mut r = ObjectRegistry::new();
     r.register_named(
         "carry.obj",
@@ -79,18 +83,13 @@ fn registry() -> Arc<ObjectRegistry> {
         NodeId::MASTER,
         HomeAssignment::Master,
     );
-    Arc::new(r)
+    let mut world = World::new(NODES, config, Arc::new(r));
+    world.chase_limit = NODES as u32 + 2;
+    world
 }
 
 fn obj() -> dsm_objspace::ObjectId {
     dsm_objspace::ObjectId::derive("carry.obj", 0)
-}
-
-fn engines(config: ProtocolConfig) -> Vec<ProtocolEngine> {
-    let reg = registry();
-    (0..NODES)
-        .map(|i| ProtocolEngine::new(NodeId::from(i), NODES, config.clone(), Arc::clone(&reg)))
-        .collect()
 }
 
 /// Open an interval at `writer` and fault the object in for writing
@@ -98,81 +97,39 @@ fn engines(config: ProtocolConfig) -> Vec<ProtocolEngine> {
 /// migrated the home to the writer; the caller continues with
 /// [`write_and_release`] — the split exists so tests can inspect the
 /// freshly installed state *before* the writer's own write mutates it.
-fn fault_for_write(engines: &[ProtocolEngine], writer: usize) -> Option<MigrationState> {
-    let id = obj();
-    engines[writer].begin_interval();
-    let mut granted = None;
-    if let AccessPlan::Fetch { mut target } = engines[writer].plan_write(id) {
-        let mut hops = 0;
-        loop {
-            match engines[target.index()].handle_object_request(
-                id,
-                NodeId::from(writer),
-                true,
-                hops,
-            ) {
-                ObjectRequestOutcome::Reply {
-                    data,
-                    version,
-                    migration,
-                    ..
-                } => {
-                    granted = migration.as_ref().map(|g| g.state.clone());
-                    engines[writer].install_object(id, data, version, migration);
-                    break;
-                }
-                ObjectRequestOutcome::Redirect { hint, epoch } => {
-                    engines[writer].note_redirect(id, hint, epoch);
-                    hops += 1;
-                    assert!(hops <= NODES as u32 + 2, "redirect chain diverged");
-                    target = hint;
-                }
-                other => panic!("single-threaded request cannot defer: {other:?}"),
-            }
-        }
-    }
-    granted
+fn fault_for_write(world: &mut World, writer: usize) -> Option<MigrationState> {
+    world[writer].begin_interval();
+    let AccessPlan::Fetch { target } = world[writer].plan_write(obj()) else {
+        return None;
+    };
+    let sent = world.log.len();
+    world.complete(writer, ClientOp::fault_in(obj(), true, target));
+    world.log[sent..]
+        .iter()
+        .find_map(|(_, dst, msg)| match msg {
+            ProtocolMsg::ObjectReply {
+                migration: Some(grant),
+                ..
+            } if *dst == writer => Some(grant.state.clone()),
+            _ => None,
+        })
 }
 
 /// Write one byte and release the interval opened by [`fault_for_write`].
-fn write_and_release(engines: &[ProtocolEngine], writer: usize, value: u8) {
-    let id = obj();
+fn write_and_release(world: &mut World, writer: usize, value: u8) {
+    let engine = &world[writer];
     // (Re-)plan now that the copy is present: arms the write permission
     // (and the twin, when the copy is cached rather than homed).
-    assert_eq!(engines[writer].plan_write(id), AccessPlan::LocalHit);
-    engines[writer].with_object_mut(id, |d| d.bytes_mut()[0] = value);
-    for plan in engines[writer].prepare_release() {
-        let mut target = plan.target;
-        let mut hops = 0;
-        loop {
-            match engines[target.index()].handle_diff(
-                plan.obj,
-                &plan.diff,
-                NodeId::from(writer),
-                hops,
-            ) {
-                DiffOutcome::Applied { new_version } => {
-                    engines[writer].complete_flush(plan.obj, new_version);
-                    break;
-                }
-                DiffOutcome::Redirect { hint, epoch } => {
-                    engines[writer].note_redirect(plan.obj, hint, epoch);
-                    hops += 1;
-                    assert!(hops <= NODES as u32 + 2, "diff redirect chain diverged");
-                    target = hint;
-                }
-                other => panic!("single-threaded diff cannot defer: {other:?}"),
-            }
-        }
-    }
-    engines[writer].finish_release();
+    assert_eq!(engine.plan_write(obj()), AccessPlan::LocalHit);
+    engine.with_object_mut(obj(), |d| d.bytes_mut()[0] = value);
+    world.release(writer);
 }
 
 /// One complete write interval of `writer`. Returns the migration grant
 /// state if the fault-in migrated the home to the writer.
-fn write_interval(engines: &[ProtocolEngine], writer: usize, value: u8) -> Option<MigrationState> {
-    let granted = fault_for_write(engines, writer);
-    write_and_release(engines, writer, value);
+fn write_interval(world: &mut World, writer: usize, value: u8) -> Option<MigrationState> {
+    let granted = fault_for_write(world, writer);
+    write_and_release(world, writer, value);
     granted
 }
 
@@ -200,15 +157,15 @@ fn assert_state_bits_equal(shipped: &MigrationState, installed: &MigrationState,
 #[test]
 fn grant_carries_scratch_and_prev_home_byte_for_byte() {
     let config = ProtocolConfig::no_migration().with_migration(ScratchStampPolicy);
-    let e = engines(config);
+    let mut e = world(config);
     // Interval 1: remote write from node 1 stamps the scratch (C = 1).
-    assert!(write_interval(&e, 1, 1).is_none(), "no migration yet");
+    assert!(write_interval(&mut e, 1, 1).is_none(), "no migration yet");
     let before = e[0].migration_state(obj()).expect("node 0 is home");
     assert!(before.scratch.a != 0.0 && before.scratch.b != 0.0);
     assert_eq!(before.prev_home, None);
     // Interval 2: node 1 faults again — FT1-style decision migrates, and
     // the grant must ship the stamped scratch untouched plus the old home.
-    let shipped = fault_for_write(&e, 1).expect("second fault migrates");
+    let shipped = fault_for_write(&mut e, 1).expect("second fault migrates");
     assert_eq!(
         shipped.scratch.a.to_bits(),
         before.scratch.a.to_bits(),
@@ -222,16 +179,16 @@ fn grant_carries_scratch_and_prev_home_byte_for_byte() {
     let installed = e[1].migration_state(obj()).expect("node 1 is now home");
     assert_state_bits_equal(&shipped, &installed, "stamp policy handoff");
     assert!(e[1].is_home(obj()) && !e[0].is_home(obj()));
-    write_and_release(&e, 1, 2);
+    write_and_release(&mut e, 1, 2);
 }
 
 #[test]
 fn ewma_reset_on_migrate_arrives_exactly() {
     let config = ProtocolConfig::no_migration().with_migration(EwmaWriteRatioPolicy::default());
-    let e = engines(config);
+    let mut e = world(config);
     // Three unbroken remote writes push the share to 0.875 ≥ 0.8.
     for i in 0..3 {
-        assert!(write_interval(&e, 1, i + 1).is_none());
+        assert!(write_interval(&mut e, 1, i + 1).is_none());
     }
     let before = e[0].migration_state(obj()).expect("node 0 is home");
     assert!(
@@ -241,7 +198,7 @@ fn ewma_reset_on_migrate_arrives_exactly() {
     );
     // The next fault migrates; EWMA's on_migrate clears the scratch at the
     // grant point, and exactly the cleared state must arrive.
-    let shipped = fault_for_write(&e, 1).expect("armed fault migrates");
+    let shipped = fault_for_write(&mut e, 1).expect("armed fault migrates");
     assert_eq!(
         shipped.scratch.a.to_bits(),
         0f64.to_bits(),
@@ -250,7 +207,7 @@ fn ewma_reset_on_migrate_arrives_exactly() {
     assert_eq!(shipped.prev_home, Some(NodeId(0)));
     let installed = e[1].migration_state(obj()).expect("node 1 is now home");
     assert_state_bits_equal(&shipped, &installed, "EWMA handoff");
-    write_and_release(&e, 1, 9);
+    write_and_release(&mut e, 1, 9);
     // Diff-size history survives the reset (engine-owned, not scratch).
     assert_eq!(installed.diff_samples, before.diff_samples);
     assert_eq!(
@@ -262,33 +219,33 @@ fn ewma_reset_on_migrate_arrives_exactly() {
 #[test]
 fn hysteresis_prev_home_survives_and_penalizes_migrate_back() {
     let config = ProtocolConfig::no_migration().with_migration(HysteresisPolicy::new(1, 2));
-    let e = engines(config);
+    let mut e = world(config);
     // Node 1 takes the home with one remote write + fault.
-    assert!(write_interval(&e, 1, 1).is_none());
-    let shipped = fault_for_write(&e, 1).expect("threshold 1 migrates");
+    assert!(write_interval(&mut e, 1, 1).is_none());
+    let shipped = fault_for_write(&mut e, 1).expect("threshold 1 migrates");
     assert_eq!(shipped.prev_home, Some(NodeId(0)));
     let installed = e[1].migration_state(obj()).expect("node 1 is home");
     assert_state_bits_equal(&shipped, &installed, "hysteresis handoff");
-    write_and_release(&e, 1, 2);
+    write_and_release(&mut e, 1, 2);
     // Node 0 now writes remotely: migrating *back* to the previous home
     // needs threshold + penalty = 3 consecutive writes, so the first two
     // post-write faults must NOT migrate…
-    assert!(write_interval(&e, 0, 3).is_none(), "C=1 < 3: stay");
-    assert!(write_interval(&e, 0, 4).is_none(), "C=2 < 3: stay");
+    assert!(write_interval(&mut e, 0, 3).is_none(), "C=1 < 3: stay");
+    assert!(write_interval(&mut e, 0, 4).is_none(), "C=2 < 3: stay");
     assert!(e[1].is_home(obj()), "penalty must hold the home at node 1");
     // …while a third consecutive write arms the migrate-back.
     assert!(
-        write_interval(&e, 0, 5).is_none(),
+        write_interval(&mut e, 0, 5).is_none(),
         "C=3 armed, next fault moves"
     );
-    let back = write_interval(&e, 0, 6).expect("penalty met: migrate back");
+    let back = write_interval(&mut e, 0, 6).expect("penalty met: migrate back");
     assert_eq!(back.prev_home, Some(NodeId(1)));
     assert!(e[0].is_home(obj()));
     // A non-previous home still migrates at the base threshold of 1: node 2
     // needs only one recorded write before its next fault.
-    assert!(write_interval(&e, 2, 7).is_none(), "C=1 recorded");
+    assert!(write_interval(&mut e, 2, 7).is_none(), "C=1 recorded");
     assert!(
-        write_interval(&e, 2, 8).is_some(),
+        write_interval(&mut e, 2, 8).is_some(),
         "base threshold applies to a fresh requester"
     );
 }

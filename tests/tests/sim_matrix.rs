@@ -25,7 +25,7 @@
 //!
 //! Every assertion message names the seed, so a failure is a replay recipe.
 
-use dsm_bench::matrix::{self, MatrixWorkload};
+use dsm_bench::matrix::{self, CellResult, MatrixWorkload};
 use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_integration_tests::{seed_pair, sim_test_cluster};
 use dsm_model::{ComputeModel, NetworkParams, SimDuration, SimTime};
@@ -33,91 +33,56 @@ use dsm_net::PauseSpec;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{ArrayHandle, Cluster, ExecutionReport, FabricMode, SimConfig};
 
-/// Run every policy against `workload` under the corpus seeds and check
-/// the conformance claims cell by cell.
-fn conformance_for(workload: &MatrixWorkload) {
+/// Run every policy against `workload` under the corpus seeds with
+/// `sim_config` ([`matrix::conformance_for`]) and fail on any cell's
+/// failure, naming the cell and the seed. The claims, cell by cell: the sim
+/// fingerprint equals the threaded reference for every seed, a seed replays
+/// its delivery trace bit-identically, the invariants hold, and distinct
+/// seeds deliver in different orders. Returns the cells.
+fn conformance_for(workload: &MatrixWorkload, sim_config: fn(u64) -> SimConfig) -> Vec<CellResult> {
     let (seed_a, seed_b) = seed_pair();
-    for (policy, protocol) in matrix::policies() {
-        let cell = format!("{} x {policy}", workload.name);
-        let reference = workload.run(matrix::matrix_cluster(
-            protocol.clone(),
-            FabricMode::Threaded,
-        ));
-
-        let sim = |seed: u64| {
-            workload.run(matrix::matrix_cluster(
-                protocol.clone(),
-                FabricMode::Sim(SimConfig::perturbed(seed)),
-            ))
-        };
-        let run_a = sim(seed_a);
-        let replay_a = sim(seed_a);
-        let run_b = sim(seed_b);
-
-        // Checksums: sim == threaded reference, for every seed.
-        for (seed, run) in [(seed_a, &run_a), (seed_a, &replay_a), (seed_b, &run_b)] {
-            assert_eq!(
-                run.fingerprint, reference.fingerprint,
-                "{cell}: seed {seed:#x} changed the application result"
-            );
-            let violations = matrix::check_invariants(&run.report);
-            assert!(
-                violations.is_empty(),
-                "{cell}: seed {seed:#x}: {violations:?}"
+    let cells = matrix::conformance_for(workload, &[seed_a, seed_b], sim_config);
+    for cell in &cells {
+        if let Some((seed, failure)) = cell.failures.first() {
+            panic!(
+                "{} x {}: seed {seed:#x}: {failure} ({} failures in the cell)",
+                cell.workload,
+                cell.policy,
+                cell.failures.len()
             );
         }
-
-        // Same seed ⇒ bit-identical delivery trace.
-        let trace_a = run_a.report.delivery_trace.as_ref().unwrap();
-        let trace_replay = replay_a.report.delivery_trace.as_ref().unwrap();
-        assert_eq!(
-            trace_a,
-            trace_replay,
-            "{cell}: seed {seed_a:#x} did not replay bit-identically \
-             (checksums {:#x} vs {:#x})",
-            trace_a.checksum(),
-            trace_replay.checksum()
-        );
-
-        // Distinct seeds ⇒ provably different delivery orders.
-        let trace_b = run_b.report.delivery_trace.as_ref().unwrap();
-        assert_ne!(
-            trace_a.order_signature(),
-            trace_b.order_signature(),
-            "{cell}: seeds {seed_a:#x} and {seed_b:#x} produced the same \
-             delivery order — perturbations had no effect"
-        );
     }
+    cells
 }
 
 #[test]
 fn matrix_sor_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[0]);
+    conformance_for(&matrix::workloads()[0], SimConfig::perturbed);
 }
 
 #[test]
 fn matrix_asp_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[1]);
+    conformance_for(&matrix::workloads()[1], SimConfig::perturbed);
 }
 
 #[test]
 fn matrix_tsp_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[2]);
+    conformance_for(&matrix::workloads()[2], SimConfig::perturbed);
 }
 
 #[test]
 fn matrix_nbody_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[3]);
+    conformance_for(&matrix::workloads()[3], SimConfig::perturbed);
 }
 
 #[test]
 fn matrix_synthetic_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[4]);
+    conformance_for(&matrix::workloads()[4], SimConfig::perturbed);
 }
 
 #[test]
 fn matrix_kv_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[5]);
+    conformance_for(&matrix::workloads()[5], SimConfig::perturbed);
 }
 
 #[test]
@@ -133,60 +98,15 @@ fn matrix_workload_order_is_the_documented_one() {
     );
 }
 
-/// Run every policy against `workload` under the corpus seeds with
-/// injected faults (`SimConfig::lossy`: 1% seeded per-link drops plus a
-/// partition/heal cycle) and check that every conformance claim survives:
-/// identical fingerprints, clean invariants (drop-aware reconciliation)
-/// and bit-identical replay, drop records included.
+/// The same claims with injected faults (`SimConfig::lossy`: 1% seeded
+/// per-link drops plus a partition/heal cycle): identical fingerprints,
+/// clean invariants (drop-aware reconciliation) and bit-identical replay,
+/// drop records included.
 fn lossy_conformance_for(workload: &MatrixWorkload) {
-    let (seed_a, seed_b) = seed_pair();
-    let mut injected_drops = 0usize;
-    for (policy, protocol) in matrix::policies() {
-        let cell = format!("{} x {policy} (lossy)", workload.name);
-        let reference = workload.run(matrix::matrix_cluster(
-            protocol.clone(),
-            FabricMode::Threaded,
-        ));
-
-        let sim = |seed: u64| {
-            workload.run(matrix::matrix_cluster(
-                protocol.clone(),
-                FabricMode::Sim(SimConfig::lossy(seed)),
-            ))
-        };
-        let run_a = sim(seed_a);
-        let replay_a = sim(seed_a);
-        let run_b = sim(seed_b);
-
-        for (seed, run) in [(seed_a, &run_a), (seed_a, &replay_a), (seed_b, &run_b)] {
-            assert_eq!(
-                run.fingerprint, reference.fingerprint,
-                "{cell}: seed {seed:#x} changed the application result under loss"
-            );
-            let violations = matrix::check_invariants(&run.report);
-            assert!(
-                violations.is_empty(),
-                "{cell}: seed {seed:#x}: {violations:?}"
-            );
-        }
-
-        // Same seed ⇒ bit-identical delivery trace, drops included.
-        let trace_a = run_a.report.delivery_trace.as_ref().unwrap();
-        let trace_replay = replay_a.report.delivery_trace.as_ref().unwrap();
-        assert_eq!(
-            trace_a,
-            trace_replay,
-            "{cell}: seed {seed_a:#x} did not replay bit-identically under loss \
-             (checksums {:#x} vs {:#x})",
-            trace_a.checksum(),
-            trace_replay.checksum()
-        );
-
-        let trace_b = run_b.report.delivery_trace.as_ref().unwrap();
-        injected_drops += trace_a.drops.len() + trace_b.drops.len();
-    }
+    let cells = conformance_for(workload, SimConfig::lossy);
     // The sweep is only meaningful if the fault injection actually bit:
     // across a whole workload's cells and two seeds, something must drop.
+    let injected_drops: usize = cells.iter().map(|cell| cell.drops).sum();
     assert!(
         injected_drops > 0,
         "{}: no message was ever dropped across the lossy sweep — \
