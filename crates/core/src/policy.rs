@@ -56,7 +56,7 @@
 
 use crate::migration::{MigrationState, PolicyScratch};
 use dsm_objspace::{NodeId, ObjectId};
-use std::collections::HashMap;
+use dsm_util::IdMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -574,7 +574,7 @@ impl HomeMigrationPolicy for EwmaWriteRatioPolicy {
 /// experiment grid in a single run).
 #[derive(Clone, Default)]
 pub struct PolicyOverrides {
-    map: HashMap<ObjectId, Arc<dyn HomeMigrationPolicy>>,
+    map: IdMap<ObjectId, Arc<dyn HomeMigrationPolicy>>,
 }
 
 impl PolicyOverrides {

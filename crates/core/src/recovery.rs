@@ -28,7 +28,8 @@
 use crate::messages::{ProtocolMsg, ReqId};
 use crate::state::EngineState;
 use dsm_objspace::{NodeId, ObjectId};
-use std::collections::{BTreeMap, HashMap};
+use dsm_util::IdMap;
+use std::collections::BTreeMap;
 
 /// Total sends (original and retransmissions) of one entry before it is
 /// exhausted. When every outstanding entry of every node is exhausted, a
@@ -105,7 +106,7 @@ pub(crate) struct Recovery {
     retries: BTreeMap<ReqId, RetryEntry>,
     /// Requests seen (`None`: still being served, or absorbed) and answered
     /// (`Some`: the reply or ack to send again).
-    replies: HashMap<ReqId, Option<(NodeId, ProtocolMsg)>>,
+    replies: IdMap<ReqId, Option<(NodeId, ProtocolMsg)>>,
 }
 
 impl Recovery {

@@ -21,7 +21,7 @@ use dsm_objspace::{
     new_store, AccessState, Diff, Element, NodeId, ObjectData, ObjectId, ObjectRegistry,
     ObjectStore, Twin, Version,
 };
-use std::collections::{HashMap, HashSet};
+use dsm_util::{IdMap, IdSet};
 use std::sync::Arc;
 
 /// A home copy plus its protocol metadata.
@@ -40,6 +40,10 @@ struct CacheEntry {
     version: Version,
     state: AccessState,
     twin: Option<Twin>,
+    /// The object's descriptor flags it immutable: it stays valid across
+    /// acquires. Copied from the registry when the entry is made, so
+    /// [`EngineState::begin_interval`] looks nothing up per entry.
+    immutable: bool,
 }
 
 /// A node's belief about an object's current home: the node and the home
@@ -57,13 +61,13 @@ pub(crate) struct EngineState {
     pub(crate) num_nodes: usize,
     config: ProtocolConfig,
     registry: Arc<ObjectRegistry>,
-    homes: HashMap<ObjectId, HomeEntry>,
-    caches: HashMap<ObjectId, CacheEntry>,
-    known_home: HashMap<ObjectId, HomeBelief>,
+    homes: IdMap<ObjectId, HomeEntry>,
+    caches: IdMap<ObjectId, CacheEntry>,
+    known_home: IdMap<ObjectId, HomeBelief>,
     /// Cached objects written (and twinned) in the current interval.
-    dirty: HashSet<ObjectId>,
+    dirty: IdSet<ObjectId>,
     /// Home objects written in the current interval (version bump at release).
-    home_written: HashSet<ObjectId>,
+    home_written: IdSet<ObjectId>,
     /// The distributed lock manager (only used on the manager node).
     pub(crate) locks: LockManager,
     /// The barrier manager (only used on the manager node).
@@ -72,7 +76,7 @@ pub(crate) struct EngineState {
     /// Sticky so concurrent candidates converge on one winner; re-election
     /// is allowed only when the previously elected home is itself the new
     /// suspect.
-    elections: HashMap<ObjectId, (NodeId, u32)>,
+    elections: IdMap<ObjectId, (NodeId, u32)>,
     /// Protocol statistics of this node.
     pub(crate) stats: ProtocolStats,
     /// The retry table and reply cache; `Some` only on an engine armed for
@@ -89,7 +93,7 @@ impl EngineState {
         config: ProtocolConfig,
         registry: Arc<ObjectRegistry>,
     ) -> Self {
-        let mut homes = HashMap::new();
+        let mut homes = IdMap::default();
         for desc in registry.iter() {
             if desc.initial_home(num_nodes) == node {
                 homes.insert(
@@ -109,13 +113,13 @@ impl EngineState {
             config,
             registry,
             homes,
-            caches: HashMap::new(),
-            known_home: HashMap::new(),
-            dirty: HashSet::new(),
-            home_written: HashSet::new(),
+            caches: IdMap::default(),
+            known_home: IdMap::default(),
+            dirty: IdSet::default(),
+            home_written: IdSet::default(),
             locks: LockManager::new(),
             barriers: BarrierManager::new(num_nodes),
-            elections: HashMap::new(),
+            elections: IdMap::default(),
             stats: ProtocolStats::default(),
             recovery: None,
         }
@@ -187,7 +191,6 @@ impl EngineState {
         for entry in self.homes.values_mut() {
             entry.state = AccessState::Invalid;
         }
-        let registry = Arc::clone(&self.registry);
         for (obj, entry) in self.caches.iter_mut() {
             if self.dirty.contains(obj) {
                 // Our own writes from an interval that has not released yet;
@@ -197,7 +200,7 @@ impl EngineState {
             // Objects flagged immutable by the application (e.g. the TSP
             // distance matrix) stay cached across acquires: the GOS
             // read-only object optimization of the paper's earlier system.
-            if registry.expect(*obj).is_immutable() {
+            if entry.immutable {
                 continue;
             }
             if entry.state != AccessState::Invalid {
@@ -355,6 +358,7 @@ impl EngineState {
                         version,
                         state: AccessState::ReadOnly,
                         twin: None,
+                        immutable: desc.is_immutable(),
                     },
                 );
             }
@@ -732,6 +736,7 @@ impl EngineState {
                 version: old.version,
                 state,
                 twin: None,
+                immutable: self.registry.expect(obj).is_immutable(),
             },
         );
         self.believe(obj, new_home, epoch);

@@ -18,7 +18,8 @@ use crate::recovery::Admission;
 use crate::sync::{BarrierOutcome, LockAcquireOutcome};
 use crate::{DiffOutcome, ObjectRequestOutcome};
 use dsm_objspace::{BarrierId, LockId, NodeId, ObjectId};
-use std::collections::{HashMap, VecDeque};
+use dsm_util::IdMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// The node that hosts the distributed lock and barrier managers. The
@@ -33,7 +34,7 @@ pub const SYNC_MANAGER: NodeId = NodeId::MASTER;
 pub struct ServeState {
     deferred: VecDeque<(NodeId, ProtocolMsg)>,
     /// Resolved entries of a deferred `DiffBatch`, keyed by its request id.
-    partials: HashMap<ReqId, Vec<DiffBatchResult>>,
+    partials: IdMap<ReqId, Vec<DiffBatchResult>>,
 }
 
 impl ServeState {
@@ -320,7 +321,7 @@ fn handle(
 /// resolved results parked in `partials`.
 fn serve_batch(
     engine: &ProtocolEngine,
-    partials: &mut HashMap<ReqId, Vec<DiffBatchResult>>,
+    partials: &mut IdMap<ReqId, Vec<DiffBatchResult>>,
     req: ReqId,
     entries: Vec<DiffBatchEntry>,
     from: NodeId,

@@ -12,7 +12,8 @@
 
 use crate::messages::ReqId;
 use dsm_objspace::{BarrierId, LockId, NodeId};
-use std::collections::{HashMap, VecDeque};
+use dsm_util::IdMap;
+use std::collections::VecDeque;
 
 /// Outcome of a lock acquire request at the manager.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,7 +58,7 @@ struct LockState {
 /// Manager-side state for all locks hosted on one node.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct LockManager {
-    locks: HashMap<LockId, LockState>,
+    locks: IdMap<LockId, LockState>,
 }
 
 impl LockManager {
@@ -137,7 +138,7 @@ struct BarrierState {
 #[derive(Debug, Clone)]
 pub(crate) struct BarrierManager {
     participants: usize,
-    barriers: HashMap<BarrierId, BarrierState>,
+    barriers: IdMap<BarrierId, BarrierState>,
 }
 
 impl BarrierManager {
@@ -149,7 +150,7 @@ impl BarrierManager {
         assert!(participants > 0, "a barrier needs at least one participant");
         BarrierManager {
             participants,
-            barriers: HashMap::new(),
+            barriers: IdMap::default(),
         }
     }
 

@@ -148,11 +148,11 @@ impl fmt::Display for MsgCategory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use dsm_util::IdSet;
 
     #[test]
     fn all_lists_every_category_once() {
-        let set: HashSet<_> = MsgCategory::ALL.iter().collect();
+        let set: IdSet<_> = MsgCategory::ALL.iter().collect();
         assert_eq!(set.len(), MsgCategory::ALL.len());
     }
 

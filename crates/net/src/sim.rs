@@ -42,8 +42,8 @@ use crate::envelope::{Envelope, MESSAGE_HEADER_BYTES};
 use crate::stats::StatsCollector;
 use dsm_model::{NetworkParams, SimDuration, SimTime};
 use dsm_objspace::NodeId;
-use dsm_util::{Mutex, SmallRng};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use dsm_util::{IdMap, IdSet, Mutex, SmallRng};
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar};
 
 // ----------------------------------------------------------------------
@@ -435,16 +435,16 @@ impl DeliveryTrace {
     /// sequence number is accounted for by a [`DropRecord`] on the same
     /// link. Returns the offending record index on violation.
     pub fn per_link_fifo_violation(&self) -> Option<usize> {
-        let mut dropped: HashMap<(u16, u16), HashSet<u64>> = HashMap::new();
+        let mut dropped: IdMap<(u16, u16), IdSet<u64>> = IdMap::default();
         for d in &self.drops {
             dropped
                 .entry((d.src.0, d.dst.0))
                 .or_default()
                 .insert(d.link_seq);
         }
-        let empty = HashSet::new();
+        let empty = IdSet::default();
         // Next expected link_seq and latest delivery time per link.
-        let mut last: HashMap<(u16, u16), (u64, SimTime)> = HashMap::new();
+        let mut last: IdMap<(u16, u16), (u64, SimTime)> = IdMap::default();
         for (i, r) in self.records.iter().enumerate() {
             let link = (r.src.0, r.dst.0);
             let gaps = dropped.get(&link).unwrap_or(&empty);
@@ -528,7 +528,7 @@ pub enum SimStep<M> {
 
 struct SimState<M> {
     queue: BinaryHeap<SimEvent<M>>,
-    links: HashMap<(u16, u16), LinkState>,
+    links: IdMap<(u16, u16), LinkState>,
     config: SimConfig,
     /// Application agents currently runnable (not parked, not finished).
     active: usize,
@@ -596,7 +596,7 @@ impl<M: Send> SimFabric<M> {
             core: Arc::new(SimCore {
                 state: Mutex::new(SimState {
                     queue: BinaryHeap::new(),
-                    links: HashMap::new(),
+                    links: IdMap::default(),
                     config,
                     active: num_nodes,
                     finished: 0,

@@ -111,7 +111,7 @@ impl fmt::Display for BarrierId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use dsm_util::IdSet;
 
     #[test]
     fn node_master_is_zero() {
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn object_ids_have_no_collisions_for_realistic_workloads() {
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         for name in [
             "sor.matrix",
             "asp.dist",

@@ -11,19 +11,19 @@
 
 use crate::home::{HomeAssignment, ObjectDescriptor};
 use crate::id::{NodeId, ObjectId};
-use std::collections::HashMap;
+use dsm_util::IdMap;
 
 /// Catalogue of all shared objects known to a node.
 #[derive(Debug, Default, Clone)]
 pub struct ObjectRegistry {
-    objects: HashMap<ObjectId, ObjectDescriptor>,
+    objects: IdMap<ObjectId, ObjectDescriptor>,
 }
 
 impl ObjectRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         ObjectRegistry {
-            objects: HashMap::new(),
+            objects: IdMap::default(),
         }
     }
 

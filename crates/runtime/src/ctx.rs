@@ -42,9 +42,8 @@ use dsm_core::step::{self, ClientOp};
 use dsm_core::Lease;
 use dsm_model::{SimDuration, SimTime};
 use dsm_objspace::{BarrierId, DsmError, DsmResult, Element, LockId, NodeId, ObjectId};
-use dsm_util::SmallRng;
+use dsm_util::{IdMap, SmallRng};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,19 +54,19 @@ const WRITER: isize = -1;
 /// The per-node application context.
 pub struct NodeCtx {
     shared: Arc<NodeShared>,
-    barrier_epochs: RefCell<HashMap<BarrierId, u64>>,
+    barrier_epochs: RefCell<IdMap<BarrierId, u64>>,
     /// Objects with live views in this context (see [`WRITER`]). Guards
     /// same-thread aliasing so a conflict surfaces as a typed error instead
     /// of a lock-up on the payload lease.
-    active_views: RefCell<HashMap<ObjectId, isize>>,
+    active_views: RefCell<IdMap<ObjectId, isize>>,
 }
 
 impl NodeCtx {
     pub(crate) fn new(shared: Arc<NodeShared>) -> Self {
         NodeCtx {
             shared,
-            barrier_epochs: RefCell::new(HashMap::new()),
-            active_views: RefCell::new(HashMap::new()),
+            barrier_epochs: RefCell::new(IdMap::default()),
+            active_views: RefCell::new(IdMap::default()),
         }
     }
 

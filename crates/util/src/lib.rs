@@ -1,8 +1,8 @@
-//! # dsm-util — dependency-free concurrency and RNG primitives
+//! # dsm-util — dependency-free concurrency, RNG and id-map primitives
 //!
 //! The workspace builds in fully offline environments, so the small pieces
-//! that would normally come from `parking_lot`, `crossbeam-channel`, `rand`
-//! and `proptest` live here instead:
+//! that would normally come from `parking_lot`, `crossbeam-channel`, `rand`,
+//! `proptest` and `rustc-hash` live here instead:
 //!
 //! * [`Mutex`] — a poison-ignoring wrapper over `std::sync::Mutex` with the
 //!   `parking_lot`-style infallible `lock()`.
@@ -16,6 +16,14 @@
 //! * [`LatencyHistogram`] — a fixed-bucket log-linear histogram for
 //!   wall-clock latency percentiles (the piece `hdrhistogram` would
 //!   normally provide).
+//! * [`IdMap`] and [`IdSet`] — std's `HashMap` and `HashSet` with
+//!   [`IdHasher`], a multiply-rotate hasher for the protocol's own integer
+//!   ids, in place of keyed SipHash. Every map of protocol state uses them:
+//!   the engine's homes, cached copies, home beliefs, write sets and
+//!   election book, the lock and barrier managers, the reply cache and
+//!   diff-batch partials, the object registry, the policy overrides, the
+//!   runtime's view and barrier-epoch tables and the sim fabric's links.
+//!   The module documentation says why a fixed hasher is safe there.
 //! * [`poll_readable`] and [`batch_scheduling`] — `poll(2)` over a set of
 //!   sockets, and a thread class that does not preempt on wake-up, for the
 //!   TCP fabric's readers (Unix only).
@@ -26,6 +34,7 @@
 mod cell;
 pub mod channel;
 mod histogram;
+mod idmap;
 #[cfg(unix)]
 mod os;
 mod rng;
@@ -33,6 +42,7 @@ pub mod sync;
 
 pub use cell::{RwCell, RwReadGuard, RwWriteGuard};
 pub use histogram::LatencyHistogram;
+pub use idmap::{IdHasher, IdMap, IdSet};
 #[cfg(unix)]
 pub use os::{batch_scheduling, poll_readable};
 pub use rng::{parse_seed, SmallRng};

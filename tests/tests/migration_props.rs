@@ -26,8 +26,7 @@ use dsm_core::step::ClientOp;
 use dsm_core::world::World;
 use dsm_core::{AccessPlan, ProtocolConfig, ProtocolMsg};
 use dsm_objspace::{HomeAssignment, NodeId, ObjectId, ObjectRegistry};
-use dsm_util::SmallRng;
-use std::collections::HashMap;
+use dsm_util::{IdMap, SmallRng};
 use std::sync::Arc;
 
 const NODES: usize = 4;
@@ -59,13 +58,13 @@ struct Harness {
     /// installed at its grantee: the grantor, the grantee and its fault-in,
     /// which waits for the `ObjectReply` carrying the grant at the head of
     /// the grantor → grantee link.
-    in_flight: HashMap<ObjectId, (usize, usize, ClientOp)>,
+    in_flight: IdMap<ObjectId, (usize, usize, ClientOp)>,
     /// Highest epoch ever installed per object (strict growth check).
-    last_installed_epoch: HashMap<ObjectId, u32>,
+    last_installed_epoch: IdMap<ObjectId, u32>,
     /// Last value committed per object (last-write-wins check).
-    committed: HashMap<ObjectId, u8>,
+    committed: IdMap<ObjectId, u8>,
     /// Previous believed epoch per (node, object) (monotonicity check).
-    believed: Vec<HashMap<ObjectId, u32>>,
+    believed: Vec<IdMap<ObjectId, u32>>,
     label: String,
 }
 
@@ -75,10 +74,10 @@ impl Harness {
         world.chase_limit = NODES as u32 * 2 + 4;
         Harness {
             world,
-            in_flight: HashMap::new(),
-            last_installed_epoch: HashMap::new(),
-            committed: HashMap::new(),
-            believed: (0..NODES).map(|_| HashMap::new()).collect(),
+            in_flight: IdMap::default(),
+            last_installed_epoch: IdMap::default(),
+            committed: IdMap::default(),
+            believed: (0..NODES).map(|_| IdMap::default()).collect(),
             label,
         }
     }
