@@ -34,18 +34,11 @@ use crate::outcome::ResultSlot;
 use dsm_core::ProtocolStats;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{ClusterBuilder, ExecutionReport, Matrix2dHandle, NodeCtx};
-use dsm_util::{Mutex, SmallRng};
+use dsm_util::{fnv, Mutex, SmallRng, FNV_BASIS};
 use std::sync::Arc;
 
 /// Registered name of the store's row objects.
 const STORE_NAME: &str = "kv.store";
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
 
 /// Key-value serving parameters.
 #[derive(Debug, Clone, PartialEq)]

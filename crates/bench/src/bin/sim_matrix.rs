@@ -1,15 +1,17 @@
 //! The policy × workload conformance matrix on the deterministic sim
-//! fabric: every workload (SOR, ASP, TSP, N-body, synthetic) × every
+//! fabric: every workload (SOR, ASP, TSP, N-body, synthetic, KV) × every
 //! built-in policy (NM, FT2, AT, JUMP, LAZY, HYST, EWMA), swept under
 //! perturbation seeds and checked against the threaded-fabric reference
 //! (fingerprint conformance, bit-identical seed replay, protocol
-//! invariants).
+//! invariants). With no flags it prints the committed
+//! `bench/figures/small/sim_matrix.txt` (`figures sim_matrix` prints the
+//! same); the flags are for soaks and replays.
 //!
 //! Usage: `cargo run -p dsm-bench --release --bin sim_matrix [--sweep N]
 //! [--seeds a,b,c] [--lossy] [--output FILE]`
 //!
 //! * `--sweep N` — derive `N` seeds from the base corpus (the weekly
-//!   extended sweep uses this; default 2, the reduced CI sweep).
+//!   extended sweep uses this; default 2, the committed sweep).
 //! * `--seeds a,b,c` — sweep exactly these seeds (replay a failure).
 //! * `--lossy` — inject faults into every sim run (1% seeded per-link
 //!   drops plus a partition/heal cycle, `SimConfig::lossy`); cells must
@@ -40,17 +42,10 @@ fn main() {
                     .unwrap_or_else(|e| panic!("--seeds entry {s:?} is invalid: {e}"))
             })
             .collect(),
-        None => {
-            let count: usize = value_of("--sweep").map_or(2, |s| {
-                s.parse()
-                    .unwrap_or_else(|e| panic!("--sweep {s:?} is invalid: {e}"))
-            });
-            // SplitMix-style derivation from a fixed base, so `--sweep N`
-            // always names the same N schedules.
-            (0..count as u64)
-                .map(|i| 0x51E5_ED00u64.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-                .collect()
-        }
+        None => matrix::sweep_seeds(value_of("--sweep").map_or(2, |s| {
+            s.parse()
+                .unwrap_or_else(|e| panic!("--sweep {s:?} is invalid: {e}"))
+        })),
     };
     assert!(!seeds.is_empty(), "need at least one seed");
     let lossy = args.iter().any(|a| a == "--lossy");
@@ -60,49 +55,21 @@ fn main() {
         seeds.len(),
         if lossy { " under injected faults" } else { "" },
     );
-    let sim_config = if lossy {
-        dsm_runtime::SimConfig::lossy
-    } else {
-        dsm_runtime::SimConfig::perturbed
-    };
-    let sweep = |workload| matrix::conformance_for(workload, &seeds, sim_config);
-    let rows: Vec<_> = matrix::workloads().iter().flat_map(sweep).collect();
-    println!(
-        "Conformance matrix — sim fabric{} vs. threaded reference, seeds {seeds:?}\n",
-        if lossy {
-            " (lossy: 1% drops + partition/heal)"
-        } else {
-            ""
-        },
-    );
-    println!("{}", matrix::render(&rows).render());
-
-    let mut failing_lines = Vec::new();
-    for row in &rows {
-        for (seed, reason) in &row.failures {
-            let line = format!("{},{},{seed:#x},{reason}", row.workload, row.policy);
-            eprintln!("FAIL: {line}");
-            failing_lines.push(line);
-        }
+    let output = matrix::report(&seeds, lossy);
+    print!("{}", output.text);
+    for line in &output.failures {
+        eprintln!("FAIL: {line}");
     }
 
     if let Some(path) = value_of("--output") {
-        let mut contents = failing_lines.join("\n");
+        let mut contents = output.failures.join("\n");
         if !contents.is_empty() {
             contents.push('\n');
         }
         std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
         eprintln!("failing-seed list written to {path}");
     }
-
-    let cells = rows.len();
-    if failing_lines.is_empty() {
-        println!("all {cells} cells conform ({} seed(s) each)", seeds.len());
-    } else {
-        println!(
-            "{} failure(s) across {cells} cells — failing seeds listed above",
-            failing_lines.len()
-        );
+    if !output.ok() {
         std::process::exit(1);
     }
 }

@@ -27,7 +27,7 @@ use dsm_model::ComputeModel;
 use dsm_net::{StatsCollector, TcpConfig, TcpNodeBinding};
 use dsm_objspace::{BarrierId, LockId, NodeId};
 use dsm_runtime::{ArrayHandle, Cluster, ClusterBuilder, FabricMode, NodeCtx};
-use dsm_util::Mutex;
+use dsm_util::{fnv, Mutex, FNV_BASIS};
 use dsm_wire::ProtocolCodec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -36,10 +36,6 @@ use std::process::{Child, Command, Stdio};
 const CELLS_PER_NODE: usize = 4;
 const REPETITIONS: u64 = 6;
 const DEFAULT_NODES: usize = 4;
-
-fn fnv(hash: u64, value: u64) -> u64 {
-    (hash ^ value).wrapping_mul(0x0000_0100_0000_01b3)
-}
 
 /// The launcher workload's protocol: adaptive migration. A worker also
 /// binds its listener with this protocol's network model.
@@ -76,11 +72,7 @@ fn run_workload(ctx: &NodeCtx, cells: &ArrayHandle<u64>, result: &Mutex<Option<u
         ctx.barrier(BarrierId(1));
     }
     if ctx.is_master() {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for value in ctx.read(cells) {
-            hash = fnv(hash, value);
-        }
-        *result.lock() = Some(hash);
+        *result.lock() = Some(ctx.read(cells).into_iter().fold(FNV_BASIS, fnv));
     }
 }
 

@@ -47,7 +47,7 @@ fn policies() -> Vec<(&'static str, ProtocolConfig)> {
 /// disabled here: batching compresses the NoHM baseline (whose flushes
 /// persist and batch) much more than HM (which migrated the objects home),
 /// which would skew exactly the comparison the figure makes. The gate
-/// (`bench_gate`) reports Figure 2's SOR in both wire modes.
+/// ([`crate::gate`]) reports Figure 2's SOR in both wire modes.
 pub fn collect(scale: Scale, sim: &SimConfig) -> Vec<Fig2Point> {
     let mut points = Vec::new();
     for nodes in node_counts(scale) {

@@ -48,7 +48,7 @@ pub fn collect(scale: Scale, sim: &SimConfig) -> Vec<Fig3Point> {
 /// The AT and FT2 clusters a point compares. As in Figure 2, they run with
 /// flush batching disabled (the paper's one-`DiffFlush`-per-object wire
 /// protocol), so the comparison measures exactly what the paper measured;
-/// the gate (`bench_gate`) reports Figure 3's workloads in both wire modes.
+/// the gate ([`crate::gate`]) reports Figure 3's workloads in both wire modes.
 fn at_and_ft2(sim: &SimConfig) -> [ClusterBuilder; 2] {
     [
         ProtocolConfig::adaptive(),

@@ -24,19 +24,18 @@
 //!    strictly fewer messages than NM, AT's redirections concentrate in the
 //!    windows right after a hot-set shift, and the store fingerprint is
 //!    policy-invariant;
-//! 2. **Equality with the committed baseline** ([`diff`]) — the rendered
-//!    document ([`to_json`]) must be byte-identical to
-//!    `bench/baseline.json`. There is no tolerance band: a change that
-//!    moves a number deliberately refreshes the file in the same PR with
-//!    `cargo run -p dsm-bench --release --bin bench_gate -- --write-baseline`.
-//!
-//! The gate runs inside tier-1 as this crate's `tests/gate.rs`
-//! (`committed_baseline_is_current`) and, identically, as the `bench_gate`
-//! binary.
+//! 2. **Equality with the committed output** — [`report`] renders both
+//!    tables (every count, `time_ms` and `checksum` to six decimals, the
+//!    fingerprint in hex), and the text must equal
+//!    `bench/figures/small/gate.txt` byte for byte, like every other
+//!    committed output (see [`crate::figures`]). There is no tolerance
+//!    band: a change that moves a number deliberately regenerates the file
+//!    in the same PR.
 
-use crate::matrix::{matrix_cluster, policies};
+use crate::cluster;
+use crate::figures::Output;
+use crate::matrix::{matrix_cluster, policies, MATRIX_NODES};
 use crate::table::{fmt_f, Table};
-use crate::{cluster, Scale};
 use dsm_apps::kv::{self, KvParams};
 use dsm_apps::synthetic::{self, SyntheticParams};
 use dsm_apps::{asp, sor};
@@ -51,7 +50,7 @@ pub const GATE_SEED: u64 = 2004;
 /// One measured (workload, mode) pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateRow {
-    /// Workload label (stable across runs; the baseline is keyed on it).
+    /// Workload label.
     pub workload: String,
     /// Whether release-time flush batching was enabled.
     pub batched: bool,
@@ -87,15 +86,6 @@ impl GateRow {
             checksum,
         }
     }
-
-    /// The key the baseline comparison matches rows on.
-    pub(crate) fn key(&self) -> String {
-        format!(
-            "{}[{}]",
-            self.workload,
-            if self.batched { "batched" } else { "unbatched" }
-        )
-    }
 }
 
 /// Every gate workload, in the order they are collected and reported. The
@@ -119,21 +109,16 @@ pub(crate) const WORKLOADS: [&str; 10] = [
 ];
 
 /// Run one named gate workload in one flush-batching mode.
-fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
+fn run_workload(name: &str, batched: bool) -> GateRow {
     let sim = SimConfig::calm(GATE_SEED);
-    // The AT SOR size keeps `band / nodes >= 2` on eight nodes, so each
-    // release still flushes at least two rows per remote home and batches
-    // really form under the migration-enabled configuration too.
-    let (sor_size, at_sor_size, asp_size, updates) = match scale {
-        Scale::Small => (64, 128, 48, 96),
-        Scale::Paper => (256, 512, 128, 384),
-    };
+    // Synthetic updates per run, a multiple of every repetition below.
+    let updates = 96;
     match name {
         // Figure 2's SOR under NoHM on four nodes: round-robin row homes
         // mean every phase release flushes several same-home diffs — the
         // workload batching exists for.
         "fig2_sor_nohm" => {
-            let params = sor::SorParams::small(sor_size, 4);
+            let params = sor::SorParams::small(64, 4);
             let config = cluster(4, ProtocolConfig::no_migration(), &sim).flush_batching(batched);
             let run = sor::run(config, &params);
             GateRow::from_report(name, batched, sor::checksum(&run.result), &run.report)
@@ -141,9 +126,12 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
         // Figure 3's SOR configuration (adaptive threshold, eight nodes):
         // the early iterations flush whole bands to the round-robin homes
         // (batched), then rows migrate to their writers and only boundary
-        // traffic is left — batching under the paper's headline mode.
+        // traffic is left — batching under the paper's headline mode. The
+        // size keeps `band / nodes >= 2` on eight nodes, so each release
+        // still flushes at least two rows per remote home and batches
+        // really form under the migration-enabled configuration too.
         "fig3_sor_at" => {
-            let params = sor::SorParams::small(at_sor_size, 4);
+            let params = sor::SorParams::small(128, 4);
             let config = cluster(crate::fig3::NODES, ProtocolConfig::adaptive(), &sim)
                 .flush_batching(batched);
             let run = sor::run(config, &params);
@@ -151,7 +139,7 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
         }
         // Figure 3's ASP configuration.
         "fig3_asp_at" => {
-            let params = asp::AspParams::small(asp_size);
+            let params = asp::AspParams::small(48);
             let config = cluster(crate::fig3::NODES, ProtocolConfig::adaptive(), &sim)
                 .flush_batching(batched);
             let run = asp::run(config, &params);
@@ -219,14 +207,30 @@ fn run_workload(name: &str, scale: Scale, batched: bool) -> GateRow {
 }
 
 /// Collect every gate workload in both flush-batching modes.
-pub fn collect(scale: Scale) -> Vec<GateRow> {
+pub fn collect() -> Vec<GateRow> {
     [true, false]
         .into_iter()
-        .flat_map(|batched| WORKLOADS.map(|name| run_workload(name, scale, batched)))
+        .flat_map(|batched| WORKLOADS.map(|name| run_workload(name, batched)))
         .collect()
 }
 
-/// Render gate rows as a table (printed by `bench_gate`).
+/// The committed `gate` output: both tables, with the internal claims'
+/// violations as its failures.
+pub fn report() -> Output {
+    let (rows, kv) = (collect(), collect_kv());
+    Output {
+        text: format!(
+            "Regression gate — modeled workloads on the calm sim, both flush-batching modes\n\n{}\n\
+             KV policy sweep — Zipfian KV serving (KvParams::gate) on {MATRIX_NODES} nodes, \
+             every built-in policy\n\n{}",
+            render(&rows).render(),
+            render_kv(&kv).render()
+        ),
+        failures: check_internal(&rows, &kv),
+    }
+}
+
+/// Render gate rows as a table.
 pub fn render(rows: &[GateRow]) -> Table {
     let mut table = Table::new(&[
         "workload",
@@ -237,6 +241,7 @@ pub fn render(rows: &[GateRow]) -> Table {
         "time_ms",
         "migr",
         "backs",
+        "checksum",
     ]);
     for row in rows {
         table.row(vec![
@@ -245,9 +250,10 @@ pub fn render(rows: &[GateRow]) -> Table {
             row.messages.to_string(),
             row.diff_messages.to_string(),
             row.bytes.to_string(),
-            fmt_f(row.time_ms),
+            format!("{:.6}", row.time_ms),
             row.migrations.to_string(),
             row.migrate_backs.to_string(),
+            format!("{:.6}", row.checksum),
         ]);
     }
     table
@@ -387,7 +393,7 @@ fn check_workloads(rows: &[GateRow]) -> Vec<String> {
 /// [`crate::matrix::MATRIX_NODES`] nodes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvRow {
-    /// Policy label (stable across runs; the baseline is keyed on it).
+    /// Policy label.
     pub policy: String,
     /// Total operations executed (all nodes).
     pub ops: u64,
@@ -407,11 +413,6 @@ pub struct KvRow {
 }
 
 impl KvRow {
-    /// The key the baseline comparison matches rows on.
-    pub(crate) fn key(&self) -> String {
-        format!("kv[{}]", self.policy)
-    }
-
     /// Requester-side redirection hops over the whole run.
     pub(crate) fn redirects(&self) -> u64 {
         self.shift_redirects + self.settle_redirects
@@ -473,6 +474,7 @@ pub fn collect_kv() -> Vec<KvRow> {
 pub fn render_kv(rows: &[KvRow]) -> Table {
     let mut table = Table::new(&[
         "policy",
+        "ops",
         "msgs",
         "migr",
         "backs",
@@ -484,6 +486,7 @@ pub fn render_kv(rows: &[KvRow]) -> Table {
     for row in rows {
         table.row(vec![
             row.policy.clone(),
+            row.ops.to_string(),
             row.messages.to_string(),
             row.migrations.to_string(),
             row.migrate_backs.to_string(),
@@ -518,15 +521,13 @@ fn check_kv(rows: &[KvRow]) -> Vec<String> {
     for row in rows {
         if row.fingerprint != nm.fingerprint {
             errors.push(format!(
-                "{}: fingerprint {:#018x} != NM's {:#018x} — a migration policy changed \
+                "kv[{}]: fingerprint {:#018x} != NM's {:#018x} — a migration policy changed \
                  the application result",
-                row.key(),
-                row.fingerprint,
-                nm.fingerprint
+                row.policy, row.fingerprint, nm.fingerprint
             ));
         }
         if row.ops == 0 {
-            errors.push(format!("{}: empty measurement", row.key()));
+            errors.push(format!("kv[{}]: empty measurement", row.policy));
         }
     }
     // NM is inert: no migrations means no stale home hints, so no redirects.
@@ -584,101 +585,10 @@ fn check_kv(rows: &[KvRow]) -> Vec<String> {
     errors
 }
 
-// ----------------------------------------------------------------------
-// The baseline document
-// ----------------------------------------------------------------------
-
-/// Render the gate document (`bench/baseline.json`): one row per line, each
-/// line opening with its row key, so [`diff`] can pair lines without
-/// reading the JSON back.
-pub fn to_json(rows: &[GateRow], kv: &[KvRow]) -> String {
-    let workloads: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    \"{}\": {{\"messages\": {}, \"diff_messages\": {}, \"bytes\": {}, \
-                 \"time_ms\": {:.6}, \"migrations\": {}, \"migrate_backs\": {}, \
-                 \"checksum\": {:.6}}}",
-                r.key(),
-                r.messages,
-                r.diff_messages,
-                r.bytes,
-                r.time_ms,
-                r.migrations,
-                r.migrate_backs,
-                r.checksum
-            )
-        })
-        .collect();
-    // A u64 fingerprint does not survive JSON's f64 numbers, so it travels
-    // as a hex string.
-    let kv: Vec<String> = kv
-        .iter()
-        .map(|r| {
-            format!(
-                "    \"{}\": {{\"ops\": {}, \"messages\": {}, \"migrations\": {}, \
-                 \"migrate_backs\": {}, \"shift_redirects\": {}, \"settle_redirects\": {}, \
-                 \"fingerprint\": \"{:#018x}\"}}",
-                r.key(),
-                r.ops,
-                r.messages,
-                r.migrations,
-                r.migrate_backs,
-                r.shift_redirects,
-                r.settle_redirects,
-                r.fingerprint
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": 2,\n  \"workloads\": {{\n{}\n  }},\n  \"kv\": {{\n{}\n  }}\n}}\n",
-        workloads.join(",\n"),
-        kv.join(",\n")
-    )
-}
-
-/// Compare a freshly rendered document with the committed baseline. The
-/// gate is byte equality; on a mismatch the lines are paired by their row
-/// key (the first quoted string of a line) and every differing, missing or
-/// stale row is named. Empty = identical.
-pub fn diff(fresh: &str, committed: &str) -> Vec<String> {
-    if fresh == committed {
-        return Vec::new();
-    }
-    // The separating comma belongs to the list, not to the row: appending a
-    // row must not report its predecessor as changed.
-    fn keyed(document: &str) -> Vec<(&str, &str)> {
-        document
-            .lines()
-            .map(|line| line.trim().trim_end_matches(','))
-            .map(|line| (line.split('"').nth(1).unwrap_or(line), line))
-            .collect()
-    }
-    let (fresh, committed) = (keyed(fresh), keyed(committed));
-    let mut errors = Vec::new();
-    for (key, line) in &fresh {
-        match committed.iter().find(|(k, _)| k == key) {
-            Some((_, old)) if old == line => {}
-            Some((_, old)) => errors.push(format!(
-                "{key}: differs from bench/baseline.json\n      baseline: {old}\n      measured: {line}"
-            )),
-            None => errors.push(format!("{key}: no baseline entry")),
-        }
-    }
-    for (key, _) in &committed {
-        if !fresh.iter().any(|(k, _)| k == key) {
-            errors.push(format!("{key}: in the baseline but no longer measured"));
-        }
-    }
-    if errors.is_empty() {
-        errors.push("same rows as bench/baseline.json, but in a different order or layout".into());
-    }
-    errors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::first_difference;
 
     fn row(workload: &str, batched: bool, messages: u64, time_ms: f64) -> GateRow {
         GateRow {
@@ -725,34 +635,27 @@ mod tests {
             row("fig2_sor_nohm", true, 1180, 65.0),
             row("fig2_sor_nohm", false, 1756, 84.0),
         ];
-        let committed = to_json(&rows, &healthy_kv());
-        assert!(diff(&committed, &committed).is_empty());
+        let committed = render(&rows).render();
         rows[1].messages += 1;
-        let errors = diff(&to_json(&rows, &healthy_kv()), &committed);
-        assert_eq!(errors.len(), 1, "{errors:?}");
+        let drift = first_difference(&render(&rows).render(), &committed).unwrap();
+        let (committed, rendered) = drift.split_once("\n  rendered:").unwrap();
         assert!(
-            errors[0].starts_with("fig2_sor_nohm[unbatched]:"),
-            "{errors:?}"
+            committed.starts_with("line 4:\n  committed: \"fig2_sor_nohm  unbatched "),
+            "{drift}"
         );
-        // The KV section is gated the same way.
+        assert!(
+            committed.contains(" 1756 ") && rendered.contains(" 1757 "),
+            "{drift}"
+        );
+        // The KV table is gated the same way.
         let mut kv = healthy_kv();
+        let committed = render_kv(&kv).render();
         kv[2].shift_redirects += 1;
-        let errors = diff(
-            &to_json(&rows[..1], &kv),
-            &to_json(&rows[..1], &healthy_kv()),
+        let drift = first_difference(&render_kv(&kv).render(), &committed).unwrap();
+        assert!(
+            drift.starts_with("line 5:\n  committed: \"     AT  "),
+            "{drift}"
         );
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(errors[0].starts_with("kv[AT]:"), "{errors:?}");
-        // A new last row is reported alone — its predecessor only gained the
-        // separating comma — and so is a row the baseline still carries.
-        let errors = diff(&to_json(&rows, &[]), &to_json(&rows[..1], &[]));
-        assert_eq!(errors, vec!["fig2_sor_nohm[unbatched]: no baseline entry"]);
-        let errors = diff(&to_json(&rows[..1], &[]), &to_json(&rows, &[]));
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(errors[0].contains("no longer measured"), "{errors:?}");
-        // Equality is on bytes: reordered rows fail too.
-        let swapped = [rows[1].clone(), rows[0].clone()];
-        assert_eq!(diff(&to_json(&swapped, &[]), &to_json(&rows, &[])).len(), 1);
     }
 
     #[test]
@@ -864,13 +767,6 @@ mod tests {
             .iter()
             .any(|e| e.contains("kv[EWMA] row missing")));
         assert!(check(&[]).iter().any(|e| e.contains("NM row missing")));
-    }
-
-    #[test]
-    fn gate_rows_have_stable_keys() {
-        assert_eq!(row("a", true, 1, 1.0).key(), "a[batched]");
-        assert_eq!(row("a", false, 1, 1.0).key(), "a[unbatched]");
-        assert_eq!(kv_row("AT", 1, 1, 1).key(), "kv[AT]");
     }
 
     #[test]

@@ -1,31 +1,34 @@
 //! # dsm-bench — the experiment harness
 //!
 //! One function per figure of the paper's evaluation (Section 5), each
-//! returning the rows/series the paper plots, plus report binaries
-//! (`fig2`, `fig3`, `fig5`, `ablation_notify`, `ablation_alpha`,
-//! `ablation_related`) that print the same data as aligned text tables and
-//! CSV.
+//! returning the rows/series the paper plots, plus the ablations, the
+//! regression gate ([`gate`]) and the policy × workload conformance matrix
+//! ([`matrix`]). Each of them renders one committed text output
+//! ([`figures::REGISTRY`]: `fig2`, `fig3`, `fig5`, `ablation_notify`,
+//! `ablation_alpha`, `ablation_related`, `gate`, `sim_matrix`,
+//! `sim_matrix_lossy`), printed by the `figures` binary and pinned byte for
+//! byte under `bench/figures/small/` by the tier-1 test
+//! `crates/bench/tests/golden.rs`.
 //!
 //! Paper workload sizes (1024-vertex ASP, 2048×2048 SOR, 16 nodes) take a
 //! while on a single development machine because the whole cluster is
-//! simulated in one process; every harness therefore takes a [`Scale`]
-//! knob. `Scale::Small` keeps the shapes of the figures while running in
-//! seconds; `Scale::Paper` uses the paper's sizes. Binaries accept `--full`
-//! to select the paper scale.
+//! simulated in one process; every figure and ablation therefore takes a
+//! [`Scale`] knob. `Scale::Small` keeps the shapes of the figures while
+//! running in seconds; `Scale::Paper` uses the paper's sizes. `figures`
+//! accepts `--full` to select the paper scale.
 //!
 //! Everything here reports **modeled** numbers (message counts, migrations,
 //! Hockney time on a virtual clock), and every such number comes from the
 //! deterministic sim fabric: each harness builds its clusters with
 //! `cluster`, which takes a [`SimConfig`], so a figure cannot run on the
 //! OS-scheduled fabrics by accident. On the sim the numbers are a pure
-//! function of the seed; the binaries run [`SimConfig::calm`] at
-//! [`gate::GATE_SEED`], so their output is byte-identical run to run and
-//! between debug and release builds. `fig2`, `fig3` and `fig5` exit 1 when
-//! a shape check fails.
+//! function of the seed; the committed outputs run [`SimConfig::calm`] at
+//! [`gate::GATE_SEED`] (the matrices: perturbed seeds of their own), so
+//! they are byte-identical run to run and between debug and release
+//! builds. An output carries its claims — the figures' shape checks, the
+//! gate's internal claims, every matrix cell conforming — and `figures`
+//! exits 1 when one fails.
 //!
-//! [`gate`] is the one regression gate: it runs the modeled workloads and
-//! the KV policy sweep on the same calm sim and requires the rendered
-//! document to equal the committed `bench/baseline.json` byte for byte.
 //! Wall-clock throughput and latency are measured only by the repo
 //! benchmark (`benchmark/`, see `benchmark/README.md`); TCP is covered by
 //! the conformance suites (`tcp_conformance`, the `tcp_cluster` binary).
@@ -35,17 +38,17 @@
 //! A workload is a function `fn(ClusterBuilder) -> (fingerprint, report)`
 //! that registers its objects through the builder, then builds and runs
 //! it — there is deliberately no trait to implement. The contract is the
-//! *fingerprint*: a `u64` (FNV fold, by convention) over the workload's
-//! deterministic result, where "deterministic" means *schedule-independent
-//! for a fixed `(seed, params, num_nodes)`* — identical across fabrics
-//! (threaded / sim / tcp), sim seeds, migration policies and replays. The
-//! standard way to get there is single-writer-per-object-per-phase with
-//! barriers between phases; values whose outcome depends on timing (e.g.
-//! racy reads) must stay out of the fingerprint. `dsm_apps::kv` is the
-//! worked example: writes are partitioned by a per-phase `writer`
-//! rotation so the final store contents fingerprint exactly, while the
-//! values *read* under contention are folded into a separate, unchecked
-//! `read_hash`.
+//! *fingerprint*: a `u64` (a [`dsm_util::fnv`] fold, by convention) over
+//! the workload's deterministic result, where "deterministic" means
+//! *schedule-independent for a fixed `(seed, params, num_nodes)`* —
+//! identical across fabrics (threaded / sim / tcp), sim seeds, migration
+//! policies and replays. The standard way to get there is
+//! single-writer-per-object-per-phase with barriers between phases; values
+//! whose outcome depends on timing (e.g. racy reads) must stay out of the
+//! fingerprint. `dsm_apps::kv` is the worked example: writes are
+//! partitioned by a per-phase `writer` rotation so the final store contents
+//! fingerprint exactly, while the values *read* under contention are folded
+//! into a separate, unchecked `read_hash`.
 //!
 //! A new workload then joins one or both harnesses:
 //!
@@ -55,11 +58,13 @@
 //!   per cell). The sim matrix, the lossy fault matrix, the weekly extended
 //!   sweep and the TCP conformance suite all widen automatically.
 //! * **Regression gate** — add the name to `gate::WORKLOADS`, run it in
-//!   `run_workload` on the gate's sim fabric, extend
+//!   `run_workload` on the gate's sim fabric, and extend
 //!   [`gate::check_internal`] with whatever behaviour the workload pins
-//!   down, and refresh `bench/baseline.json` with
-//!   `bench_gate --write-baseline` in the same PR. The gate runs inside
-//!   tier-1 in a debug build, so keep a cell to a fraction of a second.
+//!   down. The gate runs inside tier-1 in a debug build, so keep a cell to
+//!   a fraction of a second.
+//!
+//! Either way the committed outputs move: regenerate them in the same PR
+//! (`bench/README.md`, "Committed outputs") and explain every moved row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,6 +73,7 @@ pub mod ablation;
 pub mod fig2;
 pub mod fig3;
 pub mod fig5;
+pub mod figures;
 pub mod gate;
 pub mod matrix;
 mod table;
@@ -91,7 +97,7 @@ impl Scale {
     /// Parse the scale from process arguments (`--full` selects
     /// [`Scale::Paper`]).
     pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full" || a == "--paper") {
+        if std::env::args().any(|a| a == "--full") {
             Scale::Paper
         } else {
             Scale::Small
@@ -142,23 +148,5 @@ mod tests {
         let report = cluster.build().run(|_| {});
         assert_eq!(report.num_nodes, 8);
         assert!(report.delivery_trace.is_some());
-    }
-
-    #[test]
-    fn figure_tables_replay_byte_identically() {
-        // Each collection builds fresh clusters (and fresh hash-map seeds),
-        // so equal renderings mean the tables depend on the seed alone.
-        let sim = SimConfig::calm(gate::GATE_SEED);
-        let tables = || {
-            let fig5 = fig5::collect(Scale::Small, &sim);
-            [
-                fig5::render_times(&fig5).to_csv(),
-                fig5::render_messages(&fig5).to_csv(),
-                ablation::render(&ablation::notification_comparison(Scale::Small, &sim)).to_csv(),
-                ablation::render(&ablation::coefficient_sensitivity(Scale::Small, &sim)).to_csv(),
-                ablation::render(&ablation::related_work_comparison(Scale::Small, &sim)).to_csv(),
-            ]
-        };
-        assert_eq!(tables(), tables());
     }
 }

@@ -21,6 +21,7 @@
 //!   acknowledged, migrations conserved, the delivery trace reconciling
 //!   with the network statistics and per-link FIFO order.
 
+use crate::figures::Output;
 use crate::table::Table;
 use dsm_apps::{asp, kv, nbody, sor, synthetic, tsp};
 use dsm_core::{
@@ -29,6 +30,7 @@ use dsm_core::{
 };
 use dsm_model::ComputeModel;
 use dsm_runtime::{Cluster, ClusterBuilder, ExecutionReport, FabricMode, SimConfig};
+use dsm_util::{fnv, FNV_BASIS};
 
 /// Number of cluster nodes every matrix cell runs on.
 pub const MATRIX_NODES: usize = 4;
@@ -65,13 +67,9 @@ impl std::fmt::Debug for MatrixWorkload {
     }
 }
 
-fn fnv(hash: u64, value: u64) -> u64 {
-    (hash ^ value).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
 /// Bit-exact fingerprint of a row-major `f64` matrix.
 fn fingerprint_matrix(matrix: &[Vec<f64>]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_BASIS;
     for row in matrix {
         for &v in row {
             hash = fnv(hash, v.to_bits());
@@ -100,14 +98,14 @@ fn run_asp(cluster: ClusterBuilder) -> MatrixRun {
 fn run_tsp(cluster: ClusterBuilder) -> MatrixRun {
     let run = tsp::run(cluster, &tsp::TspParams::small(7));
     MatrixRun {
-        fingerprint: fnv(0xcbf2_9ce4_8422_2325, run.result),
+        fingerprint: fnv(FNV_BASIS, run.result),
         report: run.report,
     }
 }
 
 fn run_nbody(cluster: ClusterBuilder) -> MatrixRun {
     let run = nbody::run(cluster, &nbody::NbodyParams::small(24, 2));
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_BASIS;
     for body in &run.result {
         for v in [body.x, body.y, body.vx, body.vy, body.mass] {
             hash = fnv(hash, v.to_bits());
@@ -139,7 +137,7 @@ fn run_synthetic(cluster: ClusterBuilder) -> MatrixRun {
     };
     let run = synthetic::run(cluster, &params);
     MatrixRun {
-        fingerprint: fnv(0xcbf2_9ce4_8422_2325, run.result),
+        fingerprint: fnv(FNV_BASIS, run.result),
         report: run.report,
     }
 }
@@ -291,7 +289,7 @@ pub fn conformance_for(
         let reference = workload.run(matrix_cluster(protocol.clone(), FabricMode::Threaded));
         let mut reference_order: Option<Vec<(u16, u16, u64)>> = None;
         let mut order_diverged = seeds.len() < 2;
-        let mut traces = 0xcbf2_9ce4_8422_2325u64;
+        let mut traces = FNV_BASIS;
         let mut drops = 0;
         for (i, &seed) in seeds.iter().enumerate() {
             let fabric = FabricMode::Sim(sim_config(seed));
@@ -392,4 +390,62 @@ pub fn render(rows: &[CellResult]) -> Table {
         ]);
     }
     table
+}
+
+/// The seeds a sweep of `count` schedules runs: a SplitMix-style
+/// derivation from a fixed base, so a count always names the same
+/// schedules. The committed matrices sweep two; the weekly soak sixteen.
+pub fn sweep_seeds(count: usize) -> Vec<u64> {
+    (0..count as u64)
+        .map(|i| 0x51E5_ED00u64.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        .collect()
+}
+
+/// Sweep every workload under `seeds` — perturbed, or with `lossy` under
+/// [`SimConfig::lossy`] — and render the matrix with its verdict. Each
+/// failure is one `workload,policy,seed,reason` line, the replay recipe
+/// `sim_matrix --seeds` takes.
+pub fn report(seeds: &[u64], lossy: bool) -> Output {
+    let sim_config = if lossy {
+        SimConfig::lossy
+    } else {
+        SimConfig::perturbed
+    };
+    let rows: Vec<CellResult> = workloads()
+        .iter()
+        .flat_map(|workload| conformance_for(workload, seeds, sim_config))
+        .collect();
+    let failures: Vec<String> = rows
+        .iter()
+        .flat_map(|row| {
+            row.failures
+                .iter()
+                .map(|(seed, reason)| format!("{},{},{seed:#x},{reason}", row.workload, row.policy))
+        })
+        .collect();
+    let verdict = if failures.is_empty() {
+        format!(
+            "all {} cells conform ({} seed(s) each)",
+            rows.len(),
+            seeds.len()
+        )
+    } else {
+        format!(
+            "{} failure(s) across {} cells — failing seeds listed above",
+            failures.len(),
+            rows.len()
+        )
+    };
+    Output {
+        text: format!(
+            "Conformance matrix — sim fabric{} vs. threaded reference, seeds {seeds:?}\n\n{}\n{verdict}\n",
+            if lossy {
+                " (lossy: 1% drops + partition/heal)"
+            } else {
+                ""
+            },
+            render(&rows).render()
+        ),
+        failures,
+    }
 }

@@ -42,7 +42,7 @@
 //! baselines ([`MigrateOnRequestPolicy`], [`LazyFlushingPolicy`]) are the
 //! one definition of each rule: unit tests check them against values
 //! computed by hand from §4.2 of the paper, and the modeled rows of
-//! `bench/baseline.json` pin their decisions end to end. Two policies go
+//! `bench/figures/small/gate.txt` pin their decisions end to end. Two policies go
 //! beyond the paper: [`HysteresisPolicy`] damps migrate-back ping-pong by
 //! demanding extra evidence before the home returns to the node it just
 //! left, and [`EwmaWriteRatioPolicy`] tracks an exponentially weighted

@@ -24,6 +24,9 @@
 //!   diff-batch partials, the object registry, the policy overrides, the
 //!   runtime's view and barrier-epoch tables and the sim fabric's links.
 //!   The module documentation says why a fixed hasher is safe there.
+//! * [`fnv`] and [`FNV_BASIS`] — the FNV-1a fold every result fingerprint
+//!   (the applications', the conformance matrix's, the launchers') is
+//!   built from.
 //! * [`poll_readable`] and [`batch_scheduling`] — `poll(2)` over a set of
 //!   sockets, and a thread class that does not preempt on wake-up, for the
 //!   TCP fabric's readers (Unix only).
@@ -33,6 +36,7 @@
 
 mod cell;
 pub mod channel;
+mod fnv;
 mod histogram;
 mod idmap;
 #[cfg(unix)]
@@ -41,6 +45,7 @@ mod rng;
 pub mod sync;
 
 pub use cell::{RwCell, RwReadGuard, RwWriteGuard};
+pub use fnv::{fnv, FNV_BASIS};
 pub use histogram::LatencyHistogram;
 pub use idmap::{IdHasher, IdMap, IdSet};
 #[cfg(unix)]

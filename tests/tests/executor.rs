@@ -38,6 +38,7 @@ use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{
     ArrayHandle, ClusterBuilder, ExecutionReport, FabricMode, SchedulerReport, SimConfig,
 };
+use dsm_util::{fnv, FNV_BASIS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -255,11 +256,6 @@ fn sim_runs_report_no_scheduler() {
     assert!(report.scheduler.is_none());
 }
 
-/// FNV-1a step, the same fold the matrix fingerprints use.
-fn fnv(hash: u64, value: u64) -> u64 {
-    (hash ^ value).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
 /// Run `app` on `cluster` and return the fingerprint the master published
 /// through the second argument, with the report.
 fn fingerprinted(
@@ -299,7 +295,7 @@ fn remote_fault_ins(mut cluster: ClusterBuilder) -> (u64, ExecutionReport) {
             let hash = objects
                 .iter()
                 .flat_map(|object| ctx.view(object).to_vec())
-                .fold(0xcbf2_9ce4_8422_2325, fnv);
+                .fold(FNV_BASIS, fnv);
             fingerprint.store(hash, Ordering::SeqCst);
         }
     })
@@ -375,7 +371,7 @@ fn helper_stress(cluster: ClusterBuilder, rounds: usize) -> (u64, ExecutionRepor
             let hash = counters
                 .iter()
                 .map(|counter| ctx.view(counter)[0])
-                .fold(0xcbf2_9ce4_8422_2325, fnv);
+                .fold(FNV_BASIS, fnv);
             fingerprint.store(hash, Ordering::SeqCst);
         }
         ctx.barrier(BarrierId(9));

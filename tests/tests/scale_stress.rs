@@ -23,16 +23,12 @@ use dsm_core::ProtocolConfig;
 use dsm_integration_tests::{seed_corpus, test_cluster};
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{ArrayHandle, ExecutionReport};
+use dsm_util::{fnv, FNV_BASIS};
 use std::io::Write;
 
 /// Cluster size of the soak. The executor multiplexes all 256 protocol
 /// servers onto `min(available_parallelism, 256)` pool workers.
 const NODES: usize = 256;
-
-/// FNV-1a step, the same fold the matrix fingerprints use.
-fn fnv(hash: u64, value: u64) -> u64 {
-    (hash ^ value).wrapping_mul(0x0000_0100_0000_01b3)
-}
 
 /// One soak run on an executor pool of `workers` threads (`0` = auto):
 /// `rounds` rotating lock/fault-in/increment rounds over `NODES` nodes and
@@ -81,7 +77,7 @@ fn soak(workers: usize, seed: u64, rounds: usize) -> (u64, ExecutionReport) {
         if ctx.is_master() {
             // Read back all 256 counters (255 remote fault-ins), verify the
             // closed form and fold the values into the run fingerprint.
-            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            let mut hash = FNV_BASIS;
             for (c, counter) in counters.iter().enumerate() {
                 let value = ctx.view(counter)[0];
                 let expect: u64 = (0..rounds)

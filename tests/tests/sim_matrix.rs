@@ -1,7 +1,7 @@
 //! The policy × workload conformance matrix on the deterministic sim
-//! fabric (the grid is defined once in `dsm_bench::matrix`; the reduced CI
-//! sweep and the weekly extended sweep run the same cells through the
-//! `sim_matrix` binary).
+//! fabric (the grid is defined once in `dsm_bench::matrix`; the committed
+//! `bench/figures/small/sim_matrix*.txt` outputs and the weekly extended
+//! sweep run the same cells under seeds of their own).
 //!
 //! For every workload × policy cell, under the shared seed corpus
 //! (`DSM_SEEDS` overridable):
@@ -32,6 +32,7 @@ use dsm_model::{ComputeModel, NetworkParams, SimDuration, SimTime};
 use dsm_net::PauseSpec;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{ArrayHandle, Cluster, ExecutionReport, FabricMode, SimConfig};
+use dsm_util::{fnv, FNV_BASIS};
 
 /// Run every policy against `workload` under the corpus seeds with
 /// `sim_config` ([`matrix::conformance_for`]) and fail on any cell's
@@ -291,10 +292,6 @@ fn matrix_busy_deferral_is_deterministic_and_conforms_across_seeds() {
     /// perturbation.
     const FILLERS: usize = 16;
 
-    fn fnv(hash: u64, value: u64) -> u64 {
-        (hash ^ value).wrapping_mul(0x0000_0100_0000_01b3)
-    }
-
     let run = |fabric: FabricMode, seed: u64| -> (u64, ExecutionReport) {
         let leased =
             matches!(fabric, FabricMode::Threaded).then(|| Arc::new(std::sync::Barrier::new(2)));
@@ -347,7 +344,7 @@ fn matrix_busy_deferral_is_deterministic_and_conforms_across_seeds() {
                 ctx.barrier(done);
             } else {
                 ctx.barrier(gate);
-                let mut hash = 0xcbf2_9ce4_8422_2325u64;
+                let mut hash = FNV_BASIS;
                 {
                     // The lease window: held across FILLERS remote
                     // fault-ins, each of which parks this application with
