@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn notification_mechanisms_trade_redirections_for_notifications() {
-        for sim in crate::test_sims() {
+        for sim in SimConfig::modeled_sims() {
             let points = notification_comparison(Scale::Small, &sim);
             assert_eq!(points.len(), 3);
             let (fp, bc) = (&points[0], &points[2]);
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn related_work_policies_all_converge_on_sor() {
-        for sim in crate::test_sims() {
+        for sim in SimConfig::modeled_sims() {
             let points = related_work_comparison(Scale::Small, &sim);
             let at = points.iter().find(|p| p.label.starts_with("AT")).unwrap();
             let nm = points.iter().find(|p| p.label == "No migration").unwrap();

@@ -10,9 +10,14 @@
 //! Usage: `cargo run -p dsm-bench --release --bin sim_matrix [--sweep N]
 //! [--seeds a,b,c] [--lossy] [--output FILE]`
 //!
-//! * `--sweep N` — derive `N` seeds from the base corpus (the weekly
-//!   extended sweep uses this; default 2, the committed sweep).
-//! * `--seeds a,b,c` — sweep exactly these seeds (replay a failure).
+//! * `--sweep N` — sweep the first `N` seeds of the corpus derivation
+//!   (`dsm_util::derived_seeds`). The default, 2, is the committed sweep;
+//!   the weekly extended sweep takes 16, whose first two are the
+//!   committed ones.
+//! * `--seeds a,b,c` — sweep exactly these seeds, to replay a failing cell
+//!   (the seed column of a failure line). The list is read strictly
+//!   (`dsm_util::parse_seed_list`): an empty field or a bad token is an
+//!   error naming it, never a shorter sweep.
 //! * `--lossy` — inject faults into every sim run (1% seeded per-link
 //!   drops plus a partition/heal cycle, `SimConfig::lossy`); cells must
 //!   conform anyway via timeouts, idempotent retries and home re-election.
@@ -25,30 +30,35 @@
 use dsm_bench::matrix;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-    };
+    // An unknown argument or a flag without its value is an error, never
+    // the default sweep: a mistyped replay must not check other schedules.
+    let (mut seed_list, mut sweep, mut failures_file, mut lossy) = (None, None, None, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| panic!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--seeds" => seed_list = Some(value()),
+            "--sweep" => sweep = Some(value()),
+            "--output" => failures_file = Some(value()),
+            "--lossy" => lossy = true,
+            _ => panic!(
+                "unknown argument {flag:?}: [--sweep N] [--seeds a,b,c] [--lossy] [--output FILE]"
+            ),
+        }
+    }
 
-    let seeds: Vec<u64> = match value_of("--seeds") {
-        Some(list) => list
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| {
-                dsm_util::parse_seed(s)
-                    .unwrap_or_else(|e| panic!("--seeds entry {s:?} is invalid: {e}"))
-            })
-            .collect(),
-        None => matrix::sweep_seeds(value_of("--sweep").map_or(2, |s| {
+    let seeds: Vec<u64> = match seed_list {
+        Some(list) => dsm_util::parse_seed_list(&list)
+            .unwrap_or_else(|e| panic!("--seeds {list:?} is invalid: {e}")),
+        None => dsm_util::derived_seeds(sweep.map_or(2, |s| {
             s.parse()
                 .unwrap_or_else(|e| panic!("--sweep {s:?} is invalid: {e}"))
         })),
     };
     assert!(!seeds.is_empty(), "need at least one seed");
-    let lossy = args.iter().any(|a| a == "--lossy");
 
     eprintln!(
         "sweeping the policy x workload conformance matrix over {} seed(s){} ...",
@@ -61,7 +71,7 @@ fn main() {
         eprintln!("FAIL: {line}");
     }
 
-    if let Some(path) = value_of("--output") {
+    if let Some(path) = &failures_file {
         let mut contents = output.failures.join("\n");
         if !contents.is_empty() {
             contents.push('\n');

@@ -184,7 +184,7 @@ mod tests {
     fn tiny_fig2_sweep_produces_expected_shape() {
         // A miniature sweep (one node count) exercising the full pipeline
         // in the figure's wire mode, under every test schedule.
-        for sim in crate::test_sims() {
+        for sim in SimConfig::modeled_sims() {
             let config = |protocol: &ProtocolConfig| {
                 cluster(4, protocol.clone(), &sim).flush_batching(false)
             };

@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn at_improves_over_ft2_on_small_instances() {
-        for sim in crate::test_sims() {
+        for sim in SimConfig::modeled_sims() {
             let points = vec![asp_point(24, &sim), sor_point(24, &sim)];
             assert!(
                 shape_holds(&points),

@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn large_repetition_favours_migration() {
-        for sim in crate::test_sims() {
+        for sim in SimConfig::modeled_sims() {
             let nm = measure(8, "NM", ProtocolConfig::no_migration(), Scale::Small, &sim);
             let at = measure(8, "AT", ProtocolConfig::adaptive(), Scale::Small, &sim);
             assert!(at.migrations > 0, "seed {:#x}: AT never migrated", sim.seed);

@@ -8,7 +8,8 @@
 //! binary prints) and the failures of the claims the output carries — the
 //! figures' shape checks, the gate's internal claims, or every matrix cell
 //! conforming. Everything runs on the sim fabric at fixed seeds (the calm
-//! sim at [`GATE_SEED`]; the matrices perturb two seeds of their own), so
+//! sim at [`GATE_SEED`]; the matrices perturb the first two
+//! [`dsm_util::derived_seeds`], never a `DSM_SEEDS` override), so
 //! the text is a pure function of the code: identical run to run and
 //! between debug and release builds.
 //!
@@ -55,10 +56,10 @@ pub const REGISTRY: [(&str, Render); 9] = [
     ("ablation_related", ablation_related),
     ("gate", |_| gate::report()),
     ("sim_matrix", |_| {
-        matrix::report(&matrix::sweep_seeds(2), false)
+        matrix::report(&dsm_util::derived_seeds(2), false)
     }),
     ("sim_matrix_lossy", |_| {
-        matrix::report(&matrix::sweep_seeds(2), true)
+        matrix::report(&dsm_util::derived_seeds(2), true)
     }),
 ];
 

@@ -23,7 +23,8 @@
 //! `cluster`, which takes a [`SimConfig`], so a figure cannot run on the
 //! OS-scheduled fabrics by accident. On the sim the numbers are a pure
 //! function of the seed; the committed outputs run [`SimConfig::calm`] at
-//! [`gate::GATE_SEED`] (the matrices: perturbed seeds of their own), so
+//! [`gate::GATE_SEED`] (the matrices: the first two perturbed
+//! [`dsm_util::derived_seeds`]), so
 //! they are byte-identical run to run and between debug and release
 //! builds. An output carries its claims — the figures' shape checks, the
 //! gate's internal claims, every matrix cell conforming — and `figures`
@@ -114,16 +115,6 @@ pub(crate) fn cluster(nodes: usize, protocol: ProtocolConfig, sim: &SimConfig) -
         .protocol(protocol)
         .compute(ComputeModel::pentium4_2ghz())
         .fabric(dsm_runtime::FabricMode::Sim(*sim))
-}
-
-/// The schedules the harness's unit tests assert modeled claims under: the
-/// calm sim at [`gate::GATE_SEED`] plus the perturbed sim at each seed of
-/// the integration suite's default corpus.
-#[cfg(test)]
-pub(crate) fn test_sims() -> Vec<SimConfig> {
-    let mut sims = vec![SimConfig::calm(gate::GATE_SEED)];
-    sims.extend([0x51E5_ED01, 0x51E5_ED02, 0x51E5_ED03].map(SimConfig::perturbed));
-    sims
 }
 
 #[cfg(test)]

@@ -214,6 +214,20 @@ impl SimConfig {
         }
     }
 
+    /// The schedules every claim on modeled time, message counts or
+    /// migration counts is checked under: the calm sim plus the perturbed
+    /// sim at each seed of [`dsm_util::seed_corpus`] (`DSM_SEEDS`
+    /// overridable). On the sim those numbers are a pure function of the
+    /// seed, so such a claim cannot flake on the OS scheduler; threaded and
+    /// TCP runs assert only contents and fingerprints.
+    pub fn modeled_sims() -> Vec<SimConfig> {
+        let mut sims = vec![SimConfig::calm(2004)];
+        for seed in dsm_util::seed_corpus() {
+            sims.push(SimConfig::perturbed(seed));
+        }
+        sims
+    }
+
     /// One node-pause window (builder style).
     pub fn with_pause(mut self, pause: PauseSpec) -> Self {
         self.pause = Some(pause);

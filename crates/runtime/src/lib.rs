@@ -228,10 +228,11 @@
 //! [`ExecutionReport::delivery_trace`] records every delivery; the same
 //! seed reproduces it bit-identically, so a failing seed from a sweep *is*
 //! the reproduction recipe — re-run with that seed (optionally
-//! `DSM_TRACE=1`) and the identical schedule unfolds. The integration
-//! suite's seed corpus is centralized in the `dsm-integration-tests`
-//! helpers and can be overridden with `DSM_SEEDS=0x1,0x2,...` to sweep new
-//! schedules without touching code.
+//! `DSM_TRACE=1`) and the identical schedule unfolds. The seed corpus is
+//! defined once, as `dsm_util::seed_corpus` (with [`SimConfig::modeled_sims`]
+//! the schedules modeled claims are checked under); every seeded suite in
+//! the workspace draws from it, and `DSM_SEEDS=0x1,0x2,...` overrides it to
+//! sweep new schedules without touching code.
 //!
 //! **Lossy presets — testing the fault path:** [`SimConfig::lossy`]`(seed)`
 //! layers fault injection on top of the perturbed preset: 1% seeded

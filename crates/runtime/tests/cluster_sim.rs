@@ -173,11 +173,8 @@ fn migration_happens_deterministically_on_the_sim_fabric() {
 fn jump_policy_bounces_home_between_alternating_writers() {
     // Two writers take turns on one object under the JUMP-style policy,
     // which migrates on every write fault by a non-home node. On the sim
-    // fabric the number of bounces is a function of the seed alone: the
-    // calm schedule and the integration suite's perturbed seed corpus.
-    let mut sims = vec![SimConfig::calm(2004)];
-    sims.extend([0x51E5_ED01, 0x51E5_ED02, 0x51E5_ED03].map(SimConfig::perturbed));
-    for sim in sims {
+    // fabric the number of bounces is a function of the seed alone.
+    for sim in SimConfig::modeled_sims() {
         let seed = sim.seed;
         let protocol = ProtocolConfig::no_migration().with_migration(MigrateOnRequestPolicy);
         let mut cluster = sim_config(3, protocol, sim);

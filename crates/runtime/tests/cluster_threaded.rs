@@ -3,8 +3,8 @@
 //!
 //! The threaded runs assert contents only. Where a test also claims message
 //! or migration counts, it runs the same workload on the sim fabric under
-//! each of [`sims`] and asserts the counts there, where they are a pure
-//! function of the seed rather than of the OS scheduler.
+//! each of [`SimConfig::modeled_sims`] and asserts the counts there, where
+//! they are a pure function of the seed rather than of the OS scheduler.
 
 use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_model::ComputeModel;
@@ -21,14 +21,6 @@ fn config(nodes: usize, protocol: ProtocolConfig) -> ClusterBuilder {
 
 fn sim_config(nodes: usize, protocol: ProtocolConfig, sim: SimConfig) -> ClusterBuilder {
     config(nodes, protocol).fabric(FabricMode::Sim(sim))
-}
-
-/// The calm schedule at the gate seed plus the integration suite's
-/// perturbed seed corpus.
-fn sims() -> Vec<SimConfig> {
-    let mut sims = vec![SimConfig::calm(2004)];
-    sims.extend([0x51E5_ED01, 0x51E5_ED02, 0x51E5_ED03].map(SimConfig::perturbed));
-    sims
 }
 
 #[test]
@@ -107,7 +99,7 @@ fn single_writer_pattern_migrates_home_and_cuts_messages() {
 
     run(config(nodes, ProtocolConfig::adaptive()));
     run(config(nodes, ProtocolConfig::no_migration()));
-    for sim in sims() {
+    for sim in SimConfig::modeled_sims() {
         let seed = sim.seed;
         let adaptive = run(sim_config(nodes, ProtocolConfig::adaptive(), sim));
         let no_migration = run(sim_config(nodes, ProtocolConfig::no_migration(), sim));
@@ -230,7 +222,7 @@ fn round_robin_rows_relocate_to_their_writers() {
     };
 
     run(config(nodes, ProtocolConfig::adaptive()));
-    for sim in sims() {
+    for sim in SimConfig::modeled_sims() {
         let seed = sim.seed;
         let report = run(sim_config(nodes, ProtocolConfig::adaptive(), sim));
         // Each row is written by exactly one node, so each should migrate
@@ -283,7 +275,7 @@ fn immutable_objects_are_fetched_at_most_once_per_node() {
     };
 
     run(config(nodes, ProtocolConfig::adaptive()));
-    for sim in sims() {
+    for sim in SimConfig::modeled_sims() {
         let report = run(sim_config(nodes, ProtocolConfig::adaptive(), sim));
         // Three non-home nodes fetch the table once each; the master reads
         // it locally. A few extra fetches may occur due to bootstrap
@@ -351,7 +343,7 @@ fn single_node_cluster_degenerates_to_local_execution() {
     };
 
     run(config(1, ProtocolConfig::adaptive()));
-    for sim in sims() {
+    for sim in SimConfig::modeled_sims() {
         let report = run(sim_config(1, ProtocolConfig::adaptive(), sim));
         assert_eq!(
             report.breakdown_messages(),

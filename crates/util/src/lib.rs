@@ -12,7 +12,8 @@
 //! * [`RwCell`] — a reference-counted read/write cell handing out *owned*
 //!   guards; the substrate of the runtime's zero-copy object views.
 //! * [`SmallRng`] — a deterministic SplitMix64 generator for workload
-//!   generation and randomized property tests.
+//!   generation and randomized property tests, and [`seed_corpus`] — the
+//!   seeds every seeded suite runs (`DSM_SEEDS` overrides them).
 //! * [`LatencyHistogram`] — a fixed-bucket log-linear histogram for
 //!   wall-clock latency percentiles (the piece `hdrhistogram` would
 //!   normally provide).
@@ -50,5 +51,5 @@ pub use histogram::LatencyHistogram;
 pub use idmap::{IdHasher, IdMap, IdSet};
 #[cfg(unix)]
 pub use os::{batch_scheduling, poll_readable};
-pub use rng::{parse_seed, SmallRng};
+pub use rng::{derived_seeds, parse_seed, parse_seed_list, seed_corpus, SmallRng};
 pub use sync::{Mutex, MutexGuard};

@@ -1,10 +1,15 @@
-//! A small deterministic random number generator.
+//! A small deterministic random number generator, and the seeds it is fed.
 //!
 //! SplitMix64: a 64-bit state advanced by a Weyl constant and finalized with
 //! a mixing function. Statistically solid for workload generation and
 //! randomized tests, trivially seedable, and identical on every platform —
 //! which is what matters here: every simulated node must generate the same
 //! graph/bodies/cities from the same seed without communicating.
+//!
+//! The seeds are defined here too: [`seed_corpus`] is the one corpus every
+//! seeded suite in the workspace draws from (`DSM_SEEDS` overrides it), on
+//! the single derivation [`derived_seeds`], and [`parse_seed_list`] is the
+//! one strict reader of a seed list.
 
 /// A seeded SplitMix64 generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,10 +72,9 @@ impl SmallRng {
 
 /// Parse a seed from user input: hexadecimal with a `0x`/`0X` prefix,
 /// decimal otherwise; surrounding whitespace and `_` digit separators are
-/// accepted. One parser backs every seed-taking surface (`DSM_SEEDS`, the
-/// `sim_matrix --seeds` list, the figure binaries' `--seed`), so the
-/// hex-formatted seeds printed by failure reports can be pasted anywhere a
-/// seed is read.
+/// accepted. Every seed list ([`parse_seed_list`]) is parsed entry by entry
+/// with it, so the hex-formatted seeds printed by failure reports can be
+/// pasted anywhere a seed is read.
 pub fn parse_seed(input: &str) -> Result<u64, std::num::ParseIntError> {
     let cleaned = input.trim().replace('_', "");
     match cleaned
@@ -80,6 +84,64 @@ pub fn parse_seed(input: &str) -> Result<u64, std::num::ParseIntError> {
         Some(hex) => u64::from_str_radix(hex, 16),
         None => cleaned.parse(),
     }
+}
+
+/// Seed `i` of the corpus derivation is `SEED_CORPUS_BASE + i`.
+const SEED_CORPUS_BASE: u64 = 0x51E5_ED01;
+
+/// The first `count` seeds of the corpus derivation: `0x51E5ED01`,
+/// `0x51E5ED02`, and so on, so a count always names the same schedules.
+/// The default corpus is the first three, the committed conformance
+/// matrices sweep the first two and the weekly soak the first sixteen.
+pub fn derived_seeds(count: usize) -> Vec<u64> {
+    (0..count as u64).map(|i| SEED_CORPUS_BASE + i).collect()
+}
+
+/// The seed corpus every seeded suite draws from: the first three
+/// [`derived_seeds`], unless the `DSM_SEEDS` environment variable overrides
+/// it with a [`parse_seed_list`] list. `DSM_SEEDS=0xBAD5EED,7` replays two
+/// specific schedules through every corpus-driven suite without touching
+/// code.
+///
+/// # Panics
+/// Panics on a malformed `DSM_SEEDS`, naming the bad token: a typo silently
+/// falling back to the default corpus would fake a reproduction.
+pub fn seed_corpus() -> Vec<u64> {
+    match std::env::var("DSM_SEEDS") {
+        Err(_) => derived_seeds(3),
+        Ok(raw) => parse_seed_list(&raw)
+            .unwrap_or_else(|e| panic!("DSM_SEEDS override {raw:?} is invalid: {e}")),
+    }
+}
+
+/// Parse a comma/space-separated seed list (the `DSM_SEEDS` and
+/// `sim_matrix --seeds` format), each entry by [`parse_seed`].
+///
+/// Every malformed entry is an error naming the offending token: an empty
+/// list, a leading, trailing or doubled comma or a non-numeric token must
+/// never silently shrink the list to fewer seeds than the caller's
+/// assertions claim.
+pub fn parse_seed_list(raw: &str) -> Result<Vec<u64>, String> {
+    if raw.trim().is_empty() {
+        return Err("it contains no seeds".to_string());
+    }
+    let fields: Vec<&str> = raw.split(',').collect();
+    let last = fields.len() - 1;
+    let mut seeds = Vec::new();
+    for (i, field) in fields.iter().enumerate() {
+        if field.trim().is_empty() {
+            let hint = match i {
+                0 => "leading comma",
+                _ if i == last => "trailing comma",
+                _ => "doubled comma",
+            };
+            return Err(format!("comma-field {} is empty ({hint})", i + 1));
+        }
+        for token in field.split_whitespace() {
+            seeds.push(parse_seed(token).map_err(|e| format!("entry {token:?}: {e}"))?);
+        }
+    }
+    Ok(seeds)
 }
 
 #[cfg(test)]
@@ -94,6 +156,30 @@ mod tests {
         assert_eq!(parse_seed("1_000"), Ok(1000));
         assert!(parse_seed("zebra").is_err());
         assert!(parse_seed("").is_err());
+    }
+
+    #[test]
+    fn seed_lists_parse_hex_decimal_and_mixed_separators() {
+        assert_eq!(parse_seed_list("7"), Ok(vec![7]));
+        assert_eq!(parse_seed_list("0x10,2"), Ok(vec![16, 2]));
+        assert_eq!(parse_seed_list("1, 2 3"), Ok(vec![1, 2, 3]));
+        assert_eq!(parse_seed_list(" 1 2 "), Ok(vec![1, 2]));
+    }
+
+    #[test]
+    fn malformed_seed_lists_fail_loudly_naming_the_token() {
+        let empty = parse_seed_list("").unwrap_err();
+        assert!(empty.contains("no seeds"), "got: {empty}");
+        let blank = parse_seed_list("  ").unwrap_err();
+        assert!(blank.contains("no seeds"), "got: {blank}");
+        let trailing = parse_seed_list("1,2,").unwrap_err();
+        assert!(trailing.contains("trailing comma"), "got: {trailing}");
+        let doubled = parse_seed_list("1,,2").unwrap_err();
+        assert!(doubled.contains("doubled comma"), "got: {doubled}");
+        let leading = parse_seed_list(",1").unwrap_err();
+        assert!(leading.contains("leading comma"), "got: {leading}");
+        let bad = parse_seed_list("1,banana,3").unwrap_err();
+        assert!(bad.contains("\"banana\""), "got: {bad}");
     }
 
     #[test]

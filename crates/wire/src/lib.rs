@@ -1053,16 +1053,8 @@ mod tests {
     /// message — never a panic, never an oversized allocation.
     #[test]
     fn seeded_mutation_fuzz_never_panics() {
-        let seeds: Vec<u64> = match std::env::var("DSM_SEEDS") {
-            Ok(raw) => raw
-                .split([',', ' '])
-                .filter(|p| !p.trim().is_empty())
-                .map(|p| dsm_util::parse_seed(p).expect("valid DSM_SEEDS entry"))
-                .collect(),
-            Err(_) => vec![0x51E5_ED01, 0x51E5_ED02, 0x51E5_ED03],
-        };
         let variants = every_variant();
-        for seed in seeds {
+        for seed in dsm_util::seed_corpus() {
             let mut rng = SmallRng::seed_from_u64(seed);
             for round in 0..2_000 {
                 let msg = variants[rng.gen_index(variants.len())].clone();

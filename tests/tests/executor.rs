@@ -32,7 +32,7 @@
 
 use dsm_bench::matrix;
 use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
-use dsm_integration_tests::{seed_corpus, sim_test_cluster, tcp_test_cluster, test_cluster};
+use dsm_integration_tests::{sim_test_cluster, tcp_test_cluster, test_cluster};
 use dsm_net::TcpConfig;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{
@@ -145,7 +145,7 @@ fn quiet_cluster_wakeups_are_message_bounded_however_long_the_quiet_lasts() {
 #[test]
 fn single_worker_executor_matches_default_pool_and_sim_fingerprints_on_corpus_seeds() {
     let workloads = matrix::workloads();
-    for (i, seed) in seed_corpus().into_iter().enumerate() {
+    for (i, seed) in dsm_util::seed_corpus().into_iter().enumerate() {
         // Rotate through the matrix so an overridden corpus sweeps cells.
         for workload in [&workloads[i % workloads.len()], &workloads[4]] {
             let cell = |fabric: FabricMode| {
@@ -248,7 +248,7 @@ fn sim_runs_report_no_scheduler() {
     let config = sim_test_cluster(
         2,
         ProtocolConfig::no_migration(),
-        SimConfig::perturbed(seed_corpus()[0]),
+        SimConfig::perturbed(dsm_util::seed_corpus()[0]),
     );
     let report = config.build().run(|ctx| {
         ctx.barrier(BarrierId(5));

@@ -2,7 +2,7 @@
 //!
 //! The acceptance claims of the batching work, checked on real workloads
 //! (message counts and modeled time on the sim fabric, under each of
-//! [`modeled_sims`]):
+//! [`SimConfig::modeled_sims`]):
 //!
 //! * **Semantics** — final object contents are byte-identical with batching
 //!   on and off (batching is purely a wire optimization);
@@ -15,7 +15,7 @@
 //!   per-entry diffs' wire bytes summed, never one message per entry.
 
 use dsm_core::{ProtocolConfig, DIFF_BATCH_ENTRY_HEADER_BYTES};
-use dsm_integration_tests::{modeled_sims, seed_corpus, sim_test_cluster, test_cluster};
+use dsm_integration_tests::{sim_test_cluster, test_cluster};
 use dsm_net::{MsgCategory, MESSAGE_HEADER_BYTES};
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{ArrayHandle, ClusterBuilder, ExecutionReport, SimConfig};
@@ -32,7 +32,7 @@ fn sor_run(config: ClusterBuilder) -> (f64, ExecutionReport) {
 
 #[test]
 fn sor_batched_matches_unbatched_with_fewer_messages_and_lower_time() {
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         let seed = sim.seed;
         let config = |batched| {
             sim_test_cluster(4, ProtocolConfig::no_migration(), sim).flush_batching(batched)
@@ -124,7 +124,7 @@ fn single_object_intervals_never_batch() {
         total_updates: 2 * 3 * 6,
         compute_ops: 0,
     };
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         let config = sim_test_cluster(4, ProtocolConfig::no_migration(), sim);
         let report = synthetic::run(config, &params).report;
         assert_eq!(report.protocol.batched_flushes, 0, "seed {:#x}", sim.seed);
@@ -150,7 +150,7 @@ fn single_object_intervals_never_batch() {
 #[test]
 fn diff_batch_replans_redirected_entries_under_sim_reordering() {
     let mut ack_carried_redirects = 0u64;
-    let seeds = seed_corpus();
+    let seeds = dsm_util::seed_corpus();
     for &seed in &seeds {
         let mut cluster = sim_test_cluster(4, ProtocolConfig::adaptive(), SimConfig::stormy(seed));
         let stays: ArrayHandle<u64> = ArrayHandle::register(

@@ -1,13 +1,13 @@
 //! End-to-end tests of the new-home notification mechanisms and a
 //! multi-object stress test mixing access patterns. Contents are checked on
 //! the threaded runtime and the sim; message and migration counts only on
-//! the sim, under each of [`modeled_sims`].
+//! the sim, under each of [`SimConfig::modeled_sims`].
 
 use dsm_core::{NotificationMechanism, ProtocolConfig};
-use dsm_integration_tests::{modeled_sims, sim_test_cluster, test_cluster};
+use dsm_integration_tests::{sim_test_cluster, test_cluster};
 use dsm_net::MsgCategory;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
-use dsm_runtime::{ArrayHandle, ClusterBuilder, ExecutionReport};
+use dsm_runtime::{ArrayHandle, ClusterBuilder, ExecutionReport, SimConfig};
 
 /// Run a single-writer workload on a four-node cluster (`config` picks the
 /// fabric and the notification mechanism); the readers check the final
@@ -51,11 +51,11 @@ fn single_writer_run(mut cluster: ClusterBuilder) -> (u64, u64, u64) {
     )
 }
 
-/// [`single_writer_run`] under `mechanism` on each of [`modeled_sims`], as
+/// [`single_writer_run`] under `mechanism` on each of [`SimConfig::modeled_sims`], as
 /// (seed, redirects, notifications, migrations).
 fn single_writer_counts(mechanism: NotificationMechanism) -> Vec<(u64, u64, u64, u64)> {
     let protocol = ProtocolConfig::adaptive().with_notification(mechanism);
-    modeled_sims()
+    SimConfig::modeled_sims()
         .into_iter()
         .map(|sim| {
             let (redirects, notifications, migrations) =
@@ -128,7 +128,7 @@ fn notification_mechanisms_keep_readers_current_on_threads() {
 #[test]
 fn mixed_pattern_stress_run_preserves_every_object() {
     mixed_pattern_run(test_cluster(4, ProtocolConfig::adaptive()));
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         let report = mixed_pattern_run(sim_test_cluster(4, ProtocolConfig::adaptive(), sim));
         // The lasting single-writer objects should have migrated to their
         // writers; the exact count for the rotating ones depends on feedback.

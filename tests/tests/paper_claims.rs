@@ -5,20 +5,21 @@
 //! (it suppresses migration and its redirection overhead).
 //!
 //! The claims are about modeled time and message counts, so every test runs
-//! on the sim fabric under each of [`modeled_sims`], where those numbers are
+//! on the sim fabric under each of [`SimConfig::modeled_sims`], where those numbers are
 //! a pure function of the seed.
 
 use dsm_apps::synthetic::{self, SyntheticParams};
 use dsm_apps::{asp, sor};
 use dsm_core::ProtocolConfig;
-use dsm_integration_tests::{modeled_sims, sim_test_cluster};
+use dsm_integration_tests::sim_test_cluster;
 use dsm_net::MsgCategory;
+use dsm_runtime::SimConfig;
 
 /// §5.1: "home migration improves the performance of ASP and SOR a lot"
 /// because the round-robin initial homes are not the writing nodes.
 #[test]
 fn claim_asp_and_sor_benefit_from_home_migration() {
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         let seed = sim.seed;
         let cluster = |protocol| sim_test_cluster(4, protocol, sim);
         let asp_params = asp::AspParams::small(40);
@@ -49,7 +50,7 @@ fn claim_asp_and_sor_benefit_from_home_migration() {
 /// initial data relocation.
 #[test]
 fn claim_adaptive_threshold_beats_fixed_threshold_two() {
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         let seed = sim.seed;
         let params = asp::AspParams::small(40);
         let at = asp::run(
@@ -85,7 +86,7 @@ fn claim_lasting_single_writer_pattern_is_exploited() {
         total_updates: (repetition * 4 * 8) as u64,
         compute_ops: 0,
     };
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         let at = synthetic::run(
             sim_test_cluster(5, ProtocolConfig::adaptive(), sim),
             &params,
@@ -120,7 +121,7 @@ fn claim_transient_single_writer_pattern_is_suppressed() {
         total_updates: (repetition * 4 * 16) as u64,
         compute_ops: 0,
     };
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         let seed = sim.seed;
         let at = synthetic::run(
             sim_test_cluster(5, ProtocolConfig::adaptive(), sim),
@@ -157,7 +158,7 @@ fn claim_ft2_prohibits_migration_at_repetition_two() {
         total_updates: 2 * 4 * 10,
         compute_ops: 0,
     };
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         let ft2 = synthetic::run(
             sim_test_cluster(5, ProtocolConfig::fixed_threshold(2), sim),
             &params,
@@ -184,7 +185,7 @@ fn claim_ft2_prohibits_migration_at_repetition_two() {
 fn claim_results_are_policy_independent() {
     let asp_params = asp::AspParams::small(28);
     let reference = asp::checksum(&asp::sequential(&asp_params));
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         for protocol in [
             ProtocolConfig::no_migration(),
             ProtocolConfig::fixed_threshold(1),

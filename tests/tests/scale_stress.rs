@@ -20,7 +20,7 @@
 //! failing-seed list.
 
 use dsm_core::ProtocolConfig;
-use dsm_integration_tests::{seed_corpus, test_cluster};
+use dsm_integration_tests::test_cluster;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{ArrayHandle, ExecutionReport};
 use dsm_util::{fnv, FNV_BASIS};
@@ -120,7 +120,7 @@ fn record_failure(seed: u64, message: String) -> String {
 /// computed the right thing.
 #[test]
 fn stress_256_nodes_complete_a_soak_under_the_executor() {
-    let seed = seed_corpus()[0];
+    let seed = dsm_util::seed_corpus()[0];
     let (fingerprint, report) = soak(0, seed, 2);
     assert_ne!(fingerprint, 0, "the master never published a fingerprint");
     assert_eq!(report.num_nodes, NODES);
@@ -142,7 +142,7 @@ fn stress_256_nodes_complete_a_soak_under_the_executor() {
 #[test]
 #[ignore = "release-mode 256-node soak; run via `cargo test --release -- --include-ignored scale`"]
 fn stress_256_nodes_single_worker_matches_auto_pool_across_the_corpus() {
-    for seed in seed_corpus() {
+    for seed in dsm_util::seed_corpus() {
         let rounds = 4;
         let (pool_fp, pool_report) = soak(0, seed, rounds);
         let (single_fp, single_report) = soak(1, seed, rounds);

@@ -20,12 +20,12 @@
 //! cluster; thread interleaving may vary between runs, but the final
 //! contents may not. Claims about traffic, migration and batch counts are
 //! checked on the same workloads on the sim fabric, under each of
-//! [`modeled_sims`], never on the threaded runs.
+//! [`SimConfig::modeled_sims`], never on the threaded runs.
 
 use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
-use dsm_integration_tests::{corpus_seed, modeled_sims, sim_test_cluster, test_cluster};
+use dsm_integration_tests::{corpus_seed, sim_test_cluster, test_cluster};
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
-use dsm_runtime::{ArrayHandle, ClusterBuilder, ExecutionReport};
+use dsm_runtime::{ArrayHandle, ClusterBuilder, ExecutionReport, SimConfig};
 use dsm_util::SmallRng;
 
 const NODES: usize = 4;
@@ -164,7 +164,7 @@ fn stress_soak_seed_3_no_lost_updates() {
 #[test]
 fn stress_soak_faults_in_and_flushes_on_the_sim() {
     let seed = corpus_seed(0);
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         let report = soak(
             seed,
             sim_test_cluster(NODES, ProtocolConfig::adaptive(), sim),
@@ -190,7 +190,7 @@ fn stress_soak_faults_in_and_flushes_on_the_sim() {
 #[test]
 fn stress_migration_hammer_rotating_writers() {
     hammer(test_cluster(NODES, jump()));
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         let report = hammer(sim_test_cluster(NODES, jump(), sim));
         // Rotating writers under JUMP must keep the homes moving; at least
         // the first full rotation migrates every object away from a foreign
@@ -363,7 +363,7 @@ fn stress_batched_mode_contents_match_unbatched() {
     let threaded = test_cluster(NODES, ProtocolConfig::adaptive());
     run(threaded.clone(), true);
     run(threaded, false);
-    for sim in modeled_sims() {
+    for sim in SimConfig::modeled_sims() {
         let cluster = sim_test_cluster(NODES, ProtocolConfig::adaptive(), sim);
         let batched = run(cluster.clone(), true);
         let unbatched = run(cluster, false);

@@ -1,31 +1,23 @@
-//! The policy × workload conformance matrix on the deterministic sim
-//! fabric (the grid is defined once in `dsm_bench::matrix`; the committed
-//! `bench/figures/small/sim_matrix*.txt` outputs and the weekly extended
-//! sweep run the same cells under seeds of their own).
+//! Conformance scenarios on the deterministic sim fabric that the
+//! policy × workload grid does not reach. The grid itself (defined once in
+//! `dsm_bench::matrix`) runs in tier-1 as the golden `sim_matrix` and
+//! `sim_matrix_lossy` tests of `dsm-bench`, on the first two
+//! `dsm_util::derived_seeds` (the first two of the default corpus);
+//! `sim_matrix --seeds` replays a failing cell and `sim_matrix --sweep N`
+//! widens it. Here:
 //!
-//! For every workload × policy cell, under the shared seed corpus
-//! (`DSM_SEEDS` overridable):
-//!
-//! * the sim-fabric result fingerprint equals the threaded-fabric
-//!   reference — message schedules are performance, never semantics;
-//! * the same seed replays a **bit-identical delivery trace**;
-//! * two distinct seeds yield **different delivery orders** yet identical
-//!   results;
-//! * the protocol invariants hold: no lost flush acks, migration
-//!   conservation, trace/statistics message-count reconciliation, per-link
-//!   FIFO delivery;
-//! * the same claims hold under **injected faults** ([`SimConfig::lossy`]:
-//!   1% seeded per-link drops plus a partition/heal cycle) — timeouts,
-//!   idempotent retries and home re-election turn message loss into a
-//!   performance event, never a semantic one;
 //! * a home node **going dark mid-run** triggers a deterministic home
-//!   re-election and the workload still completes with the right answer;
-//! * and (separately) the single-home-per-epoch invariant holds at every
-//!   synchronization point of a migration-churn run.
+//!   re-election and the workload still completes with the right answer,
+//!   replaying bit-identically from one pinned seed;
+//! * a diff flush meeting a live read lease is **deferred** (`Busy`) on
+//!   every corpus seed (`DSM_SEEDS` overridable), without changing the
+//!   result;
+//! * the single-home-per-epoch invariant holds at every synchronization
+//!   point of a migration-churn run.
 //!
 //! Every assertion message names the seed, so a failure is a replay recipe.
 
-use dsm_bench::matrix::{self, CellResult, MatrixWorkload};
+use dsm_bench::matrix;
 use dsm_core::{MigrateOnRequestPolicy, ProtocolConfig};
 use dsm_integration_tests::{seed_pair, sim_test_cluster};
 use dsm_model::{ComputeModel, NetworkParams, SimDuration, SimTime};
@@ -33,118 +25,6 @@ use dsm_net::PauseSpec;
 use dsm_objspace::{BarrierId, HomeAssignment, LockId, NodeId};
 use dsm_runtime::{ArrayHandle, Cluster, ExecutionReport, FabricMode, SimConfig};
 use dsm_util::{fnv, FNV_BASIS};
-
-/// Run every policy against `workload` under the corpus seeds with
-/// `sim_config` ([`matrix::conformance_for`]) and fail on any cell's
-/// failure, naming the cell and the seed. The claims, cell by cell: the sim
-/// fingerprint equals the threaded reference for every seed, a seed replays
-/// its delivery trace bit-identically, the invariants hold, and distinct
-/// seeds deliver in different orders. Returns the cells.
-fn conformance_for(workload: &MatrixWorkload, sim_config: fn(u64) -> SimConfig) -> Vec<CellResult> {
-    let (seed_a, seed_b) = seed_pair();
-    let cells = matrix::conformance_for(workload, &[seed_a, seed_b], sim_config);
-    for cell in &cells {
-        if let Some((seed, failure)) = cell.failures.first() {
-            panic!(
-                "{} x {}: seed {seed:#x}: {failure} ({} failures in the cell)",
-                cell.workload,
-                cell.policy,
-                cell.failures.len()
-            );
-        }
-    }
-    cells
-}
-
-#[test]
-fn matrix_sor_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[0], SimConfig::perturbed);
-}
-
-#[test]
-fn matrix_asp_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[1], SimConfig::perturbed);
-}
-
-#[test]
-fn matrix_tsp_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[2], SimConfig::perturbed);
-}
-
-#[test]
-fn matrix_nbody_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[3], SimConfig::perturbed);
-}
-
-#[test]
-fn matrix_synthetic_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[4], SimConfig::perturbed);
-}
-
-#[test]
-fn matrix_kv_conforms_across_policies_and_seeds() {
-    conformance_for(&matrix::workloads()[5], SimConfig::perturbed);
-}
-
-#[test]
-fn matrix_workload_order_is_the_documented_one() {
-    // The per-workload tests above index into the list; a re-ordering must
-    // fail loudly here rather than silently swap the cells under test.
-    let names: Vec<&str> = matrix::workloads().iter().map(|w| w.name).collect();
-    assert_eq!(names, ["SOR", "ASP", "TSP", "Nbody", "synthetic", "KV"]);
-    let policies: Vec<String> = matrix::policies().into_iter().map(|(l, _)| l).collect();
-    assert_eq!(
-        policies,
-        ["NM", "FT2", "AT", "JUMP", "LAZY", "HYST1+2", "EWMA"]
-    );
-}
-
-/// The same claims with injected faults (`SimConfig::lossy`: 1% seeded
-/// per-link drops plus a partition/heal cycle): identical fingerprints,
-/// clean invariants (drop-aware reconciliation) and bit-identical replay,
-/// drop records included.
-fn lossy_conformance_for(workload: &MatrixWorkload) {
-    let cells = conformance_for(workload, SimConfig::lossy);
-    // The sweep is only meaningful if the fault injection actually bit:
-    // across a whole workload's cells and two seeds, something must drop.
-    let injected_drops: usize = cells.iter().map(|cell| cell.drops).sum();
-    assert!(
-        injected_drops > 0,
-        "{}: no message was ever dropped across the lossy sweep — \
-         the fault injection did not engage",
-        workload.name
-    );
-}
-
-#[test]
-fn matrix_sor_conforms_under_lossy_faults() {
-    lossy_conformance_for(&matrix::workloads()[0]);
-}
-
-#[test]
-fn matrix_asp_conforms_under_lossy_faults() {
-    lossy_conformance_for(&matrix::workloads()[1]);
-}
-
-#[test]
-fn matrix_tsp_conforms_under_lossy_faults() {
-    lossy_conformance_for(&matrix::workloads()[2]);
-}
-
-#[test]
-fn matrix_nbody_conforms_under_lossy_faults() {
-    lossy_conformance_for(&matrix::workloads()[3]);
-}
-
-#[test]
-fn matrix_synthetic_conforms_under_lossy_faults() {
-    lossy_conformance_for(&matrix::workloads()[4]);
-}
-
-#[test]
-fn matrix_kv_conforms_under_lossy_faults() {
-    lossy_conformance_for(&matrix::workloads()[5]);
-}
 
 /// A home node goes dark mid-run (seeded node-pause injection) while
 /// another node needs its object: the stalled request times out, fails
@@ -371,7 +251,7 @@ fn matrix_busy_deferral_is_deterministic_and_conforms_across_seeds() {
 
     let (reference, _) = run(FabricMode::Threaded, seed_pair().0);
     assert_ne!(reference, 0, "node 1 never published a fingerprint");
-    for seed in dsm_integration_tests::seed_corpus() {
+    for seed in dsm_util::seed_corpus() {
         let (fp, report) = run(FabricMode::Sim(SimConfig::perturbed(seed)), seed);
         assert_eq!(
             fp, reference,

@@ -8,7 +8,7 @@
 
 use dsm_bench::matrix::{self, check_invariants};
 use dsm_core::ProtocolConfig;
-use dsm_integration_tests::{corpus_seed, seed_corpus};
+use dsm_integration_tests::corpus_seed;
 use dsm_runtime::{FabricMode, TcpConfig};
 
 /// Run one matrix workload on the TCP fabric and on the threaded
@@ -85,7 +85,7 @@ fn every_policy_conforms_on_the_synthetic_workload_over_tcp() {
 /// conforms, so an overridden `DSM_SEEDS` list sweeps TCP too.
 #[test]
 fn sor_conforms_across_the_whole_seed_corpus_over_tcp() {
-    for seed in seed_corpus() {
+    for seed in dsm_util::seed_corpus() {
         assert_tcp_conforms("SOR", ProtocolConfig::fixed_threshold(2), seed);
     }
 }
